@@ -45,11 +45,12 @@ def _value_json(value: CycloNumber) -> str:
     return json.dumps(value.to_json(), sort_keys=True)
 
 
-def _write_output(args, document: dict, csv_writer) -> None:
+def _write_output(args, build_document, csv_writer) -> None:
+    """Write the --out report; the JSON document is built only when asked for."""
     if not args.out:
         return
     if args.format == "json":
-        modular.write_json(document, args.out)
+        modular.write_json(build_document(), args.out)
     else:
         csv_writer(args.out)
 
@@ -81,7 +82,7 @@ def cmd_anyons(args) -> int:
             for row in rows:
                 handle.write(f"{row['label']},{row['dim']},{row['twist']}\n")
 
-    _write_output(args, document, csv_writer)
+    _write_output(args, lambda: document, csv_writer)
     return 0
 
 
@@ -109,7 +110,7 @@ def cmd_modular(args) -> int:
         ]
         modular.write_matrix_csv(matrix, md.labels, path)
 
-    _write_output(args, modular.modular_data_to_json(md), csv_writer)
+    _write_output(args, lambda: modular.modular_data_to_json(md), csv_writer)
     if report.failures:
         raise VerificationFailure("; ".join(report.failures))
     return 0
@@ -137,7 +138,7 @@ def cmd_wmatrix(args) -> int:
         ]
         modular.write_matrix_csv(matrix, wm.labels, path)
 
-    _write_output(args, modular.w_matrix_to_json(wm), csv_writer)
+    _write_output(args, lambda: modular.w_matrix_to_json(wm), csv_writer)
     failures = list(id_report.failures) + ba_failures
     if failures:
         raise VerificationFailure("; ".join(failures[:5]))
@@ -165,7 +166,7 @@ def cmd_invariant(args) -> int:
         "framed": framed.to_json(),
         "zero_framed": zero_framed.to_json(),
     }
-    _write_output(args, document, lambda path: modular.write_matrix_csv(
+    _write_output(args, lambda: document, lambda path: modular.write_matrix_csv(
         [[framed, zero_framed]], ["invariant"], path))
     return 0
 

@@ -107,9 +107,48 @@ def _element_of_order(prime: int, n: int) -> int:
     raise RuntimeError("no element of the requested order")
 
 
+# Exact mod-P matrix products through float64 BLAS (the limb technique of
+# FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): residues
+# below P < 2^31 times 16-bit limbs, summed over at most 64 terms, stay
+# below 64 * 2^31 * 2^16 = 2^53, where float64 arithmetic is exact.
+_LIMB_BITS = 16
+_BLOCK = 64
+# Exact block sums below 2^53 are added in int64 at most this many at a
+# time between reductions, so the running sum stays below 2^63.
+_SUMS_PER_REDUCTION = 1024
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
+    """(a @ b) mod prime for residue arrays in [0, prime), batched like
+    np.matmul.  b is split into two 16-bit limbs that share one float64
+    product, and the inner dimension is cut into blocks of at most 64 so
+    every partial sum is exact, whatever the inner dimension."""
+    b = np.asarray(b, dtype=np.int64)
+    cols = b.shape[-1]
+    limbs = np.concatenate((b >> _LIMB_BITS, b & ((1 << _LIMB_BITS) - 1)), axis=-1)
+    limbs = limbs.astype(np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    acc = None
+    for i, start in enumerate(range(0, a.shape[-1], _BLOCK)):
+        stop = start + _BLOCK
+        part = (a[..., start:stop] @ limbs[..., start:stop, :]).astype(np.int64)
+        if acc is None:
+            acc = part
+            continue
+        if i % _SUMS_PER_REDUCTION == 0:
+            acc %= prime
+        acc += part
+    acc %= prime
+    out = acc[..., :cols] << _LIMB_BITS
+    out += acc[..., cols:]
+    out %= prime
+    return out
+
+
 class _FreqPrime:
     """Evaluation of histogram vectors at all powers of a fixed root of
-    unity gamma modulo one prime, and the exact inverse transform."""
+    unity gamma modulo one prime, and the exact inverse transform.
+    Evaluations are frequency first: index f holds the values at gamma^f."""
 
     def __init__(self, prime: int, n: int):
         self.prime = prime
@@ -125,33 +164,22 @@ class _FreqPrime:
         self.inv_table = pows[(-idx) % n]
         self.n_inv = pow(n, -1, prime)
 
-    def evaluate(self, counts: np.ndarray) -> np.ndarray:
-        """(..., n) integer vectors -> (..., n) residues of the values at
-        gamma^f, f = 0..n-1."""
-        c = np.ascontiguousarray(counts, dtype=np.int64)
-        peak = int(np.abs(c).max(initial=0))
-        if peak and peak > _INT64_LIMIT // ((self.prime - 1) * self.n):
-            raise OverflowError("histogram entries too large to evaluate")
-        return (c @ self.eval_table) % self.prime
+    def evaluate(self, counts: np.ndarray, freqs: np.ndarray | None = None) -> np.ndarray:
+        """(..., n) integer vectors -> (F, ...) residues of the values at
+        gamma^f for the F frequencies f in freqs (default: all n)."""
+        c = np.asarray(counts, dtype=np.int64)
+        flat = c.reshape(-1, self.n) % self.prime
+        # Row f of eval_table holds gamma^(f*j), j = 0..n-1.
+        table = self.eval_table if freqs is None else self.eval_table[freqs]
+        out = _mulmod(table, flat.T, self.prime)
+        return out.reshape((len(table),) + c.shape[:-1])
 
     def invert(self, evals: np.ndarray) -> np.ndarray:
-        """Inverse transform: residues at all n frequencies back to the
-        residues of the histogram coefficients."""
-        hi, lo = evals >> 16, evals & 0xFFFF
-        out = (((hi @ self.inv_table) % self.prime) << 16) + (
-            (lo @ self.inv_table) % self.prime
-        )
-        return out % self.prime * self.n_inv % self.prime
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
-    """Frequency-wise matrix product: a is (x, k, F), b is (k, y, F);
-    returns (x, y, F) mod prime.  Products are reduced before summation
-    so nothing exceeds int64."""
-    out = np.zeros((a.shape[0], b.shape[1], a.shape[2]), dtype=np.int64)
-    for j in range(a.shape[1]):
-        out += a[:, j, None, :] * b[None, j, :, :] % prime
-    return out % prime
+        """Inverse transform: (n, ...) residues at all n frequencies back
+        to the (..., n) residues of the histogram coefficients."""
+        flat = evals.reshape(self.n, -1)
+        out = _mulmod(self.inv_table, flat, self.prime) * self.n_inv % self.prime
+        return out.T.reshape(evals.shape[1:] + (self.n,))
 
 
 def _crt_centered(residues: list[np.ndarray], primes: tuple[int, ...]) -> np.ndarray:
@@ -222,8 +250,9 @@ class ModularData:
     s2_is_permutation: bool
     dual: tuple[int, ...] | None
     _label_index: dict = field(repr=False, default_factory=dict)
-    _verlinde: np.ndarray | None = field(repr=False, default=None)
-    _r_table: list | None = field(repr=False, default=None)
+    _verlinde: np.ndarray | None = field(init=False, repr=False, default=None)
+    _r_table: list | None = field(init=False, repr=False, default=None)
+    _s_evals: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
@@ -315,11 +344,7 @@ def modular_data(params: CocycleParams) -> ModularData:
     gauss_hist = np.zeros(ctx.root_order, dtype=np.int64)
     np.add.at(gauss_hist, twist_exps, dims * dims)
     gauss = CycloNumber.from_root_counts(ctx.root_order, gauss_hist)
-    for c_mod_8 in range(8):
-        if gauss == root_of_unity(c_mod_8, 8) * total_dim:
-            break
-    else:
-        raise ArithmeticError("Gauss sum is not D times an eighth root of unity")
+    c_mod_8 = _gauss_phase(gauss, total_dim)
 
     md = ModularData(
         params=params,
@@ -348,9 +373,37 @@ def modular_data(params: CocycleParams) -> ModularData:
     return md
 
 
-def _s_evals(md: ModularData, checker: _ExactChecker) -> list[np.ndarray]:
-    """Per-prime evaluations of every s_counts histogram, all frequencies."""
-    return [fp.evaluate(md.s_counts) for fp in checker.freq]
+def _gauss_phase(gauss: CycloNumber, total_dim: int) -> int:
+    """The c mod 8 with Gauss sum = D * zeta_8^c, decided inside
+    Q(zeta_N): D * zeta_8^c lies there only when zeta_8^c does, that is
+    when its order k divides lcm(2, N); for odd N only c = 0, 4 remain."""
+    order = gauss.order
+    for c in range(8):
+        k = 8 // math.gcd(c, 8)
+        if k <= 2:
+            target = CycloNumber.from_rational(total_dim if k == 1 else -total_dim, order)
+        elif order % k == 0:
+            target = root_of_unity(c * order // 8, order) * total_dim
+        else:
+            continue
+        if gauss == target:
+            return c
+    raise ArithmeticError("Gauss sum is not D times an eighth root of unity")
+
+
+def _s_evals(md: ModularData, fp: _FreqPrime) -> np.ndarray:
+    """Residues of every S-tilde entry modulo one prime at the primitive
+    frequencies, frequency first: (phi(N), n, n).  They are computed once
+    per theory and prime and kept as int32 (residues are below 2^31);
+    each caller gets an int64 copy.  The frequencies are sorted and closed
+    under f -> N - f, so reversing the first axis gives the complex
+    conjugates."""
+    evals = md._s_evals.get(fp.prime)
+    if evals is None:
+        prim = _checker(md.root_order).prim
+        evals = fp.evaluate(md.s_counts, prim).astype(np.int32)
+        md._s_evals[fp.prime] = evals
+    return evals.astype(np.int64)
 
 
 def _extract_s_squared(md: ModularData) -> np.ndarray | None:
@@ -362,11 +415,12 @@ def _extract_s_squared(md: ModularData) -> np.ndarray | None:
     bound = int(np.max(l1 @ l1))
     checker.require_capacity(bound + int(np.max(np.abs(l1 @ l1))), "S^2 extraction")
     values = []
-    for fp, evals in zip(checker.freq, _s_evals(md, checker)):
-        sq = _matmul_mod(evals, evals, fp.prime)[:, :, checker.prim]
-        if not np.all(sq == sq[:, :, :1]):
+    for fp in checker.freq:
+        ev = _s_evals(md, fp)
+        sq = _mulmod(ev, ev, fp.prime)
+        if not np.all(sq == sq[:1]):
             return None
-        values.append(sq[:, :, 0])
+        values.append(sq[0])
     exact = _crt_centered(values, checker.primes)
     if np.any(np.abs(exact) > bound):
         return None
@@ -400,7 +454,6 @@ def modularity_report(md: ModularData) -> ModularityReport:
     failures: list[str] = []
     checker = _checker(md.root_order)
     n = md.n_objects
-    evals = _s_evals(md, checker)
     l1 = np.sum(md.s_counts, axis=2)
     d_sq = md.total_dim * md.total_dim
 
@@ -414,10 +467,10 @@ def modularity_report(md: ModularData) -> ModularityReport:
     unitary = True
     bound = int(np.max(l1 @ l1.T)) + d_sq
     checker.require_capacity(bound, "unitarity")
-    for fp, ev in zip(checker.freq, evals):
-        conj = ev[:, :, checker.neg]
-        gram = _matmul_mod(ev, conj.transpose(1, 0, 2), fp.prime)[:, :, checker.prim]
-        gram[np.arange(n), np.arange(n), :] -= d_sq
+    for fp in checker.freq:
+        ev = _s_evals(md, fp)
+        gram = _mulmod(ev, ev[::-1].transpose(0, 2, 1), fp.prime)
+        gram[:, np.arange(n), np.arange(n)] -= d_sq
         if np.any(gram % fp.prime):
             unitary = False
     if not unitary:
@@ -432,7 +485,7 @@ def modularity_report(md: ModularData) -> ModularityReport:
     else:
         failures.append("S^2 is not D^2 times a permutation matrix")
 
-    st_ok = _st_cubed_matches_s2(md, checker, evals, l1)
+    st_ok = _st_cubed_matches_s2(md, checker, l1)
     if not st_ok:
         failures.append("(ST)^3 does not equal the Gauss phase times S^2")
 
@@ -461,7 +514,7 @@ def modularity_report(md: ModularData) -> ModularityReport:
     )
 
 
-def _st_cubed_matches_s2(md, checker, evals, l1) -> bool:
+def _st_cubed_matches_s2(md, checker, l1) -> bool:
     """(S-tilde T)^3 = D * phase * S-tilde^2 with phase the Gauss-sum
     eighth root of unity; certified when the phase is rational (+-1)."""
     if md.c_mod_8 % 4:
@@ -476,15 +529,17 @@ def _st_cubed_matches_s2(md, checker, evals, l1) -> bool:
     )
     checker.require_capacity(bound, "(ST)^3 comparison")
     ok = True
-    for fp, ev in zip(checker.freq, evals):
+    for fp in checker.freq:
+        ev = _s_evals(md, fp)
+        # column b of S-tilde T at gamma^f is scaled by theta_b^f
         twist_phase = fp.pows[
-            np.arange(md.root_order)[None, :] * md.twist_exps[:, None] % md.root_order
+            checker.prim[:, None] * md.twist_exps[None, :] % md.root_order
         ]
-        st = ev * twist_phase[None, :, :] % fp.prime
-        cubed = _matmul_mod(_matmul_mod(st, st, fp.prime), st, fp.prime)
-        s2 = _matmul_mod(ev, ev, fp.prime)
+        st = ev * twist_phase[:, None, :] % fp.prime
+        cubed = _mulmod(_mulmod(st, st, fp.prime), st, fp.prime)
+        s2 = _mulmod(ev, ev, fp.prime)
         rhs = sign * md.total_dim % fp.prime * s2 % fp.prime
-        if np.any((cubed - rhs)[:, :, checker.prim] % fp.prime):
+        if np.any((cubed - rhs) % fp.prime):
             ok = False
     return ok
 
@@ -523,27 +578,35 @@ def verlinde_table(md: ModularData) -> np.ndarray:
     bound = int(np.sum(weights.astype(object) * colmax**3))
     checker.require_capacity(bound, "Verlinde extraction")
 
+    # One product per primitive frequency f: the rows S~_az S~_bz w_z
+    # times conj(S~)^T give D^3 N_ab^c at gamma^f, which must not depend
+    # on f.  The rows are symmetric in (a, b), so only a <= b is formed.
+    upper_a, upper_b = np.triu_indices(n)
     per_prime = []
-    for fp, ev in zip(checker.freq, _s_evals(md, checker)):
-        sub = ev[:, :, checker.prim]
-        conj = ev[:, :, checker.neg][:, :, checker.prim]
-        vals = np.zeros((n, n, n), dtype=np.int64)
-        for a in range(n):
-            t1 = sub[a] * weights[:, None] % fp.prime
-            for b in range(n):
-                t2 = t1 * sub[b] % fp.prime
-                prod = np.sum(t2[None, :, :] * conj % fp.prime, axis=1) % fp.prime
-                if not np.all(prod == prod[:, :1]):
-                    raise ArithmeticError(
-                        f"Verlinde value for a={a}, b={b} is not rational"
-                    )
-                vals[a, b] = prod[:, 0]
-        per_prime.append(vals)
+    for fp in checker.freq:
+        ev = _s_evals(md, fp)
+        first = None
+        irrational = np.zeros(len(upper_a), dtype=bool)
+        for s, s_conj in zip(ev, ev[::-1]):
+            rows = s[upper_a] * (s * weights % fp.prime)[upper_b] % fp.prime
+            vals = _mulmod(rows, s_conj.T, fp.prime)
+            if first is None:
+                first = vals
+            else:
+                irrational |= np.any(vals != first, axis=1)
+        if irrational.any():
+            i = int(np.argmax(irrational))
+            raise ArithmeticError(
+                f"Verlinde value for a={upper_a[i]}, b={upper_b[i]} is not rational"
+            )
+        per_prime.append(first)
     exact = _crt_centered(per_prime, checker.primes)
     scale = md.total_dim**3
     if np.any(exact % scale) or np.any(exact < 0):
         raise ArithmeticError("Verlinde table is not nonnegative-integral")
-    table = (exact // scale).astype(np.int64)
+    table = np.empty((n, n, n), dtype=np.int64)
+    table[upper_a, upper_b] = exact // scale
+    table[upper_b, upper_a] = exact // scale
     md._verlinde = table
     return table
 
@@ -714,6 +777,7 @@ def ba_block_formula_report(md: ModularData, wm: WMatrix) -> tuple[bool, list[st
     spec = md.params.spec
     q, p = spec.q, spec.p
     failures = []
+    ne = md.root_order
     for a, la in enumerate(md.labels):
         if not la.startswith("B_"):
             continue
@@ -724,17 +788,11 @@ def ba_block_formula_report(md: ModularData, wm: WMatrix) -> tuple[bool, list[st
                 continue
             _, l_str, m_str = lb.split("_")
             lm = int(l_str) * int(m_str)
-            sign = -1 if (lm * k2) % 2 else 1
-            # theta_A^(k2/2) = (zeta_2q^lm)^k2 with zeta_2q = -zeta_q^((q+1)/2)
-            half_power = root_of_unity((q + 1) // 2 * lm * k2, q)
-            if (lm * k2) % 2:
-                half_power = -half_power
-            expected = (
-                CycloNumber.from_rational(q * p, 1)
-                * sign
-                / half_power
-                / md.twist(a)
-            )
+            # theta_A^(k2/2) = (zeta_2q^lm)^k2 = (-1)^(lm*k2) zeta_q^((q+1)/2*lm*k2):
+            # its sign cancels (-1)^(l*m*k2), so W is the monomial
+            # q*p * zeta_N^e, with zeta_q = zeta_N^(N/q) and theta_B = zeta_N^t_B.
+            e = -((q + 1) // 2) * lm * k2 * (ne // q) - int(md.twist_exps[a])
+            expected = root_of_unity(e, ne) * (q * p)
             if wm.w_entry(a, b) != expected:
                 failures.append(f"BA formula fails at ({la}, {lb})")
     return (not failures, failures)
@@ -767,11 +825,10 @@ def punctured_vanishing_report(md: ModularData, wm: WMatrix) -> tuple[bool, list
     # theta_x cancels between S_zx theta_x and W_ax = V_ax/(theta_a theta_x),
     # so the trace is proportional to F_za = sum_x S~_zx V_ax.
     zero_mask = None
-    for fp, ev in zip(checker.freq, _s_evals(md, checker)):
-        v_ev = fp.evaluate(wm.v_counts)[:, :, checker.prim]
-        sub = ev[:, :, checker.prim]
-        f_vals = _matmul_mod(sub, v_ev.transpose(1, 0, 2), fp.prime)
-        mask = ~np.any(f_vals, axis=2)
+    for fp in checker.freq:
+        v_ev = fp.evaluate(wm.v_counts, checker.prim)
+        f_vals = _mulmod(_s_evals(md, fp), v_ev.transpose(0, 2, 1), fp.prime)
+        mask = ~np.any(f_vals, axis=0)
         zero_mask = mask if zero_mask is None else (zero_mask & mask)
     failures = []
     for a in range(n):
@@ -821,27 +878,25 @@ def _r_table(md: ModularData) -> list[list[CycloNumber]]:
         if 2 * checker.kappa * bound < checker.product:
             break
         prime_count += 1
+    # The inverse transform needs every frequency; the shared evaluations
+    # hold the primitive ones.
+    other = np.setdiff1d(np.arange(ne), checker.prim)
     per_prime = []
-    for fp, ev in zip(checker.freq, _s_evals(md, checker)):
-        conj = ev[:, :, checker.neg]
-        freq_idx = np.arange(ne)
-        twist_pos = fp.pows[(2 * md.twist_exps[:, None] * freq_idx[None, :]) % ne]
-        twist_neg = fp.pows[(-2 * md.twist_exps[:, None] * freq_idx[None, :]) % ne]
-        # A~_z evaluations: (z, f)
-        a_ev = (
-            np.sum(md.dims[:, None, None] * twist_pos[:, None, :] % fp.prime * conj
-                   % fp.prime, axis=0)
-            % fp.prime
-        )
-        # B~_cz evaluations: for each c, sum_x (theta_x^-2 S~*_xz) S~*_cx
-        t1 = twist_neg[:, None, :] * conj % fp.prime  # (x, z, f)
-        b_ev = np.zeros((n, n, ne), dtype=np.int64)
-        for c in range(n):
-            b_ev[c] = np.sum(t1 * conj[c][:, None, :] % fp.prime, axis=0) % fp.prime
-        k_ev = b_ev * (a_ev[None, :, :] * weights[None, :, None] % fp.prime) % fp.prime
-        r_ev = np.zeros((n, n, ne), dtype=np.int64)
-        for a in range(n):
-            r_ev[a] = np.sum(ev[a][None, :, :] * k_ev % fp.prime, axis=1) % fp.prime
+    for fp in checker.freq:
+        ev = np.empty((ne, n, n), dtype=np.int64)
+        ev[checker.prim] = _s_evals(md, fp)
+        ev[other] = fp.evaluate(md.s_counts, other)
+        conj = ev[checker.neg]
+        exps = np.arange(ne)[:, None] * (2 * md.twist_exps)[None, :] % ne  # (f, x)
+        twist_pos = fp.pows[exps]
+        twist_neg = fp.pows[(-exps) % ne]
+        # A~_z evaluations: (f, 1, z)
+        a_ev = _mulmod((md.dims * twist_pos % fp.prime)[:, None, :], conj, fp.prime)
+        # B~_cz evaluations: sum_x S~*_cx (theta_x^-2 S~*_xz), (f, c, z)
+        b_ev = _mulmod(conj, twist_neg[:, :, None] * conj % fp.prime, fp.prime)
+        k_ev = b_ev * (a_ev * weights % fp.prime) % fp.prime
+        # R~(a, c) evaluations: sum_z S~_az K_cz, (f, a, c)
+        r_ev = _mulmod(ev, k_ev.transpose(0, 2, 1), fp.prime)
         per_prime.append(fp.invert(r_ev))
     exact = _crt_centered(per_prime, checker.primes)
     if np.any(np.abs(exact.astype(object)) > bound):

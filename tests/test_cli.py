@@ -153,6 +153,18 @@ def test_wmatrix_command(capsys, md_u, wm_u):
     assert out.count("PASS") == 4
 
 
+def test_reports_are_built_only_for_out(capsys, monkeypatch, md_u, wm_u):
+    md_u(1), wm_u(1)
+
+    def refuse(*args):
+        raise AssertionError("report document built without --out")
+
+    monkeypatch.setattr(modular, "modular_data_to_json", refuse)
+    monkeypatch.setattr(modular, "w_matrix_to_json", refuse)
+    assert run(capsys, ["modular", "--u", "1"])[0] == 0
+    assert run(capsys, ["wmatrix", "--u", "1"])[0] == 0
+
+
 def test_distinguish_pair(capsys, theory_u):
     for u in (1, 4):
         theory_u(u, False), theory_u(u, True)

@@ -1,6 +1,7 @@
 """Tests for the modular-data layer: S/T assembly, fusion rules, the
 W-matrix, derived invariants, and the permutation-equivalence search."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from stw import modular
 from stw.braid import BraidWord
 from stw.braid import framed_invariant
+from stw.cocycle import CocycleParams
 from stw.cyclotomic import CycloNumber, root_of_unity
+from stw.group import GroupSpec
 
 # Pinned twist tables: B_k_s has twist zeta_25^e with e read off row k,
 # column s; A_l_m has twist zeta_11^(l*m); I twists are 1.
@@ -111,6 +114,72 @@ def test_verlinde_exact_route_matches_table(md_u):
         assert modular.verlinde(md, a, b, c) == int(table[a, b, c])
 
 
+@pytest.fixture(scope="module")
+def small_md():
+    """Modular data of a small group, (7, 3, 2), with 25 objects."""
+    return modular.modular_data(CocycleParams(GroupSpec(7, 3, 2), 1))
+
+
+@pytest.mark.parametrize("inner", [49, 129, 217, 64 * 1024 + 5])
+def test_mulmod_matches_python_integers(inner):
+    rng = np.random.default_rng(inner)
+    for prime in modular._checker(275).primes:
+        a = rng.integers(0, prime, size=(2, 3, inner))
+        b = rng.integers(0, prime, size=(2, inner, 4))
+        a[0, 0, :] = prime - 1
+        b[0, :, 0] = prime - 1
+        expected = np.matmul(a.astype(object), b.astype(object)) % prime
+        assert np.array_equal(modular._mulmod(a, b, prime), expected)
+
+
+def test_frequency_transform_matches_direct_sums():
+    fp = modular._checker(275).freq[0]
+    rng = np.random.default_rng(5)
+    counts = rng.integers(-60, 60, size=(3, 4, 275))
+    evals = fp.evaluate(counts)
+    assert evals.shape == (275, 3, 4)
+    for f in (0, 1, 7, 274):
+        for i, j in ((0, 0), (2, 3)):
+            direct = sum(
+                int(c) * int(fp.pows[f * k % 275]) for k, c in enumerate(counts[i, j])
+            )
+            assert evals[f, i, j] == direct % fp.prime
+    assert np.array_equal(fp.invert(evals), counts % fp.prime)
+
+
+def test_gauss_phase_matches_lifted_comparison():
+    for order in (8, 12, 20, 25):
+        for s in range(order):
+            for sign in (1, -1):
+                gauss = root_of_unity(s, order) * (5 * sign)
+                lifted = [c for c in range(8) if gauss == root_of_unity(c, 8) * 5]
+                if lifted:
+                    assert modular._gauss_phase(gauss, 5) == lifted[0]
+                else:
+                    with pytest.raises(ArithmeticError):
+                        modular._gauss_phase(gauss, 5)
+
+
+def test_verlinde_table_matches_scalar_route_small_group(small_md):
+    md = small_md
+    table = modular.verlinde_table(md)
+    assert table.shape == (25, 25, 25)
+    assert np.array_equal(table, table.transpose(1, 0, 2))
+    sums = np.einsum("abc,c->ab", table, md.dims)
+    assert np.array_equal(sums, np.outer(md.dims, md.dims))
+    rng = np.random.default_rng(11)
+    for a, b, c in rng.integers(0, md.n_objects, size=(16, 3)):
+        assert modular.verlinde(md, a, b, c) == int(table[a, b, c])
+
+
+def test_verlinde_table_rejects_perturbed_s(small_md):
+    counts = small_md.s_counts.copy()
+    counts[3, 5, 1] += 1
+    broken = dataclasses.replace(small_md, s_counts=counts)
+    with pytest.raises(ArithmeticError):
+        modular.verlinde_table(broken)
+
+
 def test_w_pinned_entries(wm_u):
     wm = wm_u(1)
     assert wm.v_entry("B_1_0", "A_1_4") == 55 * root_of_unity(2, 11)
@@ -140,6 +209,17 @@ def test_w_identities_report(md_u, wm_u):
 def test_ba_block_closed_formula(md_u, wm_u):
     ok, failures = modular.ba_block_formula_report(md_u(1), wm_u(1))
     assert ok, failures[:5]
+
+
+def test_ba_block_report_names_corrupted_pair(md_u, wm_u):
+    md, wm = md_u(1), wm_u(1)
+    a, b = md.index_of("B_2_3"), md.index_of("A_1_7")
+    counts = wm.v_counts.copy()
+    counts[a, b] = np.roll(counts[a, b], 1)
+    corrupted = dataclasses.replace(wm, v_counts=counts)
+    ok, failures = modular.ba_block_formula_report(md, corrupted)
+    assert not ok
+    assert failures == ["BA formula fails at (B_2_3, A_1_7)"]
 
 
 def test_mirror_w_is_conjugate(params_u, wm_u):
