@@ -7,14 +7,10 @@ from the associator are inserted as scalar phases depending only on the
 Z_p parts of the fluxes to the left of the crossing.  The closure
 invariant is the trace, accumulated as an integer histogram of root
 exponents and materialized as one exact cyclotomic number.
-
-Set STW_DISABLE_NUMBA=1 to force the pure-numpy walk even when numba
-is importable; both walks give identical histograms.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import prod
 
@@ -23,21 +19,6 @@ import numpy as np
 from stw.cocycle import CocycleParams
 from stw.cyclotomic import CycloNumber
 from stw.double import DoubleContext, context_for
-
-try:  # pragma: no cover - exercised via env flag in tests
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 
 __all__ = [
@@ -50,7 +31,6 @@ __all__ = [
     "representation_operator",
     "framed_invariant",
     "zero_framed_invariant",
-    "HAS_NUMBA",
 ]
 
 
@@ -285,59 +265,8 @@ def _run_numpy(dims: list[int], instrs, ne: int):
     return state, expo % ne
 
 
-@njit(cache=True)
-def _trace_kernel(dims, pos, dim_right, offsets, tab_left, tab_right, tab_exp, ne):  # pragma: no cover - jit
-    n = dims.shape[0]
-    n_letters = pos.shape[0]
-    total = 1
-    for j in range(n):
-        total *= dims[j]
-    counts = np.zeros(ne, dtype=np.int64)
-    digits = np.empty(n, dtype=np.int64)
-    start = np.empty(n, dtype=np.int64)
-    for idx in range(total):
-        rem = idx
-        for j in range(n - 1, -1, -1):
-            digits[j] = rem % dims[j]
-            rem //= dims[j]
-            start[j] = digits[j]
-        exp = 0
-        for t in range(n_letters):
-            i = pos[t]
-            base = offsets[t] + digits[i] * dim_right[t] + digits[i + 1]
-            exp += tab_exp[base]
-            left = tab_left[base]
-            digits[i + 1] = tab_right[base]
-            digits[i] = left
-        fixed = True
-        for j in range(n):
-            if digits[j] != start[j]:
-                fixed = False
-                break
-        if fixed:
-            counts[exp % ne] += 1
-    return counts
-
-
-def _use_numba() -> bool:
-    return HAS_NUMBA and not os.environ.get("STW_DISABLE_NUMBA")
-
-
 def _trace_counts(ctx: DoubleContext, dims: list[int], instrs) -> np.ndarray:
     ne = ctx.root_order
-    if _use_numba() and instrs:
-        pos = np.array([ins[0] for ins in instrs], dtype=np.int64)
-        dimr = np.array([ins[1] for ins in instrs], dtype=np.int64)
-        sizes = [len(ins[2]) for ins in instrs]
-        offsets = np.zeros(len(instrs), dtype=np.int64)
-        offsets[1:] = np.cumsum(sizes[:-1])
-        tab_left = np.concatenate([ins[2] for ins in instrs]).astype(np.int64)
-        tab_right = np.concatenate([ins[3] for ins in instrs]).astype(np.int64)
-        tab_exp = np.concatenate([ins[4] for ins in instrs]).astype(np.int64)
-        return _trace_kernel(
-            np.array(dims, dtype=np.int64), pos, dimr, offsets,
-            tab_left, tab_right, tab_exp, ne,
-        )
     state, expo = _run_numpy(dims, instrs, ne)
     total = prod(dims)
     fixed = np.ones(total, dtype=bool)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "root_of_unity",
     "euler_phi",
     "cyclotomic_polynomial",
+    "reduce_counts",
 ]
 
 # Largest product magnitude allowed on the int64 fast paths.  Anything
@@ -41,6 +42,30 @@ def _factorize(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
+
+
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin, valid far beyond 64 bits."""
+    if m < 2:
+        return False
+    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if m % small == 0:
+            return m == small
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def euler_phi(n: int) -> int:
@@ -92,12 +117,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(n: int) -> tuple[np.ndarray | None, tuple[tuple[int, ...], ...], int]:
+def _reduction_table(n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...], int]:
     """Rows expressing x^j mod Phi_n in the power basis, j = 0..max_deg.
 
-    Returns (int64 matrix or None if entries overflow, exact rows as
-    Python-int tuples, max row magnitude).  max_deg covers both products
-    of reduced vectors (2*phi-2) and raw group-ring vectors (n-1).
+    Returns (float64 matrix, exact rows as Python-int tuples, max row
+    magnitude).  max_deg covers both products of reduced vectors
+    (2*phi-2) and raw group-ring vectors (n-1).
     """
     phi = euler_phi(n)
     max_deg = max(2 * phi - 2, n - 1, phi)
@@ -117,10 +142,7 @@ def _reduction_table(n: int) -> tuple[np.ndarray | None, tuple[tuple[int, ...], 
         rows.append(row)
     max_abs = max((abs(c) for row in rows for c in row), default=0)
     exact = tuple(tuple(row) for row in rows)
-    matrix = None
-    if max_abs < _INT64_SAFE:
-        matrix = np.array(exact, dtype=np.int64)
-    return matrix, exact, max_abs
+    return np.array(exact, dtype=np.float64), exact, max_abs
 
 
 @lru_cache(maxsize=None)
@@ -139,25 +161,52 @@ def _lift_table(small: int, large: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_vector(n: int, vec) -> tuple[int, ...]:
-    """Reduce an integer coefficient vector (degree < len) mod Phi_n."""
+# Largest magnitude below which float64 integer arithmetic is exact.
+_FLOAT_EXACT = 1 << 53
+
+
+def _integer_array(values) -> np.ndarray:
+    """Integer array of `values`: int64 where every entry fits, otherwise
+    an object array of Python ints (never a lossy float or uint64 cast)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuO":
+        return values
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def reduce_counts(n: int, counts) -> np.ndarray:
+    """Canonical power-basis numerators of sum_j counts[..., j] zeta_n^j.
+
+    Maps an integer array (..., L), L at most the reduction table's length
+    (which covers L <= n), to (..., phi(n)) in one product against the
+    rows of x^j mod Phi_n.  The product runs in float64 when every row
+    has L1(row) * max|table entry| < 2^53, so every partial sum is an
+    exactly representable integer, and gives int64.  Otherwise, and for
+    values beyond int64, it runs in Python ints and gives an object array."""
     matrix, exact, max_abs = _reduction_table(n)
     phi = euler_phi(n)
-    if len(vec) <= phi:
-        out = list(vec) + [0] * (phi - len(vec))
-        return tuple(int(c) for c in out)
-    vec_max = max((abs(int(c)) for c in vec), default=0)
-    if matrix is not None and vec_max * max_abs * len(vec) < _INT64_SAFE:
-        arr = np.asarray([int(c) for c in vec], dtype=np.int64)
-        return tuple(int(c) for c in arr @ matrix[: len(vec)])
-    out = [0] * phi
-    for j, c in enumerate(vec):
-        c = int(c)
-        if c:
-            row = exact[j]
-            for i in range(phi):
-                out[i] += c * row[i]
-    return tuple(out)
+    arr = _integer_array(counts)
+    width = arr.shape[-1]
+    if width > len(exact):
+        raise ValueError(f"length {width} exceeds the order-{n} reduction table")
+    rows = arr.reshape(prod(arr.shape[:-1]), width)
+    shape = arr.shape[:-1] + (phi,)
+    if arr.dtype != object:
+        # Float sums of nonnegative terms are exact below 2^53 and, once
+        # past it, never fall back below it, so this test is rigorous.
+        l1 = np.abs(rows.astype(np.float64)).sum(axis=1)
+        if np.all(l1 < -(-_FLOAT_EXACT // max(1, max_abs))):
+            out = rows.astype(np.float64) @ matrix[:width]
+            return out.astype(np.int64).reshape(shape)
+    table = np.array(exact[:width], dtype=object).reshape(width, phi)
+    return (rows.astype(object) @ table).reshape(shape)
+
+
+def _reduce_vector(n: int, vec) -> tuple[int, ...]:
+    """Reduce one integer coefficient vector (degree < len) mod Phi_n."""
+    return tuple(reduce_counts(n, vec).tolist())
 
 
 def _poly_multiply(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -252,10 +301,10 @@ class CycloNumber:
         """sum_j counts[j] * zeta_order^j for an integer vector indexed
         by exponent mod order (the shape produced by trace accumulation).
         """
-        counts = [int(c) for c in counts]
-        if len(counts) > order:
+        counts = _integer_array(counts)
+        if counts.shape[-1] > order:
             raise ValueError("counts vector longer than order")
-        return cls(order, _reduce_vector(order, counts))
+        return cls(order, reduce_counts(order, counts).tolist())
 
     # ----- field data ---------------------------------------------------
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from stw.cyclotomic import CycloNumber, root_of_unity
+from stw.cyclotomic import CycloNumber, _is_prime, root_of_unity
 
 __all__ = [
     "GroupSpec",
@@ -39,17 +39,6 @@ class GroupElement(NamedTuple):
 
     l: int
     m: int
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _mult_order(n: int, q: int) -> int:

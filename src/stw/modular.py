@@ -26,7 +26,14 @@ import numpy as np
 
 from .braid import BraidWord, closure_structure, framed_trace_counts, parse_braid
 from .cocycle import CocycleParams
-from .cyclotomic import CycloNumber, reduction_bound_factor, root_of_unity
+from .cyclotomic import (
+    CycloNumber,
+    _factorize,
+    _is_prime,
+    reduce_counts,
+    reduction_bound_factor,
+    root_of_unity,
+)
 from .double import context_for
 from .group import GroupSpec
 
@@ -43,30 +50,6 @@ _INT64_LIMIT = 2**63 - 1
 # ----- primes and modular evaluation -----------------------------------------
 
 
-def _is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond 64 bits."""
-    if m < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if m % small == 0:
-            return m == small
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _verification_primes(modulus: int, count: int) -> tuple[int, ...]:
     """The largest `count` primes below 2^31 congruent to 1 mod modulus."""
     primes = []
@@ -81,25 +64,11 @@ def _verification_primes(modulus: int, count: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
 def _element_of_order(prime: int, n: int) -> int:
     """Some gamma of multiplicative order exactly n modulo prime."""
     if (prime - 1) % n:
         raise ValueError("n must divide prime - 1")
-    factors = _prime_factors(n)
+    factors = _factorize(n)
     for a in range(2, prime):
         gamma = pow(a, (prime - 1) // n, prime)
         if gamma != 1 and all(pow(gamma, n // r, prime) != 1 for r in factors):
@@ -116,6 +85,8 @@ _BLOCK = 64
 # Exact block sums below 2^53 are added in int64 at most this many at a
 # time between reductions, so the running sum stays below 2^63.
 _SUMS_PER_REDUCTION = 1024
+# Histograms transformed per product in _FreqPrime.evaluate.
+_EVAL_BLOCK = 256
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
@@ -168,10 +139,14 @@ class _FreqPrime:
         """(..., n) integer vectors -> (F, ...) residues of the values at
         gamma^f for the F frequencies f in freqs (default: all n)."""
         c = np.asarray(counts, dtype=np.int64)
-        flat = c.reshape(-1, self.n) % self.prime
+        flat = c.reshape(-1, self.n)
         # Row f of eval_table holds gamma^(f*j), j = 0..n-1.
         table = self.eval_table if freqs is None else self.eval_table[freqs]
-        out = _mulmod(table, flat.T, self.prime)
+        out = np.empty((len(table), len(flat)), dtype=np.int64)
+        # Fixed blocks of vectors bound the limb and product temporaries.
+        for start in range(0, len(flat), _EVAL_BLOCK):
+            block = flat[start : start + _EVAL_BLOCK] % self.prime
+            out[:, start : start + _EVAL_BLOCK] = _mulmod(table, block.T, self.prime)
         return out.reshape((len(table),) + c.shape[:-1])
 
     def invert(self, evals: np.ndarray) -> np.ndarray:
@@ -307,9 +282,7 @@ def s_matrix(params: CocycleParams) -> list[list[CycloNumber]]:
     ]
 
 
-_MD_CACHE: dict[tuple[int, int, int, int], ModularData] = {}
-
-
+@lru_cache(maxsize=None)
 def modular_data(params: CocycleParams) -> ModularData:
     """Assemble the exact modular data of one theory.
 
@@ -319,10 +292,6 @@ def modular_data(params: CocycleParams) -> ModularData:
     unit row = dims/D, S unitary, S^2 = charge conjugation, and
     (ST)^3 = S^2 scaled by the Gauss-sum phase.
     """
-    spec = params.spec
-    key = (spec.q, spec.p, spec.n, params.u)
-    if key in _MD_CACHE:
-        return _MD_CACHE[key]
     ctx = context_for(params)
     n = len(ctx.simples)
     labels = tuple(s.label for s in ctx.simples)
@@ -369,7 +338,6 @@ def modular_data(params: CocycleParams) -> ModularData:
         md.s2_is_permutation = perm_ok
         if perm_ok:
             md.dual = tuple(int(np.nonzero(row)[0][0]) for row in s_squared != 0)
-    _MD_CACHE[key] = md
     return md
 
 
@@ -658,26 +626,23 @@ class WMatrix:
         return self._counts(a, b, -ta - tb)
 
     def w_counts(self) -> np.ndarray:
-        """Histogram array of W (exact: W is a root multiple of V)."""
-        n = len(self.labels)
-        out = np.empty_like(self.v_counts)
-        for a in range(n):
-            for b in range(n):
-                shift = -int(self.twist_exps[a]) - int(self.twist_exps[b])
-                out[a, b] = np.roll(self.v_counts[a, b], shift % self.root_order)
-        return out
-
-
-_WM_CACHE: dict[tuple[int, int, int, int, bool], WMatrix] = {}
+        """Histogram array of W (exact: W is a root multiple of V):
+        entry j of W_ab is entry j + t_a + t_b of V_ab."""
+        t = self.twist_exps
+        shifted = np.arange(self.root_order) + (t[:, None] + t[None, :])[:, :, None]
+        shifted %= self.root_order
+        return np.take_along_axis(self.v_counts, shifted, axis=2)
 
 
 def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
     """Compute the W-matrix by running the clasp braid on every ordered
     color pair (doubled-component color, bare-component color)."""
-    spec = params.spec
-    key = (spec.q, spec.p, spec.n, params.u, mirror)
-    if key in _WM_CACHE:
-        return _WM_CACHE[key]
+    # One cache entry per theory and word, however `mirror` is passed.
+    return _w_matrix(params, bool(mirror))
+
+
+@lru_cache(maxsize=None)
+def _w_matrix(params: CocycleParams, mirror: bool) -> WMatrix:
     ctx = context_for(params)
     n = len(ctx.simples)
     labels = tuple(s.label for s in ctx.simples)
@@ -702,7 +667,7 @@ def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
                 color = a if comp == doubled else b
                 correction -= sw * int(twist_exps[color])
             v_counts[a, b] = np.roll(raw, correction % ctx.root_order)
-    wm = WMatrix(
+    return WMatrix(
         params=params,
         labels=labels,
         word_text=text,
@@ -711,8 +676,6 @@ def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
         twist_exps=twist_exps,
         v_counts=v_counts,
     )
-    _WM_CACHE[key] = wm
-    return wm
 
 
 @dataclass(frozen=True)
@@ -735,34 +698,26 @@ def w_identities(md: ModularData, wm: WMatrix) -> WIdentityReport:
     In terms of the raw clasp values these are V_ax = V_xa,
     V_ax = V_{x, dual(a)}, and V_ax = V_{a, dual(x)}."""
     n = md.n_objects
+    dual = np.array([md.dual_of(a) for a in range(n)], dtype=np.int64)
+    # One row at a time keeps the float temporaries one row large.
+    v = np.stack([reduce_counts(wm.root_order, row) for row in wm.v_counts])
+    v_t = v.transpose(1, 0, 2)  # v_t[a, x] is V_xa
+    asymmetric = np.any(v != v_t, axis=2)
+    twist_bad = np.any(v != v_t[dual], axis=2)  # against V_{x, dual(a)}
+    dual_bad = np.any(v != v[:, dual], axis=2)  # against V_{a, dual(x)}
     failures = []
-    v = [
-        [
-            CycloNumber.from_root_counts(wm.root_order, wm.v_counts[a, b])
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    symmetric = twist_duality = second_dual = True
-    for a in range(n):
-        for x in range(n):
-            if v[a][x] != v[x][a]:
-                symmetric = False
-                failures.append(f"W asymmetry at ({md.labels[a]}, {md.labels[x]})")
-            if v[a][x] != v[x][md.dual_of(a)]:
-                twist_duality = False
-                failures.append(
-                    f"twist-duality identity fails at ({md.labels[a]}, {md.labels[x]})"
-                )
-            if v[a][x] != v[a][md.dual_of(x)]:
-                second_dual = False
-                failures.append(
-                    f"dual-argument identity fails at ({md.labels[a]}, {md.labels[x]})"
-                )
+    for a, x in zip(*np.nonzero(asymmetric | twist_bad | dual_bad)):
+        pair = f"({md.labels[a]}, {md.labels[x]})"
+        if asymmetric[a, x]:
+            failures.append(f"W asymmetry at {pair}")
+        if twist_bad[a, x]:
+            failures.append(f"twist-duality identity fails at {pair}")
+        if dual_bad[a, x]:
+            failures.append(f"dual-argument identity fails at {pair}")
     return WIdentityReport(
-        symmetric=symmetric,
-        twist_duality=twist_duality,
-        second_dual_invariance=second_dual,
+        symmetric=not asymmetric.any(),
+        twist_duality=not twist_bad.any(),
+        second_dual_invariance=not dual_bad.any(),
         failures=tuple(failures),
     )
 
@@ -778,37 +733,66 @@ def ba_block_formula_report(md: ModularData, wm: WMatrix) -> tuple[bool, list[st
     q, p = spec.q, spec.p
     failures = []
     ne = md.root_order
+    w_counts = wm.w_counts()
+    cols = np.array(
+        [b for b, lb in enumerate(md.labels) if lb.startswith("A_")], dtype=np.int64
+    )
+    # l*m of each A_l_m column
+    lms = np.array(
+        [math.prod(map(int, md.labels[b].split("_")[1:])) for b in cols], dtype=np.int64
+    )
     for a, la in enumerate(md.labels):
         if not la.startswith("B_"):
             continue
         k = int(la.split("_")[1])
         k2 = k * k % p
-        for b, lb in enumerate(md.labels):
-            if not lb.startswith("A_"):
-                continue
-            _, l_str, m_str = lb.split("_")
-            lm = int(l_str) * int(m_str)
-            # theta_A^(k2/2) = (zeta_2q^lm)^k2 = (-1)^(lm*k2) zeta_q^((q+1)/2*lm*k2):
-            # its sign cancels (-1)^(l*m*k2), so W is the monomial
-            # q*p * zeta_N^e, with zeta_q = zeta_N^(N/q) and theta_B = zeta_N^t_B.
-            e = -((q + 1) // 2) * lm * k2 * (ne // q) - int(md.twist_exps[a])
-            expected = root_of_unity(e, ne) * (q * p)
-            if wm.w_entry(a, b) != expected:
-                failures.append(f"BA formula fails at ({la}, {lb})")
+        # theta_A^(k2/2) = (zeta_2q^lm)^k2 = (-1)^(lm*k2) zeta_q^((q+1)/2*lm*k2):
+        # its sign cancels (-1)^(l*m*k2), so W is the monomial
+        # q*p * zeta_N^e, with zeta_q = zeta_N^(N/q) and theta_B = zeta_N^t_B.
+        e = (-((q + 1) // 2) * lms * k2 * (ne // q) - int(md.twist_exps[a])) % ne
+        # W - q*p*zeta_N^e as one histogram per A column; it must reduce to 0.
+        diff = w_counts[a, cols]
+        diff[np.arange(len(cols)), e] -= q * p
+        wrong = np.any(reduce_counts(ne, diff) != 0, axis=1)
+        failures += [f"BA formula fails at ({la}, {md.labels[b]})" for b in cols[wrong]]
     return (not failures, failures)
 
 
 # ----- punctured traces ----------------------------------------------------------
 
 
+def _group_ring_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_x left[i, x] * right[x] in the group ring Z[x]/(x^N - 1), for
+    integer histograms left (m, n, N) and right (n, N): an (m, N) array
+    of cyclic convolutions summed over x.  Every partial sum of an entry
+    is bounded by B = max_i sum_x L1(left[i, x]) * max|right[x]|; when
+    B < 2^53 the sums run exactly in float64, otherwise in Python ints."""
+    l1 = np.abs(left).sum(axis=2).astype(object)
+    bound = int(np.max(l1 @ np.abs(right).max(axis=1).astype(object)))
+    dtype = np.float64 if bound < 2**53 else object
+    left, right = left.astype(dtype), right.astype(dtype)
+    out = np.zeros((left.shape[0], right.shape[1]), dtype=dtype)
+    for j in range(right.shape[1]):
+        # x^j * right[x] is right[x] cyclically shifted by j.
+        out += left[:, :, j] @ np.roll(right, j, axis=1)
+    return out.astype(np.int64) if dtype is np.float64 else out
+
+
+def _shifted_value(md: ModularData, counts: np.ndarray, shift: int) -> CycloNumber:
+    """zeta_N^shift times the root sum of one group-ring histogram."""
+    rolled = np.roll(counts, shift % md.root_order)
+    return CycloNumber.from_root_counts(md.root_order, rolled)
+
+
 def punctured_s_trace(md: ModularData, wm: WMatrix, z, a) -> CycloNumber:
     """The diagonal block trace of the once-punctured torus S-matrix:
-    (d_a/(theta_a D^2)) * sum_x S_zx theta_x W_ax."""
+    (d_a/(theta_a D^2)) * sum_x S_zx theta_x W_ax.  With S = S~/D and
+    W_ax = V_ax/(theta_a theta_x), theta_x cancels and the trace is
+    d_a theta_a^-2 F_za / D^3 with F_za = sum_x S~_zx V_ax."""
     z, a = md.index_of(z), md.index_of(a)
-    acc = CycloNumber.zero(md.root_order)
-    for x in range(md.n_objects):
-        acc = acc + md.s_entry(z, x) * md.twist(x) * wm.w_entry(a, x)
-    return acc * int(md.dims[a]) / (md.twist(a) * md.total_dim**2)
+    f_za = _group_ring_sums(md.s_counts[z : z + 1], wm.v_counts[a])[0]
+    shift = -2 * int(md.twist_exps[a])
+    return _shifted_value(md, f_za, shift) * int(md.dims[a]) / md.total_dim**3
 
 
 def punctured_vanishing_report(md: ModularData, wm: WMatrix) -> tuple[bool, list[str]]:
@@ -844,13 +828,14 @@ def punctured_vanishing_report(md: ModularData, wm: WMatrix) -> tuple[bool, list
 
 def w_from_punctured(md: ModularData, wm: WMatrix, a, b) -> CycloNumber:
     """Reconstruct W_ab from the punctured traces by S-unitarity:
-    W_ab = (theta_a D^2/(d_a theta_b)) sum_x S*_bx trace(x, a)."""
+    W_ab = (theta_a D^2/(d_a theta_b)) sum_x S*_bx trace(x, a), which with
+    the trace as in punctured_s_trace is
+    sum_x conj(S~_bx) F_xa / (theta_a theta_b D^2)."""
     a, b = md.index_of(a), md.index_of(b)
-    acc = CycloNumber.zero(md.root_order)
-    for x in range(md.n_objects):
-        acc = acc + md.s_entry(b, x).conjugate() * punctured_s_trace(md, wm, x, a)
-    scale = md.twist(a) * md.total_dim**2 / (int(md.dims[a]) * md.twist(b))
-    return acc * scale
+    f_a = _group_ring_sums(md.s_counts, wm.v_counts[a])
+    g_ab = _group_ring_sums(md.s_pos_counts()[b : b + 1], f_a)[0]
+    shift = -int(md.twist_exps[a]) - int(md.twist_exps[b])
+    return _shifted_value(md, g_ab, shift) / md.total_dim**2
 
 
 # ----- diagonal R-sums and two-strand closures ------------------------------------
@@ -1111,18 +1096,23 @@ class TheoryData:
     w_keys: tuple | None
 
 
+def _keys(order: int, counts: np.ndarray) -> tuple:
+    """The `CycloNumber.canonical_key()` of each histogram in counts
+    (..., order) along its last axis; integral values have denominator 1."""
+    return tuple((order, tuple(row), 1) for row in reduce_counts(order, counts).tolist())
+
+
 def theory_data(md: ModularData, wm: WMatrix | None = None) -> TheoryData:
-    """Freeze (S, T[, W]) into comparable canonical keys."""
-    n = md.n_objects
-    t_keys = tuple(md.twist(a).canonical_key() for a in range(n))
-    s_keys = tuple(
-        tuple(md.s_tilde(a, b).canonical_key() for b in range(n)) for a in range(n)
-    )
+    """Freeze (S, T[, W]) into comparable canonical keys.  Each row of S
+    and W is reduced in one product; one row at a time keeps the float
+    temporaries small."""
+    n, ne = md.n_objects, md.root_order
+    t_keys = _keys(ne, np.eye(ne, dtype=np.int64)[md.twist_exps])
+    s_keys = tuple(_keys(ne, md.s_counts[a]) for a in range(n))
     w_keys = None
     if wm is not None:
-        w_keys = tuple(
-            tuple(wm.w_entry(a, b).canonical_key() for b in range(n)) for a in range(n)
-        )
+        w_counts = wm.w_counts()
+        w_keys = tuple(_keys(ne, w_counts[a]) for a in range(n))
     return TheoryData(
         name=f"u={md.params.u}",
         labels=md.labels,

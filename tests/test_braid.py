@@ -296,21 +296,3 @@ def test_clasp_link_u_independent_on_mixed_pair():
         for u in (0, 1, 4)
     ]
     assert vals[0] == vals[1] == vals[2]
-
-
-# ----- numba/numpy agreement ---------------------------------------------------
-
-
-def test_trace_paths_agree(monkeypatch):
-    from stw import braid as braid_mod
-
-    p = params(1)
-    w = parse_braid(CLASP, 3)
-    colors = ["B_1_0", "A_1_4", "B_1_0"]
-    monkeypatch.setenv("STW_DISABLE_NUMBA", "1")
-    plain = framed_invariant(p, w, colors)
-    monkeypatch.delenv("STW_DISABLE_NUMBA")
-    other = framed_invariant(p, w, colors)
-    assert plain == other
-    if not braid_mod.HAS_NUMBA:
-        pytest.skip("numba unavailable; both runs used the numpy walk")

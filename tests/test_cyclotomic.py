@@ -5,9 +5,17 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
-from stw.cyclotomic import CycloNumber, cyclotomic_polynomial, euler_phi, root_of_unity
+from stw.cyclotomic import (
+    CycloNumber,
+    _reduction_table,
+    cyclotomic_polynomial,
+    euler_phi,
+    reduce_counts,
+    root_of_unity,
+)
 
 
 def z(s, n):
@@ -173,3 +181,55 @@ def test_canonical_key_is_stable_across_orders():
 def test_values_are_unhashable():
     with pytest.raises(TypeError):
         hash(z(1, 5))
+
+
+def _reduce_by_division(n, counts):
+    """Reference: the remainder of sum_j counts[j] x^j on long division by
+    the monic Phi_n, in Python ints."""
+    modulus = cyclotomic_polynomial(n)
+    phi = len(modulus) - 1
+    rem = [int(c) for c in counts] + [0] * phi
+    for deg in range(len(rem) - 1, phi - 1, -1):
+        lead = rem[deg]
+        if lead:
+            for i, m in enumerate(modulus):
+                rem[deg - phi + i] -= lead * m
+    return tuple(rem[:phi])
+
+
+def test_reduce_counts_matches_scalar_keys():
+    # Phi_105 is the first cyclotomic polynomial with a coefficient -2.
+    assert -2 in cyclotomic_polynomial(105)
+    rng = np.random.default_rng(4)
+    for n in (275, 171, 63, 105):
+        counts = rng.integers(-40, 40, size=(3, 7, n))
+        counts[0, 0] = 0
+        reduced = reduce_counts(n, counts)
+        assert reduced.shape == (3, 7, euler_phi(n))
+        assert reduced.dtype == np.int64
+        rows = reduced.reshape(-1, euler_phi(n)).tolist()
+        for row, out in zip(counts.reshape(-1, n), rows):
+            assert tuple(out) == _reduce_by_division(n, row)
+            key = CycloNumber.from_root_counts(n, row).canonical_key()
+            assert key == (n, tuple(out), 1)
+
+
+def test_reduce_counts_takes_exact_path_beyond_float_bound():
+    n = 105
+    max_abs = _reduction_table(n)[2]
+    rng = np.random.default_rng(5)
+    small = rng.integers(-9, 9, size=(2, n))
+    big = np.zeros((1, n), dtype=np.int64)
+    big[0, [3, 50, 104]] = [1 << 52, -(1 << 52) + 7, (1 << 52) - 3]
+    assert int(np.abs(big).sum()) * max_abs >= 1 << 53
+    counts = np.concatenate([small, big])
+    reduced = reduce_counts(n, counts)
+    assert reduced.dtype == object
+    for row, out in zip(counts, reduced.tolist()):
+        assert tuple(out) == _reduce_by_division(n, row)
+        assert CycloNumber.from_root_counts(n, row).canonical_key() == (n, tuple(out), 1)
+    huge = [0] * n
+    huge[7], huge[100] = 3**50, -(2**70)
+    assert reduce_counts(n, huge).tolist() == list(_reduce_by_division(n, huge))
+    with pytest.raises(ValueError):
+        CycloNumber.from_root_counts(n, [0] * (n + 1))

@@ -222,6 +222,72 @@ def test_ba_block_report_names_corrupted_pair(md_u, wm_u):
     assert failures == ["BA formula fails at (B_2_3, A_1_7)"]
 
 
+def test_w_identities_report_names_corrupted_pair(md_u, wm_u):
+    md, wm = md_u(1), wm_u(1)
+    a, x = md.index_of("B_2_3"), md.index_of("A_1_7")
+    counts = wm.v_counts.copy()
+    counts[a, x] = np.roll(counts[a, x], 1)
+    report = modular.w_identities(md, dataclasses.replace(wm, v_counts=counts))
+    assert not report.symmetric
+    assert not report.twist_duality
+    assert not report.second_dual_invariance
+    # V_ax is compared with V_xa, V_{x, dual(a)} and V_{a, dual(x)} at (a, x),
+    # and appears on the right-hand side at (x, a), (dual(x), a) and (a, dual(x)).
+    dx = md.dual_of(x)
+    asym, twist, dual = (
+        "W asymmetry",
+        "twist-duality identity fails",
+        "dual-argument identity fails",
+    )
+    broken = {
+        (a, x): (asym, twist, dual),
+        (x, a): (asym,),
+        (dx, a): (twist,),
+        (a, dx): (dual,),
+    }
+    expected = [
+        f"{what} at ({md.labels[i]}, {md.labels[j]})"
+        for i, j in sorted(broken)
+        for what in broken[i, j]
+    ]
+    assert list(report.failures) == expected
+
+
+def test_theory_data_keys_match_scalar_keys(small_md):
+    md = small_md
+    wm = modular.w_matrix(md.params)
+    data = modular.theory_data(md, wm)
+    n = md.n_objects
+    assert data.t_keys == tuple(md.twist(a).canonical_key() for a in range(n))
+    assert data.s_keys == tuple(
+        tuple(md.s_tilde(a, b).canonical_key() for b in range(n)) for a in range(n)
+    )
+    assert data.w_keys == tuple(
+        tuple(wm.w_entry(a, b).canonical_key() for b in range(n)) for a in range(n)
+    )
+    assert modular.theory_data(md).w_keys is None
+
+
+def test_group_ring_sums_match_python_ints():
+    rng = np.random.default_rng(6)
+    left = rng.integers(-5, 6, size=(3, 4, 9))
+    right = rng.integers(-5, 6, size=(4, 9))
+
+    def direct(lft, rgt):
+        out = [[0] * 9 for _ in range(len(lft))]
+        for i in range(len(lft)):
+            for x in range(4):
+                for j in range(9):
+                    for k in range(9):
+                        out[i][(j + k) % 9] += int(lft[i][x][j]) * int(rgt[x][k])
+        return out
+
+    assert modular._group_ring_sums(left, right).tolist() == direct(left, right)
+    # Odd entries near 2^52 push the bound past 2^53: the sums run in Python ints.
+    scaled = right * (1 << 50) + 1
+    assert modular._group_ring_sums(left, scaled).tolist() == direct(left, scaled)
+
+
 def test_mirror_w_is_conjugate(params_u, wm_u):
     wm = wm_u(1)
     mirror = modular.w_matrix(params_u(1), mirror=True)
