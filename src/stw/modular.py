@@ -6,12 +6,16 @@ Everything here is exact.  Matrix entries live in Z[zeta_N] (N = p^2*q)
 and are carried as integer histograms over the N-th roots of unity, the
 shape the braid engine produces.  Bulk identities are certified by a
 rigorous modular-evaluation scheme: a histogram vector is mapped into
-F_P (for several primes P = 1 mod lcm(8, N)) by evaluating at gamma^f
-with gamma of multiplicative order N.  An identity E = 0 in Z[zeta_N]
-holds exactly iff the evaluations vanish at every frequency f coprime
-to N for each P and the product of the primes exceeds twice an explicit
+F_P (for several primes P = 1 mod N) by evaluating at gamma^f with
+gamma of multiplicative order N.  An identity E = 0 in Z[zeta_N] holds
+exactly iff the evaluations vanish at every frequency f coprime to N
+for each P and the product of the primes exceeds twice an explicit
 coefficient bound for E reduced modulo the N-th cyclotomic polynomial.
 No floating point enters any decision.
+
+A twisted double has Gauss sum +D, so c = 0 mod 8 (Mueger, JPAA 180
+(2003)); `modular_data` checks this once, and every value derived here
+lies in Q(zeta_N), with no eighth root of unity.
 """
 
 from __future__ import annotations
@@ -175,31 +179,36 @@ def _crt_centered(residues: list[np.ndarray], primes: tuple[int, ...]) -> np.nda
 
 
 class _ExactChecker:
-    """Shared rigor machinery for one root order: primes, evaluation
-    tables, the primitive-frequency mask, and the bound bookkeeping."""
+    """Shared rigor machinery for one root order and prime count: primes,
+    evaluation tables, the primitive-frequency mask and the reduction
+    bound factor."""
 
-    def __init__(self, order: int, prime_count: int = 2):
+    def __init__(self, order: int, prime_count: int):
         self.order = order
         self.kappa = reduction_bound_factor(order)
-        self.primes = _verification_primes(math.lcm(8, order), prime_count)
+        self.primes = _verification_primes(order, prime_count)
         self.freq = [_FreqPrime(p, order) for p in self.primes]
         self.product = math.prod(self.primes)
         prim = np.array([f for f in range(order) if math.gcd(f, order) == 1])
         self.prim = prim
         self.neg = (-np.arange(order)) % order
 
-    def require_capacity(self, l1_bound: int, what: str) -> None:
-        """A vanishing or extraction argument is only valid when the prime
-        product dominates the reduced-coefficient bound."""
-        if 2 * self.kappa * int(l1_bound) >= self.product:
-            raise ArithmeticError(
-                f"verification primes cannot certify {what}: bound too large"
-            )
-
 
 @lru_cache(maxsize=None)
-def _checker(order: int, prime_count: int = 2) -> _ExactChecker:
+def _checker_with(order: int, prime_count: int) -> _ExactChecker:
     return _ExactChecker(order, prime_count)
+
+
+def _checker(order: int, l1_bound: int) -> _ExactChecker:
+    """The cached checker with the fewest primes, at least two, whose
+    product exceeds 2 * kappa * l1_bound: enough to certify values whose
+    cyclic lifts have L1 norm at most l1_bound."""
+    count = 2
+    while True:
+        checker = _checker_with(order, count)
+        if 2 * checker.kappa * int(l1_bound) < checker.product:
+            return checker
+        count += 1
 
 
 # ----- modular data -----------------------------------------------------------
@@ -226,7 +235,7 @@ class ModularData:
     dual: tuple[int, ...] | None
     _label_index: dict = field(repr=False, default_factory=dict)
     _verlinde: np.ndarray | None = field(init=False, repr=False, default=None)
-    _r_table: list | None = field(init=False, repr=False, default=None)
+    _r_table: np.ndarray | None = field(init=False, repr=False, default=None)
     _s_evals: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -290,7 +299,8 @@ def modular_data(params: CocycleParams) -> ModularData:
     entry is the trace of the two-strand word sigma_1^-2 colored (a, b).
     With T the diagonal of twists this normalization satisfies, exactly:
     unit row = dims/D, S unitary, S^2 = charge conjugation, and
-    (ST)^3 = S^2 scaled by the Gauss-sum phase.
+    (ST)^3 = S^2.  The last holds because the Gauss sum
+    sum_a d_a^2 theta_a is +D, which is checked here.
     """
     ctx = context_for(params)
     n = len(ctx.simples)
@@ -303,17 +313,16 @@ def modular_data(params: CocycleParams) -> ModularData:
     total_dim = math.isqrt(total_sq)
     if total_dim * total_dim != total_sq:
         raise ArithmeticError("sum of squared dimensions is not a perfect square")
+    gauss = np.zeros(ctx.root_order, dtype=np.int64)
+    np.add.at(gauss, twist_exps, dims * dims)
+    if not _root_sums_equal(ctx.root_order, gauss, total_dim):
+        raise ArithmeticError("Gauss sum is not the total dimension D")
 
     word = BraidWord(2, (-1, -1))
     s_counts = np.zeros((n, n, ctx.root_order), dtype=np.int64)
     for a in range(n):
         for b in range(n):
             s_counts[a, b] = framed_trace_counts(params, word, [labels[a], labels[b]])
-
-    gauss_hist = np.zeros(ctx.root_order, dtype=np.int64)
-    np.add.at(gauss_hist, twist_exps, dims * dims)
-    gauss = CycloNumber.from_root_counts(ctx.root_order, gauss_hist)
-    c_mod_8 = _gauss_phase(gauss, total_dim)
 
     md = ModularData(
         params=params,
@@ -323,7 +332,7 @@ def modular_data(params: CocycleParams) -> ModularData:
         root_order=ctx.root_order,
         s_counts=s_counts,
         total_dim=total_dim,
-        c_mod_8=c_mod_8,
+        c_mod_8=0,
         s2_is_permutation=False,
         dual=None,
     )
@@ -341,22 +350,13 @@ def modular_data(params: CocycleParams) -> ModularData:
     return md
 
 
-def _gauss_phase(gauss: CycloNumber, total_dim: int) -> int:
-    """The c mod 8 with Gauss sum = D * zeta_8^c, decided inside
-    Q(zeta_N): D * zeta_8^c lies there only when zeta_8^c does, that is
-    when its order k divides lcm(2, N); for odd N only c = 0, 4 remain."""
-    order = gauss.order
-    for c in range(8):
-        k = 8 // math.gcd(c, 8)
-        if k <= 2:
-            target = CycloNumber.from_rational(total_dim if k == 1 else -total_dim, order)
-        elif order % k == 0:
-            target = root_of_unity(c * order // 8, order) * total_dim
-        else:
-            continue
-        if gauss == target:
-            return c
-    raise ArithmeticError("Gauss sum is not D times an eighth root of unity")
+def _root_sums_equal(order: int, counts: np.ndarray, values) -> bool:
+    """Whether the root sums of the histograms counts (..., order) equal
+    the integers values (...), exactly."""
+    reduced = reduce_counts(order, counts)
+    expected = np.zeros_like(reduced)
+    expected[..., 0] = values
+    return np.array_equal(reduced, expected)
 
 
 def _s_evals(md: ModularData, fp: _FreqPrime) -> np.ndarray:
@@ -368,7 +368,7 @@ def _s_evals(md: ModularData, fp: _FreqPrime) -> np.ndarray:
     conjugates."""
     evals = md._s_evals.get(fp.prime)
     if evals is None:
-        prim = _checker(md.root_order).prim
+        prim = _checker(md.root_order, 0).prim
         evals = fp.evaluate(md.s_counts, prim).astype(np.int32)
         md._s_evals[fp.prime] = evals
     return evals.astype(np.int64)
@@ -377,11 +377,9 @@ def _s_evals(md: ModularData, fp: _FreqPrime) -> np.ndarray:
 def _extract_s_squared(md: ModularData) -> np.ndarray | None:
     """Exact integer matrix of S-tilde squared, or None if some entry is
     not a rational integer (then S^2 cannot be a permutation)."""
-    checker = _checker(md.root_order)
-    n = md.n_objects
     l1 = np.sum(md.s_counts, axis=2)
     bound = int(np.max(l1 @ l1))
-    checker.require_capacity(bound + int(np.max(np.abs(l1 @ l1))), "S^2 extraction")
+    checker = _checker(md.root_order, bound + int(np.max(np.abs(l1 @ l1))))
     values = []
     for fp in checker.freq:
         ev = _s_evals(md, fp)
@@ -420,21 +418,16 @@ class ModularityReport:
 def modularity_report(md: ModularData) -> ModularityReport:
     """Run the full exact modularity suite on one theory."""
     failures: list[str] = []
-    checker = _checker(md.root_order)
     n = md.n_objects
     l1 = np.sum(md.s_counts, axis=2)
     d_sq = md.total_dim * md.total_dim
 
-    unit_ok = all(
-        md.s_tilde(0, b) == CycloNumber.from_rational(int(md.dims[b]), 1)
-        for b in range(n)
-    )
+    unit_ok = _root_sums_equal(md.root_order, md.s_counts[0], md.dims)
     if not unit_ok:
         failures.append("unit row of S-tilde is not the dimension vector")
 
     unitary = True
-    bound = int(np.max(l1 @ l1.T)) + d_sq
-    checker.require_capacity(bound, "unitarity")
+    checker = _checker(md.root_order, int(np.max(l1 @ l1.T)) + d_sq)
     for fp in checker.freq:
         ev = _s_evals(md, fp)
         gram = _mulmod(ev, ev[::-1].transpose(0, 2, 1), fp.prime)
@@ -453,7 +446,7 @@ def modularity_report(md: ModularData) -> ModularityReport:
     else:
         failures.append("S^2 is not D^2 times a permutation matrix")
 
-    st_ok = _st_cubed_matches_s2(md, checker, l1)
+    st_ok = _st_cubed_matches_s2(md, l1)
     if not st_ok:
         failures.append("(ST)^3 does not equal the Gauss phase times S^2")
 
@@ -482,20 +475,11 @@ def modularity_report(md: ModularData) -> ModularityReport:
     )
 
 
-def _st_cubed_matches_s2(md, checker, l1) -> bool:
-    """(S-tilde T)^3 = D * phase * S-tilde^2 with phase the Gauss-sum
-    eighth root of unity; certified when the phase is rational (+-1)."""
-    if md.c_mod_8 % 4:
-        raise ArithmeticError(
-            "Gauss phase is a primitive eighth root of unity; the"
-            " frequency check only supports rational phases"
-        )
-    sign = 1 if md.c_mod_8 == 0 else -1
-    n = md.n_objects
-    bound = (
-        int(np.max(l1 @ l1 @ l1)) + md.total_dim * int(np.max(l1 @ l1))
-    )
-    checker.require_capacity(bound, "(ST)^3 comparison")
+def _st_cubed_matches_s2(md, l1) -> bool:
+    """(S-tilde T)^3 = D * S-tilde^2: (ST)^3 = S^2 times the Gauss sum
+    over D, which is 1 (checked in modular_data)."""
+    bound = int(np.max(l1 @ l1 @ l1)) + md.total_dim * int(np.max(l1 @ l1))
+    checker = _checker(md.root_order, bound)
     ok = True
     for fp in checker.freq:
         ev = _s_evals(md, fp)
@@ -506,7 +490,7 @@ def _st_cubed_matches_s2(md, checker, l1) -> bool:
         st = ev * twist_phase[:, None, :] % fp.prime
         cubed = _mulmod(_mulmod(st, st, fp.prime), st, fp.prime)
         s2 = _mulmod(ev, ev, fp.prime)
-        rhs = sign * md.total_dim % fp.prime * s2 % fp.prime
+        rhs = md.total_dim % fp.prime * s2 % fp.prime
         if np.any((cubed - rhs) % fp.prime):
             ok = False
     return ok
@@ -538,13 +522,11 @@ def verlinde_table(md: ModularData) -> np.ndarray:
     certified exactly via the modular-evaluation scheme."""
     if md._verlinde is not None:
         return md._verlinde
-    checker = _checker(md.root_order)
     n = md.n_objects
     l1 = np.sum(md.s_counts, axis=2)
     weights = (md.total_dim // md.dims).astype(np.int64)
     colmax = np.max(l1, axis=0).astype(object)
-    bound = int(np.sum(weights.astype(object) * colmax**3))
-    checker.require_capacity(bound, "Verlinde extraction")
+    checker = _checker(md.root_order, int(np.sum(weights.astype(object) * colmax**3)))
 
     # One product per primitive frequency f: the rows S~_az S~_bz w_z
     # times conj(S~)^T give D^3 N_ab^c at gamma^f, which must not depend
@@ -629,9 +611,7 @@ class WMatrix:
         """Histogram array of W (exact: W is a root multiple of V):
         entry j of W_ab is entry j + t_a + t_b of V_ab."""
         t = self.twist_exps
-        shifted = np.arange(self.root_order) + (t[:, None] + t[None, :])[:, :, None]
-        shifted %= self.root_order
-        return np.take_along_axis(self.v_counts, shifted, axis=2)
+        return _roll_rows(self.v_counts, -(t[:, None] + t[None, :]))
 
 
 def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
@@ -758,7 +738,7 @@ def ba_block_formula_report(md: ModularData, wm: WMatrix) -> tuple[bool, list[st
     return (not failures, failures)
 
 
-# ----- punctured traces ----------------------------------------------------------
+# ----- group-ring sums and punctured traces ---------------------------------------
 
 
 def _group_ring_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -776,6 +756,21 @@ def _group_ring_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         # x^j * right[x] is right[x] cyclically shifted by j.
         out += left[:, :, j] @ np.roll(right, j, axis=1)
     return out.astype(np.int64) if dtype is np.float64 else out
+
+
+def _roll_rows(counts: np.ndarray, shifts) -> np.ndarray:
+    """Each histogram of counts (..., N) times zeta_N^shift: entry j moves
+    to j + shift mod N.  shifts broadcasts against counts.shape[:-1]."""
+    order = counts.shape[-1]
+    idx = (np.arange(order) - np.asarray(shifts)[..., None]) % order
+    return np.take_along_axis(counts, idx, axis=-1)
+
+
+def _monomials(order: int, exps, coeffs) -> np.ndarray:
+    """Histograms (len(exps), order) of coeffs[i] * zeta_order^exps[i]."""
+    out = np.zeros((len(exps), order), dtype=np.int64)
+    out[np.arange(len(exps)), np.asarray(exps) % order] = coeffs
+    return out
 
 
 def _shifted_value(md: ModularData, counts: np.ndarray, shift: int) -> CycloNumber:
@@ -799,13 +794,11 @@ def punctured_vanishing_report(md: ModularData, wm: WMatrix) -> tuple[bool, list
     """Certify that the punctured trace vanishes whenever the fusion
     channel is absent: N_{a, dual(a)}^z = 0 implies the trace is zero.
     (The converse can fail: accidental zeros inside the support exist.)"""
-    checker = _checker(md.root_order)
     n = md.n_objects
     table = verlinde_table(md)
     l1s = np.sum(md.s_counts, axis=2)
     l1v = np.sum(np.abs(wm.v_counts), axis=2)
-    bound = int(np.max(l1s @ l1v.T))
-    checker.require_capacity(bound, "punctured-trace vanishing")
+    checker = _checker(md.root_order, int(np.max(l1s @ l1v.T)))
     # theta_x cancels between S_zx theta_x and W_ax = V_ax/(theta_a theta_x),
     # so the trace is proportional to F_za = sum_x S~_zx V_ax.
     zero_mask = None
@@ -841,9 +834,11 @@ def w_from_punctured(md: ModularData, wm: WMatrix, a, b) -> CycloNumber:
 # ----- diagonal R-sums and two-strand closures ------------------------------------
 
 
-def _r_table(md: ModularData) -> list[list[CycloNumber]]:
-    """All diagonal R-sums r(a, c) = sum_mu [R^aa_c]_mu,mu from modular
-    data only, reconstructed exactly through the evaluation scheme."""
+def _r_table(md: ModularData) -> np.ndarray:
+    """Histograms (n, n, N) of the integer targets R~(a, c), with
+    r(a, c) = sum_mu [R^aa_c]_mu,mu = theta_a^-1 R~(a, c) / D^5: all
+    diagonal R-sums from modular data only, reconstructed exactly through
+    the evaluation scheme."""
     if md._r_table is not None:
         return md._r_table
     n = md.n_objects
@@ -857,12 +852,7 @@ def _r_table(md: ModularData) -> list[list[CycloNumber]]:
     a_l1 = l1_obj.T @ md.dims.astype(object)
     b_l1 = l1_obj.T @ l1_obj
     bound = int(np.max((l1_obj * (a_l1 * weights.astype(object))[None, :]) @ b_l1))
-    prime_count = 2
-    while True:
-        checker = _checker(ne, prime_count)
-        if 2 * checker.kappa * bound < checker.product:
-            break
-        prime_count += 1
+    checker = _checker(ne, bound)
     # The inverse transform needs every frequency; the shared evaluations
     # hold the primitive ones.
     other = np.setdiff1d(np.arange(ne), checker.prim)
@@ -886,21 +876,15 @@ def _r_table(md: ModularData) -> list[list[CycloNumber]]:
     exact = _crt_centered(per_prime, checker.primes)
     if np.any(np.abs(exact.astype(object)) > bound):
         raise ArithmeticError("R-sum reconstruction exceeded its bound")
-    scale = md.total_dim**5
-    table = []
-    for a in range(n):
-        row = []
-        for c in range(n):
-            counts = np.roll(exact[a, c], -int(md.twist_exps[a]) % ne)
-            row.append(CycloNumber.from_root_counts(ne, counts) / scale)
-        table.append(row)
-    md._r_table = table
-    return table
+    md._r_table = exact
+    return exact
 
 
 def r_symbol_sum(md: ModularData, a, c) -> CycloNumber:
     """sum_mu [R^aa_c]_mu,mu: the braiding eigenvalue sum in channel c."""
-    return _r_table(md)[md.index_of(a)][md.index_of(c)]
+    a, c = md.index_of(a), md.index_of(c)
+    shift = -int(md.twist_exps[a])
+    return _shifted_value(md, _r_table(md)[a, c], shift) / md.total_dim**5
 
 
 @dataclass(frozen=True)
@@ -919,11 +903,9 @@ def lambda_signature(md: ModularData, a, c) -> LambdaReport:
     integer (a signed count of eigenvalue multiplicities)."""
     a, c = md.index_of(a), md.index_of(c)
     half = (md.root_order + 1) // 2
-    phase = root_of_unity(
-        (int(md.twist_exps[a]) - half * int(md.twist_exps[c])) % md.root_order,
-        md.root_order,
-    )
-    value = _r_table(md)[a][c] * phase
+    # theta_a cancels against the theta_a^-1 of r(a, c).
+    shift = -half * int(md.twist_exps[c])
+    value = _shifted_value(md, _r_table(md)[a, c], shift) / md.total_dim**5
     if not value.is_integer():
         return LambdaReport(value=None, integral=False, branch_sensitive=True)
     n = int(value.as_fraction())
@@ -948,14 +930,11 @@ def two_strand_closure(md: ModularData, a, b, n: int, parity: str) -> CycloNumbe
     if parity == "odd":
         if a != b:
             raise ValueError("odd closures are knots: both strands carry one color")
-        r_row = _r_table(md)[a]
-        acc = CycloNumber.zero(ne)
-        for c in range(md.n_objects):
-            phase = root_of_unity(
-                (n * (int(md.twist_exps[c]) - 2 * int(md.twist_exps[a]))) % ne, ne
-            )
-            acc = acc + r_row[c] * phase * int(md.dims[c])
-        return acc
+        # sum_c d_c theta_c^n R~(a, c), then theta_a^-(2n+1) / D^5
+        weights = _monomials(ne, n * md.twist_exps, md.dims)[None]
+        hist = _group_ring_sums(weights, _r_table(md)[a])[0]
+        shift = -(2 * n + 1) * int(md.twist_exps[a])
+        return _shifted_value(md, hist, shift) / md.total_dim**5
     raise ValueError("parity must be 'even' or 'odd'")
 
 
@@ -1016,42 +995,25 @@ def linking_signature(digits: tuple[int, ...]) -> int:
 def lens_space_invariant(md: ModularData, p_surgery: int, q_surgery: int) -> CycloNumber:
     """The surgery invariant of the lens space L(p, q):
 
-        Z = phase^-sigma / D^(n+1) * sum over colorings of the n-chain of
+        Z = 1/D^(n+1) * sum over colorings of the n-chain of
             d theta^a_1 ... d theta^a_n times the chain of positive Hopf
             traces, one dimension factor per chain edge endpoint shared.
 
-    phase is the Gauss eighth root of unity and sigma the linking-matrix
-    signature."""
+    No signature correction enters: it is a power of the Gauss sum over
+    D, which is 1.  The coloring sums stay integer histograms until one
+    reduction at the end."""
     digits = negative_continued_fraction(p_surgery, q_surgery)
-    sigma = linking_signature(digits)
-    n_comp = len(digits)
-    ne = md.root_order
-    s_pos = md.s_pos_counts()
-    vec = [
-        root_of_unity((digits[0] * int(md.twist_exps[x])) % ne, ne) * int(md.dims[x])
-        for x in range(md.n_objects)
-    ]
-    for j in range(1, n_comp):
-        nxt = []
-        for y in range(md.n_objects):
-            acc = CycloNumber.zero(ne)
-            for x in range(md.n_objects):
-                acc = acc + vec[x] * CycloNumber.from_root_counts(ne, s_pos[x, y])
-            phase = root_of_unity((digits[j] * int(md.twist_exps[y])) % ne, ne)
-            if j == n_comp - 1:
-                phase = phase * int(md.dims[y])
-            nxt.append(acc * phase)
-        vec = nxt
-    if n_comp == 1:
-        total = CycloNumber.zero(ne)
-        for x in range(md.n_objects):
-            total = total + vec[x] * int(md.dims[x])
-    else:
-        total = CycloNumber.zero(ne)
-        for y in range(md.n_objects):
-            total = total + vec[y]
-    phase = root_of_unity((-md.c_mod_8 * sigma) % 8, 8)
-    return total * phase / md.total_dim ** (n_comp + 1)
+    ne, t = md.root_order, md.twist_exps
+    # hop[y, x] = S~pos_xy: one chain edge from color x to color y.
+    hop = md.s_pos_counts().transpose(1, 0, 2)
+    # vec[x]: the sum over colorings of the chain so far ending in x.
+    vec = _monomials(ne, digits[0] * t, md.dims)
+    for a in digits[1:]:
+        # The next component, colored y, carries the framing theta_y^a.
+        vec = _group_ring_sums(_roll_rows(hop, a * t[:, None]), vec)
+    # sum_y d_y vec[y], exact however large the entries have grown.
+    total = _group_ring_sums(_monomials(ne, np.zeros_like(t), md.dims)[None], vec)[0]
+    return CycloNumber.from_root_counts(ne, total) / md.total_dim ** (len(digits) + 1)
 
 
 def lens_space_via_chain_braid(md: ModularData, p_surgery: int, q_surgery: int) -> CycloNumber:
@@ -1059,7 +1021,6 @@ def lens_space_via_chain_braid(md: ModularData, p_surgery: int, q_surgery: int) 
     Hopf traces replaced by one braid-engine trace of the chain braid
     sigma_1^2 sigma_2^2 ... on n strands per coloring."""
     digits = negative_continued_fraction(p_surgery, q_surgery)
-    sigma = linking_signature(digits)
     n_comp = len(digits)
     ne = md.root_order
     params = md.params
@@ -1077,8 +1038,7 @@ def lens_space_via_chain_braid(md: ModularData, p_surgery: int, q_surgery: int) 
             weight *= int(md.dims[x])
             shift += a * int(md.twist_exps[x])
         hist += weight * np.roll(counts, shift % ne)
-    phase = root_of_unity((-md.c_mod_8 * sigma) % 8, 8)
-    return CycloNumber.from_root_counts(ne, hist) * phase / md.total_dim ** (n_comp + 1)
+    return CycloNumber.from_root_counts(ne, hist) / md.total_dim ** (n_comp + 1)
 
 
 # ----- equivalence search ---------------------------------------------------------

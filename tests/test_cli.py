@@ -33,9 +33,14 @@ def test_anyons_u0_twists_are_fifth_roots(capsys):
 
 
 def test_anyons_invalid_group_exits_2(capsys):
-    code, _, err = run(capsys, ["anyons", "--n", "2"])
-    assert code == 2
-    assert "order" in err
+    for argv, message in [
+        (["--n", "2"], "order"),
+        (["--q", "9"], "q=9 and p=5 must be prime"),
+        (["--q", "13"], "p=5 must divide q-1=12"),
+    ]:
+        code, _, err = run(capsys, ["anyons", *argv])
+        assert code == 2
+        assert message in err
 
 
 def test_anyons_output_deterministic(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the modular-data layer: S/T assembly, fusion rules, the
 W-matrix, derived invariants, and the permutation-equivalence search."""
 
+import copy
 import dataclasses
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from stw.braid import BraidWord
 from stw.braid import framed_invariant
 from stw.cocycle import CocycleParams
 from stw.cyclotomic import CycloNumber, root_of_unity
-from stw.group import GroupSpec
+from stw.double import context_for
+from stw.group import GroupData, GroupSpec, identity
 
 # Pinned twist tables: B_k_s has twist zeta_25^e with e read off row k,
 # column s; A_l_m has twist zeta_11^(l*m); I twists are 1.
@@ -123,7 +125,7 @@ def small_md():
 @pytest.mark.parametrize("inner", [49, 129, 217, 64 * 1024 + 5])
 def test_mulmod_matches_python_integers(inner):
     rng = np.random.default_rng(inner)
-    for prime in modular._checker(275).primes:
+    for prime in modular._checker(275, 0).primes:
         a = rng.integers(0, prime, size=(2, 3, inner))
         b = rng.integers(0, prime, size=(2, inner, 4))
         a[0, 0, :] = prime - 1
@@ -133,7 +135,7 @@ def test_mulmod_matches_python_integers(inner):
 
 
 def test_frequency_transform_matches_direct_sums():
-    fp = modular._checker(275).freq[0]
+    fp = modular._checker(275, 0).freq[0]
     rng = np.random.default_rng(5)
     counts = rng.integers(-60, 60, size=(3, 4, 275))
     evals = fp.evaluate(counts)
@@ -147,17 +149,24 @@ def test_frequency_transform_matches_direct_sums():
     assert np.array_equal(fp.invert(evals), counts % fp.prime)
 
 
-def test_gauss_phase_matches_lifted_comparison():
-    for order in (8, 12, 20, 25):
-        for s in range(order):
-            for sign in (1, -1):
-                gauss = root_of_unity(s, order) * (5 * sign)
-                lifted = [c for c in range(8) if gauss == root_of_unity(c, 8) * 5]
-                if lifted:
-                    assert modular._gauss_phase(gauss, 5) == lifted[0]
-                else:
-                    with pytest.raises(ArithmeticError):
-                        modular._gauss_phase(gauss, 5)
+def test_checker_takes_fewest_primes_for_bound():
+    two = modular._checker(275, 0)
+    assert len(two.primes) == 2
+    assert all(p % 275 == 1 for p in two.primes)
+    assert modular._checker(275, 1) is two
+    more = modular._checker(275, two.product)
+    assert more.primes[:2] == two.primes and len(more.primes) == 3
+    assert 2 * more.kappa * two.product < more.product
+
+
+def test_modular_data_rejects_gauss_sum_other_than_d(monkeypatch):
+    params = CocycleParams(GroupSpec(7, 3, 2), 1)
+    ctx = copy.copy(context_for(params))
+    ctx.tables = list(ctx.tables)
+    ctx.tables[1] = dataclasses.replace(ctx.tables[1], twist_exp=ctx.tables[1].twist_exp + 1)
+    monkeypatch.setattr(modular, "context_for", lambda _: ctx)
+    with pytest.raises(ArithmeticError, match="Gauss sum"):
+        modular.modular_data.__wrapped__(params)
 
 
 def test_verlinde_table_matches_scalar_route_small_group(small_md):
@@ -178,6 +187,14 @@ def test_verlinde_table_rejects_perturbed_s(small_md):
     broken = dataclasses.replace(small_md, s_counts=counts)
     with pytest.raises(ArithmeticError):
         modular.verlinde_table(broken)
+
+
+def test_modularity_report_names_broken_unit_row(small_md):
+    counts = small_md.s_counts.copy()
+    counts[0, 3] = np.roll(counts[0, 3], 1)
+    report = modular.modularity_report(dataclasses.replace(small_md, s_counts=counts))
+    assert not report.unit_row_is_dims
+    assert "unit row of S-tilde is not the dimension vector" in report.failures
 
 
 def test_w_pinned_entries(wm_u):
@@ -410,6 +427,30 @@ def test_lens_space_two_routes_agree(md_u):
     assert modular.lens_space_invariant(md, 5, 1) != modular.lens_space_invariant(
         md, 5, 2
     )
+
+
+@pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2)])
+def test_lens_space_matches_dijkgraaf_witten_count(group):
+    """With the trivial cocycle (u = 0), Z(L(p, q)) = #{g : g^p = 1} / |G|."""
+    spec = GroupSpec(*group)
+    md = modular.modular_data(CocycleParams(spec, 0))
+    data = GroupData(spec)
+    table, unit = data.mult_table, data.index(identity(spec))
+    g = np.arange(len(table))
+    for p, q in [(2, 1), (3, 2), (5, 2), (5, 3), (7, 3), (11, 4), (13, 5), (21, 8)]:
+        power = g
+        for _ in range(p - 1):
+            power = table[power, g]
+        count = Fraction(int(np.sum(power == unit)), len(g))
+        assert modular.lens_space_invariant(md, p, q) == CycloNumber.from_rational(count)
+
+
+def test_lens_spaces_of_orders_coprime_to_the_group(md_u):
+    # 7 and 13 are coprime to |G| = 55, so only g = 1 has g^p = 1.
+    for u in range(5):
+        for p, q in [(7, 3), (13, 5)]:
+            value = modular.lens_space_invariant(md_u(u), p, q)
+            assert value == CycloNumber.from_rational(Fraction(1, 55))
 
 
 def _witness_respects_data(d1, d2, perm, with_w):
