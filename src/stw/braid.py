@@ -4,9 +4,13 @@ A braid word on n strands acts on the tensor product of the colors'
 module spaces by monomial operators: generator i braids positions i and
 i+1 (positive = left strand crosses over), and bracketing corrections
 from the associator are inserted as scalar phases depending only on the
-Z_p parts of the fluxes to the left of the crossing.  The closure
-invariant is the trace, accumulated as an integer histogram of root
-exponents and materialized as one exact cyclotomic number.
+Z_p parts of the fluxes to the left of the crossing.  Each crossing is a
+gather from the half-braiding tables of `stw.double`.
+
+One walk over the product basis gives the word's `MonomialOperator`;
+the closure invariant is its trace, the root-exponent histogram of the
+basis vectors it fixes, materialized as one exact cyclotomic number.
+The zero framing is one shift of that histogram (`zero_framing`).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "representation_operator",
     "framed_invariant",
     "zero_framed_invariant",
+    "zero_framing",
 ]
 
 
@@ -172,51 +177,18 @@ def _pair_tables(ctx: DoubleContext, left_color: int, right_color: int, positive
     left * dim_right + right.  For a positive crossing the left strand
     (color X) crosses over and acts on the right one (color Y); for a
     negative crossing the right strand (color X) crosses over acting by
-    its inverse flux on the left one (color Y).
+    its inverse flux on the left one (color Y).  Both are gathers from
+    the half-braiding tables of Y.
     """
-    gd = ctx.gdata
-    thNE = ctx.theta_ne_tab
     if positive:
         TX, TY = ctx.tables[left_color], ctx.tables[right_color]
-        bx = np.repeat(np.arange(TX.dim), TY.dim)
-        by = np.tile(np.arange(TY.dim), TX.dim)
-        g = TX.flux[bx // TX.internal_dim]
-        cos_y = by // TY.internal_dim
-        int_y = by % TY.internal_dim
-        rk = TY.coset_rep[cos_y]
-        w = gd.mult_table[g, rk]
-        j = TY.coset_of[w]
-        sidx = TY.srep[w]
-        hm = TY.class_bpart
-        exp = (
-            thNE[hm, gd.b_part[g], gd.b_part[rk]]
-            - thNE[hm, gd.b_part[TY.coset_rep[j]], TY.cent_bpart[sidx]]
-            + TY.pi_exp[sidx, int_y]
-        )
-        new_left = j * TY.internal_dim + TY.pi_perm[sidx, int_y]
-        new_right = bx
-    else:
-        TY, TX = ctx.tables[left_color], ctx.tables[right_color]
-        by = np.repeat(np.arange(TY.dim), TX.dim)
-        bx = np.tile(np.arange(TX.dim), TY.dim)
-        g = TX.flux[bx // TX.internal_dim]
-        ginv = gd.inv_table[g]
-        cos_y = by // TY.internal_dim
-        int_y = by % TY.internal_dim
-        rl = TY.coset_rep[cos_y]
-        w = gd.mult_table[ginv, rl]
-        k = TY.coset_of[w]
-        sidx = TY.srep[w]
-        hm = TY.class_bpart
-        exp = (
-            -thNE[hm, gd.b_part[g], gd.b_part[ginv]]
-            + thNE[hm, gd.b_part[ginv], gd.b_part[rl]]
-            - thNE[hm, gd.b_part[TY.coset_rep[k]], TY.cent_bpart[sidx]]
-            + TY.pi_exp[sidx, int_y]
-        )
-        new_left = bx
-        new_right = k * TY.internal_dim + TY.pi_perm[sidx, int_y]
-    return new_left, new_right, exp % ctx.root_order
+        state, exp = ctx.half_braiding(TY, TX.flux)  # (dim_X, dim_Y)
+        new_right = np.repeat(np.arange(TX.dim), TY.dim)
+        return state.ravel(), new_right, exp.ravel()
+    TY, TX = ctx.tables[left_color], ctx.tables[right_color]
+    state, exp = ctx.half_braiding(TY, TX.flux, inverse=True)  # (dim_X, dim_Y)
+    new_left = np.tile(np.arange(TX.dim), TY.dim)
+    return new_left, state.T.ravel(), exp.T.ravel()
 
 
 def _compile_word(ctx: DoubleContext, word: BraidWord, color_idx: list[int]):
@@ -248,35 +220,6 @@ def _compile_word(ctx: DoubleContext, word: BraidWord, color_idx: list[int]):
 # ----- executing the walk ---------------------------------------------------
 
 
-def _run_numpy(dims: list[int], instrs, ne: int):
-    """Vectorized walk over the full product basis.  Returns the final
-    per-position states and the accumulated exponents (mod ne)."""
-    total = prod(dims)
-    state = []
-    stride = total
-    for d in dims:
-        stride //= d
-        state.append((np.arange(total) // stride) % d)
-    expo = np.zeros(total, dtype=np.int64)
-    for i, dim_right, new_left, new_right, exp in instrs:
-        pair = state[i] * dim_right + state[i + 1]
-        state[i], state[i + 1] = new_left[pair], new_right[pair]
-        expo += exp[pair]
-    return state, expo % ne
-
-
-def _trace_counts(ctx: DoubleContext, dims: list[int], instrs) -> np.ndarray:
-    ne = ctx.root_order
-    state, expo = _run_numpy(dims, instrs, ne)
-    total = prod(dims)
-    fixed = np.ones(total, dtype=bool)
-    stride = total
-    for j, d in enumerate(dims):
-        stride //= d
-        fixed &= state[j] == (np.arange(total) // stride) % d
-    return np.bincount(expo[fixed], minlength=ne)
-
-
 @dataclass
 class MonomialOperator:
     """The action of a colored braid word: basis vector i of the source
@@ -304,29 +247,44 @@ class MonomialOperator:
         return np.bincount(self.exponents[fixed], minlength=self.root_order)
 
 
-def representation_operator(params: CocycleParams, word: BraidWord, colors) -> MonomialOperator:
-    """The monomial operator of the colored word (letters applied first
-    to last).  Colors may repeat freely; closure consistency is not
-    required here, only for traces."""
-    ctx = context_for(params)
-    color_idx = [ctx.index_of(c) for c in colors]
+def _walk(ctx: DoubleContext, word: BraidWord, color_idx: list[int]):
+    """Run the word over the full product basis of the colors: the
+    monomial operator and the colors at the top of the braid."""
     dims = [ctx.tables[c].dim for c in color_idx]
     instrs, final_colors = _compile_word(ctx, word, color_idx)
-    state, expo = _run_numpy(dims, instrs, ctx.root_order)
-    final_dims = [ctx.tables[c].dim for c in final_colors]
     total = prod(dims)
+    state = []
+    stride = total
+    for d in dims:
+        stride //= d
+        state.append((np.arange(total) // stride) % d)
+    expo = np.zeros(total, dtype=np.int64)
+    for i, dim_right, new_left, new_right, exp in instrs:
+        pair = state[i] * dim_right + state[i + 1]
+        state[i], state[i + 1] = new_left[pair], new_right[pair]
+        expo += exp[pair]
+    final_dims = [ctx.tables[c].dim for c in final_colors]
     target = np.zeros(total, dtype=np.int64)
     stride = 1
     for j in range(len(final_dims) - 1, -1, -1):
         target += state[j] * stride
         stride *= final_dims[j]
-    return MonomialOperator(
+    operator = MonomialOperator(
         source_dims=tuple(dims),
         target_dims=tuple(final_dims),
         perm=target,
-        exponents=expo,
+        exponents=expo % ctx.root_order,
         root_order=ctx.root_order,
     )
+    return operator, final_colors
+
+
+def representation_operator(params: CocycleParams, word: BraidWord, colors) -> MonomialOperator:
+    """The monomial operator of the colored word (letters applied first
+    to last).  Colors may repeat freely; closure consistency is not
+    required here, only for traces."""
+    ctx = context_for(params)
+    return _walk(ctx, word, [ctx.index_of(c) for c in colors])[0]
 
 
 def framed_trace_counts(params: CocycleParams, word: BraidWord, colors) -> np.ndarray:
@@ -335,30 +293,33 @@ def framed_trace_counts(params: CocycleParams, word: BraidWord, colors) -> np.nd
     phase zeta^j.  The framed invariant is the histogram's root sum."""
     ctx = context_for(params)
     color_idx, _ = _resolve_colors(ctx, word, colors)
-    dims = [ctx.tables[c].dim for c in color_idx]
-    instrs, final_colors = _compile_word(ctx, word, color_idx)
+    operator, final_colors = _walk(ctx, word, color_idx)
     if final_colors != color_idx:
         raise AssertionError("consistent coloring should return to itself")
-    return _trace_counts(ctx, dims, instrs)
+    return operator.trace_counts()
+
+
+def zero_framing(ctx: DoubleContext, info: ClosureInfo, colors, counts: np.ndarray) -> np.ndarray:
+    """The trace histogram with every component's blackboard
+    self-framing cancelled: multiplying by theta_color^(-self_writhe) per
+    closure component shifts the histogram by -sum self_writhe * t_color."""
+    shift = 0
+    for comp, sw in zip(info.components, info.self_writhes):
+        shift -= sw * ctx.tables[ctx.index_of(colors[comp[0] - 1])].twist_exp
+    return np.roll(counts, shift % ctx.root_order)
 
 
 def framed_invariant(params: CocycleParams, word: BraidWord, colors) -> CycloNumber:
     """Trace of the colored word: the invariant of the closure in the
     blackboard framing of the braid diagram."""
-    ctx = context_for(params)
     counts = framed_trace_counts(params, word, colors)
-    return CycloNumber.from_root_counts(ctx.root_order, counts)
+    return CycloNumber.from_root_counts(context_for(params).root_order, counts)
 
 
 def zero_framed_invariant(params: CocycleParams, word: BraidWord, colors) -> CycloNumber:
     """The framed invariant with every component's blackboard self-framing
-    cancelled by twist factors: multiply by theta_color^(-self_writhe)
-    per closure component."""
+    cancelled by twist factors (see `zero_framing`)."""
     ctx = context_for(params)
-    color_idx, info = _resolve_colors(ctx, word, colors)
-    value = framed_invariant(params, word, colors)
-    correction = 0
-    for comp, sw in zip(info.components, info.self_writhes):
-        c = color_idx[comp[0] - 1]
-        correction -= sw * ctx.tables[c].twist_exp
-    return value * ctx.root(correction)
+    counts = framed_trace_counts(params, word, colors)
+    counts = zero_framing(ctx, closure_structure(word), colors, counts)
+    return CycloNumber.from_root_counts(ctx.root_order, counts)

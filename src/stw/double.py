@@ -14,6 +14,14 @@ where y r_i = r_j s with s in the centralizer and t' = r_j t r_j^-1.
 All phases live in the cyclic group of order p^2 * q, so the engine
 tracks integer exponents and only materializes exact cyclotomic numbers
 at the end.
+
+This formula is evaluated in one place: when a context is built, each
+simple object gets the action of every group element on every basis
+vector as two (|G|, dim) integer arrays, the new basis vector and the
+phase exponent.  The braiding of X over Y is the action of the flux of
+the X vector on the Y vector, so every crossing of the braid engine, and
+`dpr_action`, `sigma_action` and `sigma_inverse_action`, read these
+tables (`DoubleContext.half_braiding`).
 """
 
 from __future__ import annotations
@@ -67,32 +75,25 @@ class SimpleObject:
 class AnyonTables:
     """Integer engine tables for one simple object.
 
-    Basis vectors are encoded as coset * internal_dim + internal.
-    pi_perm/pi_exp give the monomial action of centralizer element
-    s (by centralizer index) on the internal space; exponents are in
+    Basis vectors are encoded as coset * internal_dim + internal.  The
+    group element with index g acts on basis vector b as
+
+        g . |b>  =  zeta^exp[g, b] |state[g, b]>,
+
+    the module formula evaluated once for every (g, b); exponents are in
     units of zeta_(p^2 q).
     """
 
     simple: SimpleObject
-    class_info: ConjClassInfo
-    n_cosets: int
-    internal_dim: int
     dim: int
     class_bpart: int
-    flux: np.ndarray  # (n_cosets,) group index of members
-    coset_rep: np.ndarray  # (n_cosets,) group index
-    coset_of: np.ndarray  # (|G|,) -> coset index
-    srep: np.ndarray  # (|G|,) -> centralizer index with g = r_j s
-    cent_bpart: np.ndarray  # (n_cent,)
-    pi_perm: np.ndarray  # (n_cent, internal_dim)
-    pi_exp: np.ndarray  # (n_cent, internal_dim), mod p^2 q
+    flux: np.ndarray  # (dim,) group index of each basis vector's flux
+    state: np.ndarray  # (|G|, dim)
+    exp: np.ndarray  # (|G|, dim), mod p^2 q
     twist_exp: int  # mod p^2 q
 
-    def basis_coset(self, basis: int) -> int:
-        return basis // self.internal_dim
-
     def basis_flux(self, basis: int) -> int:
-        return int(self.flux[basis // self.internal_dim])
+        return int(self.flux[basis])
 
 
 class DoubleContext:
@@ -117,88 +118,96 @@ class DoubleContext:
 
     # ----- construction --------------------------------------------------
 
-    def _class_tables(self, cls: ConjClassInfo):
+    def _coset_action(self, cls: ConjClassInfo):
+        """The coset part of the action on the class of t, for every group
+        element y and coset i: y r_i = r_j s with s in the centralizer.
+        Returns (flux, cent, j, s, exp): the group index of each coset's
+        flux and of each centralizer element, then (|G|, n_cosets) arrays
+        of j, of the centralizer index of s, and of the exponent of
+        theta_{t'}(y, r_i) / theta_{t'}(r_j, s)."""
         gd = self.gdata
-        order = self.spec.order
-        n_cosets = len(cls.members)
         flux = np.array([gd.index(m) for m in cls.members], dtype=np.int64)
         reps = np.array([gd.index(r) for r in cls.coset_reps], dtype=np.int64)
-        cent_idx = np.array([gd.index(c) for c in cls.centralizer], dtype=np.int64)
-        coset_of = np.full(order, -1, dtype=np.int64)
-        srep = np.full(order, -1, dtype=np.int64)
-        for j in range(n_cosets):
-            products = gd.mult_table[reps[j], cent_idx]
+        cent = np.array([gd.index(c) for c in cls.centralizer], dtype=np.int64)
+        coset_of = np.full(self.spec.order, -1, dtype=np.int64)
+        srep = np.full(self.spec.order, -1, dtype=np.int64)
+        for j in range(len(reps)):
+            products = gd.mult_table[reps[j], cent]
             coset_of[products] = j
-            srep[products] = np.arange(len(cent_idx))
+            srep[products] = np.arange(len(cent))
         if np.any(coset_of < 0):
             raise AssertionError("cosets do not cover the group")
-        cent_bpart = gd.b_part[cent_idx]
-        return flux, reps, coset_of, srep, cent_idx, cent_bpart
+        w = gd.mult_table[:, reps]
+        j, s = coset_of[w], srep[w]
+        theta = self.theta_ne_tab[cls.representative.m]
+        exp = (
+            theta[gd.b_part[:, None], gd.b_part[reps][None, :]]
+            - theta[gd.b_part[reps[j]], gd.b_part[cent[s]]]
+        )
+        return flux, cent, j, s, exp
 
     def _build(self):
         spec = self.spec
         p, q, u = spec.p, spec.q, self.params.u
         irreps = irreps_of_G(spec)
         for ci, cls in enumerate(self.classes):
-            flux, reps, coset_of, srep, cent_idx, cent_bpart = self._class_tables(cls)
-            shared = dict(
-                class_info=cls, class_bpart=cls.representative.m, flux=flux,
-                coset_rep=reps, coset_of=coset_of, srep=srep, cent_bpart=cent_bpart,
-            )
+            coset_action = self._coset_action(cls)
+            cent = coset_action[1]
             rep_el = cls.representative
             if rep_el == GroupElement(0, 0):
                 # identity flux: one coset, characters = irreps of G
                 for s, irrep in enumerate(irreps):
                     unit = self.root_order // irrep.root_order
                     self._add(
-                        f"I_{s}", ci, s, internal_dim=irrep.dim,
-                        pi_perm=irrep.perm[cent_idx],
-                        pi_exp=(irrep.exponents[cent_idx] * unit) % self.root_order,
-                        twist_exp=0, **shared,
+                        f"I_{s}", ci, s, coset_action,
+                        pi_perm=irrep.perm[cent],
+                        pi_exp=irrep.exponents[cent] * unit,
+                        twist_exp=0,
                     )
             elif rep_el.m == 0:
                 # a-type flux: centralizer Z_q, characters zeta_q^(s l)
                 l0 = rep_el.l
-                cent_apart = self.gdata.a_part[cent_idx]
+                cent_apart = self.gdata.a_part[cent]
                 for s in range(q):
                     self._add(
-                        f"A_{l0}_{s}", ci, s, internal_dim=1,
-                        pi_perm=np.zeros((len(cent_idx), 1), dtype=np.int64),
-                        pi_exp=(cent_apart * s * self._zq_unit).reshape(-1, 1)
-                        % self.root_order,
-                        twist_exp=l0 * s * self._zq_unit, **shared,
+                        f"A_{l0}_{s}", ci, s, coset_action,
+                        pi_perm=np.zeros((len(cent), 1), dtype=np.int64),
+                        pi_exp=(cent_apart * s * self._zq_unit).reshape(-1, 1),
+                        twist_exp=l0 * s * self._zq_unit,
                     )
             else:
                 # b-type flux b^k: centralizer Z_p, characters
                 # zeta_(p^2)^((s p + u k) l) on b^l
                 k = rep_el.m
+                cent_bpart = self.gdata.b_part[cent]
                 for s in range(p):
                     lift = (s * p + u * k) % (p * p)
                     self._add(
-                        f"B_{k}_{s}", ci, s, internal_dim=1,
-                        pi_perm=np.zeros((len(cent_idx), 1), dtype=np.int64),
-                        pi_exp=(cent_bpart * lift * self._zp2_unit).reshape(-1, 1)
-                        % self.root_order,
-                        twist_exp=lift * k * self._zp2_unit, **shared,
+                        f"B_{k}_{s}", ci, s, coset_action,
+                        pi_perm=np.zeros((len(cent), 1), dtype=np.int64),
+                        pi_exp=(cent_bpart * lift * self._zp2_unit).reshape(-1, 1),
+                        twist_exp=lift * k * self._zp2_unit,
                     )
 
-    def _add(
-        self, label, ci, s, *, internal_dim, pi_perm, pi_exp, twist_exp,
-        class_info, class_bpart, flux, coset_rep, coset_of, srep, cent_bpart,
-    ):
-        n_cosets = len(class_info.members)
+    def _add(self, label, ci, s, coset_action, *, pi_perm, pi_exp, twist_exp):
+        """Append one simple object: pi_perm/pi_exp give the monomial
+        action pi(s) of each centralizer element on the internal space."""
+        flux, _, j, cent_s, coset_exp = coset_action
+        order, n_cosets = j.shape
+        internal_dim = pi_perm.shape[1]
         simple = SimpleObject(
             label=label, class_index=ci, char_index=s,
             dim=n_cosets * internal_dim, internal_dim=internal_dim,
         )
+        state = j[:, :, None] * internal_dim + pi_perm[cent_s]
+        exp = (coset_exp[:, :, None] + pi_exp[cent_s]) % self.root_order
         self.simples.append(simple)
         self.tables.append(
             AnyonTables(
-                simple=simple, class_info=class_info, n_cosets=n_cosets,
-                internal_dim=internal_dim, dim=n_cosets * internal_dim,
-                class_bpart=class_bpart,
-                flux=flux, coset_rep=coset_rep, coset_of=coset_of, srep=srep,
-                cent_bpart=cent_bpart, pi_perm=pi_perm, pi_exp=pi_exp,
+                simple=simple, dim=simple.dim,
+                class_bpart=self.classes[ci].representative.m,
+                flux=np.repeat(flux, internal_dim),
+                state=state.reshape(order, -1), exp=exp.reshape(order, -1),
                 twist_exp=twist_exp % self.root_order,
             )
         )
@@ -223,25 +232,20 @@ class DoubleContext:
     def root(self, exponent: int) -> CycloNumber:
         return root_of_unity(exponent % self.root_order, self.root_order)
 
-    # ----- elementary actions ---------------------------------------------
+    # ----- the crossing ---------------------------------------------------
 
-    def dpr_core(self, t: AnyonTables, g_idx: int, basis: int) -> tuple[int, int]:
-        """Act by the group element with index g_idx on a basis vector of
-        the module with tables t.  Returns (new basis, phase exponent).
-        """
+    def half_braiding(self, t: AnyonTables, g, inverse: bool = False):
+        """(new states, exponents) of the group elements with indices g on
+        every basis vector of the module with tables t: arrays of shape
+        shape(g) + (t.dim,).  With inverse=True they are those of g^-1,
+        with the phase lowered by theta_{h}(g, g^-1) (h the flux of t):
+        the action by which an inverse crossing undoes a crossing."""
+        if not inverse:
+            return t.state[g], t.exp[g]
         gd = self.gdata
-        coset = basis // t.internal_dim
-        internal = basis % t.internal_dim
-        rk = int(t.coset_rep[coset])
-        w = int(gd.mult_table[g_idx, rk])
-        j = int(t.coset_of[w])
-        s_idx = int(t.srep[w])
-        hm = t.class_bpart
-        exp = self.theta_ne(hm, int(gd.b_part[g_idx]), int(gd.b_part[rk]))
-        exp -= self.theta_ne(hm, int(gd.b_part[t.coset_rep[j]]), int(t.cent_bpart[s_idx]))
-        exp += int(t.pi_exp[s_idx, internal])
-        new_internal = int(t.pi_perm[s_idx, internal])
-        return j * t.internal_dim + new_internal, exp % self.root_order
+        g_inv = gd.inv_table[g]
+        norm = self.theta_ne_tab[t.class_bpart, gd.b_part[g], gd.b_part[g_inv]]
+        return t.state[g_inv], (t.exp[g_inv] - norm[..., None]) % self.root_order
 
 
 @lru_cache(maxsize=None)
@@ -277,8 +281,8 @@ def dpr_action(
     """
     ctx = context_for(params)
     t = ctx.tables[ctx.index_of(simple)]
-    new_basis, exp = ctx.dpr_core(t, ctx.gdata.index(y), basis)
-    return new_basis, ctx.root(exp)
+    g = ctx.gdata.index(y)
+    return int(t.state[g, basis]), ctx.root(int(t.exp[g, basis]))
 
 
 def basis_flux(params: CocycleParams, simple, basis: int) -> GroupElement:
@@ -301,9 +305,8 @@ def sigma_action(
     X = ctx.tables[ctx.index_of(pair[0])]
     Y = ctx.tables[ctx.index_of(pair[1])]
     bx, by = bases
-    g_idx = X.basis_flux(bx)
-    by_new, exp = ctx.dpr_core(Y, g_idx, by)
-    return ctx.root(exp), (by_new, bx)
+    state, exp = ctx.half_braiding(Y, X.flux[bx])
+    return ctx.root(int(exp[by])), (int(state[by]), bx)
 
 
 def sigma_inverse_action(
@@ -315,19 +318,11 @@ def sigma_inverse_action(
     strands.  Satisfies sigma_action . sigma_inverse_action = id.
     """
     ctx = context_for(params)
-    gd = ctx.gdata
     X = ctx.tables[ctx.index_of(pair[0])]
     Y = ctx.tables[ctx.index_of(pair[1])]
     by, bx = bases
-    g_idx = X.basis_flux(bx)
-    g_inv = int(gd.inv_table[g_idx])
-    gm = int(gd.b_part[g_idx])
-    gim = int(gd.b_part[g_inv])
-    hm = Y.class_bpart
-    by_new, exp = ctx.dpr_core(Y, g_inv, by)
-    # remove the theta_{y}(x, x^-1) normalization of the inverse crossing
-    exp -= ctx.theta_ne(hm, gm, gim)
-    return ctx.root(exp), (bx, by_new)
+    state, exp = ctx.half_braiding(Y, X.flux[bx], inverse=True)
+    return ctx.root(int(exp[by])), (bx, int(state[by]))
 
 
 def associator_scalar(params: CocycleParams, fluxes) -> CycloNumber:

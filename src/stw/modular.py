@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .braid import BraidWord, closure_structure, framed_trace_counts, parse_braid
+from .braid import BraidWord, closure_structure, framed_trace_counts, parse_braid, zero_framing
 from .cocycle import CocycleParams
 from .cyclotomic import (
     CycloNumber,
@@ -642,11 +642,7 @@ def _w_matrix(params: CocycleParams, mirror: bool) -> WMatrix:
             for strand in doubled:
                 colors[strand - 1] = labels[a]
             raw = framed_trace_counts(params, word, colors)
-            correction = 0
-            for comp, sw in zip(info.components, info.self_writhes):
-                color = a if comp == doubled else b
-                correction -= sw * int(twist_exps[color])
-            v_counts[a, b] = np.roll(raw, correction % ctx.root_order)
+            v_counts[a, b] = zero_framing(ctx, info, colors, raw)
     return WMatrix(
         params=params,
         labels=labels,
@@ -705,10 +701,36 @@ def w_identities(md: ModularData, wm: WMatrix) -> WIdentityReport:
 def ba_block_formula_report(md: ModularData, wm: WMatrix) -> tuple[bool, list[str]]:
     """Compare every (B-type, A-type) W entry against the closed formula
 
-        W = 55 * (-1)^(l*m*k2) * (theta_A^(k2/2))^-1 * theta_B^-1,
+        W(B_k_s, A_l_m) = q p theta_A^(1 - x - x^-1) theta_B^-1,
 
-    k2 = k^2 mod p, with the odd-order square-root convention
-    (zeta_q^j)^(1/2) = zeta_2q^j = (-1)^j zeta_q^((q+1)/2 * j)."""
+    with x = n^k mod q and theta_A = zeta_q^(l m).
+
+    Derivation, from the half-braiding of the double (module docstring
+    of `stw.double`) on the clasp word s2^-2 s1 s2^-1 s1 colored
+    (B, A, B).  B = B_k_s has basis |i>, i in Z_q, of flux
+    a^(i (1-x)) b^k (coset representative a^i); A = A_l_m has basis |j>,
+    j in Z_p, of flux a^(l n^j) (representative b^j).  The cocycle
+    depends only on Z_p parts and vanishes when one argument is in Z_q,
+    so theta_h(g, g') = 1 when h, or both g and g', lie in Z_q
+    (`cocycle.theta_exponent`), and every associator phase of this word
+    is 1.  So A is untwisted: a^z |j> = zeta_q^(m z n^-j) |j> and
+    b^k |j> = |j + k>; a^z |i> = |i + z> on B with phase 1; and B over B
+    is the quandle rule g_i |y> = theta_B |(1-x) i + x y>.  From the
+    basis vector (i1, j, i2) the five letters act as follows ("A by Z"
+    means A is acted on by the flux of Z's vector, "by Z^-1" by its
+    inverse):
+
+        s2^-1  A by B_i2^-1     zeta_q^(-m i2 (1-x) n^-j)  j -> j - k
+        s2^-1  B_i2 by A^-1     1                          i2 -> i3 = i2 - l n^(j-k)
+        s1     A by B_i1        zeta_q^(m i1 (1-x) n^-j)   j - k -> j
+        s2^-1  B_i1 by B_i3^-1  theta_B^-1                 i1 -> (i1 - (1-x) i3) / x
+        s1     B_i3 by A        1                          i3 -> i3 + l n^j
+
+    The closure fixes the vector iff i1 = i2 + l n^j (1 - x^-1), which
+    picks one i1 for each of the q p pairs (i2, j), and then the phase
+    is theta_B^-1 theta_A^((1-x)(1-x^-1)).  The doubled component has
+    self-writhe -1, so W = V/(theta_A theta_B) = trace/theta_A, and the
+    exponent of theta_A is (1-x)(1-x^-1) - 1 = 1 - x - x^-1."""
     spec = md.params.spec
     q, p = spec.q, spec.p
     failures = []
@@ -724,12 +746,10 @@ def ba_block_formula_report(md: ModularData, wm: WMatrix) -> tuple[bool, list[st
     for a, la in enumerate(md.labels):
         if not la.startswith("B_"):
             continue
-        k = int(la.split("_")[1])
-        k2 = k * k % p
-        # theta_A^(k2/2) = (zeta_2q^lm)^k2 = (-1)^(lm*k2) zeta_q^((q+1)/2*lm*k2):
-        # its sign cancels (-1)^(l*m*k2), so W is the monomial
-        # q*p * zeta_N^e, with zeta_q = zeta_N^(N/q) and theta_B = zeta_N^t_B.
-        e = (-((q + 1) // 2) * lms * k2 * (ne // q) - int(md.twist_exps[a])) % ne
+        x = spec.n_pow(int(la.split("_")[1]))
+        c = (1 - x - pow(x, -1, q)) % q
+        # W = q*p * zeta_N^e with zeta_q = zeta_N^(N/q) and theta_B = zeta_N^t_B.
+        e = (c * lms * (ne // q) - int(md.twist_exps[a])) % ne
         # W - q*p*zeta_N^e as one histogram per A column; it must reduce to 0.
         diff = w_counts[a, cols]
         diff[np.arange(len(cols)), e] -= q * p

@@ -1,8 +1,11 @@
 """Simple objects, twists, and the monomial braiding action."""
 
+import cmath
 import itertools
 
-from stw.cocycle import CocycleParams
+import pytest
+
+from stw.cocycle import CocycleParams, projective_character, theta_exponent
 from stw.cyclotomic import CycloNumber, root_of_unity
 from stw.double import (
     associator_scalar,
@@ -15,7 +18,7 @@ from stw.double import (
     sigma_inverse_action,
     twist,
 )
-from stw.group import GroupElement, GroupSpec, inverse, multiply
+from stw.group import GroupElement, GroupSpec, inverse, irreps_of_G, multiply
 
 SPEC = GroupSpec(11, 5, 4)
 U0 = CocycleParams(SPEC, 0)
@@ -213,3 +216,64 @@ def test_associator_scalar_values():
     assert associator_scalar(U4, (b2, b4, b2)) == root_of_unity(8, 5)
     e = GroupElement(0, 0)
     assert associator_scalar(U4, (e, b4, b)) == 1
+
+
+@pytest.mark.parametrize(
+    "group, u, kinds",
+    [((7, 3, 2), 0, "IAB"), ((7, 3, 2), 1, "IAB"), ((7, 3, 2), 2, "IAB"), ((11, 5, 4), 1, "B")],
+)
+def test_action_tables_match_the_element_formula(group, u, kinds):
+    """Rebuild y . |r_i, v> = theta_t'(y, r_i) / theta_t'(r_j, s) pi(s) v,
+    with y r_i = r_j s, from group elements, the cocycle and the
+    (projective) characters, and compare it with the engine's tables for
+    every group element y and basis vector: the action, and the inverse
+    action lowered by theta_t(y, y^-1) that the negative crossing uses."""
+    spec = GroupSpec(*group)
+    params = CocycleParams(spec, u)
+    ctx = context_for(params)
+    ne, p = ctx.root_order, spec.p
+    elements = [GroupElement(l, m) for l in range(spec.q) for m in range(p)]  # index l p + m
+    irreps = irreps_of_G(spec)
+    for simple, table in zip(ctx.simples, ctx.tables):
+        if simple.label[0] not in kinds:
+            continue
+        cls = ctx.classes[simple.class_index]
+        dim = simple.internal_dim
+        split = {
+            multiply(spec, r, s): (j, s)
+            for j, r in enumerate(cls.coset_reps)
+            for s in cls.centralizer
+        }
+        pi_exps = {}
+
+        def pi(s, v):
+            """(target, exponent in zeta_ne units) of pi(s) on internal vector v."""
+            if cls.representative == GroupElement(0, 0):
+                irrep = irreps[simple.char_index]
+                target, e = irrep.matrix_entry_exponent(s, v)
+                return target, e * (ne // irrep.root_order)
+            if s not in pi_exps:
+                value = projective_character(params, cls.representative, simple.char_index, s)
+                e = round(cmath.phase(value.to_complex()) / (2 * cmath.pi) * ne) % ne
+                assert value == root_of_unity(e, ne)
+                pi_exps[s] = e
+            return 0, pi_exps[s]
+
+        def act(y, basis):
+            i, v = divmod(basis, dim)
+            j, s = split[multiply(spec, y, cls.coset_reps[i])]
+            flux = cls.members[j]
+            target, e = pi(s, v)
+            theta = theta_exponent(params, flux.m, y.m, cls.coset_reps[i].m)
+            theta -= theta_exponent(params, flux.m, cls.coset_reps[j].m, s.m)
+            return j * dim + target, (e + theta * (ne // p)) % ne
+
+        for g, y in enumerate(elements):
+            state, exp = ctx.half_braiding(table, g)
+            inv_state, inv_exp = ctx.half_braiding(table, g, inverse=True)
+            y_inv = inverse(spec, y)
+            norm = theta_exponent(params, cls.representative.m, y.m, y_inv.m) * (ne // p)
+            for basis in range(table.dim):
+                assert (state[basis], exp[basis]) == act(y, basis)
+                target, e = act(y_inv, basis)
+                assert (inv_state[basis], inv_exp[basis]) == (target, (e - norm) % ne)

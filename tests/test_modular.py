@@ -228,6 +228,16 @@ def test_ba_block_closed_formula(md_u, wm_u):
     assert ok, failures[:5]
 
 
+@pytest.mark.parametrize("group", [(7, 3, 2), (13, 3, 3)])
+def test_ba_block_closed_formula_beyond_the_flagship(group):
+    spec = GroupSpec(*group)
+    for u in range(spec.p):
+        params = CocycleParams(spec, u)
+        md, wm = modular.modular_data(params), modular.w_matrix(params)
+        ok, failures = modular.ba_block_formula_report(md, wm)
+        assert ok, (u, failures[:5])
+
+
 def test_ba_block_report_names_corrupted_pair(md_u, wm_u):
     md, wm = md_u(1), wm_u(1)
     a, b = md.index_of("B_2_3"), md.index_of("A_1_7")
@@ -485,6 +495,25 @@ def test_equivalence_u1_u4_with_w_fails(theory_u):
     result = modular.equivalence_search(theory_u(1, True), theory_u(4, True))
     assert not result.equivalent
     assert result.permutation is None
+
+
+@pytest.mark.parametrize("u", range(3))
+def test_presentation_of_the_group_does_not_matter(u):
+    """(7, 3, 2) and (7, 3, 4) present one group (b -> b^2 maps one onto
+    the other), and the cocycle class u -> 2^2 u = u mod 3 is kept, so
+    theory u of each must be equivalent with W."""
+    datas = []
+    for n in (2, 4):
+        params = CocycleParams(GroupSpec(7, 3, n), u)
+        datas.append(modular.theory_data(modular.modular_data(params), modular.w_matrix(params)))
+    d1, d2 = datas
+    result = modular.equivalence_search(d1, d2)
+    assert result.equivalent
+    perm = result.permutation
+    assert all(d1.t_keys[a] == d2.t_keys[perm[a]] for a in range(len(perm)))
+    for a, b in np.ndindex(len(perm), len(perm)):
+        assert d1.s_keys[a][b] == d2.s_keys[perm[a]][perm[b]]
+        assert d1.w_keys[a][b] == d2.w_keys[perm[a]][perm[b]]
 
 
 def test_obstruction_certificate_pinned_sets(theory_u):
