@@ -2,15 +2,15 @@
 
 A braid word on n strands acts on the tensor product of the colors'
 module spaces by monomial operators: generator i braids positions i and
-i+1 (positive = left strand crosses over), and bracketing corrections
-from the associator are inserted as scalar phases depending only on the
-Z_p parts of the fluxes to the left of the crossing.  Each crossing is a
-gather from the half-braiding tables of `stw.double`.
+i+1 (positive = left strand crosses over), and the associator inserts
+scalar phases that depend only on the Z_p parts of the colors.  The walk
+runs over tuples of the global basis vectors of `stw.double`: a vector's
+color is the object it belongs to, so colors move with the vectors, one
+walk serves a whole batch of colorings and each crossing is one gather.
 
-One walk over the product basis gives the word's `MonomialOperator`;
-the closure invariant is its trace, the root-exponent histogram of the
-basis vectors it fixes, materialized as one exact cyclotomic number.
-The zero framing is one shift of that histogram (`zero_framing`).
+`trace_counts` gives the trace histograms of one word under many
+colorings, `framed_trace_counts` its one-coloring case, and
+`zero_framing` shifts each histogram to the zero framing.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import prod
 import numpy as np
 
 from stw.cocycle import CocycleParams
-from stw.cyclotomic import CycloNumber
+from stw.cyclotomic import CycloNumber, _roll_rows
 from stw.double import DoubleContext, context_for
 
 
@@ -33,6 +33,8 @@ __all__ = [
     "parse_braid",
     "closure_structure",
     "representation_operator",
+    "trace_counts",
+    "framed_trace_counts",
     "framed_invariant",
     "zero_framed_invariant",
     "zero_framing",
@@ -56,9 +58,7 @@ class BraidWord:
             raise ValueError("need at least one strand")
         for letter in self.letters:
             if letter == 0 or abs(letter) >= self.strands:
-                raise ValueError(
-                    f"letter {letter} invalid on {self.strands} strands"
-                )
+                raise ValueError(f"letter {letter} invalid on {self.strands} strands")
 
     @property
     def writhe(self) -> int:
@@ -75,19 +75,16 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     braid."""
     letters: list[int] = []
     for token in text.replace(",", " ").split():
-        body = token
-        if not body.startswith("s"):
+        if not token.startswith("s"):
             raise ValueError(f"cannot parse braid token {token!r}")
-        body = body[1:]
+        body = token[1:]
         power = 1
         if "^" in body:
             body, _, exp_text = body.partition("^")
             power = int(exp_text)
         index = int(body)
         if not 1 <= index < strands:
-            raise ValueError(
-                f"generator s{index} out of range on {strands} strands"
-            )
+            raise ValueError(f"generator s{index} out of range on {strands} strands")
         if power == 0:
             continue
         sign = 1 if power > 0 else -1
@@ -149,75 +146,102 @@ def closure_structure(word: BraidWord) -> ClosureInfo:
     )
 
 
-def _resolve_colors(ctx: DoubleContext, word: BraidWord, colors) -> tuple[list[int], ClosureInfo]:
+def _resolve_colors(ctx: DoubleContext, word: BraidWord, colors) -> list[int]:
     if len(colors) != word.strands:
-        raise ValueError(
-            f"need {word.strands} colors, got {len(colors)}"
-        )
-    idx = [ctx.index_of(c) for c in colors]
-    info = closure_structure(word)
-    for comp in info.components:
-        first = idx[comp[0] - 1]
-        for strand in comp[1:]:
-            if idx[strand - 1] != first:
-                raise InconsistentColoringError(
-                    f"strands {comp} form one closure component but carry "
-                    f"colors {[ctx.simples[idx[s - 1]].label for s in comp]}"
-                )
-    return idx, info
+        raise ValueError(f"need {word.strands} colors, got {len(colors)}")
+    return [ctx.index_of(c) for c in colors]
 
 
-# ----- compiling a word into pair-local monomial instructions -------------
+# ----- the walk over the basis tuples of many colorings at once -------------
 
 
-def _pair_tables(ctx: DoubleContext, left_color: int, right_color: int, positive: bool):
-    """Tables over all (left state, right state) pairs for one crossing.
-
-    Returns (new_left, new_right, exponent) arrays indexed by
-    left * dim_right + right.  For a positive crossing the left strand
-    (color X) crosses over and acts on the right one (color Y); for a
-    negative crossing the right strand (color X) crosses over acting by
-    its inverse flux on the left one (color Y).  Both are gathers from
-    the half-braiding tables of Y.
-    """
-    if positive:
-        TX, TY = ctx.tables[left_color], ctx.tables[right_color]
-        state, exp = ctx.half_braiding(TY, TX.flux)  # (dim_X, dim_Y)
-        new_right = np.repeat(np.arange(TX.dim), TY.dim)
-        return state.ravel(), new_right, exp.ravel()
-    TY, TX = ctx.tables[left_color], ctx.tables[right_color]
-    state, exp = ctx.half_braiding(TY, TX.flux, inverse=True)  # (dim_X, dim_Y)
-    new_left = np.tile(np.arange(TX.dim), TY.dim)
-    return new_left, state.T.ravel(), exp.T.ravel()
+def _start(ctx: DoubleContext, colorings: np.ndarray, j: int) -> np.ndarray:
+    """The global vector on strand j at the bottom of the braid, for every
+    basis tuple of the colorings (a row of object indices per coloring):
+    coloring after coloring, each in lexicographic order."""
+    digits = {}  # the strand's basis index along the tuples, per row of dimensions
+    parts = []
+    for color, d in zip(colorings[:, j].tolist(), map(tuple, ctx.dims[colorings].tolist())):
+        if d not in digits:
+            digits[d] = np.tile(np.repeat(np.arange(d[j]), prod(d[j + 1:])), prod(d[:j]))
+        parts.append(ctx.offsets[color] + digits[d])
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def _compile_word(ctx: DoubleContext, word: BraidWord, color_idx: list[int]):
-    """Instruction stream for the walk: per letter, the pair tables with
-    the associator phases folded in, plus bookkeeping of how colors move."""
-    ne = ctx.root_order
-    p = ctx.spec.p
-    colc = list(color_idx)
-    bparts = [ctx.tables[c].class_bpart for c in colc]
-    instrs = []
+def _walk(ctx: DoubleContext, word: BraidWord, colorings: np.ndarray):
+    """Run the word over the basis tuples of every coloring at once.  Each
+    crossing is one gather from the global action tables of `stw.double`,
+    indexed by the flux of the vector that crosses over and the vector it
+    acts on.  Returns the global vector on each strand at the top of the
+    braid and each tuple's phase exponent without the associator."""
+    state = [_start(ctx, colorings, j) for j in range(word.strands)]
+    # Each step adds less than N, so int32 is exact for any practical word.
+    expo = np.zeros(len(state[0]), np.int32 if len(word.letters) * ctx.root_order < 2**31 else int)
+    flux_row = ctx.flux * ctx.size
+    action_state, action_exp = ctx.action_state.ravel(), ctx.action_exp.ravel()
+    inverse_state, inverse_exp = ctx.inverse_state.ravel(), ctx.inverse_exp.ravel()
     for letter in word.letters:
         i = abs(letter) - 1
-        positive = letter > 0
-        new_left, new_right, exp = _pair_tables(ctx, colc[i], colc[i + 1], positive)
-        # associator sandwich: rebracketing the strands left of position i
-        # against the two participating fluxes, before and after the swap
-        if i > 0:
-            left_b = sum(bparts[:i]) % p
-            before = ctx.omega_ne(left_b, bparts[i], bparts[i + 1])
-            after = ctx.omega_ne(left_b, bparts[i + 1], bparts[i])
-            exp = (exp + after - before) % ne
-        dim_right = ctx.tables[colc[i + 1]].dim
-        instrs.append((i, dim_right, new_left, new_right, exp))
-        colc[i], colc[i + 1] = colc[i + 1], colc[i]
-        bparts[i], bparts[i + 1] = bparts[i + 1], bparts[i]
-    return instrs, colc
+        left, right = state[i], state[i + 1]
+        if letter > 0:
+            # the left vector crosses over, acting on the right one by its flux
+            hit = flux_row.take(left) + right
+            state[i], state[i + 1] = action_state.take(hit), left
+            expo += action_exp.take(hit)
+        else:
+            # the right vector crosses over, acting on the left one by the
+            # inverse of its flux
+            hit = flux_row.take(right) + left
+            state[i], state[i + 1] = right, inverse_state.take(hit)
+            expo += inverse_exp.take(hit)
+    return state, expo
 
 
-# ----- executing the walk ---------------------------------------------------
+def _associator(ctx: DoubleContext, word: BraidWord, colors) -> int:
+    """The associator exponent of the word under one coloring.  A crossing
+    at positions i, i+1 rebrackets the strands to its left against the
+    crossing fluxes, at the cost omega(l, b_(i+1), b_i) / omega(l, b_i,
+    b_(i+1)), with l the sum of the Z_p parts b to its left: a difference
+    of values at the color sequences before and after it.  The sum
+    cancels on s_i s_i^-1, on far crossings and on the braid relation
+    (checked for all l, x, y, z in the tests), so it vanishes whenever
+    the colors end where they started, as for every consistent coloring
+    of a closure: only operators carry it, never traces."""
+    b = [ctx.tables[c].class_bpart for c in colors]
+    total = 0
+    for letter in word.letters:
+        i = abs(letter) - 1
+        left = sum(b[:i])
+        total += ctx.omega_ne(left, b[i + 1], b[i]) - ctx.omega_ne(left, b[i], b[i + 1])
+        b[i], b[i + 1] = b[i + 1], b[i]
+    return total
+
+
+def trace_counts(ctx: DoubleContext, word: BraidWord, colorings) -> np.ndarray:
+    """Root-of-unity histograms (C, N) of the colored traces of one word
+    under C colorings (rows of object indices, one per strand): entry j
+    of row c counts the basis tuples of coloring c that the word's
+    permutation part fixes with accumulated phase zeta^j."""
+    colorings = np.asarray(colorings, dtype=np.int64).reshape(-1, word.strands)
+    for comp in closure_structure(word).components:
+        cols = colorings[:, [s - 1 for s in comp]]
+        bad = np.flatnonzero(np.any(cols != cols[:, :1], axis=1))
+        if len(bad):
+            raise InconsistentColoringError(
+                f"strands {comp} form one closure component but carry "
+                f"colors {[ctx.simples[c].label for c in cols[bad[0]]]}"
+            )
+    state, expo = _walk(ctx, word, colorings)
+    # A tuple is fixed when every strand is back at its start vector; the
+    # start vectors are built again one strand at a time, not kept.
+    fixed = state[0] == _start(ctx, colorings, 0)
+    for j in range(1, word.strands):
+        fixed &= state[j] == _start(ctx, colorings, j)
+    sel = np.flatnonzero(fixed)
+    ne = ctx.root_order
+    ends = np.cumsum(np.prod(ctx.dims[colorings], axis=1))
+    bins = np.searchsorted(ends, sel, side="right") * ne + expo[sel] % ne
+    return np.bincount(bins, minlength=len(colorings) * ne).reshape(-1, ne)
 
 
 @dataclass
@@ -233,50 +257,9 @@ class MonomialOperator:
     root_order: int
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialOperator)
-            and self.source_dims == other.source_dims
-            and self.target_dims == other.target_dims
-            and self.root_order == other.root_order
-            and np.array_equal(self.perm, other.perm)
-            and np.array_equal(self.exponents, other.exponents)
+        return isinstance(other, MonomialOperator) and all(
+            np.array_equal(value, getattr(other, key)) for key, value in vars(self).items()
         )
-
-    def trace_counts(self) -> np.ndarray:
-        fixed = self.perm == np.arange(len(self.perm))
-        return np.bincount(self.exponents[fixed], minlength=self.root_order)
-
-
-def _walk(ctx: DoubleContext, word: BraidWord, color_idx: list[int]):
-    """Run the word over the full product basis of the colors: the
-    monomial operator and the colors at the top of the braid."""
-    dims = [ctx.tables[c].dim for c in color_idx]
-    instrs, final_colors = _compile_word(ctx, word, color_idx)
-    total = prod(dims)
-    state = []
-    stride = total
-    for d in dims:
-        stride //= d
-        state.append((np.arange(total) // stride) % d)
-    expo = np.zeros(total, dtype=np.int64)
-    for i, dim_right, new_left, new_right, exp in instrs:
-        pair = state[i] * dim_right + state[i + 1]
-        state[i], state[i + 1] = new_left[pair], new_right[pair]
-        expo += exp[pair]
-    final_dims = [ctx.tables[c].dim for c in final_colors]
-    target = np.zeros(total, dtype=np.int64)
-    stride = 1
-    for j in range(len(final_dims) - 1, -1, -1):
-        target += state[j] * stride
-        stride *= final_dims[j]
-    operator = MonomialOperator(
-        source_dims=tuple(dims),
-        target_dims=tuple(final_dims),
-        perm=target,
-        exponents=expo % ctx.root_order,
-        root_order=ctx.root_order,
-    )
-    return operator, final_colors
 
 
 def representation_operator(params: CocycleParams, word: BraidWord, colors) -> MonomialOperator:
@@ -284,7 +267,19 @@ def representation_operator(params: CocycleParams, word: BraidWord, colors) -> M
     to last).  Colors may repeat freely; closure consistency is not
     required here, only for traces."""
     ctx = context_for(params)
-    return _walk(ctx, word, [ctx.index_of(c) for c in colors])[0]
+    idx = np.array(_resolve_colors(ctx, word, colors))
+    state, expo = _walk(ctx, word, idx[None])
+    final = idx[np.argsort(closure_structure(word).permutation)]
+    target = np.zeros(len(expo), dtype=np.int64)
+    for j, color in enumerate(final):
+        target = target * ctx.dims[color] + state[j] - ctx.offsets[color]
+    return MonomialOperator(
+        source_dims=tuple(ctx.dims[idx].tolist()),
+        target_dims=tuple(ctx.dims[final].tolist()),
+        perm=target,
+        exponents=(expo + _associator(ctx, word, idx)) % ctx.root_order,
+        root_order=ctx.root_order,
+    )
 
 
 def framed_trace_counts(params: CocycleParams, word: BraidWord, colors) -> np.ndarray:
@@ -292,21 +287,17 @@ def framed_trace_counts(params: CocycleParams, word: BraidWord, colors) -> np.nd
     basis vectors fixed by the word's permutation part with accumulated
     phase zeta^j.  The framed invariant is the histogram's root sum."""
     ctx = context_for(params)
-    color_idx, _ = _resolve_colors(ctx, word, colors)
-    operator, final_colors = _walk(ctx, word, color_idx)
-    if final_colors != color_idx:
-        raise AssertionError("consistent coloring should return to itself")
-    return operator.trace_counts()
+    return trace_counts(ctx, word, [_resolve_colors(ctx, word, colors)])[0]
 
 
-def zero_framing(ctx: DoubleContext, info: ClosureInfo, colors, counts: np.ndarray) -> np.ndarray:
-    """The trace histogram with every component's blackboard
-    self-framing cancelled: multiplying by theta_color^(-self_writhe) per
-    closure component shifts the histogram by -sum self_writhe * t_color."""
-    shift = 0
-    for comp, sw in zip(info.components, info.self_writhes):
-        shift -= sw * ctx.tables[ctx.index_of(colors[comp[0] - 1])].twist_exp
-    return np.roll(counts, shift % ctx.root_order)
+def zero_framing(ctx: DoubleContext, info: ClosureInfo, colorings, counts) -> np.ndarray:
+    """The trace histograms (C, N) of C colorings (rows of labels or indices)
+    with every component's blackboard self-framing cancelled: multiplying
+    by theta_color^(-self_writhe) per closure component shifts each
+    histogram by -sum self_writhe * t_color."""
+    twists = np.array([[ctx.tables[ctx.index_of(c)].twist_exp for c in row] for row in colorings])
+    firsts = [comp[0] - 1 for comp in info.components]
+    return _roll_rows(counts, -twists[:, firsts] @ np.array(info.self_writhes))
 
 
 def framed_invariant(params: CocycleParams, word: BraidWord, colors) -> CycloNumber:
@@ -320,6 +311,6 @@ def zero_framed_invariant(params: CocycleParams, word: BraidWord, colors) -> Cyc
     """The framed invariant with every component's blackboard self-framing
     cancelled by twist factors (see `zero_framing`)."""
     ctx = context_for(params)
-    counts = framed_trace_counts(params, word, colors)
-    counts = zero_framing(ctx, closure_structure(word), colors, counts)
-    return CycloNumber.from_root_counts(ctx.root_order, counts)
+    counts = framed_trace_counts(params, word, colors)[None]
+    counts = zero_framing(ctx, closure_structure(word), [colors], counts)
+    return CycloNumber.from_root_counts(ctx.root_order, counts[0])

@@ -10,6 +10,7 @@ serialized canonically and float previews use fixed precision.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -55,8 +56,16 @@ def _write_output(args, build_document, csv_writer) -> None:
         csv_writer(args.out)
 
 
+def _in_range(flag: str, value: int, low: int, high: int) -> int:
+    """value if low <= value < high, else a ValueError that names the flag."""
+    if not low <= value < high:
+        raise ValueError(f"{flag} {value} is out of range: need {low} <= {flag[2:]} < {high}")
+    return value
+
+
 def _params(args) -> CocycleParams:
-    return CocycleParams(GroupSpec(args.q, args.p, args.n), args.u)
+    spec = GroupSpec(args.q, args.p, args.n)
+    return CocycleParams(spec, _in_range("--u", args.u, 0, spec.p))
 
 
 def cmd_anyons(args) -> int:
@@ -121,7 +130,7 @@ def cmd_wmatrix(args) -> int:
     md = modular.modular_data(params)
     wm = modular.w_matrix(params, mirror=args.mirror)
     id_report = modular.w_identities(md, wm)
-    ba_ok, ba_failures = modular.ba_block_formula_report(md, wm)
+    ba_ok, ba_failures = modular.ba_block_formula_report(wm)
     checks = [
         ("W symmetric", id_report.symmetric),
         ("twist-duality identity", id_report.twist_duality),
@@ -174,6 +183,8 @@ def cmd_invariant(args) -> int:
 def cmd_quandle(args) -> int:
     params = _params(args)
     spec = params.spec
+    _in_range("--k", args.k, 1, spec.p)
+    _in_range("--s", args.s, 0, spec.p)
     word = parse_braid(args.braid, args.strands)
     print(f"{'k':>2} {'multiplier':>10} {'colorings':>9}")
     for k in range(1, spec.p):
@@ -214,11 +225,11 @@ def cmd_distinguish(args) -> int:
         _print_partition("(S,T) classes", classes)
         return 0
     if args.u is not None:
-        u1, u2 = args.u
-        st = modular.equivalence_search(_theory(args, u1, False), _theory(args, u2, False))
+        u1, u2 = (_in_range("--u", u, 0, args.p) for u in args.u)
+        d1, d2 = _theory(args, u1, True), _theory(args, u2, True)
+        st = modular.equivalence_search(*(dataclasses.replace(d, w_keys=None) for d in (d1, d2)))
         print(f"(S,T)   u={u1} vs u={u2}: "
               + ("EQUIVALENT" if st.equivalent else "NOT-EQUIVALENT"))
-        d1, d2 = _theory(args, u1, True), _theory(args, u2, True)
         stw = modular.equivalence_search(d1, d2)
         print(f"(S,T,W) u={u1} vs u={u2}: "
               + ("EQUIVALENT" if stw.equivalent else "NOT-EQUIVALENT"))
@@ -230,8 +241,9 @@ def cmd_distinguish(args) -> int:
             print("  W requires " + cert.label + " -> {" + ", ".join(cert.w_required) + "}")
             print("  intersection: {" + ", ".join(cert.compatible) + "}")
         return 0
-    st_classes = modular.partition_theories([_theory(args, u, False) for u in u_range])
-    stw_classes = modular.partition_theories([_theory(args, u, True) for u in u_range])
+    datas = [_theory(args, u, True) for u in u_range]
+    st_classes = modular.partition_theories([dataclasses.replace(d, w_keys=None) for d in datas])
+    stw_classes = modular.partition_theories(datas)
     _print_partition("(S,T) classes  ", st_classes)
     _print_partition("(S,T,W) classes", stw_classes)
     return 0

@@ -204,6 +204,14 @@ def reduce_counts(n: int, counts) -> np.ndarray:
     return (rows.astype(object) @ table).reshape(shape)
 
 
+def _roll_rows(counts: np.ndarray, shifts) -> np.ndarray:
+    """Each histogram of counts (..., N) times zeta_N^shift: entry j moves
+    to j + shift mod N.  shifts broadcasts against counts.shape[:-1]."""
+    order = counts.shape[-1]
+    idx = (np.arange(order) - np.asarray(shifts)[..., None]) % order
+    return np.take_along_axis(counts, idx, axis=-1)
+
+
 def _reduce_vector(n: int, vec) -> tuple[int, ...]:
     """Reduce one integer coefficient vector (degree < len) mod Phi_n."""
     return tuple(reduce_counts(n, vec).tolist())
@@ -248,9 +256,9 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
 class CycloNumber:
     """An element of Q(zeta_order), canonically reduced.
 
-    ``coeffs`` are Fractions c_0..c_{phi-1} with value
-    sum_i c_i * zeta_order^i.  Instances are immutable and unhashable
-    (use explicit keys if you need dict/set membership).
+    The value is sum_i num[i] * zeta_order^i / den over i < phi(order).
+    Instances are immutable and unhashable (use explicit keys if you need
+    dict/set membership).
     """
 
     __slots__ = ("order", "num", "den")
@@ -307,10 +315,6 @@ class CycloNumber:
         return cls(order, reduce_counts(order, counts).tolist())
 
     # ----- field data ---------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self) -> bool:
         return not any(self.num)

@@ -15,13 +15,16 @@ All phases live in the cyclic group of order p^2 * q, so the engine
 tracks integer exponents and only materializes exact cyclotomic numbers
 at the end.
 
-This formula is evaluated in one place: when a context is built, each
-simple object gets the action of every group element on every basis
-vector as two (|G|, dim) integer arrays, the new basis vector and the
-phase exponent.  The braiding of X over Y is the action of the flux of
-the X vector on the Y vector, so every crossing of the braid engine, and
-`dpr_action`, `sigma_action` and `sigma_inverse_action`, read these
-tables (`DoubleContext.half_braiding`).
+This formula is evaluated in one place: when a context is built, the
+basis vectors of all simple objects are numbered in one global basis
+(vector offset + b is basis vector b of the object with that offset),
+and the action of every group element on every global vector is stored
+as (|G|, sum of dims) integer arrays, the new vector and the phase
+exponent, once for g and once for g^-1.  A vector's color is the object
+it belongs to, so colors move with the vectors.  The braiding of X over
+Y is the action of the flux of the X vector on the Y vector, so every
+crossing of the braid engine, and `dpr_action`, `sigma_action` and
+`sigma_inverse_action`, read these tables.
 """
 
 from __future__ import annotations
@@ -73,27 +76,15 @@ class SimpleObject:
 
 @dataclass
 class AnyonTables:
-    """Integer engine tables for one simple object.
-
-    Basis vectors are encoded as coset * internal_dim + internal.  The
-    group element with index g acts on basis vector b as
-
-        g . |b>  =  zeta^exp[g, b] |state[g, b]>,
-
-    the module formula evaluated once for every (g, b); exponents are in
-    units of zeta_(p^2 q).
-    """
+    """Engine data of one simple object.  Its basis vectors, encoded as
+    coset * internal_dim + internal, are the global vectors offset + b of
+    its context; twist_exp is in units of zeta_(p^2 q)."""
 
     simple: SimpleObject
     dim: int
+    offset: int
     class_bpart: int
-    flux: np.ndarray  # (dim,) group index of each basis vector's flux
-    state: np.ndarray  # (|G|, dim)
-    exp: np.ndarray  # (|G|, dim), mod p^2 q
     twist_exp: int  # mod p^2 q
-
-    def basis_flux(self, basis: int) -> int:
-        return int(self.flux[basis])
 
 
 class DoubleContext:
@@ -147,9 +138,18 @@ class DoubleContext:
         return flux, cent, j, s, exp
 
     def _build(self):
+        """The simple objects, then the global action tables: flux[v] is
+        the group index of the flux of global vector v, and g acts on v as
+
+            g . |v>  =  zeta^action_exp[g, v] |action_state[g, v]>,
+
+        g^-1 as zeta^inverse_exp[g, v] |inverse_state[g, v]>, its phase
+        lowered by theta_h(g, g^-1) (h the flux of v): the action by
+        which an inverse crossing undoes a crossing."""
         spec = self.spec
         p, q, u = spec.p, spec.q, self.params.u
         irreps = irreps_of_G(spec)
+        parts = []
         for ci, cls in enumerate(self.classes):
             coset_action = self._coset_action(cls)
             cent = coset_action[1]
@@ -158,23 +158,23 @@ class DoubleContext:
                 # identity flux: one coset, characters = irreps of G
                 for s, irrep in enumerate(irreps):
                     unit = self.root_order // irrep.root_order
-                    self._add(
+                    parts.append(self._add(
                         f"I_{s}", ci, s, coset_action,
                         pi_perm=irrep.perm[cent],
                         pi_exp=irrep.exponents[cent] * unit,
                         twist_exp=0,
-                    )
+                    ))
             elif rep_el.m == 0:
                 # a-type flux: centralizer Z_q, characters zeta_q^(s l)
                 l0 = rep_el.l
                 cent_apart = self.gdata.a_part[cent]
                 for s in range(q):
-                    self._add(
+                    parts.append(self._add(
                         f"A_{l0}_{s}", ci, s, coset_action,
                         pi_perm=np.zeros((len(cent), 1), dtype=np.int64),
                         pi_exp=(cent_apart * s * self._zq_unit).reshape(-1, 1),
                         twist_exp=l0 * s * self._zq_unit,
-                    )
+                    ))
             else:
                 # b-type flux b^k: centralizer Z_p, characters
                 # zeta_(p^2)^((s p + u k) l) on b^l
@@ -182,16 +182,32 @@ class DoubleContext:
                 cent_bpart = self.gdata.b_part[cent]
                 for s in range(p):
                     lift = (s * p + u * k) % (p * p)
-                    self._add(
+                    parts.append(self._add(
                         f"B_{k}_{s}", ci, s, coset_action,
                         pi_perm=np.zeros((len(cent), 1), dtype=np.int64),
                         pi_exp=(cent_bpart * lift * self._zp2_unit).reshape(-1, 1),
                         twist_exp=lift * k * self._zp2_unit,
-                    )
+                    ))
+        self.dims = np.array([t.dim for t in self.tables])
+        self.offsets = np.array([t.offset for t in self.tables])
+        flux, state, exp = (np.concatenate(part, axis=-1) for part in zip(*parts))
+        gd = self.gdata
+        g_inv = gd.inv_table
+        bpart = np.repeat([t.class_bpart for t in self.tables], self.dims)
+        norm = self.theta_ne_tab[bpart[None, :], gd.b_part[:, None], gd.b_part[g_inv][:, None]]
+        # Vectors stay intp, the index type of a gather; phases are below N.
+        self.size = len(flux)
+        self.flux = flux
+        self.action_state = state
+        self.action_exp = exp.astype(np.int32)
+        self.inverse_state = state[g_inv]
+        self.inverse_exp = ((exp[g_inv] - norm) % self.root_order).astype(np.int32)
 
     def _add(self, label, ci, s, coset_action, *, pi_perm, pi_exp, twist_exp):
-        """Append one simple object: pi_perm/pi_exp give the monomial
-        action pi(s) of each centralizer element on the internal space."""
+        """Append one simple object and return the flux, new global vector
+        and exponent arrays of its vectors: pi_perm/pi_exp give the
+        monomial action pi(s) of each centralizer element on the internal
+        space."""
         flux, _, j, cent_s, coset_exp = coset_action
         order, n_cosets = j.shape
         internal_dim = pi_perm.shape[1]
@@ -199,18 +215,18 @@ class DoubleContext:
             label=label, class_index=ci, char_index=s,
             dim=n_cosets * internal_dim, internal_dim=internal_dim,
         )
-        state = j[:, :, None] * internal_dim + pi_perm[cent_s]
+        offset = self.tables[-1].offset + self.tables[-1].dim if self.tables else 0
+        state = offset + j[:, :, None] * internal_dim + pi_perm[cent_s]
         exp = (coset_exp[:, :, None] + pi_exp[cent_s]) % self.root_order
         self.simples.append(simple)
         self.tables.append(
             AnyonTables(
-                simple=simple, dim=simple.dim,
+                simple=simple, dim=simple.dim, offset=offset,
                 class_bpart=self.classes[ci].representative.m,
-                flux=np.repeat(flux, internal_dim),
-                state=state.reshape(order, -1), exp=exp.reshape(order, -1),
                 twist_exp=twist_exp % self.root_order,
             )
         )
+        return np.repeat(flux, internal_dim), state.reshape(order, -1), exp.reshape(order, -1)
 
     # ----- scalar helpers -------------------------------------------------
 
@@ -231,21 +247,6 @@ class DoubleContext:
 
     def root(self, exponent: int) -> CycloNumber:
         return root_of_unity(exponent % self.root_order, self.root_order)
-
-    # ----- the crossing ---------------------------------------------------
-
-    def half_braiding(self, t: AnyonTables, g, inverse: bool = False):
-        """(new states, exponents) of the group elements with indices g on
-        every basis vector of the module with tables t: arrays of shape
-        shape(g) + (t.dim,).  With inverse=True they are those of g^-1,
-        with the phase lowered by theta_{h}(g, g^-1) (h the flux of t):
-        the action by which an inverse crossing undoes a crossing."""
-        if not inverse:
-            return t.state[g], t.exp[g]
-        gd = self.gdata
-        g_inv = gd.inv_table[g]
-        norm = self.theta_ne_tab[t.class_bpart, gd.b_part[g], gd.b_part[g_inv]]
-        return t.state[g_inv], (t.exp[g_inv] - norm[..., None]) % self.root_order
 
 
 @lru_cache(maxsize=None)
@@ -280,16 +281,17 @@ def dpr_action(
     The coefficient is always a single root of unity (monomial action).
     """
     ctx = context_for(params)
-    t = ctx.tables[ctx.index_of(simple)]
+    off = ctx.tables[ctx.index_of(simple)].offset
     g = ctx.gdata.index(y)
-    return int(t.state[g, basis]), ctx.root(int(t.exp[g, basis]))
+    v = off + basis
+    return int(ctx.action_state[g, v]) - off, ctx.root(int(ctx.action_exp[g, v]))
 
 
 def basis_flux(params: CocycleParams, simple, basis: int) -> GroupElement:
     """Flux (group grading) of one basis vector."""
     ctx = context_for(params)
-    t = ctx.tables[ctx.index_of(simple)]
-    return ctx.gdata.element(t.basis_flux(basis))
+    off = ctx.tables[ctx.index_of(simple)].offset
+    return ctx.gdata.element(int(ctx.flux[off + basis]))
 
 
 def sigma_action(
@@ -302,11 +304,11 @@ def sigma_action(
     over, acting on the Y vector by its flux.
     """
     ctx = context_for(params)
-    X = ctx.tables[ctx.index_of(pair[0])]
-    Y = ctx.tables[ctx.index_of(pair[1])]
+    x, y = (ctx.tables[ctx.index_of(c)].offset for c in pair)
     bx, by = bases
-    state, exp = ctx.half_braiding(Y, X.flux[bx])
-    return ctx.root(int(exp[by])), (int(state[by]), bx)
+    g = ctx.flux[x + bx]
+    new = int(ctx.action_state[g, y + by]) - y
+    return ctx.root(int(ctx.action_exp[g, y + by])), (new, bx)
 
 
 def sigma_inverse_action(
@@ -318,11 +320,11 @@ def sigma_inverse_action(
     strands.  Satisfies sigma_action . sigma_inverse_action = id.
     """
     ctx = context_for(params)
-    X = ctx.tables[ctx.index_of(pair[0])]
-    Y = ctx.tables[ctx.index_of(pair[1])]
+    x, y = (ctx.tables[ctx.index_of(c)].offset for c in pair)
     by, bx = bases
-    state, exp = ctx.half_braiding(Y, X.flux[bx], inverse=True)
-    return ctx.root(int(exp[by])), (bx, int(state[by]))
+    g = ctx.flux[x + bx]
+    new = int(ctx.inverse_state[g, y + by]) - y
+    return ctx.root(int(ctx.inverse_exp[g, y + by])), (bx, new)
 
 
 def associator_scalar(params: CocycleParams, fluxes) -> CycloNumber:

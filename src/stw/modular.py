@@ -28,12 +28,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .braid import BraidWord, closure_structure, framed_trace_counts, parse_braid, zero_framing
+from .braid import BraidWord, closure_structure, parse_braid, trace_counts, zero_framing
 from .cocycle import CocycleParams
 from .cyclotomic import (
     CycloNumber,
     _factorize,
     _is_prime,
+    _roll_rows,
     reduce_counts,
     reduction_bound_factor,
     root_of_unity,
@@ -283,14 +284,6 @@ def t_matrix(params: CocycleParams) -> list[CycloNumber]:
     return [ctx.root(ctx.tables[i].twist_exp) for i in range(len(ctx.simples))]
 
 
-def s_matrix(params: CocycleParams) -> list[list[CycloNumber]]:
-    """The normalized S-matrix as exact cyclotomic numbers."""
-    md = modular_data(params)
-    return [
-        [md.s_entry(a, b) for b in range(md.n_objects)] for a in range(md.n_objects)
-    ]
-
-
 @lru_cache(maxsize=None)
 def modular_data(params: CocycleParams) -> ModularData:
     """Assemble the exact modular data of one theory.
@@ -306,9 +299,7 @@ def modular_data(params: CocycleParams) -> ModularData:
     n = len(ctx.simples)
     labels = tuple(s.label for s in ctx.simples)
     dims = np.array([s.dim for s in ctx.simples], dtype=np.int64)
-    twist_exps = np.array(
-        [ctx.tables[i].twist_exp % ctx.root_order for i in range(n)], dtype=np.int64
-    )
+    twist_exps = np.array([t.twist_exp % ctx.root_order for t in ctx.tables], dtype=np.int64)
     total_sq = int(np.sum(dims * dims))
     total_dim = math.isqrt(total_sq)
     if total_dim * total_dim != total_sq:
@@ -318,11 +309,11 @@ def modular_data(params: CocycleParams) -> ModularData:
     if not _root_sums_equal(ctx.root_order, gauss, total_dim):
         raise ArithmeticError("Gauss sum is not the total dimension D")
 
+    # One batched trace per row a, over the colorings (a, b).
     word = BraidWord(2, (-1, -1))
     s_counts = np.zeros((n, n, ctx.root_order), dtype=np.int64)
     for a in range(n):
-        for b in range(n):
-            s_counts[a, b] = framed_trace_counts(params, word, [labels[a], labels[b]])
+        s_counts[a] = trace_counts(ctx, word, np.stack([np.full(n, a), np.arange(n)], axis=1))
 
     md = ModularData(
         params=params,
@@ -632,17 +623,13 @@ def _w_matrix(params: CocycleParams, mirror: bool) -> WMatrix:
     if sorted(len(c) for c in info.components) != [1, 2]:
         raise ValueError("clasp word must close to a doubled plus a bare component")
     doubled = max(info.components, key=len)
-    twist_exps = np.array(
-        [ctx.tables[i].twist_exp % ctx.root_order for i in range(n)], dtype=np.int64
-    )
+    twist_exps = np.array([t.twist_exp % ctx.root_order for t in ctx.tables], dtype=np.int64)
+    # One batched trace per row a: the doubled component colored a, the bare one b.
     v_counts = np.zeros((n, n, ctx.root_order), dtype=np.int64)
+    is_doubled = np.isin(np.arange(1, 4), doubled)
     for a in range(n):
-        for b in range(n):
-            colors = [labels[b]] * 3
-            for strand in doubled:
-                colors[strand - 1] = labels[a]
-            raw = framed_trace_counts(params, word, colors)
-            v_counts[a, b] = zero_framing(ctx, info, colors, raw)
+        colorings = np.where(is_doubled, a, np.arange(n)[:, None])
+        v_counts[a] = zero_framing(ctx, info, colorings, trace_counts(ctx, word, colorings))
     return WMatrix(
         params=params,
         labels=labels,
@@ -698,12 +685,15 @@ def w_identities(md: ModularData, wm: WMatrix) -> WIdentityReport:
     )
 
 
-def ba_block_formula_report(md: ModularData, wm: WMatrix) -> tuple[bool, list[str]]:
+def ba_block_formula_report(wm: WMatrix) -> tuple[bool, list[str]]:
     """Compare every (B-type, A-type) W entry against the closed formula
 
         W(B_k_s, A_l_m) = q p theta_A^(1 - x - x^-1) theta_B^-1,
 
-    with x = n^k mod q and theta_A = zeta_q^(l m).
+    with x = n^k mod q and theta_A = zeta_q^(l m), or, for the mirror
+    clasp word, against
+
+        W_mirror(B_k_s, A_l_m) = q p theta_A^(x + x^-1 - 3) theta_B^-1.
 
     Derivation, from the half-braiding of the double (module docstring
     of `stw.double`) on the clasp word s2^-2 s1 s2^-1 s1 colored
@@ -729,32 +719,41 @@ def ba_block_formula_report(md: ModularData, wm: WMatrix) -> tuple[bool, list[st
     The closure fixes the vector iff i1 = i2 + l n^j (1 - x^-1), which
     picks one i1 for each of the q p pairs (i2, j), and then the phase
     is theta_B^-1 theta_A^((1-x)(1-x^-1)).  The doubled component has
-    self-writhe -1, so W = V/(theta_A theta_B) = trace/theta_A, and the
-    exponent of theta_A is (1-x)(1-x^-1) - 1 = 1 - x - x^-1."""
-    spec = md.params.spec
+    self-writhe -1, so V = trace * theta_B = q p theta_A^((1-x)(1-x^-1)),
+    W = V/(theta_A theta_B) = trace/theta_A, and the exponent of theta_A
+    is (1-x)(1-x^-1) - 1 = 1 - x - x^-1.
+
+    The mirror word closes to the mirror image of the same link with the
+    same coloring (doubled component B, bare component A), so its
+    zero-framed invariant is the complex conjugate, V_mirror = conj(V) =
+    q p theta_A^(-(1-x)(1-x^-1)) (pinned by `test_mirror_w_is_conjugate`).
+    Then W_mirror = V_mirror/(theta_A theta_B) has theta_A exponent
+    -(1-x)(1-x^-1) - 1 = x + x^-1 - 3 and theta_B exponent -1."""
+    spec = wm.params.spec
     q, p = spec.q, spec.p
     failures = []
-    ne = md.root_order
+    ne = wm.root_order
     w_counts = wm.w_counts()
     cols = np.array(
-        [b for b, lb in enumerate(md.labels) if lb.startswith("A_")], dtype=np.int64
+        [b for b, lb in enumerate(wm.labels) if lb.startswith("A_")], dtype=np.int64
     )
     # l*m of each A_l_m column
     lms = np.array(
-        [math.prod(map(int, md.labels[b].split("_")[1:])) for b in cols], dtype=np.int64
+        [math.prod(map(int, wm.labels[b].split("_")[1:])) for b in cols], dtype=np.int64
     )
-    for a, la in enumerate(md.labels):
+    for a, la in enumerate(wm.labels):
         if not la.startswith("B_"):
             continue
         x = spec.n_pow(int(la.split("_")[1]))
-        c = (1 - x - pow(x, -1, q)) % q
+        v = (1 - x) * (1 - pow(x, -1, q))  # the theta_A exponent of V
+        c = ((-v if wm.mirror else v) - 1) % q
         # W = q*p * zeta_N^e with zeta_q = zeta_N^(N/q) and theta_B = zeta_N^t_B.
-        e = (c * lms * (ne // q) - int(md.twist_exps[a])) % ne
+        e = (c * lms * (ne // q) - int(wm.twist_exps[a])) % ne
         # W - q*p*zeta_N^e as one histogram per A column; it must reduce to 0.
         diff = w_counts[a, cols]
         diff[np.arange(len(cols)), e] -= q * p
         wrong = np.any(reduce_counts(ne, diff) != 0, axis=1)
-        failures += [f"BA formula fails at ({la}, {md.labels[b]})" for b in cols[wrong]]
+        failures += [f"BA formula fails at ({la}, {wm.labels[b]})" for b in cols[wrong]]
     return (not failures, failures)
 
 
@@ -776,14 +775,6 @@ def _group_ring_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         # x^j * right[x] is right[x] cyclically shifted by j.
         out += left[:, :, j] @ np.roll(right, j, axis=1)
     return out.astype(np.int64) if dtype is np.float64 else out
-
-
-def _roll_rows(counts: np.ndarray, shifts) -> np.ndarray:
-    """Each histogram of counts (..., N) times zeta_N^shift: entry j moves
-    to j + shift mod N.  shifts broadcasts against counts.shape[:-1]."""
-    order = counts.shape[-1]
-    idx = (np.arange(order) - np.asarray(shifts)[..., None]) % order
-    return np.take_along_axis(counts, idx, axis=-1)
 
 
 def _monomials(order: int, exps, coeffs) -> np.ndarray:
@@ -1042,22 +1033,18 @@ def lens_space_via_chain_braid(md: ModularData, p_surgery: int, q_surgery: int) 
     sigma_1^2 sigma_2^2 ... on n strands per coloring."""
     digits = negative_continued_fraction(p_surgery, q_surgery)
     n_comp = len(digits)
-    ne = md.root_order
-    params = md.params
-    letters = []
-    for j in range(1, n_comp):
-        letters += [j, j]
-    word = BraidWord(max(n_comp, 1), tuple(letters))
+    ne, n = md.root_order, md.n_objects
+    ctx = context_for(md.params)
+    word = BraidWord(n_comp, tuple(j for j in range(1, n_comp) for _ in (0, 1)))
+    # Every coloring of the chain, one batched trace per first color.
+    rest = np.argwhere(np.ones([n] * (n_comp - 1), dtype=bool))  # the other colors
     hist = np.zeros(ne, dtype=np.int64)
-    for combo in np.ndindex(*([md.n_objects] * n_comp)):
-        colors = [md.labels[x] for x in combo]
-        counts = framed_trace_counts(params, word, colors)
-        weight = 1
-        shift = 0
-        for x, a in zip(combo, digits):
-            weight *= int(md.dims[x])
-            shift += a * int(md.twist_exps[x])
-        hist += weight * np.roll(counts, shift % ne)
+    for first in range(n):
+        colorings = np.concatenate([np.full((len(rest), 1), first), rest], axis=1)
+        counts = trace_counts(ctx, word, colorings)
+        weights = np.prod(md.dims[colorings], axis=1)
+        shifts = md.twist_exps[colorings] @ np.array(digits)
+        hist += weights @ _roll_rows(counts, shifts)
     return CycloNumber.from_root_counts(ne, hist) / md.total_dim ** (n_comp + 1)
 
 
@@ -1076,23 +1063,27 @@ class TheoryData:
     w_keys: tuple | None
 
 
-def _keys(order: int, counts: np.ndarray) -> tuple:
+def _keys(order: int, counts: np.ndarray, pool: dict) -> tuple:
     """The `CycloNumber.canonical_key()` of each histogram in counts
-    (..., order) along its last axis; integral values have denominator 1."""
-    return tuple((order, tuple(row), 1) for row in reduce_counts(order, counts).tolist())
+    (..., order) along its last axis; integral values have denominator 1.
+    Equal keys are stored once, as the object kept in pool."""
+    rows = reduce_counts(order, counts).tolist()
+    return tuple(pool.setdefault(key, key) for key in ((order, tuple(r), 1) for r in rows))
 
 
 def theory_data(md: ModularData, wm: WMatrix | None = None) -> TheoryData:
     """Freeze (S, T[, W]) into comparable canonical keys.  Each row of S
     and W is reduced in one product; one row at a time keeps the float
-    temporaries small."""
+    temporaries small.  A theory has few distinct values (46 in S and 158
+    in W at the flagship), so equal keys share one object."""
     n, ne = md.n_objects, md.root_order
-    t_keys = _keys(ne, np.eye(ne, dtype=np.int64)[md.twist_exps])
-    s_keys = tuple(_keys(ne, md.s_counts[a]) for a in range(n))
+    pool: dict = {}
+    t_keys = _keys(ne, np.eye(ne, dtype=np.int64)[md.twist_exps], pool)
+    s_keys = tuple(_keys(ne, md.s_counts[a], pool) for a in range(n))
     w_keys = None
     if wm is not None:
         w_counts = wm.w_counts()
-        w_keys = tuple(_keys(ne, w_counts[a]) for a in range(n))
+        w_keys = tuple(_keys(ne, w_counts[a], pool) for a in range(n))
     return TheoryData(
         name=f"u={md.params.u}",
         labels=md.labels,

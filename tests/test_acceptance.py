@@ -125,12 +125,12 @@ def test_criterion_05_w_identities(md_u, wm_u):
              " all 49^2 pairs, all u", started)
 
 
-def test_criterion_06_ba_block_formula(md_u, wm_u):
+def test_criterion_06_ba_block_formula(wm_u):
     started = time.monotonic()
     checked = 0
     ok = True
     for u in range(5):
-        good, failures = modular.ba_block_formula_report(md_u(u), wm_u(u))
+        good, failures = modular.ba_block_formula_report(wm_u(u))
         ok = ok and good
         checked += 20 * 22 - len(failures)
     _verdict(6, ok and checked == 2200,

@@ -1,23 +1,37 @@
 """Tests for the colored braid engine: word parsing, closure structure,
 operator relations, and framed/zero-framed traces."""
 
+import itertools
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from stw import braid
 from stw.braid import (
     BraidWord,
     InconsistentColoringError,
     MonomialOperator,
     closure_structure,
     framed_invariant,
+    framed_trace_counts,
     parse_braid,
     representation_operator,
+    trace_counts,
     zero_framed_invariant,
 )
 from stw.cocycle import CocycleParams
 from stw.cyclotomic import CycloNumber, root_of_unity
-from stw.double import context_for, enumerate_simples, qdim, twist
-from stw.group import GroupSpec
+from stw.double import (
+    associator_scalar,
+    context_for,
+    enumerate_simples,
+    qdim,
+    sigma_action,
+    sigma_inverse_action,
+    twist,
+)
+from stw.group import GroupElement, GroupSpec
 
 SPEC = GroupSpec(11, 5, 4)
 
@@ -296,3 +310,150 @@ def test_clasp_link_u_independent_on_mixed_pair():
         for u in (0, 1, 4)
     ]
     assert vals[0] == vals[1] == vals[2]
+
+
+# ----- the batched trace against one crossing at a time ------------------------
+
+
+def _scalar_walk(params: CocycleParams, word: BraidWord, labels):
+    """Walk the word one basis tuple and one crossing at a time with
+    `sigma_action` / `sigma_inverse_action`, the colors carried along by
+    hand, and the associator sandwich of `associator_scalar` on the Z_p
+    parts left of each crossing.  Yields (start, end, exponent) for every
+    start tuple in lexicographic order."""
+    ctx = context_for(params)
+    ne, p = ctx.root_order, params.spec.p
+    exponent = {ctx.root(e).canonical_key(): e for e in range(ne)}
+    bpart = {lab: ctx.tables[ctx.index_of(lab)].class_bpart for lab in labels}
+
+    @lru_cache(maxsize=None)
+    def crossing(letter, left_color, right_color, left, right):
+        if letter > 0:
+            phase, new = sigma_action(params, (left_color, right_color), (left, right))
+        else:
+            phase, new = sigma_inverse_action(params, (right_color, left_color), (left, right))
+        return exponent[phase.canonical_key()], new
+
+    @lru_cache(maxsize=None)
+    def associator(left, b_i, b_next):
+        flux = [GroupElement(0, m % p) for m in (left, b_i, b_next)]
+        before = associator_scalar(params, flux)
+        after = associator_scalar(params, [flux[0], flux[2], flux[1]])
+        return exponent[after.canonical_key()] - exponent[before.canonical_key()]
+
+    dims = [ctx.tables[ctx.index_of(lab)].dim for lab in labels]
+    for start in itertools.product(*map(range, dims)):
+        vecs, colors, e = list(start), list(labels), 0
+        for letter in word.letters:
+            i = abs(letter) - 1
+            if i > 0:
+                left = sum(bpart[c] for c in colors[:i])
+                e += associator(left, bpart[colors[i]], bpart[colors[i + 1]])
+            de, new = crossing(letter, colors[i], colors[i + 1], vecs[i], vecs[i + 1])
+            e += de
+            vecs[i], vecs[i + 1] = new
+            colors[i], colors[i + 1] = colors[i + 1], colors[i]
+        yield start, tuple(vecs), e % ne
+
+
+def _scalar_trace(params: CocycleParams, word: BraidWord, labels) -> np.ndarray:
+    """The trace histogram of one coloring from `_scalar_walk`."""
+    counts = np.zeros(context_for(params).root_order, dtype=np.int64)
+    for start, end, e in _scalar_walk(params, word, labels):
+        if end == start:
+            counts[e] += 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "strands, letters", [(3, (2, -1, 2, 2, -1)), (4, (3, -2, 1, 3, -2, -3))]
+)
+def test_batched_trace_matches_single_colorings_and_scalar_walk(strands, letters):
+    """One batch of B colorings whose crossings carry nonzero associator
+    phases: every row of the batched histograms equals that coloring
+    traced alone and the scalar walk over its basis tuples, which applies
+    the associator crossing by crossing."""
+    params = CocycleParams(GroupSpec(7, 3, 2), 1)
+    ctx = context_for(params)
+    word = BraidWord(strands, letters)
+    comps = closure_structure(word).components
+    pool = ["B_1_0", "B_2_1", "B_1_2", "B_2_0"]
+    colorings = []
+    for shift in range(len(pool)):
+        labels = [""] * strands
+        for j, comp in enumerate(comps):
+            for strand in comp:
+                labels[strand - 1] = pool[(shift + j) % len(pool)]
+        colorings.append(labels)
+    idx = np.array([[ctx.index_of(lab) for lab in labels] for labels in colorings])
+    prefixes = [BraidWord(strands, letters[:t]) for t in range(len(letters))]
+    assert any(braid._associator(ctx, w, row) % ctx.root_order for w in prefixes for row in idx)
+    batched = trace_counts(ctx, word, idx)
+    assert batched.shape == (len(colorings), ctx.root_order)
+    for row, labels in zip(batched, colorings):
+        assert np.array_equal(row, framed_trace_counts(params, word, labels)), labels
+        assert np.array_equal(row, _scalar_trace(params, word, labels)), labels
+
+
+def test_operator_matches_scalar_walk_on_an_open_coloring():
+    """On colors that do not close up the associator phases do not cancel,
+    and the operator must carry them as the scalar walk does."""
+    params = CocycleParams(GroupSpec(7, 3, 2), 1)
+    ctx = context_for(params)
+    word = BraidWord(3, (2, -1, 2, 2, -1))
+    labels = ("B_1_0", "B_2_1", "B_1_2")
+    assert braid._associator(ctx, word, [ctx.index_of(lab) for lab in labels]) % ctx.root_order
+    op = representation_operator(params, word, labels)
+    for i, (_, end, e) in enumerate(_scalar_walk(params, word, labels)):
+        target = 0
+        for v, d in zip(end, op.target_dims):
+            target = target * d + v
+        assert (op.perm[i], op.exponents[i]) == (target, e), i
+
+
+def test_batched_trace_rejects_inconsistent_coloring():
+    params = CocycleParams(GroupSpec(7, 3, 2), 1)
+    ctx = context_for(params)
+    good, bad = ["B_1_0", "A_1_2", "B_1_0"], ["B_1_0", "A_1_2", "B_2_0"]
+    idx = [[ctx.index_of(lab) for lab in labels] for labels in (good, bad)]
+    with pytest.raises(InconsistentColoringError, match=r"\(1, 3\).*B_1_0.*B_2_0"):
+        trace_counts(ctx, parse_braid(CLASP, 3), idx)
+
+
+@pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4)])
+def test_associator_vanishes_on_closed_braids(group):
+    """The associator exponent is a difference of values at the color
+    sequences: it cancels on the braid relation for every left sum l and
+    Z_p parts x, y, z, so it sums to zero on every consistent coloring of
+    a closure, and only there."""
+    spec = GroupSpec(*group)
+    p = spec.p
+    rng = np.random.default_rng(7)
+    for u in range(p):
+        params = CocycleParams(spec, u)
+        ctx = context_for(params)
+
+        def step(l, x, y):
+            return ctx.omega_ne(l, y, x) - ctx.omega_ne(l, x, y)
+
+        for l, x, y, z in itertools.product(range(p), repeat=4):
+            one = step(l, x, y) + step(l + y, x, z) + step(l, y, z)
+            other = step(l + x, y, z) + step(l, x, z) + step(l + z, x, y)
+            assert (one - other) % ctx.root_order == 0, (u, l, x, y, z)
+        b_objects = [i for i, s in enumerate(ctx.simples) if s.label.startswith("B_")]
+        open_nonzero = 0
+        for _ in range(40):
+            strands = int(rng.integers(3, 6))
+            letters = tuple(
+                int(rng.choice((1, -1)) * rng.integers(1, strands)) for _ in range(6)
+            )
+            word = BraidWord(strands, letters)
+            closed = np.zeros((8, strands), dtype=np.int64)
+            for comp in closure_structure(word).components:
+                closed[:, [s - 1 for s in comp]] = rng.choice(b_objects, size=(8, 1))
+            for row in closed:
+                assert braid._associator(ctx, word, row) % ctx.root_order == 0
+            for row in rng.choice(b_objects, size=(8, strands)):
+                open_nonzero += braid._associator(ctx, word, row) % ctx.root_order != 0
+        assert open_nonzero > 0 or u == 0
+

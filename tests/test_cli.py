@@ -33,14 +33,24 @@ def test_anyons_u0_twists_are_fifth_roots(capsys):
 
 
 def test_anyons_invalid_group_exits_2(capsys):
+    quandle = ["quandle", "--braid", "s1", "--strands", "2"]
     for argv, message in [
-        (["--n", "2"], "order"),
-        (["--q", "9"], "q=9 and p=5 must be prime"),
-        (["--q", "13"], "p=5 must divide q-1=12"),
+        (["anyons", "--n", "2"], "order"),
+        (["anyons", "--q", "9"], "q=9 and p=5 must be prime"),
+        (["anyons", "--q", "13"], "p=5 must divide q-1=12"),
+        # theory and color indices out of range
+        (["anyons", "--u", "7"], "--u 7 is out of range"),
+        (["anyons", "--u", "-1"], "--u -1 is out of range"),
+        (["distinguish", "--u", "1", "9"], "--u 9 is out of range"),
+        (["distinguish", "--u", "5", "1"], "--u 5 is out of range"),
+        ([*quandle, "--k", "7"], "--k 7 is out of range"),
+        ([*quandle, "--k", "0"], "--k 0 is out of range"),
+        ([*quandle, "--s", "5"], "--s 5 is out of range"),
     ]:
-        code, _, err = run(capsys, ["anyons", *argv])
-        assert code == 2
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
         assert message in err
+        assert out == "", argv
 
 
 def test_anyons_output_deterministic(capsys, tmp_path):

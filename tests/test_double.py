@@ -126,7 +126,7 @@ def test_dpr_action_composes_like_the_group():
             # Projective composition: rho(y1) rho(y2) =
             # theta_flux'(y1, y2) rho(y1 y2) with flux' the flux of the
             # *target* basis vector.
-            flux_after = ctx.gdata.element(t.basis_flux(b1))
+            flux_after = basis_flux(params, label, b1)
             correction = ctx.root(
                 ctx.theta_ne(flux_after.m, y1.m, y2.m)
             )
@@ -225,9 +225,10 @@ def test_associator_scalar_values():
 def test_action_tables_match_the_element_formula(group, u, kinds):
     """Rebuild y . |r_i, v> = theta_t'(y, r_i) / theta_t'(r_j, s) pi(s) v,
     with y r_i = r_j s, from group elements, the cocycle and the
-    (projective) characters, and compare it with the engine's tables for
-    every group element y and basis vector: the action, and the inverse
-    action lowered by theta_t(y, y^-1) that the negative crossing uses."""
+    (projective) characters, and compare it with the engine's global
+    tables for every group element y and basis vector: the action, and the
+    inverse action lowered by theta_t(y, y^-1) that the negative crossing
+    uses."""
     spec = GroupSpec(*group)
     params = CocycleParams(spec, u)
     ctx = context_for(params)
@@ -268,9 +269,12 @@ def test_action_tables_match_the_element_formula(group, u, kinds):
             theta -= theta_exponent(params, flux.m, cls.coset_reps[j].m, s.m)
             return j * dim + target, (e + theta * (ne // p)) % ne
 
+        vectors = slice(table.offset, table.offset + table.dim)
         for g, y in enumerate(elements):
-            state, exp = ctx.half_braiding(table, g)
-            inv_state, inv_exp = ctx.half_braiding(table, g, inverse=True)
+            state = ctx.action_state[g, vectors] - table.offset
+            exp = ctx.action_exp[g, vectors]
+            inv_state = ctx.inverse_state[g, vectors] - table.offset
+            inv_exp = ctx.inverse_exp[g, vectors]
             y_inv = inverse(spec, y)
             norm = theta_exponent(params, cls.representative.m, y.m, y_inv.m) * (ne // p)
             for basis in range(table.dim):

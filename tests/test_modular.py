@@ -3,6 +3,7 @@ W-matrix, derived invariants, and the permutation-equivalence search."""
 
 import copy
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from stw.braid import BraidWord
 from stw.braid import framed_invariant
 from stw.cocycle import CocycleParams
 from stw.cyclotomic import CycloNumber, root_of_unity
-from stw.double import context_for
+from stw.double import context_for, sigma_inverse_action
 from stw.group import GroupData, GroupSpec, identity
 
 # Pinned twist tables: B_k_s has twist zeta_25^e with e read off row k,
@@ -169,6 +170,28 @@ def test_modular_data_rejects_gauss_sum_other_than_d(monkeypatch):
         modular.modular_data.__wrapped__(params)
 
 
+@pytest.mark.parametrize("u", [0, 1, 2])
+def test_s_counts_match_two_inverse_crossings(u):
+    """Rebuild every S~_ab histogram at (7, 3, 2) from the two inverse
+    crossings of s1^-2 on each basis pair, one pair at a time, and compare
+    it with the batched rows of `modular_data`."""
+    params = CocycleParams(GroupSpec(7, 3, 2), u)
+    ctx = context_for(params)
+    ne = ctx.root_order
+    exponent = {ctx.root(e).canonical_key(): e for e in range(ne)}
+    md = modular.modular_data(params)
+    for (a, la), (b, lb) in itertools.product(enumerate(md.labels), repeat=2):
+        counts = np.zeros(ne, dtype=np.int64)
+        for va, vb in itertools.product(range(md.dims[a]), range(md.dims[b])):
+            # The b vector crosses over the a vector, then the a vector over it.
+            first, (vb1, va1) = sigma_inverse_action(params, (lb, la), (va, vb))
+            second, (va2, vb2) = sigma_inverse_action(params, (la, lb), (vb1, va1))
+            if (va2, vb2) == (va, vb):
+                e = exponent[first.canonical_key()] + exponent[second.canonical_key()]
+                counts[e % ne] += 1
+        assert np.array_equal(counts, md.s_counts[a, b]), (la, lb)
+
+
 def test_verlinde_table_matches_scalar_route_small_group(small_md):
     md = small_md
     table = modular.verlinde_table(md)
@@ -223,30 +246,37 @@ def test_w_identities_report(md_u, wm_u):
     assert report.second_dual_invariance
 
 
-def test_ba_block_closed_formula(md_u, wm_u):
-    ok, failures = modular.ba_block_formula_report(md_u(1), wm_u(1))
-    assert ok, failures[:5]
+# The (B, A) tests run on both clasp words: the mirror word has its own
+# closed formula (see `ba_block_formula_report`).
+MIRRORS = (False, True)
+
+
+def test_ba_block_closed_formula(params_u):
+    for mirror in MIRRORS:
+        ok, failures = modular.ba_block_formula_report(modular.w_matrix(params_u(1), mirror))
+        assert ok, (mirror, failures[:5])
 
 
 @pytest.mark.parametrize("group", [(7, 3, 2), (13, 3, 3)])
 def test_ba_block_closed_formula_beyond_the_flagship(group):
     spec = GroupSpec(*group)
     for u in range(spec.p):
-        params = CocycleParams(spec, u)
-        md, wm = modular.modular_data(params), modular.w_matrix(params)
-        ok, failures = modular.ba_block_formula_report(md, wm)
-        assert ok, (u, failures[:5])
+        for mirror in MIRRORS:
+            wm = modular.w_matrix(CocycleParams(spec, u), mirror)
+            ok, failures = modular.ba_block_formula_report(wm)
+            assert ok, (u, mirror, failures[:5])
 
 
-def test_ba_block_report_names_corrupted_pair(md_u, wm_u):
-    md, wm = md_u(1), wm_u(1)
-    a, b = md.index_of("B_2_3"), md.index_of("A_1_7")
-    counts = wm.v_counts.copy()
-    counts[a, b] = np.roll(counts[a, b], 1)
-    corrupted = dataclasses.replace(wm, v_counts=counts)
-    ok, failures = modular.ba_block_formula_report(md, corrupted)
-    assert not ok
-    assert failures == ["BA formula fails at (B_2_3, A_1_7)"]
+def test_ba_block_report_names_corrupted_pair(params_u):
+    for mirror in MIRRORS:
+        wm = modular.w_matrix(params_u(1), mirror)
+        a, b = wm.index_of("B_2_3"), wm.index_of("A_1_7")
+        counts = wm.v_counts.copy()
+        counts[a, b] = np.roll(counts[a, b], 1)
+        corrupted = dataclasses.replace(wm, v_counts=counts)
+        ok, failures = modular.ba_block_formula_report(corrupted)
+        assert not ok
+        assert failures == ["BA formula fails at (B_2_3, A_1_7)"], mirror
 
 
 def test_w_identities_report_names_corrupted_pair(md_u, wm_u):
