@@ -15,7 +15,7 @@ from stw.braid import framed_invariant
 from stw.cocycle import CocycleParams
 from stw.cyclotomic import CycloNumber, root_of_unity
 from stw.double import context_for, sigma_inverse_action
-from stw.group import GroupData, GroupSpec, identity
+from stw.group import GroupData, GroupSpec, identity, inverse
 
 # Pinned twist tables: B_k_s has twist zeta_25^e with e read off row k,
 # column s; A_l_m has twist zeta_11^(l*m); I twists are 1.
@@ -53,7 +53,7 @@ def test_modular_data_basics(md_u):
     assert md.total_dim == 55
     assert sorted(set(int(d) for d in md.dims)) == [1, 5, 11]
     assert md.c_mod_8 == 0
-    assert md.s2_is_permutation
+    assert md.dual is not None
     dual = md.dual
     assert sorted(dual) == list(range(49))
     assert all(dual[dual[a]] == a for a in range(49))
@@ -218,6 +218,70 @@ def test_modularity_report_names_broken_unit_row(small_md):
     report = modular.modularity_report(dataclasses.replace(small_md, s_counts=counts))
     assert not report.unit_row_is_dims
     assert "unit row of S-tilde is not the dimension vector" in report.failures
+
+
+def test_st_w_decision_uses_no_prime(monkeypatch):
+    """S, T, W, their keys and the search run without the prime-based
+    evaluation scheme: the (S, T, W) decision reads no certificate."""
+
+    def no_prime(*args, **kwargs):
+        raise AssertionError("prime-based evaluation called")
+
+    monkeypatch.setattr(modular, "_checker", no_prime)
+    monkeypatch.setattr(modular, "_mulmod", no_prime)
+    monkeypatch.setattr(modular._FreqPrime, "evaluate", no_prime)
+    params = CocycleParams(GroupSpec(7, 3, 2), 1)
+    md = modular.modular_data.__wrapped__(params)
+    wm = modular._w_matrix.__wrapped__(params, False)
+    data = modular.theory_data(md, wm)
+    assert modular.equivalence_search(data, data).equivalent
+    assert md.dual is not None
+
+
+def test_modularity_report_rejects_wrong_dual(small_md):
+    """Swap the images of two non-self-dual objects that are not each
+    other's duals: still a permutation, but not the one S^2 holds."""
+    md = dataclasses.replace(small_md)
+    dual = list(small_md.dual)
+    a = next(x for x in range(len(dual)) if dual[x] != x)
+    b = next(x for x in range(len(dual)) if dual[x] != x and x not in (a, dual[a]))
+    dual[a], dual[b] = dual[b], dual[a]
+    md.dual = tuple(dual)
+    report = modular.modularity_report(md)
+    assert report.unitary and report.st_cubed_matches_s2
+    assert not report.s2_permutation
+    assert "S^2 is not D^2 times a permutation matrix" in report.failures
+
+
+def test_dual_is_none_when_a_conjugate_row_matches_nothing(small_md):
+    counts = small_md.s_counts.copy()
+    counts[3, 5, 1] += 1
+    md = dataclasses.replace(small_md, s_counts=counts)
+    assert md.dual is None
+    with pytest.raises(ArithmeticError, match="conjugate"):
+        md.dual_of(3)
+    report = modular.modularity_report(md)
+    assert not report.s2_permutation
+    assert "S^2 is not D^2 times a permutation matrix" in report.failures
+
+
+@pytest.mark.parametrize(
+    "group, u",
+    [((7, 3, 2), 0), ((7, 3, 2), 1), ((7, 3, 2), 2), ((7, 3, 4), 1), ((13, 3, 3), 1),
+     ((11, 5, 4), 1)],
+)
+def test_dual_matches_group_data(group, u):
+    """The dual of (class of t, character) lies over the class of t^-1 and
+    has the same dimension and twist."""
+    params = CocycleParams(GroupSpec(*group), u)
+    ctx = context_for(params)
+    md = modular.modular_data(params)
+    assert sorted(md.dual) == list(range(md.n_objects))
+    for a, b in enumerate(md.dual):
+        flux = ctx.classes[ctx.simples[a].class_index].representative
+        assert inverse(params.spec, flux) in ctx.classes[ctx.simples[b].class_index].members
+        assert md.dims[b] == md.dims[a]
+        assert md.twist_exps[b] == md.twist_exps[a]
 
 
 def test_w_pinned_entries(wm_u):
