@@ -19,16 +19,24 @@ lies in Q(zeta_N), with no eighth root of unity.
 
 Where each S identity is certified: `modular_data` runs the S traces and
 the Gauss check and uses no prime.  The charge conjugation
-`ModularData.dual` is read off S exactly, by matching each row with the
-complex conjugate of another after reduction.  `modularity_report`
-certifies the unit row (by reduction) and, in one loop over the primes,
-unitarity, S^2 = D^2 times the dual permutation and (ST)^3 = D * S^2.
+`ModularData.dual` is read off S exactly: each distinct value of S gets
+an integer id, only those values are conjugated, and each row of ids is
+matched with the conjugate of another.  `modularity_report` certifies
+the unit row (by reduction) and, in one loop over the primes, unitarity,
+S^2 = D^2 times the dual permutation and (ST)^3 = D * S^2.
+
 The equivalence search reads S, T and W only, never a certificate.
+`theory_data` gives each distinct exact value of S and W an int32 id
+into one table of canonical numerators; the search maps the second
+theory's table into the first's and then compares ids only.
+`modular_data` and `w_matrix` keep no cache: a caller that keeps only
+each theory's `TheoryData` holds one theory's histograms at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -284,12 +292,18 @@ class ModularData:
     def dual(self) -> tuple[int, ...] | None:
         """The charge conjugation a -> a*: the unique b whose S-tilde row
         is the complex conjugate of row a (S_a*b = conj(S_ab) in any
-        modular category), matched exactly on the reduced rows.  None
-        unless the matches form a permutation."""
+        modular category), matched exactly on value ids: only the distinct
+        values of S are conjugated and reduced.  None unless the matches
+        form a permutation."""
         ne = self.root_order
-        neg = (-np.arange(ne)) % ne
-        rows = {_reduced_bytes(ne, row): b for b, row in enumerate(self.s_counts)}
-        dual = tuple(rows.get(_reduced_bytes(ne, row[:, neg]), -1) for row in self.s_counts)
+        index: dict[bytes, int] = {}
+        ids, values = _value_ids(ne, self.s_counts, index)
+        # conj(sum_j c_j zeta^j) is the histogram with c_j at (-j) mod N.
+        conj = np.zeros((len(values), ne), dtype=np.int64)
+        conj[:, (-np.arange(values.shape[1])) % ne] = values
+        conj_ids = _value_ids(ne, [conj], index)[0][0]
+        rows = {row.tobytes(): b for b, row in enumerate(ids)}
+        dual = tuple(rows.get(conj_ids[row].tobytes(), -1) for row in ids)
         if len(rows) != self.n_objects or sorted(dual) != list(range(self.n_objects)):
             return None
         return dual
@@ -303,10 +317,21 @@ class ModularData:
         return self.dual[self.index_of(a)]
 
 
-def _reduced_bytes(order: int, counts: np.ndarray) -> bytes:
-    """The canonical power-basis numerators of the histograms counts, as
-    bytes: equal bytes mean equal exact values."""
-    return np.ascontiguousarray(reduce_counts(order, counts), dtype=np.int64).tobytes()
+def _value_ids(order: int, rows, index: dict[bytes, int] | None = None):
+    """Int32 ids of the exact values of histogram rows, each (m, order).
+
+    Each row is reduced with `reduce_counts`; each distinct value gets
+    the next id through `index`, a dict keyed by the bytes of its
+    canonical numerators (extended in place when given, so calls that
+    share it share ids).  Returns the (len(rows), m) ids and the table
+    `values`, whose row i holds the canonical numerators of id i."""
+    index = {} if index is None else index
+    ids = []
+    for row in rows:
+        reduced = np.ascontiguousarray(reduce_counts(order, row), dtype=np.int64)
+        ids.append([index.setdefault(v.tobytes(), len(index)) for v in reduced])
+    values = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), -1)
+    return np.array(ids, dtype=np.int32), values
 
 
 def t_matrix(params: CocycleParams) -> list[CycloNumber]:
@@ -315,7 +340,6 @@ def t_matrix(params: CocycleParams) -> list[CycloNumber]:
     return [ctx.root(ctx.tables[i].twist_exp) for i in range(len(ctx.simples))]
 
 
-@lru_cache(maxsize=None)
 def modular_data(params: CocycleParams) -> ModularData:
     """Assemble the exact modular data of one theory.
 
@@ -602,12 +626,6 @@ class WMatrix:
 def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
     """Compute the W-matrix by running the clasp braid on every ordered
     color pair (doubled-component color, bare-component color)."""
-    # One cache entry per theory and word, however `mirror` is passed.
-    return _w_matrix(params, bool(mirror))
-
-
-@lru_cache(maxsize=None)
-def _w_matrix(params: CocycleParams, mirror: bool) -> WMatrix:
     ctx = context_for(params)
     n = len(ctx.simples)
     labels = tuple(s.label for s in ctx.simples)
@@ -628,7 +646,7 @@ def _w_matrix(params: CocycleParams, mirror: bool) -> WMatrix:
         params=params,
         labels=labels,
         word_text=text,
-        mirror=mirror,
+        mirror=bool(mirror),
         root_order=ctx.root_order,
         twist_exps=twist_exps,
         v_counts=v_counts,
@@ -1045,46 +1063,49 @@ def lens_space_via_chain_braid(md: ModularData, p_surgery: int, q_surgery: int) 
 # ----- equivalence search ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TheoryData:
-    """Hashable exact fingerprint data of one theory for the search."""
+    """Exact fingerprint data of one theory for the search, as integer ids.
+
+    t_keys holds the twist exponents mod N.  s_keys and w_keys are (n, n)
+    int32 arrays of value ids into one table, `values`, shared by S and
+    W: row i holds the canonical power-basis numerators of id i, so equal
+    ids mean equal exact values within one theory.  Ids of two theories
+    are compared only after `_shared_ids` maps one table into the other.
+    The arrays make it unhashable by value."""
 
     name: str
     labels: tuple[str, ...]
-    dims: tuple[int, ...]
-    t_keys: tuple
-    s_keys: tuple
-    w_keys: tuple | None
-
-
-def _keys(order: int, counts: np.ndarray, pool: dict) -> tuple:
-    """The `CycloNumber.canonical_key()` of each histogram in counts
-    (..., order) along its last axis; integral values have denominator 1.
-    Equal keys are stored once, as the object kept in pool."""
-    rows = reduce_counts(order, counts).tolist()
-    return tuple(pool.setdefault(key, key) for key in ((order, tuple(r), 1) for r in rows))
+    dims: np.ndarray
+    root_order: int
+    t_keys: np.ndarray
+    s_keys: np.ndarray
+    w_keys: np.ndarray | None
+    values: np.ndarray
 
 
 def theory_data(md: ModularData, wm: WMatrix | None = None) -> TheoryData:
-    """Freeze (S, T[, W]) into comparable canonical keys.  Each row of S
-    and W is reduced in one product; one row at a time keeps the float
-    temporaries small.  A theory has few distinct values (46 in S and 158
-    in W at the flagship), so equal keys share one object."""
-    n, ne = md.n_objects, md.root_order
-    pool: dict = {}
-    t_keys = _keys(ne, np.eye(ne, dtype=np.int64)[md.twist_exps], pool)
-    s_keys = tuple(_keys(ne, md.s_counts[a], pool) for a in range(n))
-    w_keys = None
+    """Freeze (S, T[, W]) into value ids.  Each row of S and then of W is
+    reduced in one product, one row at a time, which keeps the float
+    temporaries small; W is rolled from V one row at a time as well.  A
+    theory has few distinct values (46 in S, 176 in S and W together at
+    the flagship), so the table is small and the ids fit int32."""
+    n = md.n_objects
+    w_rows = ()
     if wm is not None:
-        w_counts = wm.w_counts()
-        w_keys = tuple(_keys(ne, w_counts[a], pool) for a in range(n))
+        t = wm.twist_exps
+        # W_ab is V_ab / (theta_a theta_b): entry j of W_ab is entry j + t_a + t_b of V_ab.
+        w_rows = (_roll_rows(wm.v_counts[a], -(t[a] + t)) for a in range(n))
+    ids, values = _value_ids(md.root_order, itertools.chain(md.s_counts, w_rows))
     return TheoryData(
         name=f"u={md.params.u}",
         labels=md.labels,
-        dims=tuple(int(d) for d in md.dims),
-        t_keys=t_keys,
-        s_keys=s_keys,
-        w_keys=w_keys,
+        dims=md.dims,
+        root_order=md.root_order,
+        t_keys=md.twist_exps,
+        s_keys=ids[:n],
+        w_keys=ids[n:] if wm is not None else None,
+        values=values,
     )
 
 
@@ -1098,61 +1119,45 @@ class SearchResult:
     reason: str
 
 
-def _candidate_sets(d1: TheoryData, d2: TheoryData) -> list[list[int]] | str:
-    """Per-object candidate images matching all row-level fingerprints;
-    a string return names the first object with no candidates."""
-    n = len(d1.labels)
-    rows1 = [tuple(sorted(d1.s_keys[a])) for a in range(n)]
-    rows2 = [tuple(sorted(d2.s_keys[a])) for a in range(n)]
-    wrows1 = wrows2 = None
-    if d1.w_keys is not None and d2.w_keys is not None:
-        wrows1 = [tuple(sorted(d1.w_keys[a])) for a in range(n)]
-        wrows2 = [tuple(sorted(d2.w_keys[a])) for a in range(n)]
-    candidates = []
-    for a in range(n):
-        options = [
-            b
-            for b in range(n)
-            if d1.dims[a] == d2.dims[b]
-            and d1.t_keys[a] == d2.t_keys[b]
-            and rows1[a] == rows2[b]
-            and (wrows1 is None or wrows1[a] == wrows2[b])
-        ]
-        if a == 0:
-            options = [b for b in options if b == 0]
-        if not options:
-            return d1.labels[a]
-        candidates.append(options)
-    return candidates
+def _shared_ids(d1: TheoryData, d2: TheoryData) -> np.ndarray:
+    """For each value id of d2, the id of the same exact value in d1's
+    table, or a fresh id past it when d1 has no such value."""
+    index = {v.tobytes(): i for i, v in enumerate(d1.values)}
+    ids = [index.setdefault(v.tobytes(), len(index)) for v in d2.values]
+    return np.array(ids, dtype=np.int32)
 
 
 def equivalence_search(d1: TheoryData, d2: TheoryData) -> SearchResult:
     """Decide whether a bijection pi exists with T_pi(a) = T_a,
     S_pi(a)pi(b) = S_ab, and (when supplied) W_pi(a)pi(b) = W_ab, with
-    pi fixing the unit.  Backtracking over fingerprint-pruned candidate
-    sets; returns a witness permutation when one exists."""
-    if len(d1.labels) != len(d2.labels):
-        return SearchResult(False, None, 0, "different object counts")
+    pi fixing the unit.  Backtracking over candidate sets pruned by dims,
+    T and the sorted S (and W) id rows, in one id space; returns a
+    witness permutation when one exists."""
+    if len(d1.labels) != len(d2.labels) or d1.root_order != d2.root_order:
+        return SearchResult(False, None, 0, "different object counts or root orders")
     n = len(d1.labels)
-    candidates = _candidate_sets(d1, d2)
-    if isinstance(candidates, str):
-        return SearchResult(
-            False, None, 0, f"no fingerprint-compatible image for {candidates}"
-        )
+    use_w = d1.w_keys is not None and d2.w_keys is not None
+    fields = ("s_keys", "w_keys") if use_w else ("s_keys",)
+    # m[a, b] holds the ids of S_ab (and W_ab), both theories in d1's id space.
+    m1 = np.stack([getattr(d1, f) for f in fields], axis=2)
+    m2 = _shared_ids(d1, d2)[np.stack([getattr(d2, f) for f in fields], axis=2)]
+    rows1, rows2 = np.sort(m1, axis=1), np.sort(m2, axis=1)
+    match = (
+        (d1.dims[:, None] == d2.dims[None, :])
+        & (d1.t_keys[:, None] == d2.t_keys[None, :])
+        & np.all(rows1[:, None] == rows2[None, :], axis=(2, 3))
+    )
+    match[0, 1:] = False  # the unit goes to the unit
+    has_image = match.any(axis=1)
+    if not has_image.all():
+        label = d1.labels[int(np.argmin(has_image))]
+        return SearchResult(False, None, 0, f"no fingerprint-compatible image for {label}")
+    candidates = [np.flatnonzero(row).tolist() for row in match]
     order = sorted(range(n), key=lambda a: len(candidates[a]))
-    assignment: dict[int, int] = {}
+    src: list[int] = []
+    dst: list[int] = []
     used = [False] * n
     nodes = 0
-
-    use_w = d1.w_keys is not None and d2.w_keys is not None
-
-    def feasible(a: int, b: int) -> bool:
-        for a2, b2 in assignment.items():
-            if d1.s_keys[a][a2] != d2.s_keys[b][b2]:
-                return False
-            if use_w and d1.w_keys[a][a2] != d2.w_keys[b][b2]:
-                return False
-        return True
 
     def search(depth: int) -> bool:
         nonlocal nodes
@@ -1160,19 +1165,21 @@ def equivalence_search(d1: TheoryData, d2: TheoryData) -> SearchResult:
             return True
         a = order[depth]
         for b in candidates[a]:
-            if used[b] or not feasible(a, b):
+            if used[b] or not np.array_equal(m1[a, src], m2[b, dst]):
                 continue
             nodes += 1
-            assignment[a] = b
+            src.append(a)
+            dst.append(b)
             used[b] = True
             if search(depth + 1):
                 return True
-            del assignment[a]
+            src.pop()
+            dst.pop()
             used[b] = False
         return False
 
     if search(0):
-        perm = tuple(assignment[a] for a in range(n))
+        perm = tuple(b for _, b in sorted(zip(src, dst)))
         return SearchResult(True, perm, nodes, "witness permutation found")
     return SearchResult(False, None, nodes, "search space exhausted")
 
@@ -1201,35 +1208,24 @@ def obstruction_certificate(
     """Build the local T-versus-W obstruction between two theories."""
     if d1.w_keys is None or d2.w_keys is None:
         raise ValueError("obstruction certificate needs W data on both sides")
-    n = len(d1.labels)
     a = d1.labels.index(label)
     anc = d1.labels.index(anchor)
+    w2 = _shared_ids(d1, d2)[d2.w_keys]
 
-    def t_images(i: int) -> tuple[str, ...]:
-        return tuple(
-            d2.labels[b]
-            for b in range(n)
-            if d1.dims[i] == d2.dims[b] and d1.t_keys[i] == d2.t_keys[b]
-        )
+    def t_images(i: int) -> np.ndarray:
+        return np.flatnonzero((d1.dims[i] == d2.dims) & (d1.t_keys[i] == d2.t_keys))
 
-    anchor_images = t_images(anc)
-    t_allowed = t_images(a)
-    w_key = d1.w_keys[anc][a]
-    anchor_idx = [d2.labels.index(b) for b in anchor_images]
-    w_required = tuple(
-        d2.labels[x]
-        for x in range(n)
-        if d1.dims[a] == d2.dims[x]
-        and any(d2.w_keys[b][x] == w_key for b in anchor_idx)
-    )
-    compatible = tuple(x for x in t_allowed if x in w_required)
+    anchor_idx = t_images(anc)
+    t_allowed = tuple(d2.labels[b] for b in t_images(a))
+    w_hit = np.any(w2[anchor_idx] == d1.w_keys[anc, a], axis=0)
+    w_required = tuple(d2.labels[x] for x in np.flatnonzero((d1.dims[a] == d2.dims) & w_hit))
     return ObstructionCertificate(
         label=label,
         anchor=anchor,
-        anchor_images=anchor_images,
+        anchor_images=tuple(d2.labels[b] for b in anchor_idx),
         t_allowed=t_allowed,
         w_required=w_required,
-        compatible=compatible,
+        compatible=tuple(x for x in t_allowed if x in w_required),
     )
 
 

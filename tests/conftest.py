@@ -23,16 +23,24 @@ def params_u(spec):
 
 @pytest.fixture(scope="session")
 def md_u(params_u):
+    cache = {}
+
     def get(u: int) -> modular.ModularData:
-        return modular.modular_data(params_u(u))
+        if u not in cache:
+            cache[u] = modular.modular_data(params_u(u))
+        return cache[u]
 
     return get
 
 
 @pytest.fixture(scope="session")
 def wm_u(params_u):
+    cache = {}
+
     def get(u: int) -> modular.WMatrix:
-        return modular.w_matrix(params_u(u))
+        if u not in cache:
+            cache[u] = modular.w_matrix(params_u(u))
+        return cache[u]
 
     return get
 

@@ -128,8 +128,7 @@ def test_quandle_command(capsys):
     assert "B_2_3" in lines[-1]
 
 
-def test_modular_command(capsys, md_u):
-    md_u(1)  # warm the session cache
+def test_modular_command(capsys):
     code, out, _ = run(capsys, ["modular", "--u", "1"])
     assert code == 0
     assert out.count("PASS") == 7
@@ -137,8 +136,7 @@ def test_modular_command(capsys, md_u):
     assert "c = 0 (mod 8)" in out
 
 
-def test_modular_json_output(capsys, md_u, tmp_path):
-    md_u(1)
+def test_modular_json_output(capsys, tmp_path):
     path = tmp_path / "md.json"
     code, _, _ = run(capsys, ["modular", "--u", "1", "--out", str(path)])
     assert code == 0
@@ -146,8 +144,7 @@ def test_modular_json_output(capsys, md_u, tmp_path):
     assert doc["total_dim"] == 55 and doc["c_mod_8"] == 0
 
 
-def test_modular_verification_failure_exits_4(capsys, monkeypatch, md_u):
-    md_u(1)
+def test_modular_verification_failure_exits_4(capsys, monkeypatch):
     real = modular.modularity_report
 
     def broken(md):
@@ -161,16 +158,13 @@ def test_modular_verification_failure_exits_4(capsys, monkeypatch, md_u):
     assert "synthetic failure" in err
 
 
-def test_wmatrix_command(capsys, md_u, wm_u):
-    md_u(1), wm_u(1)
+def test_wmatrix_command(capsys):
     code, out, _ = run(capsys, ["wmatrix", "--u", "1"])
     assert code == 0
     assert out.count("PASS") == 4
 
 
-def test_reports_are_built_only_for_out(capsys, monkeypatch, md_u, wm_u):
-    md_u(1), wm_u(1)
-
+def test_reports_are_built_only_for_out(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("report document built without --out")
 
@@ -180,9 +174,7 @@ def test_reports_are_built_only_for_out(capsys, monkeypatch, md_u, wm_u):
     assert run(capsys, ["wmatrix", "--u", "1"])[0] == 0
 
 
-def test_distinguish_pair(capsys, theory_u):
-    for u in (1, 4):
-        theory_u(u, False), theory_u(u, True)
+def test_distinguish_pair(capsys):
     code, out, _ = run(capsys, ["distinguish", "--u", "1", "4"])
     assert code == 0
     assert "(S,T)   u=1 vs u=4: EQUIVALENT" in out
@@ -192,25 +184,20 @@ def test_distinguish_pair(capsys, theory_u):
     assert "intersection: {}" in out
 
 
-def test_distinguish_st_only(capsys, theory_u):
-    for u in range(5):
-        theory_u(u, False)
+def test_distinguish_st_only(capsys):
     code, out, _ = run(capsys, ["distinguish", "--st-only"])
     assert code == 0
     assert "{u=0}  {u=1, u=4}  {u=2, u=3}" in out
 
 
-def test_distinguish_all(capsys, theory_u):
-    for u in range(5):
-        theory_u(u, False), theory_u(u, True)
+def test_distinguish_all(capsys):
     code, out, _ = run(capsys, ["distinguish", "--all"])
     assert code == 0
     assert "(S,T) classes  : {u=0}  {u=1, u=4}  {u=2, u=3}" in out
     assert "(S,T,W) classes: {u=0}  {u=1}  {u=2}  {u=3}  {u=4}" in out
 
 
-def test_lens_command(capsys, md_u):
-    md_u(1)
+def test_lens_command(capsys):
     code, out, _ = run(capsys, ["lens", "5", "2", "--u", "1"])
     assert code == 0
     assert "digits: [3, 2]" in out

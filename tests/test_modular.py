@@ -13,7 +13,7 @@ from stw import modular
 from stw.braid import BraidWord
 from stw.braid import framed_invariant
 from stw.cocycle import CocycleParams
-from stw.cyclotomic import CycloNumber, root_of_unity
+from stw.cyclotomic import CycloNumber, reduce_counts, root_of_unity
 from stw.double import context_for, sigma_inverse_action
 from stw.group import GroupData, GroupSpec, identity, inverse
 
@@ -167,7 +167,7 @@ def test_modular_data_rejects_gauss_sum_other_than_d(monkeypatch):
     ctx.tables[1] = dataclasses.replace(ctx.tables[1], twist_exp=ctx.tables[1].twist_exp + 1)
     monkeypatch.setattr(modular, "context_for", lambda _: ctx)
     with pytest.raises(ArithmeticError, match="Gauss sum"):
-        modular.modular_data.__wrapped__(params)
+        modular.modular_data(params)
 
 
 @pytest.mark.parametrize("u", [0, 1, 2])
@@ -231,8 +231,8 @@ def test_st_w_decision_uses_no_prime(monkeypatch):
     monkeypatch.setattr(modular, "_mulmod", no_prime)
     monkeypatch.setattr(modular._FreqPrime, "evaluate", no_prime)
     params = CocycleParams(GroupSpec(7, 3, 2), 1)
-    md = modular.modular_data.__wrapped__(params)
-    wm = modular._w_matrix.__wrapped__(params, False)
+    md = modular.modular_data(params)
+    wm = modular.w_matrix(params)
     data = modular.theory_data(md, wm)
     assert modular.equivalence_search(data, data).equivalent
     assert md.dual is not None
@@ -375,17 +375,23 @@ def test_w_identities_report_names_corrupted_pair(md_u, wm_u):
 
 
 def test_theory_data_keys_match_scalar_keys(small_md):
+    """Equal ids mean equal `canonical_key()`s across S and W, and each
+    id's table row holds the canonical numerators of its value."""
     md = small_md
     wm = modular.w_matrix(md.params)
     data = modular.theory_data(md, wm)
     n = md.n_objects
-    assert data.t_keys == tuple(md.twist(a).canonical_key() for a in range(n))
-    assert data.s_keys == tuple(
-        tuple(md.s_tilde(a, b).canonical_key() for b in range(n)) for a in range(n)
-    )
-    assert data.w_keys == tuple(
-        tuple(wm.w_entry(a, b).canonical_key() for b in range(n)) for a in range(n)
-    )
+    assert np.array_equal(data.t_keys, md.twist_exps)
+    ids = np.concatenate((data.s_keys.ravel(), data.w_keys.ravel()))
+    keys = [md.s_tilde(a, b).canonical_key() for a in range(n) for b in range(n)]
+    keys += [wm.w_entry(a, b).canonical_key() for a in range(n) for b in range(n)]
+    key_of_id = {}
+    for i, key in zip(ids.tolist(), keys):
+        assert key_of_id.setdefault(i, key) == key
+    assert len(set(key_of_id.values())) == len(key_of_id) == len(data.values)
+    for i, (order, num, den) in key_of_id.items():
+        assert (order, den) == (md.root_order, 1)
+        assert tuple(data.values[i].tolist()) == num
     assert modular.theory_data(md).w_keys is None
 
 
@@ -557,17 +563,19 @@ def test_lens_spaces_of_orders_coprime_to_the_group(md_u):
             assert value == CycloNumber.from_rational(Fraction(1, 55))
 
 
-def _witness_respects_data(d1, d2, perm, with_w):
-    for a in range(len(d1.labels)):
-        if d1.t_keys[a] != d2.t_keys[perm[a]]:
-            return False
-    for a in SAMPLE_GRID:
-        for b in SAMPLE_GRID:
-            if d1.s_keys[a][b] != d2.s_keys[perm[a]][perm[b]]:
-                return False
-            if with_w and d1.w_keys[a][b] != d2.w_keys[perm[a]][perm[b]]:
-                return False
-    return True
+def _witness_respects_data(d1, d2, perm, with_w, grid=SAMPLE_GRID):
+    """Whether perm maps T everywhere and S (and W) on grid x grid,
+    comparing exact values through each theory's own table."""
+    perm = np.array(perm)
+    if not np.array_equal(d1.t_keys, d2.t_keys[perm]):
+        return False
+    pairs = [(d1.s_keys, d2.s_keys)] + ([(d1.w_keys, d2.w_keys)] if with_w else [])
+    return all(
+        np.array_equal(
+            d1.values[k1[np.ix_(grid, grid)]], d2.values[k2[np.ix_(perm[grid], perm[grid])]]
+        )
+        for k1, k2 in pairs
+    )
 
 
 def test_equivalence_search_self(theory_u):
@@ -603,11 +611,45 @@ def test_presentation_of_the_group_does_not_matter(u):
     d1, d2 = datas
     result = modular.equivalence_search(d1, d2)
     assert result.equivalent
-    perm = result.permutation
-    assert all(d1.t_keys[a] == d2.t_keys[perm[a]] for a in range(len(perm)))
-    for a, b in np.ndindex(len(perm), len(perm)):
-        assert d1.s_keys[a][b] == d2.s_keys[perm[a]][perm[b]]
-        assert d1.w_keys[a][b] == d2.w_keys[perm[a]][perm[b]]
+    everywhere = list(range(len(d1.labels)))
+    assert _witness_respects_data(d1, d2, result.permutation, True, everywhere)
+
+
+def test_search_maps_ids_between_relabelled_tables(small_md):
+    """A relabelled copy of (7, 3, 2) u=1, unit fixed, numbers its values
+    in another order; the search must still find a witness that maps S,
+    T and W entry by entry, and must reject the copy once one symmetric
+    pair of S entries is changed."""
+    md, wm = small_md, modular.w_matrix(small_md.params)
+    n = md.n_objects
+    sigma = np.concatenate(([0], 1 + np.random.default_rng(7).permutation(n - 1)))
+    grid = np.ix_(sigma, sigma)
+    md2 = dataclasses.replace(
+        md,
+        labels=tuple(md.labels[i] for i in sigma),
+        dims=md.dims[sigma],
+        twist_exps=md.twist_exps[sigma],
+        s_counts=md.s_counts[grid],
+    )
+    wm2 = dataclasses.replace(
+        wm,
+        labels=md2.labels,
+        twist_exps=wm.twist_exps[sigma],
+        v_counts=wm.v_counts[grid],
+    )
+    d1, d2 = modular.theory_data(md, wm), modular.theory_data(md2, wm2)
+    assert not np.array_equal(d1.values, d2.values)
+    result = modular.equivalence_search(d1, d2)
+    assert result.equivalent
+    assert _witness_respects_data(d1, d2, result.permutation, True, list(range(n)))
+
+    nonzero = np.any(reduce_counts(md2.root_order, md2.s_counts) != 0, axis=2)
+    a, b = next((a, b) for a, b in zip(*np.nonzero(nonzero)) if 0 < a < b)
+    counts = md2.s_counts.copy()
+    # Times zeta: a different value at (a, b) and (b, a), since S_ab != 0.
+    counts[a, b] = counts[b, a] = np.roll(counts[a, b], 1)
+    d3 = modular.theory_data(dataclasses.replace(md2, s_counts=counts), wm2)
+    assert not modular.equivalence_search(d1, d3).equivalent
 
 
 def test_obstruction_certificate_pinned_sets(theory_u):
