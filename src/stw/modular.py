@@ -7,11 +7,28 @@ and are carried as integer histograms over the N-th roots of unity, the
 shape the braid engine produces.  Bulk identities are certified by a
 rigorous modular-evaluation scheme: a histogram vector is mapped into
 F_P (for several primes P = 1 mod N) by evaluating at gamma^f with
-gamma of multiplicative order N.  An identity E = 0 in Z[zeta_N] holds
-exactly iff the evaluations vanish at every frequency f coprime to N
-for each P and the product of the primes exceeds twice an explicit
+gamma of multiplicative order N.  Because P = 1 (mod N) splits
+completely in Z[zeta_N], E in Z[zeta_N] lies in P Z[zeta_N] iff its
+evaluations vanish at every frequency f coprime to N; E = 0 then
+follows once the product of the primes exceeds twice an explicit
 coefficient bound for E reduced modulo the N-th cyclotomic polynomial.
 No floating point enters any decision.
+
+The S identities need far fewer frequencies than phi(N).  In a modular
+category each Galois automorphism sigma_f (zeta -> zeta^f) acts on S as
+a signed permutation, sigma_f(S_ab) = eps_f(a) S_{pi_f(a) b}, and the
+twists obey theta_{pi_f(a)} = sigma_f^2(theta_a) (Coste and Gannon,
+Phys. Lett. B 323 (1994); Dong, Lin and Ng, arXiv:1201.6644).
+`_galois_check` verifies this exactly for the generators of
+(Z/N)^x on the value ids of S-tilde, so sigma_f(S~) = G_f S~ = S~ G_f^T
+holds for every unit f with G_f a permutation matrix, and
+G_h T G_h^T = sigma_{h^2}(T).  An identity X in S~ alone then satisfies
+sigma_f(X) = G_f X G_f^T, and X(gamma^f) is X(gamma) permuted: one
+frequency certifies it.  (S~T)^3 - D S~^2 satisfies only
+sigma_{h^2}(X) = G_h X G_h^T, so it is evaluated at one frequency per
+coset of the squares in (Z/N)^x (4 at N = 275).  The Galois action on V
+is not checked, so `punctured_vanishing_report` keeps every primitive
+frequency, and `_r_table` every frequency for its inverse transform.
 
 A twisted double has Gauss sum +D, so c = 0 mod 8 (Mueger, JPAA 180
 (2003)); `modular_data` checks this once, and every value derived here
@@ -19,10 +36,11 @@ lies in Q(zeta_N), with no eighth root of unity.
 
 Where each S identity is certified: `modular_data` runs the S traces and
 the Gauss check and uses no prime.  The charge conjugation
-`ModularData.dual` is read off S exactly: each distinct value of S gets
-an integer id, only those values are conjugated, and each row of ids is
-matched with the conjugate of another.  `modularity_report` certifies
-the unit row (by reduction) and, in one loop over the primes, unitarity,
+`ModularData.dual` is read off S exactly as the f = -1 case of the same
+row match the Galois check uses: each distinct value of S gets an
+integer id, only those values are mapped by sigma_f, and each row of ids
+is matched with the image of another.  `modularity_report` runs the
+Galois check and, in one loop over the primes, certifies unitarity,
 S^2 = D^2 times the dual permutation and (ST)^3 = D * S^2.
 
 The equivalence search reads S, T and W only, never a certificate.
@@ -108,6 +126,8 @@ _BLOCK = 64
 _SUMS_PER_REDUCTION = 1024
 # Histograms transformed per product in _FreqPrime.evaluate.
 _EVAL_BLOCK = 256
+# Pairs (a, b) per product in verlinde_table.
+_VERLINDE_PAIRS = 2048
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
@@ -138,9 +158,11 @@ def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
 
 
 class _FreqPrime:
-    """Evaluation of histogram vectors at all powers of a fixed root of
-    unity gamma modulo one prime, and the exact inverse transform.
-    Evaluations are frequency first: index f holds the values at gamma^f."""
+    """Evaluation of histogram vectors at powers of a fixed root of unity
+    gamma modulo one prime, and the exact inverse transform.  Evaluations
+    are frequency first: index i holds the values at gamma^freqs[i].  The
+    transform tables are built per call for the frequencies asked for, so
+    a checker kept for the process holds only the n powers of gamma."""
 
     def __init__(self, prime: int, n: int):
         self.prime = prime
@@ -151,18 +173,15 @@ class _FreqPrime:
         for k in range(1, n):
             pows[k] = pows[k - 1] * gamma % prime
         self.pows = pows
-        idx = (np.arange(n)[:, None] * np.arange(n)[None, :]) % n
-        self.eval_table = pows[idx]
-        self.inv_table = pows[(-idx) % n]
-        self.n_inv = pow(n, -1, prime)
 
     def evaluate(self, counts: np.ndarray, freqs: np.ndarray | None = None) -> np.ndarray:
         """(..., n) integer vectors -> (F, ...) residues of the values at
         gamma^f for the F frequencies f in freqs (default: all n)."""
         c = np.asarray(counts, dtype=np.int64)
         flat = c.reshape(-1, self.n)
-        # Row f of eval_table holds gamma^(f*j), j = 0..n-1.
-        table = self.eval_table if freqs is None else self.eval_table[freqs]
+        freqs = np.arange(self.n) if freqs is None else np.asarray(freqs)
+        # Row i of table holds gamma^(f_i * j), j = 0..n-1.
+        table = self.pows[np.outer(freqs, np.arange(self.n)) % self.n]
         out = np.empty((len(table), len(flat)), dtype=np.int64)
         # Fixed blocks of vectors bound the limb and product temporaries.
         for start in range(0, len(flat), _EVAL_BLOCK):
@@ -174,7 +193,8 @@ class _FreqPrime:
         """Inverse transform: (n, ...) residues at all n frequencies back
         to the (..., n) residues of the histogram coefficients."""
         flat = evals.reshape(self.n, -1)
-        out = _mulmod(self.inv_table, flat, self.prime) * self.n_inv % self.prime
+        inv_table = self.pows[-np.outer(np.arange(self.n), np.arange(self.n)) % self.n]
+        out = _mulmod(inv_table, flat, self.prime) * pow(self.n, -1, self.prime) % self.prime
         return out.T.reshape(evals.shape[1:] + (self.n,))
 
 
@@ -197,11 +217,10 @@ def _crt_centered(residues: list[np.ndarray], primes: tuple[int, ...]) -> np.nda
 
 class _ExactChecker:
     """Shared rigor machinery for one root order and prime count: primes,
-    evaluation tables, the primitive-frequency mask and the reduction
+    one evaluator per prime, the primitive frequencies and the reduction
     bound factor."""
 
     def __init__(self, order: int, prime_count: int):
-        self.order = order
         self.kappa = reduction_bound_factor(order)
         self.primes = _verification_primes(order, prime_count)
         self.freq = [_FreqPrime(p, order) for p in self.primes]
@@ -253,7 +272,6 @@ class ModularData:
     _label_index: dict = field(repr=False, default_factory=dict)
     _verlinde: np.ndarray | None = field(init=False, repr=False, default=None)
     _r_table: np.ndarray | None = field(init=False, repr=False, default=None)
-    _s_evals: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
@@ -289,24 +307,37 @@ class ModularData:
         return self.s_counts[:, :, neg]
 
     @cached_property
+    def s_value_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """S-tilde as (n, n) int32 value ids and the table of their exact
+        values (`_value_ids`): the shape every exact S check reads."""
+        return _value_ids(self.root_order, self.s_counts)
+
+    def galois_permutation(self, f: int) -> tuple[int, ...] | None:
+        """The permutation pi_f with sigma_f(S~_ab) = S~_{pi_f(a) b}, where
+        sigma_f maps zeta_N to zeta_N^f (f a unit mod N), matched exactly
+        on value ids: only the distinct values of S are mapped and reduced,
+        and each mapped row of ids is looked up among the rows of S-tilde.
+        None unless the matches form a permutation."""
+        ne = self.root_order
+        ids, values = self.s_value_ids
+        index = {v.tobytes(): i for i, v in enumerate(values)}
+        # sigma_f(sum_j c_j zeta^j) is the histogram with c_j at f*j mod N.
+        image = np.zeros((len(values), ne), dtype=np.int64)
+        image[:, f * np.arange(values.shape[1]) % ne] = values
+        image_ids = _value_ids(ne, [image], index)[0][0]
+        rows = {row.tobytes(): b for b, row in enumerate(ids)}
+        perm = tuple(rows.get(image_ids[row].tobytes(), -1) for row in ids)
+        if len(rows) != self.n_objects or sorted(perm) != list(range(self.n_objects)):
+            return None
+        return perm
+
+    @cached_property
     def dual(self) -> tuple[int, ...] | None:
         """The charge conjugation a -> a*: the unique b whose S-tilde row
         is the complex conjugate of row a (S_a*b = conj(S_ab) in any
-        modular category), matched exactly on value ids: only the distinct
-        values of S are conjugated and reduced.  None unless the matches
-        form a permutation."""
-        ne = self.root_order
-        index: dict[bytes, int] = {}
-        ids, values = _value_ids(ne, self.s_counts, index)
-        # conj(sum_j c_j zeta^j) is the histogram with c_j at (-j) mod N.
-        conj = np.zeros((len(values), ne), dtype=np.int64)
-        conj[:, (-np.arange(values.shape[1])) % ne] = values
-        conj_ids = _value_ids(ne, [conj], index)[0][0]
-        rows = {row.tobytes(): b for b, row in enumerate(ids)}
-        dual = tuple(rows.get(conj_ids[row].tobytes(), -1) for row in ids)
-        if len(rows) != self.n_objects or sorted(dual) != list(range(self.n_objects)):
-            return None
-        return dual
+        modular category), i.e. `galois_permutation(-1)`.  None unless the
+        matches form a permutation."""
+        return self.galois_permutation(-1)
 
     def dual_of(self, a) -> int:
         if self.dual is None:
@@ -317,21 +348,36 @@ class ModularData:
         return self.dual[self.index_of(a)]
 
 
+# Distinct histograms reduced per `reduce_counts` call in _value_ids.
+_REDUCE_BLOCK = 1024
+
+
 def _value_ids(order: int, rows, index: dict[bytes, int] | None = None):
     """Int32 ids of the exact values of histogram rows, each (m, order).
 
-    Each row is reduced with `reduce_counts`; each distinct value gets
-    the next id through `index`, a dict keyed by the bytes of its
+    Histograms are keyed by their raw bytes first, so each distinct one
+    is kept and reduced once, in a few `reduce_counts` calls for all rows
+    together (each call reads the whole reduction table, so fewer calls
+    cost less).  Each distinct value gets the next id, in order of first
+    occurrence, through `index`, a dict keyed by the bytes of its
     canonical numerators (extended in place when given, so calls that
     share it share ids).  Returns the (len(rows), m) ids and the table
     `values`, whose row i holds the canonical numerators of id i."""
     index = {} if index is None else index
-    ids = []
+    raw: dict[bytes, int] = {}  # histogram bytes -> position among the distinct ones
+    positions = []
     for row in rows:
-        reduced = np.ascontiguousarray(reduce_counts(order, row), dtype=np.int64)
-        ids.append([index.setdefault(v.tobytes(), len(index)) for v in reduced])
+        row = np.ascontiguousarray(row, dtype=np.int64)
+        positions.append([raw.setdefault(h.tobytes(), len(raw)) for h in row])
+    distinct = list(raw)
+    value_of = []
+    for start in range(0, len(distinct), _REDUCE_BLOCK):
+        block = b"".join(distinct[start : start + _REDUCE_BLOCK])
+        reduced = reduce_counts(order, np.frombuffer(block, dtype=np.int64).reshape(-1, order))
+        reduced = np.ascontiguousarray(reduced, dtype=np.int64)
+        value_of += [index.setdefault(v.tobytes(), len(index)) for v in reduced]
     values = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), -1)
-    return np.array(ids, dtype=np.int32), values
+    return np.array(value_of, dtype=np.int32)[np.array(positions)], values
 
 
 def t_matrix(params: CocycleParams) -> list[CycloNumber]:
@@ -392,19 +438,99 @@ def _root_sums_equal(order: int, counts: np.ndarray, values) -> bool:
     return np.array_equal(reduced, expected)
 
 
-def _s_evals(md: ModularData, fp: _FreqPrime) -> np.ndarray:
-    """Residues of every S-tilde entry modulo one prime at the primitive
-    frequencies, frequency first: (phi(N), n, n).  They are computed once
-    per theory and prime and kept as int32 (residues are below 2^31);
-    each caller gets an int64 copy.  The frequencies are sorted and closed
-    under f -> N - f, so reversing the first axis gives the complex
-    conjugates."""
-    evals = md._s_evals.get(fp.prime)
-    if evals is None:
-        prim = _checker(md.root_order, 0).prim
-        evals = fp.evaluate(md.s_counts, prim).astype(np.int32)
-        md._s_evals[fp.prime] = evals
-    return evals.astype(np.int64)
+# ----- Galois certificate ------------------------------------------------------
+
+
+def _unit_generators(order: int) -> list[tuple[int, int]]:
+    """Generators of (Z/order)^x, one per cyclic factor, as pairs
+    (generator, multiplicative order).  Each generates the units modulo
+    one prime power r^e of order (two at r = 2, e >= 3) and is lifted by
+    CRT to 1 modulo the rest; for N = p^2 q this is
+    (Z/N)^x = Z_{p(p-1)} x Z_{q-1}."""
+    gens = []
+    for r, e in sorted(_factorize(order).items()):
+        m = r**e
+        if r == 2:
+            cyclic = [(m - 1, 2)] if m >= 4 else []  # -1, and 5 of order m/4
+            cyclic += [(5, m // 4)] if m >= 8 else []
+        else:
+            phi = m - m // r
+            factors = _factorize(phi)
+            root = next(
+                g for g in range(2, m)
+                if g % r and all(pow(g, phi // s, m) != 1 for s in factors)
+            )
+            cyclic = [(root, phi)]
+        rest = order // m
+        for g, g_order in cyclic:
+            gens.append((1 + rest * ((g - 1) * pow(rest, -1, m) % m), g_order))
+    return gens
+
+
+def _square_classes(order: int) -> np.ndarray:
+    """One representative per coset of the squares in (Z/order)^x,
+    sorted, so 1 (the squares' own) comes first: the products of the
+    subsets of the even-order generators."""
+    reps = [1]
+    for g, g_order in _unit_generators(order):
+        if g_order % 2 == 0:
+            reps += [r * g % order for r in reps]
+    return np.array(sorted(reps), dtype=np.int64)
+
+
+def _galois_check(md: ModularData) -> tuple[int, ...]:
+    """Certify exactly that the Galois group acts on S-tilde as in a
+    modular category, and return the charge conjugation pi_{-1}.
+
+    On the value ids of S-tilde: S-tilde is symmetric, its unit row is the
+    dimension vector, and for each generator g of (Z/N)^x (`_unit_generators`)
+    sigma_g(S~) is a row permutation of S~, sigma_g(S~_ab) = S~_{pi_g(a) b},
+    with t_{pi_g(a)} = g^2 t_a (mod N).  In general the rows match up to
+    a sign eps_g(a); here the unit column is the positive dims (symmetry
+    plus the unit row), and sigma_g fixes it, so every sign is +1 and the
+    match is on the rows themselves.  Composing generators gives
+    sigma_f(S~) = G_f S~ for every unit f with G_f a permutation matrix
+    (pi_fg = pi_f pi_g); symmetry gives sigma_f(S~) = S~ G_f^T, and
+    d_{pi_f(a)} = d_a.  The rows of S~ are distinct, so G_f commutes with
+    the conjugation G_{-1}.  Raises ArithmeticError naming the first
+    failed condition: then S-tilde is not the S-matrix of any modular
+    category."""
+    ids, _ = md.s_value_ids
+    ne = md.root_order
+    if not np.array_equal(ids, ids.T):
+        raise ArithmeticError("Galois check fails: S-tilde is not symmetric")
+    if not _root_sums_equal(ne, md.s_counts[0], md.dims):
+        raise ArithmeticError(
+            "Galois check fails: the unit row of S-tilde is not the dimension vector"
+        )
+    for g, _ in _unit_generators(ne):
+        perm = md.galois_permutation(g)
+        if perm is None:
+            raise ArithmeticError(
+                f"Galois check fails: sigma_{g} does not permute the rows of S-tilde"
+            )
+        bad = md.twist_exps[list(perm)] != g * g * md.twist_exps % ne
+        if bad.any():
+            raise ArithmeticError(
+                f"Galois check fails: theta at pi_{g}(a) is not sigma_{g}^2(theta_a)"
+                f" for a = {md.labels[int(np.argmax(bad))]}"
+            )
+    conj = md.galois_permutation(-1)
+    if conj is None:
+        raise ArithmeticError(
+            "Galois check fails: complex conjugation does not permute the rows of S-tilde"
+        )
+    return conj
+
+
+def _s_evaluations(md: ModularData, fp: _FreqPrime, freqs) -> np.ndarray:
+    """Residues of every S-tilde entry modulo one prime at the frequencies
+    freqs, frequency first: (len(freqs), n, n).  Only the distinct values
+    of S-tilde are transformed; the entries are gathered by value id."""
+    ids, values = md.s_value_ids
+    padded = np.zeros((len(values), md.root_order), dtype=np.int64)
+    padded[:, : values.shape[1]] = values
+    return fp.evaluate(padded, freqs)[:, ids]
 
 
 # ----- modularity verification -------------------------------------------------
@@ -430,11 +556,31 @@ class ModularityReport:
 
 
 def modularity_report(md: ModularData) -> ModularityReport:
-    """Run the full exact modularity suite on one theory.  One checker,
-    for the largest bound, certifies at every prime and primitive
-    frequency: S~ S~^dagger = D^2 I, S~^2 = D^2 times the permutation
-    matrix of `md.dual`, and (S~T)^3 = D S~^2 ((ST)^3 = S^2 times the
-    Gauss sum over D, which is 1, checked in modular_data)."""
+    """Run the full exact modularity suite on one theory.
+
+    The Galois check (`_galois_check`) runs first.  One checker, for the
+    largest bound, then certifies at every prime: S~ S~^dagger = D^2 I and
+    S~^2 = D^2 times the permutation matrix of `md.dual` at frequency 1,
+    and (S~T)^3 = D S~^2 ((ST)^3 = S^2 times the Gauss sum over D, which
+    is 1, checked in modular_data) at one frequency per coset of the
+    squares in (Z/N)^x.
+
+    Why these frequencies suffice (Coste and Gannon, Phys. Lett. B 323
+    (1994); Dong, Lin and Ng, arXiv:1201.6644, for the action checked
+    here): evaluating a histogram at gamma^f is evaluating its image under
+    sigma_f at gamma.  With the check passed, sigma_f(S~) = G_f S~ =
+    S~ G_f^T, and conj(S~) = G_{-1} S~ is exact, so the gram matrix
+    X = S~ (G_{-1} S~)^T - D^2 I and X = S~^2 - D^2 G_{-1} satisfy
+    sigma_f(X) = G_f X G_f^T for every unit f.  For X = (S~T)^3 - D S~^2,
+    sigma_{h^2}(S~) = G_h S~ G_h^T and sigma_{h^2}(T) = G_h T G_h^T (the
+    twist condition), so sigma_{h^2}(X) = G_h X G_h^T, and the square
+    classes reach every unit.  So X = 0 at the evaluated frequencies mod
+    P implies X = 0 at every primitive frequency, that is,
+    X = 0 mod P Z[zeta_N], because P = 1 (mod N) splits completely; the
+    coefficient bound over all primes then gives X = 0.  `md.dual` must
+    equal G_{-1} for S^2 to pass.  If the Galois check fails, S-tilde is
+    not the S-matrix of any modular category: the report names the
+    failure, and unitarity, S^2, (ST)^3 and the fusion rules fail."""
     failures: list[str] = []
     n = md.n_objects
     l1 = np.sum(md.s_counts, axis=2)
@@ -443,29 +589,39 @@ def modularity_report(md: ModularData) -> ModularityReport:
     unit_ok = _root_sums_equal(md.root_order, md.s_counts[0], md.dims)
     if not unit_ok:
         failures.append("unit row of S-tilde is not the dimension vector")
+    try:
+        conj = list(_galois_check(md))
+    except ArithmeticError as err:
+        conj = None
+        failures.append(str(err))
 
-    l1_sq = int(np.max(l1 @ l1))
-    bounds = (  # gram, S~^2 and (S~T)^3 minus their targets
-        int(np.max(l1 @ l1.T)) + d_sq,
-        l1_sq + d_sq,
-        int(np.max(l1 @ l1 @ l1)) + md.total_dim * l1_sq,
-    )
-    checker = _checker(md.root_order, max(bounds))
     dual = md.dual
-    d2_identity = d_sq * np.eye(n, dtype=np.int64)
-    unitary, s2_ok, st_ok = True, dual is not None, True
-    for fp in checker.freq:
-        ev = _s_evals(md, fp)
-        gram = _mulmod(ev, ev[::-1].transpose(0, 2, 1), fp.prime)
-        unitary = unitary and not np.any(gram != d2_identity % fp.prime)
-        s2 = _mulmod(ev, ev, fp.prime)
-        # row a of D^2 P_dual holds D^2 in column dual(a)
-        s2_ok = s2_ok and not np.any(s2 != d2_identity[list(dual)] % fp.prime)
+    galois_ok = conj is not None
+    unitary = st_ok = galois_ok
+    s2_ok = galois_ok and dual == tuple(conj)
+    if galois_ok:
+        l1_sq = int(np.max(l1 @ l1))
+        bounds = (  # gram, S~^2 and (S~T)^3 minus their targets
+            int(np.max(l1 @ l1.T)) + d_sq,
+            l1_sq + d_sq,
+            int(np.max(l1 @ l1 @ l1)) + md.total_dim * l1_sq,
+        )
+        checker = _checker(md.root_order, max(bounds))
+        reps = _square_classes(md.root_order)  # reps[0] = 1
+        d2_identity = d_sq * np.eye(n, dtype=np.int64)
         # column b of S-tilde T at gamma^f is scaled by theta_b^f
-        twist_phase = fp.pows[checker.prim[:, None] * md.twist_exps[None, :] % md.root_order]
-        st = ev * twist_phase[:, None, :] % fp.prime
-        cubed = _mulmod(_mulmod(st, st, fp.prime), st, fp.prime)
-        st_ok = st_ok and not np.any((cubed - md.total_dim % fp.prime * s2) % fp.prime)
+        twist_exps = reps[:, None] * md.twist_exps[None, :] % md.root_order
+        for fp in checker.freq:
+            ev = _s_evaluations(md, fp, reps)
+            # conj(S~)_ba = S~_{conj(b) a}: the gram matrix at frequency 1
+            gram = _mulmod(ev[0], ev[0][conj].T, fp.prime)
+            unitary = unitary and not np.any(gram != d2_identity % fp.prime)
+            s2 = _mulmod(ev, ev, fp.prime)
+            # row a of D^2 P_dual holds D^2 in column dual(a)
+            s2_ok = s2_ok and not np.any(s2[0] != d2_identity[list(dual)] % fp.prime)
+            st = ev * fp.pows[twist_exps][:, None, :] % fp.prime
+            cubed = _mulmod(_mulmod(st, st, fp.prime), st, fp.prime)
+            st_ok = st_ok and not np.any((cubed - md.total_dim % fp.prime * s2) % fp.prime)
     if not unitary:
         failures.append("S-tilde times its conjugate transpose is not D^2 times identity")
 
@@ -480,15 +636,17 @@ def modularity_report(md: ModularData) -> ModularityReport:
     if not st_ok:
         failures.append("(ST)^3 does not equal the Gauss phase times S^2")
 
-    verlinde_ok = True
+    # Without the Galois check the table is not certified; the failure is named above.
+    verlinde_ok = galois_ok
     dim_hom = True
-    try:
-        table = verlinde_table(md)
-        sums = np.einsum("abc,c->ab", table, md.dims)
-        dim_hom = bool(np.array_equal(sums, np.outer(md.dims, md.dims)))
-    except ArithmeticError as err:
-        verlinde_ok = False
-        failures.append(str(err))
+    if galois_ok:
+        try:
+            table = verlinde_table(md)
+            sums = np.einsum("abc,c->ab", table, md.dims)
+            dim_hom = bool(np.array_equal(sums, np.outer(md.dims, md.dims)))
+        except ArithmeticError as err:
+            verlinde_ok = False
+            failures.append(str(err))
     if verlinde_ok and not dim_hom:
         failures.append("fusion multiplicities break the dimension homomorphism")
 
@@ -528,44 +686,48 @@ def verlinde(md: ModularData, a, b, c) -> int:
 
 def verlinde_table(md: ModularData) -> np.ndarray:
     """All fusion multiplicities N_ab^c as an (n, n, n) integer array,
-    certified exactly via the modular-evaluation scheme."""
+    certified exactly at one frequency.
+
+    D^3 N_ab^c = V_abc = sum_z S~_az S~_bz conj(S~_cz) w_z with
+    w_z = D/d_z.  Once `_galois_check` passes (Coste and Gannon, Phys.
+    Lett. B 323 (1994); Dong, Lin and Ng, arXiv:1201.6644), every sigma_f
+    permutes the columns, sigma_f(S~_az) = S~_{a pi_f(z)}, and fixes the
+    weights, w_{pi_f(z)} = w_z; reindexing z gives sigma_f(V_abc) = V_abc.
+    So V_abc is fixed by the whole Galois group: it is a rational integer,
+    and its value at gamma mod P is V_abc mod P.  The CRT over the
+    checker's primes, whose product exceeds twice the bound, gives V_abc
+    exactly; it must be a nonnegative multiple of D^3.  Raises
+    ArithmeticError if the Galois check or the last test fails."""
     if md._verlinde is not None:
         return md._verlinde
+    conj = list(_galois_check(md))
     n = md.n_objects
     l1 = np.sum(md.s_counts, axis=2)
     weights = (md.total_dim // md.dims).astype(np.int64)
     colmax = np.max(l1, axis=0).astype(object)
     checker = _checker(md.root_order, int(np.sum(weights.astype(object) * colmax**3)))
 
-    # One product per primitive frequency f: the rows S~_az S~_bz w_z
-    # times conj(S~)^T give D^3 N_ab^c at gamma^f, which must not depend
-    # on f.  The rows are symmetric in (a, b), so only a <= b is formed.
-    upper_a, upper_b = np.triu_indices(n)
-    per_prime = []
+    # Per prime: S~, S~ w and conj(S~)^T = S~[conj]^T at gamma, since
+    # conj(S~)_cz = S~_{conj(c) z}.
+    evals = []
     for fp in checker.freq:
-        ev = _s_evals(md, fp)
-        first = None
-        irrational = np.zeros(len(upper_a), dtype=bool)
-        for s, s_conj in zip(ev, ev[::-1]):
-            rows = s[upper_a] * (s * weights % fp.prime)[upper_b] % fp.prime
-            vals = _mulmod(rows, s_conj.T, fp.prime)
-            if first is None:
-                first = vals
-            else:
-                irrational |= np.any(vals != first, axis=1)
-        if irrational.any():
-            i = int(np.argmax(irrational))
-            raise ArithmeticError(
-                f"Verlinde value for a={upper_a[i]}, b={upper_b[i]} is not rational"
-            )
-        per_prime.append(first)
-    exact = _crt_centered(per_prime, checker.primes)
+        s = _s_evaluations(md, fp, [1])[0]
+        evals.append((fp.prime, s, s * weights % fp.prime, s[conj].T))
+    # The rows S~_az S~_bz w_z times conj(S~)^T give V_abc at gamma.  They
+    # are symmetric in (a, b), so only a <= b is formed, in fixed blocks of
+    # pairs that bound the product temporaries.
+    upper_a, upper_b = np.triu_indices(n)
     scale = md.total_dim**3
-    if np.any(exact % scale) or np.any(exact < 0):
-        raise ArithmeticError("Verlinde table is not nonnegative-integral")
     table = np.empty((n, n, n), dtype=np.int64)
-    table[upper_a, upper_b] = exact // scale
-    table[upper_b, upper_a] = exact // scale
+    for start in range(0, len(upper_a), _VERLINDE_PAIRS):
+        a = upper_a[start : start + _VERLINDE_PAIRS]
+        b = upper_b[start : start + _VERLINDE_PAIRS]
+        per_prime = [_mulmod(s[a] * sw[b] % prime, s_conj_t, prime)
+                     for prime, s, sw, s_conj_t in evals]
+        exact = _crt_centered(per_prime, checker.primes)
+        if np.any(exact % scale) or np.any(exact < 0):
+            raise ArithmeticError("Verlinde table is not nonnegative-integral")
+        table[a, b] = table[b, a] = exact // scale
     md._verlinde = table
     return table
 
@@ -827,7 +989,7 @@ def punctured_vanishing_report(md: ModularData, wm: WMatrix) -> tuple[bool, list
     zero_mask = None
     for fp in checker.freq:
         v_ev = fp.evaluate(wm.v_counts, checker.prim)
-        f_vals = _mulmod(_s_evals(md, fp), v_ev.transpose(0, 2, 1), fp.prime)
+        f_vals = _mulmod(_s_evaluations(md, fp, checker.prim), v_ev.transpose(0, 2, 1), fp.prime)
         mask = ~np.any(f_vals, axis=0)
         zero_mask = mask if zero_mask is None else (zero_mask & mask)
     failures = []
@@ -876,14 +1038,10 @@ def _r_table(md: ModularData) -> np.ndarray:
     b_l1 = l1_obj.T @ l1_obj
     bound = int(np.max((l1_obj * (a_l1 * weights.astype(object))[None, :]) @ b_l1))
     checker = _checker(ne, bound)
-    # The inverse transform needs every frequency; the shared evaluations
-    # hold the primitive ones.
-    other = np.setdiff1d(np.arange(ne), checker.prim)
     per_prime = []
     for fp in checker.freq:
-        ev = np.empty((ne, n, n), dtype=np.int64)
-        ev[checker.prim] = _s_evals(md, fp)
-        ev[other] = fp.evaluate(md.s_counts, other)
+        # The inverse transform needs every frequency, of the raw histograms.
+        ev = fp.evaluate(md.s_counts)
         conj = ev[checker.neg]
         exps = np.arange(ne)[:, None] * (2 * md.twist_exps)[None, :] % ne  # (f, x)
         twist_pos = fp.pows[exps]

@@ -4,6 +4,7 @@ W-matrix, derived invariants, and the permutation-equivalence search."""
 import copy
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +264,132 @@ def test_dual_is_none_when_a_conjugate_row_matches_nothing(small_md):
     report = modular.modularity_report(md)
     assert not report.s2_permutation
     assert "S^2 is not D^2 times a permutation matrix" in report.failures
+
+
+@pytest.mark.parametrize("order", [275, 63, 171, 775, 1421, 28, 8, 40])
+def test_unit_generators_and_square_classes(order):
+    """The generators have the stated orders and generate (Z/N)^x, and the
+    square-class representatives meet every coset of the squares once."""
+    units = {f for f in range(1, order) if math.gcd(f, order) == 1}
+    group = {1}
+    for g, g_order in modular._unit_generators(order):
+        assert pow(g, g_order, order) == 1
+        assert all(pow(g, j, order) != 1 for j in range(1, g_order))
+        group = {x * pow(g, j, order) % order for x in group for j in range(g_order)}
+    assert group == units
+    squares = {x * x % order for x in units}
+    reps = modular._square_classes(order)
+    assert reps[0] == 1
+    cosets = {frozenset(int(r) * x % order for x in squares) for r in reps}
+    assert len(cosets) == len(reps) and set().union(*cosets) == units
+    if order in (275, 63, 171, 775, 1421):  # N = p^2 q: two even-order factors
+        assert len(reps) == 4
+
+
+def _galois_image(counts: np.ndarray, f: int) -> np.ndarray:
+    """sigma_f of one histogram: the count at j moves to f*j mod N."""
+    image = np.zeros_like(counts)
+    image[f * np.arange(len(counts)) % len(counts)] = counts
+    return image
+
+
+def test_galois_check_catches_a_wrong_conjugate_pair(small_md):
+    """Replace a symmetric pair S~_ab = S~_ba by a Galois conjugate
+    sigma_f(S~_ab) != S~_ab: S stays symmetric with the right unit row, but
+    sigma_g no longer permutes its rows."""
+    ne = small_md.root_order
+    ids, values = small_md.s_value_ids
+    a, b, f = next(
+        (a, b, f)
+        for a, b in itertools.combinations(range(1, small_md.n_objects), 2)
+        for f in range(2, ne)
+        if math.gcd(f, ne) == 1
+        and not np.array_equal(
+            reduce_counts(ne, _galois_image(small_md.s_counts[a, b], f)), values[ids[a, b]]
+        )
+    )
+    counts = small_md.s_counts.copy()
+    counts[a, b] = counts[b, a] = _galois_image(counts[a, b], f)
+    md = dataclasses.replace(small_md, s_counts=counts)
+    with pytest.raises(ArithmeticError, match=r"sigma_\d+ does not permute the rows"):
+        modular._galois_check(md)
+    report = modular.modularity_report(md)
+    assert any("does not permute the rows" in line for line in report.failures)
+    assert not (report.unitary or report.s2_permutation or report.st_cubed_matches_s2)
+    assert not report.verlinde_integral_nonnegative
+    with pytest.raises(ArithmeticError, match="Galois check fails"):
+        modular.verlinde_table(md)
+
+
+def test_galois_check_catches_a_changed_twist(small_md):
+    """One twist exponent moved by 1: the rows of S still permute, but
+    t_{pi_g(a)} = g^2 t_a fails, so (ST)^3 is never trusted."""
+    twist_exps = small_md.twist_exps.copy()
+    twist_exps[5] = (twist_exps[5] + 1) % small_md.root_order
+    md = dataclasses.replace(small_md, twist_exps=twist_exps)
+    with pytest.raises(ArithmeticError, match=r"theta at pi_\d+\(a\)"):
+        modular._galois_check(md)
+    report = modular.modularity_report(md)
+    assert any(line.startswith("Galois check fails: theta") for line in report.failures)
+    assert not report.st_cubed_matches_s2
+    assert "(ST)^3 does not equal the Gauss phase times S^2" in report.failures
+
+
+def test_galois_check_catches_an_asymmetric_s(small_md):
+    """Swap two columns of equal dimension: S~ P stays unitary, its rows
+    are Galois-permuted like those of S~ and its unit row is still the
+    dims, so only the symmetry test rejects it."""
+    dims = small_md.dims
+    b, c = next(
+        (b, c)
+        for b, c in itertools.combinations(range(1, small_md.n_objects), 2)
+        if dims[b] == dims[c]
+    )
+    counts = small_md.s_counts.copy()
+    counts[:, [b, c]] = counts[:, [c, b]]
+    md = dataclasses.replace(small_md, s_counts=counts)
+    with pytest.raises(ArithmeticError, match="S-tilde is not symmetric"):
+        modular._galois_check(md)
+    report = modular.modularity_report(md)
+    assert "Galois check fails: S-tilde is not symmetric" in report.failures
+    assert report.unit_row_is_dims and not report.all_passed
+
+
+@pytest.mark.parametrize("group", [(13, 3, 3), (19, 3, 7)])
+def test_certification_beyond_the_flagship(group):
+    """The report is all green and the one-frequency Verlinde table agrees
+    with the scalar cyclotomic route on sampled triples."""
+    md = modular.modular_data(CocycleParams(GroupSpec(*group), 1))
+    report = modular.modularity_report(md)
+    assert report.failures == () and report.self_dual_count == 1
+    table = modular.verlinde_table(md)
+    assert np.array_equal(np.einsum("abc,c->ab", table, md.dims), np.outer(md.dims, md.dims))
+    rng = np.random.default_rng(sum(group))
+    for a, b, c in rng.integers(0, md.n_objects, size=(4, 3)):
+        support = np.flatnonzero(table[a, b])
+        for z in (c, support[c % len(support)]):  # one random c, one in the support
+            assert modular.verlinde(md, a, b, z) == int(table[a, b, z])
+
+
+def test_certification_evaluates_one_frequency_per_square_class(md_u, monkeypatch):
+    """`modularity_report` and `verlinde_table` evaluate S~ at no more than
+    one frequency per square class and prime at the flagship, not at all
+    phi(N) = 200 primitive frequencies."""
+    md = dataclasses.replace(md_u(1))  # no Verlinde table cached yet
+    seen: dict[int, set] = {}
+    real = modular._FreqPrime.evaluate
+
+    def spy(self, counts, freqs=None):
+        used = range(self.n) if freqs is None else np.asarray(freqs).tolist()
+        seen.setdefault(self.prime, set()).update(used)
+        return real(self, counts, freqs)
+
+    monkeypatch.setattr(modular._FreqPrime, "evaluate", spy)
+    assert modular.modularity_report(md).all_passed
+    modular.verlinde_table(md)
+    classes = len(modular._square_classes(md.root_order))
+    assert classes == 4
+    assert seen and all(len(freqs) <= classes for freqs in seen.values())
 
 
 @pytest.mark.parametrize(
