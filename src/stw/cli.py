@@ -103,7 +103,7 @@ def cmd_modular(args) -> int:
         ("unit row equals dimensions", report.unit_row_is_dims),
         ("S unitary", report.unitary),
         ("S^2 is charge conjugation", report.s2_permutation),
-        ("exactly one self-dual object", report.self_dual_count == 1),
+        ("charge conjugation is an involution fixing the unit", report.charge_conjugation),
         ("(ST)^3 equals Gauss phase times S^2", report.st_cubed_matches_s2),
         ("fusion rules nonnegative integers", report.verlinde_integral_nonnegative),
         ("dimension homomorphism", report.dim_homomorphism),
@@ -204,11 +204,24 @@ def cmd_quandle(args) -> int:
     return 0
 
 
-def _theory(args, u: int, with_w: bool) -> modular.TheoryData:
-    params = CocycleParams(GroupSpec(args.q, args.p, args.n), u)
+def _theory(params: CocycleParams, with_w: bool) -> modular.TheoryData:
+    """One theory from its traces.  S is keyed into ids and its histograms
+    released before the W walk, so their memory peaks do not add."""
     md = modular.modular_data(params)
-    wm = modular.w_matrix(params) if with_w else None
-    return modular.theory_data(md, wm)
+    data = modular.theory_data(md)
+    del md
+    return modular.with_w(data, modular.w_matrix(params)) if with_w else data
+
+
+def _theories(args, us, with_w: bool) -> list[modular.TheoryData]:
+    """The theories u in us: u = 0 and u = 1 from their traces, each built
+    once, every other u as the Galois conjugate of u = 1."""
+    spec = GroupSpec(args.q, args.p, args.n)
+    built = {u: _theory(CocycleParams(spec, u), with_w) for u in sorted({min(u, 1) for u in us})}
+    return [
+        built[u] if u < 2 else modular.galois_conjugate(built[1], CocycleParams(spec, 1), u)
+        for u in us
+    ]
 
 
 def _print_partition(tag: str, classes) -> None:
@@ -217,16 +230,25 @@ def _print_partition(tag: str, classes) -> None:
 
 
 def cmd_distinguish(args) -> int:
+    """Equivalence classes of the theories u = 0..p-1 under (S, T) and
+    under (S, T, W), or the verdicts for one pair.
+
+    Only u = 0 and u = 1 are built from braid traces.  Every value of
+    omega_u is a p-th root of unity, so sigma_f (zeta_N -> zeta_N^f)
+    maps D^omega_1 to D^omega_f with S, T and W conjugated entrywise
+    (Dong, Lin and Ng, arXiv:1201.6644): the theories u != 0 form one
+    Galois orbit, and each u >= 2 is derived exactly from u = 1 by
+    `modular.galois_conjugate`.  The search still compares every pair
+    it needs; the (S, T) classes it finds at odd p are the square
+    classes of Mignard and Schauenburg (arXiv:1708.02796)."""
     u_range = range(args.p)
     if args.st_only:
-        classes = modular.partition_theories(
-            [_theory(args, u, False) for u in u_range]
-        )
+        classes = modular.partition_theories(_theories(args, u_range, False))
         _print_partition("(S,T) classes", classes)
         return 0
     if args.u is not None:
         u1, u2 = (_in_range("--u", u, 0, args.p) for u in args.u)
-        d1, d2 = _theory(args, u1, True), _theory(args, u2, True)
+        d1, d2 = _theories(args, (u1, u2), True)
         st = modular.equivalence_search(*(dataclasses.replace(d, w_keys=None) for d in (d1, d2)))
         print(f"(S,T)   u={u1} vs u={u2}: "
               + ("EQUIVALENT" if st.equivalent else "NOT-EQUIVALENT"))
@@ -241,7 +263,7 @@ def cmd_distinguish(args) -> int:
             print("  W requires " + cert.label + " -> {" + ", ".join(cert.w_required) + "}")
             print("  intersection: {" + ", ".join(cert.compatible) + "}")
         return 0
-    datas = [_theory(args, u, True) for u in u_range]
+    datas = _theories(args, u_range, True)
     st_classes = modular.partition_theories([dataclasses.replace(d, w_keys=None) for d in datas])
     stw_classes = modular.partition_theories(datas)
     _print_partition("(S,T) classes  ", st_classes)

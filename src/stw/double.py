@@ -50,6 +50,7 @@ __all__ = [
     "AnyonTables",
     "DoubleContext",
     "context_for",
+    "galois_relabel",
     "enumerate_simples",
     "qdim",
     "twist",
@@ -252,6 +253,36 @@ class DoubleContext:
 @lru_cache(maxsize=None)
 def context_for(params: CocycleParams) -> DoubleContext:
     return DoubleContext(params)
+
+
+def galois_relabel(params: CocycleParams, f: int) -> tuple[CocycleParams, np.ndarray]:
+    """Where sigma_f (zeta -> zeta^f, f = 1 mod q and prime to p) sends
+    each simple object of the theory `params`: returns the theory with
+    u' = f u mod p and the index in its context of the image of each
+    object, read off the characters in `DoubleContext._build`.
+
+    sigma_f fixes every zeta_q-valued character, so the A_l_m and the
+    induced I_j keep their labels; a linear I_j takes the character
+    zeta_p^(f j m), so it becomes I_(f j mod p); B_k_s takes
+    zeta_(p^2)^(f (s p + u k) l), which is the character of B_k_s' in
+    theory u' when s' p + u' k = f (s p + u k) (mod p^2)."""
+    spec = params.spec
+    p, q, u = spec.p, spec.q, params.u
+    if f % q != 1 or f % p == 0:
+        raise ValueError(f"sigma_{f} must fix zeta_q and be a unit mod p")
+    target = CocycleParams(spec, f * u % p)
+    ctx = context_for(params)
+    index = context_for(target).label_index
+    images = []
+    for simple in ctx.simples:
+        k = ctx.classes[simple.class_index].representative.m
+        s, label = simple.char_index, simple.label
+        if k:
+            label = f"B_{k}_{(f * (s * p + u * k) - target.u * k) % (p * p) // p}"
+        elif label.startswith("I_") and s < p:
+            label = f"I_{f * s % p}"
+        images.append(index[label])
+    return target, np.array(images)
 
 
 def enumerate_simples(params: CocycleParams) -> list[SimpleObject]:

@@ -54,10 +54,9 @@ each theory's `TheoryData` holds one theory's histograms at a time.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -73,7 +72,7 @@ from .cyclotomic import (
     reduction_bound_factor,
     root_of_unity,
 )
-from .double import context_for
+from .double import context_for, galois_relabel
 from .group import GroupSpec
 
 # Three-strand words whose closures are the two-component clasp pattern
@@ -318,13 +317,9 @@ class ModularData:
         on value ids: only the distinct values of S are mapped and reduced,
         and each mapped row of ids is looked up among the rows of S-tilde.
         None unless the matches form a permutation."""
-        ne = self.root_order
         ids, values = self.s_value_ids
         index = {v.tobytes(): i for i, v in enumerate(values)}
-        # sigma_f(sum_j c_j zeta^j) is the histogram with c_j at f*j mod N.
-        image = np.zeros((len(values), ne), dtype=np.int64)
-        image[:, f * np.arange(values.shape[1]) % ne] = values
-        image_ids = _value_ids(ne, [image], index)[0][0]
+        image_ids, _ = _galois_image_ids(self.root_order, values, f, index)
         rows = {row.tobytes(): b for b, row in enumerate(ids)}
         perm = tuple(rows.get(image_ids[row].tobytes(), -1) for row in ids)
         if len(rows) != self.n_objects or sorted(perm) != list(range(self.n_objects)):
@@ -378,6 +373,18 @@ def _value_ids(order: int, rows, index: dict[bytes, int] | None = None):
         value_of += [index.setdefault(v.tobytes(), len(index)) for v in reduced]
     values = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), -1)
     return np.array(value_of, dtype=np.int32)[np.array(positions)], values
+
+
+def _galois_image_ids(order: int, values: np.ndarray, f: int, index: dict[bytes, int]):
+    """The ids in `index` (extended in place) of sigma_f of each exact value
+    in the table `values`, and the table, as `_value_ids` returns them:
+    each distinct value is mapped and reduced once, whatever the number
+    of matrix entries that hold it."""
+    # sigma_f(sum_j c_j zeta^j) is the histogram with c_j at f*j mod N.
+    image = np.zeros((len(values), order), dtype=np.int64)
+    image[:, f * np.arange(values.shape[1]) % order] = values
+    ids, table = _value_ids(order, [image], index)
+    return ids[0], table
 
 
 def t_matrix(params: CocycleParams) -> list[CycloNumber]:
@@ -542,6 +549,7 @@ class ModularityReport:
 
     unitary: bool
     s2_permutation: bool
+    charge_conjugation: bool
     self_dual_count: int
     unit_row_is_dims: bool
     st_cubed_matches_s2: bool
@@ -563,7 +571,10 @@ def modularity_report(md: ModularData) -> ModularityReport:
     S~^2 = D^2 times the permutation matrix of `md.dual` at frequency 1,
     and (S~T)^3 = D S~^2 ((ST)^3 = S^2 times the Gauss sum over D, which
     is 1, checked in modular_data) at one frequency per coset of the
-    squares in (Z/N)^x.
+    squares in (Z/N)^x.  The charge conjugation must be an involution
+    fixing the unit, and, when |G| is odd, fix no other object (Burnside:
+    no element or irreducible character of a group of odd order is real
+    besides the trivial ones); at p = 2 every object may be self-dual.
 
     Why these frequencies suffice (Coste and Gannon, Phys. Lett. B 323
     (1994); Dong, Lin and Ng, arXiv:1201.6644, for the action checked
@@ -626,9 +637,14 @@ def modularity_report(md: ModularData) -> ModularityReport:
         failures.append("S-tilde times its conjugate transpose is not D^2 times identity")
 
     self_dual = 0
+    charge_ok = s2_ok
     if s2_ok:
         self_dual = sum(1 for a, b in enumerate(dual) if a == b)
-        if self_dual != 1 or dual[0] != 0:
+        if dual[0] != 0 or any(dual[b] != a for a, b in enumerate(dual)):
+            charge_ok = False
+            failures.append("charge conjugation is not an involution fixing the unit")
+        elif md.params.spec.order % 2 and self_dual != 1:
+            charge_ok = False
             failures.append("charge conjugation does not fix exactly the unit")
     else:
         failures.append("S^2 is not D^2 times a permutation matrix")
@@ -653,6 +669,7 @@ def modularity_report(md: ModularData) -> ModularityReport:
     return ModularityReport(
         unitary=unitary,
         s2_permutation=s2_ok,
+        charge_conjugation=charge_ok,
         self_dual_count=self_dual,
         unit_row_is_dims=unit_ok,
         st_cubed_matches_s2=st_ok,
@@ -1243,26 +1260,86 @@ class TheoryData:
 
 
 def theory_data(md: ModularData, wm: WMatrix | None = None) -> TheoryData:
-    """Freeze (S, T[, W]) into value ids.  Each row of S and then of W is
-    reduced in one product, one row at a time, which keeps the float
-    temporaries small; W is rolled from V one row at a time as well.  A
-    theory has few distinct values (46 in S, 176 in S and W together at
-    the flagship), so the table is small and the ids fit int32."""
-    n = md.n_objects
-    w_rows = ()
-    if wm is not None:
-        t = wm.twist_exps
-        # W_ab is V_ab / (theta_a theta_b): entry j of W_ab is entry j + t_a + t_b of V_ab.
-        w_rows = (_roll_rows(wm.v_counts[a], -(t[a] + t)) for a in range(n))
-    ids, values = _value_ids(md.root_order, itertools.chain(md.s_counts, w_rows))
-    return TheoryData(
+    """Freeze (S, T[, W]) into value ids: S first, then W into the same
+    table (`with_w`).  A theory has few distinct values (46 in S, 176 in
+    S and W together at the flagship), so the table is small and the ids
+    fit int32."""
+    ids, values = _value_ids(md.root_order, md.s_counts)
+    data = TheoryData(
         name=f"u={md.params.u}",
         labels=md.labels,
         dims=md.dims,
         root_order=md.root_order,
         t_keys=md.twist_exps,
-        s_keys=ids[:n],
-        w_keys=ids[n:] if wm is not None else None,
+        s_keys=ids,
+        w_keys=None,
+        values=values,
+    )
+    return data if wm is None else with_w(data, wm)
+
+
+def with_w(data: TheoryData, wm: WMatrix) -> TheoryData:
+    """`data` with the W ids of `wm` keyed into its table of values.  The
+    ids of S and the first rows of the table are kept, and new values get
+    ids in order of first occurrence, so the result equals theory_data(md,
+    wm); a caller may release the S histograms before it walks W.  W is
+    rolled from V one row at a time, which keeps the temporaries small."""
+    t = wm.twist_exps
+    # W_ab is V_ab / (theta_a theta_b): entry j of W_ab is entry j + t_a + t_b of V_ab.
+    rows = (_roll_rows(wm.v_counts[a], -(t[a] + t)) for a in range(len(t)))
+    index = {v.tobytes(): i for i, v in enumerate(data.values)}
+    w_keys, values = _value_ids(data.root_order, rows, index)
+    return replace(data, w_keys=w_keys, values=values)
+
+
+def galois_conjugate(data: TheoryData, params: CocycleParams, u: int) -> TheoryData:
+    """Theory u as the Galois conjugate of `data`, the theory `params`
+    (params.u != 0), with no trace walk.
+
+    Every value of omega_u is a p-th root of unity, so the automorphism
+    sigma_f (zeta_N -> zeta_N^f) of Q(zeta_N) maps the twisted double
+    D^omega_v to D^omega_(f v), with S, T and W conjugated entrywise
+    (Galois conjugates of modular categories: Dong, Lin and Ng,
+    arXiv:1201.6644); the theories v != 0 form one Galois orbit, and
+    their (S, T) classes are the square classes that Mignard and
+    Schauenburg (arXiv:1708.02796) predict.
+
+    f is chosen by CRT with f = 1 (mod q), so that every zeta_q-valued
+    character is fixed, and f = u / params.u (mod p^2).  The objects are
+    relabelled by `double.galois_relabel`, each distinct exact value is
+    mapped by j -> f j (mod N) and reduced once (`_galois_image_ids`,
+    shared with `ModularData.galois_permutation`), and each twist
+    exponent t goes to f t.  Rows and columns come in the order of
+    theory u's context, whose dims and twist exponents must equal the
+    conjugate's, or ArithmeticError is raised."""
+    spec = params.spec
+    p2, ne = spec.p**2, data.root_order
+    ratio = u * pow(params.u, -1, spec.p) % spec.p
+    f = 1 + spec.q * ((ratio - 1) * pow(spec.q, -1, p2) % p2)
+    target, images = galois_relabel(params, f)
+    source = np.argsort(images)  # source[b]: the object that sigma_f sends to b
+    ctx = context_for(target)
+    dims = data.dims[source]
+    t_keys = f * data.t_keys[source] % ne
+    twist_exps = np.array([t.twist_exp for t in ctx.tables])
+    if not (np.array_equal(dims, ctx.dims) and np.array_equal(t_keys, twist_exps)):
+        raise ArithmeticError(
+            f"the conjugate of {data.name} by sigma_{f} does not match the dims"
+            f" and twists of u={target.u}"
+        )
+    image_ids, values = _galois_image_ids(ne, data.values, f, {})
+
+    def conjugate(keys):
+        return None if keys is None else image_ids[keys[np.ix_(source, source)]]
+
+    return TheoryData(
+        name=f"u={target.u}",
+        labels=tuple(s.label for s in ctx.simples),
+        dims=dims,
+        root_order=ne,
+        t_keys=t_keys,
+        s_keys=conjugate(data.s_keys),
+        w_keys=conjugate(data.w_keys),
         values=values,
     )
 

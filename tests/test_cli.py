@@ -215,3 +215,32 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("u", ["0", "1"])
+def test_modular_command_at_even_order(capsys, u):
+    code, out, _ = run(capsys, ["modular", "--q", "7", "--p", "2", "--n", "6", "--u", u])
+    assert code == 0
+    assert out.count("PASS") == 7
+    assert "PASS  charge conjugation is an involution fixing the unit" in out
+
+
+def test_distinguish_builds_two_theories(capsys, monkeypatch):
+    """Only u = 0 and u = 1 are walked; u = 2 is derived from u = 1."""
+    built = []
+    real = modular.w_matrix
+
+    def spy(params, mirror=False):
+        built.append(params.u)
+        return real(params, mirror)
+
+    monkeypatch.setattr(modular, "w_matrix", spy)
+    code, out, _ = run(capsys, ["distinguish", "--all", "--q", "7", "--p", "3", "--n", "2"])
+    assert code == 0 and built == [0, 1]
+    assert "(S,T,W) classes: {u=0}  {u=1}  {u=2}" in out
+
+
+def test_distinguish_at_even_order(capsys):
+    code, out, _ = run(capsys, ["distinguish", "--all", "--q", "7", "--p", "2", "--n", "6"])
+    assert code == 0
+    assert "(S,T) classes  : {u=0}  {u=1}" in out

@@ -803,3 +803,70 @@ def test_serialization(md_u, wm_u, tmp_path):
     matrix = [[md.s_entry(a, b) for b in range(3)] for a in range(3)]
     modular.write_matrix_csv(matrix, md.labels[:3], str(csv_path))
     assert len(csv_path.read_text().splitlines()) == 10
+
+
+def _built_theory(params):
+    return modular.theory_data(modular.modular_data(params), modular.w_matrix(params))
+
+
+@pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (13, 3, 3)])
+def test_galois_conjugate_equals_the_built_theory(group, theory_u):
+    """sigma_f of theory 1 equals the theory r built from its own traces,
+    value by value, for every unit r mod p: labels, dims, twists, S, W."""
+    spec = GroupSpec(*group)
+    base = CocycleParams(spec, 1)
+    flagship = group == (11, 5, 4)
+    d1 = theory_u(1, True) if flagship else _built_theory(base)
+    for r in range(1, spec.p):
+        direct = theory_u(r, True) if flagship else _built_theory(CocycleParams(spec, r))
+        conj = modular.galois_conjugate(d1, base, r)
+        assert conj.name == direct.name == f"u={r}"
+        assert conj.labels == direct.labels
+        assert np.array_equal(conj.dims, direct.dims)
+        assert np.array_equal(conj.t_keys, direct.t_keys)
+        assert np.array_equal(conj.values[conj.s_keys], direct.values[direct.s_keys])
+        assert np.array_equal(conj.values[conj.w_keys], direct.values[direct.w_keys])
+
+
+def test_galois_conjugate_keeps_s_only_data(theory_u, params_u):
+    conj = modular.galois_conjugate(theory_u(1, False), params_u(1), 3)
+    direct = theory_u(3, False)
+    assert conj.w_keys is None
+    assert np.array_equal(conj.values[conj.s_keys], direct.values[direct.s_keys])
+
+
+def test_galois_conjugate_rejects_a_wrong_label_map(theory_u, params_u, monkeypatch):
+    """Two B_k_s of one flux swapped in the label map: the dims and twist
+    guard of the target context must refuse the conjugate."""
+    real = modular.galois_relabel
+
+    def swapped(params, f):
+        target, images = real(params, f)
+        labels = context_for(params).label_index
+        a, b = labels["B_2_1"], labels["B_2_3"]
+        images = images.copy()
+        images[[a, b]] = images[[b, a]]
+        return target, images
+
+    monkeypatch.setattr(modular, "galois_relabel", swapped)
+    with pytest.raises(ArithmeticError, match="does not match the dims and twists of u=2"):
+        modular.galois_conjugate(theory_u(1, True), params_u(1), 2)
+
+
+def test_theory_data_keys_w_after_s(theory_u, md_u, wm_u):
+    """Keying W into the ids of an S-only theory gives the same ids and
+    table as keying both at once, so S may be released before W."""
+    both = theory_u(2, True)
+    late = modular.with_w(modular.theory_data(md_u(2)), wm_u(2))
+    for field in ("s_keys", "w_keys", "values"):
+        assert getattr(late, field).tobytes() == getattr(both, field).tobytes()
+
+
+@pytest.mark.parametrize("u", [0, 1])
+def test_certification_at_even_order(u):
+    """At p = 2 (a dihedral group) every object is self-dual; the report
+    asks only for an involution fixing the unit."""
+    md = modular.modular_data(CocycleParams(GroupSpec(7, 2, 6), u))
+    report = modular.modularity_report(md)
+    assert report.failures == () and report.charge_conjugation
+    assert report.self_dual_count == md.n_objects == 28
