@@ -4,9 +4,12 @@ A value is stored canonically in the power basis of Q[x]/Phi_N(x): an
 integer coefficient vector of length phi(N) over a single positive
 denominator, with content reduced.  Two values are equal iff their
 canonical vectors agree after lifting to the lcm of their orders, so
-equality (and in particular "== 0") is exactly decidable.  Floating
-point appears only in ``to_complex``, which is for display and sanity
-checks, never for decisions.
+equality (and in particular "== 0") is exactly decidable.  Every
+reduction into the power basis, of one vector or of a batch of root
+histograms, is one integer division by the sparse Phi_N in
+``reduce_counts``; no table of reduced powers is kept.  Floating point
+appears only in ``to_complex``, which is for display and sanity checks,
+never for decisions.
 """
 
 from __future__ import annotations
@@ -117,91 +120,86 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...], int]:
-    """Rows expressing x^j mod Phi_n in the power basis, j = 0..max_deg.
-
-    Returns (float64 matrix, exact rows as Python-int tuples, max row
-    magnitude).  max_deg covers both products of reduced vectors
-    (2*phi-2) and raw group-ring vectors (n-1).
-    """
-    phi = euler_phi(n)
-    max_deg = max(2 * phi - 2, n - 1, phi)
+def _division_terms(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int]:
+    """Division by Phi_n: the nonzero terms (s, c) of Phi_n below its leading
+    one, those (t, c) of Psi_n = (x^n - 1)/Phi_n with c the coefficient of
+    x^(deg Psi_n - t), and 1 + (nnz Phi_n - 1) max|Phi_n| max|Psi_n|."""
     modulus = cyclotomic_polynomial(n)
-    rows: list[list[int]] = []
-    for j in range(phi):
-        row = [0] * phi
-        row[j] = 1
-        rows.append(row)
-    for _ in range(phi, max_deg + 1):
-        prev = rows[-1]
-        row = [0] + prev[:-1]
-        lead = prev[-1]
-        if lead:
-            for i in range(phi):
-                row[i] -= lead * modulus[i]
-        rows.append(row)
-    max_abs = max((abs(c) for row in rows for c in row), default=0)
-    exact = tuple(tuple(row) for row in rows)
-    return np.array(exact, dtype=np.float64), exact, max_abs
-
-
-@lru_cache(maxsize=None)
-def _lift_table(small: int, large: int) -> tuple[tuple[int, ...], ...]:
-    """Rows expressing the order-`small` basis vectors inside the
-    order-`large` power basis (zeta_small = zeta_large^(large/small)).
-    """
-    if large % small != 0:
-        raise ValueError("can only lift to a multiple of the order")
-    step = large // small
-    rows = []
-    for i in range(euler_phi(small)):
-        vec = [0] * large
-        vec[(i * step) % large] = 1
-        rows.append(_reduce_vector(large, vec))
-    return tuple(rows)
-
-
-# Largest magnitude below which float64 integer arithmetic is exact.
-_FLOAT_EXACT = 1 << 53
+    cofactor = _poly_divide_exact([-1] + [0] * (n - 1) + [1], list(modulus))
+    phi_terms = tuple((s, c) for s, c in enumerate(modulus[:-1]) if c)
+    psi_terms = tuple((t, c) for t, c in enumerate(reversed(cofactor)) if c)
+    factor = 1 + len(phi_terms) * max(abs(c) for c in modulus) * max(abs(c) for c in cofactor)
+    return phi_terms, psi_terms, factor
 
 
 def _integer_array(values) -> np.ndarray:
     """Integer array of `values`: int64 where every entry fits, otherwise
     an object array of Python ints (never a lossy float or uint64 cast)."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuO":
-        return values
+        if values.dtype == object:
+            return values
+        if np.can_cast(values.dtype, np.int64):
+            return values.astype(np.int64, copy=False)
+        values = values.tolist()  # uint64: Python ints
     try:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
 
 
+def _fits_int64(rows: np.ndarray, factor: int) -> bool:
+    """Whether every row of the int64 array rows has L1(row) * factor < 2^63."""
+    top = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+    if top * rows.shape[1] * factor < 1 << 63:  # L1(row) <= top * width
+        return True
+    return int(np.abs(rows.astype(object)).sum(axis=1).max()) * factor < 1 << 63
+
+
+def _add_multiple(dst: np.ndarray, c: int, src: np.ndarray) -> None:
+    """dst += c * src in place, with no temporary when c = +-1."""
+    if c == 1:
+        dst += src
+    elif c == -1:
+        dst -= src
+    else:
+        dst += c * src
+
+
 def reduce_counts(n: int, counts) -> np.ndarray:
     """Canonical power-basis numerators of sum_j counts[..., j] zeta_n^j.
 
-    Maps an integer array (..., L), L at most the reduction table's length
-    (which covers L <= n), to (..., phi(n)) in one product against the
-    rows of x^j mod Phi_n.  The product runs in float64 when every row
-    has L1(row) * max|table entry| < 2^53, so every partial sum is an
-    exactly representable integer, and gives int64.  Otherwise, and for
-    values beyond int64, it runs in Python ints and gives an object array."""
-    matrix, exact, max_abs = _reduction_table(n)
+    Maps an integer array (..., L), L <= n + phi(n), to (..., phi(n)): the
+    remainder of each row on division by Phi_n.  As rev(Phi_n) rev(Psi_n)
+    = 1 - x^n for Psi_n = (x^n - 1)/Phi_n, the reversed quotient is the
+    reversed row times rev(Psi_n) truncated to L - phi(n) terms; the
+    remainder is the row minus quotient * Phi_n.  Every partial sum of
+    these sparse products is at most L1(row) * (1 + (nnz Phi_n - 1)
+    max|Phi_n| max|Psi_n|).  When that is below 2^63 for every row (checked
+    on each call) they run in int64 and give int64; otherwise, as for
+    values beyond int64, in Python ints, giving an object array."""
+    phi_terms, psi_terms, factor = _division_terms(n)
     phi = euler_phi(n)
     arr = _integer_array(counts)
     width = arr.shape[-1]
-    if width > len(exact):
-        raise ValueError(f"length {width} exceeds the order-{n} reduction table")
+    if width > n + phi:
+        raise ValueError(f"length {width} exceeds order {n} plus phi({n}) = {phi}")
     rows = arr.reshape(prod(arr.shape[:-1]), width)
-    shape = arr.shape[:-1] + (phi,)
-    if arr.dtype != object:
-        # Float sums of nonnegative terms are exact below 2^53 and, once
-        # past it, never fall back below it, so this test is rigorous.
-        l1 = np.abs(rows.astype(np.float64)).sum(axis=1)
-        if np.all(l1 < -(-_FLOAT_EXACT // max(1, max_abs))):
-            out = rows.astype(np.float64) @ matrix[:width]
-            return out.astype(np.int64).reshape(shape)
-    table = np.array(exact[:width], dtype=object).reshape(width, phi)
-    return (rows.astype(object) @ table).reshape(shape)
+    if rows.dtype != object and not _fits_int64(rows, factor):
+        rows = rows.astype(object)
+    out = np.zeros((len(rows), phi), dtype=rows.dtype)
+    out[:, : min(width, phi)] = rows[:, :phi]
+    k = width - phi  # quotient length
+    if k > 0:
+        # quot[j] = sum_t Psi[deg - t] * row[phi + j + t]: the reversed product.
+        quot = np.zeros((len(rows), k), dtype=rows.dtype)
+        for t, c in psi_terms:
+            if t >= k:
+                break
+            _add_multiple(quot[:, : k - t], c, rows[:, phi + t :])
+        for s, c in phi_terms:
+            stop = min(phi, s + k)
+            _add_multiple(out[:, s:stop], -c, quot[:, : stop - s])
+    return out.reshape(arr.shape[:-1] + (phi,))
 
 
 def _roll_rows(counts: np.ndarray, shifts) -> np.ndarray:
@@ -296,13 +294,7 @@ class CycloNumber:
         den = 1
         for f in fracs:
             den = lcm(den, f.denominator)
-        vec = [int(f * den) for f in fracs]
-        phi = euler_phi(order)
-        if len(vec) > phi:
-            vec = list(_reduce_vector(order, vec))
-        else:
-            vec = vec + [0] * (phi - len(vec))
-        return cls(order, vec, den)
+        return cls(order, _reduce_vector(order, [int(f * den) for f in fracs]), den)
 
     @classmethod
     def from_root_counts(cls, order: int, counts) -> "CycloNumber":
@@ -336,15 +328,13 @@ class CycloNumber:
         """Rewrite in Q(zeta_order); order must be a multiple of self.order."""
         if order == self.order:
             return self
-        table = _lift_table(self.order, order)
-        phi = euler_phi(order)
-        vec = [0] * phi
-        for i, c in enumerate(self.num):
-            if c:
-                row = table[i]
-                for j in range(phi):
-                    vec[j] += c * row[j]
-        return CycloNumber(order, vec, self.den)
+        if order % self.order != 0:
+            raise ValueError("can only lift to a multiple of the order")
+        # zeta_self.order^i = zeta_order^(i * step), and i * step < order.
+        step = order // self.order
+        vec = [0] * order
+        vec[: len(self.num) * step : step] = self.num
+        return CycloNumber(order, _reduce_vector(order, vec), self.den)
 
     @staticmethod
     def common_order(a: "CycloNumber", b: "CycloNumber") -> tuple["CycloNumber", "CycloNumber"]:
@@ -543,10 +533,13 @@ def root_of_unity(s: int, order: int) -> CycloNumber:
     return CycloNumber(order, _reduce_vector(order, vec))
 
 
+@lru_cache(maxsize=None)
 def reduction_bound_factor(order: int) -> int:
     """Bound transfer constant for reducing cyclic lifts: if a vector in
     Z[x]/(x^order - 1) has L1 norm at most B, every coefficient of its
     reduction modulo the order-th cyclotomic polynomial has magnitude at
-    most B times this factor."""
-    _, _, max_abs = _reduction_table(order)
-    return max(1, max_abs)
+    most B times this factor: max |coefficient of x^j mod Phi_order|, j < order."""
+    phi = euler_phi(order)
+    # x^j for phi <= j < order: the lower powers are reduced already.
+    powers = np.eye(order - phi, order, k=phi, dtype=np.int64)
+    return max(1, int(np.abs(reduce_counts(order, powers)).max(initial=0)))

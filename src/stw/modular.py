@@ -267,7 +267,6 @@ class ModularData:
     root_order: int
     s_counts: np.ndarray
     total_dim: int
-    c_mod_8: int
     _label_index: dict = field(repr=False, default_factory=dict)
     _verlinde: np.ndarray | None = field(init=False, repr=False, default=None)
     _r_table: np.ndarray | None = field(init=False, repr=False, default=None)
@@ -343,7 +342,8 @@ class ModularData:
         return self.dual[self.index_of(a)]
 
 
-# Distinct histograms reduced per `reduce_counts` call in _value_ids.
+# Distinct histograms reduced per `reduce_counts` call in _value_ids: it bounds
+# the temporaries of one call (block, quotients, remainders), 46 MB at N = 2783.
 _REDUCE_BLOCK = 1024
 
 
@@ -352,8 +352,9 @@ def _value_ids(order: int, rows, index: dict[bytes, int] | None = None):
 
     Histograms are keyed by their raw bytes first, so each distinct one
     is kept and reduced once, in a few `reduce_counts` calls for all rows
-    together (each call reads the whole reduction table, so fewer calls
-    cost less).  Each distinct value gets the next id, in order of first
+    together (each call makes one array update per nonzero coefficient of
+    Phi_N and Psi_N, whatever its number of rows, so fewer calls cost
+    less).  Each distinct value gets the next id, in order of first
     occurrence, through `index`, a dict keyed by the bytes of its
     canonical numerators (extended in place when given, so calls that
     share it share ids).  Returns the (len(rows), m) ids and the table
@@ -432,7 +433,6 @@ def modular_data(params: CocycleParams) -> ModularData:
         root_order=ctx.root_order,
         s_counts=s_counts,
         total_dim=total_dim,
-        c_mod_8=0,
     )
 
 
@@ -553,7 +553,6 @@ class ModularityReport:
     self_dual_count: int
     unit_row_is_dims: bool
     st_cubed_matches_s2: bool
-    gauss_sum_phase: int
     verlinde_integral_nonnegative: bool
     dim_homomorphism: bool
     failures: tuple[str, ...]
@@ -673,7 +672,6 @@ def modularity_report(md: ModularData) -> ModularityReport:
         self_dual_count=self_dual,
         unit_row_is_dims=unit_ok,
         st_cubed_matches_s2=st_ok,
-        gauss_sum_phase=md.c_mod_8,
         verlinde_integral_nonnegative=verlinde_ok,
         dim_homomorphism=dim_hom,
         failures=tuple(failures),
@@ -853,7 +851,7 @@ def w_identities(md: ModularData, wm: WMatrix) -> WIdentityReport:
     V_ax = V_{x, dual(a)}, and V_ax = V_{a, dual(x)}."""
     n = md.n_objects
     dual = np.array([md.dual_of(a) for a in range(n)], dtype=np.int64)
-    # One row at a time keeps the float temporaries one row large.
+    # One row at a time keeps the quotient temporaries one row large.
     v = np.stack([reduce_counts(wm.root_order, row) for row in wm.v_counts])
     v_t = v.transpose(1, 0, 2)  # v_t[a, x] is V_xa
     asymmetric = np.any(v != v_t, axis=2)
@@ -1489,7 +1487,7 @@ def modular_data_to_json(md: ModularData) -> dict:
         "labels": list(md.labels),
         "dims": [int(d) for d in md.dims],
         "total_dim": md.total_dim,
-        "c_mod_8": md.c_mod_8,
+        "c_mod_8": 0,  # the Gauss sum is +D (modular_data checks it), so c = 0
         "T": [md.twist(a).to_json() for a in range(md.n_objects)],
         "S": [
             [md.s_entry(a, b).to_json() for b in range(md.n_objects)]

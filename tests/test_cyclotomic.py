@@ -10,10 +10,11 @@ import pytest
 
 from stw.cyclotomic import (
     CycloNumber,
-    _reduction_table,
+    _division_terms,
     cyclotomic_polynomial,
     euler_phi,
     reduce_counts,
+    reduction_bound_factor,
     root_of_unity,
 )
 
@@ -198,38 +199,54 @@ def _reduce_by_division(n, counts):
 
 
 def test_reduce_counts_matches_scalar_keys():
-    # Phi_105 is the first cyclotomic polynomial with a coefficient -2.
+    # Phi_105 is the first cyclotomic polynomial with a coefficient -2;
+    # Phi_1 = x - 1 is not palindromic.
     assert -2 in cyclotomic_polynomial(105)
     rng = np.random.default_rng(4)
-    for n in (275, 171, 63, 105):
-        counts = rng.integers(-40, 40, size=(3, 7, n))
-        counts[0, 0] = 0
-        reduced = reduce_counts(n, counts)
-        assert reduced.shape == (3, 7, euler_phi(n))
-        assert reduced.dtype == np.int64
-        rows = reduced.reshape(-1, euler_phi(n)).tolist()
-        for row, out in zip(counts.reshape(-1, n), rows):
-            assert tuple(out) == _reduce_by_division(n, row)
-            key = CycloNumber.from_root_counts(n, row).canonical_key()
-            assert key == (n, tuple(out), 1)
+    for n in (1, 2, 12, 275, 171, 63, 105):
+        phi = euler_phi(n)
+        # A histogram, a length below phi, the length of a product and the
+        # longest length taken (the only one past phi at order 1).
+        for width in (n, phi // 2, 2 * phi - 1, n + phi):
+            counts = rng.integers(-40, 40, size=(3, 7, width))
+            counts[0, 0] = 0
+            reduced = reduce_counts(n, counts)
+            assert reduced.shape == (3, 7, phi)
+            assert reduced.dtype == np.int64
+            value = CycloNumber.from_root_counts if width <= n else CycloNumber.from_coeffs
+            for row, out in zip(counts.reshape(21, width), reduced.reshape(21, phi).tolist()):
+                assert tuple(out) == _reduce_by_division(n, row)
+                assert value(n, row).canonical_key() == (n, tuple(out), 1)
 
 
-def test_reduce_counts_takes_exact_path_beyond_float_bound():
+def test_reduce_counts_takes_exact_path_beyond_int64_guard():
     n = 105
-    max_abs = _reduction_table(n)[2]
+    factor = _division_terms(n)[2]
+    limit = ((1 << 63) - 1) // factor  # the largest L1 norm reduced in int64
     rng = np.random.default_rng(5)
     small = rng.integers(-9, 9, size=(2, n))
-    big = np.zeros((1, n), dtype=np.int64)
-    big[0, [3, 50, 104]] = [1 << 52, -(1 << 52) + 7, (1 << 52) - 3]
-    assert int(np.abs(big).sum()) * max_abs >= 1 << 53
-    counts = np.concatenate([small, big])
-    reduced = reduce_counts(n, counts)
-    assert reduced.dtype == object
-    for row, out in zip(counts, reduced.tolist()):
-        assert tuple(out) == _reduce_by_division(n, row)
-        assert CycloNumber.from_root_counts(n, row).canonical_key() == (n, tuple(out), 1)
+    under = np.zeros((1, n), dtype=np.int64)
+    under[0, [3, 50, 104]] = [limit // 3, -(limit // 3), limit - 2 * (limit // 3)]
+    over = under.copy()
+    over[0, 104] += 1
+    for big, dtype in ((under, np.int64), (over, object)):
+        counts = np.concatenate([small, big])
+        reduced = reduce_counts(n, counts)
+        assert reduced.dtype == dtype
+        for row, out in zip(counts, reduced.tolist()):
+            assert tuple(out) == _reduce_by_division(n, row)
+            assert CycloNumber.from_root_counts(n, row).canonical_key() == (n, tuple(out), 1)
     huge = [0] * n
     huge[7], huge[100] = 3**50, -(2**70)
     assert reduce_counts(n, huge).tolist() == list(_reduce_by_division(n, huge))
     with pytest.raises(ValueError):
         CycloNumber.from_root_counts(n, [0] * (n + 1))
+    with pytest.raises(ValueError):
+        reduce_counts(n, [0] * (n + euler_phi(n) + 1))
+
+
+def test_reduction_bound_factor_is_the_largest_reduced_power():
+    for n in (12, 63, 105, 171, 275):
+        powers = ([0] * j + [1] for j in range(n))
+        expected = max(abs(c) for x_j in powers for c in _reduce_by_division(n, x_j))
+        assert reduction_bound_factor(n) == expected
