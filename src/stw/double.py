@@ -196,13 +196,18 @@ class DoubleContext:
         g_inv = gd.inv_table
         bpart = np.repeat([t.class_bpart for t in self.tables], self.dims)
         norm = self.theta_ne_tab[bpart[None, :], gd.b_part[:, None], gd.b_part[g_inv][:, None]]
-        # Vectors stay intp, the index type of a gather; phases are below N.
+        # Vectors and phases (below size and N) are stored in the narrowest
+        # int that holds them, which halves or quarters the bytes a walk
+        # moves.  Gathers index the raveled tables by flux_row[v] + w, with
+        # flux_row = flux * size kept intp, the index type of a gather.
         self.size = len(flux)
+        vector, phase = _narrow_dtype(self.size), _narrow_dtype(self.root_order)
         self.flux = flux
-        self.action_state = state
-        self.action_exp = exp.astype(np.int32)
-        self.inverse_state = state[g_inv]
-        self.inverse_exp = ((exp[g_inv] - norm) % self.root_order).astype(np.int32)
+        self.flux_row = flux * self.size
+        self.action_state = state.astype(vector)
+        self.action_exp = exp.astype(phase)
+        self.inverse_state = self.action_state[g_inv]
+        self.inverse_exp = ((exp[g_inv] - norm) % self.root_order).astype(phase)
 
     def _add(self, label, ci, s, coset_action, *, pi_perm, pi_exp, twist_exp):
         """Append one simple object and return the flux, new global vector
@@ -248,6 +253,12 @@ class DoubleContext:
 
     def root(self, exponent: int) -> CycloNumber:
         return root_of_unity(exponent % self.root_order, self.root_order)
+
+
+def _narrow_dtype(bound: int):
+    """The narrowest int dtype that holds 0..bound-1: int16 up to 2^15,
+    else int32."""
+    return np.int16 if bound <= 2**15 else np.int32
 
 
 @lru_cache(maxsize=None)

@@ -793,12 +793,6 @@ class WMatrix:
         tb = int(self.twist_exps[self.index_of(b)])
         return self._counts(a, b, -ta - tb)
 
-    def w_counts(self) -> np.ndarray:
-        """Histogram array of W (exact: W is a root multiple of V):
-        entry j of W_ab is entry j + t_a + t_b of V_ab."""
-        t = self.twist_exps
-        return _roll_rows(self.v_counts, -(t[:, None] + t[None, :]))
-
 
 def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
     """Compute the W-matrix by running the clasp braid on every ordered
@@ -851,12 +845,12 @@ def w_identities(md: ModularData, wm: WMatrix) -> WIdentityReport:
     V_ax = V_{x, dual(a)}, and V_ax = V_{a, dual(x)}."""
     n = md.n_objects
     dual = np.array([md.dual_of(a) for a in range(n)], dtype=np.int64)
-    # One row at a time keeps the quotient temporaries one row large.
-    v = np.stack([reduce_counts(wm.root_order, row) for row in wm.v_counts])
-    v_t = v.transpose(1, 0, 2)  # v_t[a, x] is V_xa
-    asymmetric = np.any(v != v_t, axis=2)
-    twist_bad = np.any(v != v_t[dual], axis=2)  # against V_{x, dual(a)}
-    dual_bad = np.any(v != v[:, dual], axis=2)  # against V_{a, dual(x)}
+    # Equal exact values have equal ids, so (n, n) ids stand in for V.
+    v, _ = _value_ids(wm.root_order, wm.v_counts)
+    v_t = v.T  # v_t[a, x] is V_xa
+    asymmetric = v != v_t
+    twist_bad = v != v_t[dual]  # against V_{x, dual(a)}
+    dual_bad = v != v[:, dual]  # against V_{a, dual(x)}
     failures = []
     for a, x in zip(*np.nonzero(asymmetric | twist_bad | dual_bad)):
         pair = f"({md.labels[a]}, {md.labels[x]})"
@@ -922,7 +916,7 @@ def ba_block_formula_report(wm: WMatrix) -> tuple[bool, list[str]]:
     q, p = spec.q, spec.p
     failures = []
     ne = wm.root_order
-    w_counts = wm.w_counts()
+    t = wm.twist_exps
     cols = np.array(
         [b for b, lb in enumerate(wm.labels) if lb.startswith("A_")], dtype=np.int64
     )
@@ -937,9 +931,10 @@ def ba_block_formula_report(wm: WMatrix) -> tuple[bool, list[str]]:
         v = (1 - x) * (1 - pow(x, -1, q))  # the theta_A exponent of V
         c = ((-v if wm.mirror else v) - 1) % q
         # W = q*p * zeta_N^e with zeta_q = zeta_N^(N/q) and theta_B = zeta_N^t_B.
-        e = (c * lms * (ne // q) - int(wm.twist_exps[a])) % ne
+        e = (c * lms * (ne // q) - int(t[a])) % ne
         # W - q*p*zeta_N^e as one histogram per A column; it must reduce to 0.
-        diff = w_counts[a, cols]
+        # Entry j of W_ab is entry j + t_a + t_b of V_ab, rolled for row a only.
+        diff = _roll_rows(wm.v_counts[a, cols], -(t[a] + t[cols]))
         diff[np.arange(len(cols)), e] -= q * p
         wrong = np.any(reduce_counts(ne, diff) != 0, axis=1)
         failures += [f"BA formula fails at ({la}, {wm.labels[b]})" for b in cols[wrong]]

@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from stw import braid
+from stw import braid, double
 from stw.braid import (
     BraidWord,
     InconsistentColoringError,
@@ -23,6 +23,7 @@ from stw.braid import (
 from stw.cocycle import CocycleParams
 from stw.cyclotomic import CycloNumber, root_of_unity
 from stw.double import (
+    DoubleContext,
     associator_scalar,
     context_for,
     enumerate_simples,
@@ -365,14 +366,15 @@ def _scalar_trace(params: CocycleParams, word: BraidWord, labels) -> np.ndarray:
     return counts
 
 
-@pytest.mark.parametrize(
-    "strands, letters", [(3, (2, -1, 2, 2, -1)), (4, (3, -2, 1, 3, -2, -3))]
-)
-def test_batched_trace_matches_single_colorings_and_scalar_walk(strands, letters):
-    """One batch of B colorings whose crossings carry nonzero associator
-    phases: every row of the batched histograms equals that coloring
-    traced alone and the scalar walk over its basis tuples, which applies
-    the associator crossing by crossing."""
+# Words whose crossings carry nonzero associator phases under the
+# colorings of `_associator_batch`.
+ASSOCIATOR_WORDS = [(3, (2, -1, 2, 2, -1)), (4, (3, -2, 1, 3, -2, -3))]
+
+
+def _associator_batch(strands, letters):
+    """One batch of closed colorings of the word at (7,3,2), u = 1, drawn
+    from B objects so that its crossings carry associator phases: returns
+    the params, the word, the colorings as labels and as indices."""
     params = CocycleParams(GroupSpec(7, 3, 2), 1)
     ctx = context_for(params)
     word = BraidWord(strands, letters)
@@ -386,13 +388,118 @@ def test_batched_trace_matches_single_colorings_and_scalar_walk(strands, letters
                 labels[strand - 1] = pool[(shift + j) % len(pool)]
         colorings.append(labels)
     idx = np.array([[ctx.index_of(lab) for lab in labels] for labels in colorings])
+    return params, word, colorings, idx
+
+
+@lru_cache(maxsize=None)
+def _scalar_batch(strands, letters) -> np.ndarray:
+    """The scalar walk's histograms of each coloring of `_associator_batch`."""
+    params, word, colorings, _ = _associator_batch(strands, letters)
+    return np.stack([_scalar_trace(params, word, labels) for labels in colorings])
+
+
+@pytest.mark.parametrize("strands, letters", ASSOCIATOR_WORDS)
+def test_batched_trace_matches_single_colorings_and_scalar_walk(strands, letters):
+    """One batch of B colorings whose crossings carry nonzero associator
+    phases: every row of the batched histograms equals that coloring
+    traced alone and the scalar walk over its basis tuples, which applies
+    the associator crossing by crossing."""
+    params, word, colorings, idx = _associator_batch(strands, letters)
+    ctx = context_for(params)
     prefixes = [BraidWord(strands, letters[:t]) for t in range(len(letters))]
     assert any(braid._associator(ctx, w, row) % ctx.root_order for w in prefixes for row in idx)
     batched = trace_counts(ctx, word, idx)
     assert batched.shape == (len(colorings), ctx.root_order)
+    assert np.array_equal(batched, _scalar_batch(strands, letters))
     for row, labels in zip(batched, colorings):
         assert np.array_equal(row, framed_trace_counts(params, word, labels)), labels
-        assert np.array_equal(row, _scalar_trace(params, word, labels)), labels
+
+
+def test_batched_trace_over_runs_of_mixed_dimensions():
+    """Start vectors are built per run of consecutive colorings with equal
+    dimensions: the clasp word over every pair (a, b), in object order
+    (a few long runs) and shuffled (runs of one), row by row equals each
+    coloring traced alone."""
+    params = CocycleParams(GroupSpec(7, 3, 2), 1)
+    ctx = context_for(params)
+    n = len(ctx.simples)
+    pairs = np.array(list(itertools.product(range(n), repeat=2)))
+    shuffled = pairs[np.random.default_rng(11).permutation(len(pairs))]
+    word = parse_braid(CLASP, 3)
+    singles = {}
+    for batch in (pairs, shuffled):
+        idx = batch[:, [0, 1, 0]]
+        assert len(set(map(tuple, ctx.dims[idx].tolist()))) > 2
+        for row, colors in zip(trace_counts(ctx, word, idx), idx.tolist()):
+            if tuple(colors) not in singles:
+                singles[tuple(colors)] = trace_counts(ctx, word, [colors])[0]
+            assert np.array_equal(row, singles[tuple(colors)]), colors
+
+
+@pytest.mark.parametrize("strands, letters", ASSOCIATOR_WORDS)
+@pytest.mark.parametrize("block", [1, 5, "all"])
+def test_trace_does_not_depend_on_the_walk_block(monkeypatch, strands, letters, block):
+    """The permutation pass walks `_WALK_BLOCK` tuples at a time: blocks of
+    one tuple, blocks that straddle colorings (5 divides no coloring's 7^k
+    tuples) and one block of exactly all tuples give the scalar walk."""
+    params, word, _, idx = _associator_batch(strands, letters)
+    ctx = context_for(params)
+    total = int(np.prod(ctx.dims[idx], axis=1).sum())
+    monkeypatch.setattr(braid, "_WALK_BLOCK", total if block == "all" else block)
+    assert np.array_equal(trace_counts(ctx, word, idx), _scalar_batch(strands, letters))
+
+
+def test_wide_vector_dtype_gives_the_same_histograms(monkeypatch):
+    """Past 2^15 global vectors the tables and the walk use int32; no such
+    context is small enough for the tests (the flagship has 345 vectors),
+    so a fresh context is built with the int32 dtype forced."""
+    params = CocycleParams(GroupSpec(7, 3, 2), 1)
+    narrow = context_for(params)
+    monkeypatch.setattr(double, "_narrow_dtype", lambda bound: np.int32)
+    wide = DoubleContext(params)
+    assert narrow.action_state.dtype == narrow.inverse_state.dtype == np.int16
+    assert wide.action_state.dtype == wide.inverse_state.dtype == np.int32
+    n = len(narrow.simples)
+    pairs = np.array(list(itertools.product(range(n), repeat=2)))
+    batches = [
+        (BraidWord(2, (-1, -1)), pairs),  # the S walk
+        (parse_braid(CLASP, 3), pairs[:, [0, 1, 0]]),  # the W walk
+    ]
+    for strands, letters in ASSOCIATOR_WORDS:
+        _, word, _, idx = _associator_batch(strands, letters)
+        batches.append((word, idx))
+    for word, idx in batches:
+        assert braid._start(wide, idx)[0].dtype == np.int32
+        assert np.array_equal(trace_counts(wide, word, idx), trace_counts(narrow, word, idx))
+
+
+@pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4)])
+def test_operator_fixed_points_reproduce_the_trace(group):
+    """`representation_operator` walks with phases in one pass and
+    `trace_counts` in two.  On a closed coloring the associator cancels,
+    so the operator's fixed points binned by exponent are the trace."""
+    params = CocycleParams(GroupSpec(*group), 1)
+    ctx = context_for(params)
+    n = len(ctx.simples)
+    rng = np.random.default_rng(5)
+    traced = 0
+    for word in [parse_braid(CLASP, 3)] + [BraidWord(*w) for w in ASSOCIATOR_WORDS]:
+        comps = closure_structure(word).components
+        for _ in range(4):
+            colors = [0] * word.strands
+            for comp in comps:
+                color = int(rng.integers(n))
+                for strand in comp:
+                    colors[strand - 1] = color
+            labels = [ctx.simples[c].label for c in colors]
+            op = representation_operator(params, word, labels)
+            assert op.source_dims == op.target_dims
+            fixed = op.perm == np.arange(len(op.perm))
+            expected = np.bincount(op.exponents[fixed], minlength=ctx.root_order)
+            counts = trace_counts(ctx, word, [colors])[0]
+            assert np.array_equal(counts, expected), labels
+            traced += counts.sum()
+    assert traced > 0
 
 
 def test_operator_matches_scalar_walk_on_an_open_coloring():
