@@ -11,8 +11,8 @@ A trace follows the permutation part first and adds phases only on the
 tuples that it fixes (`trace_counts`).
 
 `trace_counts` gives the trace histograms of one word under many
-colorings, `framed_trace_counts` its one-coloring case, and
-`zero_framing` shifts each histogram to the zero framing.
+colorings (each optionally shifted, as by `zero_framing_shifts`), and
+`framed_trace_counts` its one-coloring case.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import prod
 import numpy as np
 
 from stw.cocycle import CocycleParams
-from stw.cyclotomic import CycloNumber, _roll_rows
+from stw.cyclotomic import CycloNumber
 from stw.double import DoubleContext, context_for
 
 
@@ -39,7 +39,7 @@ __all__ = [
     "framed_trace_counts",
     "framed_invariant",
     "zero_framed_invariant",
-    "zero_framing",
+    "zero_framing_shifts",
 ]
 
 
@@ -243,11 +243,12 @@ def _associator(ctx: DoubleContext, word: BraidWord, colors) -> int:
     return total
 
 
-def trace_counts(ctx: DoubleContext, word: BraidWord, colorings) -> np.ndarray:
+def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) -> np.ndarray:
     """Root-of-unity histograms (C, N) of the colored traces of one word
     under C colorings (rows of object indices, one per strand): entry j
     of row c counts the basis tuples of coloring c that the word's
-    permutation part fixes with accumulated phase zeta^j.
+    permutation part fixes with accumulated phase zeta^j; with shifts (one
+    integer per coloring), the phase zeta^(j + shifts[c]).
 
     The walk takes two passes over one set of start vectors.  Pass 1
     follows the permutation part alone, `_WALK_BLOCK` tuples at a time,
@@ -279,7 +280,10 @@ def trace_counts(ctx: DoubleContext, word: BraidWord, colorings) -> np.ndarray:
     _, expo = _walk(ctx, word, [strand[sel] for strand in start], True)
     ne = ctx.root_order
     ends = np.cumsum(np.prod(ctx.dims[colorings], axis=1))
-    bins = np.searchsorted(ends, sel, side="right") * ne + expo % ne
+    which = np.searchsorted(ends, sel, side="right")
+    if shifts is not None:
+        expo = expo + np.asarray(shifts, dtype=np.int64)[which]
+    bins = which * ne + expo % ne
     return np.bincount(bins, minlength=len(colorings) * ne).reshape(-1, ne)
 
 
@@ -321,22 +325,21 @@ def representation_operator(params: CocycleParams, word: BraidWord, colors) -> M
     )
 
 
-def framed_trace_counts(params: CocycleParams, word: BraidWord, colors) -> np.ndarray:
-    """Root-of-unity histogram of the colored trace: entry j counts the
-    basis vectors fixed by the word's permutation part with accumulated
-    phase zeta^j.  The framed invariant is the histogram's root sum."""
+def framed_trace_counts(params: CocycleParams, word: BraidWord, colors, shift=0) -> np.ndarray:
+    """Histogram of the colored trace times zeta^shift: entry j counts the
+    basis vectors that the word's permutation part fixes with accumulated
+    phase zeta^(j - shift).  At shift 0 its root sum is the framed invariant."""
     ctx = context_for(params)
-    return trace_counts(ctx, word, [_resolve_colors(ctx, word, colors)])[0]
+    return trace_counts(ctx, word, [_resolve_colors(ctx, word, colors)], [shift])[0]
 
 
-def zero_framing(ctx: DoubleContext, info: ClosureInfo, colorings, counts) -> np.ndarray:
-    """The trace histograms (C, N) of C colorings (rows of labels or indices)
-    with every component's blackboard self-framing cancelled: multiplying
-    by theta_color^(-self_writhe) per closure component shifts each
-    histogram by -sum self_writhe * t_color."""
-    twists = np.array([[ctx.tables[ctx.index_of(c)].twist_exp for c in row] for row in colorings])
+def zero_framing_shifts(ctx: DoubleContext, info: ClosureInfo, colorings) -> np.ndarray:
+    """The `trace_counts` shifts that cancel every component's blackboard
+    self-framing under C colorings (rows of object indices): theta^-writhe
+    per closure component is the shift -sum self_writhe * t_color."""
+    twists = np.array([t.twist_exp for t in ctx.tables])[np.asarray(colorings)]
     firsts = [comp[0] - 1 for comp in info.components]
-    return _roll_rows(counts, -twists[:, firsts] @ np.array(info.self_writhes))
+    return -twists[:, firsts] @ np.array(info.self_writhes)
 
 
 def framed_invariant(params: CocycleParams, word: BraidWord, colors) -> CycloNumber:
@@ -348,8 +351,9 @@ def framed_invariant(params: CocycleParams, word: BraidWord, colors) -> CycloNum
 
 def zero_framed_invariant(params: CocycleParams, word: BraidWord, colors) -> CycloNumber:
     """The framed invariant with every component's blackboard self-framing
-    cancelled by twist factors (see `zero_framing`)."""
+    cancelled by twist factors (see `zero_framing_shifts`)."""
     ctx = context_for(params)
-    counts = framed_trace_counts(params, word, colors)[None]
-    counts = zero_framing(ctx, closure_structure(word), [colors], counts)
-    return CycloNumber.from_root_counts(ctx.root_order, counts[0])
+    coloring = [_resolve_colors(ctx, word, colors)]
+    shift = zero_framing_shifts(ctx, closure_structure(word), coloring)[0]
+    counts = framed_trace_counts(params, word, colors, shift)
+    return CycloNumber.from_root_counts(ctx.root_order, counts)

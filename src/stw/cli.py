@@ -206,12 +206,10 @@ def cmd_quandle(args) -> int:
 
 
 def _theory(params: CocycleParams, with_w: bool) -> modular.TheoryData:
-    """One theory from its traces.  S is keyed into ids and its histograms
-    released before the W walk, so their memory peaks do not add."""
+    """One theory from its traces: S and W as (n, n) ids into one table of
+    exact values, keyed row by row as walked, with no (n, n, N) array."""
     md = modular.modular_data(params)
-    data = modular.theory_data(md)
-    del md
-    return modular.with_w(data, modular.w_matrix(params)) if with_w else data
+    return modular.theory_data(md, modular.w_matrix(params) if with_w else None)
 
 
 def _theories(args, us, with_w: bool) -> list[modular.TheoryData]:

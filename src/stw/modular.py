@@ -2,17 +2,21 @@
 and 3-manifold invariants, and the permutation-equivalence search that
 separates the five twisted-double theories of one group by (S, T, W).
 
-Everything here is exact.  Matrix entries live in Z[zeta_N] (N = p^2*q)
-and are carried as integer histograms over the N-th roots of unity, the
-shape the braid engine produces.  Bulk identities are certified by a
-rigorous modular-evaluation scheme: a histogram vector is mapped into
-F_P (for several primes P = 1 mod N) by evaluating at gamma^f with
-gamma of multiplicative order N.  Because P = 1 (mod N) splits
-completely in Z[zeta_N], E in Z[zeta_N] lies in P Z[zeta_N] iff its
-evaluations vanish at every frequency f coprime to N; E = 0 then
-follows once the product of the primes exceeds twice an explicit
-coefficient bound for E reduced modulo the N-th cyclotomic polynomial.
-No floating point enters any decision.
+Everything here is exact.  Matrix entries live in Z[zeta_N] (N = p^2*q).
+S-tilde and the clasp matrix V are stored as (n, n) int32 ids into a
+table of their distinct values, phi(N) canonical numerators per id
+(`_value_ids`), keyed row by row as the braid engine's walk produces
+each row of root-of-unity histograms: no (n, n, N) array is built, and
+`s_counts` and `v_counts` give dense lifts only on demand.  Bulk
+identities are certified by a rigorous modular-evaluation scheme: the
+distinct values, lifted to histograms by padding to N (`_lift`), are
+mapped into F_P (for several primes P = 1 mod N) by evaluating at
+gamma^f with gamma of multiplicative order N, and gathered by id.
+Because P = 1 (mod N) splits completely in Z[zeta_N], E in Z[zeta_N]
+lies in P Z[zeta_N] iff its evaluations vanish at every frequency f
+coprime to N; E = 0 then follows once the product of the primes
+exceeds twice a bound, from the L1 norms of the same lifts, on the
+coefficients of E modulo Phi_N.  No floating point enters any decision.
 
 The S identities need far fewer frequencies than phi(N).  In a modular
 category each Galois automorphism sigma_f (zeta -> zeta^f) acts on S as
@@ -36,19 +40,15 @@ lies in Q(zeta_N), with no eighth root of unity.
 
 Where each S identity is certified: `modular_data` runs the S traces and
 the Gauss check and uses no prime.  The charge conjugation
-`ModularData.dual` is read off S exactly as the f = -1 case of the same
-row match the Galois check uses: each distinct value of S gets an
-integer id, only those values are mapped by sigma_f, and each row of ids
-is matched with the image of another.  `modularity_report` runs the
-Galois check and, in one loop over the primes, certifies unitarity,
-S^2 = D^2 times the dual permutation and (ST)^3 = D * S^2.
+`ModularData.dual` is read off S exactly, as the f = -1 case of the row
+match of the Galois check.  `modularity_report` runs the Galois check
+and, in one loop over the primes, certifies unitarity, S^2 = D^2 times
+the dual permutation and (ST)^3 = D * S^2.
 
 The equivalence search reads S, T and W only, never a certificate.
-`theory_data` gives each distinct exact value of S and W an int32 id
-into one table of canonical numerators; the search maps the second
+`theory_data` keys W into the table of S; the search maps the second
 theory's table into the first's and then compares ids only.
-`modular_data` and `w_matrix` keep no cache: a caller that keeps only
-each theory's `TheoryData` holds one theory's histograms at a time.
+`modular_data` and `w_matrix` keep no cache.
 """
 
 from __future__ import annotations
@@ -56,12 +56,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .braid import BraidWord, closure_structure, parse_braid, trace_counts, zero_framing
+from .braid import BraidWord, closure_structure, parse_braid, trace_counts, zero_framing_shifts
 from .cocycle import CocycleParams
 from .cyclotomic import (
     CycloNumber,
@@ -253,9 +253,10 @@ def _checker(order: int, l1_bound: int) -> _ExactChecker:
 class ModularData:
     """Exact modular data of one twisted-double theory.
 
-    s_counts[a, b] is the histogram of the two-strand trace whose root
-    sum is the unnormalized S-matrix entry; the normalized S divides by
-    the total dimension D.  The twist exponents give T = diag(zeta^t).
+    The unnormalized S-matrix entry S-tilde_ab, the two-strand trace, is
+    the value with id s_ids[a, b] in s_values, whose row i holds the
+    canonical numerators of id i (`_value_ids`); the normalized S divides
+    by the total dimension D.  The twist exponents give T = diag(zeta^t).
     Only the Gauss sum is checked on construction; `modularity_report`
     certifies the S identities, S^2 = D^2 times the `dual` permutation too.
     """
@@ -265,7 +266,8 @@ class ModularData:
     dims: np.ndarray
     twist_exps: np.ndarray
     root_order: int
-    s_counts: np.ndarray
+    s_ids: np.ndarray
+    s_values: np.ndarray
     total_dim: int
     _label_index: dict = field(repr=False, default_factory=dict)
     _verlinde: np.ndarray | None = field(init=False, repr=False, default=None)
@@ -289,10 +291,15 @@ class ModularData:
     def twists(self) -> list[CycloNumber]:
         return [self.twist(a) for a in range(self.n_objects)]
 
+    @property
+    def s_counts(self) -> np.ndarray:
+        """S-tilde as (n, n, N) histograms, its values lifted on each call."""
+        return _lift(self.s_values, self.root_order)[self.s_ids]
+
     def s_tilde(self, a, b) -> CycloNumber:
         """Unnormalized S entry (the bare two-strand trace)."""
         a, b = self.index_of(a), self.index_of(b)
-        return CycloNumber.from_root_counts(self.root_order, self.s_counts[a, b])
+        return CycloNumber(self.root_order, self.s_values[self.s_ids[a, b]])
 
     def s_entry(self, a, b) -> CycloNumber:
         """Normalized S entry: the trace divided by D."""
@@ -304,23 +311,16 @@ class ModularData:
         neg = (-np.arange(self.root_order)) % self.root_order
         return self.s_counts[:, :, neg]
 
-    @cached_property
-    def s_value_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """S-tilde as (n, n) int32 value ids and the table of their exact
-        values (`_value_ids`): the shape every exact S check reads."""
-        return _value_ids(self.root_order, self.s_counts)
-
     def galois_permutation(self, f: int) -> tuple[int, ...] | None:
         """The permutation pi_f with sigma_f(S~_ab) = S~_{pi_f(a) b}, where
         sigma_f maps zeta_N to zeta_N^f (f a unit mod N), matched exactly
         on value ids: only the distinct values of S are mapped and reduced,
         and each mapped row of ids is looked up among the rows of S-tilde.
         None unless the matches form a permutation."""
-        ids, values = self.s_value_ids
-        index = {v.tobytes(): i for i, v in enumerate(values)}
-        image_ids, _ = _galois_image_ids(self.root_order, values, f, index)
-        rows = {row.tobytes(): b for b, row in enumerate(ids)}
-        perm = tuple(rows.get(image_ids[row].tobytes(), -1) for row in ids)
+        index = {v.tobytes(): i for i, v in enumerate(self.s_values)}
+        image_ids, _ = _galois_image_ids(self.root_order, self.s_values, f, index)
+        rows = {row.tobytes(): b for b, row in enumerate(self.s_ids)}
+        perm = tuple(rows.get(image_ids[row].tobytes(), -1) for row in self.s_ids)
         if len(rows) != self.n_objects or sorted(perm) != list(range(self.n_objects)):
             return None
         return perm
@@ -342,38 +342,48 @@ class ModularData:
         return self.dual[self.index_of(a)]
 
 
-# Distinct histograms reduced per `reduce_counts` call in _value_ids: it bounds
-# the temporaries of one call (block, quotients, remainders), 46 MB at N = 2783.
-_REDUCE_BLOCK = 1024
+# Histograms reduced per `reduce_counts` call in _value_ids: a few rows at once
+# save the fixed cost of a call, and the block bounds its temporaries.
+_REDUCE_BLOCK = 256
 
 
 def _value_ids(order: int, rows, index: dict[bytes, int] | None = None):
-    """Int32 ids of the exact values of histogram rows, each (m, order).
-
-    Histograms are keyed by their raw bytes first, so each distinct one
-    is kept and reduced once, in a few `reduce_counts` calls for all rows
-    together (each call makes one array update per nonzero coefficient of
-    Phi_N and Psi_N, whatever its number of rows, so fewer calls cost
-    less).  Each distinct value gets the next id, in order of first
-    occurrence, through `index`, a dict keyed by the bytes of its
-    canonical numerators (extended in place when given, so calls that
-    share it share ids).  Returns the (len(rows), m) ids and the table
-    `values`, whose row i holds the canonical numerators of id i."""
+    """Int32 ids of the exact values of histogram rows, each (m, L) with
+    L <= order, from any iterable (a generator is keyed as it goes), in
+    blocks of `_REDUCE_BLOCK` histograms whose distinct ones are reduced
+    once.  Each new value gets the next id through `index`, a dict keyed by
+    its canonical numerators' bytes (extended in place when given).  Returns
+    the (len(rows), m) ids and the table `values`, row i for id i."""
     index = {} if index is None else index
-    raw: dict[bytes, int] = {}  # histogram bytes -> position among the distinct ones
-    positions = []
-    for row in rows:
+    ids, pending, count = [], [], 0
+
+    def flush():
+        raw: dict[bytes, int] = {}  # histogram bytes -> position among the distinct ones
+        where = [raw.setdefault(h.tobytes(), len(raw)) for h in np.concatenate(pending)]
+        distinct = np.frombuffer(b"".join(raw), dtype=np.int64).reshape(len(raw), -1)
+        reduced = np.ascontiguousarray(reduce_counts(order, distinct), dtype=np.int64)
+        value_of = [index.setdefault(v.tobytes(), len(index)) for v in reduced]
+        ids.extend(value_of[w] for w in where)
+        pending.clear()
+
+    for count, row in enumerate(rows, 1):
         row = np.ascontiguousarray(row, dtype=np.int64)
-        positions.append([raw.setdefault(h.tobytes(), len(raw)) for h in row])
-    distinct = list(raw)
-    value_of = []
-    for start in range(0, len(distinct), _REDUCE_BLOCK):
-        block = b"".join(distinct[start : start + _REDUCE_BLOCK])
-        reduced = reduce_counts(order, np.frombuffer(block, dtype=np.int64).reshape(-1, order))
-        reduced = np.ascontiguousarray(reduced, dtype=np.int64)
-        value_of += [index.setdefault(v.tobytes(), len(index)) for v in reduced]
+        for start in range(0, len(row), _REDUCE_BLOCK):
+            pending.append(row[start : start + _REDUCE_BLOCK])
+            if sum(map(len, pending)) >= _REDUCE_BLOCK:
+                flush()
+    if pending:
+        flush()
     values = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), -1)
-    return np.array(value_of, dtype=np.int32)[np.array(positions)], values
+    return np.array(ids, dtype=np.int32).reshape(count, -1), values
+
+
+def _lift(values: np.ndarray, order: int) -> np.ndarray:
+    """Histograms (..., order) whose root sums are the values with canonical
+    numerators values (..., phi(order)): the numerators padded with zeros."""
+    out = np.zeros(values.shape[:-1] + (order,), dtype=values.dtype)
+    out[..., : values.shape[-1]] = values
+    return out
 
 
 def _galois_image_ids(order: int, values: np.ndarray, f: int, index: dict[bytes, int]):
@@ -416,14 +426,14 @@ def modular_data(params: CocycleParams) -> ModularData:
         raise ArithmeticError("sum of squared dimensions is not a perfect square")
     gauss = np.zeros(ctx.root_order, dtype=np.int64)
     np.add.at(gauss, twist_exps, dims * dims)
-    if not _root_sums_equal(ctx.root_order, gauss, total_dim):
+    gauss = reduce_counts(ctx.root_order, gauss)
+    if gauss[0] != total_dim or gauss[1:].any():
         raise ArithmeticError("Gauss sum is not the total dimension D")
 
-    # One batched trace per row a, over the colorings (a, b).
+    # One batched trace per row a, over the colorings (a, b), keyed as walked.
     word = BraidWord(2, (-1, -1))
-    s_counts = np.zeros((n, n, ctx.root_order), dtype=np.int64)
-    for a in range(n):
-        s_counts[a] = trace_counts(ctx, word, np.stack([np.full(n, a), np.arange(n)], axis=1))
+    rows = (trace_counts(ctx, word, np.stack([np.full(n, a), np.arange(n)], 1)) for a in range(n))
+    s_ids, s_values = _value_ids(ctx.root_order, rows)
 
     return ModularData(
         params=params,
@@ -431,18 +441,10 @@ def modular_data(params: CocycleParams) -> ModularData:
         dims=dims,
         twist_exps=twist_exps,
         root_order=ctx.root_order,
-        s_counts=s_counts,
+        s_ids=s_ids,
+        s_values=s_values,
         total_dim=total_dim,
     )
-
-
-def _root_sums_equal(order: int, counts: np.ndarray, values) -> bool:
-    """Whether the root sums of the histograms counts (..., order) equal
-    the integers values (...), exactly."""
-    reduced = reduce_counts(order, counts)
-    expected = np.zeros_like(reduced)
-    expected[..., 0] = values
-    return np.array_equal(reduced, expected)
 
 
 # ----- Galois certificate ------------------------------------------------------
@@ -502,11 +504,11 @@ def _galois_check(md: ModularData) -> tuple[int, ...]:
     the conjugation G_{-1}.  Raises ArithmeticError naming the first
     failed condition: then S-tilde is not the S-matrix of any modular
     category."""
-    ids, _ = md.s_value_ids
+    ids = md.s_ids
     ne = md.root_order
     if not np.array_equal(ids, ids.T):
         raise ArithmeticError("Galois check fails: S-tilde is not symmetric")
-    if not _root_sums_equal(ne, md.s_counts[0], md.dims):
+    if not _unit_row_is_dims(md):
         raise ArithmeticError(
             "Galois check fails: the unit row of S-tilde is not the dimension vector"
         )
@@ -530,14 +532,17 @@ def _galois_check(md: ModularData) -> tuple[int, ...]:
     return conj
 
 
-def _s_evaluations(md: ModularData, fp: _FreqPrime, freqs) -> np.ndarray:
-    """Residues of every S-tilde entry modulo one prime at the frequencies
-    freqs, frequency first: (len(freqs), n, n).  Only the distinct values
-    of S-tilde are transformed; the entries are gathered by value id."""
-    ids, values = md.s_value_ids
-    padded = np.zeros((len(values), md.root_order), dtype=np.int64)
-    padded[:, : values.shape[1]] = values
-    return fp.evaluate(padded, freqs)[:, ids]
+def _unit_row_is_dims(md: ModularData) -> bool:
+    """Whether row 0 of S-tilde is md.dims exactly: numerators (d, 0, ..., 0)."""
+    row = md.s_values[md.s_ids[0]]
+    return np.array_equal(row[:, 0], md.dims) and not row[:, 1:].any()
+
+
+def _evaluations(fp: _FreqPrime, values: np.ndarray, ids: np.ndarray, freqs=None) -> np.ndarray:
+    """Residues modulo one prime of the entries ids of a value table at the
+    frequencies freqs (default: all N), frequency first: (F,) + ids.shape.
+    Only the lifts of the distinct values are transformed."""
+    return fp.evaluate(_lift(values, fp.n), freqs)[:, ids]
 
 
 # ----- modularity verification -------------------------------------------------
@@ -593,10 +598,10 @@ def modularity_report(md: ModularData) -> ModularityReport:
     failure, and unitarity, S^2, (ST)^3 and the fusion rules fail."""
     failures: list[str] = []
     n = md.n_objects
-    l1 = np.sum(md.s_counts, axis=2)
+    l1 = np.abs(md.s_values).sum(axis=1)[md.s_ids]
     d_sq = md.total_dim * md.total_dim
 
-    unit_ok = _root_sums_equal(md.root_order, md.s_counts[0], md.dims)
+    unit_ok = _unit_row_is_dims(md)
     if not unit_ok:
         failures.append("unit row of S-tilde is not the dimension vector")
     try:
@@ -622,7 +627,7 @@ def modularity_report(md: ModularData) -> ModularityReport:
         # column b of S-tilde T at gamma^f is scaled by theta_b^f
         twist_exps = reps[:, None] * md.twist_exps[None, :] % md.root_order
         for fp in checker.freq:
-            ev = _s_evaluations(md, fp, reps)
+            ev = _evaluations(fp, md.s_values, md.s_ids, reps)
             # conj(S~)_ba = S~_{conj(b) a}: the gram matrix at frequency 1
             gram = _mulmod(ev[0], ev[0][conj].T, fp.prime)
             unitary = unitary and not np.any(gram != d2_identity % fp.prime)
@@ -717,7 +722,7 @@ def verlinde_table(md: ModularData) -> np.ndarray:
         return md._verlinde
     conj = list(_galois_check(md))
     n = md.n_objects
-    l1 = np.sum(md.s_counts, axis=2)
+    l1 = np.abs(md.s_values).sum(axis=1)[md.s_ids]
     weights = (md.total_dim // md.dims).astype(np.int64)
     colmax = np.max(l1, axis=0).astype(object)
     checker = _checker(md.root_order, int(np.sum(weights.astype(object) * colmax**3)))
@@ -726,7 +731,7 @@ def verlinde_table(md: ModularData) -> np.ndarray:
     # conj(S~)_cz = S~_{conj(c) z}.
     evals = []
     for fp in checker.freq:
-        s = _s_evaluations(md, fp, [1])[0]
+        s = _evaluations(fp, md.s_values, md.s_ids, [1])[0]
         evals.append((fp.prime, s, s * weights % fp.prime, s[conj].T))
     # The rows S~_az S~_bz w_z times conj(S~)^T give V_abc at gamma.  They
     # are symmetric in (a, b), so only a <= b is formed, in fixed blocks of
@@ -754,10 +759,11 @@ def verlinde_table(md: ModularData) -> np.ndarray:
 class WMatrix:
     """The clasp-pattern invariants on all color pairs.
 
-    v_counts[a, b] is the histogram of the zero-framed invariant V_ab of
-    the two-component clasp closure with the doubled strand colored a and
-    the bare strand colored b.  The retained matrix is
-    W-tilde_ab = theta_a^-2 V_ab, and W_ab = (theta_a/theta_b) W-tilde_ab.
+    V_ab, the zero-framed invariant of the two-component clasp closure
+    with the doubled strand colored a and the bare strand colored b, is
+    the value with id v_ids[a, b] in v_values (as S in `ModularData`).
+    The retained matrix is W-tilde_ab = theta_a^-2 V_ab, and
+    W_ab = (theta_a/theta_b) W-tilde_ab.
     """
 
     params: CocycleParams
@@ -766,7 +772,13 @@ class WMatrix:
     mirror: bool
     root_order: int
     twist_exps: np.ndarray
-    v_counts: np.ndarray
+    v_ids: np.ndarray
+    v_values: np.ndarray
+
+    @property
+    def v_counts(self) -> np.ndarray:
+        """V as (n, n, N) histograms, its values lifted on each call."""
+        return _lift(self.v_values, self.root_order)[self.v_ids]
 
     def index_of(self, obj) -> int:
         if isinstance(obj, str):
@@ -774,7 +786,8 @@ class WMatrix:
         return int(obj)
 
     def _counts(self, a, b, shift: int) -> CycloNumber:
-        rolled = np.roll(self.v_counts[self.index_of(a), self.index_of(b)], shift)
+        value = self.v_values[self.v_ids[self.index_of(a), self.index_of(b)]]
+        rolled = np.roll(_lift(value, self.root_order), shift)
         return CycloNumber.from_root_counts(self.root_order, rolled)
 
     def v_entry(self, a, b) -> CycloNumber:
@@ -807,12 +820,11 @@ def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
         raise ValueError("clasp word must close to a doubled plus a bare component")
     doubled = max(info.components, key=len)
     twist_exps = np.array([t.twist_exp % ctx.root_order for t in ctx.tables], dtype=np.int64)
-    # One batched trace per row a: the doubled component colored a, the bare one b.
-    v_counts = np.zeros((n, n, ctx.root_order), dtype=np.int64)
+    # One zero-framed trace per row a (doubled component a, bare b), keyed as walked.
     is_doubled = np.isin(np.arange(1, 4), doubled)
-    for a in range(n):
-        colorings = np.where(is_doubled, a, np.arange(n)[:, None])
-        v_counts[a] = zero_framing(ctx, info, colorings, trace_counts(ctx, word, colorings))
+    row_colorings = (np.where(is_doubled, a, np.arange(n)[:, None]) for a in range(n))
+    rows = (trace_counts(ctx, word, c, zero_framing_shifts(ctx, info, c)) for c in row_colorings)
+    v_ids, v_values = _value_ids(ctx.root_order, rows)
     return WMatrix(
         params=params,
         labels=labels,
@@ -820,7 +832,8 @@ def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
         mirror=bool(mirror),
         root_order=ctx.root_order,
         twist_exps=twist_exps,
-        v_counts=v_counts,
+        v_ids=v_ids,
+        v_values=v_values,
     )
 
 
@@ -846,8 +859,7 @@ def w_identities(md: ModularData, wm: WMatrix) -> WIdentityReport:
     n = md.n_objects
     dual = np.array([md.dual_of(a) for a in range(n)], dtype=np.int64)
     # Equal exact values have equal ids, so (n, n) ids stand in for V.
-    v, _ = _value_ids(wm.root_order, wm.v_counts)
-    v_t = v.T  # v_t[a, x] is V_xa
+    v, v_t = wm.v_ids, wm.v_ids.T  # v_t[a, x] is V_xa
     asymmetric = v != v_t
     twist_bad = v != v_t[dual]  # against V_{x, dual(a)}
     dual_bad = v != v[:, dual]  # against V_{a, dual(x)}
@@ -930,13 +942,10 @@ def ba_block_formula_report(wm: WMatrix) -> tuple[bool, list[str]]:
         x = spec.n_pow(int(la.split("_")[1]))
         v = (1 - x) * (1 - pow(x, -1, q))  # the theta_A exponent of V
         c = ((-v if wm.mirror else v) - 1) % q
-        # W = q*p * zeta_N^e with zeta_q = zeta_N^(N/q) and theta_B = zeta_N^t_B.
-        e = (c * lms * (ne // q) - int(t[a])) % ne
-        # W - q*p*zeta_N^e as one histogram per A column; it must reduce to 0.
-        # Entry j of W_ab is entry j + t_a + t_b of V_ab, rolled for row a only.
-        diff = _roll_rows(wm.v_counts[a, cols], -(t[a] + t[cols]))
-        diff[np.arange(len(cols)), e] -= q * p
-        wrong = np.any(reduce_counts(ne, diff) != 0, axis=1)
+        # W = q*p * theta_A^c theta_B^-1 with theta_A = zeta_q^(l m) = zeta_N^(l m N/q),
+        # so V = W theta_B theta_b = q*p * zeta_N^(c l m N/q + t_b), exactly.
+        expected = reduce_counts(ne, _monomials(ne, c * lms * (ne // q) + t[cols], q * p))
+        wrong = np.any(expected != wm.v_values[wm.v_ids[a, cols]], axis=1)
         failures += [f"BA formula fails at ({la}, {wm.labels[b]})" for b in cols[wrong]]
     return (not failures, failures)
 
@@ -991,15 +1000,16 @@ def punctured_vanishing_report(md: ModularData, wm: WMatrix) -> tuple[bool, list
     (The converse can fail: accidental zeros inside the support exist.)"""
     n = md.n_objects
     table = verlinde_table(md)
-    l1s = np.sum(md.s_counts, axis=2)
-    l1v = np.sum(np.abs(wm.v_counts), axis=2)
+    l1s = np.abs(md.s_values).sum(axis=1)[md.s_ids]
+    l1v = np.abs(wm.v_values).sum(axis=1)[wm.v_ids]
     checker = _checker(md.root_order, int(np.max(l1s @ l1v.T)))
     # theta_x cancels between S_zx theta_x and W_ax = V_ax/(theta_a theta_x),
     # so the trace is proportional to F_za = sum_x S~_zx V_ax.
     zero_mask = None
     for fp in checker.freq:
-        v_ev = fp.evaluate(wm.v_counts, checker.prim)
-        f_vals = _mulmod(_s_evaluations(md, fp, checker.prim), v_ev.transpose(0, 2, 1), fp.prime)
+        v_ev = _evaluations(fp, wm.v_values, wm.v_ids, checker.prim)
+        s_ev = _evaluations(fp, md.s_values, md.s_ids, checker.prim)
+        f_vals = _mulmod(s_ev, v_ev.transpose(0, 2, 1), fp.prime)
         mask = ~np.any(f_vals, axis=0)
         zero_mask = mask if zero_mask is None else (zero_mask & mask)
     failures = []
@@ -1030,15 +1040,15 @@ def w_from_punctured(md: ModularData, wm: WMatrix, a, b) -> CycloNumber:
 
 
 def _r_table(md: ModularData) -> np.ndarray:
-    """Histograms (n, n, N) of the integer targets R~(a, c), with
-    r(a, c) = sum_mu [R^aa_c]_mu,mu = theta_a^-1 R~(a, c) / D^5: all
+    """Canonical numerators (n, n, phi(N)) of the integer targets R~(a, c),
+    with r(a, c) = sum_mu [R^aa_c]_mu,mu = theta_a^-1 R~(a, c) / D^5: all
     diagonal R-sums from modular data only, reconstructed exactly through
     the evaluation scheme."""
     if md._r_table is not None:
         return md._r_table
     n = md.n_objects
     ne = md.root_order
-    l1 = np.sum(md.s_counts, axis=2)
+    l1 = np.abs(md.s_values).sum(axis=1)[md.s_ids]
     weights = (md.total_dim // md.dims).astype(np.int64)
     # Integer target: R~(a, c) = sum_z S~_az B~_cz A~_z (D/d_z), where
     # A~_z = sum_y d_y theta_y^2 S~*_yz and B~_cz = sum_x theta_x^-2 S~*_xz S~*_cx;
@@ -1050,8 +1060,8 @@ def _r_table(md: ModularData) -> np.ndarray:
     checker = _checker(ne, bound)
     per_prime = []
     for fp in checker.freq:
-        # The inverse transform needs every frequency, of the raw histograms.
-        ev = fp.evaluate(md.s_counts)
+        # Every frequency, for the inverse transform of the lifts' products.
+        ev = _evaluations(fp, md.s_values, md.s_ids)
         conj = ev[checker.neg]
         exps = np.arange(ne)[:, None] * (2 * md.twist_exps)[None, :] % ne  # (f, x)
         twist_pos = fp.pows[exps]
@@ -1067,15 +1077,15 @@ def _r_table(md: ModularData) -> np.ndarray:
     exact = _crt_centered(per_prime, checker.primes)
     if np.any(np.abs(exact.astype(object)) > bound):
         raise ArithmeticError("R-sum reconstruction exceeded its bound")
-    md._r_table = exact
-    return exact
+    md._r_table = reduce_counts(ne, exact)
+    return md._r_table
 
 
 def r_symbol_sum(md: ModularData, a, c) -> CycloNumber:
     """sum_mu [R^aa_c]_mu,mu: the braiding eigenvalue sum in channel c."""
     a, c = md.index_of(a), md.index_of(c)
     shift = -int(md.twist_exps[a])
-    return _shifted_value(md, _r_table(md)[a, c], shift) / md.total_dim**5
+    return _shifted_value(md, _lift(_r_table(md)[a, c], md.root_order), shift) / md.total_dim**5
 
 
 @dataclass(frozen=True)
@@ -1096,7 +1106,7 @@ def lambda_signature(md: ModularData, a, c) -> LambdaReport:
     half = (md.root_order + 1) // 2
     # theta_a cancels against the theta_a^-1 of r(a, c).
     shift = -half * int(md.twist_exps[c])
-    value = _shifted_value(md, _r_table(md)[a, c], shift) / md.total_dim**5
+    value = _shifted_value(md, _lift(_r_table(md)[a, c], md.root_order), shift) / md.total_dim**5
     if not value.is_integer():
         return LambdaReport(value=None, integral=False, branch_sensitive=True)
     n = int(value.as_fraction())
@@ -1123,7 +1133,7 @@ def two_strand_closure(md: ModularData, a, b, n: int, parity: str) -> CycloNumbe
             raise ValueError("odd closures are knots: both strands carry one color")
         # sum_c d_c theta_c^n R~(a, c), then theta_a^-(2n+1) / D^5
         weights = _monomials(ne, n * md.twist_exps, md.dims)[None]
-        hist = _group_ring_sums(weights, _r_table(md)[a])[0]
+        hist = _group_ring_sums(weights, _lift(_r_table(md)[a], ne))[0]
         shift = -(2 * n + 1) * int(md.twist_exps[a])
         return _shifted_value(md, hist, shift) / md.total_dim**5
     raise ValueError("parity must be 'even' or 'odd'")
@@ -1221,10 +1231,9 @@ def lens_space_via_chain_braid(md: ModularData, p_surgery: int, q_surgery: int) 
     hist = np.zeros(ne, dtype=np.int64)
     for first in range(n):
         colorings = np.concatenate([np.full((len(rest), 1), first), rest], axis=1)
-        counts = trace_counts(ctx, word, colorings)
-        weights = np.prod(md.dims[colorings], axis=1)
-        shifts = md.twist_exps[colorings] @ np.array(digits)
-        hist += weights @ _roll_rows(counts, shifts)
+        # Each component, colored y, carries the framing theta_y^digit.
+        counts = trace_counts(ctx, word, colorings, md.twist_exps[colorings] @ np.array(digits))
+        hist += np.prod(md.dims[colorings], axis=1) @ counts
     return CycloNumber.from_root_counts(ne, hist) / md.total_dim ** (n_comp + 1)
 
 
@@ -1253,36 +1262,25 @@ class TheoryData:
 
 
 def theory_data(md: ModularData, wm: WMatrix | None = None) -> TheoryData:
-    """Freeze (S, T[, W]) into value ids: S first, then W into the same
-    table (`with_w`).  A theory has few distinct values (46 in S, 176 in
-    S and W together at the flagship), so the table is small and the ids
-    fit int32."""
-    ids, values = _value_ids(md.root_order, md.s_counts)
-    data = TheoryData(
+    """Freeze (S, T[, W]) into value ids: those of S, then W_ab = V_ab /
+    (theta_a theta_b), rolled from V's lifts row by row, into the same
+    table (small: 46 values in S, 176 in S and W at the flagship)."""
+    w_keys, values = None, md.s_values
+    if wm is not None:
+        t, lifts = wm.twist_exps, _lift(wm.v_values, wm.root_order)
+        rows = (_roll_rows(lifts[wm.v_ids[a]], -(t[a] + t)) for a in range(len(t)))
+        index = {v.tobytes(): i for i, v in enumerate(md.s_values)}
+        w_keys, values = _value_ids(md.root_order, rows, index)
+    return TheoryData(
         name=f"u={md.params.u}",
         labels=md.labels,
         dims=md.dims,
         root_order=md.root_order,
         t_keys=md.twist_exps,
-        s_keys=ids,
-        w_keys=None,
+        s_keys=md.s_ids,
+        w_keys=w_keys,
         values=values,
     )
-    return data if wm is None else with_w(data, wm)
-
-
-def with_w(data: TheoryData, wm: WMatrix) -> TheoryData:
-    """`data` with the W ids of `wm` keyed into its table of values.  The
-    ids of S and the first rows of the table are kept, and new values get
-    ids in order of first occurrence, so the result equals theory_data(md,
-    wm); a caller may release the S histograms before it walks W.  W is
-    rolled from V one row at a time, which keeps the temporaries small."""
-    t = wm.twist_exps
-    # W_ab is V_ab / (theta_a theta_b): entry j of W_ab is entry j + t_a + t_b of V_ab.
-    rows = (_roll_rows(wm.v_counts[a], -(t[a] + t)) for a in range(len(t)))
-    index = {v.tobytes(): i for i, v in enumerate(data.values)}
-    w_keys, values = _value_ids(data.root_order, rows, index)
-    return replace(data, w_keys=w_keys, values=values)
 
 
 def galois_conjugate(data: TheoryData, params: CocycleParams, u: int) -> TheoryData:

@@ -21,7 +21,7 @@ from stw.braid import (
     zero_framed_invariant,
 )
 from stw.cocycle import CocycleParams
-from stw.cyclotomic import CycloNumber, root_of_unity
+from stw.cyclotomic import CycloNumber, _roll_rows, root_of_unity
 from stw.double import (
     DoubleContext,
     associator_scalar,
@@ -411,6 +411,9 @@ def test_batched_trace_matches_single_colorings_and_scalar_walk(strands, letters
     batched = trace_counts(ctx, word, idx)
     assert batched.shape == (len(colorings), ctx.root_order)
     assert np.array_equal(batched, _scalar_batch(strands, letters))
+    # A shift per coloring multiplies its trace by zeta^shift.
+    shifts = 7 * np.arange(len(idx)) - 3
+    assert np.array_equal(trace_counts(ctx, word, idx, shifts), _roll_rows(batched, shifts))
     for row, labels in zip(batched, colorings):
         assert np.array_equal(row, framed_trace_counts(params, word, labels)), labels
 

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from stw import modular
 from stw.braid import BraidWord
 from stw.braid import framed_invariant
 from stw.cocycle import CocycleParams
-from stw.cyclotomic import CycloNumber, reduce_counts, root_of_unity
+from stw.cyclotomic import CycloNumber, euler_phi, reduce_counts, root_of_unity
 from stw.double import context_for, sigma_inverse_action
 from stw.group import GroupData, GroupSpec, identity, inverse
 
@@ -122,6 +123,20 @@ def small_md():
     return modular.modular_data(CocycleParams(GroupSpec(7, 3, 2), 1))
 
 
+def _with_s_counts(md, counts):
+    """md with S-tilde keyed afresh, ids and table, from the (n, n, N)
+    histograms counts: what `modular_data` would store had its walk
+    produced them."""
+    s_ids, s_values = modular._value_ids(md.root_order, counts)
+    return dataclasses.replace(md, s_ids=s_ids, s_values=s_values)
+
+
+def _with_v_counts(wm, counts):
+    """wm with V keyed afresh from the (n, n, N) histograms counts."""
+    v_ids, v_values = modular._value_ids(wm.root_order, counts)
+    return dataclasses.replace(wm, v_ids=v_ids, v_values=v_values)
+
+
 @pytest.mark.parametrize("inner", [49, 129, 217, 64 * 1024 + 5])
 def test_mulmod_matches_python_integers(inner):
     rng = np.random.default_rng(inner)
@@ -151,9 +166,10 @@ def test_frequency_transform_matches_direct_sums():
 
 @pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4)])
 def test_checker_primes_for_the_report_bounds(group):
-    """The three bounds of `modularity_report` at u = 1 each need two primes."""
+    """The three bounds of `modularity_report` at u = 1, from the L1 norms
+    of the lifts of the values of S-tilde, each need two primes."""
     md = modular.modular_data(CocycleParams(GroupSpec(*group), 1))
-    l1 = np.sum(md.s_counts, axis=2)
+    l1 = np.abs(md.s_values).sum(axis=1)[md.s_ids]
     d_sq = md.total_dim**2
     l1_sq = int(np.max(l1 @ l1))
     bounds = (
@@ -188,7 +204,7 @@ def test_modular_data_rejects_gauss_sum_other_than_d(monkeypatch):
 def test_s_counts_match_two_inverse_crossings(u):
     """Rebuild every S~_ab histogram at (7, 3, 2) from the two inverse
     crossings of s1^-2 on each basis pair, one pair at a time, and compare
-    it with the batched rows of `modular_data`."""
+    its exact value with the one `modular_data` keyed from its batched rows."""
     params = CocycleParams(GroupSpec(7, 3, 2), u)
     ctx = context_for(params)
     ne = ctx.root_order
@@ -203,7 +219,7 @@ def test_s_counts_match_two_inverse_crossings(u):
             if (va2, vb2) == (va, vb):
                 e = exponent[first.canonical_key()] + exponent[second.canonical_key()]
                 counts[e % ne] += 1
-        assert np.array_equal(counts, md.s_counts[a, b]), (la, lb)
+        assert np.array_equal(reduce_counts(ne, counts), md.s_values[md.s_ids[a, b]]), (la, lb)
 
 
 def test_verlinde_table_matches_scalar_route_small_group(small_md):
@@ -219,17 +235,17 @@ def test_verlinde_table_matches_scalar_route_small_group(small_md):
 
 
 def test_verlinde_table_rejects_perturbed_s(small_md):
-    counts = small_md.s_counts.copy()
+    counts = small_md.s_counts
     counts[3, 5, 1] += 1
-    broken = dataclasses.replace(small_md, s_counts=counts)
+    broken = _with_s_counts(small_md, counts)
     with pytest.raises(ArithmeticError):
         modular.verlinde_table(broken)
 
 
 def test_modularity_report_names_broken_unit_row(small_md):
-    counts = small_md.s_counts.copy()
+    counts = small_md.s_counts
     counts[0, 3] = np.roll(counts[0, 3], 1)
-    report = modular.modularity_report(dataclasses.replace(small_md, s_counts=counts))
+    report = modular.modularity_report(_with_s_counts(small_md, counts))
     assert not report.unit_row_is_dims
     assert "unit row of S-tilde is not the dimension vector" in report.failures
 
@@ -268,9 +284,9 @@ def test_modularity_report_rejects_wrong_dual(small_md):
 
 
 def test_dual_is_none_when_a_conjugate_row_matches_nothing(small_md):
-    counts = small_md.s_counts.copy()
+    counts = small_md.s_counts
     counts[3, 5, 1] += 1
-    md = dataclasses.replace(small_md, s_counts=counts)
+    md = _with_s_counts(small_md, counts)
     assert md.dual is None
     with pytest.raises(ArithmeticError, match="conjugate"):
         md.dual_of(3)
@@ -311,19 +327,19 @@ def test_galois_check_catches_a_wrong_conjugate_pair(small_md):
     sigma_f(S~_ab) != S~_ab: S stays symmetric with the right unit row, but
     sigma_g no longer permutes its rows."""
     ne = small_md.root_order
-    ids, values = small_md.s_value_ids
+    ids, values = small_md.s_ids, small_md.s_values
+    counts = small_md.s_counts
     a, b, f = next(
         (a, b, f)
         for a, b in itertools.combinations(range(1, small_md.n_objects), 2)
         for f in range(2, ne)
         if math.gcd(f, ne) == 1
         and not np.array_equal(
-            reduce_counts(ne, _galois_image(small_md.s_counts[a, b], f)), values[ids[a, b]]
+            reduce_counts(ne, _galois_image(counts[a, b], f)), values[ids[a, b]]
         )
     )
-    counts = small_md.s_counts.copy()
     counts[a, b] = counts[b, a] = _galois_image(counts[a, b], f)
-    md = dataclasses.replace(small_md, s_counts=counts)
+    md = _with_s_counts(small_md, counts)
     with pytest.raises(ArithmeticError, match=r"sigma_\d+ does not permute the rows"):
         modular._galois_check(md)
     report = modular.modularity_report(md)
@@ -349,18 +365,18 @@ def test_galois_check_catches_a_changed_twist(small_md):
 
 
 def test_galois_check_catches_an_asymmetric_s(small_md):
-    """Swap two columns of equal dimension: S~ P stays unitary, its rows
-    are Galois-permuted like those of S~ and its unit row is still the
-    dims, so only the symmetry test rejects it."""
+    """Swap two columns of equal dimension in the ids: S~ P stays unitary,
+    its rows are Galois-permuted like those of S~ and its unit row is
+    still the dims, so only the symmetry test rejects it."""
     dims = small_md.dims
     b, c = next(
         (b, c)
         for b, c in itertools.combinations(range(1, small_md.n_objects), 2)
         if dims[b] == dims[c]
     )
-    counts = small_md.s_counts.copy()
-    counts[:, [b, c]] = counts[:, [c, b]]
-    md = dataclasses.replace(small_md, s_counts=counts)
+    ids = small_md.s_ids.copy()
+    ids[:, [b, c]] = ids[:, [c, b]]
+    md = dataclasses.replace(small_md, s_ids=ids)
     with pytest.raises(ArithmeticError, match="S-tilde is not symmetric"):
         modular._galois_check(md)
     report = modular.modularity_report(md)
@@ -475,9 +491,9 @@ def test_ba_block_report_names_corrupted_pair(params_u):
     for mirror in MIRRORS:
         wm = modular.w_matrix(params_u(1), mirror)
         a, b = wm.index_of("B_2_3"), wm.index_of("A_1_7")
-        counts = wm.v_counts.copy()
+        counts = wm.v_counts
         counts[a, b] = np.roll(counts[a, b], 1)
-        corrupted = dataclasses.replace(wm, v_counts=counts)
+        corrupted = _with_v_counts(wm, counts)
         ok, failures = modular.ba_block_formula_report(corrupted)
         assert not ok
         assert failures == ["BA formula fails at (B_2_3, A_1_7)"], mirror
@@ -486,9 +502,9 @@ def test_ba_block_report_names_corrupted_pair(params_u):
 def test_w_identities_report_names_corrupted_pair(md_u, wm_u):
     md, wm = md_u(1), wm_u(1)
     a, x = md.index_of("B_2_3"), md.index_of("A_1_7")
-    counts = wm.v_counts.copy()
+    counts = wm.v_counts
     counts[a, x] = np.roll(counts[a, x], 1)
-    report = modular.w_identities(md, dataclasses.replace(wm, v_counts=counts))
+    report = modular.w_identities(md, _with_v_counts(wm, counts))
     assert not report.symmetric
     assert not report.twist_duality
     assert not report.second_dual_invariance
@@ -769,18 +785,18 @@ def test_search_maps_ids_between_relabelled_tables(small_md):
     n = md.n_objects
     sigma = np.concatenate(([0], 1 + np.random.default_rng(7).permutation(n - 1)))
     grid = np.ix_(sigma, sigma)
-    md2 = dataclasses.replace(
-        md,
-        labels=tuple(md.labels[i] for i in sigma),
-        dims=md.dims[sigma],
-        twist_exps=md.twist_exps[sigma],
-        s_counts=md.s_counts[grid],
+    md2 = _with_s_counts(
+        dataclasses.replace(
+            md,
+            labels=tuple(md.labels[i] for i in sigma),
+            dims=md.dims[sigma],
+            twist_exps=md.twist_exps[sigma],
+        ),
+        md.s_counts[grid],
     )
-    wm2 = dataclasses.replace(
-        wm,
-        labels=md2.labels,
-        twist_exps=wm.twist_exps[sigma],
-        v_counts=wm.v_counts[grid],
+    wm2 = _with_v_counts(
+        dataclasses.replace(wm, labels=md2.labels, twist_exps=wm.twist_exps[sigma]),
+        wm.v_counts[grid],
     )
     d1, d2 = modular.theory_data(md, wm), modular.theory_data(md2, wm2)
     assert not np.array_equal(d1.values, d2.values)
@@ -788,12 +804,12 @@ def test_search_maps_ids_between_relabelled_tables(small_md):
     assert result.equivalent
     assert _witness_respects_data(d1, d2, result.permutation, True, list(range(n)))
 
-    nonzero = np.any(reduce_counts(md2.root_order, md2.s_counts) != 0, axis=2)
+    nonzero = np.any(md2.s_values[md2.s_ids] != 0, axis=2)
     a, b = next((a, b) for a, b in zip(*np.nonzero(nonzero)) if 0 < a < b)
-    counts = md2.s_counts.copy()
+    counts = md2.s_counts
     # Times zeta: a different value at (a, b) and (b, a), since S_ab != 0.
     counts[a, b] = counts[b, a] = np.roll(counts[a, b], 1)
-    d3 = modular.theory_data(dataclasses.replace(md2, s_counts=counts), wm2)
+    d3 = modular.theory_data(_with_s_counts(md2, counts), wm2)
     assert not modular.equivalence_search(d1, d3).equivalent
 
 
@@ -871,13 +887,25 @@ def test_galois_conjugate_rejects_a_wrong_label_map(theory_u, params_u, monkeypa
         modular.galois_conjugate(theory_u(1, True), params_u(1), 2)
 
 
-def test_theory_data_keys_w_after_s(theory_u, md_u, wm_u):
-    """Keying W into the ids of an S-only theory gives the same ids and
-    table as keying both at once, so S may be released before W."""
-    both = theory_u(2, True)
-    late = modular.with_w(modular.theory_data(md_u(2)), wm_u(2))
-    for field in ("s_keys", "w_keys", "values"):
-        assert getattr(late, field).tobytes() == getattr(both, field).tobytes()
+def test_s_and_w_are_stored_as_ids_keyed_row_by_row():
+    """`modular_data` and `w_matrix` at (13, 3, 3) key each row of traces
+    as it is walked: their traced memory peak stays below half of one
+    dense (n, n, N) int64 array (65 * 65 * 117 * 8 B), and they keep only
+    (n, n) ids and tables of phi(N) numerators."""
+    params = CocycleParams(GroupSpec(13, 3, 3), 1)
+    ctx = context_for(params)  # the cached engine tables, built before tracing
+    n, ne = len(ctx.simples), ctx.root_order
+    tracemalloc.start()
+    try:
+        md = modular.modular_data(params)
+        wm = modular.w_matrix(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * ne * 8 / 2
+    for ids, values in ((md.s_ids, md.s_values), (wm.v_ids, wm.v_values)):
+        assert ids.shape == (n, n) and ids.dtype == np.int32
+        assert values.shape == (ids.max() + 1, euler_phi(ne))
 
 
 @pytest.mark.parametrize("u", [0, 1])
