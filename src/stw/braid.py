@@ -10,6 +10,20 @@ walk serves a whole batch of colorings and each crossing is one gather.
 A trace follows the permutation part first and adds phases only on the
 tuples that it fixes (`trace_counts`).
 
+A trace walks one tuple per G-orbit.  The braiding of D^omega(G) is a
+map of modules (Dijkgraaf, Pasquier, Roche 1990), so it commutes with
+the diagonal action of G, and the associators met on the way are scalars
+on each coloring: omega is pulled back from Z_p, and the Z_p part of a
+flux is constant on its class.  So g carries a fixed tuple with phase
+zeta^a to a fixed tuple with phase zeta^a.  G also acts transitively on
+the vectors of each simple object (`DoubleContext` refuses to build
+otherwise), so some g moves any one strand's vector v to the first
+vector of its object, and that g maps the tuples with the strand on v
+one to one onto those with the strand on the first vector, fixed tuples
+to fixed tuples of equal phase.  A trace pins one strand per coloring,
+one of largest dimension d, to its first vector, walks the other strands
+and multiplies the histogram by d.
+
 `trace_counts` gives the trace histograms of one word under many
 colorings (each optionally shifted, as by `zero_framing_shifts`), and
 `framed_trace_counts` its one-coloring case.
@@ -148,6 +162,16 @@ def closure_structure(word: BraidWord) -> ClosureInfo:
     )
 
 
+def _strand_at(word: BraidWord) -> list[int]:
+    """Which strand (by bottom position, 0-based) sits at each position
+    at the top of the braid."""
+    strand_at = list(range(word.strands))
+    for letter in word.letters:
+        i = abs(letter) - 1
+        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
+    return strand_at
+
+
 def _resolve_colors(ctx: DoubleContext, word: BraidWord, colors) -> list[int]:
     if len(colors) != word.strands:
         raise ValueError(f"need {word.strands} colors, got {len(colors)}")
@@ -162,15 +186,20 @@ def _resolve_colors(ctx: DoubleContext, word: BraidWord, colors) -> list[int]:
 _WALK_BLOCK = 16384
 
 
-def _start(ctx: DoubleContext, colorings: np.ndarray) -> list[np.ndarray]:
+def _start(ctx: DoubleContext, colorings: np.ndarray, dims=None) -> list[np.ndarray]:
     """The global vector on each strand at the bottom of the braid, for
     every basis tuple of the colorings (a row of object indices per
     coloring): coloring after coloring, each in lexicographic order.  One
-    array per strand, in the vector dtype of the context's tables.  Each
-    run of consecutive colorings with equal dimensions is built at once
-    (objects come ordered by type, so the rows of S and W make few runs)."""
+    array per strand, in the vector dtype of the context's tables.
+    `dims` (default the objects' dimensions) bounds the basis index on
+    each strand of each coloring: a strand given 1 stays on its object's
+    first vector.  Each run of consecutive colorings with equal `dims` is
+    built at once (objects come ordered by type, so the rows of S and W
+    make few runs)."""
     dtype = ctx.action_state.dtype
-    dims, offsets = ctx.dims[colorings], ctx.offsets[colorings].astype(dtype)
+    if dims is None:
+        dims = ctx.dims[colorings]
+    offsets = ctx.offsets[colorings].astype(dtype)
     cuts = (np.flatnonzero(np.any(dims[1:] != dims[:-1], axis=1)) + 1).tolist()
     digits = {}  # each strand's basis index along the tuples, per row of dimensions
     parts = []
@@ -250,20 +279,38 @@ def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) ->
     permutation part fixes with accumulated phase zeta^j; with shifts (one
     integer per coloring), the phase zeta^(j + shifts[c]).
 
+    Each coloring pins one strand of largest dimension d to its object's
+    first vector, and the walk takes only those tuples; the histogram is
+    then multiplied by d.  This is exact on two premises.  The braiding
+    of D^omega(G) commutes with the diagonal action of G (Dijkgraaf,
+    Pasquier, Roche 1990), passing only associators that are scalars on
+    each coloring (omega comes from Z_p, and the Z_p part of a flux is
+    constant on its class), so g maps a fixed tuple with phase zeta^a to
+    a fixed tuple with phase zeta^a.  And G acts transitively on the
+    vectors of every simple object (`DoubleContext` checks this), so for
+    each vector v of the pinned object some g maps the tuples with the
+    pinned strand on v one to one onto the walked ones.
+
     The walk takes two passes over one set of start vectors.  Pass 1
     follows the permutation part alone, `_WALK_BLOCK` tuples at a time,
     in the narrow vector dtype of the tables, and keeps the indices of
     the fixed tuples; pass 2 walks those again and adds up their phases."""
     colorings = np.asarray(colorings, dtype=np.int64).reshape(-1, word.strands)
-    for comp in closure_structure(word).components:
-        cols = colorings[:, [s - 1 for s in comp]]
-        bad = np.flatnonzero(np.any(cols != cols[:, :1], axis=1))
-        if len(bad):
-            raise InconsistentColoringError(
-                f"strands {comp} form one closure component but carry "
-                f"colors {[ctx.simples[c].label for c in cols[bad[0]]]}"
-            )
-    start = _start(ctx, colorings)
+    # A coloring closes up when every top position carries the colour of
+    # the bottom position below it.
+    if np.any(colorings[:, _strand_at(word)] != colorings):
+        for comp in closure_structure(word).components:
+            cols = colorings[:, [s - 1 for s in comp]]
+            bad = np.flatnonzero(np.any(cols != cols[:, :1], axis=1))
+            if len(bad):
+                raise InconsistentColoringError(
+                    f"strands {comp} form one closure component but carry "
+                    f"colors {[ctx.simples[c].label for c in cols[bad[0]]]}"
+                )
+    dims = ctx.dims[colorings]
+    walked = dims.copy()
+    walked[np.arange(len(dims)), dims.argmax(axis=1)] = 1  # the pinned strands
+    start = _start(ctx, colorings, walked)
     # Pass 1, the permutation part a block at a time: a tuple is fixed when
     # every strand is back at its start vector.  Few tuples are (0.2-20 %
     # in the S, W and closure walks), so only they reach pass 2.
@@ -279,12 +326,13 @@ def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) ->
     # Pass 2, the phases of the fixed tuples.
     _, expo = _walk(ctx, word, [strand[sel] for strand in start], True)
     ne = ctx.root_order
-    ends = np.cumsum(np.prod(ctx.dims[colorings], axis=1))
-    which = np.searchsorted(ends, sel, side="right")
+    which = np.searchsorted(np.cumsum(np.prod(walked, axis=1)), sel, side="right")
     if shifts is not None:
         expo = expo + np.asarray(shifts, dtype=np.int64)[which]
     bins = which * ne + expo % ne
-    return np.bincount(bins, minlength=len(colorings) * ne).reshape(-1, ne)
+    counts = np.bincount(bins, minlength=len(colorings) * ne).reshape(-1, ne)
+    counts *= dims.max(axis=1)[:, None]
+    return counts
 
 
 @dataclass
@@ -312,7 +360,7 @@ def representation_operator(params: CocycleParams, word: BraidWord, colors) -> M
     ctx = context_for(params)
     idx = np.array(_resolve_colors(ctx, word, colors))
     state, expo = _walk(ctx, word, _start(ctx, idx[None]), True)
-    final = idx[np.argsort(closure_structure(word).permutation)]
+    final = idx[_strand_at(word)]
     target = np.zeros(len(expo), dtype=np.int64)
     for j, color in enumerate(final):
         target = target * ctx.dims[color] + state[j] - ctx.offsets[color]

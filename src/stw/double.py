@@ -192,6 +192,7 @@ class DoubleContext:
         self.dims = np.array([t.dim for t in self.tables])
         self.offsets = np.array([t.offset for t in self.tables])
         flux, state, exp = (np.concatenate(part, axis=-1) for part in zip(*parts))
+        self._require_transitive(state)
         gd = self.gdata
         g_inv = gd.inv_table
         bpart = np.repeat([t.class_bpart for t in self.tables], self.dims)
@@ -208,6 +209,24 @@ class DoubleContext:
         self.action_exp = exp.astype(phase)
         self.inverse_state = self.action_state[g_inv]
         self.inverse_exp = ((exp[g_inv] - norm) % self.root_order).astype(phase)
+
+    def _require_transitive(self, state):
+        """Raise unless G acts transitively on the vectors of every simple
+        object, which lets `stw.braid.trace_counts` walk one tuple per
+        G-orbit: the images of each object's first vector under all of G
+        must stay in the object and reach every one of its vectors."""
+        n = len(self.tables)
+        orbit = state[:, self.offsets]  # (|G|, n)
+        reached = np.zeros(state.shape[1], dtype=bool)
+        reached[orbit] = True
+        owner = np.repeat(np.arange(n), self.dims)
+        split = (np.add.reduceat(reached, self.offsets, dtype=np.int64) < self.dims) | np.any(
+            owner[orbit] != np.arange(n), axis=0
+        )
+        if split.any():
+            raise AssertionError(
+                f"G is not transitive on the vectors of {self.simples[split.argmax()].label}"
+            )
 
     def _add(self, label, ci, s, coset_action, *, pi_perm, pi_exp, twist_exp):
         """Append one simple object and return the flux, new global vector

@@ -567,3 +567,168 @@ def test_associator_vanishes_on_closed_braids(group):
                 open_nonzero += braid._associator(ctx, word, row) % ctx.root_order != 0
         assert open_nonzero > 0 or u == 0
 
+
+# ----- one walked tuple per G-orbit on a pinned strand ------------------------
+
+
+def _closed_colorings(rng, word: BraidWord, n: int, count: int) -> np.ndarray:
+    """`count` random consistent colorings of the closure of the word,
+    one random object of the n per closure component."""
+    colorings = np.zeros((count, word.strands), dtype=np.int64)
+    for comp in closure_structure(word).components:
+        colorings[:, [s - 1 for s in comp]] = rng.integers(n, size=(count, 1))
+    return colorings
+
+
+def _random_word(rng, strands: int, length: int) -> BraidWord:
+    """A random word of the given length (no letters on one strand)."""
+    if strands == 1:
+        return BraidWord(1, ())
+    return BraidWord(strands, tuple(
+        int(rng.choice((1, -1)) * rng.integers(1, strands)) for _ in range(length)
+    ))
+
+
+ORBIT_GROUPS = [(7, 3, 2), (11, 5, 4), (7, 2, 6), (5, 2, 4)]
+
+
+@pytest.mark.parametrize("u", [0, 1])
+@pytest.mark.parametrize("group", ORBIT_GROUPS)
+def test_fixed_tuples_and_phases_are_constant_on_g_orbits(group, u):
+    """The lemma behind the pinned walk: the braiding commutes with the
+    diagonal action of G, so every g maps a fixed tuple of the operator of
+    a closed coloring to a fixed tuple with the same phase exponent."""
+    params = CocycleParams(GroupSpec(*group), u)
+    ctx = context_for(params)
+    rng = np.random.default_rng(sum(group) + 100 * u)
+    checked = 0
+    for _ in range(6):
+        word = _random_word(rng, int(rng.integers(2, 5)), int(rng.integers(1, 8)))
+        colors = _closed_colorings(rng, word, len(ctx.simples), 1)[0]
+        op = representation_operator(params, word, colors.tolist())
+        dims, offsets = ctx.dims[colors], ctx.offsets[colors]
+        fixed = np.flatnonzero(op.perm == np.arange(len(op.perm)))
+        local = np.stack(np.unravel_index(fixed, dims), axis=1)  # (F, strands)
+        moved = ctx.action_state[:, local + offsets].astype(np.int64) - offsets  # (|G|, F, strands)
+        image = np.ravel_multi_index(tuple(np.moveaxis(moved, -1, 0)), dims)
+        assert np.array_equal(op.perm[image], image), (group, u, word, colors)
+        assert np.array_equal(op.exponents[image], np.broadcast_to(op.exponents[fixed], image.shape))
+        checked += len(fixed)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("group", ORBIT_GROUPS)
+def test_pinned_trace_matches_operator_fixed_points(group):
+    """`trace_counts` walks one strand pinned to its object's first vector
+    and multiplies by that object's dimension; on closed colorings of
+    mixed dimensions on up to 5 strands, with shifts, it equals the
+    fixed points of the full operator binned by exponent."""
+    spec = GroupSpec(*group)
+    rng = np.random.default_rng(sum(group))
+    mixed = 0
+    for u in (0, 1):
+        params = CocycleParams(spec, u)
+        ctx = context_for(params)
+        ne = ctx.root_order
+        for strands in range(1, 6):
+            word = _random_word(rng, strands, int(rng.integers(strands, 2 * strands + 3)))
+            colorings = _closed_colorings(rng, word, len(ctx.simples), 3)
+            shifts = rng.integers(-ne, ne, size=len(colorings))
+            counts = trace_counts(ctx, word, colorings, shifts)
+            for row, colors, shift in zip(counts, colorings, shifts):
+                op = representation_operator(params, word, colors.tolist())
+                fixed = op.perm == np.arange(len(op.perm))
+                expected = np.bincount((op.exponents[fixed] + shift) % ne, minlength=ne)
+                assert np.array_equal(row, expected), (group, u, word, colors)
+                mixed += expected.sum() > 0 and len(set(ctx.dims[colors].tolist())) > 1
+    assert mixed > 0
+
+
+def test_a_split_object_is_rejected_before_any_trace(monkeypatch):
+    """The pinned walk needs G to act transitively on every object's
+    vectors.  Let only the Z_p part of each group element act on B_1_0 at
+    (7,3,2), which splits its 7 vectors into orbits of sizes 1, 3 and 3:
+    the context refuses to build, and built without the check it would
+    give the S trace of (B_1_0, B_2_0) as 7 instead of the full walk's 1."""
+    add = DoubleContext._add
+
+    def split_add(self, label, *args, **kwargs):
+        flux, state, exp = add(self, label, *args, **kwargs)
+        if label == "B_1_0":
+            gd = self.gdata
+            zp = np.array([gd.index(GroupElement(0, m)) for m in range(self.spec.p)])
+            state = state[zp[gd.b_part]]
+        return flux, state, exp
+
+    monkeypatch.setattr(DoubleContext, "_add", split_add)
+    params = CocycleParams(GroupSpec(7, 3, 2), 1)
+    with pytest.raises(AssertionError, match="not transitive on the vectors of B_1_0"):
+        DoubleContext(params)
+    monkeypatch.setattr(DoubleContext, "_require_transitive", lambda self, state: None)
+    ctx = DoubleContext(params)
+    colors = np.array([[ctx.index_of("B_1_0"), ctx.index_of("B_2_0")]])
+    word = BraidWord(2, (-1, -1))
+    start = braid._start(ctx, colors)
+    end, expo = braid._walk(ctx, word, start, True)
+    fixed = (end[0] == start[0]) & (end[1] == start[1])
+    full = np.bincount(expo[fixed] % ctx.root_order, minlength=ctx.root_order)
+    assert full.sum() == 1
+    assert trace_counts(ctx, word, colors)[0].sum() == 7
+
+
+def test_pass_one_walks_the_tuples_of_the_unpinned_strands(monkeypatch):
+    """Pass 1 walks prod_(i != pin) d_i tuples per coloring, the pinned
+    strand being one of largest dimension, and pass 2 only the fixed ones
+    among them: an S row of a B object at (11,5,4) walks sum_b d_b tuples
+    (not d_a sum_b d_b), and a 5-strand closure colored by B objects
+    11^4 (not 11^5)."""
+    ctx = context_for(params(1))
+    n = len(ctx.simples)
+    walked = {}  # tuples given to `_walk`, by pass (phases False, then True)
+    walk = braid._walk
+
+    def spy(ctx, word, state, phases):
+        walked[phases] += len(state[0])
+        return walk(ctx, word, state, phases)
+
+    monkeypatch.setattr(braid, "_walk", spy)
+
+    def trace(word, colorings):
+        walked.update({False: 0, True: 0})
+        counts = trace_counts(ctx, word, colorings)
+        return walked[False], walked[True], counts
+
+    a = ctx.index_of("B_1_0")
+    assert ctx.dims[a] == ctx.dims.max() == 11
+    pass1, pass2, row = trace(BraidWord(2, (-1, -1)), np.stack([np.full(n, a), np.arange(n)], 1))
+    assert pass1 == ctx.dims.sum() == 345
+    assert pass2 * 11 == row.sum()
+    word = parse_braid("s1 s2^-1 s3 s4^-1 s1 s2 s3^-1 s4", 5)
+    pass1, pass2, counts = trace(word, [[ctx.index_of("B_2_1")] * 5])
+    assert pass1 == 11**4
+    assert pass2 * 11 == counts.sum()
+    # Mixed dimensions: the largest one is pinned in each coloring.
+    colorings = _closed_colorings(np.random.default_rng(2), parse_braid(CLASP, 3), n, 20)
+    dims = ctx.dims[colorings]
+    pass1, _, _ = trace(parse_braid(CLASP, 3), colorings)
+    assert pass1 == (dims.prod(axis=1) // dims.max(axis=1)).sum()
+
+
+def test_zero_framed_invariant_builds_the_closure_structure_once(monkeypatch):
+    """The closure check of `trace_counts` reads only where the strands
+    end, so a zero-framed invariant computes `closure_structure` once (for
+    its framing shift) and a framed invariant not at all."""
+    calls = []
+    structure = braid.closure_structure
+
+    def spy(word):
+        calls.append(word)
+        return structure(word)
+
+    monkeypatch.setattr(braid, "closure_structure", spy)
+    word = parse_braid(CLASP, 3)
+    colors = ["B_1_0", "A_1_2", "B_1_0"]
+    zero_framed_invariant(params(1), word, colors)
+    assert len(calls) == 1
+    framed_invariant(params(1), word, colors)
+    assert len(calls) == 1
