@@ -207,7 +207,7 @@ def cmd_quandle(args) -> int:
 
 def _theory(params: CocycleParams, with_w: bool) -> modular.TheoryData:
     """One theory from its traces: S and W as (n, n) ids into one table of
-    exact values, keyed row by row as walked, with no (n, n, N) array."""
+    exact values, keyed block by block as walked, with no (n, n, N) array."""
     md = modular.modular_data(params)
     return modular.theory_data(md, modular.w_matrix(params) if with_w else None)
 
@@ -256,6 +256,10 @@ def cmd_distinguish(args) -> int:
               + ("EQUIVALENT" if stw.equivalent else "NOT-EQUIVALENT"))
         if st.equivalent and not stw.equivalent:
             cert = modular.obstruction_certificate(d1, d2)
+            if cert.compatible:
+                # T and W both allow some image: the pair proves nothing.
+                print(f"no two-object obstruction found at {cert.label} (anchor {cert.anchor})")
+                return 0
             print(f"obstruction at {cert.label} (anchor {cert.anchor} -> "
                   + "{" + ", ".join(cert.anchor_images) + "}):")
             print("  T allows   " + cert.label + " -> {" + ", ".join(cert.t_allowed) + "}")
@@ -291,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_u=True):
+    def add_common(p, with_u=True, with_out=True):
+        """The group flags, --u unless with_u is false, and --out and
+        --format only where the command writes a report (`_write_output`)."""
         p.add_argument("--q", type=int, default=11, help="odd prime q (default 11)")
         p.add_argument("--p", type=int, default=5, help="odd prime p (default 5)")
         p.add_argument("--n", type=int, default=4,
@@ -299,9 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
         if with_u:
             p.add_argument("--u", type=int, default=1,
                            help="cocycle power 0 <= u < p (default 1)")
-        p.add_argument("--out", help="write a machine-readable report here")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="format for --out (default json)")
+        if with_out:
+            p.add_argument("--out", help="write a machine-readable report here")
+            p.add_argument("--format", choices=("json", "csv"), default="json",
+                           help="format for --out (default json)")
 
     p = sub.add_parser("anyons", help="list simple objects with dims and twists")
     add_common(p)
@@ -326,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("quandle", help="affine quandle coloring counts of a closure")
-    add_common(p)
+    add_common(p, with_out=False)
     p.add_argument("--braid", required=True)
     p.add_argument("--strands", type=int, required=True)
     p.add_argument("--k", type=int, default=1, help="flux class 1 <= k < p")
@@ -334,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quandle)
 
     p = sub.add_parser("distinguish", help="equivalence verdicts between the theories")
-    add_common(p, with_u=False)
+    add_common(p, with_u=False, with_out=False)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--all", action="store_true",
                        help="partition all u into classes (default)")
@@ -345,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("lens", help="surgery invariant of the lens space L(P,Q)")
-    add_common(p)
+    add_common(p, with_out=False)
     p.add_argument("P", type=int)
     p.add_argument("Q", type=int)
     p.set_defaults(func=cmd_lens)

@@ -5,9 +5,12 @@ separates the five twisted-double theories of one group by (S, T, W).
 Everything here is exact.  Matrix entries live in Z[zeta_N] (N = p^2*q).
 S-tilde and the clasp matrix V are stored as (n, n) int32 ids into a
 table of their distinct values, phi(N) canonical numerators per id
-(`_value_ids`), keyed row by row as the braid engine's walk produces
-each row of root-of-unity histograms: no (n, n, N) array is built, and
-`s_counts` and `v_counts` give dense lifts only on demand.  Bulk
+(`_value_ids`).  The braid engine walks the n^2 colorings in blocks of
+`_REDUCE_BLOCK`, and each block of root-of-unity histograms is keyed
+as it comes: a fingerprint proposes a group, an exact compare decides
+it, and only the distinct histograms are reduced.  No (n, n, N) array
+is built, and `s_counts` and `v_counts` give dense lifts only on
+demand.  W is keyed from the pairs (V id, twist shift).  Bulk
 identities are certified by a rigorous modular-evaluation scheme: the
 distinct values, lifted to histograms by padding to N (`_lift`), are
 mapped into F_P (for several primes P = 1 mod N) by evaluating at
@@ -342,40 +345,106 @@ class ModularData:
         return self.dual[self.index_of(a)]
 
 
-# Histograms reduced per `reduce_counts` call in _value_ids: a few rows at once
-# save the fixed cost of a call, and the block bounds its temporaries.
+# Histograms per `reduce_counts` call and colorings per `trace_counts` call:
+# a block saves the fixed cost of a call and bounds its temporaries.
 _REDUCE_BLOCK = 256
 
+# The base B of the fingerprints h @ (B^j mod 2^64): any odd constant will
+# do, since a fingerprint only proposes a group and never decides equality.
+_FINGERPRINT_BASE = 0x9E3779B97F4A7C15
 
-def _value_ids(order: int, rows, index: dict[bytes, int] | None = None):
-    """Int32 ids of the exact values of histogram rows, each (m, L) with
-    L <= order, from any iterable (a generator is keyed as it goes), in
-    blocks of `_REDUCE_BLOCK` histograms whose distinct ones are reduced
-    once.  Each new value gets the next id through `index`, a dict keyed by
-    its canonical numerators' bytes (extended in place when given).  Returns
-    the (len(rows), m) ids and the table `values`, row i for id i."""
-    index = {} if index is None else index
-    ids, pending, count = [], [], 0
 
-    def flush():
-        raw: dict[bytes, int] = {}  # histogram bytes -> position among the distinct ones
-        where = [raw.setdefault(h.tobytes(), len(raw)) for h in np.concatenate(pending)]
-        distinct = np.frombuffer(b"".join(raw), dtype=np.int64).reshape(len(raw), -1)
-        reduced = np.ascontiguousarray(reduce_counts(order, distinct), dtype=np.int64)
-        value_of = [index.setdefault(v.tobytes(), len(index)) for v in reduced]
-        ids.extend(value_of[w] for w in where)
-        pending.clear()
+@lru_cache(maxsize=None)
+def _fingerprint_weights(order: int) -> np.ndarray:
+    """The uint64 weights B^j mod 2^64, j < order, of the Karp-Rabin
+    fingerprints in `_value_ids` (Karp and Rabin, IBM J. Res. Dev. 31
+    (1987)), built once per order."""
+    weights, w = [], 1
+    for _ in range(order):
+        weights.append(w)
+        w = w * _FINGERPRINT_BASE % 2**64
+    return np.array(weights, dtype=np.uint64)
 
-    for count, row in enumerate(rows, 1):
-        row = np.ascontiguousarray(row, dtype=np.int64)
-        for start in range(0, len(row), _REDUCE_BLOCK):
-            pending.append(row[start : start + _REDUCE_BLOCK])
-            if sum(map(len, pending)) >= _REDUCE_BLOCK:
-                flush()
-    if pending:
-        flush()
-    values = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), -1)
-    return np.array(ids, dtype=np.int32).reshape(count, -1), values
+
+def _blocks(rows: np.ndarray):
+    """The consecutive slices of `_REDUCE_BLOCK` rows of an array."""
+    return (rows[lo : lo + _REDUCE_BLOCK] for lo in range(0, len(rows), _REDUCE_BLOCK))
+
+
+def _index_values(order: int, blocks, index: dict[bytes, int]) -> np.ndarray:
+    """Int32 ids of the exact values of the histogram blocks, each (m, L)
+    with m <= `_REDUCE_BLOCK`, reduced one block per call: each value
+    gets its id through `index`, a dict keyed by its canonical
+    numerators' bytes (extended in place, new values in order)."""
+    ids = []
+    for block in blocks:
+        reduced = np.ascontiguousarray(reduce_counts(order, block), dtype=np.int64)
+        ids.extend(index.setdefault(v.tobytes(), len(index)) for v in reduced)
+    return np.array(ids, dtype=np.int32)
+
+
+def _table(index: dict[bytes, int]) -> np.ndarray:
+    """The table of an index: row i holds the numerators of id i."""
+    return np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), -1)
+
+
+def _value_ids(order: int, blocks):
+    """Int32 ids of the exact values of histogram blocks, each (m, L) with
+    L <= order and m <= `_REDUCE_BLOCK`, from any iterable (a generator is
+    keyed as it goes).  Returns the ids of all the histograms, in order,
+    and the table `values`, row i for id i.  Ids number the values in
+    order of first occurrence (`_index_values`).
+
+    No histogram is hashed.  Each gets a Karp-Rabin fingerprint h @ w
+    (`_fingerprint_weights`; uint64, so wrap-around is defined), which
+    only proposes a group: an int dict maps it to one stored histogram,
+    and every histogram is compared exactly with its group's.  One that
+    differs (a collision) is keyed by its exact bytes.  Only the new
+    distinct histograms of a block are reduced, once."""
+    index: dict[bytes, int] = {}
+    groups: dict[int, int] = {}  # fingerprint -> slot of its stored histogram
+    collided: dict[bytes, int] = {}  # histogram bytes -> slot, after a collision
+    stored: list[np.ndarray] = []  # slot -> one distinct histogram
+    slot_ids: list[int] = []  # slot -> value id
+    ids = []
+
+    def new_slot(hist: np.ndarray) -> int:
+        stored.append(hist.copy())
+        return len(stored) - 1
+
+    for hists in blocks:
+        hists = np.ascontiguousarray(hists, dtype=np.int64)
+        weights = _fingerprint_weights(order)[: hists.shape[-1]]
+        keys, first, inverse = np.unique(
+            hists.view(np.uint64) @ weights, return_index=True, return_inverse=True
+        )
+        known = len(stored)
+        proposed = []
+        for key, i in zip(keys.tolist(), first.tolist()):
+            if key not in groups:
+                groups[key] = new_slot(hists[i])
+            proposed.append(groups[key])
+        slot = np.array(proposed, dtype=np.int64)[inverse]
+        # The (m, L) gather of the stored histograms lives only for this
+        # compare, so the next block is walked without it.
+        reference = np.stack([stored[s] for s in proposed])
+        for i in np.flatnonzero(np.any(hists != reference[inverse], axis=1)).tolist():
+            raw = hists[i].tobytes()
+            if raw not in collided:
+                collided[raw] = new_slot(hists[i])
+            slot[i] = collided[raw]
+        # Every entry is matched: key the new slots in order of first
+        # occurrence, so that the value ids follow it too.
+        fresh, at = np.unique(slot, return_index=True)
+        fresh = fresh[np.argsort(at)]
+        fresh = fresh[fresh >= known].tolist()
+        slot_ids.extend([0] * len(fresh))
+        if fresh:
+            new_ids = _index_values(order, [np.stack([stored[s] for s in fresh])], index)
+            for s, i in zip(fresh, new_ids.tolist()):
+                slot_ids[s] = i
+        ids.append(np.array(slot_ids, dtype=np.int32)[slot])
+    return np.concatenate(ids), _table(index)
 
 
 def _lift(values: np.ndarray, order: int) -> np.ndarray:
@@ -388,14 +457,20 @@ def _lift(values: np.ndarray, order: int) -> np.ndarray:
 
 def _galois_image_ids(order: int, values: np.ndarray, f: int, index: dict[bytes, int]):
     """The ids in `index` (extended in place) of sigma_f of each exact value
-    in the table `values`, and the table, as `_value_ids` returns them:
-    each distinct value is mapped and reduced once, whatever the number
-    of matrix entries that hold it."""
+    in the table `values`, and the table, as `_value_ids` returns them.
+    Each image is built, reduced and keyed directly, in blocks of
+    `_REDUCE_BLOCK`: sigma_f is injective, so distinct values have
+    distinct images and there is nothing to group."""
     # sigma_f(sum_j c_j zeta^j) is the histogram with c_j at f*j mod N.
-    image = np.zeros((len(values), order), dtype=np.int64)
-    image[:, f * np.arange(values.shape[1]) % order] = values
-    ids, table = _value_ids(order, [image], index)
-    return ids[0], table
+    targets = f * np.arange(values.shape[1]) % order
+
+    def images():
+        for block in _blocks(values):
+            image = np.zeros((len(block), order), dtype=np.int64)
+            image[:, targets] = block
+            yield image
+
+    return _index_values(order, images(), index), _table(index)
 
 
 def t_matrix(params: CocycleParams) -> list[CycloNumber]:
@@ -430,10 +505,12 @@ def modular_data(params: CocycleParams) -> ModularData:
     if gauss[0] != total_dim or gauss[1:].any():
         raise ArithmeticError("Gauss sum is not the total dimension D")
 
-    # One batched trace per row a, over the colorings (a, b), keyed as walked.
+    # The colorings (a, b) in row-major order, one batched trace per block,
+    # keyed as walked.
     word = BraidWord(2, (-1, -1))
-    rows = (trace_counts(ctx, word, np.stack([np.full(n, a), np.arange(n)], 1)) for a in range(n))
-    s_ids, s_values = _value_ids(ctx.root_order, rows)
+    colorings = np.stack(np.divmod(np.arange(n * n), n), 1)
+    blocks = (trace_counts(ctx, word, c) for c in _blocks(colorings))
+    s_ids, s_values = _value_ids(ctx.root_order, blocks)
 
     return ModularData(
         params=params,
@@ -441,7 +518,7 @@ def modular_data(params: CocycleParams) -> ModularData:
         dims=dims,
         twist_exps=twist_exps,
         root_order=ctx.root_order,
-        s_ids=s_ids,
+        s_ids=s_ids.reshape(n, n),
         s_values=s_values,
         total_dim=total_dim,
     )
@@ -820,11 +897,15 @@ def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
         raise ValueError("clasp word must close to a doubled plus a bare component")
     doubled = max(info.components, key=len)
     twist_exps = np.array([t.twist_exp % ctx.root_order for t in ctx.tables], dtype=np.int64)
-    # One zero-framed trace per row a (doubled component a, bare b), keyed as walked.
-    is_doubled = np.isin(np.arange(1, 4), doubled)
-    row_colorings = (np.where(is_doubled, a, np.arange(n)[:, None]) for a in range(n))
-    rows = (trace_counts(ctx, word, c, zero_framing_shifts(ctx, info, c)) for c in row_colorings)
-    v_ids, v_values = _value_ids(ctx.root_order, rows)
+    # The colorings (doubled component a, bare b) in row-major order, one
+    # zero-framed trace per block, keyed as walked.
+    a, b = np.divmod(np.arange(n * n), n)
+    colorings = np.where(np.isin(np.arange(1, 4), doubled), a[:, None], b[:, None])
+    blocks = (
+        trace_counts(ctx, word, c, zero_framing_shifts(ctx, info, c))
+        for c in _blocks(colorings)
+    )
+    v_ids, v_values = _value_ids(ctx.root_order, blocks)
     return WMatrix(
         params=params,
         labels=labels,
@@ -832,7 +913,7 @@ def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
         mirror=bool(mirror),
         root_order=ctx.root_order,
         twist_exps=twist_exps,
-        v_ids=v_ids,
+        v_ids=v_ids.reshape(n, n),
         v_values=v_values,
     )
 
@@ -1262,15 +1343,26 @@ class TheoryData:
 
 
 def theory_data(md: ModularData, wm: WMatrix | None = None) -> TheoryData:
-    """Freeze (S, T[, W]) into value ids: those of S, then W_ab = V_ab /
-    (theta_a theta_b), rolled from V's lifts row by row, into the same
-    table (small: 46 values in S, 176 in S and W at the flagship)."""
+    """Freeze (S, T[, W]) into value ids: those of S, then W into the same
+    table (small: 46 values in S, 176 in S and W at the flagship).
+
+    W_ab = V_ab zeta^-(t_a + t_b) depends only on the pair (V id, shift
+    -(t_a + t_b) mod N).  The distinct pairs, in order of first
+    occurrence, each roll the lift of their V value once and are reduced
+    in blocks of `_REDUCE_BLOCK`; two pairs with one value share its id."""
     w_keys, values = None, md.s_values
     if wm is not None:
-        t, lifts = wm.twist_exps, _lift(wm.v_values, wm.root_order)
-        rows = (_roll_rows(lifts[wm.v_ids[a]], -(t[a] + t)) for a in range(len(t)))
+        ne, t = wm.root_order, wm.twist_exps
+        pairs = wm.v_ids.astype(np.int64) * ne + (-t[:, None] - t[None, :]) % ne
+        keys, first, inverse = np.unique(pairs.ravel(), return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        v_id, shift = np.divmod(keys[order], ne)
+        lifts = _lift(wm.v_values, ne)
+        blocks = (_roll_rows(lifts[ids], k) for ids, k in zip(_blocks(v_id), _blocks(shift)))
         index = {v.tobytes(): i for i, v in enumerate(md.s_values)}
-        w_keys, values = _value_ids(md.root_order, rows, index)
+        key_ids = np.empty(len(keys), dtype=np.int32)
+        key_ids[order] = _index_values(md.root_order, blocks, index)
+        w_keys, values = key_ids[inverse].reshape(pairs.shape), _table(index)
     return TheoryData(
         name=f"u={md.params.u}",
         labels=md.labels,

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: output content,
 exit codes, and byte-level determinism of written reports."""
 
+import dataclasses
 import json
 
 import pytest
@@ -182,6 +183,44 @@ def test_distinguish_pair(capsys):
     assert "T allows   A_1_4 -> {A_1_4, A_2_2}" in out
     assert "W requires A_1_4 -> {A_1_1, A_2_6}" in out
     assert "intersection: {}" in out
+
+
+def test_distinguish_pair_prints_no_obstruction_with_a_nonempty_intersection(
+    capsys, monkeypatch
+):
+    """When T and W both allow an image at the pair, the pair proves
+    nothing: one line says so, and no obstruction block is printed."""
+    real = modular.obstruction_certificate
+
+    def nonempty(d1, d2):
+        cert = real(d1, d2)
+        return dataclasses.replace(cert, compatible=cert.t_allowed[:1])
+
+    monkeypatch.setattr(modular, "obstruction_certificate", nonempty)
+    code, out, _ = run(capsys, ["distinguish", "--u", "1", "4"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "no two-object obstruction found at A_1_4 (anchor B_1_0)"
+    assert not any(line.startswith("obstruction") for line in lines)
+    assert not any(word in out for word in ("T allows", "W requires", "intersection"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distinguish", "--all"],
+        ["quandle", "--braid", "s1^3", "--strands", "2"],
+        ["lens", "5", "2"],
+    ],
+)
+@pytest.mark.parametrize("flag", [["--out", "x.json"], ["--format", "csv"]])
+def test_out_is_rejected_where_no_report_is_written(argv, flag, tmp_path, monkeypatch):
+    """Commands that write no report do not take --out or --format."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, *flag])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_distinguish_st_only(capsys):

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from stw import modular
-from stw.braid import BraidWord
+from stw.braid import BraidWord, closure_structure, parse_braid, trace_counts, zero_framing_shifts
 from stw.braid import framed_invariant
 from stw.cocycle import CocycleParams
-from stw.cyclotomic import CycloNumber, euler_phi, reduce_counts, root_of_unity
+from stw.cyclotomic import CycloNumber, _roll_rows, euler_phi, reduce_counts, root_of_unity
 from stw.double import context_for, sigma_inverse_action
 from stw.group import GroupData, GroupSpec, identity, inverse
 
@@ -128,13 +128,13 @@ def _with_s_counts(md, counts):
     histograms counts: what `modular_data` would store had its walk
     produced them."""
     s_ids, s_values = modular._value_ids(md.root_order, counts)
-    return dataclasses.replace(md, s_ids=s_ids, s_values=s_values)
+    return dataclasses.replace(md, s_ids=s_ids.reshape(counts.shape[:2]), s_values=s_values)
 
 
 def _with_v_counts(wm, counts):
     """wm with V keyed afresh from the (n, n, N) histograms counts."""
     v_ids, v_values = modular._value_ids(wm.root_order, counts)
-    return dataclasses.replace(wm, v_ids=v_ids, v_values=v_values)
+    return dataclasses.replace(wm, v_ids=v_ids.reshape(counts.shape[:2]), v_values=v_values)
 
 
 @pytest.mark.parametrize("inner", [49, 129, 217, 64 * 1024 + 5])
@@ -916,3 +916,155 @@ def test_certification_at_even_order(u):
     report = modular.modularity_report(md)
     assert report.failures == () and report.charge_conjugation
     assert report.self_dual_count == md.n_objects == 28
+
+
+# ----- keying: fingerprints against the bytes-dict reference -------------------
+
+
+def _bytes_value_ids(order, rows, index=None):
+    """Reference keying, the one `_value_ids` replaced: every histogram of
+    each row is hashed by its bytes, the distinct ones are reduced, and
+    each value gets the next id through a dict on its numerators' bytes.
+    Returns (len(rows), m) ids and the table."""
+    index = {} if index is None else index
+    ids = []
+    for row in rows:
+        row = np.ascontiguousarray(row, dtype=np.int64)
+        raw = {}
+        where = [raw.setdefault(h.tobytes(), len(raw)) for h in row]
+        distinct = np.frombuffer(b"".join(raw), dtype=np.int64).reshape(len(raw), -1)
+        reduced = np.ascontiguousarray(reduce_counts(order, distinct), dtype=np.int64)
+        value_of = [index.setdefault(v.tobytes(), len(index)) for v in reduced]
+        ids.append([value_of[w] for w in where])
+    values = np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), -1)
+    return np.array(ids, dtype=np.int32), values
+
+
+def _reference_ids(params):
+    """S and V keyed the reference way, from one trace per row a."""
+    ctx = context_for(params)
+    n = len(ctx.simples)
+    s_rows = (
+        trace_counts(ctx, BraidWord(2, (-1, -1)), np.stack([np.full(n, a), np.arange(n)], 1))
+        for a in range(n)
+    )
+    word = parse_braid(modular.WHITEHEAD_WORD, 3)
+    info = closure_structure(word)
+    is_doubled = np.isin(np.arange(1, 4), max(info.components, key=len))
+    colorings = (np.where(is_doubled, a, np.arange(n)[:, None]) for a in range(n))
+    v_rows = (trace_counts(ctx, word, c, zero_framing_shifts(ctx, info, c)) for c in colorings)
+    return _bytes_value_ids(ctx.root_order, s_rows), _bytes_value_ids(ctx.root_order, v_rows)
+
+
+def _reference_w(md, wm):
+    """W keyed the reference way: each row of V's lifts rolled by
+    -(t_a + t_b), keyed into the table of S."""
+    t, lifts = wm.twist_exps, modular._lift(wm.v_values, wm.root_order)
+    rows = (_roll_rows(lifts[wm.v_ids[a]], -(t[a] + t)) for a in range(len(t)))
+    index = {v.tobytes(): i for i, v in enumerate(md.s_values)}
+    return _bytes_value_ids(md.root_order, rows, index)
+
+
+def _reference_galois_image_ids(order, values, f, index):
+    image = np.zeros((len(values), order), dtype=np.int64)
+    image[:, f * np.arange(values.shape[1]) % order] = values
+    ids, table = _bytes_value_ids(order, [image], index)
+    return ids[0], table
+
+
+def _assert_same(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+KEYING_CASES = [((11, 5, 4), u) for u in range(5)] + [((7, 3, 2), u) for u in range(3)]
+KEYING_CASES += [((13, 3, 3), u) for u in range(3)]
+
+
+@pytest.mark.parametrize("group, u", KEYING_CASES)
+def test_keying_matches_the_bytes_reference(group, u, md_u, wm_u):
+    """S, V and W ids and tables, fingerprinted and walked in blocks of
+    colorings, are byte-identical to the bytes-dict keying of one trace
+    per row."""
+    params = CocycleParams(GroupSpec(*group), u)
+    flagship = group == (11, 5, 4)
+    md = md_u(u) if flagship else modular.modular_data(params)
+    wm = wm_u(u) if flagship else modular.w_matrix(params)
+    (s_ids, s_values), (v_ids, v_values) = _reference_ids(params)
+    _assert_same(md.s_ids, s_ids)
+    _assert_same(md.s_values, s_values)
+    _assert_same(wm.v_ids, v_ids)
+    _assert_same(wm.v_values, v_values)
+    data = modular.theory_data(md, wm)
+    w_keys, values = _reference_w(md, wm)
+    _assert_same(data.w_keys, w_keys)
+    _assert_same(data.values, values)
+    _assert_same(data.s_keys, md.s_ids)
+
+
+@pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (13, 3, 3)])
+def test_galois_conjugate_matches_the_bytes_reference(group, theory_u, monkeypatch):
+    """Galois images keyed directly give the ids and table that the
+    bytes-dict keying of all images at once gives."""
+    spec = GroupSpec(*group)
+    base = CocycleParams(spec, 1)
+    d1 = theory_u(1, True) if group == (11, 5, 4) else _built_theory(base)
+    actual = [modular.galois_conjugate(d1, base, r) for r in range(1, spec.p)]
+    monkeypatch.setattr(modular, "_galois_image_ids", _reference_galois_image_ids)
+    for conj, r in zip(actual, range(1, spec.p)):
+        expected = modular.galois_conjugate(d1, base, r)
+        for name in ("s_keys", "w_keys", "values", "t_keys", "dims"):
+            _assert_same(getattr(conj, name), getattr(expected, name))
+
+
+def test_ids_are_unchanged_when_every_fingerprint_collides(monkeypatch):
+    """All-zero weights put every histogram into one group: every entry
+    but the first fails the exact compare and is keyed by its bytes, and
+    the ids and tables stay the same."""
+    params = CocycleParams(GroupSpec(7, 3, 2), 1)
+    expected_md, expected_wm = modular.modular_data(params), modular.w_matrix(params)
+    monkeypatch.setattr(modular, "_fingerprint_weights", lambda order: np.zeros(order, np.uint64))
+    md, wm = modular.modular_data(params), modular.w_matrix(params)
+    _assert_same(md.s_ids, expected_md.s_ids)
+    _assert_same(md.s_values, expected_md.s_values)
+    _assert_same(wm.v_ids, expected_wm.v_ids)
+    _assert_same(wm.v_values, expected_wm.v_values)
+
+
+def test_a_fingerprint_collision_still_gives_two_ids():
+    """h1 = (B, 0, ...) and h2 = (0, 1, 0, ...) share the fingerprint
+    B * 1 = 1 * B, yet are the different values B and zeta: the exact
+    compare splits them."""
+    order = 63
+    weights = modular._fingerprint_weights(order)
+    h1 = np.zeros(order, dtype=np.int64)
+    h2 = np.zeros(order, dtype=np.int64)
+    h1[0] = weights[1].astype(np.int64)
+    h2[1] = 1
+    assert h1.view(np.uint64) @ weights == h2.view(np.uint64) @ weights
+    ids, values = modular._value_ids(order, [np.stack([h2, h1, h2, h1])])
+    assert ids.tolist() == [0, 1, 0, 1]
+    assert values[0].tolist() == reduce_counts(order, h2).tolist()
+    assert values[1].tolist() == reduce_counts(order, h1).tolist()
+
+
+def test_w_pairs_with_one_value_share_one_id(small_md):
+    """W_ab = V_ab zeta^-(t_a + t_b) from the pairs (V id, shift): with
+    V_00 = 1 and V_0c = zeta^(t_c) the pairs (0, 0) and (1, -t_c) differ
+    but both give W = 1, so they get one id."""
+    md = small_md
+    wm = modular.w_matrix(md.params)
+    ne, t = wm.root_order, wm.twist_exps
+    c = int(np.flatnonzero(t)[0])
+    unit, shifted = np.zeros(ne, dtype=np.int64), np.zeros(ne, dtype=np.int64)
+    unit[0], shifted[t[c]] = 1, 1
+    v_ids = np.zeros_like(wm.v_ids)
+    v_ids[0, c] = 1
+    fake = dataclasses.replace(
+        wm, v_ids=v_ids, v_values=reduce_counts(ne, np.stack([unit, shifted]))
+    )
+    data = modular.theory_data(md, fake)
+    assert data.w_keys[0, 0] == data.w_keys[0, c]
+    w_values = data.values[data.w_keys]
+    assert np.all(w_values[0, 0] == w_values[0, c])
+    _assert_same(data.w_keys, _reference_w(md, fake)[0])
