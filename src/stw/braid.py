@@ -32,7 +32,6 @@ colorings (each optionally shifted, as by `zero_framing_shifts`), and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -186,11 +185,11 @@ def _resolve_colors(ctx: DoubleContext, word: BraidWord, colors) -> list[int]:
 _WALK_BLOCK = 16384
 
 
-def _start(ctx: DoubleContext, colorings: np.ndarray, dims=None) -> list[np.ndarray]:
+def _start(ctx: DoubleContext, colorings: np.ndarray, dims=None) -> np.ndarray:
     """The global vector on each strand at the bottom of the braid, for
     every basis tuple of the colorings (a row of object indices per
     coloring): coloring after coloring, each in lexicographic order.  One
-    array per strand, in the vector dtype of the context's tables.
+    row per strand, in the vector dtype of the context's tables.
     `dims` (default the objects' dimensions) bounds the basis index on
     each strand of each coloring: a strand given 1 stays on its object's
     first vector.  Each run of consecutive colorings with equal `dims` is
@@ -200,28 +199,26 @@ def _start(ctx: DoubleContext, colorings: np.ndarray, dims=None) -> list[np.ndar
     if dims is None:
         dims = ctx.dims[colorings]
     offsets = ctx.offsets[colorings].astype(dtype)
-    cuts = (np.flatnonzero(np.any(dims[1:] != dims[:-1], axis=1)) + 1).tolist()
+    cuts = ((dims[1:] != dims[:-1]).any(axis=1).nonzero()[0] + 1).tolist()
     digits = {}  # each strand's basis index along the tuples, per row of dimensions
     parts = []
     for lo, hi in zip([0] + cuts, cuts + [len(dims)]):
         d = tuple(dims[lo].tolist())
         if d not in digits:
-            digits[d] = [
-                np.tile(np.repeat(np.arange(d[j], dtype=dtype), prod(d[j + 1:])), prod(d[:j]))
-                for j in range(len(d))
-            ]
-        parts.append([(offsets[lo:hi, j, None] + dj).ravel() for j, dj in enumerate(digits[d])])
-    return [np.concatenate(strand) for strand in zip(*parts)]
+            digits[d] = np.indices(d, dtype=dtype).reshape(len(d), 1, -1)
+        parts.append((offsets[lo:hi].T[:, :, None] + digits[d]).reshape(len(d), -1))
+    return np.concatenate(parts, axis=1)
 
 
-def _walk(ctx: DoubleContext, word: BraidWord, state: list[np.ndarray], phases: bool):
+def _walk(ctx: DoubleContext, word: BraidWord, state: np.ndarray, phases: bool):
     """Run the word over basis tuples, given by the global vector on each
-    strand at the bottom of the braid.  Each crossing is one gather from
-    the global action tables of `stw.double`, indexed by flux_row (flux
-    times size) of the vector that crosses over plus the vector it acts
-    on.  Returns the vector on each strand at the top of the braid and,
-    when `phases`, each tuple's phase exponent without the associator
-    (else None): the permutation part alone gathers no phase table."""
+    strand at the bottom of the braid (one row per strand).  Each crossing
+    is one gather from the global action tables of `stw.double`, indexed
+    by flux_row (flux times size) of the vector that crosses over plus the
+    vector it acts on.  Returns the vector on each strand at the top of
+    the braid and, when `phases`, each tuple's phase exponent without the
+    associator (else None): the permutation part alone gathers no phase
+    table."""
     state = list(state)
     expo = None
     if phases:
@@ -298,7 +295,7 @@ def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) ->
     colorings = np.asarray(colorings, dtype=np.int64).reshape(-1, word.strands)
     # A coloring closes up when every top position carries the colour of
     # the bottom position below it.
-    if np.any(colorings[:, _strand_at(word)] != colorings):
+    if (colorings[:, _strand_at(word)] != colorings).any():
         for comp in closure_structure(word).components:
             cols = colorings[:, [s - 1 for s in comp]]
             bad = np.flatnonzero(np.any(cols != cols[:, :1], axis=1))
@@ -315,18 +312,18 @@ def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) ->
     # every strand is back at its start vector.  Few tuples are (0.2-20 %
     # in the S, W and closure walks), so only they reach pass 2.
     found = []
-    for lo in range(0, len(start[0]), _WALK_BLOCK):
-        block = [strand[lo : lo + _WALK_BLOCK] for strand in start]
+    for lo in range(0, start.shape[1], _WALK_BLOCK):
+        block = start[:, lo : lo + _WALK_BLOCK]
         end, _ = _walk(ctx, word, block, False)
         fixed = end[0] == block[0]
         for j in range(1, word.strands):
             fixed &= end[j] == block[j]
-        found.append(np.flatnonzero(fixed) + lo)
+        found.append(fixed.nonzero()[0] + lo)
     sel = np.concatenate(found)
     # Pass 2, the phases of the fixed tuples.
-    _, expo = _walk(ctx, word, [strand[sel] for strand in start], True)
+    _, expo = _walk(ctx, word, start[:, sel], True)
     ne = ctx.root_order
-    which = np.searchsorted(np.cumsum(np.prod(walked, axis=1)), sel, side="right")
+    which = walked.prod(axis=1).cumsum().searchsorted(sel, side="right")
     if shifts is not None:
         expo = expo + np.asarray(shifts, dtype=np.int64)[which]
     bins = which * ne + expo % ne
@@ -385,7 +382,7 @@ def zero_framing_shifts(ctx: DoubleContext, info: ClosureInfo, colorings) -> np.
     """The `trace_counts` shifts that cancel every component's blackboard
     self-framing under C colorings (rows of object indices): theta^-writhe
     per closure component is the shift -sum self_writhe * t_color."""
-    twists = np.array([t.twist_exp for t in ctx.tables])[np.asarray(colorings)]
+    twists = ctx.twist_exps[np.asarray(colorings)]
     firsts = [comp[0] - 1 for comp in info.components]
     return -twists[:, firsts] @ np.array(info.self_writhes)
 

@@ -14,6 +14,7 @@ never for decisions.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -71,6 +72,7 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler's totient phi(n)."""
     if n < 1:
@@ -134,17 +136,20 @@ def _division_terms(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[in
 
 def _integer_array(values) -> np.ndarray:
     """Integer array of `values`: int64 where every entry fits, otherwise
-    an object array of Python ints (never a lossy float or uint64 cast)."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iuO":
-        if values.dtype == object:
-            return values
-        if np.can_cast(values.dtype, np.int64):
-            return values.astype(np.int64, copy=False)
-        values = values.tolist()  # uint64: Python ints
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
+    an object array of Python ints (never a lossy float or uint64 cast).
+    Raises TypeError on float, complex or other non-integer entries."""
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values)
+    kind = arr.dtype.kind
+    if kind in "ib" or arr.size == 0:
+        return arr.astype(np.int64, copy=False)
+    if kind == "u" and (arr.dtype.itemsize < 8 or int(arr.max()) < 1 << 63):
+        return arr.astype(np.int64)
+    if kind not in "uO":
+        raise TypeError(f"expected integer values, got dtype {arr.dtype}")
+    # Python ints beyond int64: operator.index refuses floats and the like.
+    out = np.empty(arr.size, dtype=object)
+    out[:] = [operator.index(c) for c in arr.ravel().tolist()]
+    return out.reshape(arr.shape)
 
 
 def _fits_int64(rows: np.ndarray, factor: int) -> bool:
@@ -232,6 +237,8 @@ def _poly_multiply(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 
 
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    if den == 1:  # gcd(content, 1) = 1: nothing to divide
+        return tuple(num), 1
     if den == 0:
         raise ZeroDivisionError("denominator must be nonzero")
     if den < 0:
@@ -265,11 +272,11 @@ class CycloNumber:
         if order < 1:
             raise ValueError("order must be a positive integer")
         phi = euler_phi(order)
-        num = [int(c) for c in num]
+        num = [operator.index(c) for c in num]
         if len(num) != phi:
             raise ValueError(f"need {phi} coefficients for order {order}")
         self.order = order
-        self.num, self.den = _normalize(num, int(den))
+        self.num, self.den = _normalize(num, operator.index(den))
 
     # ----- constructors -------------------------------------------------
 
@@ -300,11 +307,17 @@ class CycloNumber:
     def from_root_counts(cls, order: int, counts) -> "CycloNumber":
         """sum_j counts[j] * zeta_order^j for an integer vector indexed
         by exponent mod order (the shape produced by trace accumulation).
+        The canonical numerators of `reduce_counts` over denominator 1 are
+        already the normal form, so they are stored as they come.
         """
         counts = _integer_array(counts)
-        if counts.shape[-1] > order:
-            raise ValueError("counts vector longer than order")
-        return cls(order, reduce_counts(order, counts).tolist())
+        if counts.ndim != 1 or len(counts) > order:
+            raise ValueError("counts must be one vector no longer than the order")
+        value = cls.__new__(cls)
+        value.order = order
+        value.num = tuple(reduce_counts(order, counts).tolist())
+        value.den = 1
+        return value
 
     # ----- field data ---------------------------------------------------
 

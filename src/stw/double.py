@@ -191,6 +191,7 @@ class DoubleContext:
                     ))
         self.dims = np.array([t.dim for t in self.tables])
         self.offsets = np.array([t.offset for t in self.tables])
+        self.twist_exps = np.array([t.twist_exp for t in self.tables])
         flux, state, exp = (np.concatenate(part, axis=-1) for part in zip(*parts))
         self._require_transitive(state)
         gd = self.gdata

@@ -1404,8 +1404,7 @@ def galois_conjugate(data: TheoryData, params: CocycleParams, u: int) -> TheoryD
     ctx = context_for(target)
     dims = data.dims[source]
     t_keys = f * data.t_keys[source] % ne
-    twist_exps = np.array([t.twist_exp for t in ctx.tables])
-    if not (np.array_equal(dims, ctx.dims) and np.array_equal(t_keys, twist_exps)):
+    if not (np.array_equal(dims, ctx.dims) and np.array_equal(t_keys, ctx.twist_exps)):
         raise ArithmeticError(
             f"the conjugate of {data.name} by sigma_{f} does not match the dims"
             f" and twists of u={target.u}"

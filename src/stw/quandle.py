@@ -189,8 +189,10 @@ def single_color_check(
     info = closure_structure(word)
     quandle = AlexanderQuandle.for_flux_class(params.spec, k)
     count = coloring_count(quandle, word)
-    tw_exp = ctx.tables[ctx.index_of(label)].twist_exp
-    predicted = ctx.root(tw_exp * info.writhe) * CycloNumber.from_rational(count, 1)
+    # count * zeta^(twist * writhe): a one-bin histogram, reduced once.
+    hist = np.zeros(ctx.root_order, dtype=np.int64)
+    hist[ctx.twist_exps[ctx.index_of(label)] * info.writhe % ctx.root_order] = count
+    predicted = CycloNumber.from_root_counts(ctx.root_order, hist)
     return SingleColorReport(
         ok=invariant == predicted,
         label=label,

@@ -732,3 +732,58 @@ def test_zero_framed_invariant_builds_the_closure_structure_once(monkeypatch):
     assert len(calls) == 1
     framed_invariant(params(1), word, colors)
     assert len(calls) == 1
+
+
+def _tiled_start(ctx, colorings, dims):
+    """The start vectors of `braid._start` as built coloring by coloring
+    with `np.tile`/`np.repeat`: strand j's digit repeats each index
+    prod(d[j+1:]) times and the pattern prod(d[:j]) times."""
+    dtype = ctx.action_state.dtype
+    strands = [[] for _ in range(colorings.shape[1])]
+    for offsets, d in zip(ctx.offsets[colorings].astype(dtype), dims.tolist()):
+        for j, offset in enumerate(offsets):
+            digit = np.repeat(np.arange(d[j], dtype=dtype), int(np.prod(d[j + 1:])))
+            strands[j].append(offset + np.tile(digit, int(np.prod(d[:j]))))
+    return np.array([np.concatenate(strand) for strand in strands])
+
+
+@pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4)])
+def test_start_digits_match_the_tiled_construction(group):
+    """`_start` builds each run of equal dimension rows with one
+    `np.indices`; its vectors equal the tile/repeat digits on 1 to 5
+    strands, with pinned strands (dimension 1) and several runs."""
+    ctx = context_for(CocycleParams(GroupSpec(*group), 1))
+    rng = np.random.default_rng(sum(group))
+    n = len(ctx.simples)
+    for strands in range(1, 6):
+        count = 12 if strands < 5 else 3
+        colorings = rng.integers(n, size=(count, strands))
+        colorings[count // 2 :] = colorings[count // 2]  # one run of equal rows
+        dims = ctx.dims[colorings]
+        pinned = dims.copy()
+        pinned[np.arange(count), dims.argmax(axis=1)] = 1
+        pinned[1::3, 0] = 1  # more ones, breaking the runs up
+        for case in (dims, pinned):
+            start = braid._start(ctx, colorings, case)
+            expected = _tiled_start(ctx, colorings, case)
+            assert start.dtype == expected.dtype == ctx.action_state.dtype
+            assert np.array_equal(start, expected), (strands, case.tolist())
+        assert np.array_equal(braid._start(ctx, colorings), _tiled_start(ctx, colorings, dims))
+
+
+def test_zero_framing_shifts_read_the_stored_twists():
+    """`ctx.twist_exps` is the twist exponent of every object, and the
+    shifts built from it equal those built from the per-object tables."""
+    rng = np.random.default_rng(17)
+    for group in ORBIT_GROUPS:
+        ctx = context_for(CocycleParams(GroupSpec(*group), 1))
+        listed = np.array([t.twist_exp for t in ctx.tables])
+        assert np.array_equal(ctx.twist_exps, listed)
+        for strands in (1, 2, 3, 4):
+            word = _random_word(rng, strands, 2 * strands + 1)
+            info = closure_structure(word)
+            colorings = _closed_colorings(rng, word, len(ctx.simples), 6)
+            firsts = [comp[0] - 1 for comp in info.components]
+            expected = -listed[colorings][:, firsts] @ np.array(info.self_writhes)
+            shifts = braid.zero_framing_shifts(ctx, info, colorings)
+            assert np.array_equal(shifts, expected)

@@ -250,3 +250,46 @@ def test_reduction_bound_factor_is_the_largest_reduced_power():
         powers = ([0] * j + [1] for j in range(n))
         expected = max(abs(c) for x_j in powers for c in _reduce_by_division(n, x_j))
         assert reduction_bound_factor(n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 275, 2783])
+def test_from_root_counts_equals_the_normalizing_constructor(n):
+    """`from_root_counts` stores the numerators of `reduce_counts` over
+    denominator 1 as they come; that must be what the constructor's
+    normalization gives, for int64 and Python-int counts, negative
+    counts and histograms shorter than the order."""
+    rng = np.random.default_rng(n)
+    phi = euler_phi(n)
+    for width in sorted({n, max(1, phi // 2), 1}):
+        small = rng.integers(-50, 50, size=width)
+        big = [int(c) * 3**45 for c in small]  # beyond int64 after reduction
+        for counts in (small, small.astype(object), [int(c) for c in small], big):
+            value = CycloNumber.from_root_counts(n, counts)
+            made = CycloNumber(n, reduce_counts(n, counts).tolist())
+            assert value.num == made.num and value.den == made.den == 1
+            assert value == made
+            assert all(type(c) is int for c in value.num)
+    assert CycloNumber.from_root_counts(n, [-1] + [0] * (n - 1)) == -1
+
+
+def test_non_integer_input_is_refused():
+    """Floats and complex numbers raise TypeError instead of being
+    truncated; integral numpy and Python ints are taken as they are."""
+    for bad in (
+        lambda: CycloNumber(5, [1.5, 0, 0, 0]),
+        lambda: CycloNumber(5, [np.float64(1.0), 0, 0, 0]),
+        lambda: CycloNumber(5, [1, 0, 0, 0], 2.0),
+        lambda: CycloNumber.from_root_counts(5, np.array([0.9, 0, 0, 0, 0])),
+        lambda: CycloNumber.from_root_counts(5, [1j, 0, 0, 0, 0]),
+        lambda: reduce_counts(5, [1.5, 0, 0, 0, 2.9]),
+        lambda: reduce_counts(5, np.array([2**70, 0.5], dtype=object)),
+        lambda: reduce_counts(5, ["1", "0"]),
+    ):
+        with pytest.raises(TypeError):
+            bad()
+    assert CycloNumber(5, np.array([1, 0, 0, 0], dtype=np.int32)) == 1
+    assert CycloNumber.from_root_counts(5, np.array([2, 0, 0, 0, 0], dtype=np.uint64)) == 2
+    assert reduce_counts(5, np.array([2**63, 0], dtype=np.uint64)).dtype == object
+    assert reduce_counts(5, []).shape == (4,)
+    with pytest.raises(ValueError):
+        euler_phi(0)

@@ -5,7 +5,8 @@ import pytest
 
 from stw.braid import BraidWord, parse_braid
 from stw.cocycle import CocycleParams
-from stw.double import sigma_action
+from stw.cyclotomic import CycloNumber
+from stw.double import context_for, sigma_action
 from stw.group import GroupSpec
 from stw.quandle import (
     AlexanderQuandle,
@@ -130,3 +131,30 @@ def test_single_color_report_fields():
     assert report.writhe == 3
     assert report.count == 11
     assert report.invariant == report.predicted
+
+
+@pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (7, 2, 6)])
+def test_predicted_value_is_built_without_a_product(group, monkeypatch):
+    """`predicted` is count * zeta^(twist * writhe), reduced from a
+    one-bin histogram: it equals the product ctx.root(e) * count of exact
+    values, and no `CycloNumber` product is formed to get it."""
+    spec = GroupSpec(*group)
+    params = CocycleParams(spec, 1)
+    ctx = context_for(params)
+    words = list(ORACLE_WORDS.values()) + [parse_braid("s1 s2^-1 s3 s1 s2 s3^-1", 4)]
+    cases = [(word, k, s) for word in words for k in range(1, spec.p) for s in (0, spec.p - 1)]
+    expected = []
+    for word, k, s in cases:
+        count = coloring_count(AlexanderQuandle.for_flux_class(spec, k), word)
+        e = ctx.tables[ctx.index_of(f"B_{k}_{s}")].twist_exp * word.writhe
+        expected.append(ctx.root(e) * CycloNumber.from_rational(count, 1))
+
+    def no_product(self, other):
+        raise AssertionError("single_color_check formed a CycloNumber product")
+
+    monkeypatch.setattr(CycloNumber, "__mul__", no_product)
+    monkeypatch.setattr(CycloNumber, "__rmul__", no_product)
+    for (word, k, s), value in zip(cases, expected):
+        report = single_color_check(params, word, k, s)
+        assert report.ok, (group, word, k, s)
+        assert (report.predicted.num, report.predicted.den) == (value.num, value.den)
