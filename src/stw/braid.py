@@ -7,8 +7,9 @@ scalar phases that depend only on the Z_p parts of the colors.  The walk
 runs over tuples of the global basis vectors of `stw.double`: a vector's
 color is the object it belongs to, so colors move with the vectors, one
 walk serves a whole batch of colorings and each crossing is one gather.
-A trace follows the permutation part first and adds phases only on the
-tuples that it fixes (`trace_counts`).
+A trace walks each tuple once and records every crossing's gather
+index; the phases of the tuples that the word fixes are then read from
+that record in one gather, and no tuple is walked again (`trace_counts`).
 
 A trace walks one tuple per G-orbit.  The braiding of D^omega(G) is a
 map of modules (Dijkgraaf, Pasquier, Roche 1990), so it commutes with
@@ -180,8 +181,9 @@ def _resolve_colors(ctx: DoubleContext, word: BraidWord, colors) -> list[int]:
 # ----- the walk over the basis tuples of many colorings at once -------------
 
 
-# Tuples walked at once in the permutation pass of `trace_counts`: a block's
-# vectors and gather indices stay in cache (16384 measured best).
+# Tuples walked at once by `trace_counts`: a block's vectors and gather
+# indices stay in cache (16384 measured best), and its record of gather
+# indices takes at most 64 kB per letter.
 _WALK_BLOCK = 16384
 
 
@@ -210,43 +212,41 @@ def _start(ctx: DoubleContext, colorings: np.ndarray, dims=None) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
-def _walk(ctx: DoubleContext, word: BraidWord, state: np.ndarray, phases: bool):
+def _walk(ctx: DoubleContext, word: BraidWord, state: np.ndarray):
     """Run the word over basis tuples, given by the global vector on each
     strand at the bottom of the braid (one row per strand).  Each crossing
-    is one gather from the global action tables of `stw.double`, indexed
-    by flux_row (flux times size) of the vector that crosses over plus the
-    vector it acts on.  Returns the vector on each strand at the top of
-    the braid and, when `phases`, each tuple's phase exponent without the
-    associator (else None): the permutation part alone gathers no phase
-    table."""
+    is one gather from the stacked tables of `stw.double`, at flux_row (or,
+    for an inverse crossing, inverse_row) of the vector that crosses over
+    plus the vector it acts on.  Returns the vector on each strand at the
+    top of the braid and the record of every crossing's gather index, one
+    row per letter, from which `_phases` reads the phases of any tuples."""
     state = list(state)
-    expo = None
-    if phases:
-        # Each step adds less than N, so int32 is exact for any practical word.
-        wide = len(word.letters) * ctx.root_order >= 2**31
-        expo = np.zeros(len(state[0]), np.int64 if wide else np.int32)
-    flux_row = ctx.flux_row
-    action_state, action_exp = ctx.action_state.ravel(), ctx.action_exp.ravel()
-    inverse_state, inverse_exp = ctx.inverse_state.ravel(), ctx.inverse_exp.ravel()
-    for letter in word.letters:
+    record = np.empty((len(word.letters), len(state[0])), ctx.flux_row.dtype)
+    crossing_state = ctx.crossing_state.ravel()
+    # Mode "clip" lets `take` write straight into the record (mode "raise"
+    # buffers `out`); every vector is below size, so nothing is clipped.
+    for hit, letter in zip(record, word.letters):
         i = abs(letter) - 1
         left, right = state[i], state[i + 1]
         if letter > 0:
             # the left vector crosses over, acting on the right one by its flux
-            hit = flux_row.take(left)
+            ctx.flux_row.take(left, out=hit, mode="clip")
             hit += right
-            state[i], state[i + 1] = action_state.take(hit), left
-            if phases:
-                expo += action_exp.take(hit)
+            state[i], state[i + 1] = crossing_state.take(hit), left
         else:
             # the right vector crosses over, acting on the left one by the
             # inverse of its flux
-            hit = flux_row.take(right)
+            ctx.inverse_row.take(right, out=hit, mode="clip")
             hit += left
-            state[i], state[i + 1] = right, inverse_state.take(hit)
-            if phases:
-                expo += inverse_exp.take(hit)
-    return state, expo
+            state[i], state[i + 1] = right, crossing_state.take(hit)
+    return state, record
+
+
+def _phases(ctx: DoubleContext, record: np.ndarray) -> np.ndarray:
+    """The phase exponent of each walked tuple, without the associator:
+    the sum of the phases at the tuple's recorded gathers (a column of
+    `_walk`'s record), in int64."""
+    return ctx.crossing_exp.ravel().take(record).sum(axis=0, dtype=np.int64)
 
 
 def _associator(ctx: DoubleContext, word: BraidWord, colors) -> int:
@@ -288,10 +288,12 @@ def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) ->
     each vector v of the pinned object some g maps the tuples with the
     pinned strand on v one to one onto the walked ones.
 
-    The walk takes two passes over one set of start vectors.  Pass 1
-    follows the permutation part alone, `_WALK_BLOCK` tuples at a time,
-    in the narrow vector dtype of the tables, and keeps the indices of
-    the fixed tuples; pass 2 walks those again and adds up their phases."""
+    The walk goes over the start vectors once, `_WALK_BLOCK` tuples at a
+    time, in the narrow vector dtype of the tables, and records each
+    crossing's gather index (letters x block, int32 below 2^31 table
+    entries).  The phases of the block's fixed tuples are one gather of
+    the phase table at their columns of the record, summed over the
+    letters (`_phases`)."""
     colorings = np.asarray(colorings, dtype=np.int64).reshape(-1, word.strands)
     # A coloring closes up when every top position carries the colour of
     # the bottom position below it.
@@ -308,20 +310,21 @@ def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) ->
     walked = dims.copy()
     walked[np.arange(len(dims)), dims.argmax(axis=1)] = 1  # the pinned strands
     start = _start(ctx, colorings, walked)
-    # Pass 1, the permutation part a block at a time: a tuple is fixed when
-    # every strand is back at its start vector.  Few tuples are (0.2-20 %
-    # in the S, W and closure walks), so only they reach pass 2.
-    found = []
+    # One walk a block at a time: a tuple is fixed when every strand is back
+    # at its start vector.  Few tuples are (0.2-20 % in the S, W and closure
+    # walks), so only their columns of the block's record are gathered for
+    # phases.
+    found, phases = [], []
     for lo in range(0, start.shape[1], _WALK_BLOCK):
         block = start[:, lo : lo + _WALK_BLOCK]
-        end, _ = _walk(ctx, word, block, False)
+        end, record = _walk(ctx, word, block)
         fixed = end[0] == block[0]
         for j in range(1, word.strands):
             fixed &= end[j] == block[j]
-        found.append(fixed.nonzero()[0] + lo)
-    sel = np.concatenate(found)
-    # Pass 2, the phases of the fixed tuples.
-    _, expo = _walk(ctx, word, start[:, sel], True)
+        local = fixed.nonzero()[0]
+        found.append(local + lo)
+        phases.append(_phases(ctx, record.take(local, axis=1)))
+    sel, expo = np.concatenate(found), np.concatenate(phases)
     ne = ctx.root_order
     which = walked.prod(axis=1).cumsum().searchsorted(sel, side="right")
     if shifts is not None:
@@ -356,7 +359,8 @@ def representation_operator(params: CocycleParams, word: BraidWord, colors) -> M
     required here, only for traces."""
     ctx = context_for(params)
     idx = np.array(_resolve_colors(ctx, word, colors))
-    state, expo = _walk(ctx, word, _start(ctx, idx[None]), True)
+    state, record = _walk(ctx, word, _start(ctx, idx[None]))
+    expo = _phases(ctx, record)
     final = idx[_strand_at(word)]
     target = np.zeros(len(expo), dtype=np.int64)
     for j, color in enumerate(final):
@@ -398,7 +402,7 @@ def zero_framed_invariant(params: CocycleParams, word: BraidWord, colors) -> Cyc
     """The framed invariant with every component's blackboard self-framing
     cancelled by twist factors (see `zero_framing_shifts`)."""
     ctx = context_for(params)
-    coloring = [_resolve_colors(ctx, word, colors)]
-    shift = zero_framing_shifts(ctx, closure_structure(word), coloring)[0]
-    counts = framed_trace_counts(params, word, colors, shift)
+    coloring = _resolve_colors(ctx, word, colors)
+    shift = zero_framing_shifts(ctx, closure_structure(word), [coloring])[0]
+    counts = framed_trace_counts(params, word, coloring, shift)
     return CycloNumber.from_root_counts(ctx.root_order, counts)

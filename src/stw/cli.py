@@ -177,7 +177,7 @@ def cmd_invariant(args) -> int:
         "zero_framed": zero_framed.to_json(),
     }
     _write_output(args, lambda: document, lambda path: modular.write_matrix_csv(
-        [[framed, zero_framed]], ["invariant"], path))
+        [[framed], [zero_framed]], ["framed", "zero_framed"], path, ["invariant"]))
     return 0
 
 

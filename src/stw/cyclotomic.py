@@ -177,11 +177,14 @@ def reduce_counts(n: int, counts) -> np.ndarray:
     remainder of each row on division by Phi_n.  As rev(Phi_n) rev(Psi_n)
     = 1 - x^n for Psi_n = (x^n - 1)/Phi_n, the reversed quotient is the
     reversed row times rev(Psi_n) truncated to L - phi(n) terms; the
-    remainder is the row minus quotient * Phi_n.  Every partial sum of
-    these sparse products is at most L1(row) * (1 + (nnz Phi_n - 1)
-    max|Phi_n| max|Psi_n|).  When that is below 2^63 for every row (checked
-    on each call) they run in int64 and give int64; otherwise, as for
-    values beyond int64, in Python ints, giving an object array."""
+    remainder is the row minus quotient * Phi_n.  Only the bins up to the
+    last nonzero one at or above phi(n) (in any row) are divided; with
+    none, the quotient is zero and the low bins are returned as they are,
+    in the input's dtype.  Every partial sum of the sparse products is at
+    most L1(row) * (1 + (nnz Phi_n - 1) max|Phi_n| max|Psi_n|).  When that
+    is below 2^63 for every row (checked on each call that divides) they
+    run in int64 and give int64; otherwise, as for values beyond int64, in
+    Python ints, giving an object array."""
     phi_terms, psi_terms, factor = _division_terms(n)
     phi = euler_phi(n)
     arr = _integer_array(counts)
@@ -189,12 +192,17 @@ def reduce_counts(n: int, counts) -> np.ndarray:
     if width > n + phi:
         raise ValueError(f"length {width} exceeds order {n} plus phi({n}) = {phi}")
     rows = arr.reshape(prod(arr.shape[:-1]), width)
-    if rows.dtype != object and not _fits_int64(rows, factor):
-        rows = rows.astype(object)
+    # The quotient reaches down from the last nonzero bin at or above phi;
+    # with no such bin in any row it is zero, and the rows are remainders.
+    upper = (rows[:, phi:] != 0).any(axis=0).nonzero()[0]
+    k = int(upper[-1]) + 1 if len(upper) else 0  # quotient length
+    if k:
+        rows = rows[:, : phi + k]
+        if rows.dtype != object and not _fits_int64(rows, factor):
+            rows = rows.astype(object)
     out = np.zeros((len(rows), phi), dtype=rows.dtype)
     out[:, : min(width, phi)] = rows[:, :phi]
-    k = width - phi  # quotient length
-    if k > 0:
+    if k:
         # quot[j] = sum_t Psi[deg - t] * row[phi + j + t]: the reversed product.
         quot = np.zeros((len(rows), k), dtype=rows.dtype)
         for t, c in psi_terms:

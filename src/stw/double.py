@@ -19,11 +19,12 @@ This formula is evaluated in one place: when a context is built, the
 basis vectors of all simple objects are numbered in one global basis
 (vector offset + b is basis vector b of the object with that offset),
 and the action of every group element on every global vector is stored
-as (|G|, sum of dims) integer arrays, the new vector and the phase
-exponent, once for g and once for g^-1.  A vector's color is the object
-it belongs to, so colors move with the vectors.  The braiding of X over
-Y is the action of the flux of the X vector on the Y vector, so every
-crossing of the braid engine, and `dpr_action`, `sigma_action` and
+as integer arrays of the new vector and the phase exponent, the action
+of every g stacked over that of every g^-1 in one (2|G|, sum of dims)
+table each (`crossing_state`, `crossing_exp`).  A vector's color is the
+object it belongs to, so colors move with the vectors.  The braiding of
+X over Y is the action of the flux of the X vector on the Y vector, so
+every crossing of the braid engine, and `dpr_action`, `sigma_action` and
 `sigma_inverse_action`, read these tables.
 """
 
@@ -200,16 +201,21 @@ class DoubleContext:
         norm = self.theta_ne_tab[bpart[None, :], gd.b_part[:, None], gd.b_part[g_inv][:, None]]
         # Vectors and phases (below size and N) are stored in the narrowest
         # int that holds them, which halves or quarters the bytes a walk
-        # moves.  Gathers index the raveled tables by flux_row[v] + w, with
-        # flux_row = flux * size kept intp, the index type of a gather.
+        # moves.  The action of g and of g^-1 are stacked in one (2|G|, size)
+        # table each for vectors and phases, so that a crossing of either
+        # sign is one gather from the raveled table at flux_row[v] + w (the
+        # action by the flux of v) or inverse_row[v] + w (by its inverse).
         self.size = len(flux)
+        order = spec.order
         vector, phase = _narrow_dtype(self.size), _narrow_dtype(self.root_order)
+        row = np.int32 if 2 * order * self.size < 2**31 else np.int64
         self.flux = flux
-        self.flux_row = flux * self.size
-        self.action_state = state.astype(vector)
-        self.action_exp = exp.astype(phase)
-        self.inverse_state = self.action_state[g_inv]
-        self.inverse_exp = ((exp[g_inv] - norm) % self.root_order).astype(phase)
+        self.flux_row = (flux * self.size).astype(row)
+        self.inverse_row = self.flux_row + order * self.size
+        self.crossing_state = np.concatenate([state, state[g_inv]]).astype(vector)
+        self.crossing_exp = np.concatenate([exp, (exp[g_inv] - norm) % self.root_order]).astype(phase)
+        self.action_state, self.inverse_state = self.crossing_state[:order], self.crossing_state[order:]
+        self.action_exp, self.inverse_exp = self.crossing_exp[:order], self.crossing_exp[order:]
 
     def _require_transitive(self, state):
         """Raise unless G acts transitively on the vectors of every simple

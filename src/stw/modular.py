@@ -1606,12 +1606,13 @@ def write_json(document: dict, path: str) -> None:
         handle.write("\n")
 
 
-def write_matrix_csv(matrix: list[list[CycloNumber]], labels, path: str) -> None:
-    """Float-preview CSV (real and imaginary parts); display only."""
+def write_matrix_csv(matrix: list[list[CycloNumber]], labels, path: str, col_labels=None) -> None:
+    """Float-preview CSV (real and imaginary parts); display only.  The
+    columns are labelled by `labels` too unless `col_labels` is given."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["row", "col", "re", "im"])
         for la, row in zip(labels, matrix):
-            for lb, value in zip(labels, row):
+            for lb, value in zip(labels if col_labels is None else col_labels, row):
                 z = value.to_complex()
                 writer.writerow([la, lb, f"{z.real:.12f}", f"{z.imag:.12f}"])

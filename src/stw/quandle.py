@@ -86,18 +86,14 @@ def braid_equation_holds(quandle: AlexanderQuandle) -> bool:
     return True
 
 
-def _crossing_states(quandle: AlexanderQuandle, word: BraidWord) -> np.ndarray:
-    """Propagate all q^strands color tuples through the word; returns the
-    final state array of shape (strands, q^strands)."""
+def _crossing_states(quandle: AlexanderQuandle, word: BraidWord, state) -> list:
+    """Propagate color tuples, given as one row of colors per strand at
+    the bottom of the braid, through the word; returns the rows at the
+    top."""
     q = quandle.modulus
     t = quandle.multiplier
     t_inv = pow(t, -1, q)
-    total = q**word.strands
-    state = []
-    stride = total
-    for _ in range(word.strands):
-        stride //= q
-        state.append((np.arange(total) // stride) % q)
+    state = list(state)
     for letter in word.letters:
         i = abs(letter) - 1
         x, y = state[i], state[i + 1]
@@ -105,21 +101,26 @@ def _crossing_states(quandle: AlexanderQuandle, word: BraidWord) -> np.ndarray:
             state[i], state[i + 1] = ((1 - t) * x + t * y) % q, x
         else:
             state[i], state[i + 1] = y, (t_inv * (x - (1 - t) * y)) % q
-    return np.array(state)
+    return state
 
 
 def coloring_count(quandle: AlexanderQuandle, word: BraidWord) -> int:
     """Number of color tuples in Q^strands fixed by the braid action —
-    the quandle coloring count of the closure link."""
+    the quandle coloring count of the closure link.
+
+    It is q times the number of fixed tuples whose strand 1 has color 0,
+    which are the only ones enumerated.  Adding c to every color commutes
+    with x > y = (1-t)x + t*y (and so with its inverse, and with each
+    crossing), so it carries fixed tuples to fixed tuples, and it moves
+    the color of strand 1 from 0 to c: each of the q values of strand 1
+    is taken by equally many fixed tuples."""
     q = quandle.modulus
-    total = q**word.strands
-    state = _crossing_states(quandle, word)
-    fixed = np.ones(total, dtype=bool)
-    stride = total
-    for j in range(word.strands):
-        stride //= q
-        fixed &= state[j] == (np.arange(total) // stride) % q
-    return int(np.count_nonzero(fixed))
+    start = np.indices((1,) + (q,) * (word.strands - 1)).reshape(word.strands, -1)
+    end = _crossing_states(quandle, word, start)
+    fixed = end[0] == start[0]
+    for j in range(1, word.strands):
+        fixed &= end[j] == start[j]
+    return q * int(np.count_nonzero(fixed))
 
 
 def coloring_count_linear(quandle: AlexanderQuandle, word: BraidWord) -> int:

@@ -669,7 +669,8 @@ def test_a_split_object_is_rejected_before_any_trace(monkeypatch):
     colors = np.array([[ctx.index_of("B_1_0"), ctx.index_of("B_2_0")]])
     word = BraidWord(2, (-1, -1))
     start = braid._start(ctx, colors)
-    end, expo = braid._walk(ctx, word, start, True)
+    end, record = braid._walk(ctx, word, start)
+    expo = braid._phases(ctx, record)
     fixed = (end[0] == start[0]) & (end[1] == start[1])
     full = np.bincount(expo[fixed] % ctx.root_order, minlength=ctx.root_order)
     assert full.sum() == 1
@@ -677,41 +678,55 @@ def test_a_split_object_is_rejected_before_any_trace(monkeypatch):
 
 
 def test_pass_one_walks_the_tuples_of_the_unpinned_strands(monkeypatch):
-    """Pass 1 walks prod_(i != pin) d_i tuples per coloring, the pinned
-    strand being one of largest dimension, and pass 2 only the fixed ones
-    among them: an S row of a B object at (11,5,4) walks sum_b d_b tuples
-    (not d_a sum_b d_b), and a 5-strand closure colored by B objects
-    11^4 (not 11^5)."""
+    """The walk takes prod_(i != pin) d_i tuples per coloring, the pinned
+    strand being one of largest dimension, each tuple once: an S row of a
+    B object at (11,5,4) walks sum_b d_b tuples (not d_a sum_b d_b), and a
+    5-strand closure colored by B objects 11^4 (not 11^5).  No second walk
+    runs: the phases are gathered from the record of the one walk, at the
+    columns of exactly the fixed tuples."""
     ctx = context_for(params(1))
     n = len(ctx.simples)
-    walked = {}  # tuples given to `_walk`, by pass (phases False, then True)
-    walk = braid._walk
+    walks, gathers = [], []  # (tuples, fixed columns of the record); gathered records
+    walk, phases = braid._walk, braid._phases
 
-    def spy(ctx, word, state, phases):
-        walked[phases] += len(state[0])
-        return walk(ctx, word, state, phases)
+    def walk_spy(ctx, word, state):
+        end, record = walk(ctx, word, state)
+        fixed = np.all(np.array(end) == state, axis=0)
+        walks.append((len(state[0]), record[:, fixed]))
+        return end, record
 
-    monkeypatch.setattr(braid, "_walk", spy)
+    def phases_spy(ctx, record):
+        gathers.append(record)
+        return phases(ctx, record)
+
+    monkeypatch.setattr(braid, "_walk", walk_spy)
+    monkeypatch.setattr(braid, "_phases", phases_spy)
 
     def trace(word, colorings):
-        walked.update({False: 0, True: 0})
+        walks.clear()
+        gathers.clear()
         counts = trace_counts(ctx, word, colorings)
-        return walked[False], walked[True], counts
+        walked = sum(size for size, _ in walks)
+        assert len(walks) == -(-walked // braid._WALK_BLOCK)  # one walk per block
+        assert len(gathers) == len(walks)
+        for (_, fixed), gathered in zip(walks, gathers):
+            assert np.array_equal(gathered, fixed)
+        return walked, sum(g.shape[1] for g in gathers), counts
 
     a = ctx.index_of("B_1_0")
     assert ctx.dims[a] == ctx.dims.max() == 11
-    pass1, pass2, row = trace(BraidWord(2, (-1, -1)), np.stack([np.full(n, a), np.arange(n)], 1))
-    assert pass1 == ctx.dims.sum() == 345
-    assert pass2 * 11 == row.sum()
+    walked, gathered, row = trace(BraidWord(2, (-1, -1)), np.stack([np.full(n, a), np.arange(n)], 1))
+    assert walked == ctx.dims.sum() == 345
+    assert gathered * 11 == row.sum() > 0
     word = parse_braid("s1 s2^-1 s3 s4^-1 s1 s2 s3^-1 s4", 5)
-    pass1, pass2, counts = trace(word, [[ctx.index_of("B_2_1")] * 5])
-    assert pass1 == 11**4
-    assert pass2 * 11 == counts.sum()
+    walked, gathered, counts = trace(word, [[ctx.index_of("B_2_1")] * 5])
+    assert walked == 11**4
+    assert gathered * 11 == counts.sum() > 0
     # Mixed dimensions: the largest one is pinned in each coloring.
     colorings = _closed_colorings(np.random.default_rng(2), parse_braid(CLASP, 3), n, 20)
     dims = ctx.dims[colorings]
-    pass1, _, _ = trace(parse_braid(CLASP, 3), colorings)
-    assert pass1 == (dims.prod(axis=1) // dims.max(axis=1)).sum()
+    walked, _, _ = trace(parse_braid(CLASP, 3), colorings)
+    assert walked == (dims.prod(axis=1) // dims.max(axis=1)).sum()
 
 
 def test_zero_framed_invariant_builds_the_closure_structure_once(monkeypatch):

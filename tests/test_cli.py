@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: output content,
 exit codes, and byte-level determinism of written reports."""
 
+import csv
 import dataclasses
 import json
 
@@ -80,6 +81,28 @@ def test_invariant_pinned_clasp_value(capsys):
     assert "components: ((1, 3), (2,))" in out
     assert "writhe: -1" in out
     assert "zero-framed float: +22.847826+50.029760j" in out
+
+
+def test_invariant_csv_holds_both_values(capsys, tmp_path):
+    """`invariant --format csv` writes one row per value, framed and
+    zero-framed, each matching the float line printed for it."""
+    path = tmp_path / "inv.csv"
+    code, out, _ = run(capsys, [
+        "invariant", "--braid", "s2^-2 s1 s2^-1 s1", "--strands", "3",
+        "--colors", "B_1_0,A_1_4,B_1_0", "--u", "1", "--out", str(path), "--format", "csv",
+    ])
+    assert code == 0
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["row", "col", "re", "im"]
+    assert [row[:2] for row in rows[1:]] == [["framed", "invariant"], ["zero_framed", "invariant"]]
+    printed = {
+        line.split()[0]: line.split()[-1]
+        for line in out.splitlines() if line.split()[1:2] == ["float:"]
+    }
+    for (name, _, re, im), key in zip(rows[1:], ("framed", "zero-framed")):
+        assert printed[key] == f"{float(re):+.6f}{float(im):+.6f}j"
+    assert printed["framed"] != printed["zero-framed"]
 
 
 def test_invariant_identity_braid_gives_dimension(capsys):

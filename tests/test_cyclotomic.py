@@ -293,3 +293,68 @@ def test_non_integer_input_is_refused():
     assert reduce_counts(5, []).shape == (4,)
     with pytest.raises(ValueError):
         euler_phi(0)
+
+
+def _full_sparse_division(n, rows):
+    """Reference: the sparse division of `reduce_counts` over every bin
+    from phi(n) to the end of the rows, with no early exit and no
+    truncation of the quotient; in the rows' dtype (the int64 rows of the
+    tests stay far below the int64 bound)."""
+    phi_terms, psi_terms, _ = _division_terms(n)
+    phi = euler_phi(n)
+    width = rows.shape[1]
+    out = np.zeros((len(rows), phi), dtype=rows.dtype)
+    out[:, : min(width, phi)] = rows[:, :phi]
+    k = width - phi
+    if k > 0:
+        quot = np.zeros((len(rows), k), dtype=rows.dtype)
+        for t, c in psi_terms:
+            if t < k:
+                quot[:, : k - t] += c * rows[:, phi + t :]
+        for s, c in phi_terms:
+            stop = min(phi, s + k)
+            out[:, s:stop] -= c * quot[:, : stop - s]
+    return out.tolist()
+
+
+def _rows_ending_at(rng, n, last, count, big=False):
+    """count histograms of length n whose last nonzero bin is `last` (all
+    zero when last is None), with entries beyond int64 when big."""
+    rows = np.zeros((count, n), dtype=object if big else np.int64)
+    if last is not None:
+        rows[:, : last + 1] = rng.integers(-30, 30, size=(count, last + 1))
+        rows[:, last] = rng.integers(1, 30, size=count)
+    if big:
+        rows *= 3**45
+    return rows
+
+
+@pytest.mark.parametrize("n", [275, 775, 2783, 8957])
+def test_reduce_counts_early_exit_equals_the_full_division(n):
+    """With no bin at or above phi(n) in any row, `reduce_counts` returns
+    the low bins without dividing; otherwise it divides only up to the
+    last nonzero bin.  Both must equal the full sparse division, for int64
+    and Python-int rows ending below phi, at phi and at n - 1, for zero
+    rows, and for 256-row blocks that mix them (as `_value_ids` passes)."""
+    rng = np.random.default_rng(n)
+    phi = euler_phi(n)
+    lasts = [None, phi // 3, phi - 1, phi, (phi + n) // 2, n - 1]
+    for big in (False, True):
+        for last in lasts:
+            rows = _rows_ending_at(rng, n, last, 3, big)
+            reduced = reduce_counts(n, rows)
+            assert reduced.tolist() == _full_sparse_division(n, rows), (big, last)
+            if not big:
+                assert reduced.dtype == np.int64
+            for row, out in zip(rows, reduced.tolist()):
+                if n == 275:  # the long-division reference is quick here
+                    assert tuple(out) == _reduce_by_division(n, row)
+                value = CycloNumber.from_root_counts(n, row)
+                assert value.num == tuple(out) and value.den == 1
+                assert all(type(c) is int for c in value.num)
+        # Blocks of 256 (of 16 beyond int64): only low and zero rows (the
+        # early exit), and all kinds.
+        for kinds in (lasts[:3], lasts):
+            picks = rng.integers(0, len(kinds), size=16 if big else 256)
+            rows = np.concatenate([_rows_ending_at(rng, n, kinds[i], 1, big) for i in picks])
+            assert reduce_counts(n, rows).tolist() == _full_sparse_division(n, rows), (big, kinds)

@@ -1,6 +1,7 @@
 """Tests for Alexander-quandle colorings and the trace/coloring-count
 equality for single-colored B-type braids."""
 
+import numpy as np
 import pytest
 
 from stw.braid import BraidWord, parse_braid
@@ -158,3 +159,43 @@ def test_predicted_value_is_built_without_a_product(group, monkeypatch):
         report = single_color_check(params, word, k, s)
         assert report.ok, (group, word, k, s)
         assert (report.predicted.num, report.predicted.den) == (value.num, value.den)
+
+
+def _full_enumeration(quandle, word):
+    """Reference: every one of the q^strands color tuples walked through
+    the word, one crossing at a time, and the fixed ones counted."""
+    q, t = quandle.modulus, quandle.multiplier
+    t_inv = pow(t, -1, q)
+    total = q**word.strands
+    start = [(np.arange(total) // q**j) % q for j in reversed(range(word.strands))]
+    state = list(start)
+    for letter in word.letters:
+        i = abs(letter) - 1
+        x, y = state[i], state[i + 1]
+        if letter > 0:
+            state[i], state[i + 1] = ((1 - t) * x + t * y) % q, x
+        else:
+            state[i], state[i + 1] = y, (t_inv * (x - (1 - t) * y)) % q
+    fixed = np.ones(total, dtype=bool)
+    for end, begin in zip(state, start):
+        fixed &= end == begin
+    return int(np.count_nonzero(fixed))
+
+
+@pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (13, 3, 3), (7, 2, 6)])
+def test_pinned_count_equals_the_full_enumeration(group):
+    """`coloring_count` enumerates only the tuples with strand 1 colored 0
+    and multiplies by q; that must equal the count over all q^strands
+    tuples, for random words on 1 to 5 strands and every t = n^k."""
+    spec = GroupSpec(*group)
+    rng = np.random.default_rng(sum(group))
+    # The trivial 3-strand braid closes to three unlinked circles (q^3).
+    words = list(ORACLE_WORDS.values()) + [BraidWord(3, ())]
+    for strands in range(2, 6):
+        for length in (2 * strands, 3 * strands):
+            letters = rng.integers(1, strands, size=length) * rng.choice([-1, 1], size=length)
+            words.append(BraidWord(strands, tuple(int(s) for s in letters)))
+    for k in range(1, spec.p):
+        quandle = AlexanderQuandle.for_flux_class(spec, k)
+        for word in words:
+            assert coloring_count(quandle, word) == _full_enumeration(quandle, word), (k, word)
