@@ -237,14 +237,14 @@ def cmd_distinguish(args) -> int:
     maps D^omega_1 to D^omega_f with S, T and W conjugated entrywise
     (Dong, Lin and Ng, arXiv:1201.6644): the theories u != 0 form one
     Galois orbit, and each u >= 2 is derived exactly from u = 1 by
-    `modular.galois_conjugate`.  The search still compares every pair
-    it needs; the (S, T) classes it finds at odd p are the square
-    classes of Mignard and Schauenburg (arXiv:1708.02796)."""
-    u_range = range(args.p)
-    if args.st_only:
-        classes = modular.partition_theories(_theories(args, u_range, False))
-        _print_partition("(S,T) classes", classes)
-        return 0
+    `modular.galois_conjugate`.  Theory f is then equivalent to theory g
+    exactly when theory 1 is equivalent to its conjugate by sigma_(g/f),
+    so the classes of u != 0 are the cosets of a subgroup of the cyclic
+    group (Z/p)^x, found by a few searches down the divisor lattice of
+    p - 1 (`modular.galois_classes`).  Under (S, T) they are the square
+    classes of Mignard and Schauenburg (arXiv:1708.02796) at every group
+    checked so far.  W is walked only where (S, T) leaves a class with
+    more than one member."""
     if args.u is not None:
         u1, u2 = (_in_range("--u", u, 0, args.p) for u in args.u)
         d1, d2 = _theories(args, (u1, u2), True)
@@ -266,11 +266,12 @@ def cmd_distinguish(args) -> int:
             print("  W requires " + cert.label + " -> {" + ", ".join(cert.w_required) + "}")
             print("  intersection: {" + ", ".join(cert.compatible) + "}")
         return 0
-    datas = _theories(args, u_range, True)
-    st_classes = modular.partition_theories([dataclasses.replace(d, w_keys=None) for d in datas])
-    stw_classes = modular.partition_theories(datas)
-    _print_partition("(S,T) classes  ", st_classes)
-    _print_partition("(S,T,W) classes", stw_classes)
+    spec = GroupSpec(args.q, args.p, args.n)
+    md0, md1 = (modular.modular_data(CocycleParams(spec, u)) for u in (0, 1))
+    partitions = modular.galois_classes(md0, md1, not args.st_only)
+    tags = ["(S,T) classes"] if args.st_only else ["(S,T) classes  ", "(S,T,W) classes"]
+    for tag, classes in zip(tags, partitions):
+        _print_partition(tag, classes)
     return 0
 
 
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         """The group flags, --u unless with_u is false, and --out and
         --format only where the command writes a report (`_write_output`)."""
         p.add_argument("--q", type=int, default=11, help="odd prime q (default 11)")
-        p.add_argument("--p", type=int, default=5, help="odd prime p (default 5)")
+        p.add_argument("--p", type=int, default=5, help="prime p dividing q - 1, 2 included (default 5)")
         p.add_argument("--n", type=int, default=4,
                        help="multiplier of order p mod q (default 4)")
         if with_u:

@@ -51,6 +51,8 @@ the dual permutation and (ST)^3 = D * S^2.
 The equivalence search reads S, T and W only, never a certificate.
 `theory_data` keys W into the table of S; the search maps the second
 theory's table into the first's and then compares ids only.
+`galois_classes` partitions all p theories of one group from theories 0
+and 1 alone, with a few searches against Galois conjugates of theory 1.
 `modular_data` and `w_matrix` keep no cache.
 """
 
@@ -1377,15 +1379,8 @@ def theory_data(md: ModularData, wm: WMatrix | None = None) -> TheoryData:
 
 def galois_conjugate(data: TheoryData, params: CocycleParams, u: int) -> TheoryData:
     """Theory u as the Galois conjugate of `data`, the theory `params`
-    (params.u != 0), with no trace walk.
-
-    Every value of omega_u is a p-th root of unity, so the automorphism
-    sigma_f (zeta_N -> zeta_N^f) of Q(zeta_N) maps the twisted double
-    D^omega_v to D^omega_(f v), with S, T and W conjugated entrywise
-    (Galois conjugates of modular categories: Dong, Lin and Ng,
-    arXiv:1201.6644); the theories v != 0 form one Galois orbit, and
-    their (S, T) classes are the square classes that Mignard and
-    Schauenburg (arXiv:1708.02796) predict.
+    (params.u != 0), with no trace walk: sigma_f (zeta_N -> zeta_N^f)
+    maps theory v to theory f v mod p (see `galois_classes`).
 
     f is chosen by CRT with f = 1 (mod q), so that every zeta_q-valued
     character is fixed, and f = u / params.u (mod p^2).  The objects are
@@ -1546,17 +1541,93 @@ def obstruction_certificate(
     )
 
 
-def partition_theories(datas: list[TheoryData]) -> list[tuple[str, ...]]:
-    """Group theories into equivalence classes by pairwise search."""
-    classes: list[list[int]] = []
-    for i in range(len(datas)):
-        for group in classes:
-            if equivalence_search(datas[group[0]], datas[i]).equivalent:
-                group.append(i)
+def _galois_partition(
+    one: TheoryData, params: CocycleParams, bounds: dict[int, int], zero: TheoryData | None
+) -> tuple[list[tuple[str, ...]], dict[int, int], bool]:
+    """The classes of u = 0..p-1 under the data of `one` (theory 1 of
+    `params`) and `zero`, through H = {h : theory 1 ~ sigma_h(theory 1)}.
+
+    With g generating (Z/p)^x, k_r is the largest k <= bounds[r] with
+    g^((p-1)/r^k) in H, testing k = 1, 2, ... up to the first failure.
+    Each coset fH of more than one member is certified by a search of
+    theory f against theory f h, h = g^((p-1)/|H|), unless that search
+    was made.  u = 0 joins theory 1 only if `zero` is given and found
+    equivalent to it.  Each conjugate lives for its search only.
+    Returns the classes, the k_r and whether u = 0 joined; raises
+    ArithmeticError where a search contradicts the Galois argument."""
+    p = params.spec.p
+    g = next((root for root, _ in _unit_generators(p)), 1)
+
+    def theory(f: int) -> TheoryData:
+        return one if f == 1 else galois_conjugate(one, params, f)
+
+    joins = zero is not None and equivalence_search(zero, one).equivalent
+    exps, found = {}, set()
+    for r, bound in bounds.items():
+        exps[r] = 0
+        for k in range(1, bound + 1):
+            h = pow(g, (p - 1) // r**k, p)
+            if not equivalence_search(one, theory(h)).equivalent:
                 break
-        else:
-            classes.append([i])
-    return [tuple(datas[i].name for i in group) for group in classes]
+            exps[r] = k
+            found.add(h)
+    order = math.prod(r**k for r, k in exps.items())
+    if joins and order != p - 1:
+        raise ArithmeticError(
+            f"u=0 is equivalent to u=1, but the subgroup of (Z/{p})^x that fixes"
+            f" the class of u=1 has order {order}, not {p - 1}"
+        )
+    h = pow(g, (p - 1) // order, p)
+    cosets = sorted({tuple(sorted(f * pow(h, i, p) % p for i in range(order))) for f in range(1, p)})
+    for f, *rest in cosets:
+        if rest and not (f == 1 and h in found):
+            if not equivalence_search(theory(f), theory(f * h % p)).equivalent:
+                raise ArithmeticError(
+                    f"u={f} and u={f * h % p} are not equivalent, although theory 1"
+                    f" is equivalent to its conjugate by sigma_{h}"
+                )
+    classes = [tuple(f"u={u}" for u in coset) for coset in cosets]
+    return ([("u=0",) + classes[0]] if joins else [("u=0",)] + classes), exps, joins
+
+
+def galois_classes(
+    md0: ModularData, md1: ModularData, with_w: bool
+) -> list[list[tuple[str, ...]]]:
+    """The classes of the theories u = 0..p-1 of one group under (S, T),
+    and, if with_w, under (S, T, W), from theories 0 and 1 alone.  Each
+    partition lists its classes by least member, each class ascending,
+    as a pairwise search over every theory would.
+
+    Every value of omega_u is a p-th root of unity, so sigma_f (zeta_N ->
+    zeta_N^f, f = 1 mod q) maps theory v to theory f v mod p, with S, T
+    and W conjugated entrywise (Galois conjugates of modular categories:
+    Dong, Lin and Ng, arXiv:1201.6644); `galois_conjugate` builds that
+    conjugate exactly.  Conjugation preserves equivalence, so theory f ~
+    theory g exactly when theory 1 ~ sigma_(g/f)(theory 1), and the
+    classes of u != 0 are the cosets of the subgroup H_X of the cyclic
+    group (Z/p)^x that fixes the class of theory 1 under the data X.
+    Under (S, T) they are the square classes of Mignard and Schauenburg
+    (arXiv:1708.02796) at the groups checked so far.  H_STW lies in
+    H_ST, so it is searched there only (`_galois_partition`).
+
+    The untwisted double (u = 0) is Galois-fixed, so if u = 0 is
+    equivalent to any theory u != 0 it is equivalent to all of them and
+    H_X is all of (Z/p)^x; one search against theory 1 places it.  W is
+    walked only where (S, T) leaves a class with more than one member:
+    for theory 1 when H_ST is nontrivial or u = 0 joins it, and for
+    theory 0 only when it joins."""
+    params = md1.params
+    st, exps, joins = _galois_partition(
+        theory_data(md1), params, _factorize(params.spec.p - 1), theory_data(md0)
+    )
+    if not with_w:
+        return [st]
+    if not joins and not any(exps.values()):
+        return [st, st]  # (S, T) already separates every theory
+    one = theory_data(md1, w_matrix(params))
+    zero = theory_data(md0, w_matrix(md0.params)) if joins else None
+    stw, _, _ = _galois_partition(one, params, exps, zero)
+    return [st, stw]
 
 
 # ----- serialization --------------------------------------------------------------

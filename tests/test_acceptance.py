@@ -137,13 +137,10 @@ def test_criterion_06_ba_block_formula(wm_u):
              "closed formula on the (B, A) block, 2200 entries exact", started)
 
 
-def test_criterion_07_distinguishing(theory_u):
-    st = [theory_u(u, False) for u in range(5)]
-    stw = [theory_u(u, True) for u in range(5)]
+def test_criterion_07_distinguishing(md_u, theory_u):
     started = time.monotonic()
-    st_classes = modular.partition_theories(st)
-    stw_classes = modular.partition_theories(stw)
-    cert = modular.obstruction_certificate(stw[1], stw[4])
+    st_classes, stw_classes = modular.galois_classes(md_u(0), md_u(1), True)
+    cert = modular.obstruction_certificate(theory_u(1, True), theory_u(4, True))
     ok = (
         st_classes == [("u=0",), ("u=1", "u=4"), ("u=2", "u=3")]
         and stw_classes == [("u=0",), ("u=1",), ("u=2",), ("u=3",), ("u=4",)]

@@ -5,9 +5,13 @@ import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from stw import cli, modular
+from stw.cocycle import CocycleParams
+from stw.cyclotomic import _factorize
+from stw.group import GroupSpec
 
 
 def run(capsys, argv):
@@ -288,18 +292,74 @@ def test_modular_command_at_even_order(capsys, u):
 
 
 def test_distinguish_builds_two_theories(capsys, monkeypatch):
-    """Only u = 0 and u = 1 are walked; u = 2 is derived from u = 1."""
-    built = []
-    real = modular.w_matrix
+    """Only u = 0 and u = 1 are walked; every u >= 2 is derived from
+    u = 1.  W is walked for u = 1 only where (S, T) leaves a class with
+    more than one member (the flagship's {1, 4} and {2, 3}; none at
+    (7, 3, 2)), and for u = 0 only when (S, T) puts it with u = 1."""
+    built = {}
+    for name in ("modular_data", "w_matrix"):
+        real = getattr(modular, name)
 
-    def spy(params, mirror=False):
-        built.append(params.u)
-        return real(params, mirror)
+        def spy(params, *rest, real=real, name=name):
+            built[name].append(params.u)
+            return real(params, *rest)
 
-    monkeypatch.setattr(modular, "w_matrix", spy)
-    code, out, _ = run(capsys, ["distinguish", "--all", "--q", "7", "--p", "3", "--n", "2"])
-    assert code == 0 and built == [0, 1]
-    assert "(S,T,W) classes: {u=0}  {u=1}  {u=2}" in out
+        monkeypatch.setattr(modular, name, spy)
+    for group, walked_w in (("11", "5", "4"), [1]), (("7", "3", "2"), []):
+        built.update(modular_data=[], w_matrix=[])
+        q, p, n = group
+        code, out, _ = run(capsys, ["distinguish", "--all", "--q", q, "--p", p, "--n", n])
+        assert code == 0
+        assert built == {"modular_data": [0, 1], "w_matrix": walked_w}
+        assert "(S,T,W) classes: " + "  ".join(f"{{u={u}}}" for u in range(int(p))) in out
+
+
+def _built_theory(spec, u, with_w):
+    params = CocycleParams(spec, u)
+    wm = modular.w_matrix(params) if with_w else None
+    return modular.theory_data(modular.modular_data(params), wm)
+
+
+@pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (13, 3, 3)])
+def test_distinguish_searches_down_the_divisor_lattice(capsys, monkeypatch, group):
+    """`distinguish --all` runs at most sum_r e_r searches for H_ST
+    (r^e_r || p - 1), sum_r k_r(ST) for H_STW (|H_ST| = prod r^k_r), one
+    per coset of more than one member, and one for u = 0: exactly 5 at
+    the flagship.  Every witness it finds maps dims, T and S (and W when
+    searched) of the theories it names, each built from its own traces."""
+    calls = []
+    real = modular.equivalence_search
+
+    def spy(d1, d2):
+        found = real(d1, d2)
+        calls.append((d1.name, d2.name, d1.w_keys is not None, found))
+        return found
+
+    monkeypatch.setattr(modular, "equivalence_search", spy)
+    q, p, n = group
+    code, out, _ = run(capsys, ["distinguish", "--all", "--q", str(q), "--p", str(p), "--n", str(n)])
+    assert code == 0
+    partitions = [line.split(":", 1)[1].split("  ") for line in out.splitlines()]
+    h_st = len(partitions[0][1].split(","))  # the class of u = 1
+    e = sum(_factorize(p - 1).values())
+    k = sum(_factorize(h_st).values())
+    cosets = sum("," in cls for classes in partitions for cls in classes)
+    assert len(calls) <= e + k + cosets + 1
+    if group == (11, 5, 4):
+        assert len(calls) == 5
+    spec = GroupSpec(q, p, n)
+    for name1, name2, with_w, found in calls:
+        if not found.equivalent:
+            continue
+        d1, d2 = (_built_theory(spec, int(name[2:]), with_w) for name in (name1, name2))
+        perm = np.array(found.permutation)
+        grid = np.ix_(perm, perm)
+        assert perm[0] == 0 and sorted(perm) == list(range(len(perm)))
+        assert np.array_equal(d1.dims, d2.dims[perm])
+        assert np.array_equal(d1.t_keys, d2.t_keys[perm])
+        assert np.array_equal(d1.values[d1.s_keys], d2.values[d2.s_keys[grid]])
+        if with_w:
+            assert np.array_equal(d1.values[d1.w_keys], d2.values[d2.w_keys[grid]])
 
 
 def test_distinguish_at_even_order(capsys):

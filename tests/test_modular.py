@@ -887,6 +887,62 @@ def test_galois_conjugate_rejects_a_wrong_label_map(theory_u, params_u, monkeypa
         modular.galois_conjugate(theory_u(1, True), params_u(1), 2)
 
 
+def _pairwise_classes(datas):
+    """The reference for `modular.galois_classes`: each theory is searched
+    against the first member of every class found so far, in order."""
+    classes = []
+    for i in range(len(datas)):
+        for group in classes:
+            if modular.equivalence_search(datas[group[0]], datas[i]).equivalent:
+                group.append(i)
+                break
+        else:
+            classes.append([i])
+    return [tuple(datas[i].name for i in group) for group in classes]
+
+
+@pytest.mark.parametrize("with_w", [False, True])
+@pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (13, 3, 3), (7, 2, 6)])
+def test_galois_classes_equal_the_pairwise_search(group, with_w, md_u, theory_u):
+    """The cosets of the subgroups of (Z/p)^x, with u = 0 placed by one
+    search, are the classes that a pairwise search over every theory,
+    each built from its own traces, finds."""
+    if group == (11, 5, 4):
+        md0, md1 = md_u(0), md_u(1)
+        datas = [theory_u(u, with_w) for u in range(5)]
+    else:
+        spec = GroupSpec(*group)
+        mds = [modular.modular_data(CocycleParams(spec, u)) for u in range(spec.p)]
+        datas = [
+            modular.theory_data(md, modular.w_matrix(md.params) if with_w else None)
+            for md in mds
+        ]
+        md0, md1 = mds[:2]
+    partitions = modular.galois_classes(md0, md1, with_w)
+    assert len(partitions) == 1 + with_w
+    assert partitions[-1] == _pairwise_classes(datas)
+
+
+def test_galois_classes_let_u0_join_when_the_subgroup_is_everything(monkeypatch):
+    """At p = 2, (Z/2)^x is trivial, so a u = 0 given a copy of theory 1's
+    data (W too) must join the class of u = 1."""
+    one = CocycleParams(GroupSpec(7, 2, 6), 1)
+    md1 = modular.modular_data(one)
+    md0 = dataclasses.replace(md1, params=CocycleParams(one.spec, 0))
+    real = modular.w_matrix
+    monkeypatch.setattr(modular, "w_matrix", lambda params, mirror=False: real(one, mirror))
+    assert modular.galois_classes(md0, md1, True) == [[("u=0", "u=1")]] * 2
+
+
+def test_galois_classes_refuse_u0_in_a_proper_subgroup(md_u, params_u):
+    """At the flagship H_ST is the squares {1, 4}: a u = 0 given a copy
+    of theory 1's data is equivalent to u = 1, which the Galois-fixed
+    u = 0 cannot be unless H_ST is all of (Z/5)^x."""
+    md0 = dataclasses.replace(md_u(1), params=params_u(0))
+    with pytest.raises(ArithmeticError, match="u=0 is equivalent to u=1"):
+        modular.galois_classes(md0, md_u(1), False)
+
+
 def test_s_and_w_are_stored_as_ids_keyed_row_by_row():
     """`modular_data` and `w_matrix` at (13, 3, 3) key each row of traces
     as it is walked: their traced memory peak stays below half of one
