@@ -9,8 +9,7 @@ table of their distinct values, phi(N) canonical numerators per id
 `_REDUCE_BLOCK`, and each block of root-of-unity histograms is keyed
 as it comes: a fingerprint proposes a group, an exact compare decides
 it, and only the distinct histograms are reduced.  No (n, n, N) array
-is built, and `s_counts` and `v_counts` give dense lifts only on
-demand.  W is keyed from the pairs (V id, twist shift).  Bulk
+is built.  W is keyed from the pairs (V id, twist shift).  Bulk
 identities are certified by a rigorous modular-evaluation scheme: the
 distinct values, lifted to histograms by padding to N (`_lift`), are
 mapped into F_P (for several primes P = 1 mod N) by evaluating at
@@ -35,7 +34,8 @@ frequency certifies it.  (S~T)^3 - D S~^2 satisfies only
 sigma_{h^2}(X) = G_h X G_h^T, so it is evaluated at one frequency per
 coset of the squares in (Z/N)^x (4 at N = 275).  The Galois action on V
 is not checked, so `punctured_vanishing_report` keeps every primitive
-frequency, and `_r_table` every frequency for its inverse transform.
+frequency, and `_exact_sums`, the one route for the R-table, punctured
+traces, W from them and lens chains, every frequency for its inverse.
 
 A twisted double has Gauss sum +D, so c = 0 mod 8 (Mueger, JPAA 180
 (2003)); `modular_data` checks this once, and every value derived here
@@ -229,9 +229,7 @@ class _ExactChecker:
         self.primes = _verification_primes(order, prime_count)
         self.freq = [_FreqPrime(p, order) for p in self.primes]
         self.product = math.prod(self.primes)
-        prim = np.array([f for f in range(order) if math.gcd(f, order) == 1])
-        self.prim = prim
-        self.neg = (-np.arange(order)) % order
+        self.prim = np.array([f for f in range(order) if math.gcd(f, order) == 1])
 
 
 @lru_cache(maxsize=None)
@@ -293,9 +291,6 @@ class ModularData:
     def twist(self, a) -> CycloNumber:
         return root_of_unity(int(self.twist_exps[self.index_of(a)]), self.root_order)
 
-    def twists(self) -> list[CycloNumber]:
-        return [self.twist(a) for a in range(self.n_objects)]
-
     @property
     def s_counts(self) -> np.ndarray:
         """S-tilde as (n, n, N) histograms, its values lifted on each call."""
@@ -309,12 +304,6 @@ class ModularData:
     def s_entry(self, a, b) -> CycloNumber:
         """Normalized S entry: the trace divided by D."""
         return self.s_tilde(a, b) / self.total_dim
-
-    def s_pos_counts(self) -> np.ndarray:
-        """Histograms of the opposite-chirality two-strand traces (the
-        entrywise complex conjugate of s_counts)."""
-        neg = (-np.arange(self.root_order)) % self.root_order
-        return self.s_counts[:, :, neg]
 
     def galois_permutation(self, f: int) -> tuple[int, ...] | None:
         """The permutation pi_f with sigma_f(S~_ab) = S~_{pi_f(a) b}, where
@@ -347,8 +336,9 @@ class ModularData:
         return self.dual[self.index_of(a)]
 
 
-# Histograms per `reduce_counts` call and colorings per `trace_counts` call:
-# a block saves the fixed cost of a call and bounds its temporaries.
+# Histograms per `reduce_counts` call, colorings per `trace_counts` call,
+# frequencies in `_exact_sums`: a block saves the fixed cost of a call and
+# bounds its temporaries.
 _REDUCE_BLOCK = 256
 
 # The base B of the fingerprints h @ (B^j mod 2^64): any odd constant will
@@ -617,11 +607,33 @@ def _unit_row_is_dims(md: ModularData) -> bool:
     return np.array_equal(row[:, 0], md.dims) and not row[:, 1:].any()
 
 
-def _evaluations(fp: _FreqPrime, values: np.ndarray, ids: np.ndarray, freqs=None) -> np.ndarray:
+def _evaluations(fp: _FreqPrime, values: np.ndarray, ids: np.ndarray, freqs) -> np.ndarray:
     """Residues modulo one prime of the entries ids of a value table at the
-    frequencies freqs (default: all N), frequency first: (F,) + ids.shape.
-    Only the lifts of the distinct values are transformed."""
+    frequencies freqs, frequency first: (F,) + ids.shape.  Only the lifts
+    of the distinct values are transformed."""
     return fp.evaluate(_lift(values, fp.n), freqs)[:, ids]
+
+
+def _l1(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """L1 norms of the entries ids, as Python ints."""
+    return np.abs(values).sum(axis=1).astype(object)[ids]
+
+
+def _exact_sums(order: int, bound: int, evaluations) -> np.ndarray:
+    """The integer histograms (..., order) whose (F, ...) residues at
+    gamma^freqs `evaluations(fp, freqs)` gives, per prime and block of
+    frequencies: inverse transform, then CRT.  Exact if no coefficient
+    exceeds bound in absolute value; ArithmeticError if one comes out
+    larger."""
+    checker = _checker(order, bound)
+    per_prime = []
+    for fp in checker.freq:
+        evals = [evaluations(fp, freqs) for freqs in _blocks(np.arange(order))]
+        per_prime.append(fp.invert(np.concatenate(evals)))
+    exact = _crt_centered(per_prime, checker.primes)
+    if np.any(np.abs(exact.astype(object)) > bound):
+        raise ArithmeticError("exact sums exceeded their bound")
+    return exact
 
 
 # ----- modularity verification -------------------------------------------------
@@ -1027,41 +1039,19 @@ def ba_block_formula_report(wm: WMatrix) -> tuple[bool, list[str]]:
         c = ((-v if wm.mirror else v) - 1) % q
         # W = q*p * theta_A^c theta_B^-1 with theta_A = zeta_q^(l m) = zeta_N^(l m N/q),
         # so V = W theta_B theta_b = q*p * zeta_N^(c l m N/q + t_b), exactly.
-        expected = reduce_counts(ne, _monomials(ne, c * lms * (ne // q) + t[cols], q * p))
+        expected = np.zeros((len(cols), ne), dtype=np.int64)
+        expected[np.arange(len(cols)), (c * lms * (ne // q) + t[cols]) % ne] = q * p
+        expected = reduce_counts(ne, expected)
         wrong = np.any(expected != wm.v_values[wm.v_ids[a, cols]], axis=1)
         failures += [f"BA formula fails at ({la}, {wm.labels[b]})" for b in cols[wrong]]
     return (not failures, failures)
 
 
-# ----- group-ring sums and punctured traces ---------------------------------------
-
-
-def _group_ring_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_x left[i, x] * right[x] in the group ring Z[x]/(x^N - 1), for
-    integer histograms left (m, n, N) and right (n, N): an (m, N) array
-    of cyclic convolutions summed over x.  Every partial sum of an entry
-    is bounded by B = max_i sum_x L1(left[i, x]) * max|right[x]|; when
-    B < 2^53 the sums run exactly in float64, otherwise in Python ints."""
-    l1 = np.abs(left).sum(axis=2).astype(object)
-    bound = int(np.max(l1 @ np.abs(right).max(axis=1).astype(object)))
-    dtype = np.float64 if bound < 2**53 else object
-    left, right = left.astype(dtype), right.astype(dtype)
-    out = np.zeros((left.shape[0], right.shape[1]), dtype=dtype)
-    for j in range(right.shape[1]):
-        # x^j * right[x] is right[x] cyclically shifted by j.
-        out += left[:, :, j] @ np.roll(right, j, axis=1)
-    return out.astype(np.int64) if dtype is np.float64 else out
-
-
-def _monomials(order: int, exps, coeffs) -> np.ndarray:
-    """Histograms (len(exps), order) of coeffs[i] * zeta_order^exps[i]."""
-    out = np.zeros((len(exps), order), dtype=np.int64)
-    out[np.arange(len(exps)), np.asarray(exps) % order] = coeffs
-    return out
+# ----- punctured traces -----------------------------------------------------------
 
 
 def _shifted_value(md: ModularData, counts: np.ndarray, shift: int) -> CycloNumber:
-    """zeta_N^shift times the root sum of one group-ring histogram."""
+    """zeta_N^shift times the root sum of one histogram of length N."""
     rolled = np.roll(counts, shift % md.root_order)
     return CycloNumber.from_root_counts(md.root_order, rolled)
 
@@ -1070,9 +1060,16 @@ def punctured_s_trace(md: ModularData, wm: WMatrix, z, a) -> CycloNumber:
     """The diagonal block trace of the once-punctured torus S-matrix:
     (d_a/(theta_a D^2)) * sum_x S_zx theta_x W_ax.  With S = S~/D and
     W_ax = V_ax/(theta_a theta_x), theta_x cancels and the trace is
-    d_a theta_a^-2 F_za / D^3 with F_za = sum_x S~_zx V_ax."""
+    d_a theta_a^-2 F_za / D^3 with F_za = sum_x S~_zx V_ax (`_exact_sums`)."""
     z, a = md.index_of(z), md.index_of(a)
-    f_za = _group_ring_sums(md.s_counts[z : z + 1], wm.v_counts[a])[0]
+
+    def evaluations(fp, freqs):
+        s = _evaluations(fp, md.s_values, md.s_ids[z], freqs)
+        v = _evaluations(fp, wm.v_values, wm.v_ids[a], freqs)
+        return _mulmod(s[:, None, :], v[:, :, None], fp.prime)[:, 0, 0]
+
+    bound = int(_l1(md.s_values, md.s_ids[z]) @ _l1(wm.v_values, wm.v_ids[a]))
+    f_za = _exact_sums(md.root_order, bound, evaluations)
     shift = -2 * int(md.twist_exps[a])
     return _shifted_value(md, f_za, shift) * int(md.dims[a]) / md.total_dim**3
 
@@ -1111,10 +1108,19 @@ def w_from_punctured(md: ModularData, wm: WMatrix, a, b) -> CycloNumber:
     """Reconstruct W_ab from the punctured traces by S-unitarity:
     W_ab = (theta_a D^2/(d_a theta_b)) sum_x S*_bx trace(x, a), which with
     the trace as in punctured_s_trace is
-    sum_x conj(S~_bx) F_xa / (theta_a theta_b D^2)."""
+    sum_x conj(S~_bx) F_xa / (theta_a theta_b D^2) (`_exact_sums`)."""
     a, b = md.index_of(a), md.index_of(b)
-    f_a = _group_ring_sums(md.s_counts, wm.v_counts[a])
-    g_ab = _group_ring_sums(md.s_pos_counts()[b : b + 1], f_a)[0]
+
+    def evaluations(fp, freqs):
+        s = _evaluations(fp, md.s_values, md.s_ids, freqs)
+        v = _evaluations(fp, wm.v_values, wm.v_ids[a], freqs)
+        s_conj = _evaluations(fp, md.s_values, md.s_ids[b], -freqs % md.root_order)
+        f_a = _mulmod(s, v[:, :, None], fp.prime)  # F_xa: (f, x, 1)
+        return _mulmod(s_conj[:, None, :], f_a, fp.prime)[:, 0, 0]
+
+    l1s = _l1(md.s_values, md.s_ids)
+    bound = int(l1s[b] @ (l1s @ _l1(wm.v_values, wm.v_ids[a])))
+    g_ab = _exact_sums(md.root_order, bound, evaluations)
     shift = -int(md.twist_exps[a]) - int(md.twist_exps[b])
     return _shifted_value(md, g_ab, shift) / md.total_dim**2
 
@@ -1126,27 +1132,24 @@ def _r_table(md: ModularData) -> np.ndarray:
     """Canonical numerators (n, n, phi(N)) of the integer targets R~(a, c),
     with r(a, c) = sum_mu [R^aa_c]_mu,mu = theta_a^-1 R~(a, c) / D^5: all
     diagonal R-sums from modular data only, reconstructed exactly through
-    the evaluation scheme."""
+    `_exact_sums`."""
     if md._r_table is not None:
         return md._r_table
-    n = md.n_objects
     ne = md.root_order
-    l1 = np.abs(md.s_values).sum(axis=1)[md.s_ids]
+    l1 = _l1(md.s_values, md.s_ids)
     weights = (md.total_dim // md.dims).astype(np.int64)
     # Integer target: R~(a, c) = sum_z S~_az B~_cz A~_z (D/d_z), where
     # A~_z = sum_y d_y theta_y^2 S~*_yz and B~_cz = sum_x theta_x^-2 S~*_xz S~*_cx;
     # then r(a, c) = theta_a^-1 R~(a, c) / D^5.
-    l1_obj = np.maximum(l1, l1.T).astype(object)
-    a_l1 = l1_obj.T @ md.dims.astype(object)
-    b_l1 = l1_obj.T @ l1_obj
-    bound = int(np.max((l1_obj * (a_l1 * weights.astype(object))[None, :]) @ b_l1))
-    checker = _checker(ne, bound)
-    per_prime = []
-    for fp in checker.freq:
-        # Every frequency, for the inverse transform of the lifts' products.
-        ev = _evaluations(fp, md.s_values, md.s_ids)
-        conj = ev[checker.neg]
-        exps = np.arange(ne)[:, None] * (2 * md.twist_exps)[None, :] % ne  # (f, x)
+    l1_sym = np.maximum(l1, l1.T)
+    a_l1 = l1_sym.T @ md.dims.astype(object)
+    b_l1 = l1_sym.T @ l1_sym
+    bound = int(np.max((l1_sym * (a_l1 * weights.astype(object))[None, :]) @ b_l1))
+
+    def evaluations(fp, freqs):
+        ev = _evaluations(fp, md.s_values, md.s_ids, freqs)
+        conj = _evaluations(fp, md.s_values, md.s_ids, -freqs % ne)
+        exps = freqs[:, None] * (2 * md.twist_exps)[None, :] % ne  # (f, x)
         twist_pos = fp.pows[exps]
         twist_neg = fp.pows[(-exps) % ne]
         # A~_z evaluations: (f, 1, z)
@@ -1155,12 +1158,9 @@ def _r_table(md: ModularData) -> np.ndarray:
         b_ev = _mulmod(conj, twist_neg[:, :, None] * conj % fp.prime, fp.prime)
         k_ev = b_ev * (a_ev * weights % fp.prime) % fp.prime
         # R~(a, c) evaluations: sum_z S~_az K_cz, (f, a, c)
-        r_ev = _mulmod(ev, k_ev.transpose(0, 2, 1), fp.prime)
-        per_prime.append(fp.invert(r_ev))
-    exact = _crt_centered(per_prime, checker.primes)
-    if np.any(np.abs(exact.astype(object)) > bound):
-        raise ArithmeticError("R-sum reconstruction exceeded its bound")
-    md._r_table = reduce_counts(ne, exact)
+        return _mulmod(ev, k_ev.transpose(0, 2, 1), fp.prime)
+
+    md._r_table = reduce_counts(ne, _exact_sums(ne, bound, evaluations))
     return md._r_table
 
 
@@ -1214,9 +1214,8 @@ def two_strand_closure(md: ModularData, a, b, n: int, parity: str) -> CycloNumbe
     if parity == "odd":
         if a != b:
             raise ValueError("odd closures are knots: both strands carry one color")
-        # sum_c d_c theta_c^n R~(a, c), then theta_a^-(2n+1) / D^5
-        weights = _monomials(ne, n * md.twist_exps, md.dims)[None]
-        hist = _group_ring_sums(weights, _lift(_r_table(md)[a], ne))[0]
+        # sum_c d_c theta_c^n R~(a, c) in Python ints, then theta_a^-(2n+1) / D^5
+        hist = md.dims.astype(object) @ _roll_rows(_lift(_r_table(md)[a], ne), n * md.twist_exps)
         shift = -(2 * n + 1) * int(md.twist_exps[a])
         return _shifted_value(md, hist, shift) / md.total_dim**5
     raise ValueError("parity must be 'even' or 'odd'")
@@ -1284,19 +1283,27 @@ def lens_space_invariant(md: ModularData, p_surgery: int, q_surgery: int) -> Cyc
             traces, one dimension factor per chain edge endpoint shared.
 
     No signature correction enters: it is a power of the Gauss sum over
-    D, which is 1.  The coloring sums stay integer histograms until one
-    reduction at the end."""
+    D, which is 1.  The coloring sums come from `_exact_sums`."""
     digits = negative_continued_fraction(p_surgery, q_surgery)
     ne, t = md.root_order, md.twist_exps
-    # hop[y, x] = S~pos_xy: one chain edge from color x to color y.
-    hop = md.s_pos_counts().transpose(1, 0, 2)
-    # vec[x]: the sum over colorings of the chain so far ending in x.
-    vec = _monomials(ne, digits[0] * t, md.dims)
-    for a in digits[1:]:
-        # The next component, colored y, carries the framing theta_y^a.
-        vec = _group_ring_sums(_roll_rows(hop, a * t[:, None]), vec)
-    # sum_y d_y vec[y], exact however large the entries have grown.
-    total = _group_ring_sums(_monomials(ne, np.zeros_like(t), md.dims)[None], vec)[0]
+    # vec[x]: the chain so far summed over colorings ending in x;
+    # L1(vec'_y) <= sum_x L1(S~_xy) L1(vec_x).
+    l1s, l1_vec = _l1(md.s_values, md.s_ids), md.dims.astype(object)
+    for _ in digits[1:]:
+        l1_vec = l1_vec @ l1s
+    bound = int(md.dims @ l1_vec)
+
+    def evaluations(fp, freqs):
+        # hop[f, y, x] = conj(S~_xy) at gamma^f: a chain edge from x to y.
+        hop = _evaluations(fp, md.s_values, md.s_ids.T, -freqs % ne)
+        vec = md.dims * fp.pows[np.outer(freqs, digits[0] * t) % ne] % fp.prime
+        for a in digits[1:]:
+            # The next component, colored y, carries the framing theta_y^a.
+            vec = _mulmod(hop, vec[:, :, None], fp.prime)[:, :, 0]
+            vec = vec * fp.pows[np.outer(freqs, a * t) % ne] % fp.prime
+        return _mulmod(vec, md.dims[:, None], fp.prime)[:, 0]  # sum_y d_y vec[y]
+
+    total = _exact_sums(ne, bound, evaluations)
     return CycloNumber.from_root_counts(ne, total) / md.total_dim ** (len(digits) + 1)
 
 

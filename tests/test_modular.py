@@ -3,6 +3,7 @@ W-matrix, derived invariants, and the permutation-equivalence search."""
 
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -551,7 +552,10 @@ def test_theory_data_keys_match_scalar_keys(small_md):
     assert modular.theory_data(md).w_keys is None
 
 
-def test_group_ring_sums_match_python_ints():
+def test_exact_sums_match_python_ints():
+    """`_exact_sums` rebuilds sum_x left[i, x] * right[x] in the group ring
+    Z[x]/(x^9 - 1) from the products of the evaluations of left and right,
+    and raises when a coefficient exceeds the bound it is given."""
     rng = np.random.default_rng(6)
     left = rng.integers(-5, 6, size=(3, 4, 9))
     right = rng.integers(-5, 6, size=(4, 9))
@@ -565,10 +569,28 @@ def test_group_ring_sums_match_python_ints():
                         out[i][(j + k) % 9] += int(lft[i][x][j]) * int(rgt[x][k])
         return out
 
-    assert modular._group_ring_sums(left, right).tolist() == direct(left, right)
-    # Odd entries near 2^52 push the bound past 2^53: the sums run in Python ints.
+    def evaluations(lft, rgt):
+        def at(fp, freqs):
+            l_ev, r_ev = fp.evaluate(lft, freqs), fp.evaluate(rgt, freqs)
+            return modular._mulmod(l_ev, r_ev[:, :, None], fp.prime)[:, :, 0]
+
+        return at
+
+    def l1_bound(lft, rgt):
+        """max_i sum_x L1(lft[i, x]) L1(rgt[x]), in Python ints."""
+        l1_left, l1_right = (np.abs(h).sum(axis=-1).astype(object) for h in (lft, rgt))
+        return int(np.max(l1_left @ l1_right))
+
+    bound = l1_bound(left, right)
+    assert modular._exact_sums(9, bound, evaluations(left, right)).tolist() == direct(left, right)
+    # Odd entries near 2^52 push the bound past 2^63: three primes, and
+    # the general branch of the CRT in Python ints.
     scaled = right * (1 << 50) + 1
-    assert modular._group_ring_sums(left, scaled).tolist() == direct(left, scaled)
+    bound = l1_bound(left, scaled)
+    assert len(modular._checker(9, bound).primes) >= 3
+    assert modular._exact_sums(9, bound, evaluations(left, scaled)).tolist() == direct(left, scaled)
+    with pytest.raises(ArithmeticError, match="exceeded their bound"):
+        modular._exact_sums(9, 0, evaluations(left, right))
 
 
 def test_mirror_w_is_conjugate(params_u, wm_u):
@@ -579,9 +601,32 @@ def test_mirror_w_is_conjugate(params_u, wm_u):
         assert mirror.v_entry(a, b) == wm.v_entry(a, b).conjugate()
 
 
-def test_punctured_trace_unit(md_u, wm_u):
-    value = modular.punctured_s_trace(md_u(1), wm_u(1), 0, 0)
-    assert value == CycloNumber.from_rational(Fraction(1, 55))
+# Groups beyond the flagship on which the exact sums of the punctured
+# traces, the odd two-strand closures and the lens chains are checked
+# too, at u = 1, and colors of each kind that all of them have.
+FLAGSHIP = (11, 5, 4)
+BEYOND_FLAGSHIP = ((7, 3, 2), (13, 3, 3), (7, 2, 6))
+COMMON_COLORS = ("I_1", "A_1_2", "B_1_0")
+
+
+@functools.lru_cache(maxsize=None)
+def _theory_at_u1(group):
+    params = CocycleParams(GroupSpec(*group), 1)
+    return params, modular.modular_data(params), modular.w_matrix(params)
+
+
+def _theories_at_u1(params_u, md_u, wm_u):
+    """(group, params, md, wm) at u = 1: the flagship, then each group of
+    BEYOND_FLAGSHIP."""
+    yield FLAGSHIP, params_u(1), md_u(1), wm_u(1)
+    for group in BEYOND_FLAGSHIP:
+        yield (group, *_theory_at_u1(group))
+
+
+def test_punctured_trace_unit(params_u, md_u, wm_u):
+    for _, _, md, wm in _theories_at_u1(params_u, md_u, wm_u):
+        value = modular.punctured_s_trace(md, wm, 0, 0)
+        assert value == CycloNumber.from_rational(Fraction(1, md.total_dim))
 
 
 def test_punctured_trace_vanishes_outside_fusion_support(md_u, wm_u):
@@ -589,10 +634,13 @@ def test_punctured_trace_vanishes_outside_fusion_support(md_u, wm_u):
     assert ok, failures[:5]
 
 
-def test_punctured_trace_round_trip(md_u, wm_u):
-    md, wm = md_u(1), wm_u(1)
-    for a, b in [("B_1_0", "A_1_4"), ("A_2_3", "B_2_1"), ("I_5", "B_3_2")]:
-        assert modular.w_from_punctured(md, wm, a, b) == wm.w_entry(a, b)
+def test_punctured_trace_round_trip(params_u, md_u, wm_u):
+    for group, _, md, wm in _theories_at_u1(params_u, md_u, wm_u):
+        pairs = [("B_1_0", "A_1_4"), ("A_2_3", "B_2_1"), ("I_5", "B_3_2")]
+        if group != FLAGSHIP:
+            pairs = zip(COMMON_COLORS, COMMON_COLORS[1:] + COMMON_COLORS[:1])
+        for a, b in pairs:
+            assert modular.w_from_punctured(md, wm, a, b) == wm.w_entry(a, b)
 
 
 def test_r_sums_unit_row(md_u):
@@ -620,13 +668,13 @@ def test_two_strand_even_matches_engine(params_u, md_u):
             assert closed == engine
 
 
-def test_two_strand_odd_matches_engine(params_u, md_u):
-    params, md = params_u(1), md_u(1)
-    for a in ("I_5", "A_1_4", "B_1_0"):
-        for n in range(3):
-            closed = modular.two_strand_closure(md, a, a, n, "odd")
-            engine = framed_invariant(params, BraidWord(2, (1,) * (2 * n + 1)), [a, a])
-            assert closed == engine
+def test_two_strand_odd_matches_engine(params_u, md_u, wm_u):
+    for group, params, md, _ in _theories_at_u1(params_u, md_u, wm_u):
+        for a in ("I_5", "A_1_4", "B_1_0") if group == FLAGSHIP else COMMON_COLORS:
+            for n in range(3):
+                closed = modular.two_strand_closure(md, a, a, n, "odd")
+                engine = framed_invariant(params, BraidWord(2, (1,) * (2 * n + 1)), [a, a])
+                assert closed == engine
 
 
 def test_two_strand_argument_validation(md_u):
@@ -684,12 +732,13 @@ def test_lens_space_pinned_values(md_u):
     )
 
 
-def test_lens_space_two_routes_agree(md_u):
+def test_lens_space_two_routes_agree(params_u, md_u, wm_u):
+    for _, _, md, _ in _theories_at_u1(params_u, md_u, wm_u):
+        for p, q in [(5, 1), (5, 2), (7, 3)]:
+            fold = modular.lens_space_invariant(md, p, q)
+            chain = modular.lens_space_via_chain_braid(md, p, q)
+            assert fold == chain
     md = md_u(1)
-    for p, q in [(5, 1), (5, 2)]:
-        fold = modular.lens_space_invariant(md, p, q)
-        chain = modular.lens_space_via_chain_braid(md, p, q)
-        assert fold == chain
     assert modular.lens_space_invariant(md, 5, 1) != modular.lens_space_invariant(
         md, 5, 2
     )
