@@ -206,8 +206,9 @@ def cmd_quandle(args) -> int:
 
 
 def _theory(params: CocycleParams, with_w: bool) -> modular.TheoryData:
-    """One theory from its traces: S and W as (n, n) ids into one table of
-    exact values, keyed block by block as walked, with no (n, n, N) array."""
+    """One theory from its traces: S and V (which decides W) as (n, n) ids
+    into one table of exact values, keyed block by block as walked, with
+    no (n, n, N) array."""
     md = modular.modular_data(params)
     return modular.theory_data(md, modular.w_matrix(params) if with_w else None)
 

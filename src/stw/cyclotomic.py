@@ -409,51 +409,14 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        for self (as a polynomial) and Phi_order over Q[x].
-        """
+        """Multiplicative inverse of a nonzero rational value.  Every
+        division in stw is by a rational (a total dimension, a dimension
+        or a count), so no other value is inverted."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic zero has no inverse")
-        if self.is_rational():
-            return CycloNumber.from_rational(1 / self.as_fraction(), self.order)
-
-        def trim(p: list[Fraction]) -> list[Fraction]:
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        # Invariant: r_i = s_i * self (mod Phi); we track only s.
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r1 = trim([Fraction(c, self.den) for c in self.num])
-        s0: list[Fraction] = []
-        s1: list[Fraction] = [Fraction(1)]
-        while len(r1) > 1:
-            quot: list[Fraction] = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for shift in range(len(quot) - 1, -1, -1):
-                c = rem[len(r1) - 1 + shift] / r1[-1]
-                quot[shift] = c
-                if c:
-                    for i, d in enumerate(r1):
-                        rem[i + shift] -= c * d
-            rem = trim(rem)
-            prod = [Fraction(0)] * (len(quot) + len(s1) - 1)
-            for i, cq in enumerate(quot):
-                if cq:
-                    for j, cs in enumerate(s1):
-                        prod[i + j] += cq * cs
-            s_new = [Fraction(0)] * max(len(s0), len(prod))
-            for i, c in enumerate(s0):
-                s_new[i] += c
-            for i, c in enumerate(prod):
-                s_new[i] -= c
-            r0, r1 = r1, rem
-            s0, s1 = s1, trim(s_new)
-        if not r1:
-            raise ZeroDivisionError("value is a zero divisor (not in the field?)")
-        const = r1[0]
-        inv_coeffs = [c / const for c in s1]
-        return CycloNumber.from_coeffs(self.order, inv_coeffs)
+        if not self.is_rational():
+            raise ValueError(f"cannot invert the non-rational value {self!r}")
+        return CycloNumber.from_rational(1 / self.as_fraction(), self.order)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -461,17 +424,11 @@ class CycloNumber:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return self.inverse() ** (-exponent)
+            raise ValueError("negative powers are not supported")
         result = CycloNumber.one(self.order)
         base = self
         e = exponent

@@ -164,7 +164,6 @@ class DoubleContext:
                         f"I_{s}", ci, s, coset_action,
                         pi_perm=irrep.perm[cent],
                         pi_exp=irrep.exponents[cent] * unit,
-                        twist_exp=0,
                     ))
             elif rep_el.m == 0:
                 # a-type flux: centralizer Z_q, characters zeta_q^(s l)
@@ -175,7 +174,6 @@ class DoubleContext:
                         f"A_{l0}_{s}", ci, s, coset_action,
                         pi_perm=np.zeros((len(cent), 1), dtype=np.int64),
                         pi_exp=(cent_apart * s * self._zq_unit).reshape(-1, 1),
-                        twist_exp=l0 * s * self._zq_unit,
                     ))
             else:
                 # b-type flux b^k: centralizer Z_p, characters
@@ -183,12 +181,11 @@ class DoubleContext:
                 k = rep_el.m
                 cent_bpart = self.gdata.b_part[cent]
                 for s in range(p):
-                    lift = (s * p + u * k) % (p * p)
+                    lift = _b_character(p, u, k, s)
                     parts.append(self._add(
                         f"B_{k}_{s}", ci, s, coset_action,
                         pi_perm=np.zeros((len(cent), 1), dtype=np.int64),
                         pi_exp=(cent_bpart * lift * self._zp2_unit).reshape(-1, 1),
-                        twist_exp=lift * k * self._zp2_unit,
                     ))
         self.dims = np.array([t.dim for t in self.tables])
         self.offsets = np.array([t.offset for t in self.tables])
@@ -235,7 +232,7 @@ class DoubleContext:
                 f"G is not transitive on the vectors of {self.simples[split.argmax()].label}"
             )
 
-    def _add(self, label, ci, s, coset_action, *, pi_perm, pi_exp, twist_exp):
+    def _add(self, label, ci, s, coset_action, *, pi_perm, pi_exp):
         """Append one simple object and return the flux, new global vector
         and exponent arrays of its vectors: pi_perm/pi_exp give the
         monomial action pi(s) of each centralizer element on the internal
@@ -255,10 +252,27 @@ class DoubleContext:
             AnyonTables(
                 simple=simple, dim=simple.dim, offset=offset,
                 class_bpart=self.classes[ci].representative.m,
-                twist_exp=twist_exp % self.root_order,
+                twist_exp=self._twist_exp(ci, s, self.params.u),
             )
         )
         return np.repeat(flux, internal_dim), state.reshape(order, -1), exp.reshape(order, -1)
+
+    def _twist_exp(self, ci: int, s: int, u: int) -> int:
+        """The twist exponent, mod N, of the object with flux class ci and
+        character s in theory u of this group: zeta_q^(l s) for the flux
+        a^l (l = 0, twist 1, for the identity flux) and
+        zeta_(p^2)^(k (s p + u k)) for the flux b^k."""
+        rep = self.classes[ci].representative
+        if rep.m:
+            exp = _b_character(self.spec.p, u, rep.m, s) * rep.m * self._zp2_unit
+        else:
+            exp = rep.l * s * self._zq_unit
+        return exp % self.root_order
+
+    def twist_exps_at(self, u: int) -> np.ndarray:
+        """The twist exponents of this context's objects in theory u of
+        the same group, whose labels and dims are the same for every u."""
+        return np.array([self._twist_exp(s.class_index, s.char_index, u) for s in self.simples])
 
     # ----- scalar helpers -------------------------------------------------
 
@@ -281,6 +295,12 @@ class DoubleContext:
         return root_of_unity(exponent % self.root_order, self.root_order)
 
 
+def _b_character(p: int, u: int, k: int, s: int) -> int:
+    """The exponent c = s p + u k (mod p^2) of the centralizer character
+    of B_k_s in theory u, which takes b^l to zeta_(p^2)^(c l)."""
+    return (s * p + u * k) % (p * p)
+
+
 def _narrow_dtype(bound: int):
     """The narrowest int dtype that holds 0..bound-1: int16 up to 2^15,
     else int32."""
@@ -295,8 +315,10 @@ def context_for(params: CocycleParams) -> DoubleContext:
 def galois_relabel(params: CocycleParams, f: int) -> tuple[CocycleParams, np.ndarray]:
     """Where sigma_f (zeta -> zeta^f, f = 1 mod q and prime to p) sends
     each simple object of the theory `params`: returns the theory with
-    u' = f u mod p and the index in its context of the image of each
-    object, read off the characters in `DoubleContext._build`.
+    u' = f u mod p and the index of the image of each object, read off
+    the characters in `DoubleContext._build`.  Every theory of a group
+    lists the same labels in the same order, so the indices are read
+    from the context of `params` and no context of u' is built.
 
     sigma_f fixes every zeta_q-valued character, so the A_l_m and the
     induced I_j keep their labels; a linear I_j takes the character
@@ -309,7 +331,6 @@ def galois_relabel(params: CocycleParams, f: int) -> tuple[CocycleParams, np.nda
         raise ValueError(f"sigma_{f} must fix zeta_q and be a unit mod p")
     target = CocycleParams(spec, f * u % p)
     ctx = context_for(params)
-    index = context_for(target).label_index
     images = []
     for simple in ctx.simples:
         k = ctx.classes[simple.class_index].representative.m
@@ -318,7 +339,7 @@ def galois_relabel(params: CocycleParams, f: int) -> tuple[CocycleParams, np.nda
             label = f"B_{k}_{(f * (s * p + u * k) - target.u * k) % (p * p) // p}"
         elif label.startswith("I_") and s < p:
             label = f"I_{f * s % p}"
-        images.append(index[label])
+        images.append(ctx.label_index[label])
     return target, np.array(images)
 
 

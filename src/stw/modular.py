@@ -9,8 +9,8 @@ table of their distinct values, phi(N) canonical numerators per id
 `_REDUCE_BLOCK`, and each block of root-of-unity histograms is keyed
 as it comes: a fingerprint proposes a group, an exact compare decides
 it, and only the distinct histograms are reduced.  No (n, n, N) array
-is built.  W is keyed from the pairs (V id, twist shift).  Bulk
-identities are certified by a rigorous modular-evaluation scheme: the
+is built.  Bulk identities are certified by a rigorous
+modular-evaluation scheme: the
 distinct values, lifted to histograms by padding to N (`_lift`), are
 mapped into F_P (for several primes P = 1 mod N) by evaluating at
 gamma^f with gamma of multiplicative order N, and gathered by id.
@@ -49,8 +49,11 @@ and, in one loop over the primes, certifies unitarity, S^2 = D^2 times
 the dual permutation and (ST)^3 = D * S^2.
 
 The equivalence search reads S, T and W only, never a certificate.
-`theory_data` keys W into the table of S; the search maps the second
-theory's table into the first's and then compares ids only.
+W_ab = V_ab / (theta_a theta_b), so a bijection that preserves T maps W
+onto itself exactly when it maps V onto itself: `theory_data` keys V
+into the table of S, and no value of W is built for the search.  The
+search maps the second theory's table into the first's and then
+compares ids only.
 `galois_classes` partitions all p theories of one group from theories 0
 and 1 alone, with a few searches against Galois conjugates of theory 1.
 `modular_data` and `w_matrix` keep no cache.
@@ -368,11 +371,17 @@ def _index_values(order: int, blocks, index: dict[bytes, int]) -> np.ndarray:
     with m <= `_REDUCE_BLOCK`, reduced one block per call: each value
     gets its id through `index`, a dict keyed by its canonical
     numerators' bytes (extended in place, new values in order)."""
-    ids = []
+    ids = [np.zeros(0, dtype=np.int32)]
     for block in blocks:
         reduced = np.ascontiguousarray(reduce_counts(order, block), dtype=np.int64)
-        ids.extend(index.setdefault(v.tobytes(), len(index)) for v in reduced)
-    return np.array(ids, dtype=np.int32)
+        ids.append(_key_into(index, reduced))
+    return np.concatenate(ids)
+
+
+def _key_into(index: dict[bytes, int], values: np.ndarray) -> np.ndarray:
+    """The int32 id in `index` (extended in place, new values in order) of
+    each row of canonical numerators in `values`."""
+    return np.array([index.setdefault(v.tobytes(), len(index)) for v in values], dtype=np.int32)
 
 
 def _table(index: dict[bytes, int]) -> np.ndarray:
@@ -486,7 +495,7 @@ def modular_data(params: CocycleParams) -> ModularData:
     n = len(ctx.simples)
     labels = tuple(s.label for s in ctx.simples)
     dims = np.array([s.dim for s in ctx.simples], dtype=np.int64)
-    twist_exps = np.array([t.twist_exp % ctx.root_order for t in ctx.tables], dtype=np.int64)
+    twist_exps = ctx.twist_exps.astype(np.int64)
     total_sq = int(np.sum(dims * dims))
     total_dim = math.isqrt(total_sq)
     if total_dim * total_dim != total_sq:
@@ -865,6 +874,10 @@ class WMatrix:
     twist_exps: np.ndarray
     v_ids: np.ndarray
     v_values: np.ndarray
+    _label_index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._label_index = {lab: i for i, lab in enumerate(self.labels)}
 
     @property
     def v_counts(self) -> np.ndarray:
@@ -873,7 +886,7 @@ class WMatrix:
 
     def index_of(self, obj) -> int:
         if isinstance(obj, str):
-            return list(self.labels).index(obj)
+            return self._label_index[obj]
         return int(obj)
 
     def _counts(self, a, b, shift: int) -> CycloNumber:
@@ -910,7 +923,7 @@ def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
     if sorted(len(c) for c in info.components) != [1, 2]:
         raise ValueError("clasp word must close to a doubled plus a bare component")
     doubled = max(info.components, key=len)
-    twist_exps = np.array([t.twist_exp % ctx.root_order for t in ctx.tables], dtype=np.int64)
+    twist_exps = ctx.twist_exps.astype(np.int64)
     # The colorings (doubled component a, bare b) in row-major order, one
     # zero-framed trace per block, keyed as walked.
     a, b = np.divmod(np.arange(n * n), n)
@@ -1335,11 +1348,13 @@ class TheoryData:
     """Exact fingerprint data of one theory for the search, as integer ids.
 
     t_keys holds the twist exponents mod N.  s_keys and w_keys are (n, n)
-    int32 arrays of value ids into one table, `values`, shared by S and
-    W: row i holds the canonical power-basis numerators of id i, so equal
-    ids mean equal exact values within one theory.  Ids of two theories
-    are compared only after `_shared_ids` maps one table into the other.
-    The arrays make it unhashable by value."""
+    int32 arrays of the value ids of S-tilde and of V into one table,
+    `values`, shared by both: row i holds the canonical power-basis
+    numerators of id i, so equal ids mean equal exact values within one
+    theory.  W_ab = V_ab / (theta_a theta_b), so W is carried by V and
+    the twists (see `theory_data`).  Ids of two theories are compared
+    only after `_shared_ids` maps one table into the other.  The arrays
+    make it unhashable by value."""
 
     name: str
     labels: tuple[str, ...]
@@ -1352,26 +1367,20 @@ class TheoryData:
 
 
 def theory_data(md: ModularData, wm: WMatrix | None = None) -> TheoryData:
-    """Freeze (S, T[, W]) into value ids: those of S, then W into the same
-    table (small: 46 values in S, 176 in S and W at the flagship).
+    """Freeze (S, T[, W]) into value ids: those of S, then the values of V
+    keyed into the same table (46 values in S, 61 in S and V at the
+    flagship).
 
-    W_ab = V_ab zeta^-(t_a + t_b) depends only on the pair (V id, shift
-    -(t_a + t_b) mod N).  The distinct pairs, in order of first
-    occurrence, each roll the lift of their V value once and are reduced
-    in blocks of `_REDUCE_BLOCK`; two pairs with one value share its id."""
+    W_ab = V_ab / (theta_a theta_b).  A bijection pi that preserves T
+    preserves the twist factors as well, so it maps W onto itself exactly
+    when it maps V onto itself: every map the search tries matches T, and
+    W is decided on the ids of V.  V's values are canonical already, so
+    none is rolled or reduced here."""
     w_keys, values = None, md.s_values
     if wm is not None:
-        ne, t = wm.root_order, wm.twist_exps
-        pairs = wm.v_ids.astype(np.int64) * ne + (-t[:, None] - t[None, :]) % ne
-        keys, first, inverse = np.unique(pairs.ravel(), return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        v_id, shift = np.divmod(keys[order], ne)
-        lifts = _lift(wm.v_values, ne)
-        blocks = (_roll_rows(lifts[ids], k) for ids, k in zip(_blocks(v_id), _blocks(shift)))
         index = {v.tobytes(): i for i, v in enumerate(md.s_values)}
-        key_ids = np.empty(len(keys), dtype=np.int32)
-        key_ids[order] = _index_values(md.root_order, blocks, index)
-        w_keys, values = key_ids[inverse].reshape(pairs.shape), _table(index)
+        w_keys = _key_into(index, wm.v_values)[wm.v_ids]
+        values = _table(index)
     return TheoryData(
         name=f"u={md.params.u}",
         labels=md.labels,
@@ -1394,19 +1403,21 @@ def galois_conjugate(data: TheoryData, params: CocycleParams, u: int) -> TheoryD
     relabelled by `double.galois_relabel`, each distinct exact value is
     mapped by j -> f j (mod N) and reduced once (`_galois_image_ids`,
     shared with `ModularData.galois_permutation`), and each twist
-    exponent t goes to f t.  Rows and columns come in the order of
-    theory u's context, whose dims and twist exponents must equal the
-    conjugate's, or ArithmeticError is raised."""
+    exponent t goes to f t.  Rows and columns come in the label order
+    that every theory of the group shares; the conjugate's dims and twist
+    exponents must equal theory u's, read from the context of `params`
+    (`DoubleContext.twist_exps_at`), or ArithmeticError is raised.  No
+    context of theory u is built."""
     spec = params.spec
     p2, ne = spec.p**2, data.root_order
     ratio = u * pow(params.u, -1, spec.p) % spec.p
     f = 1 + spec.q * ((ratio - 1) * pow(spec.q, -1, p2) % p2)
     target, images = galois_relabel(params, f)
     source = np.argsort(images)  # source[b]: the object that sigma_f sends to b
-    ctx = context_for(target)
+    ctx = context_for(params)  # labels and dims are the same for every u
     dims = data.dims[source]
     t_keys = f * data.t_keys[source] % ne
-    if not (np.array_equal(dims, ctx.dims) and np.array_equal(t_keys, ctx.twist_exps)):
+    if not (np.array_equal(dims, ctx.dims) and np.array_equal(t_keys, ctx.twist_exps_at(target.u))):
         raise ArithmeticError(
             f"the conjugate of {data.name} by sigma_{f} does not match the dims"
             f" and twists of u={target.u}"
@@ -1441,25 +1452,35 @@ class SearchResult:
 def _shared_ids(d1: TheoryData, d2: TheoryData) -> np.ndarray:
     """For each value id of d2, the id of the same exact value in d1's
     table, or a fresh id past it when d1 has no such value."""
-    index = {v.tobytes(): i for i, v in enumerate(d1.values)}
-    ids = [index.setdefault(v.tobytes(), len(index)) for v in d2.values]
-    return np.array(ids, dtype=np.int32)
+    return _key_into({v.tobytes(): i for i, v in enumerate(d1.values)}, d2.values)
 
 
 def equivalence_search(d1: TheoryData, d2: TheoryData) -> SearchResult:
     """Decide whether a bijection pi exists with T_pi(a) = T_a,
     S_pi(a)pi(b) = S_ab, and (when supplied) W_pi(a)pi(b) = W_ab, with
     pi fixing the unit.  Backtracking over candidate sets pruned by dims,
-    T and the sorted S (and W) id rows, in one id space; returns a
-    witness permutation when one exists."""
+    T and the sorted rows of S ids (and of the codes V id * N + t_b), in
+    one id space; returns a witness permutation when one exists.
+
+    Every pair of candidates matches T, so equal codes at matched
+    columns mean equal V and so equal W (`theory_data`).  A row's codes
+    determine its W values given t_a, so their multiset prunes at least
+    as much as the multiset of its W values."""
     if len(d1.labels) != len(d2.labels) or d1.root_order != d2.root_order:
         return SearchResult(False, None, 0, "different object counts or root orders")
     n = len(d1.labels)
     use_w = d1.w_keys is not None and d2.w_keys is not None
-    fields = ("s_keys", "w_keys") if use_w else ("s_keys",)
-    # m[a, b] holds the ids of S_ab (and W_ab), both theories in d1's id space.
-    m1 = np.stack([getattr(d1, f) for f in fields], axis=2)
-    m2 = _shared_ids(d1, d2)[np.stack([getattr(d2, f) for f in fields], axis=2)]
+
+    def keys(d: TheoryData, ids: np.ndarray) -> np.ndarray:
+        if not use_w:
+            return ids[d.s_keys][:, :, None]
+        codes = ids[d.w_keys].astype(np.int64) * d.root_order + d.t_keys
+        return np.stack([ids[d.s_keys], codes], axis=2)
+
+    # m[a, b] holds the id of S_ab (and the code of V_ab), both theories
+    # in d1's id space.
+    m1 = keys(d1, np.arange(len(d1.values), dtype=np.int32))
+    m2 = keys(d2, _shared_ids(d1, d2))
     rows1, rows2 = np.sort(m1, axis=1), np.sort(m2, axis=1)
     match = (
         (d1.dims[:, None] == d2.dims[None, :])
@@ -1510,7 +1531,8 @@ class ObstructionCertificate:
     The twists alone force the anchor's image into `anchor_images` and
     the labelled object's image into `t_allowed`.  Equality of the
     single W entry at (anchor, label) then forces the labelled object's
-    image into `w_required`.  An empty intersection of `t_allowed` with
+    image into `w_required`, among the objects of the label's dimension
+    whatever their twist.  An empty intersection of `t_allowed` with
     `w_required` rules out every permutation matching both T and W."""
 
     label: str
@@ -1521,23 +1543,36 @@ class ObstructionCertificate:
     compatible: tuple[str, ...]
 
 
+def _w_values(d: TheoryData, rows, cols) -> np.ndarray:
+    """The exact W_ab = V_ab zeta^-(t_a + t_b) for a in rows and b in cols,
+    as (len(rows), len(cols), phi(N)) canonical numerators."""
+    a, b = np.asarray(rows)[:, None], np.asarray(cols)[None, :]
+    lifts = _lift(d.values[d.w_keys[a, b]], d.root_order)
+    return reduce_counts(d.root_order, _roll_rows(lifts, -(d.t_keys[a] + d.t_keys[b])))
+
+
 def obstruction_certificate(
     d1: TheoryData, d2: TheoryData, label: str = "A_1_4", anchor: str = "B_1_0"
 ) -> ObstructionCertificate:
-    """Build the local T-versus-W obstruction between two theories."""
+    """Build the local T-versus-W obstruction between two theories.
+
+    `w_required` compares W across objects of different twists, where V
+    ids alone do not decide W, so the few W entries it reads are reduced
+    here (`_w_values`)."""
     if d1.w_keys is None or d2.w_keys is None:
         raise ValueError("obstruction certificate needs W data on both sides")
     a = d1.labels.index(label)
     anc = d1.labels.index(anchor)
-    w2 = _shared_ids(d1, d2)[d2.w_keys]
 
     def t_images(i: int) -> np.ndarray:
         return np.flatnonzero((d1.dims[i] == d2.dims) & (d1.t_keys[i] == d2.t_keys))
 
     anchor_idx = t_images(anc)
     t_allowed = tuple(d2.labels[b] for b in t_images(a))
-    w_hit = np.any(w2[anchor_idx] == d1.w_keys[anc, a], axis=0)
-    w_required = tuple(d2.labels[x] for x in np.flatnonzero((d1.dims[a] == d2.dims) & w_hit))
+    same_dim = np.flatnonzero(d1.dims[a] == d2.dims)
+    w_label = _w_values(d1, [anc], [a])[0, 0]
+    w_hit = np.all(_w_values(d2, anchor_idx, same_dim) == w_label, axis=2).any(axis=0)
+    w_required = tuple(d2.labels[x] for x in same_dim[w_hit])
     return ObstructionCertificate(
         label=label,
         anchor=anchor,

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stw import modular
+from stw import cli, double, modular
 from stw.braid import BraidWord, closure_structure, parse_braid, trace_counts, zero_framing_shifts
 from stw.braid import framed_invariant
 from stw.cocycle import CocycleParams
@@ -194,8 +194,8 @@ def test_checker_takes_fewest_primes_for_bound():
 def test_modular_data_rejects_gauss_sum_other_than_d(monkeypatch):
     params = CocycleParams(GroupSpec(7, 3, 2), 1)
     ctx = copy.copy(context_for(params))
-    ctx.tables = list(ctx.tables)
-    ctx.tables[1] = dataclasses.replace(ctx.tables[1], twist_exp=ctx.tables[1].twist_exp + 1)
+    ctx.twist_exps = ctx.twist_exps.copy()
+    ctx.twist_exps[1] = (ctx.twist_exps[1] + 1) % ctx.root_order
     monkeypatch.setattr(modular, "context_for", lambda _: ctx)
     with pytest.raises(ArithmeticError, match="Gauss sum"):
         modular.modular_data(params)
@@ -532,7 +532,7 @@ def test_w_identities_report_names_corrupted_pair(md_u, wm_u):
 
 
 def test_theory_data_keys_match_scalar_keys(small_md):
-    """Equal ids mean equal `canonical_key()`s across S and W, and each
+    """Equal ids mean equal `canonical_key()`s across S and V, and each
     id's table row holds the canonical numerators of its value."""
     md = small_md
     wm = modular.w_matrix(md.params)
@@ -541,7 +541,7 @@ def test_theory_data_keys_match_scalar_keys(small_md):
     assert np.array_equal(data.t_keys, md.twist_exps)
     ids = np.concatenate((data.s_keys.ravel(), data.w_keys.ravel()))
     keys = [md.s_tilde(a, b).canonical_key() for a in range(n) for b in range(n)]
-    keys += [wm.w_entry(a, b).canonical_key() for a in range(n) for b in range(n)]
+    keys += [wm.v_entry(a, b).canonical_key() for a in range(n) for b in range(n)]
     key_of_id = {}
     for i, key in zip(ids.tolist(), keys):
         assert key_of_id.setdefault(i, key) == key
@@ -1070,6 +1070,14 @@ def _reference_w(md, wm):
     return _bytes_value_ids(md.root_order, rows, index)
 
 
+def _reference_v(md, wm):
+    """V keyed the reference way: each row of V's lifts keyed into the
+    table of S."""
+    lifts = modular._lift(wm.v_values, wm.root_order)
+    index = {v.tobytes(): i for i, v in enumerate(md.s_values)}
+    return _bytes_value_ids(md.root_order, (lifts[row] for row in wm.v_ids), index)
+
+
 def _reference_galois_image_ids(order, values, f, index):
     image = np.zeros((len(values), order), dtype=np.int64)
     image[:, f * np.arange(values.shape[1]) % order] = values
@@ -1088,9 +1096,9 @@ KEYING_CASES += [((13, 3, 3), u) for u in range(3)]
 
 @pytest.mark.parametrize("group, u", KEYING_CASES)
 def test_keying_matches_the_bytes_reference(group, u, md_u, wm_u):
-    """S, V and W ids and tables, fingerprinted and walked in blocks of
-    colorings, are byte-identical to the bytes-dict keying of one trace
-    per row."""
+    """S and V ids and tables, fingerprinted and walked in blocks of
+    colorings, and V keyed into the table of S by `theory_data`, are
+    byte-identical to the bytes-dict keying of one trace per row."""
     params = CocycleParams(GroupSpec(*group), u)
     flagship = group == (11, 5, 4)
     md = md_u(u) if flagship else modular.modular_data(params)
@@ -1101,10 +1109,76 @@ def test_keying_matches_the_bytes_reference(group, u, md_u, wm_u):
     _assert_same(wm.v_ids, v_ids)
     _assert_same(wm.v_values, v_values)
     data = modular.theory_data(md, wm)
-    w_keys, values = _reference_w(md, wm)
+    w_keys, values = _reference_v(md, wm)
     _assert_same(data.w_keys, w_keys)
     _assert_same(data.values, values)
     _assert_same(data.s_keys, md.s_ids)
+    assert len(data.values) <= len(md.s_values) + len(wm.v_values)
+
+
+def _relabelled(data, sigma):
+    """data with its objects in the order sigma."""
+    grid = np.ix_(sigma, sigma)
+    return dataclasses.replace(
+        data,
+        labels=tuple(data.labels[i] for i in sigma),
+        dims=data.dims[sigma],
+        t_keys=data.t_keys[sigma],
+        s_keys=data.s_keys[grid],
+        w_keys=data.w_keys[grid],
+    )
+
+
+@pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (13, 3, 3)])
+def test_search_on_v_decides_w(group, md_u, wm_u):
+    """For every pair u1 < u2, and for each theory against a relabelled
+    copy of itself (unit fixed), the search on the V ids gives the
+    verdict of the search on the W ids keyed the reference way, and each
+    witness maps those W ids onto themselves: a bijection that preserves
+    T maps W = V / (theta_a theta_b) onto itself exactly when it maps V."""
+    spec = GroupSpec(*group)
+    flagship = group == (11, 5, 4)
+    theories = []
+    for u in range(spec.p):
+        params = CocycleParams(spec, u)
+        md = md_u(u) if flagship else modular.modular_data(params)
+        wm = wm_u(u) if flagship else modular.w_matrix(params)
+        data = modular.theory_data(md, wm)
+        w_keys, values = _reference_w(md, wm)
+        theories.append((data, dataclasses.replace(data, w_keys=w_keys, values=values)))
+    n = len(theories[0][0].labels)
+    sigma = np.concatenate(([0], 1 + np.random.default_rng(5).permutation(n - 1)))
+    pairs = list(itertools.combinations(theories, 2))
+    pairs += [(pair, tuple(_relabelled(d, sigma) for d in pair)) for pair in theories]
+    witnesses = 0
+    for (v1, w1), (v2, w2) in pairs:
+        on_v = modular.equivalence_search(v1, v2)
+        assert on_v.equivalent == modular.equivalence_search(w1, w2).equivalent
+        if on_v.equivalent:
+            witnesses += 1
+            assert _witness_respects_data(w1, w2, on_v.permutation, True, list(range(n)))
+    assert witnesses >= spec.p
+
+
+def test_conjugates_build_no_context(monkeypatch):
+    """At (7, 3, 2), `galois_classes` and `distinguish --u 0 2` build the
+    contexts of u = 0 and u = 1 only: the conjugate u = 2 reads its
+    labels, dims and target twists from the context of u = 1."""
+    built = []
+
+    class Recorded(double.DoubleContext):
+        def __init__(self, params):
+            built.append(params.u)
+            super().__init__(params)
+
+    monkeypatch.setattr(double, "DoubleContext", Recorded)
+    spec = GroupSpec(7, 3, 2)
+    context_for.cache_clear()
+    mds = [modular.modular_data(CocycleParams(spec, u)) for u in (0, 1)]
+    modular.galois_classes(*mds, True)
+    assert cli.main(["distinguish", "--u", "0", "2", "--q", "7", "--p", "3", "--n", "2"]) == 0
+    assert built == [0, 1]
+    assert context_for.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (13, 3, 3)])
@@ -1151,25 +1225,3 @@ def test_a_fingerprint_collision_still_gives_two_ids():
     assert ids.tolist() == [0, 1, 0, 1]
     assert values[0].tolist() == reduce_counts(order, h2).tolist()
     assert values[1].tolist() == reduce_counts(order, h1).tolist()
-
-
-def test_w_pairs_with_one_value_share_one_id(small_md):
-    """W_ab = V_ab zeta^-(t_a + t_b) from the pairs (V id, shift): with
-    V_00 = 1 and V_0c = zeta^(t_c) the pairs (0, 0) and (1, -t_c) differ
-    but both give W = 1, so they get one id."""
-    md = small_md
-    wm = modular.w_matrix(md.params)
-    ne, t = wm.root_order, wm.twist_exps
-    c = int(np.flatnonzero(t)[0])
-    unit, shifted = np.zeros(ne, dtype=np.int64), np.zeros(ne, dtype=np.int64)
-    unit[0], shifted[t[c]] = 1, 1
-    v_ids = np.zeros_like(wm.v_ids)
-    v_ids[0, c] = 1
-    fake = dataclasses.replace(
-        wm, v_ids=v_ids, v_values=reduce_counts(ne, np.stack([unit, shifted]))
-    )
-    data = modular.theory_data(md, fake)
-    assert data.w_keys[0, 0] == data.w_keys[0, c]
-    w_values = data.values[data.w_keys]
-    assert np.all(w_values[0, 0] == w_values[0, c])
-    _assert_same(data.w_keys, _reference_w(md, fake)[0])
