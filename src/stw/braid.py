@@ -27,7 +27,10 @@ and multiplies the histogram by d.
 
 `trace_counts` gives the trace histograms of one word under many
 colorings (each optionally shifted, as by `zero_framing_shifts`), and
-`framed_trace_counts` its one-coloring case.
+`framed_trace_counts` its one-coloring case.  `sparse_trace_counts`
+gives the same traces as CSR triples of their nonzero bins, which
+`stw.modular` keys: a row of S or V has a few nonzero bins out of N.
+Both are tails of one walk (`_fixed_phases`).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
     "closure_structure",
     "representation_operator",
     "trace_counts",
+    "sparse_trace_counts",
     "framed_trace_counts",
     "framed_invariant",
     "zero_framed_invariant",
@@ -269,16 +273,15 @@ def _associator(ctx: DoubleContext, word: BraidWord, colors) -> int:
     return total
 
 
-def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) -> np.ndarray:
-    """Root-of-unity histograms (C, N) of the colored traces of one word
-    under C colorings (rows of object indices, one per strand): entry j
-    of row c counts the basis tuples of coloring c that the word's
-    permutation part fixes with accumulated phase zeta^j; with shifts (one
-    integer per coloring), the phase zeta^(j + shifts[c]).
+def _fixed_phases(ctx: DoubleContext, word: BraidWord, colorings, shifts):
+    """The fixed tuples of the word under C colorings (rows of object
+    indices, one per strand): the coloring index of each and its phase
+    exponent mod N (shifts[c] added, if given), and each coloring's pin
+    factor d.
 
     Each coloring pins one strand of largest dimension d to its object's
-    first vector, and the walk takes only those tuples; the histogram is
-    then multiplied by d.  This is exact on two premises.  The braiding
+    first vector, and the walk takes only those tuples; each fixed tuple
+    then stands for d.  This is exact on two premises.  The braiding
     of D^omega(G) commutes with the diagonal action of G (Dijkgraaf,
     Pasquier, Roche 1990), passing only associators that are scalars on
     each coloring (omega comes from Z_p, and the Z_p part of a flux is
@@ -325,14 +328,38 @@ def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) ->
         found.append(local + lo)
         phases.append(_phases(ctx, record.take(local, axis=1)))
     sel, expo = np.concatenate(found), np.concatenate(phases)
-    ne = ctx.root_order
     which = walked.prod(axis=1).cumsum().searchsorted(sel, side="right")
     if shifts is not None:
         expo = expo + np.asarray(shifts, dtype=np.int64)[which]
-    bins = which * ne + expo % ne
-    counts = np.bincount(bins, minlength=len(colorings) * ne).reshape(-1, ne)
-    counts *= dims.max(axis=1)[:, None]
+    return which, expo % ctx.root_order, dims.max(axis=1)
+
+
+def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) -> np.ndarray:
+    """Root-of-unity histograms (C, N) of the colored traces of one word
+    under C colorings (rows of object indices, one per strand): entry j
+    of row c counts the basis tuples of coloring c that the word's
+    permutation part fixes with accumulated phase zeta^j; with shifts (one
+    integer per coloring), the phase zeta^(j + shifts[c]).  One walk of
+    the pinned tuples (`_fixed_phases`), counted and multiplied by d."""
+    which, expo, pins = _fixed_phases(ctx, word, colorings, shifts)
+    ne = ctx.root_order
+    counts = np.bincount(which * ne + expo, minlength=len(pins) * ne).reshape(-1, ne)
+    counts *= pins[:, None]
     return counts
+
+
+def sparse_trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None):
+    """The nonzero bins of `trace_counts`, row by row, as CSR triples
+    (indptr, exponents, counts): row c holds exponents[indptr[c]:
+    indptr[c + 1]], increasing, with their counts (pin factor included).
+    A row has a few nonzero bins out of N, so no (C, N) block is built."""
+    which, expo, pins = _fixed_phases(ctx, word, colorings, shifts)
+    ne = ctx.root_order
+    bins, counts = np.unique(which * ne + expo, return_counts=True)
+    rows, exponents = np.divmod(bins, ne)
+    indptr = np.zeros(len(pins) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(pins)), out=indptr[1:])
+    return indptr, exponents, counts * pins[rows]
 
 
 @dataclass

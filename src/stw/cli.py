@@ -75,7 +75,7 @@ def cmd_anyons(args) -> int:
     print(f"{'label':<8} {'dim':>3}  twist")
     rows = []
     for i, simple in enumerate(ctx.simples):
-        exp = ctx.tables[i].twist_exp % ctx.root_order
+        exp = int(ctx.twist_exps[i]) % ctx.root_order
         twist = _root_text(exp, ctx.root_order)
         print(f"{simple.label:<8} {simple.dim:>3}  {twist}")
         rows.append({"label": simple.label, "dim": simple.dim, "twist": twist})

@@ -80,7 +80,9 @@ class SimpleObject:
 class AnyonTables:
     """Engine data of one simple object.  Its basis vectors, encoded as
     coset * internal_dim + internal, are the global vectors offset + b of
-    its context; twist_exp is in units of zeta_(p^2 q)."""
+    its context; twist_exp is in units of zeta_(p^2 q), a copy of its
+    entry of `DoubleContext.twist_exps` (which every reader in `stw`
+    uses) kept for the benchmark's worker."""
 
     simple: SimpleObject
     dim: int
@@ -189,7 +191,11 @@ class DoubleContext:
                     ))
         self.dims = np.array([t.dim for t in self.tables])
         self.offsets = np.array([t.offset for t in self.tables])
-        self.twist_exps = np.array([t.twist_exp for t in self.tables])
+        # The one array of twists that every reader in `stw` uses; the
+        # per-object copies must agree with it.
+        self.twist_exps = self.twist_exps_at(self.params.u)
+        if any(t.twist_exp != e for t, e in zip(self.tables, self.twist_exps.tolist())):
+            raise AssertionError("per-object twists disagree with twist_exps")
         flux, state, exp = (np.concatenate(part, axis=-1) for part in zip(*parts))
         self._require_transitive(state)
         gd = self.gdata
@@ -358,8 +364,7 @@ def qdim(simple: SimpleObject) -> CycloNumber:
 def twist(params: CocycleParams, simple) -> CycloNumber:
     """Ribbon twist theta = pi(t) / id evaluated on the flux t."""
     ctx = context_for(params)
-    t = ctx.tables[ctx.index_of(simple)]
-    return ctx.root(t.twist_exp)
+    return ctx.root(int(ctx.twist_exps[ctx.index_of(simple)]))
 
 
 def dpr_action(

@@ -6,12 +6,14 @@ Everything here is exact.  Matrix entries live in Z[zeta_N] (N = p^2*q).
 S-tilde and the clasp matrix V are stored as (n, n) int32 ids into a
 table of their distinct values, phi(N) canonical numerators per id
 (`_value_ids`).  The braid engine walks the n^2 colorings in blocks of
-`_REDUCE_BLOCK`, and each block of root-of-unity histograms is keyed
-as it comes: a fingerprint proposes a group, an exact compare decides
-it, and only the distinct histograms are reduced.  No (n, n, N) array
-is built.  Bulk identities are certified by a rigorous
-modular-evaluation scheme: the
-distinct values, lifted to histograms by padding to N (`_lift`), are
+`_TRACE_BLOCK` and gives each block of root-of-unity histograms in
+sparse form, the few nonzero bins of each row (`sparse_trace_counts`).
+Each block is keyed as it comes: a fingerprint summed over the nonzero
+bins proposes a group, an exact compare of the sparse rows decides it,
+and only the distinct rows are scattered to N bins and reduced.  No
+(colorings, N) block of histograms and no (n, n, N) array is built.
+Bulk identities are certified by a rigorous modular-evaluation scheme:
+the distinct values, lifted to histograms by padding to N (`_lift`), are
 mapped into F_P (for several primes P = 1 mod N) by evaluating at
 gamma^f with gamma of multiplicative order N, and gathered by id.
 Because P = 1 (mod N) splits completely in Z[zeta_N], E in Z[zeta_N]
@@ -70,6 +72,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .braid import BraidWord, closure_structure, parse_braid, trace_counts, zero_framing_shifts
+from .braid import sparse_trace_counts
 from .cocycle import CocycleParams
 from .cyclotomic import (
     CycloNumber,
@@ -296,7 +299,10 @@ class ModularData:
 
     @property
     def s_counts(self) -> np.ndarray:
-        """S-tilde as (n, n, N) histograms, its values lifted on each call."""
+        """S-tilde as (n, n, N) histograms, its values lifted on each call.
+        Nothing in `stw` reads it, as S is keyed from sparse traces: it
+        stays for the benchmark's float checks (`stwbench/checks.py`) and
+        for the tests, which perturb dense histograms and key them again."""
         return _lift(self.s_values, self.root_order)[self.s_ids]
 
     def s_tilde(self, a, b) -> CycloNumber:
@@ -344,8 +350,16 @@ class ModularData:
 # bounds its temporaries.
 _REDUCE_BLOCK = 256
 
-# The base B of the fingerprints h @ (B^j mod 2^64): any odd constant will
-# do, since a fingerprint only proposes a group and never decides equality.
+# Colorings per `sparse_trace_counts` call in the S and V walks.  A sparse
+# block holds a few bins per row, so its temporaries are mostly the walk's
+# start vectors (strands x tuples): `w_matrix` at (79,13,8) peaks at 43 MB
+# traced (40 MB in blocks of 256, 59 MB in blocks of 1024), and each
+# call's fixed cost is spread over twice as many colorings.
+_TRACE_BLOCK = 512
+
+# The base B of the fingerprints sum count * B^exponent mod 2^64: any odd
+# constant will do, since a fingerprint only proposes a group and never
+# decides equality.
 _FINGERPRINT_BASE = 0x9E3779B97F4A7C15
 
 
@@ -361,9 +375,9 @@ def _fingerprint_weights(order: int) -> np.ndarray:
     return np.array(weights, dtype=np.uint64)
 
 
-def _blocks(rows: np.ndarray):
-    """The consecutive slices of `_REDUCE_BLOCK` rows of an array."""
-    return (rows[lo : lo + _REDUCE_BLOCK] for lo in range(0, len(rows), _REDUCE_BLOCK))
+def _blocks(rows: np.ndarray, size: int):
+    """The consecutive slices of `size` rows of an array."""
+    return (rows[lo : lo + size] for lo in range(0, len(rows), size))
 
 
 def _index_values(order: int, blocks, index: dict[bytes, int]) -> np.ndarray:
@@ -389,62 +403,95 @@ def _table(index: dict[bytes, int]) -> np.ndarray:
     return np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), -1)
 
 
-def _value_ids(order: int, blocks):
-    """Int32 ids of the exact values of histogram blocks, each (m, L) with
-    L <= order and m <= `_REDUCE_BLOCK`, from any iterable (a generator is
-    keyed as it goes).  Returns the ids of all the histograms, in order,
-    and the table `values`, row i for id i.  Ids number the values in
-    order of first occurrence (`_index_values`).
+def _entries(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices of the entries of CSR rows with these starts and
+    lengths, row after row."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
 
-    No histogram is hashed.  Each gets a Karp-Rabin fingerprint h @ w
-    (`_fingerprint_weights`; uint64, so wrap-around is defined), which
-    only proposes a group: an int dict maps it to one stored histogram,
-    and every histogram is compared exactly with its group's.  One that
-    differs (a collision) is keyed by its exact bytes.  Only the new
-    distinct histograms of a block are reduced, once."""
+
+def _value_ids(order: int, blocks):
+    """Int32 ids of the exact values of sparse trace blocks, each the CSR
+    triples (indptr, exponents, counts) of its rows in canonical form
+    (int64 exponents below order, increasing within each row, and
+    nonzero int64 counts, as `sparse_trace_counts` gives them),
+    from any iterable (a generator is keyed as it goes).  Returns the ids
+    of all the rows, in order, and the table `values`, row i for id i.
+    Ids number the values in order of first occurrence (`_index_values`).
+
+    No row is hashed.  Each gets a Karp-Rabin fingerprint sum count *
+    w[exponent] (`_fingerprint_weights`; uint64, so wrap-around is
+    defined), one cumsum over the block's terms differenced at indptr.
+    It only proposes a group: an int dict maps it to one stored row, and
+    every row is compared exactly with its group's, length first, then
+    exponents and counts.  One that differs (a collision) is keyed by its
+    exact bytes.  Only the new distinct rows of a block are scattered to
+    dense rows of order bins, `_REDUCE_BLOCK` at a time, and reduced,
+    once."""
+    weights = _fingerprint_weights(order)
     index: dict[bytes, int] = {}
-    groups: dict[int, int] = {}  # fingerprint -> slot of its stored histogram
-    collided: dict[bytes, int] = {}  # histogram bytes -> slot, after a collision
-    stored: list[np.ndarray] = []  # slot -> one distinct histogram
-    slot_ids: list[int] = []  # slot -> value id
+    groups: dict[int, int] = {}  # fingerprint -> slot of its stored row
+    collided: dict[bytes, int] = {}  # row bytes -> slot, after a collision
+    # The stored rows, one per slot, in CSR: slot s holds the entries
+    # bounds[s] to bounds[s + 1] of stored_exps and stored_counts.
+    stored_exps = stored_counts = slot_ids = np.zeros(0, dtype=np.int64)
+    bounds = np.zeros(1, dtype=np.int64)
     ids = []
 
-    def new_slot(hist: np.ndarray) -> int:
-        stored.append(hist.copy())
-        return len(stored) - 1
+    def dense(slots: np.ndarray) -> np.ndarray:
+        lengths = np.diff(bounds)[slots]
+        at = _entries(bounds[slots], lengths)
+        rows = np.zeros((len(slots), order), dtype=np.int64)
+        rows[np.repeat(np.arange(len(slots)), lengths), stored_exps[at]] = stored_counts[at]
+        return rows
 
-    for hists in blocks:
-        hists = np.ascontiguousarray(hists, dtype=np.int64)
-        weights = _fingerprint_weights(order)[: hists.shape[-1]]
+    def store(exps, counts, row_lengths) -> None:
+        nonlocal stored_exps, stored_counts, bounds, slot_ids
+        stored_exps = np.concatenate((stored_exps, exps))
+        stored_counts = np.concatenate((stored_counts, counts))
+        bounds = np.concatenate((bounds, bounds[-1] + np.cumsum(row_lengths)))
+        slot_ids = np.concatenate((slot_ids, np.zeros(len(row_lengths), dtype=np.int64)))
+
+    for indptr, exps, counts in blocks:
+        row_lengths = np.diff(indptr)
+        sums = np.zeros(len(exps) + 1, dtype=np.uint64)
+        np.cumsum(counts.view(np.uint64) * weights[exps], out=sums[1:])
         keys, first, inverse = np.unique(
-            hists.view(np.uint64) @ weights, return_index=True, return_inverse=True
+            sums[indptr[1:]] - sums[indptr[:-1]], return_index=True, return_inverse=True
         )
-        known = len(stored)
-        proposed = []
+        known = len(slot_ids)
+        proposed, new = [], []
         for key, i in zip(keys.tolist(), first.tolist()):
             if key not in groups:
-                groups[key] = new_slot(hists[i])
+                groups[key] = known + len(new)
+                new.append(i)
             proposed.append(groups[key])
+        if new:
+            at = _entries(indptr[new], row_lengths[new])
+            store(exps[at], counts[at], row_lengths[new])
         slot = np.array(proposed, dtype=np.int64)[inverse]
-        # The (m, L) gather of the stored histograms lives only for this
-        # compare, so the next block is walked without it.
-        reference = np.stack([stored[s] for s in proposed])
-        for i in np.flatnonzero(np.any(hists != reference[inverse], axis=1)).tolist():
-            raw = hists[i].tobytes()
+        # The exact compare: equal lengths, then equal entries.
+        bad = row_lengths != np.diff(bounds)[slot]
+        rows = np.flatnonzero(~bad)
+        mine = _entries(indptr[rows], row_lengths[rows])
+        theirs = _entries(bounds[slot[rows]], row_lengths[rows])
+        differ = (exps[mine] != stored_exps[theirs]) | (counts[mine] != stored_counts[theirs])
+        bad[np.repeat(rows, row_lengths[rows])[differ]] = True
+        for i in np.flatnonzero(bad).tolist():
+            row = slice(indptr[i], indptr[i + 1])
+            raw = exps[row].tobytes() + counts[row].tobytes()
             if raw not in collided:
-                collided[raw] = new_slot(hists[i])
+                collided[raw] = len(slot_ids)
+                store(exps[row], counts[row], row_lengths[i : i + 1])
             slot[i] = collided[raw]
-        # Every entry is matched: key the new slots in order of first
+        # Every row is matched: key the new slots in order of first
         # occurrence, so that the value ids follow it too.
-        fresh, at = np.unique(slot, return_index=True)
-        fresh = fresh[np.argsort(at)]
-        fresh = fresh[fresh >= known].tolist()
-        slot_ids.extend([0] * len(fresh))
-        if fresh:
-            new_ids = _index_values(order, [np.stack([stored[s] for s in fresh])], index)
-            for s, i in zip(fresh, new_ids.tolist()):
-                slot_ids[s] = i
-        ids.append(np.array(slot_ids, dtype=np.int32)[slot])
+        if len(slot_ids) > known:
+            fresh, at = np.unique(slot, return_index=True)
+            fresh = fresh[np.argsort(at)]
+            fresh = fresh[fresh >= known]
+            slot_ids[fresh] = _index_values(order, map(dense, _blocks(fresh, _REDUCE_BLOCK)), index)
+        ids.append(slot_ids[slot].astype(np.int32))
     return np.concatenate(ids), _table(index)
 
 
@@ -466,7 +513,7 @@ def _galois_image_ids(order: int, values: np.ndarray, f: int, index: dict[bytes,
     targets = f * np.arange(values.shape[1]) % order
 
     def images():
-        for block in _blocks(values):
+        for block in _blocks(values, _REDUCE_BLOCK):
             image = np.zeros((len(block), order), dtype=np.int64)
             image[:, targets] = block
             yield image
@@ -477,7 +524,7 @@ def _galois_image_ids(order: int, values: np.ndarray, f: int, index: dict[bytes,
 def t_matrix(params: CocycleParams) -> list[CycloNumber]:
     """Diagonal of T: the twists in canonical label order."""
     ctx = context_for(params)
-    return [ctx.root(ctx.tables[i].twist_exp) for i in range(len(ctx.simples))]
+    return [ctx.root(e) for e in ctx.twist_exps.tolist()]
 
 
 def modular_data(params: CocycleParams) -> ModularData:
@@ -510,7 +557,7 @@ def modular_data(params: CocycleParams) -> ModularData:
     # keyed as walked.
     word = BraidWord(2, (-1, -1))
     colorings = np.stack(np.divmod(np.arange(n * n), n), 1)
-    blocks = (trace_counts(ctx, word, c) for c in _blocks(colorings))
+    blocks = (sparse_trace_counts(ctx, word, c) for c in _blocks(colorings, _TRACE_BLOCK))
     s_ids, s_values = _value_ids(ctx.root_order, blocks)
 
     return ModularData(
@@ -637,7 +684,7 @@ def _exact_sums(order: int, bound: int, evaluations) -> np.ndarray:
     checker = _checker(order, bound)
     per_prime = []
     for fp in checker.freq:
-        evals = [evaluations(fp, freqs) for freqs in _blocks(np.arange(order))]
+        evals = [evaluations(fp, freqs) for freqs in _blocks(np.arange(order), _REDUCE_BLOCK)]
         per_prime.append(fp.invert(np.concatenate(evals)))
     exact = _crt_centered(per_prime, checker.primes)
     if np.any(np.abs(exact.astype(object)) > bound):
@@ -881,7 +928,9 @@ class WMatrix:
 
     @property
     def v_counts(self) -> np.ndarray:
-        """V as (n, n, N) histograms, its values lifted on each call."""
+        """V as (n, n, N) histograms, its values lifted on each call; it
+        stays, unread in `stw`, for the same readers as
+        `ModularData.s_counts`."""
         return _lift(self.v_values, self.root_order)[self.v_ids]
 
     def index_of(self, obj) -> int:
@@ -929,8 +978,8 @@ def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
     a, b = np.divmod(np.arange(n * n), n)
     colorings = np.where(np.isin(np.arange(1, 4), doubled), a[:, None], b[:, None])
     blocks = (
-        trace_counts(ctx, word, c, zero_framing_shifts(ctx, info, c))
-        for c in _blocks(colorings)
+        sparse_trace_counts(ctx, word, c, zero_framing_shifts(ctx, info, c))
+        for c in _blocks(colorings, _TRACE_BLOCK)
     )
     v_ids, v_values = _value_ids(ctx.root_order, blocks)
     return WMatrix(

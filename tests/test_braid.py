@@ -17,8 +17,10 @@ from stw.braid import (
     framed_trace_counts,
     parse_braid,
     representation_operator,
+    sparse_trace_counts,
     trace_counts,
     zero_framed_invariant,
+    zero_framing_shifts,
 )
 from stw.cocycle import CocycleParams
 from stw.cyclotomic import CycloNumber, _roll_rows, root_of_unity
@@ -437,6 +439,32 @@ def test_batched_trace_over_runs_of_mixed_dimensions():
             if tuple(colors) not in singles:
                 singles[tuple(colors)] = trace_counts(ctx, word, [colors])[0]
             assert np.array_equal(row, singles[tuple(colors)]), colors
+
+
+@pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (7, 2, 6)])
+@pytest.mark.parametrize("text, strands", [("s1^-2", 2), (CLASP, 3)])
+@pytest.mark.parametrize("zero_framed", [False, True])
+def test_sparse_traces_are_the_nonzero_bins(group, text, strands, zero_framed):
+    """The CSR triples of `sparse_trace_counts` on every color pair of the
+    S word and the clasp word, bare and with `zero_framing_shifts`, are
+    the nonzero bins of `trace_counts` row by row, exponents increasing:
+    an empty row where no tuple is fixed, and every count the pinned
+    walk's count times the pin factor d."""
+    ctx = context_for(CocycleParams(GroupSpec(*group), 1))
+    word = parse_braid(text, strands)
+    info = closure_structure(word)
+    n = len(ctx.simples)
+    a, b = np.divmod(np.arange(n * n), n)
+    first = np.isin(np.arange(1, strands + 1), max(info.components, key=len))
+    colorings = np.where(first, a[:, None], b[:, None])
+    shifts = zero_framing_shifts(ctx, info, colorings) if zero_framed else None
+    dense = trace_counts(ctx, word, colorings, shifts)
+    indptr, exps, counts = sparse_trace_counts(ctx, word, colorings, shifts)
+    rows, bins = dense.nonzero()
+    assert np.array_equal(np.diff(indptr), np.count_nonzero(dense, axis=1)) and indptr[0] == 0
+    assert np.array_equal(exps, bins) and np.array_equal(counts, dense[rows, bins])
+    pins = ctx.dims[colorings].max(axis=1)
+    assert (pins > 1).any() and not (counts % pins[rows]).any()
 
 
 @pytest.mark.parametrize("strands, letters", ASSOCIATOR_WORDS)

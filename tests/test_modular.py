@@ -124,17 +124,28 @@ def small_md():
     return modular.modular_data(CocycleParams(GroupSpec(7, 3, 2), 1))
 
 
+def _sparse(hists):
+    """The (..., L) histograms hists as the one CSR block of their rows
+    that `sparse_trace_counts` would give: (indptr, exponents, counts),
+    the nonzero bins of each row in increasing order."""
+    rows = np.asarray(hists, dtype=np.int64).reshape(-1, np.shape(hists)[-1])
+    which, exps = rows.nonzero()
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(which, minlength=len(rows)), out=indptr[1:])
+    return indptr, exps, rows[which, exps]
+
+
 def _with_s_counts(md, counts):
     """md with S-tilde keyed afresh, ids and table, from the (n, n, N)
     histograms counts: what `modular_data` would store had its walk
     produced them."""
-    s_ids, s_values = modular._value_ids(md.root_order, counts)
+    s_ids, s_values = modular._value_ids(md.root_order, [_sparse(counts)])
     return dataclasses.replace(md, s_ids=s_ids.reshape(counts.shape[:2]), s_values=s_values)
 
 
 def _with_v_counts(wm, counts):
     """wm with V keyed afresh from the (n, n, N) histograms counts."""
-    v_ids, v_values = modular._value_ids(wm.root_order, counts)
+    v_ids, v_values = modular._value_ids(wm.root_order, [_sparse(counts)])
     return dataclasses.replace(wm, v_ids=v_ids.reshape(counts.shape[:2]), v_values=v_values)
 
 
@@ -199,6 +210,27 @@ def test_modular_data_rejects_gauss_sum_other_than_d(monkeypatch):
     monkeypatch.setattr(modular, "context_for", lambda _: ctx)
     with pytest.raises(ArithmeticError, match="Gauss sum"):
         modular.modular_data(params)
+
+
+def test_t_matrix_follows_the_context_twists(monkeypatch, capsys):
+    """T, `double.twist` and `stw anyons` read `ctx.twist_exps`, the one
+    array that S, V and the traces read too: a perturbation of it moves
+    all of them."""
+    params = CocycleParams(GroupSpec(7, 3, 2), 1)
+    original = modular.t_matrix(params)
+    ctx = copy.copy(context_for(params))
+    ctx.twist_exps = ctx.twist_exps.copy()
+    ctx.twist_exps[1] = (ctx.twist_exps[1] + 1) % ctx.root_order
+    for module in (modular, double, cli):
+        monkeypatch.setattr(module, "context_for", lambda _: ctx)
+    perturbed = [ctx.root(int(e)) for e in ctx.twist_exps]
+    assert perturbed[1] != original[1]
+    assert modular.t_matrix(params) == perturbed
+    assert double.twist(params, 1) == perturbed[1]
+    assert cli.main(["anyons", "--q", "7", "--p", "3", "--n", "2", "--u", "1"]) == 0
+    row = capsys.readouterr().out.splitlines()[3].split()
+    assert row[0] == ctx.simples[1].label
+    assert row[2] == cli._root_text(int(ctx.twist_exps[1]), ctx.root_order)
 
 
 @pytest.mark.parametrize("u", [0, 1, 2])
@@ -1210,6 +1242,25 @@ def test_ids_are_unchanged_when_every_fingerprint_collides(monkeypatch):
     _assert_same(wm.v_values, expected_wm.v_values)
 
 
+@pytest.mark.parametrize("collide", [False, True])
+def test_ids_are_unchanged_in_small_blocks(monkeypatch, collide):
+    """S and V walked in blocks of 7 colorings, with the new rows of each
+    block reduced 3 at a time, so that groups (and, with all-zero
+    weights, collisions) span many blocks: the same ids and tables as in
+    the default blocks."""
+    params = CocycleParams(GroupSpec(7, 3, 2), 1)
+    expected_md, expected_wm = modular.modular_data(params), modular.w_matrix(params)
+    monkeypatch.setattr(modular, "_TRACE_BLOCK", 7)
+    monkeypatch.setattr(modular, "_REDUCE_BLOCK", 3)
+    if collide:
+        monkeypatch.setattr(modular, "_fingerprint_weights", lambda n: np.zeros(n, np.uint64))
+    md, wm = modular.modular_data(params), modular.w_matrix(params)
+    _assert_same(md.s_ids, expected_md.s_ids)
+    _assert_same(md.s_values, expected_md.s_values)
+    _assert_same(wm.v_ids, expected_wm.v_ids)
+    _assert_same(wm.v_values, expected_wm.v_values)
+
+
 def test_a_fingerprint_collision_still_gives_two_ids():
     """h1 = (B, 0, ...) and h2 = (0, 1, 0, ...) share the fingerprint
     B * 1 = 1 * B, yet are the different values B and zeta: the exact
@@ -1221,7 +1272,48 @@ def test_a_fingerprint_collision_still_gives_two_ids():
     h1[0] = weights[1].astype(np.int64)
     h2[1] = 1
     assert h1.view(np.uint64) @ weights == h2.view(np.uint64) @ weights
-    ids, values = modular._value_ids(order, [np.stack([h2, h1, h2, h1])])
+    ids, values = modular._value_ids(order, [_sparse([h2, h1, h2, h1])])
     assert ids.tolist() == [0, 1, 0, 1]
     assert values[0].tolist() == reduce_counts(order, h2).tolist()
     assert values[1].tolist() == reduce_counts(order, h1).tolist()
+
+
+def _int64(x: int) -> int:
+    """The int64 whose bits are x mod 2^64."""
+    return int(np.array([x % 2**64], dtype=np.uint64).view(np.int64)[0])
+
+
+@pytest.mark.parametrize("case", ["empty row", "lengths differ", "counts differ"])
+def test_equal_fingerprints_are_split_by_the_exact_compare(monkeypatch, case):
+    """Rows whose fingerprints agree but whose sparse forms differ get
+    distinct ids: an empty row (a coloring with no fixed tuple) next to a
+    nonempty row whose fingerprint is 0, two rows of different lengths,
+    and two rows with equal exponents and different counts.  Each row
+    keeps its id in a later block, and the ids and table are the same
+    with every fingerprint 0."""
+    order = 63
+    b = int(modular._fingerprint_weights(order)[1])  # w[e] = B^e mod 2^64
+    h1, h2 = np.zeros((2, order), dtype=np.int64)
+    if case == "empty row":
+        h2[[0, 1]] = [_int64(-b), 1]  # -B * 1 + 1 * B = 0
+    elif case == "lengths differ":
+        h1[1] = 1  # B
+        h2[[0, 2]] = [_int64(b - b * b), 1]  # (B - B^2) * 1 + 1 * B^2 = B
+    else:
+        h1[[0, 1]] = [1, 1]  # 1 + B
+        h2[[0, 1]] = [_int64(1 - b), 2]  # (1 - B) * 1 + 2 * B = 1 + B
+    indptr, exps, counts = _sparse([h1, h2])
+    fingerprints = [
+        sum(int(c) * b**int(e) for e, c in zip(exps[lo:hi], counts[lo:hi])) % 2**64
+        for lo, hi in zip(indptr[:-1], indptr[1:])
+    ]
+    assert fingerprints[0] == fingerprints[1]
+    blocks = [_sparse([h1, h2]), _sparse([h2, h1])]
+    ids, values = modular._value_ids(order, blocks)
+    assert ids.tolist() == [0, 1, 1, 0]
+    assert values[0].tolist() == reduce_counts(order, h1).tolist()
+    assert values[1].tolist() == reduce_counts(order, h2).tolist()
+    monkeypatch.setattr(modular, "_fingerprint_weights", lambda n: np.zeros(n, np.uint64))
+    ids_zero, values_zero = modular._value_ids(order, blocks)
+    _assert_same(ids_zero, ids)
+    _assert_same(values_zero, values)
