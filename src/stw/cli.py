@@ -205,19 +205,18 @@ def cmd_quandle(args) -> int:
     return 0
 
 
-def _theory(params: CocycleParams, with_w: bool) -> modular.TheoryData:
+def _theory(params: CocycleParams) -> modular.TheoryData:
     """One theory from its traces: S and V (which decides W) as (n, n) ids
     into one table of exact values, keyed block by block as walked, with
     no (n, n, N) array."""
-    md = modular.modular_data(params)
-    return modular.theory_data(md, modular.w_matrix(params) if with_w else None)
+    return modular.theory_data(modular.modular_data(params), modular.w_matrix(params))
 
 
-def _theories(args, us, with_w: bool) -> list[modular.TheoryData]:
+def _theories(args, us) -> list[modular.TheoryData]:
     """The theories u in us: u = 0 and u = 1 from their traces, each built
     once, every other u as the Galois conjugate of u = 1."""
     spec = GroupSpec(args.q, args.p, args.n)
-    built = {u: _theory(CocycleParams(spec, u), with_w) for u in sorted({min(u, 1) for u in us})}
+    built = {u: _theory(CocycleParams(spec, u)) for u in sorted({min(u, 1) for u in us})}
     return [
         built[u] if u < 2 else modular.galois_conjugate(built[1], CocycleParams(spec, 1), u)
         for u in us
@@ -248,7 +247,7 @@ def cmd_distinguish(args) -> int:
     more than one member."""
     if args.u is not None:
         u1, u2 = (_in_range("--u", u, 0, args.p) for u in args.u)
-        d1, d2 = _theories(args, (u1, u2), True)
+        d1, d2 = _theories(args, (u1, u2))
         st = modular.equivalence_search(*(dataclasses.replace(d, w_keys=None) for d in (d1, d2)))
         print(f"(S,T)   u={u1} vs u={u2}: "
               + ("EQUIVALENT" if st.equivalent else "NOT-EQUIVALENT"))

@@ -26,6 +26,17 @@ object it belongs to, so colors move with the vectors.  The braiding of
 X over Y is the action of the flux of the X vector on the Y vector, so
 every crossing of the braid engine, and `dpr_action`, `sigma_action` and
 `sigma_inverse_action`, read these tables.
+
+A context is built in two steps.  The simple objects are listed first,
+which fixes the number of global vectors and so the dtypes of the
+tables; the tables are then allocated once, in their final dtype, and
+each run of objects of one flux class and one internal dim writes its
+own columns: the action of g, that of g^-1 through the inverse table,
+lowered by theta_h(g, g^-1), which is one column per run since it
+depends on the flux h only through its Z_p part.  Each run also checks
+that G acts transitively on the vectors of each of its objects.  No
+(|G|, sum of dims) intermediate is built, so the build peaks at well
+under twice the bytes of the tables it keeps.
 """
 
 from __future__ import annotations
@@ -149,119 +160,121 @@ class DoubleContext:
 
         g^-1 as zeta^inverse_exp[g, v] |inverse_state[g, v]>, its phase
         lowered by theta_h(g, g^-1) (h the flux of v): the action by
-        which an inverse crossing undoes a crossing."""
-        spec = self.spec
+        which an inverse crossing undoes a crossing.
+
+        The objects are listed first, in runs of one flux class and one
+        internal dim, which fixes `size` and so the dtypes of the tables;
+        then each run writes its own columns of the allocated tables."""
+        spec, gd = self.spec, self.gdata
         p, q, u = spec.p, spec.q, self.params.u
         irreps = irreps_of_G(spec)
-        parts = []
+        runs = []
         for ci, cls in enumerate(self.classes):
             coset_action = self._coset_action(cls)
             cent = coset_action[1]
-            rep_el = cls.representative
-            if rep_el == GroupElement(0, 0):
-                # identity flux: one coset, characters = irreps of G
-                for s, irrep in enumerate(irreps):
-                    unit = self.root_order // irrep.root_order
-                    parts.append(self._add(
-                        f"I_{s}", ci, s, coset_action,
-                        pi_perm=irrep.perm[cent],
-                        pi_exp=irrep.exponents[cent] * unit,
+            rep = cls.representative
+            if rep == GroupElement(0, 0):
+                # identity flux: one coset, characters = irreps of G, the
+                # p linear ones (dim 1) before the induced ones (dim p)
+                for chars in (range(p), range(p, len(irreps))):
+                    runs.append(self._list(
+                        "I_{}", ci, chars, coset_action,
+                        pi_perm=np.stack([irreps[s].perm[cent] for s in chars]),
+                        pi_exp=np.stack([
+                            irreps[s].exponents[cent] * (self.root_order // irreps[s].root_order)
+                            for s in chars
+                        ]),
                     ))
-            elif rep_el.m == 0:
-                # a-type flux: centralizer Z_q, characters zeta_q^(s l)
-                l0 = rep_el.l
-                cent_apart = self.gdata.a_part[cent]
-                for s in range(q):
-                    parts.append(self._add(
-                        f"A_{l0}_{s}", ci, s, coset_action,
-                        pi_perm=np.zeros((len(cent), 1), dtype=np.int64),
-                        pi_exp=(cent_apart * s * self._zq_unit).reshape(-1, 1),
-                    ))
+                continue
+            if rep.m == 0:
+                # a-type flux: centralizer Z_q, characters zeta_q^(s l) on a^l
+                label, chars, part = f"A_{rep.l}_{{}}", np.arange(q), gd.a_part
+                char_exp = chars * self._zq_unit
             else:
                 # b-type flux b^k: centralizer Z_p, characters
                 # zeta_(p^2)^((s p + u k) l) on b^l
-                k = rep_el.m
-                cent_bpart = self.gdata.b_part[cent]
-                for s in range(p):
-                    lift = _b_character(p, u, k, s)
-                    parts.append(self._add(
-                        f"B_{k}_{s}", ci, s, coset_action,
-                        pi_perm=np.zeros((len(cent), 1), dtype=np.int64),
-                        pi_exp=(cent_bpart * lift * self._zp2_unit).reshape(-1, 1),
-                    ))
+                label, chars, part = f"B_{rep.m}_{{}}", np.arange(p), gd.b_part
+                char_exp = _b_character(p, u, rep.m, chars) * self._zp2_unit
+            runs.append(self._list(
+                label, ci, chars, coset_action,
+                pi_perm=np.zeros((1, len(cent), 1), dtype=np.int64),  # one internal vector
+                pi_exp=np.outer(char_exp, part[cent])[:, :, None],
+            ))
         self.dims = np.array([t.dim for t in self.tables])
         self.offsets = np.array([t.offset for t in self.tables])
-        # The one array of twists that every reader in `stw` uses; the
-        # per-object copies must agree with it.
-        self.twist_exps = self.twist_exps_at(self.params.u)
-        if any(t.twist_exp != e for t, e in zip(self.tables, self.twist_exps.tolist())):
-            raise AssertionError("per-object twists disagree with twist_exps")
-        flux, state, exp = (np.concatenate(part, axis=-1) for part in zip(*parts))
-        self._require_transitive(state)
-        gd = self.gdata
-        g_inv = gd.inv_table
-        bpart = np.repeat([t.class_bpart for t in self.tables], self.dims)
-        norm = self.theta_ne_tab[bpart[None, :], gd.b_part[:, None], gd.b_part[g_inv][:, None]]
+        # The one array of twists that every reader in `stw` uses.
+        self.twist_exps = np.array([t.twist_exp for t in self.tables])
         # Vectors and phases (below size and N) are stored in the narrowest
         # int that holds them, which halves or quarters the bytes a walk
         # moves.  The action of g and of g^-1 are stacked in one (2|G|, size)
         # table each for vectors and phases, so that a crossing of either
         # sign is one gather from the raveled table at flux_row[v] + w (the
         # action by the flux of v) or inverse_row[v] + w (by its inverse).
-        self.size = len(flux)
+        self.size = int(self.dims.sum())
         order = spec.order
-        vector, phase = _narrow_dtype(self.size), _narrow_dtype(self.root_order)
+        self.flux = np.empty(self.size, dtype=np.int64)
+        self.crossing_state = np.empty((2 * order, self.size), _narrow_dtype(self.size))
+        self.crossing_exp = np.empty((2 * order, self.size), _narrow_dtype(self.root_order))
+        for run in runs:
+            self._add(*run)
         row = np.int32 if 2 * order * self.size < 2**31 else np.int64
-        self.flux = flux
-        self.flux_row = (flux * self.size).astype(row)
+        self.flux_row = (self.flux * self.size).astype(row)
         self.inverse_row = self.flux_row + order * self.size
-        self.crossing_state = np.concatenate([state, state[g_inv]]).astype(vector)
-        self.crossing_exp = np.concatenate([exp, (exp[g_inv] - norm) % self.root_order]).astype(phase)
-        self.action_state, self.inverse_state = self.crossing_state[:order], self.crossing_state[order:]
-        self.action_exp, self.inverse_exp = self.crossing_exp[:order], self.crossing_exp[order:]
+        self.action_state, self.inverse_state = np.split(self.crossing_state, 2)
+        self.action_exp, self.inverse_exp = np.split(self.crossing_exp, 2)
 
-    def _require_transitive(self, state):
-        """Raise unless G acts transitively on the vectors of every simple
-        object, which lets `stw.braid.trace_counts` walk one tuple per
-        G-orbit: the images of each object's first vector under all of G
-        must stay in the object and reach every one of its vectors."""
-        n = len(self.tables)
-        orbit = state[:, self.offsets]  # (|G|, n)
-        reached = np.zeros(state.shape[1], dtype=bool)
-        reached[orbit] = True
-        owner = np.repeat(np.arange(n), self.dims)
-        split = (np.add.reduceat(reached, self.offsets, dtype=np.int64) < self.dims) | np.any(
-            owner[orbit] != np.arange(n), axis=0
-        )
-        if split.any():
-            raise AssertionError(
-                f"G is not transitive on the vectors of {self.simples[split.argmax()].label}"
-            )
-
-    def _add(self, label, ci, s, coset_action, *, pi_perm, pi_exp):
-        """Append one simple object and return the flux, new global vector
-        and exponent arrays of its vectors: pi_perm/pi_exp give the
-        monomial action pi(s) of each centralizer element on the internal
-        space."""
-        flux, _, j, cent_s, coset_exp = coset_action
-        order, n_cosets = j.shape
-        internal_dim = pi_perm.shape[1]
-        simple = SimpleObject(
-            label=label, class_index=ci, char_index=s,
-            dim=n_cosets * internal_dim, internal_dim=internal_dim,
-        )
-        offset = self.tables[-1].offset + self.tables[-1].dim if self.tables else 0
-        state = offset + j[:, :, None] * internal_dim + pi_perm[cent_s]
-        exp = (coset_exp[:, :, None] + pi_exp[cent_s]) % self.root_order
-        self.simples.append(simple)
-        self.tables.append(
-            AnyonTables(
-                simple=simple, dim=simple.dim, offset=offset,
+    def _list(self, label, ci, chars, coset_action, *, pi_perm, pi_exp):
+        """Append the simple objects of class ci with the characters
+        `chars`, all of one internal dim, and return their run for `_add`:
+        pi_perm/pi_exp give, per character (or one for all), the monomial
+        action pi(s) of each centralizer element on the internal space."""
+        dim = coset_action[2].shape[1] * pi_exp.shape[2]
+        for s in map(int, chars):
+            offset = self.tables[-1].offset + self.tables[-1].dim if self.tables else 0
+            simple = SimpleObject(label.format(s), ci, s, dim=dim, internal_dim=pi_exp.shape[2])
+            self.simples.append(simple)
+            self.tables.append(AnyonTables(
+                simple=simple, dim=dim, offset=offset,
                 class_bpart=self.classes[ci].representative.m,
                 twist_exp=self._twist_exp(ci, s, self.params.u),
-            )
-        )
-        return np.repeat(flux, internal_dim), state.reshape(order, -1), exp.reshape(order, -1)
+            ))
+        return len(self.tables) - len(chars), coset_action, pi_perm, pi_exp
+
+    def _add(self, first, coset_action, pi_perm, pi_exp):
+        """Write the columns of one run of objects, `first` the index of
+        its first object, into `flux` and the crossing tables, then check
+        that G acts transitively on the vectors of each object, which lets
+        `stw.braid.trace_counts` walk one tuple per G-orbit: the images of
+        each object's first vector under all of G must stay in the object
+        and reach every one of its vectors."""
+        flux, _, j, cent_s, coset_exp = coset_action
+        order, n_cosets = j.shape
+        chars, internal_dim = pi_exp.shape[0], pi_exp.shape[2]
+        table = self.tables[first]
+        starts = table.offset + table.dim * np.arange(chars)
+        cols = slice(table.offset, table.offset + chars * table.dim)
+        # The run's columns as (g or g^-1, |G|, character, coset, internal):
+        # views, as the columns are contiguous within each row.
+        shape = (2, order, chars, n_cosets, internal_dim)
+        state, exp = (t[:, cols].reshape(shape) for t in (self.crossing_state, self.crossing_exp))
+        self.flux[cols].reshape(shape[2:])[...] = flux[:, None]
+        pi_perm, pi_exp = (pi[:, cent_s].transpose(1, 0, 2, 3) for pi in (pi_perm, pi_exp))
+        state[0] = starts[:, None, None] + j[:, None, :, None] * internal_dim + pi_perm
+        exp[0] = (coset_exp[:, None, :, None] + pi_exp) % self.root_order
+        # theta_h(g, g^-1) depends on h only through its Z_p part, which is
+        # that of the class representative.
+        gd = self.gdata
+        g_inv = gd.inv_table
+        norm = self.theta_ne_tab[table.class_bpart, gd.b_part, gd.b_part[g_inv]]
+        state[1] = state[0][g_inv]
+        exp[1] = (exp[0][g_inv] - norm[:, None, None, None]) % self.root_order
+        local = state[0, :, :, 0, 0] - starts  # (|G|, chars): images of each first vector
+        reached = np.zeros((chars, table.dim), dtype=bool)
+        reached[np.arange(chars), local.clip(0, table.dim - 1)] = True
+        split = ((local < 0) | (local >= table.dim)).any(axis=0) | ~reached.all(axis=1)
+        if split.any():
+            label = self.simples[first + int(split.argmax())].label
+            raise AssertionError(f"G is not transitive on the vectors of {label}")
 
     def _twist_exp(self, ci: int, s: int, u: int) -> int:
         """The twist exponent, mod N, of the object with flux class ci and

@@ -280,6 +280,7 @@ class ModularData:
     total_dim: int
     _label_index: dict = field(repr=False, default_factory=dict)
     _verlinde: np.ndarray | None = field(init=False, repr=False, default=None)
+    _conj: tuple[int, ...] | None = field(init=False, repr=False, default=None)  # certified
     _r_table: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -332,9 +333,10 @@ class ModularData:
     def dual(self) -> tuple[int, ...] | None:
         """The charge conjugation a -> a*: the unique b whose S-tilde row
         is the complex conjugate of row a (S_a*b = conj(S_ab) in any
-        modular category), i.e. `galois_permutation(-1)`.  None unless the
+        modular category), i.e. `galois_permutation(-1)`, the one that
+        `_galois_check` certified when it has run.  None unless the
         matches form a permutation."""
-        return self.galois_permutation(-1)
+        return self._conj if self._conj is not None else self.galois_permutation(-1)
 
     def dual_of(self, a) -> int:
         if self.dual is None:
@@ -394,7 +396,8 @@ def _index_values(order: int, blocks, index: dict[bytes, int]) -> np.ndarray:
 
 def _key_into(index: dict[bytes, int], values: np.ndarray) -> np.ndarray:
     """The int32 id in `index` (extended in place, new values in order) of
-    each row of canonical numerators in `values`."""
+    each row of canonical numerators in `values`, or of each entry of any
+    array of one dtype, by its bytes."""
     return np.array([index.setdefault(v.tobytes(), len(index)) for v in values], dtype=np.int32)
 
 
@@ -628,7 +631,10 @@ def _galois_check(md: ModularData) -> tuple[int, ...]:
     d_{pi_f(a)} = d_a.  The rows of S~ are distinct, so G_f commutes with
     the conjugation G_{-1}.  Raises ArithmeticError naming the first
     failed condition: then S-tilde is not the S-matrix of any modular
-    category."""
+    category.  A passed check is kept on `md` (its `_conj`), so it runs
+    once per theory."""
+    if md._conj is not None:
+        return md._conj
     ids = md.s_ids
     ne = md.root_order
     if not np.array_equal(ids, ids.T):
@@ -654,6 +660,7 @@ def _galois_check(md: ModularData) -> tuple[int, ...]:
         raise ArithmeticError(
             "Galois check fails: complex conjugation does not permute the rows of S-tilde"
         )
+    md._conj = conj
     return conj
 
 
@@ -1530,11 +1537,14 @@ def equivalence_search(d1: TheoryData, d2: TheoryData) -> SearchResult:
     # in d1's id space.
     m1 = keys(d1, np.arange(len(d1.values), dtype=np.int32))
     m2 = keys(d2, _shared_ids(d1, d2))
-    rows1, rows2 = np.sort(m1, axis=1), np.sort(m2, axis=1)
+    # Each sorted row of either theory gets an id through one dict keyed
+    # by its bytes, so candidates are matched on (n,) ids.
+    row_index: dict[bytes, int] = {}
+    rows1, rows2 = (_key_into(row_index, np.sort(m, axis=1)) for m in (m1, m2))
     match = (
         (d1.dims[:, None] == d2.dims[None, :])
         & (d1.t_keys[:, None] == d2.t_keys[None, :])
-        & np.all(rows1[:, None] == rows2[None, :], axis=(2, 3))
+        & (rows1[:, None] == rows2[None, :])
     )
     match[0, 1:] = False  # the unit goes to the unit
     has_image = match.any(axis=1)

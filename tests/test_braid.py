@@ -674,26 +674,37 @@ def test_pinned_trace_matches_operator_fixed_points(group):
 
 def test_a_split_object_is_rejected_before_any_trace(monkeypatch):
     """The pinned walk needs G to act transitively on every object's
-    vectors.  Let only the Z_p part of each group element act on B_1_0 at
-    (7,3,2), which splits its 7 vectors into orbits of sizes 1, 3 and 3:
-    the context refuses to build, and built without the check it would
-    give the S trace of (B_1_0, B_2_0) as 7 instead of the full walk's 1."""
-    add = DoubleContext._add
-
-    def split_add(self, label, *args, **kwargs):
-        flux, state, exp = add(self, label, *args, **kwargs)
-        if label == "B_1_0":
-            gd = self.gdata
-            zp = np.array([gd.index(GroupElement(0, m)) for m in range(self.spec.p)])
-            state = state[zp[gd.b_part]]
-        return flux, state, exp
-
-    monkeypatch.setattr(DoubleContext, "_add", split_add)
+    vectors.  Let only the Z_p part of each group element act on the
+    cosets of the flux b at (7,3,2), which splits the 7 vectors of each
+    B_1_s into orbits of sizes 1, 3 and 3: the context refuses to build,
+    naming B_1_0, the first object of the class.  Split the same way in
+    the tables of a built context, B_1_0 gives the S trace of (B_1_0,
+    B_2_0) as 7 instead of the full walk's 1."""
     params = CocycleParams(GroupSpec(7, 3, 2), 1)
+    coset_action = DoubleContext._coset_action
+
+    def zp_part(ctx):
+        """The group index of the Z_p part of every group element."""
+        gd = ctx.gdata
+        return np.array([gd.index(GroupElement(0, m)) for m in range(ctx.spec.p)])[gd.b_part]
+
+    def split_coset_action(self, cls):
+        flux, cent, j, s, exp = coset_action(self, cls)
+        if cls.representative.m == 1:
+            zp = zp_part(self)
+            j, s, exp = j[zp], s[zp], exp[zp]
+        return flux, cent, j, s, exp
+
+    monkeypatch.setattr(DoubleContext, "_coset_action", split_coset_action)
     with pytest.raises(AssertionError, match="not transitive on the vectors of B_1_0"):
         DoubleContext(params)
-    monkeypatch.setattr(DoubleContext, "_require_transitive", lambda self, state: None)
+    monkeypatch.undo()
     ctx = DoubleContext(params)
+    table = ctx.tables[ctx.index_of("B_1_0")]
+    cols = slice(table.offset, table.offset + table.dim)
+    split = ctx.action_state[zp_part(ctx), cols]
+    ctx.action_state[:, cols] = split
+    ctx.inverse_state[:, cols] = split[ctx.gdata.inv_table]
     colors = np.array([[ctx.index_of("B_1_0"), ctx.index_of("B_2_0")]])
     word = BraidWord(2, (-1, -1))
     start = braid._start(ctx, colors)

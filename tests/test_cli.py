@@ -164,6 +164,24 @@ def test_modular_command(capsys):
     assert "c = 0 (mod 8)" in out
 
 
+def test_modular_certifies_the_galois_action_once(capsys, monkeypatch):
+    """`stw modular` at the flagship matches S against its images under
+    the two generators of (Z/275)^x and under complex conjugation, once
+    each: the Galois check runs once per theory, and `dual` and
+    `verlinde_table` read the conjugation it certified."""
+    calls = []
+    permutation = modular.ModularData.galois_permutation
+
+    def counted(self, f):
+        calls.append(f)
+        return permutation(self, f)
+
+    monkeypatch.setattr(modular.ModularData, "galois_permutation", counted)
+    code, out, _ = run(capsys, ["modular", "--u", "1"])
+    assert code == 0 and "FAIL" not in out
+    assert len(calls) == 3 and calls[-1] == -1
+
+
 def test_modular_json_output(capsys, tmp_path):
     path = tmp_path / "md.json"
     code, _, _ = run(capsys, ["modular", "--u", "1", "--out", str(path)])

@@ -2,12 +2,14 @@
 
 import cmath
 import itertools
+import tracemalloc
 
 import pytest
 
 from stw.cocycle import CocycleParams, projective_character, theta_exponent
 from stw.cyclotomic import CycloNumber, root_of_unity
 from stw.double import (
+    DoubleContext,
     associator_scalar,
     basis_flux,
     context_for,
@@ -281,3 +283,19 @@ def test_action_tables_match_the_element_formula(group, u, kinds):
                 assert (state[basis], exp[basis]) == act(y, basis)
                 target, e = act(y_inv, basis)
                 assert (inv_state[basis], inv_exp[basis]) == (target, (e - norm) % ne)
+
+
+def test_the_build_peaks_at_most_twice_the_tables_it_keeps():
+    """The objects are listed first, so the crossing tables are allocated
+    once in their final dtype and each run of objects writes its own
+    columns: the traced peak of building the context at (43,7,4) (3661
+    vectors, 8.4 MB of int16 tables) is at most twice the bytes of the
+    tables it keeps.  Full-width int64 intermediates took about 9x."""
+    params = CocycleParams(GroupSpec(43, 7, 4), 1)
+    tracemalloc.start()
+    try:
+        ctx = DoubleContext(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (ctx.crossing_state.nbytes + ctx.crossing_exp.nbytes)
