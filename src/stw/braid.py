@@ -26,11 +26,20 @@ one of largest dimension d, to its first vector, walks the other strands
 and multiplies the histogram by d.
 
 `trace_counts` gives the trace histograms of one word under many
-colorings (each optionally shifted, as by `zero_framing_shifts`), and
-`framed_trace_counts` its one-coloring case.  `sparse_trace_counts`
-gives the same traces as CSR triples of their nonzero bins, which
-`stw.modular` keys: a row of S or V has a few nonzero bins out of N.
-Both are tails of one walk (`_fixed_phases`).
+colorings (each optionally shifted, as by `zero_framing_shifts`).
+`sparse_trace_counts` gives the same traces as CSR triples of their
+nonzero bins, which `stw.modular` keys: a row of S or V has a few
+nonzero bins out of N.  Both are tails of one walk (`_fixed_phases`).
+
+One coloring, as in `framed_invariant`, `zero_framed_invariant` and
+`framed_trace_counts`, is the case where the fixed cost of a call
+outweighs its walk (a 2-strand closure walks d tuples).  It takes the
+one-coloring branch of the same walk (`_closure_phases`): one context
+lookup and one color resolution, the closure check and the pin on the
+Python row, the start vectors one broadcast add of the offsets to a
+cached read-only digit grid, no coloring index, and the value built
+from the exponent counts of the fixed tuples (`_closure_value`) with no
+(1, N) histogram.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stw.cocycle import CocycleParams
-from stw.cyclotomic import CycloNumber
+from stw.cyclotomic import CycloNumber, euler_phi, reduce_counts
 from stw.double import DoubleContext, context_for
 
 
@@ -191,6 +200,26 @@ def _resolve_colors(ctx: DoubleContext, word: BraidWord, colors) -> list[int]:
 _WALK_BLOCK = 16384
 
 
+# Digit grids of the rows of dimensions met so far, keyed by (dims, dtype).
+_DIGIT_GRIDS: dict[tuple, np.ndarray] = {}
+
+
+def _digits(dims: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """Each strand's basis index along the tuples of one row of dimensions,
+    in lexicographic order: (strands, prod dims), read-only.  A grid of at
+    most `_WALK_BLOCK` tuples is kept once built (dimensions take three
+    values in a group, 1, p and q, so few rows occur); a larger one is
+    built on each call, as its walk outweighs its build and keeping it
+    would pin its memory."""
+    grid = _DIGIT_GRIDS.get((dims, dtype))
+    if grid is None:
+        grid = np.indices(dims, dtype=dtype).reshape(len(dims), -1)
+        grid.flags.writeable = False
+        if grid.shape[1] <= _WALK_BLOCK:
+            _DIGIT_GRIDS[dims, dtype] = grid
+    return grid
+
+
 def _start(ctx: DoubleContext, colorings: np.ndarray, dims=None) -> np.ndarray:
     """The global vector on each strand at the bottom of the braid, for
     every basis tuple of the colorings (a row of object indices per
@@ -198,21 +227,21 @@ def _start(ctx: DoubleContext, colorings: np.ndarray, dims=None) -> np.ndarray:
     row per strand, in the vector dtype of the context's tables.
     `dims` (default the objects' dimensions) bounds the basis index on
     each strand of each coloring: a strand given 1 stays on its object's
-    first vector.  Each run of consecutive colorings with equal `dims` is
-    built at once (objects come ordered by type, so the rows of S and W
-    make few runs)."""
+    first vector.  One coloring is one broadcast add of its offsets to
+    its digit grid; in a batch, each run of consecutive colorings with
+    equal `dims` is built at once (objects come ordered by type, so the
+    rows of S and W make few runs)."""
     dtype = ctx.action_state.dtype
     if dims is None:
         dims = ctx.dims[colorings]
     offsets = ctx.offsets[colorings].astype(dtype)
+    if len(dims) == 1:
+        return offsets[0][:, None] + _digits(tuple(dims[0].tolist()), dtype)
     cuts = ((dims[1:] != dims[:-1]).any(axis=1).nonzero()[0] + 1).tolist()
-    digits = {}  # each strand's basis index along the tuples, per row of dimensions
     parts = []
     for lo, hi in zip([0] + cuts, cuts + [len(dims)]):
-        d = tuple(dims[lo].tolist())
-        if d not in digits:
-            digits[d] = np.indices(d, dtype=dtype).reshape(len(d), 1, -1)
-        parts.append((offsets[lo:hi].T[:, :, None] + digits[d]).reshape(len(d), -1))
+        grid = _digits(tuple(dims[lo].tolist()), dtype)
+        parts.append((offsets[lo:hi].T[:, :, None] + grid[:, None]).reshape(len(grid), -1))
     return np.concatenate(parts, axis=1)
 
 
@@ -273,6 +302,53 @@ def _associator(ctx: DoubleContext, word: BraidWord, colors) -> int:
     return total
 
 
+def _refuse_open(ctx: DoubleContext, word: BraidWord, colorings: np.ndarray):
+    """Raise on the first coloring that gives two strands of one closure
+    component different colors."""
+    for comp in closure_structure(word).components:
+        cols = colorings[:, [s - 1 for s in comp]]
+        bad = np.flatnonzero(np.any(cols != cols[:, :1], axis=1))
+        if len(bad):
+            raise InconsistentColoringError(
+                f"strands {comp} form one closure component but carry "
+                f"colors {[ctx.simples[c].label for c in cols[bad[0]]]}"
+            )
+
+
+def _walk_blocks(ctx: DoubleContext, word: BraidWord, start: np.ndarray):
+    """Walk the start vectors `_WALK_BLOCK` tuples at a time; yield each
+    block's first tuple, the block columns of its fixed tuples (every
+    strand back at its start vector) and their phase exponents.  Few
+    tuples are fixed (0.2-20 % in the S, W and closure walks), so only
+    their columns of the block's record are gathered for phases."""
+    for lo in range(0, start.shape[1], _WALK_BLOCK):
+        block = start[:, lo : lo + _WALK_BLOCK]
+        end, record = _walk(ctx, word, block)
+        fixed = end[0] == block[0]
+        for j in range(1, word.strands):
+            fixed &= end[j] == block[j]
+        local = fixed.nonzero()[0]
+        yield lo, local, _phases(ctx, record.take(local, axis=1))
+
+
+def _closure_phases(ctx: DoubleContext, word: BraidWord, coloring: list[int], shift: int = 0):
+    """`_fixed_phases` of one coloring (a list of object indices): the
+    phase exponents mod N of its fixed pinned tuples, shift added, and
+    its pin factor d.  The closure check, the pin and the start run on
+    the Python row, and the phases need no coloring index."""
+    if [coloring[j] for j in _strand_at(word)] != coloring:
+        _refuse_open(ctx, word, np.array([coloring]))
+    walked = ctx.dims[coloring].tolist()
+    pin = max(walked)
+    walked[walked.index(pin)] = 1
+    start = _start(ctx, np.array([coloring]), np.array([walked]))
+    phases = [expo for _, _, expo in _walk_blocks(ctx, word, start)]
+    expo = phases[0] if len(phases) == 1 else np.concatenate(phases)
+    expo += shift
+    expo %= ctx.root_order
+    return expo, pin
+
+
 def _fixed_phases(ctx: DoubleContext, word: BraidWord, colorings, shifts):
     """The fixed tuples of the word under C colorings (rows of object
     indices, one per strand): the coloring index of each and its phase
@@ -296,42 +372,40 @@ def _fixed_phases(ctx: DoubleContext, word: BraidWord, colorings, shifts):
     crossing's gather index (letters x block, int32 below 2^31 table
     entries).  The phases of the block's fixed tuples are one gather of
     the phase table at their columns of the record, summed over the
-    letters (`_phases`)."""
+    letters (`_phases`).  One coloring goes through `_closure_phases`."""
     colorings = np.asarray(colorings, dtype=np.int64).reshape(-1, word.strands)
+    if len(colorings) == 1:
+        shift = 0 if shifts is None else int(np.asarray(shifts).reshape(-1)[0])
+        expo, pin = _closure_phases(ctx, word, colorings[0].tolist(), shift)
+        return np.zeros(len(expo), dtype=np.intp), expo, np.array([pin], dtype=np.int64)
     # A coloring closes up when every top position carries the colour of
     # the bottom position below it.
     if (colorings[:, _strand_at(word)] != colorings).any():
-        for comp in closure_structure(word).components:
-            cols = colorings[:, [s - 1 for s in comp]]
-            bad = np.flatnonzero(np.any(cols != cols[:, :1], axis=1))
-            if len(bad):
-                raise InconsistentColoringError(
-                    f"strands {comp} form one closure component but carry "
-                    f"colors {[ctx.simples[c].label for c in cols[bad[0]]]}"
-                )
+        _refuse_open(ctx, word, colorings)
     dims = ctx.dims[colorings]
     walked = dims.copy()
     walked[np.arange(len(dims)), dims.argmax(axis=1)] = 1  # the pinned strands
-    start = _start(ctx, colorings, walked)
-    # One walk a block at a time: a tuple is fixed when every strand is back
-    # at its start vector.  Few tuples are (0.2-20 % in the S, W and closure
-    # walks), so only their columns of the block's record are gathered for
-    # phases.
     found, phases = [], []
-    for lo in range(0, start.shape[1], _WALK_BLOCK):
-        block = start[:, lo : lo + _WALK_BLOCK]
-        end, record = _walk(ctx, word, block)
-        fixed = end[0] == block[0]
-        for j in range(1, word.strands):
-            fixed &= end[j] == block[j]
-        local = fixed.nonzero()[0]
+    for lo, local, expo in _walk_blocks(ctx, word, _start(ctx, colorings, walked)):
         found.append(local + lo)
-        phases.append(_phases(ctx, record.take(local, axis=1)))
+        phases.append(expo)
     sel, expo = np.concatenate(found), np.concatenate(phases)
     which = walked.prod(axis=1).cumsum().searchsorted(sel, side="right")
     if shifts is not None:
         expo = expo + np.asarray(shifts, dtype=np.int64)[which]
     return which, expo % ctx.root_order, dims.max(axis=1)
+
+
+def _closure_value(order: int, expo: np.ndarray, pin: int) -> CycloNumber:
+    """sum over the fixed tuples of pin * zeta^expo, from the exponent
+    counts: when every exponent is below phi(N) the counts are the
+    canonical numerators already; otherwise they go through
+    `reduce_counts`."""
+    phi = euler_phi(order)
+    counts = np.bincount(expo, minlength=phi) * pin
+    if len(counts) > phi:
+        counts = reduce_counts(order, counts)
+    return CycloNumber._from_numerators(order, counts.tolist())
 
 
 def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) -> np.ndarray:
@@ -406,7 +480,8 @@ def framed_trace_counts(params: CocycleParams, word: BraidWord, colors, shift=0)
     basis vectors that the word's permutation part fixes with accumulated
     phase zeta^(j - shift).  At shift 0 its root sum is the framed invariant."""
     ctx = context_for(params)
-    return trace_counts(ctx, word, [_resolve_colors(ctx, word, colors)], [shift])[0]
+    expo, pin = _closure_phases(ctx, word, _resolve_colors(ctx, word, colors), int(shift))
+    return np.bincount(expo, minlength=ctx.root_order) * pin
 
 
 def zero_framing_shifts(ctx: DoubleContext, info: ClosureInfo, colorings) -> np.ndarray:
@@ -421,15 +496,18 @@ def zero_framing_shifts(ctx: DoubleContext, info: ClosureInfo, colorings) -> np.
 def framed_invariant(params: CocycleParams, word: BraidWord, colors) -> CycloNumber:
     """Trace of the colored word: the invariant of the closure in the
     blackboard framing of the braid diagram."""
-    counts = framed_trace_counts(params, word, colors)
-    return CycloNumber.from_root_counts(context_for(params).root_order, counts)
+    ctx = context_for(params)
+    expo, pin = _closure_phases(ctx, word, _resolve_colors(ctx, word, colors))
+    return _closure_value(ctx.root_order, expo, pin)
 
 
 def zero_framed_invariant(params: CocycleParams, word: BraidWord, colors) -> CycloNumber:
     """The framed invariant with every component's blackboard self-framing
-    cancelled by twist factors (see `zero_framing_shifts`)."""
+    cancelled by twist factors (`zero_framing_shifts` of the one coloring)."""
     ctx = context_for(params)
     coloring = _resolve_colors(ctx, word, colors)
-    shift = zero_framing_shifts(ctx, closure_structure(word), [coloring])[0]
-    counts = framed_trace_counts(params, word, coloring, shift)
-    return CycloNumber.from_root_counts(ctx.root_order, counts)
+    info = closure_structure(word)
+    twists = ctx.twist_exps[[coloring[comp[0] - 1] for comp in info.components]].tolist()
+    shift = -sum(t * w for t, w in zip(twists, info.self_writhes))
+    expo, pin = _closure_phases(ctx, word, coloring, shift)
+    return _closure_value(ctx.root_order, expo, pin)

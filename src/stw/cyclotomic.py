@@ -321,9 +321,16 @@ class CycloNumber:
         counts = _integer_array(counts)
         if counts.ndim != 1 or len(counts) > order:
             raise ValueError("counts must be one vector no longer than the order")
+        return cls._from_numerators(order, reduce_counts(order, counts).tolist())
+
+    @classmethod
+    def _from_numerators(cls, order: int, num: list[int]) -> "CycloNumber":
+        """The value with canonical numerators `num` (phi(order) Python
+        ints, as `reduce_counts` gives them) over denominator 1, stored as
+        they come: no check, no second pass."""
         value = cls.__new__(cls)
         value.order = order
-        value.num = tuple(reduce_counts(order, counts).tolist())
+        value.num = tuple(num)
         value.den = 1
         return value
 

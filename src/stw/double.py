@@ -41,6 +41,7 @@ under twice the bytes of the tables it keeps.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -304,11 +305,11 @@ class DoubleContext:
         return omega_exponent(self.params, gm, hm, km) * self._zp_unit
 
     def index_of(self, anyon) -> int:
-        if isinstance(anyon, SimpleObject):
-            return self.label_index[anyon.label]
         if isinstance(anyon, str):
             return self.label_index[anyon]
-        return int(anyon)
+        if isinstance(anyon, SimpleObject):
+            return self.label_index[anyon.label]
+        return _object_index(anyon, len(self.simples))
 
     def root(self, exponent: int) -> CycloNumber:
         return root_of_unity(exponent % self.root_order, self.root_order)
@@ -324,6 +325,19 @@ def _narrow_dtype(bound: int):
     """The narrowest int dtype that holds 0..bound-1: int16 up to 2^15,
     else int32."""
     return np.int16 if bound <= 2**15 else np.int32
+
+
+def _object_index(obj, n: int) -> int:
+    """An object given by its index among n objects, as an int: refuses
+    a non-integer (2.5 would truncate to 2) and an index outside range(n)
+    (-1 would count from the end)."""
+    try:
+        index = operator.index(obj)
+    except TypeError:
+        index = -1
+    if not 0 <= index < n:
+        raise ValueError(f"object index must be an integer in range({n}), got {obj!r}")
+    return index
 
 
 @lru_cache(maxsize=None)

@@ -83,7 +83,7 @@ from .cyclotomic import (
     reduction_bound_factor,
     root_of_unity,
 )
-from .double import context_for, galois_relabel
+from .double import _object_index, context_for, galois_relabel
 from .group import GroupSpec
 
 # Three-strand words whose closures are the two-component clasp pattern
@@ -293,7 +293,7 @@ class ModularData:
     def index_of(self, obj) -> int:
         if isinstance(obj, str):
             return self._label_index[obj]
-        return int(obj)
+        return _object_index(obj, len(self.labels))
 
     def twist(self, a) -> CycloNumber:
         return root_of_unity(int(self.twist_exps[self.index_of(a)]), self.root_order)
@@ -943,7 +943,7 @@ class WMatrix:
     def index_of(self, obj) -> int:
         if isinstance(obj, str):
             return self._label_index[obj]
-        return int(obj)
+        return _object_index(obj, len(self.labels))
 
     def _counts(self, a, b, shift: int) -> CycloNumber:
         value = self.v_values[self.v_ids[self.index_of(a), self.index_of(b)]]

@@ -23,7 +23,7 @@ from stw.braid import (
     zero_framing_shifts,
 )
 from stw.cocycle import CocycleParams
-from stw.cyclotomic import CycloNumber, _roll_rows, root_of_unity
+from stw.cyclotomic import CycloNumber, _roll_rows, euler_phi, root_of_unity
 from stw.double import (
     DoubleContext,
     associator_scalar,
@@ -472,12 +472,25 @@ def test_sparse_traces_are_the_nonzero_bins(group, text, strands, zero_framed):
 def test_trace_does_not_depend_on_the_walk_block(monkeypatch, strands, letters, block):
     """The permutation pass walks `_WALK_BLOCK` tuples at a time: blocks of
     one tuple, blocks that straddle colorings (5 divides no coloring's 7^k
-    tuples) and one block of exactly all tuples give the scalar walk."""
-    params, word, _, idx = _associator_batch(strands, letters)
+    tuples) and one block of exactly all tuples give the scalar walk.  One
+    coloring alone (the one-coloring branch) spans several blocks too, and
+    its framed invariant joins its blocks' phases the same way."""
+    params, word, colorings, idx = _associator_batch(strands, letters)
     ctx = context_for(params)
-    total = int(np.prod(ctx.dims[idx], axis=1).sum())
-    monkeypatch.setattr(braid, "_WALK_BLOCK", total if block == "all" else block)
-    assert np.array_equal(trace_counts(ctx, word, idx), _scalar_batch(strands, letters))
+    walks = []
+    walk = braid._walk
+    monkeypatch.setattr(braid, "_walk", lambda *args: walks.append(1) or walk(*args))
+    for count in (len(idx), 1):
+        batch, expected = idx[:count], _scalar_batch(strands, letters)[:count]
+        dims = ctx.dims[batch]
+        size = int(dims.prod(axis=1).sum()) if block == "all" else block
+        monkeypatch.setattr(braid, "_WALK_BLOCK", size)
+        walks.clear()
+        assert np.array_equal(trace_counts(ctx, word, batch), expected)
+        walked = int((dims.prod(axis=1) // dims.max(axis=1)).sum())
+        assert len(walks) == -(-walked // size) and (block == "all" or len(walks) > 1)
+    value = framed_invariant(params, word, colorings[0])
+    assert value == CycloNumber.from_root_counts(ctx.root_order, expected[0])
 
 
 def test_wide_vector_dtype_gives_the_same_histograms(monkeypatch):
@@ -803,14 +816,16 @@ def _tiled_start(ctx, colorings, dims):
 
 @pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4)])
 def test_start_digits_match_the_tiled_construction(group):
-    """`_start` builds each run of equal dimension rows with one
-    `np.indices`; its vectors equal the tile/repeat digits on 1 to 5
-    strands, with pinned strands (dimension 1) and several runs."""
+    """`_start` adds each coloring's offsets to the digit grid of its row
+    of dimensions, one broadcast add for one coloring and one per run of
+    equal rows in a batch; its vectors equal the tile/repeat digits on 1
+    to 5 strands, one coloring or several, with pinned strands (dimension
+    1) and several runs."""
     ctx = context_for(CocycleParams(GroupSpec(*group), 1))
     rng = np.random.default_rng(sum(group))
     n = len(ctx.simples)
-    for strands in range(1, 6):
-        count = 12 if strands < 5 else 3
+    for strands, count in itertools.product(range(1, 6), (1, 12)):
+        count = min(count, 3) if strands == 5 else count
         colorings = rng.integers(n, size=(count, strands))
         colorings[count // 2 :] = colorings[count // 2]  # one run of equal rows
         dims = ctx.dims[colorings]
@@ -823,6 +838,13 @@ def test_start_digits_match_the_tiled_construction(group):
             assert start.dtype == expected.dtype == ctx.action_state.dtype
             assert np.array_equal(start, expected), (strands, case.tolist())
         assert np.array_equal(braid._start(ctx, colorings), _tiled_start(ctx, colorings, dims))
+    # The digit grids are kept, one per row of dimensions, and read-only.
+    assert braid._DIGIT_GRIDS
+    for (dims, dtype), grid in braid._DIGIT_GRIDS.items():
+        assert grid.shape == (len(dims), np.prod(dims)) and grid.dtype == dtype
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 1
 
 
 def test_zero_framing_shifts_read_the_stored_twists():
@@ -841,3 +863,67 @@ def test_zero_framing_shifts_read_the_stored_twists():
             expected = -listed[colorings][:, firsts] @ np.array(info.self_writhes)
             shifts = braid.zero_framing_shifts(ctx, info, colorings)
             assert np.array_equal(shifts, expected)
+
+
+@pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4), (7, 2, 6)])
+def test_one_coloring_invariants_are_rows_of_a_batch(group):
+    """`zero_framed_invariant` and `framed_invariant` take the one-coloring
+    branch (closure check, pin and start on the Python row, no coloring
+    index, the value from the exponent counts); on random words on 1 to 5
+    strands each equals its row of a batch `trace_counts` of several
+    colorings, with and without `zero_framing_shifts`."""
+    params = CocycleParams(GroupSpec(*group), 1)
+    ctx = context_for(params)
+    rng = np.random.default_rng(3 * sum(group))
+    n = len(ctx.simples)
+    small = np.flatnonzero(ctx.dims < ctx.dims.max())
+    checked = 0
+    for strands in range(1, 6):
+        for _ in range(3):
+            word = _random_word(rng, strands, int(rng.integers(0, 2 * strands + 2)))
+            info = closure_structure(word)
+            colorings = _closed_colorings(rng, word, n, 3)
+            if strands == 5:  # at most one strand of the largest dimension
+                colorings[1:] = rng.choice(small, size=(2, 1))
+            batch = trace_counts(ctx, word, colorings)
+            shifted = trace_counts(ctx, word, colorings, zero_framing_shifts(ctx, info, colorings))
+            for coloring, row, zero_row in zip(colorings.tolist(), batch, shifted):
+                labels = [ctx.simples[c].label for c in coloring]
+                framed = framed_invariant(params, word, labels)
+                assert framed == CycloNumber.from_root_counts(ctx.root_order, row)
+                zero = zero_framed_invariant(params, word, coloring)
+                assert zero == CycloNumber.from_root_counts(ctx.root_order, zero_row)
+                assert np.array_equal(framed_trace_counts(params, word, labels), row)
+                checked += 1
+    assert checked == 45
+
+
+def test_one_coloring_value_reduces_exponents_above_phi():
+    """The value of one coloring is its exponent counts when every
+    exponent is below phi(N) and `reduce_counts` of them otherwise: the
+    twist B_1_0 itself is zeta^e with e >= phi(N) at (11,5,4), and the
+    one-crossing closure that gives it equals the dense reduction."""
+    params_ = params(1)
+    ctx = context_for(params_)
+    order = ctx.root_order
+    word = BraidWord(1, ())
+    high = [t for t in ctx.simples if ctx.twist_exps[ctx.index_of(t.label)] >= euler_phi(order)]
+    assert high
+    label = high[0].label
+    twist_exp = int(ctx.twist_exps[ctx.index_of(label)])
+    kink = BraidWord(2, (1,))
+    value = framed_invariant(params_, kink, [label, label])
+    hist = framed_trace_counts(params_, kink, [label, label])
+    assert hist.nonzero()[0].tolist() == [twist_exp]
+    assert value == CycloNumber.from_root_counts(order, hist)
+    assert value.num != tuple(hist[: euler_phi(order)].tolist())
+    assert framed_invariant(params_, word, [label]) == CycloNumber.from_rational(ctx.dims[ctx.index_of(label)], order)
+
+
+@pytest.mark.parametrize("bad", [[-1, -1], [2.7, 2.7], [49, 49]])
+def test_invalid_object_indices_are_refused(bad):
+    """An object index must be an int in range(n): -1 does not count from
+    the end and 2.7 does not truncate to 2."""
+    word = BraidWord(2, (1, 1))
+    with pytest.raises(ValueError, match=repr(bad[0])):
+        zero_framed_invariant(params(1), word, bad)

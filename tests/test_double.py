@@ -4,6 +4,7 @@ import cmath
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from stw.cocycle import CocycleParams, projective_character, theta_exponent
@@ -299,3 +300,17 @@ def test_the_build_peaks_at_most_twice_the_tables_it_keeps():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * (ctx.crossing_state.nbytes + ctx.crossing_exp.nbytes)
+
+
+@pytest.mark.parametrize("bad", [-1, 49, 2.5])
+def test_index_of_refuses_invalid_object_indices(bad):
+    """An object given by index must be an int in range(49): -1 would count
+    from the end and 2.5 truncate to 2; labels, objects and numpy ints
+    still resolve."""
+    ctx = context_for(U1)
+    assert len(ctx.simples) == 49
+    with pytest.raises(ValueError, match=f"range\\(49\\), got {bad!r}"):
+        ctx.index_of(bad)
+    last = ctx.simples[-1]
+    assert ctx.index_of(last) == ctx.index_of(last.label) == ctx.index_of(48) == 48
+    assert ctx.index_of(np.int64(3)) == 3

@@ -1336,3 +1336,18 @@ def test_equal_fingerprints_are_split_by_the_exact_compare(monkeypatch, case):
     ids_zero, values_zero = modular._value_ids(order, blocks)
     _assert_same(ids_zero, ids)
     _assert_same(values_zero, values)
+
+
+@pytest.mark.parametrize("bad", [-1, 49, 2.5])
+def test_index_of_refuses_invalid_object_indices(md_u, wm_u, bad):
+    """`ModularData.index_of` and `WMatrix.index_of` take labels and ints
+    in range(49) only: -1 would read the last object and 2.5 object 2."""
+    for table in (md_u(1), wm_u(1)):
+        assert table.index_of(table.labels[-1]) == table.index_of(48) == 48
+        assert table.index_of(np.int64(3)) == 3
+        with pytest.raises(ValueError, match=f"range\\(49\\), got {bad!r}"):
+            table.index_of(bad)
+    with pytest.raises(ValueError, match="got -1"):
+        md_u(1).twist(-1)
+    with pytest.raises(ValueError, match="got 2.5"):
+        wm_u(1).v_entry(2.5, 0)
