@@ -374,8 +374,11 @@ def main(argv=None) -> int:
     except ArithmeticError as err:
         print(f"error: verification failure: {err}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except KeyError as err:  # str() of a KeyError is the repr of its message
+        print(f"error: {err.args[0]}", file=sys.stderr)
         return 2
 
 

@@ -306,6 +306,12 @@ class DoubleContext:
 
     def index_of(self, anyon) -> int:
         if isinstance(anyon, str):
+            if anyon not in self.label_index:
+                spec = self.spec
+                raise KeyError(
+                    f"{anyon!r} names no simple object of the twisted double of the group"
+                    f" Z_{spec.q} x| Z_{spec.p} (n = {spec.n})"
+                )
             return self.label_index[anyon]
         if isinstance(anyon, SimpleObject):
             return self.label_index[anyon.label]

@@ -8,10 +8,11 @@ table of their distinct values, phi(N) canonical numerators per id
 (`_value_ids`).  The braid engine walks the n^2 colorings in blocks of
 `_TRACE_BLOCK` and gives each block of root-of-unity histograms in
 sparse form, the few nonzero bins of each row (`sparse_trace_counts`).
-Each block is keyed as it comes: a fingerprint summed over the nonzero
-bins proposes a group, an exact compare of the sparse rows decides it,
-and only the distinct rows are scattered to N bins and reduced.  No
-(colorings, N) block of histograms and no (n, n, N) array is built.
+Each block is keyed as it comes, exactly and with no fingerprint: one
+dict keyed by the bytes of each row's (exponent, count) pairs finds the
+rows seen before, and only the new rows are scattered to N bins and
+reduced.  No (colorings, N) block of histograms and no (n, n, N) array
+is built.
 Bulk identities are certified by a rigorous modular-evaluation scheme:
 the distinct values, lifted to histograms by padding to N (`_lift`), are
 mapped into F_P (for several primes P = 1 mod N) by evaluating at
@@ -359,26 +360,8 @@ _REDUCE_BLOCK = 256
 # call's fixed cost is spread over twice as many colorings.
 _TRACE_BLOCK = 512
 
-# The base B of the fingerprints sum count * B^exponent mod 2^64: any odd
-# constant will do, since a fingerprint only proposes a group and never
-# decides equality.
-_FINGERPRINT_BASE = 0x9E3779B97F4A7C15
-
-
-@lru_cache(maxsize=None)
-def _fingerprint_weights(order: int) -> np.ndarray:
-    """The uint64 weights B^j mod 2^64, j < order, of the Karp-Rabin
-    fingerprints in `_value_ids` (Karp and Rabin, IBM J. Res. Dev. 31
-    (1987)), built once per order."""
-    weights, w = [], 1
-    for _ in range(order):
-        weights.append(w)
-        w = w * _FINGERPRINT_BASE % 2**64
-    return np.array(weights, dtype=np.uint64)
-
-
 def _blocks(rows: np.ndarray, size: int):
-    """The consecutive slices of `size` rows of an array."""
+    """The consecutive slices of `size` rows of an array or list."""
     return (rows[lo : lo + size] for lo in range(0, len(rows), size))
 
 
@@ -406,13 +389,6 @@ def _table(index: dict[bytes, int]) -> np.ndarray:
     return np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), -1)
 
 
-def _entries(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The indices of the entries of CSR rows with these starts and
-    lengths, row after row."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
-
-
 def _value_ids(order: int, blocks):
     """Int32 ids of the exact values of sparse trace blocks, each the CSR
     triples (indptr, exponents, counts) of its rows in canonical form
@@ -422,80 +398,34 @@ def _value_ids(order: int, blocks):
     of all the rows, in order, and the table `values`, row i for id i.
     Ids number the values in order of first occurrence (`_index_values`).
 
-    No row is hashed.  Each gets a Karp-Rabin fingerprint sum count *
-    w[exponent] (`_fingerprint_weights`; uint64, so wrap-around is
-    defined), one cumsum over the block's terms differenced at indptr.
-    It only proposes a group: an int dict maps it to one stored row, and
-    every row is compared exactly with its group's, length first, then
-    exponents and counts.  One that differs (a collision) is keyed by its
-    exact bytes.  Only the new distinct rows of a block are scattered to
-    dense rows of order bins, `_REDUCE_BLOCK` at a time, and reduced,
-    once."""
-    weights = _fingerprint_weights(order)
+    Keying is exact; no fingerprint is used.  A row's key is the bytes
+    of its (exponent, count) pairs, sliced from one buffer of the
+    block's pairs.  One dict maps each key seen so far to its value id;
+    only the keys it has not seen are scattered to dense rows of order
+    bins, `_REDUCE_BLOCK` at a time, and reduced, once."""
     index: dict[bytes, int] = {}
-    groups: dict[int, int] = {}  # fingerprint -> slot of its stored row
-    collided: dict[bytes, int] = {}  # row bytes -> slot, after a collision
-    # The stored rows, one per slot, in CSR: slot s holds the entries
-    # bounds[s] to bounds[s + 1] of stored_exps and stored_counts.
-    stored_exps = stored_counts = slot_ids = np.zeros(0, dtype=np.int64)
-    bounds = np.zeros(1, dtype=np.int64)
-    ids = []
-
-    def dense(slots: np.ndarray) -> np.ndarray:
-        lengths = np.diff(bounds)[slots]
-        at = _entries(bounds[slots], lengths)
-        rows = np.zeros((len(slots), order), dtype=np.int64)
-        rows[np.repeat(np.arange(len(slots)), lengths), stored_exps[at]] = stored_counts[at]
-        return rows
-
-    def store(exps, counts, row_lengths) -> None:
-        nonlocal stored_exps, stored_counts, bounds, slot_ids
-        stored_exps = np.concatenate((stored_exps, exps))
-        stored_counts = np.concatenate((stored_counts, counts))
-        bounds = np.concatenate((bounds, bounds[-1] + np.cumsum(row_lengths)))
-        slot_ids = np.concatenate((slot_ids, np.zeros(len(row_lengths), dtype=np.int64)))
-
+    seen: dict[bytes, int] = {}  # a row's key -> its value id
+    ids = [np.zeros(0, dtype=np.int32)]
     for indptr, exps, counts in blocks:
-        row_lengths = np.diff(indptr)
-        sums = np.zeros(len(exps) + 1, dtype=np.uint64)
-        np.cumsum(counts.view(np.uint64) * weights[exps], out=sums[1:])
-        keys, first, inverse = np.unique(
-            sums[indptr[1:]] - sums[indptr[:-1]], return_index=True, return_inverse=True
-        )
-        known = len(slot_ids)
-        proposed, new = [], []
-        for key, i in zip(keys.tolist(), first.tolist()):
-            if key not in groups:
-                groups[key] = known + len(new)
-                new.append(i)
-            proposed.append(groups[key])
-        if new:
-            at = _entries(indptr[new], row_lengths[new])
-            store(exps[at], counts[at], row_lengths[new])
-        slot = np.array(proposed, dtype=np.int64)[inverse]
-        # The exact compare: equal lengths, then equal entries.
-        bad = row_lengths != np.diff(bounds)[slot]
-        rows = np.flatnonzero(~bad)
-        mine = _entries(indptr[rows], row_lengths[rows])
-        theirs = _entries(bounds[slot[rows]], row_lengths[rows])
-        differ = (exps[mine] != stored_exps[theirs]) | (counts[mine] != stored_counts[theirs])
-        bad[np.repeat(rows, row_lengths[rows])[differ]] = True
-        for i in np.flatnonzero(bad).tolist():
-            row = slice(indptr[i], indptr[i + 1])
-            raw = exps[row].tobytes() + counts[row].tobytes()
-            if raw not in collided:
-                collided[raw] = len(slot_ids)
-                store(exps[row], counts[row], row_lengths[i : i + 1])
-            slot[i] = collided[raw]
-        # Every row is matched: key the new slots in order of first
-        # occurrence, so that the value ids follow it too.
-        if len(slot_ids) > known:
-            fresh, at = np.unique(slot, return_index=True)
-            fresh = fresh[np.argsort(at)]
-            fresh = fresh[fresh >= known]
-            slot_ids[fresh] = _index_values(order, map(dense, _blocks(fresh, _REDUCE_BLOCK)), index)
-        ids.append(slot_ids[slot].astype(np.int32))
+        raw = np.stack((exps, counts), axis=1).tobytes()
+        bounds = (16 * indptr).tolist()
+        keys = [raw[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        # The block's unseen keys, in order of first occurrence.
+        new = [key for key in dict.fromkeys(keys) if key not in seen]
+        dense = (_scatter(order, part) for part in _blocks(new, _REDUCE_BLOCK))
+        seen.update(zip(new, _index_values(order, dense, index).tolist()))
+        ids.append(np.array([seen[key] for key in keys], dtype=np.int32))
     return np.concatenate(ids), _table(index)
+
+
+def _scatter(order: int, keys: list[bytes]) -> np.ndarray:
+    """Dense int64 rows of order bins from the keys of `_value_ids`,
+    each the bytes of one row's (exponent, count) pairs."""
+    out = np.zeros((len(keys), order), dtype=np.int64)
+    for row, key in zip(out, keys):
+        exps, counts = np.frombuffer(key, dtype=np.int64).reshape(-1, 2).T
+        row[exps] = counts
+    return out
 
 
 def _lift(values: np.ndarray, order: int) -> np.ndarray:

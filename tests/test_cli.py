@@ -135,6 +135,19 @@ def test_invariant_unknown_color_exits_2(capsys):
     assert "B_9_0" in err
 
 
+def test_invariant_unknown_label_says_it_names_no_object(capsys):
+    """A label that names no simple object exits 2 with a sentence that
+    says so, not the bare repr of a KeyError."""
+    code, out, err = run(capsys, [
+        "invariant", "--braid", "s1", "--strands", "2", "--colors", "0,99",
+    ])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: '0' names no simple object of the twisted double of the group"
+        " Z_11 x| Z_5 (n = 4)\n"
+    )
+
+
 def test_invariant_bad_braid_exits_2(capsys):
     code, _, err = run(capsys, [
         "invariant", "--braid", "t3", "--strands", "3",

@@ -1074,7 +1074,7 @@ def test_certification_at_even_order(u):
     assert report.self_dual_count == md.n_objects == 28
 
 
-# ----- keying: fingerprints against the bytes-dict reference -------------------
+# ----- keying: exact sparse rows against the bytes-dict reference -------------
 
 
 def _bytes_value_ids(order, rows, index=None):
@@ -1147,7 +1147,7 @@ KEYING_CASES += [((13, 3, 3), u) for u in range(3)]
 
 @pytest.mark.parametrize("group, u", KEYING_CASES)
 def test_keying_matches_the_bytes_reference(group, u, md_u, wm_u):
-    """S and V ids and tables, fingerprinted and walked in blocks of
+    """S and V ids and tables, keyed exactly and walked in blocks of
     colorings, and V keyed into the table of S by `theory_data`, are
     byte-identical to the bytes-dict keying of one trace per row."""
     params = CocycleParams(GroupSpec(*group), u)
@@ -1247,32 +1247,14 @@ def test_galois_conjugate_matches_the_bytes_reference(group, theory_u, monkeypat
             _assert_same(getattr(conj, name), getattr(expected, name))
 
 
-def test_ids_are_unchanged_when_every_fingerprint_collides(monkeypatch):
-    """All-zero weights put every histogram into one group: every entry
-    but the first fails the exact compare and is keyed by its bytes, and
-    the ids and tables stay the same."""
-    params = CocycleParams(GroupSpec(7, 3, 2), 1)
-    expected_md, expected_wm = modular.modular_data(params), modular.w_matrix(params)
-    monkeypatch.setattr(modular, "_fingerprint_weights", lambda order: np.zeros(order, np.uint64))
-    md, wm = modular.modular_data(params), modular.w_matrix(params)
-    _assert_same(md.s_ids, expected_md.s_ids)
-    _assert_same(md.s_values, expected_md.s_values)
-    _assert_same(wm.v_ids, expected_wm.v_ids)
-    _assert_same(wm.v_values, expected_wm.v_values)
-
-
-@pytest.mark.parametrize("collide", [False, True])
-def test_ids_are_unchanged_in_small_blocks(monkeypatch, collide):
+def test_ids_are_unchanged_in_small_blocks(monkeypatch):
     """S and V walked in blocks of 7 colorings, with the new rows of each
-    block reduced 3 at a time, so that groups (and, with all-zero
-    weights, collisions) span many blocks: the same ids and tables as in
-    the default blocks."""
+    block reduced 3 at a time, so that equal rows recur across many
+    blocks: the same ids and tables as in the default blocks."""
     params = CocycleParams(GroupSpec(7, 3, 2), 1)
     expected_md, expected_wm = modular.modular_data(params), modular.w_matrix(params)
     monkeypatch.setattr(modular, "_TRACE_BLOCK", 7)
     monkeypatch.setattr(modular, "_REDUCE_BLOCK", 3)
-    if collide:
-        monkeypatch.setattr(modular, "_fingerprint_weights", lambda n: np.zeros(n, np.uint64))
     md, wm = modular.modular_data(params), modular.w_matrix(params)
     _assert_same(md.s_ids, expected_md.s_ids)
     _assert_same(md.s_values, expected_md.s_values)
@@ -1280,62 +1262,48 @@ def test_ids_are_unchanged_in_small_blocks(monkeypatch, collide):
     _assert_same(wm.v_values, expected_wm.v_values)
 
 
-def test_a_fingerprint_collision_still_gives_two_ids():
-    """h1 = (B, 0, ...) and h2 = (0, 1, 0, ...) share the fingerprint
-    B * 1 = 1 * B, yet are the different values B and zeta: the exact
-    compare splits them."""
+def _bins(order, bins=()):
+    """One histogram of order bins, with count c at bin e for each (e, c)."""
+    h = np.zeros(order, dtype=np.int64)
+    for e, c in bins:
+        h[e] = c
+    return h
+
+
+def _keying_case(case, order):
+    """Blocks of histograms that `_value_ids` must key apart or together,
+    and the ids it must give."""
+    empty, one = _bins(order), _bins(order, [(3, 1)])
+    if case == "empty row":  # a coloring with no fixed tuple
+        return [[empty, one, empty], [one, empty]], [0, 1, 0, 1, 0]
+    if case == "prefix":  # the pairs of `short` lead those of `long`
+        short, long = _bins(order, [(1, 1)]), _bins(order, [(1, 1), (5, 2)])
+        return [[long, short, long], [short], [long, short]], [0, 1, 0, 1, 0, 1]
+    if case == "counts differ":  # equal exponents
+        x, y = _bins(order, [(0, 1), (1, 1)]), _bins(order, [(0, 1), (1, 2)])
+        return [[x, y], [y, x]], [0, 1, 1, 0]
+    if case == "two widths":  # one row among rows of one pair, then among rows of three
+        wide = _bins(order, [(0, 1), (2, 1), (4, 1)])
+        return [[one], [wide, one, wide]], [0, 1, 0, 1]
+    # "one value": two distinct rows with the value 0, the empty row and
+    # the sum of all order-th roots of unity
+    return [[empty, np.ones(order, dtype=np.int64)], [np.ones(order, dtype=np.int64)]], [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "case", ["empty row", "prefix", "counts differ", "two widths", "one value"]
+)
+def test_value_ids_key_rows_exactly(case):
+    """Sparse rows, from a generator of blocks of different widths, get
+    one id per exact value, in order of first occurrence: the ids and
+    table of the bytes-dict reference keying of all the rows at once."""
     order = 63
-    weights = modular._fingerprint_weights(order)
-    h1 = np.zeros(order, dtype=np.int64)
-    h2 = np.zeros(order, dtype=np.int64)
-    h1[0] = weights[1].astype(np.int64)
-    h2[1] = 1
-    assert h1.view(np.uint64) @ weights == h2.view(np.uint64) @ weights
-    ids, values = modular._value_ids(order, [_sparse([h2, h1, h2, h1])])
-    assert ids.tolist() == [0, 1, 0, 1]
-    assert values[0].tolist() == reduce_counts(order, h2).tolist()
-    assert values[1].tolist() == reduce_counts(order, h1).tolist()
-
-
-def _int64(x: int) -> int:
-    """The int64 whose bits are x mod 2^64."""
-    return int(np.array([x % 2**64], dtype=np.uint64).view(np.int64)[0])
-
-
-@pytest.mark.parametrize("case", ["empty row", "lengths differ", "counts differ"])
-def test_equal_fingerprints_are_split_by_the_exact_compare(monkeypatch, case):
-    """Rows whose fingerprints agree but whose sparse forms differ get
-    distinct ids: an empty row (a coloring with no fixed tuple) next to a
-    nonempty row whose fingerprint is 0, two rows of different lengths,
-    and two rows with equal exponents and different counts.  Each row
-    keeps its id in a later block, and the ids and table are the same
-    with every fingerprint 0."""
-    order = 63
-    b = int(modular._fingerprint_weights(order)[1])  # w[e] = B^e mod 2^64
-    h1, h2 = np.zeros((2, order), dtype=np.int64)
-    if case == "empty row":
-        h2[[0, 1]] = [_int64(-b), 1]  # -B * 1 + 1 * B = 0
-    elif case == "lengths differ":
-        h1[1] = 1  # B
-        h2[[0, 2]] = [_int64(b - b * b), 1]  # (B - B^2) * 1 + 1 * B^2 = B
-    else:
-        h1[[0, 1]] = [1, 1]  # 1 + B
-        h2[[0, 1]] = [_int64(1 - b), 2]  # (1 - B) * 1 + 2 * B = 1 + B
-    indptr, exps, counts = _sparse([h1, h2])
-    fingerprints = [
-        sum(int(c) * b**int(e) for e, c in zip(exps[lo:hi], counts[lo:hi])) % 2**64
-        for lo, hi in zip(indptr[:-1], indptr[1:])
-    ]
-    assert fingerprints[0] == fingerprints[1]
-    blocks = [_sparse([h1, h2]), _sparse([h2, h1])]
-    ids, values = modular._value_ids(order, blocks)
-    assert ids.tolist() == [0, 1, 1, 0]
-    assert values[0].tolist() == reduce_counts(order, h1).tolist()
-    assert values[1].tolist() == reduce_counts(order, h2).tolist()
-    monkeypatch.setattr(modular, "_fingerprint_weights", lambda n: np.zeros(n, np.uint64))
-    ids_zero, values_zero = modular._value_ids(order, blocks)
-    _assert_same(ids_zero, ids)
-    _assert_same(values_zero, values)
+    hists, expected = _keying_case(case, order)
+    ids, values = modular._value_ids(order, (_sparse(block) for block in hists))
+    assert ids.tolist() == expected
+    ref_ids, ref_values = _bytes_value_ids(order, [np.concatenate(hists).reshape(-1, order)])
+    _assert_same(ids, ref_ids[0])
+    _assert_same(values, ref_values)
 
 
 @pytest.mark.parametrize("bad", [-1, 49, 2.5])
