@@ -22,8 +22,24 @@ otherwise), so some g moves any one strand's vector v to the first
 vector of its object, and that g maps the tuples with the strand on v
 one to one onto those with the strand on the first vector, fixed tuples
 to fixed tuples of equal phase.  A trace pins one strand per coloring,
-one of largest dimension d, to its first vector, walks the other strands
-and multiplies the histogram by d.
+one of largest dimension d, to its first vector v, walks the other
+strands and multiplies the histogram by d.
+
+The same lemma gives a second pin.  The stabiliser H = Stab(v) fixes
+the pinned strand and commutes with the braiding, so h in H maps the
+tuples with another strand j on w one to one onto those with strand j
+on h.w, fixed tuples to fixed tuples of equal phase.  So strand j walks
+one representative per H-orbit on its object's vectors (the least
+vector of the orbit), and each fixed tuple stands for d times the size
+of its orbit.  H is <b> (order p) for a B object and <a> (order q) for
+an A object or an induced I_j, so a B strand under <b> walks
+1 + (q - 1)/p orbits, not q.  The orbits come from one table per group
+(`_orbits`): the action of G on vectors does not depend on u.  Each
+coloring takes the strand j that divides its walk most, d_j / orbits_j
+largest (the first on ties), and a call takes the second pin only when
+it removes more tuples in all than its fixed cost is worth: more than
+`_SECOND_PIN_MIN` for one coloring and `_SECOND_PIN_BATCH_MIN` for a
+batch, whose vectorised choice and weights cost more.
 
 `trace_counts` gives the trace histograms of one word under many
 colorings (each optionally shifted, as by `zero_framing_shifts`).
@@ -35,15 +51,18 @@ One coloring, as in `framed_invariant`, `zero_framed_invariant` and
 `framed_trace_counts`, is the case where the fixed cost of a call
 outweighs its walk (a 2-strand closure walks d tuples).  It takes the
 one-coloring branch of the same walk (`_closure_phases`): one context
-lookup and one color resolution, the closure check and the pin on the
+lookup and one color resolution, the closure check and both pins on the
 Python row, the start vectors one broadcast add of the offsets to a
-cached read-only digit grid, no coloring index, and the value built
-from the exponent counts of the fixed tuples (`_closure_value`) with no
-(1, N) histogram.
+cached read-only grid, no coloring index, and the value built from the
+exponent counts of the fixed tuples (`_closure_value`) with no (1, N)
+histogram.  A zero-framed closure reads where its strands end, its
+components' first strands and their self-writhes from one pass over the
+word (`_closure_pass`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,39 +155,51 @@ class ClosureInfo:
     writhe: int
 
 
-def closure_structure(word: BraidWord) -> ClosureInfo:
+def _closure_pass(word: BraidWord):
+    """One pass over the word: which strand (by bottom position, 0-based)
+    sits at each position at the top of the braid, the component of each
+    strand (components = cycles of the closure permutation, numbered by
+    least member), each component's least strand, and the signed
+    crossings internal to each component."""
     n = word.strands
-    # strand_at[j] = which strand (by bottom position) sits at position j
     strand_at = list(range(n))
-    crossings: list[tuple[int, int, int]] = []
+    crossings = []
     for letter in word.letters:
         i = abs(letter) - 1
-        sign = 1 if letter > 0 else -1
-        crossings.append((strand_at[i], strand_at[i + 1], sign))
-        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
-    perm = [0] * n
-    for pos, strand in enumerate(strand_at):
-        perm[strand] = pos + 1
-    # components = cycles of the closure permutation
+        left, right = strand_at[i], strand_at[i + 1]
+        crossings.append((left, right, 1 if letter > 0 else -1))
+        strand_at[i], strand_at[i + 1] = right, left
+    # The closure joins the top of each position to its bottom, so the
+    # strand at top position j continues as strand j: strand_at and its
+    # inverse, the closure permutation, have the same cycles.
     comp_of = [-1] * n
-    components: list[tuple[int, ...]] = []
+    firsts = []
     for start in range(n):
         if comp_of[start] >= 0:
             continue
-        cycle = []
         j = start
         while comp_of[j] < 0:
-            comp_of[j] = len(components)
-            cycle.append(j + 1)
-            j = perm[j] - 1
-        components.append(tuple(sorted(cycle)))
-    self_writhes = [0] * len(components)
-    for s1, s2, sign in crossings:
-        if comp_of[s1] == comp_of[s2]:
-            self_writhes[comp_of[s1]] += sign
+            comp_of[j] = len(firsts)
+            j = strand_at[j]
+        firsts.append(start)
+    self_writhes = [0] * len(firsts)
+    for left, right, sign in crossings:
+        if comp_of[left] == comp_of[right]:
+            self_writhes[comp_of[left]] += sign
+    return strand_at, comp_of, firsts, self_writhes
+
+
+def closure_structure(word: BraidWord) -> ClosureInfo:
+    strand_at, comp_of, _, self_writhes = _closure_pass(word)
+    perm = [0] * word.strands
+    for pos, strand in enumerate(strand_at):
+        perm[strand] = pos + 1
+    components = [[] for _ in self_writhes]
+    for strand, comp in enumerate(comp_of):
+        components[comp].append(strand + 1)
     return ClosureInfo(
         permutation=tuple(perm),
-        components=tuple(components),
+        components=tuple(map(tuple, components)),
         component_of=tuple(comp_of),
         self_writhes=tuple(self_writhes),
         writhe=word.writhe,
@@ -220,28 +251,198 @@ def _digits(dims: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
     return grid
 
 
-def _start(ctx: DoubleContext, colorings: np.ndarray, dims=None) -> np.ndarray:
+# ----- the second pin: the orbits of the pinned vector's stabiliser --------
+
+
+# Tuples that a call's second pins must remove in all before it takes
+# them: below this the orbit lookups and the weighted counts cost more
+# than the walk saves.  A removed tuple saves 7-35 ns (fewer for words
+# of fewer letters), and the second pin costs about 4 us for one
+# coloring and 50-100 us for a batch of 512 (timeit at (11,5,4),
+# (13,3,3), (19,3,7), (43,7,4) and (53,13,10)).
+_SECOND_PIN_MIN = 256
+_SECOND_PIN_BATCH_MIN = 8192
+
+
+@dataclass(frozen=True)
+class _OrbitTable:
+    """The orbits of the stabiliser H = Stab(v) of each object's first
+    vector v on the vectors of every object, for the second pin.
+
+    stab[x] numbers the stabiliser of object x's first vector (-1 for an
+    object of dimension 1, which is pinned only when every strand has
+    dimension 1).  For stabiliser s, count[s, y] is its number of orbits
+    on object y; the segment of object y in reps[s] (its columns offset
+    to offset + dim) starts with their representatives, the least vector
+    of each orbit, increasing, so it is a CSR of the representatives with
+    the object offsets as its row starts; size[s, w] is the size of the
+    orbit of vector w.  rows[s][y] holds (count, representatives less
+    the offset, their orbit sizes) as Python ints for the one-coloring
+    branch."""
+
+    stab: np.ndarray
+    count: np.ndarray
+    reps: np.ndarray
+    size: np.ndarray
+    stab_list: list[int]
+    rows: list[list[tuple]]
+
+
+# One orbit table per group: the action of G on the vectors, and so every
+# stabiliser and orbit, is the same in every theory u of a group.
+_ORBITS: dict = {}
+
+
+def _orbits(ctx: DoubleContext) -> _OrbitTable:
+    """The orbit table of the context's group, built on first use."""
+    table = _ORBITS.get(ctx.spec)
+    if table is None:
+        table = _ORBITS[ctx.spec] = _orbit_table(ctx)
+    return table
+
+
+def _orbit_table(ctx: DoubleContext) -> _OrbitTable:
+    """Build the `_OrbitTable` of the context from `action_state`:
+    Stab(v) = {g : action_state[g, v] == v}.  The stabilisers of the
+    first vectors are few (<b> for the B objects, <a> for the A objects
+    and the induced I_j, G for the linear I_j), and each is kept only for
+    objects of dimension d >= 2, so it has order |G|/d <= |G|/2: the
+    least vector of every orbit is one min over its rows of the action
+    table, and the orbit sizes one bincount of those least vectors."""
+    state = ctx.action_state
+    first = ctx.offsets
+    n, size = len(first), ctx.size
+    wide = np.flatnonzero(ctx.dims > 1)
+    masks = state[:, first[wide]] == first[wide]  # (|G|, objects): g fixes the first vector
+    keys: dict[bytes, int] = {}  # a stabiliser's packed mask -> its number
+    ids = [keys.setdefault(row.tobytes(), len(keys)) for row in np.packbits(masks, axis=0).T]
+    stab = np.full(n, -1)
+    stab[wide] = ids
+    members = [masks[:, ids.index(s)].nonzero()[0] for s in range(len(keys))]
+    object_of = np.repeat(np.arange(n), ctx.dims)
+    vectors = np.arange(size)
+    count = np.zeros((len(keys), n), dtype=np.int64)
+    reps = np.empty((len(keys), size), dtype=state.dtype)
+    orbit_size = np.empty((len(keys), size), dtype=np.int64)
+    rows = []
+    for s, group in enumerate(members):
+        least = state[group].min(axis=0)  # the least vector of each vector's orbit
+        is_rep = least == vectors
+        orbit_size[s] = np.bincount(least, minlength=size)[least]
+        count[s] = np.bincount(object_of[is_rep], minlength=n)
+        # each object's representatives first in its segment, increasing
+        reps[s] = np.argsort(2 * object_of + ~is_rep, kind="stable")
+        local = (reps[s] - first[object_of]).tolist()
+        sizes = orbit_size[s, reps[s]].tolist()
+        rows.append([
+            (c, tuple(local[o : o + c]), tuple(sizes[o : o + c]))
+            for c, o in zip(count[s].tolist(), first.tolist())
+        ])
+    return _OrbitTable(stab, count, reps, orbit_size, stab.tolist(), rows)
+
+
+def _second_pins(ctx: DoubleContext, colorings: np.ndarray, dims, pin, walked):
+    """The second pins of a batch: strand j of each coloring, other than
+    the pinned one, with d_j / orbits_j largest (the first on ties) under
+    the pinned vector's stabiliser.  When they remove more than
+    `_SECOND_PIN_BATCH_MIN` tuples in all, sets walked[c, j] = orbits_j
+    where it gains and returns the j and the stabiliser of each coloring
+    (both -1 where it does not gain); otherwise returns None."""
+    table = _orbits(ctx)
+    rows = np.arange(len(dims))
+    stab = table.stab[colorings[rows, pin]]
+    counts = table.count[stab[:, None], colorings]
+    # Equal ratios of ints give equal floats, so ties stay ties.
+    gain = dims / counts
+    gain[rows, pin] = 0
+    j = gain.argmax(axis=1)
+    take = (gain[rows, j] > 1) & (stab >= 0)
+    orbits, d = counts[rows, j], dims[rows, j]
+    removed = (d - orbits) * (walked.prod(axis=1) // d)
+    if removed[take].sum() <= _SECOND_PIN_BATCH_MIN:
+        return None
+    walked[rows[take], j[take]] = orbits[take]
+    return np.where(take, j, -1), np.where(take, stab, -1)
+
+
+def _second_pin(ctx: DoubleContext, coloring: list[int], dims: list[int], pin: int, walked: list[int]):
+    """`_second_pins` of one coloring on the Python row: (j, its orbit
+    row of the table) with walked[j] set to its orbit count, or None."""
+    total = math.prod(walked)
+    if total <= _SECOND_PIN_MIN:
+        return None
+    table = _orbits(ctx)
+    s = table.stab_list[coloring[pin]]
+    if s < 0:
+        return None
+    rows = table.rows[s]
+    gains = [d / rows[c][0] for c, d in zip(coloring, dims)]
+    gains[pin] = 0
+    best = max(gains)
+    if best <= 1:
+        return None
+    j = gains.index(best)
+    orbit = rows[coloring[j]]
+    if total - total // dims[j] * orbit[0] <= _SECOND_PIN_MIN:
+        return None
+    walked[j] = orbit[0]
+    return j, orbit
+
+
+# Grids of the one-coloring branch with a second pin, (grid, orbit sizes
+# along the tuples), keyed by (walked dims, dtype, j, orbit row).
+_ORBIT_GRIDS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _orbit_grid(walked: tuple[int, ...], dtype: np.dtype, j: int, orbit: tuple):
+    """The digit grid of the walked dims with strand j's digit k read as
+    its k-th orbit representative (less its object's offset), and the
+    size of strand j's orbit along the tuples (int64); both read-only and
+    kept as `_digits` keeps its grids."""
+    key = (walked, dtype, j, orbit)
+    found = _ORBIT_GRIDS.get(key)
+    if found is None:
+        grid = np.indices(walked, dtype=dtype).reshape(len(walked), -1)
+        digit = grid[j].copy()
+        grid[j] = np.array(orbit[1], dtype=dtype)[digit]
+        sizes = np.array(orbit[2], dtype=np.int64)[digit]
+        grid.flags.writeable = sizes.flags.writeable = False
+        found = grid, sizes
+        if grid.shape[1] <= _WALK_BLOCK:
+            _ORBIT_GRIDS[key] = found
+    return found
+
+
+def _start(ctx: DoubleContext, colorings: np.ndarray, dims=None, second=None) -> np.ndarray:
     """The global vector on each strand at the bottom of the braid, for
     every basis tuple of the colorings (a row of object indices per
     coloring): coloring after coloring, each in lexicographic order.  One
     row per strand, in the vector dtype of the context's tables.
     `dims` (default the objects' dimensions) bounds the basis index on
     each strand of each coloring: a strand given 1 stays on its object's
-    first vector.  One coloring is one broadcast add of its offsets to
-    its digit grid; in a batch, each run of consecutive colorings with
-    equal `dims` is built at once (objects come ordered by type, so the
-    rows of S and W make few runs)."""
+    first vector.  `second` (from `_second_pins`) puts strand j of each
+    coloring with j >= 0 on its orbit representatives: its basis index k
+    reads the k-th of them.  One coloring is one broadcast add of its
+    offsets to its digit grid; in a batch, each run of consecutive
+    colorings with equal `dims` (and second pin and stabiliser) is built
+    at once (objects come ordered by type, so the rows of S and W make
+    few runs)."""
     dtype = ctx.action_state.dtype
     if dims is None:
         dims = ctx.dims[colorings]
     offsets = ctx.offsets[colorings].astype(dtype)
-    if len(dims) == 1:
+    if len(dims) == 1 and second is None:
         return offsets[0][:, None] + _digits(tuple(dims[0].tolist()), dtype)
-    cuts = ((dims[1:] != dims[:-1]).any(axis=1).nonzero()[0] + 1).tolist()
+    runs = dims if second is None else np.column_stack((dims, *second))
+    cuts = ((runs[1:] != runs[:-1]).any(axis=1).nonzero()[0] + 1).tolist()
     parts = []
     for lo, hi in zip([0] + cuts, cuts + [len(dims)]):
         grid = _digits(tuple(dims[lo].tolist()), dtype)
-        parts.append((offsets[lo:hi].T[:, :, None] + grid[:, None]).reshape(len(grid), -1))
+        part = (offsets[lo:hi].T[:, :, None] + grid[:, None]).reshape(len(grid), -1)
+        if second is not None and second[0][lo] >= 0:
+            j = second[0][lo]
+            part[j] = _orbits(ctx).reps[second[1][lo]].take(part[j])
+        parts.append(part)
     return np.concatenate(parts, axis=1)
 
 
@@ -331,41 +532,72 @@ def _walk_blocks(ctx: DoubleContext, word: BraidWord, start: np.ndarray):
         yield lo, local, _phases(ctx, record.take(local, axis=1))
 
 
-def _closure_phases(ctx: DoubleContext, word: BraidWord, coloring: list[int], shift: int = 0):
+def _closure_phases(ctx: DoubleContext, word: BraidWord, coloring: list[int], shift: int = 0, strand_at=None):
     """`_fixed_phases` of one coloring (a list of object indices): the
-    phase exponents mod N of its fixed pinned tuples, shift added, and
-    its pin factor d.  The closure check, the pin and the start run on
-    the Python row, and the phases need no coloring index."""
-    if [coloring[j] for j in _strand_at(word)] != coloring:
+    phase exponents mod N of its fixed walked tuples, shift added, its
+    pin factor d, and under a second pin the orbit size of each fixed
+    tuple (int64; None without one).  The closure check, both
+    pins and the start run on the Python row, and the phases need no
+    coloring index.  `strand_at` (`_strand_at` of the word, computed if
+    not given) says where the strands end.
+
+    The second pin (`_second_pin`) reads the orbit table on the Python
+    row: strand j walks its object's orbit representatives under the
+    stabiliser of the pinned vector, from a cached grid of local
+    representatives (`_orbit_grid`), and each fixed tuple is weighted by
+    d times the size of its strand-j orbit, exact by the same lemma as
+    the first pin (module docstring)."""
+    if strand_at is None:
+        strand_at = _strand_at(word)
+    if [coloring[j] for j in strand_at] != coloring:
         _refuse_open(ctx, word, np.array([coloring]))
-    walked = ctx.dims[coloring].tolist()
-    pin = max(walked)
-    walked[walked.index(pin)] = 1
-    start = _start(ctx, np.array([coloring]), np.array([walked]))
-    phases = [expo for _, _, expo in _walk_blocks(ctx, word, start)]
-    expo = phases[0] if len(phases) == 1 else np.concatenate(phases)
+    dims = ctx.dims[coloring].tolist()
+    pin = max(dims)
+    walked = list(dims)
+    pinned = dims.index(pin)
+    walked[pinned] = 1
+    dtype = ctx.action_state.dtype
+    second = _second_pin(ctx, coloring, dims, pinned, walked)
+    if second is None:
+        grid, sizes = _digits(tuple(walked), dtype), None
+    else:
+        grid, sizes = _orbit_grid(tuple(walked), dtype, *second)
+    start = ctx.offsets[coloring].astype(dtype)[:, None] + grid
+    blocks = list(_walk_blocks(ctx, word, start))
+    expo = blocks[0][2] if len(blocks) == 1 else np.concatenate([phases for _, _, phases in blocks])
     expo += shift
     expo %= ctx.root_order
-    return expo, pin
+    if sizes is not None:
+        sizes = sizes.take(np.concatenate([lo + local for lo, local, _ in blocks]))
+    return expo, pin, sizes
 
 
-def _fixed_phases(ctx: DoubleContext, word: BraidWord, colorings, shifts):
-    """The fixed tuples of the word under C colorings (rows of object
-    indices, one per strand): the coloring index of each and its phase
-    exponent mod N (shifts[c] added, if given), and each coloring's pin
-    factor d.
+def _fixed_phases(ctx: DoubleContext, word: BraidWord, colorings: np.ndarray, shifts):
+    """The fixed tuples of the word under C colorings (an int64 array of
+    rows of object indices, one per strand): the coloring index of each
+    and its phase exponent mod N (shifts[c] added, if given), each
+    coloring's pin factor d, and the orbit size of each fixed tuple under
+    the second pin (None if no coloring takes one), all int64.  A fixed
+    tuple stands for d times its orbit size basis tuples.
 
     Each coloring pins one strand of largest dimension d to its object's
-    first vector, and the walk takes only those tuples; each fixed tuple
-    then stands for d.  This is exact on two premises.  The braiding
+    first vector v, and the walk takes only those tuples; each fixed
+    tuple then stands for d.  This is exact on two premises.  The braiding
     of D^omega(G) commutes with the diagonal action of G (Dijkgraaf,
     Pasquier, Roche 1990), passing only associators that are scalars on
     each coloring (omega comes from Z_p, and the Z_p part of a flux is
     constant on its class), so g maps a fixed tuple with phase zeta^a to
     a fixed tuple with phase zeta^a.  And G acts transitively on the
     vectors of every simple object (`DoubleContext` checks this), so for
-    each vector v of the pinned object some g maps the tuples with the
-    pinned strand on v one to one onto the walked ones.
+    each vector of the pinned object some g maps the tuples with the
+    pinned strand on it one to one onto the walked ones.
+
+    A second strand j walks one vector per orbit of H = Stab(v) on its
+    object (`_second_pins`, by the rule of the module docstring): each
+    h in H fixes the pinned strand, so it maps the tuples with strand j
+    on w one to one onto those with strand j on h.w, fixed to fixed with
+    equal phase, and a fixed tuple with strand j on the representative
+    of an orbit of size m stands for d * m.  The weights stay integers.
 
     The walk goes over the start vectors once, `_WALK_BLOCK` tuples at a
     time, in the narrow vector dtype of the tables, and records each
@@ -373,39 +605,67 @@ def _fixed_phases(ctx: DoubleContext, word: BraidWord, colorings, shifts):
     entries).  The phases of the block's fixed tuples are one gather of
     the phase table at their columns of the record, summed over the
     letters (`_phases`).  One coloring goes through `_closure_phases`."""
-    colorings = np.asarray(colorings, dtype=np.int64).reshape(-1, word.strands)
     if len(colorings) == 1:
         shift = 0 if shifts is None else int(np.asarray(shifts).reshape(-1)[0])
-        expo, pin = _closure_phases(ctx, word, colorings[0].tolist(), shift)
-        return np.zeros(len(expo), dtype=np.intp), expo, np.array([pin], dtype=np.int64)
+        expo, pin, sizes = _closure_phases(ctx, word, colorings[0].tolist(), shift)
+        return np.zeros(len(expo), dtype=np.intp), expo, np.array([pin], dtype=np.int64), sizes
     # A coloring closes up when every top position carries the colour of
     # the bottom position below it.
     if (colorings[:, _strand_at(word)] != colorings).any():
         _refuse_open(ctx, word, colorings)
     dims = ctx.dims[colorings]
+    rows = np.arange(len(dims))
+    pin = dims.argmax(axis=1)
     walked = dims.copy()
-    walked[np.arange(len(dims)), dims.argmax(axis=1)] = 1  # the pinned strands
+    walked[rows, pin] = 1  # the pinned strands
+    tuples = walked.prod(axis=1)
+    # No batch of fewer tuples can remove enough of them.
+    second = _second_pins(ctx, colorings, dims, pin, walked) if tuples.sum() > _SECOND_PIN_BATCH_MIN else None
+    if second is not None:
+        tuples = walked.prod(axis=1)
+    start = _start(ctx, colorings, walked, second)
     found, phases = [], []
-    for lo, local, expo in _walk_blocks(ctx, word, _start(ctx, colorings, walked)):
+    for lo, local, expo in _walk_blocks(ctx, word, start):
         found.append(local + lo)
         phases.append(expo)
     sel, expo = np.concatenate(found), np.concatenate(phases)
-    which = walked.prod(axis=1).cumsum().searchsorted(sel, side="right")
+    which = tuples.cumsum().searchsorted(sel, side="right")
     if shifts is not None:
         expo = expo + np.asarray(shifts, dtype=np.int64)[which]
-    return which, expo % ctx.root_order, dims.max(axis=1)
+    sizes = None
+    if second is not None:
+        j, stab = second[0][which], second[1][which]
+        hit = j >= 0
+        sizes = np.ones(len(sel), dtype=np.int64)
+        sizes[hit] = _orbits(ctx).size[stab[hit], start[j[hit], sel[hit]]]
+    return which, expo % ctx.root_order, dims[rows, pin], sizes
 
 
-def _closure_value(order: int, expo: np.ndarray, pin: int) -> CycloNumber:
-    """sum over the fixed tuples of pin * zeta^expo, from the exponent
-    counts: when every exponent is below phi(N) the counts are the
-    canonical numerators already; otherwise they go through
+def _counts(bins: np.ndarray, pin: int, sizes, length: int) -> np.ndarray:
+    """int64 counts of the bins of fixed tuples, at least `length` of
+    them, each tuple counted pin times its orbit size (sizes None: 1).  A
+    tuple of orbit size m is repeated m times: that is the fixed tuples
+    that the first pin alone would walk, so no float weight is needed."""
+    if sizes is not None:
+        bins = bins.repeat(sizes)
+    return np.bincount(bins, minlength=length) * pin
+
+
+def _closure_value(order: int, expo: np.ndarray, pin: int, sizes) -> CycloNumber:
+    """sum over the fixed tuples of pin * size * zeta^expo, from the
+    exponent counts: when every exponent is below phi(N) the counts are
+    the canonical numerators already; otherwise they go through
     `reduce_counts`."""
     phi = euler_phi(order)
-    counts = np.bincount(expo, minlength=phi) * pin
+    counts = _counts(expo, pin, sizes, phi)
     if len(counts) > phi:
         counts = reduce_counts(order, counts)
     return CycloNumber._from_numerators(order, counts.tolist())
+
+
+def _colorings(word: BraidWord, colorings) -> np.ndarray:
+    """The colorings as an int64 array of rows, one entry per strand."""
+    return np.asarray(colorings, dtype=np.int64).reshape(-1, word.strands)
 
 
 def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) -> np.ndarray:
@@ -414,10 +674,12 @@ def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) ->
     of row c counts the basis tuples of coloring c that the word's
     permutation part fixes with accumulated phase zeta^j; with shifts (one
     integer per coloring), the phase zeta^(j + shifts[c]).  One walk of
-    the pinned tuples (`_fixed_phases`), counted and multiplied by d."""
-    which, expo, pins = _fixed_phases(ctx, word, colorings, shifts)
+    the pinned tuples (`_fixed_phases`), each counted by its orbit size
+    under the second pin (`_counts`) and multiplied by d."""
+    colorings = _colorings(word, colorings)
+    which, expo, pins, sizes = _fixed_phases(ctx, word, colorings, shifts)
     ne = ctx.root_order
-    counts = np.bincount(which * ne + expo, minlength=len(pins) * ne).reshape(-1, ne)
+    counts = _counts(which * ne + expo, 1, sizes, len(pins) * ne).reshape(-1, ne)
     counts *= pins[:, None]
     return counts
 
@@ -425,12 +687,19 @@ def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) ->
 def sparse_trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None):
     """The nonzero bins of `trace_counts`, row by row, as CSR triples
     (indptr, exponents, counts): row c holds exponents[indptr[c]:
-    indptr[c + 1]], increasing, with their counts (pin factor included).
-    A row has a few nonzero bins out of N, so no (C, N) block is built."""
-    which, expo, pins = _fixed_phases(ctx, word, colorings, shifts)
+    indptr[c + 1]], increasing, with their counts (pin factor included,
+    int64).  A row has a few nonzero bins out of N, so no (C, N) block
+    is built; a bin counts its fixed tuples, or sums their orbit sizes
+    under a second pin."""
+    colorings = _colorings(word, colorings)
+    which, expo, pins, sizes = _fixed_phases(ctx, word, colorings, shifts)
     ne = ctx.root_order
-    bins, counts = np.unique(which * ne + expo, return_counts=True)
-    rows, exponents = np.divmod(bins, ne)
+    bins = which * ne + expo
+    order = bins.argsort()
+    bins = bins[order]
+    first = np.flatnonzero(np.diff(bins, prepend=-1))
+    counts = np.diff(first, append=len(bins)) if sizes is None else np.add.reduceat(sizes[order], first)
+    rows, exponents = np.divmod(bins[first], ne)
     indptr = np.zeros(len(pins) + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=len(pins)), out=indptr[1:])
     return indptr, exponents, counts * pins[rows]
@@ -480,8 +749,8 @@ def framed_trace_counts(params: CocycleParams, word: BraidWord, colors, shift=0)
     basis vectors that the word's permutation part fixes with accumulated
     phase zeta^(j - shift).  At shift 0 its root sum is the framed invariant."""
     ctx = context_for(params)
-    expo, pin = _closure_phases(ctx, word, _resolve_colors(ctx, word, colors), int(shift))
-    return np.bincount(expo, minlength=ctx.root_order) * pin
+    expo, pin, sizes = _closure_phases(ctx, word, _resolve_colors(ctx, word, colors), int(shift))
+    return _counts(expo, pin, sizes, ctx.root_order)
 
 
 def zero_framing_shifts(ctx: DoubleContext, info: ClosureInfo, colorings) -> np.ndarray:
@@ -497,17 +766,18 @@ def framed_invariant(params: CocycleParams, word: BraidWord, colors) -> CycloNum
     """Trace of the colored word: the invariant of the closure in the
     blackboard framing of the braid diagram."""
     ctx = context_for(params)
-    expo, pin = _closure_phases(ctx, word, _resolve_colors(ctx, word, colors))
-    return _closure_value(ctx.root_order, expo, pin)
+    expo, pin, sizes = _closure_phases(ctx, word, _resolve_colors(ctx, word, colors))
+    return _closure_value(ctx.root_order, expo, pin, sizes)
 
 
 def zero_framed_invariant(params: CocycleParams, word: BraidWord, colors) -> CycloNumber:
     """The framed invariant with every component's blackboard self-framing
-    cancelled by twist factors (`zero_framing_shifts` of the one coloring)."""
+    cancelled by twist factors (`zero_framing_shifts` of the one coloring),
+    from one pass over the word (`_closure_pass`)."""
     ctx = context_for(params)
     coloring = _resolve_colors(ctx, word, colors)
-    info = closure_structure(word)
-    twists = ctx.twist_exps[[coloring[comp[0] - 1] for comp in info.components]].tolist()
-    shift = -sum(t * w for t, w in zip(twists, info.self_writhes))
-    expo, pin = _closure_phases(ctx, word, coloring, shift)
-    return _closure_value(ctx.root_order, expo, pin)
+    strand_at, _, firsts, self_writhes = _closure_pass(word)
+    twists = ctx.twist_exps[[coloring[j] for j in firsts]].tolist()
+    shift = -sum(t * w for t, w in zip(twists, self_writhes))
+    expo, pin, sizes = _closure_phases(ctx, word, coloring, shift, strand_at)
+    return _closure_value(ctx.root_order, expo, pin, sizes)

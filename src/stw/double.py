@@ -37,6 +37,15 @@ depends on the flux h only through its Z_p part.  Each run also checks
 that G acts transitively on the vectors of each of its objects.  No
 (|G|, sum of dims) intermediate is built, so the build peaks at well
 under twice the bytes of the tables it keeps.
+
+Transitivity is what lets `stw.braid` walk one tuple per G-orbit: the
+braiding commutes with the diagonal G-action, so one strand of each
+coloring may sit on its object's first vector v.  The same lemma, with
+G replaced by the stabiliser Stab(v) = {g : action_state[g, v] == v},
+lets a second strand walk one vector per Stab(v)-orbit of its object,
+each counted with its orbit's size.  Stab(v) is <b> for a B object and
+<a> for an A object or an induced I_j, and neither the stabilisers nor
+their orbits depend on u, since `crossing_state` does not.
 """
 
 from __future__ import annotations
@@ -245,9 +254,10 @@ class DoubleContext:
         """Write the columns of one run of objects, `first` the index of
         its first object, into `flux` and the crossing tables, then check
         that G acts transitively on the vectors of each object, which lets
-        `stw.braid.trace_counts` walk one tuple per G-orbit: the images of
-        each object's first vector under all of G must stay in the object
-        and reach every one of its vectors."""
+        `stw.braid.trace_counts` walk one tuple per G-orbit (and, on a
+        second strand, one vector per orbit of the pinned vector's
+        stabiliser): the images of each object's first vector under all
+        of G must stay in the object and reach every one of its vectors."""
         flux, _, j, cent_s, coset_exp = coset_action
         order, n_cosets = j.shape
         chars, internal_dim = pi_exp.shape[0], pi_exp.shape[2]

@@ -80,6 +80,7 @@ from .cyclotomic import (
     _factorize,
     _is_prime,
     _roll_rows,
+    euler_phi,
     reduce_counts,
     reduction_bound_factor,
     root_of_unity,
@@ -384,9 +385,10 @@ def _key_into(index: dict[bytes, int], values: np.ndarray) -> np.ndarray:
     return np.array([index.setdefault(v.tobytes(), len(index)) for v in values], dtype=np.int32)
 
 
-def _table(index: dict[bytes, int]) -> np.ndarray:
-    """The table of an index: row i holds the numerators of id i."""
-    return np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), -1)
+def _table(index: dict[bytes, int], order: int) -> np.ndarray:
+    """The table of an index of values in Q(zeta_order): row i holds the
+    phi(order) numerators of id i (no rows for an empty index)."""
+    return np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), euler_phi(order))
 
 
 def _value_ids(order: int, blocks):
@@ -415,7 +417,7 @@ def _value_ids(order: int, blocks):
         dense = (_scatter(order, part) for part in _blocks(new, _REDUCE_BLOCK))
         seen.update(zip(new, _index_values(order, dense, index).tolist()))
         ids.append(np.array([seen[key] for key in keys], dtype=np.int32))
-    return np.concatenate(ids), _table(index)
+    return np.concatenate(ids), _table(index, order)
 
 
 def _scatter(order: int, keys: list[bytes]) -> np.ndarray:
@@ -451,7 +453,7 @@ def _galois_image_ids(order: int, values: np.ndarray, f: int, index: dict[bytes,
             image[:, targets] = block
             yield image
 
-    return _index_values(order, images(), index), _table(index)
+    return _index_values(order, images(), index), _table(index, order)
 
 
 def t_matrix(params: CocycleParams) -> list[CycloNumber]:
@@ -1366,7 +1368,7 @@ def theory_data(md: ModularData, wm: WMatrix | None = None) -> TheoryData:
     if wm is not None:
         index = {v.tobytes(): i for i, v in enumerate(md.s_values)}
         w_keys = _key_into(index, wm.v_values)[wm.v_ids]
-        values = _table(index)
+        values = _table(index, md.root_order)
     return TheoryData(
         name=f"u={md.params.u}",
         labels=md.labels,

@@ -2,12 +2,13 @@
 operator relations, and framed/zero-framed traces."""
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from stw import braid, double
+from stw import braid, double, modular
 from stw.braid import (
     BraidWord,
     InconsistentColoringError,
@@ -474,23 +475,30 @@ def test_trace_does_not_depend_on_the_walk_block(monkeypatch, strands, letters, 
     one tuple, blocks that straddle colorings (5 divides no coloring's 7^k
     tuples) and one block of exactly all tuples give the scalar walk.  One
     coloring alone (the one-coloring branch) spans several blocks too, and
-    its framed invariant joins its blocks' phases the same way."""
+    its framed invariant joins its blocks' phases the same way.  The walk
+    takes the tuples of `_walked_tuples`, under the thresholds (these
+    batches and colorings remove too few tuples for a second pin) and
+    with the second pin wherever it gains (both thresholds 0)."""
     params, word, colorings, idx = _associator_batch(strands, letters)
     ctx = context_for(params)
     walks = []
     walk = braid._walk
     monkeypatch.setattr(braid, "_walk", lambda *args: walks.append(1) or walk(*args))
-    for count in (len(idx), 1):
-        batch, expected = idx[:count], _scalar_batch(strands, letters)[:count]
-        dims = ctx.dims[batch]
-        size = int(dims.prod(axis=1).sum()) if block == "all" else block
-        monkeypatch.setattr(braid, "_WALK_BLOCK", size)
-        walks.clear()
-        assert np.array_equal(trace_counts(ctx, word, batch), expected)
-        walked = int((dims.prod(axis=1) // dims.max(axis=1)).sum())
-        assert len(walks) == -(-walked // size) and (block == "all" or len(walks) > 1)
-    value = framed_invariant(params, word, colorings[0])
-    assert value == CycloNumber.from_root_counts(ctx.root_order, expected[0])
+    for limit in (None, 0):
+        if limit is not None:
+            monkeypatch.setattr(braid, "_SECOND_PIN_MIN", limit)
+            monkeypatch.setattr(braid, "_SECOND_PIN_BATCH_MIN", limit)
+        for count in (len(idx), 1):
+            batch, expected = idx[:count], _scalar_batch(strands, letters)[:count]
+            dims = ctx.dims[batch]
+            size = int(dims.prod(axis=1).sum()) if block == "all" else block
+            monkeypatch.setattr(braid, "_WALK_BLOCK", size)
+            walks.clear()
+            assert np.array_equal(trace_counts(ctx, word, batch), expected)
+            walked = sum(_walked_tuples(ctx, batch))
+            assert len(walks) == -(-walked // size) and (block == "all" or len(walks) > 1)
+        value = framed_invariant(params, word, colorings[0])
+        assert value == CycloNumber.from_root_counts(ctx.root_order, expected[0])
 
 
 def test_wide_vector_dtype_gives_the_same_histograms(monkeypatch):
@@ -729,22 +737,173 @@ def test_a_split_object_is_rejected_before_any_trace(monkeypatch):
     assert trace_counts(ctx, word, colors)[0].sum() == 7
 
 
+# ----- the second pin: one tuple per orbit of the pinned vector's stabiliser -
+
+
+def _orbit_sizes(ctx, v: int, y: int) -> list[int]:
+    """The sizes of the orbits of Stab(v) = {g : g.v = v} on the vectors
+    of object y, in order of least member, from Python sets."""
+    stab = np.flatnonzero(ctx.action_state[:, v] == v)
+    seen, sizes = set(), []
+    for w in range(ctx.offsets[y], ctx.offsets[y] + ctx.dims[y]):
+        if w not in seen:
+            orbit = set(ctx.action_state[stab, w].tolist())
+            seen |= orbit
+            sizes.append(len(orbit))
+    return sizes
+
+
+def _orbit_size(ctx, v: int, w: int) -> int:
+    """The size of the orbit of vector w under Stab(v), as a Python set."""
+    stab = np.flatnonzero(ctx.action_state[:, v] == v)
+    return len(set(ctx.action_state[stab, w].tolist()))
+
+
+def _walked_tuples(ctx, colorings) -> list[int]:
+    """The tuples one call walks per coloring, by the rule of `stw.braid`
+    with the orbits counted from Python sets: the first pin on the first
+    strand of largest dimension d, the second on the strand j that leaves
+    fewest tuples (d_j / orbits_j largest), taken only when the call's
+    second pins remove more than `_SECOND_PIN_MIN` tuples in all (one
+    coloring) or `_SECOND_PIN_BATCH_MIN` (several)."""
+    rows = np.asarray(colorings).tolist()
+    limit = braid._SECOND_PIN_MIN if len(rows) == 1 else braid._SECOND_PIN_BATCH_MIN
+    first, second = [], []
+    for row in rows:
+        dims = ctx.dims[row].tolist()
+        pin = dims.index(max(dims))
+        total = math.prod(dims) // dims[pin]
+        v = ctx.offsets[row[pin]]
+        fewest = [total // d * len(_orbit_sizes(ctx, v, y)) for y, d in zip(row, dims)]
+        first.append(total)
+        second.append(min(fewest[:pin] + [total] + fewest[pin + 1 :]))
+    return second if sum(first) - sum(second) > limit else first
+
+
+SECOND_PIN_GROUPS = [(7, 3, 2), (13, 3, 3), (7, 2, 6), (11, 5, 4)]
+
+# The unlink (every tuple fixed, so fixed tuples on every orbit), the S
+# word, the clasp, two 4-strand words of two components (the second two
+# Hopf links side by side), a 5-strand knot and a 5-strand word of four
+# components.
+SECOND_PIN_WORDS = [
+    ("", 2),
+    ("s1^-2", 2),
+    (CLASP, 3),
+    ("s1 s2^-1 s3 s1 s2 s3^-1", 4),
+    ("s1^-2 s3^2", 4),
+    ("s1 s2^-1 s3 s4^-1 s1 s2 s3^-1 s4", 5),
+    ("s1^2 s2^-1 s3^2 s2 s4^-2 s3", 5),
+]
+
+
+@pytest.mark.parametrize("u", [0, 1])
+@pytest.mark.parametrize("group", SECOND_PIN_GROUPS)
+def test_second_pin_matches_operator_fixed_points(monkeypatch, group, u):
+    """With the second pin taken wherever it gains (`_SECOND_PIN_MIN` and
+    `_SECOND_PIN_BATCH_MIN` set to 0), `trace_counts` with shifts, `sparse_trace_counts` and the
+    one-coloring `framed_invariant` and `framed_trace_counts` equal the
+    fixed points of `representation_operator` over all tuples, with no
+    pin.  The colorings put B objects on every component (strand j on
+    orbits of sizes 1 and p, the size-1 orbit being the fixed vector),
+    mix B with A and I objects (one orbit of <b> on an A object), and put
+    A objects only (no strand gains under <a>).  Each batch walks the
+    tuples of `_walked_tuples`."""
+    monkeypatch.setattr(braid, "_SECOND_PIN_MIN", 0)
+    monkeypatch.setattr(braid, "_SECOND_PIN_BATCH_MIN", 0)
+    params = CocycleParams(GroupSpec(*group), u)
+    ctx = context_for(params)
+    ne = ctx.root_order
+    kinds = {k: [i for i, s in enumerate(ctx.simples) if s.label[0] == k] for k in "ABI"}
+    pools = [kinds["B"], kinds["B"] + kinds["A"] + kinds["I"], kinds["A"]]
+    rng = np.random.default_rng(sum(group) + 10 * u)
+    walked, walk = [], braid._walk
+    monkeypatch.setattr(braid, "_walk", lambda c, w, s: walked.append(len(s[0])) or walk(c, w, s))
+    sizes_seen, gains = set(), []
+    for text, strands in SECOND_PIN_WORDS:
+        word = parse_braid(text, strands)
+        colorings = np.zeros((len(pools), strands), dtype=np.int64)
+        for comp in closure_structure(word).components:
+            colorings[:, [s - 1 for s in comp]] = [[rng.choice(pool)] for pool in pools]
+        shifts = rng.integers(-ne, ne, size=len(colorings))
+        walked.clear()
+        counts = trace_counts(ctx, word, colorings, shifts)
+        assert sum(walked) == sum(_walked_tuples(ctx, colorings))
+        indptr, exps, sparse = sparse_trace_counts(ctx, word, colorings, shifts)
+        for c, (row, colors, shift) in enumerate(zip(counts, colorings.tolist(), shifts)):
+            op = representation_operator(params, word, colors)
+            fixed = op.perm == np.arange(len(op.perm))
+            expected = np.bincount((op.exponents[fixed] + shift) % ne, minlength=ne)
+            assert np.array_equal(row, expected), (group, u, text, colors)
+            assert np.array_equal(exps[indptr[c] : indptr[c + 1]], expected.nonzero()[0])
+            assert np.array_equal(sparse[indptr[c] : indptr[c + 1]], expected[expected > 0])
+            bare = np.roll(expected, -shift)
+            assert np.array_equal(framed_trace_counts(params, word, colors), bare)
+            assert framed_invariant(params, word, colors) == CycloNumber.from_root_counts(ne, bare)
+        sizes_seen.update(braid._fixed_phases(ctx, word, colorings, None)[3].tolist())  # all take it
+        dims = ctx.dims[colorings]
+        pin = dims.argmax(axis=1)
+        pinned = dims.copy()
+        pinned[np.arange(len(dims)), pin] = 1
+        second = braid._second_pins(ctx, colorings, dims, pin, pinned)
+        gains.append([-1] * len(dims) if second is None else second[0].tolist())
+    assert {1, ctx.spec.p} <= sizes_seen  # the fixed vector's orbit and a full <b>-orbit
+    b_row, mixed_row, a_row = np.array(gains).T
+    assert (b_row >= 0).all() and (mixed_row >= 0).any() and (a_row == -1).all()
+
+
+@pytest.mark.parametrize("group", SECOND_PIN_GROUPS)
+def test_orbit_table_partitions_every_object(group):
+    """The orbit table of a group: for every stabiliser of a first vector
+    and every object, the orbit sizes sum to the object's dimension, the
+    representatives are the least vectors of their orbits, increasing,
+    and they agree with the orbits found from Python sets.  The table is
+    the same for every u."""
+    spec = GroupSpec(*group)
+    ctx = context_for(CocycleParams(spec, 1))
+    table = braid._orbits(ctx)
+    n = len(ctx.simples)
+    assert (table.stab[ctx.dims == 1] == -1).all() and (table.stab[ctx.dims > 1] >= 0).all()
+    for s, rows in enumerate(table.rows):
+        v = ctx.offsets[table.stab_list.index(s)]  # the first vector of one object with this stabiliser
+        for y, (count, reps, sizes) in enumerate(rows):
+            offset = ctx.offsets[y]
+            assert count == len(reps) == table.count[s, y] and sum(sizes) == ctx.dims[y]
+            assert reps[0] == 0 and list(reps) == sorted(reps)
+            assert table.reps[s, offset : offset + count].tolist() == [offset + r for r in reps]
+            assert table.size[s, offset + np.array(reps)].tolist() == list(sizes)
+            assert list(sizes) == _orbit_sizes(ctx, v, y)
+    for u in range(spec.p):
+        other = braid._orbit_table(context_for(CocycleParams(spec, u)))
+        for name in ("stab", "count", "reps", "size"):
+            assert np.array_equal(getattr(other, name), getattr(table, name)), (u, name)
+        assert other.rows == table.rows and other.stab_list == table.stab_list
+
+
 def test_pass_one_walks_the_tuples_of_the_unpinned_strands(monkeypatch):
-    """The walk takes prod_(i != pin) d_i tuples per coloring, the pinned
-    strand being one of largest dimension, each tuple once: an S row of a
-    B object at (11,5,4) walks sum_b d_b tuples (not d_a sum_b d_b), and a
-    5-strand closure colored by B objects 11^4 (not 11^5).  No second walk
-    runs: the phases are gathered from the record of the one walk, at the
-    columns of exactly the fixed tuples."""
+    """The walk takes prod_(i != pin, j) d_i * orbits_j tuples per
+    coloring, the pinned strand being one of largest dimension and j the
+    second pin, each tuple once, and each fixed tuple stands for d times
+    the size of its strand-j orbit.  At (11,5,4), with the second pin
+    wherever it gains (both thresholds 0): an S row of a B object walks
+    sum_b orbits_b = 89 tuples (not the 345 of the first pin alone or
+    the 11 * 345 of no pin), and the S and clasp walks of a theory 5,505
+    and 36,425 (12,545 and 103,145 under the first pin alone).  Under the
+    thresholds: the S row and every S block remove too few tuples and
+    walk as before, the clasp walk takes 42,725 (two blocks of the five
+    remove too few), a 5-strand closure colored by B objects 11^3 * 3
+    (not 11^4), and random clasp colorings the tuples of `_walked_tuples`.
+    No second walk runs: the phases are gathered from the record of the
+    one walk, at the columns of exactly the fixed tuples."""
     ctx = context_for(params(1))
     n = len(ctx.simples)
-    walks, gathers = [], []  # (tuples, fixed columns of the record); gathered records
+    walks, gathers = [], []  # (fixed start vectors, fixed columns of the record, tuples)
     walk, phases = braid._walk, braid._phases
 
     def walk_spy(ctx, word, state):
         end, record = walk(ctx, word, state)
         fixed = np.all(np.array(end) == state, axis=0)
-        walks.append((len(state[0]), record[:, fixed]))
+        walks.append((np.array(state)[:, fixed], record[:, fixed], len(state[0])))
         return end, record
 
     def phases_spy(ctx, record):
@@ -758,47 +917,94 @@ def test_pass_one_walks_the_tuples_of_the_unpinned_strands(monkeypatch):
         walks.clear()
         gathers.clear()
         counts = trace_counts(ctx, word, colorings)
-        walked = sum(size for size, _ in walks)
+        walked = sum(size for _, _, size in walks)
         assert len(walks) == -(-walked // braid._WALK_BLOCK)  # one walk per block
         assert len(gathers) == len(walks)
-        for (_, fixed), gathered in zip(walks, gathers):
+        for (_, fixed, _), gathered in zip(walks, gathers):
             assert np.array_equal(gathered, fixed)
-        return walked, sum(g.shape[1] for g in gathers), counts
+        return walked, np.concatenate([start for start, _, _ in walks], axis=1), counts
+
+    def theory(word, colorings):
+        """The tuples walked for all colorings, in blocks as `modular` walks them."""
+        return sum(
+            trace(word, colorings[lo : lo + modular._TRACE_BLOCK])[0]
+            for lo in range(0, len(colorings), modular._TRACE_BLOCK)
+        )
 
     a = ctx.index_of("B_1_0")
     assert ctx.dims[a] == ctx.dims.max() == 11
-    walked, gathered, row = trace(BraidWord(2, (-1, -1)), np.stack([np.full(n, a), np.arange(n)], 1))
+    v = ctx.offsets[a]
+    s_word, clasp = BraidWord(2, (-1, -1)), parse_braid(CLASP, 3)
+    s_row = np.stack([np.full(n, a), np.arange(n)], 1)
+    pairs = np.array(list(itertools.product(range(n), repeat=2)))
+    walked, fixed, row = trace(s_word, s_row)
     assert walked == ctx.dims.sum() == 345
-    assert gathered * 11 == row.sum() > 0
+    assert (fixed[0] == v).all()  # the pinned strand
+    assert 11 * fixed.shape[1] == row.sum() > 0
+    assert theory(s_word, pairs) == 12_545 and theory(clasp, pairs[:, [0, 1, 0]]) == 42_725
     word = parse_braid("s1 s2^-1 s3 s4^-1 s1 s2 s3^-1 s4", 5)
-    walked, gathered, counts = trace(word, [[ctx.index_of("B_2_1")] * 5])
-    assert walked == 11**4
-    assert gathered * 11 == counts.sum() > 0
+    b = ctx.index_of("B_2_1")
+    walked, fixed, counts = trace(word, [[b] * 5])
+    assert walked == 11**3 * 3
+    assert (fixed[0] == ctx.offsets[b]).all()
+    assert 11 * sum(_orbit_size(ctx, ctx.offsets[b], w) for w in fixed[1].tolist()) == counts.sum() > 0
     # Mixed dimensions: the largest one is pinned in each coloring.
-    colorings = _closed_colorings(np.random.default_rng(2), parse_braid(CLASP, 3), n, 20)
+    colorings = _closed_colorings(np.random.default_rng(2), clasp, n, 512)
     dims = ctx.dims[colorings]
-    walked, _, _ = trace(parse_braid(CLASP, 3), colorings)
-    assert walked == (dims.prod(axis=1) // dims.max(axis=1)).sum()
+    walked, _, _ = trace(clasp, colorings)
+    assert walked == sum(_walked_tuples(ctx, colorings)) < (dims.prod(axis=1) // dims.max(axis=1)).sum()
+    # The second pin wherever it gains.
+    monkeypatch.setattr(braid, "_SECOND_PIN_MIN", 0)
+    monkeypatch.setattr(braid, "_SECOND_PIN_BATCH_MIN", 0)
+    walked, fixed, second_row = trace(s_word, s_row)
+    assert walked == sum(len(_orbit_sizes(ctx, v, b)) for b in range(n)) == 89
+    assert (fixed[0] == v).all()
+    assert 11 * sum(_orbit_size(ctx, v, w) for w in fixed[1].tolist()) == second_row.sum()
+    assert np.array_equal(second_row, row)
+    assert theory(s_word, pairs) == 5_505 and theory(clasp, pairs[:, [0, 1, 0]]) == 36_425
 
 
-def test_zero_framed_invariant_builds_the_closure_structure_once(monkeypatch):
-    """The closure check of `trace_counts` reads only where the strands
-    end, so a zero-framed invariant computes `closure_structure` once (for
-    its framing shift) and a framed invariant not at all."""
-    calls = []
-    structure = braid.closure_structure
+def test_zero_framed_invariant_passes_over_the_word_once(monkeypatch):
+    """A zero-framed invariant reads where the strands end, each
+    component's first strand and the self-writhes from one pass over the
+    word (`_closure_pass`), and builds no `closure_structure`; a framed
+    invariant reads only where the strands end (`_strand_at`)."""
+    calls = {"_closure_pass": 0, "closure_structure": 0, "_strand_at": 0}
 
-    def spy(word):
-        calls.append(word)
-        return structure(word)
+    def spy(name):
+        real = getattr(braid, name)
 
-    monkeypatch.setattr(braid, "closure_structure", spy)
+        def counted(word):
+            calls[name] += 1
+            return real(word)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(braid, name, spy(name))
     word = parse_braid(CLASP, 3)
     colors = ["B_1_0", "A_1_2", "B_1_0"]
     zero_framed_invariant(params(1), word, colors)
-    assert len(calls) == 1
+    assert calls == {"_closure_pass": 1, "closure_structure": 0, "_strand_at": 0}
     framed_invariant(params(1), word, colors)
-    assert len(calls) == 1
+    assert calls == {"_closure_pass": 1, "closure_structure": 0, "_strand_at": 1}
+
+
+def test_closure_pass_matches_the_closure_structure():
+    """`_closure_pass` and `closure_structure` agree on random words on 1
+    to 6 strands: the strand at each top position, the components in
+    order of least member and their self-writhes."""
+    rng = np.random.default_rng(23)
+    for strands in range(1, 7):
+        for _ in range(8):
+            word = _random_word(rng, strands, int(rng.integers(0, 3 * strands)))
+            strand_at, comp_of, firsts, writhes = braid._closure_pass(word)
+            info = closure_structure(word)
+            assert strand_at == braid._strand_at(word)
+            assert [info.permutation[s] - 1 for s in strand_at] == list(range(strands))
+            assert tuple(comp_of) == info.component_of
+            assert firsts == [comp[0] - 1 for comp in info.components]
+            assert tuple(writhes) == info.self_writhes
 
 
 def _tiled_start(ctx, colorings, dims):

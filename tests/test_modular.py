@@ -1306,6 +1306,22 @@ def test_value_ids_key_rows_exactly(case):
     _assert_same(values, ref_values)
 
 
+def test_value_ids_of_no_rows():
+    """No blocks, and a block of no rows, give no ids and an empty table
+    of phi(order) columns; an empty block among others changes no id."""
+    order = 63
+    empty_block = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    for blocks in ([], [empty_block], iter([empty_block, empty_block])):
+        ids, values = modular._value_ids(order, blocks)
+        assert ids.shape == (0,) and ids.dtype == np.int32
+        assert values.shape == (0, euler_phi(order)) and values.dtype == np.int64
+    hists, expected = _keying_case("prefix", order)
+    blocks = [_sparse(block) for block in hists]
+    ids, values = modular._value_ids(order, [empty_block, blocks[0], empty_block, *blocks[1:]])
+    assert ids.tolist() == expected
+    _assert_same(values, modular._value_ids(order, blocks)[1])
+
+
 @pytest.mark.parametrize("bad", [-1, 49, 2.5])
 def test_index_of_refuses_invalid_object_indices(md_u, wm_u, bad):
     """`ModularData.index_of` and `WMatrix.index_of` take labels and ints
