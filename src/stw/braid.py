@@ -9,7 +9,7 @@ color is the object it belongs to, so colors move with the vectors, one
 walk serves a whole batch of colorings and each crossing is one gather.
 A trace walks each tuple once and records every crossing's gather
 index; the phases of the tuples that the word fixes are then read from
-that record in one gather, and no tuple is walked again (`trace_counts`).
+that record in one gather, and no tuple is walked again (`_fixed_phases`).
 
 A trace walks one tuple per G-orbit.  The braiding of D^omega(G) is a
 map of modules (Dijkgraaf, Pasquier, Roche 1990), so it commutes with
@@ -41,11 +41,12 @@ it removes more tuples in all than its fixed cost is worth: more than
 `_SECOND_PIN_MIN` for one coloring and `_SECOND_PIN_BATCH_MIN` for a
 batch, whose vectorised choice and weights cost more.
 
-`trace_counts` gives the trace histograms of one word under many
-colorings (each optionally shifted, as by `zero_framing_shifts`).
-`sparse_trace_counts` gives the same traces as CSR triples of their
-nonzero bins, which `stw.modular` keys: a row of S or V has a few
-nonzero bins out of N.  Both are tails of one walk (`_fixed_phases`).
+`sparse_trace_counts` gives the traces of one word under many colorings
+(each optionally shifted, as by `zero_framing_shifts`) as CSR triples
+of their nonzero bins, the one tail of the batch walk (`_fixed_phases`):
+a row of S or V has a few nonzero bins out of N, so no (colorings, N)
+histogram is built.  `stw.modular` keys the rows of S and V from them,
+and the lens-space chain route sums them into its N bins.
 
 One coloring, as in `framed_invariant`, `zero_framed_invariant` and
 `framed_trace_counts`, is the case where the fixed cost of a call
@@ -80,7 +81,6 @@ __all__ = [
     "parse_braid",
     "closure_structure",
     "representation_operator",
-    "trace_counts",
     "sparse_trace_counts",
     "framed_trace_counts",
     "framed_invariant",
@@ -225,7 +225,7 @@ def _resolve_colors(ctx: DoubleContext, word: BraidWord, colors) -> list[int]:
 # ----- the walk over the basis tuples of many colorings at once -------------
 
 
-# Tuples walked at once by `trace_counts`: a block's vectors and gather
+# Tuples walked at once by `_walk_blocks`: a block's vectors and gather
 # indices stay in cache (16384 measured best), and its record of gather
 # indices takes at most 64 kB per letter.
 _WALK_BLOCK = 16384
@@ -668,29 +668,17 @@ def _colorings(word: BraidWord, colorings) -> np.ndarray:
     return np.asarray(colorings, dtype=np.int64).reshape(-1, word.strands)
 
 
-def trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None) -> np.ndarray:
-    """Root-of-unity histograms (C, N) of the colored traces of one word
-    under C colorings (rows of object indices, one per strand): entry j
-    of row c counts the basis tuples of coloring c that the word's
-    permutation part fixes with accumulated phase zeta^j; with shifts (one
-    integer per coloring), the phase zeta^(j + shifts[c]).  One walk of
-    the pinned tuples (`_fixed_phases`), each counted by its orbit size
-    under the second pin (`_counts`) and multiplied by d."""
-    colorings = _colorings(word, colorings)
-    which, expo, pins, sizes = _fixed_phases(ctx, word, colorings, shifts)
-    ne = ctx.root_order
-    counts = _counts(which * ne + expo, 1, sizes, len(pins) * ne).reshape(-1, ne)
-    counts *= pins[:, None]
-    return counts
-
-
 def sparse_trace_counts(ctx: DoubleContext, word: BraidWord, colorings, shifts=None):
-    """The nonzero bins of `trace_counts`, row by row, as CSR triples
-    (indptr, exponents, counts): row c holds exponents[indptr[c]:
-    indptr[c + 1]], increasing, with their counts (pin factor included,
-    int64).  A row has a few nonzero bins out of N, so no (C, N) block
-    is built; a bin counts its fixed tuples, or sums their orbit sizes
-    under a second pin."""
+    """The colored traces of one word under C colorings (rows of object
+    indices, one per strand), as CSR triples (indptr, exponents, counts)
+    of their nonzero bins: row c holds exponents[indptr[c]:indptr[c + 1]],
+    increasing, with their int64 counts.  Bin j of row c counts the basis
+    tuples of coloring c that the word's permutation part fixes with
+    accumulated phase zeta^j; with shifts (one integer per coloring), the
+    phase zeta^(j + shifts[c]).  One walk of the pinned tuples
+    (`_fixed_phases`): a bin counts its fixed tuples, or sums their orbit
+    sizes under a second pin, times the pin factor d.  A row has a few
+    nonzero bins out of N, so no (C, N) block is built."""
     colorings = _colorings(word, colorings)
     which, expo, pins, sizes = _fixed_phases(ctx, word, colorings, shifts)
     ne = ctx.root_order
@@ -754,7 +742,7 @@ def framed_trace_counts(params: CocycleParams, word: BraidWord, colors, shift=0)
 
 
 def zero_framing_shifts(ctx: DoubleContext, info: ClosureInfo, colorings) -> np.ndarray:
-    """The `trace_counts` shifts that cancel every component's blackboard
+    """The `sparse_trace_counts` shifts that cancel every component's blackboard
     self-framing under C colorings (rows of object indices): theta^-writhe
     per closure component is the shift -sum self_writhe * t_color."""
     twists = ctx.twist_exps[np.asarray(colorings)]

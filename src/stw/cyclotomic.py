@@ -7,7 +7,9 @@ canonical vectors agree after lifting to the lcm of their orders, so
 equality (and in particular "== 0") is exactly decidable.  Every
 reduction into the power basis, of one vector or of a batch of root
 histograms, is one integer division by the sparse Phi_N in
-``reduce_counts``; no table of reduced powers is kept.  Floating point
+``reduce_counts``; no table of reduced powers is kept.  Every
+substitution zeta -> zeta^f times a root of unity zeta^s, complex
+conjugation (f = -1) included, is ``map_exponents``.  Floating point
 appears only in ``to_complex``, which is for display and sanity checks,
 never for decisions.
 """
@@ -27,6 +29,7 @@ __all__ = [
     "euler_phi",
     "cyclotomic_polynomial",
     "reduce_counts",
+    "map_exponents",
 ]
 
 # Largest product magnitude allowed on the int64 fast paths.  Anything
@@ -105,20 +108,24 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+def _stretch(poly, k: int) -> list[int]:
+    """Coefficients of poly(x^k), ascending."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n(x), ascending, computed by exact division:
-    Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d.
-    """
+    """Coefficients of Phi_n(x), ascending: Phi_n(x) = Phi_r(x^(n/r)) for
+    the radical r of n, and Phi_r is built one prime at a time,
+    Phi_mp(x) = Phi_m(x^p)/Phi_m(x) for a prime p not dividing m."""
     if n < 1:
         raise ValueError("order must be positive")
-    if n == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divide_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
+    poly, r = [-1, 1], 1
+    for prime in sorted(_factorize(n)):
+        poly, r = _poly_divide_exact(_stretch(poly, prime), poly), r * prime
+    return tuple(_stretch(poly, n // r))
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +134,10 @@ def _division_terms(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[in
     one, those (t, c) of Psi_n = (x^n - 1)/Phi_n with c the coefficient of
     x^(deg Psi_n - t), and 1 + (nnz Phi_n - 1) max|Phi_n| max|Psi_n|."""
     modulus = cyclotomic_polynomial(n)
-    cofactor = _poly_divide_exact([-1] + [0] * (n - 1) + [1], list(modulus))
+    # Psi_n(x) = Psi_r(x^(n/r)) for the radical r, as x^n - 1 = y^r - 1 at y = x^(n/r).
+    r = prod(_factorize(n))
+    cofactor = _poly_divide_exact([-1] + [0] * (r - 1) + [1], cyclotomic_polynomial(r))
+    cofactor = _stretch(cofactor, n // r)
     phi_terms = tuple((s, c) for s, c in enumerate(modulus[:-1]) if c)
     psi_terms = tuple((t, c) for t, c in enumerate(reversed(cofactor)) if c)
     factor = 1 + len(phi_terms) * max(abs(c) for c in modulus) * max(abs(c) for c in cofactor)
@@ -215,12 +225,24 @@ def reduce_counts(n: int, counts) -> np.ndarray:
     return out.reshape(arr.shape[:-1] + (phi,))
 
 
-def _roll_rows(counts: np.ndarray, shifts) -> np.ndarray:
-    """Each histogram of counts (..., N) times zeta_N^shift: entry j moves
-    to j + shift mod N.  shifts broadcasts against counts.shape[:-1]."""
-    order = counts.shape[-1]
-    idx = (np.arange(order) - np.asarray(shifts)[..., None]) % order
-    return np.take_along_axis(counts, idx, axis=-1)
+def map_exponents(n: int, counts, f: int = 1, shifts=0) -> np.ndarray:
+    """Canonical power-basis numerators (..., phi(n)) of the histograms
+    counts (..., L), L <= n, with bin j moved to f*j + shift mod n: for
+    each row x = sum_j counts[..., j] zeta_n^j, that is zeta_n^shift
+    sigma_f(x), sigma_f the Galois automorphism zeta_n -> zeta_n^f.
+    shifts broadcasts against counts.shape[:-1].  Raises ValueError
+    unless gcd(f, n) = 1: only a unit gives distinct targets and an
+    automorphism.  Reduced by `reduce_counts`, with its dtypes."""
+    if gcd(f, n) != 1:
+        raise ValueError(f"f = {f} is not a unit mod {n}")
+    arr = _integer_array(counts)
+    if arr.shape[-1] > n:
+        raise ValueError(f"length {arr.shape[-1]} exceeds order {n}")
+    targets = (f * np.arange(arr.shape[-1]) + np.asarray(shifts, dtype=np.int64)[..., None]) % n
+    arr, targets = np.broadcast_arrays(arr, targets)
+    out = np.zeros(arr.shape[:-1] + (n,), dtype=arr.dtype)
+    np.put_along_axis(out, targets, arr, axis=-1)
+    return reduce_counts(n, out)
 
 
 def _reduce_vector(n: int, vec) -> tuple[int, ...]:
@@ -447,13 +469,8 @@ class CycloNumber:
         return result
 
     def conjugate(self) -> "CycloNumber":
-        """Complex conjugation: zeta^i -> zeta^(order - i)."""
-        n = self.order
-        vec = [0] * n
-        for i, c in enumerate(self.num):
-            if c:
-                vec[(n - i) % n] += c
-        return CycloNumber(n, _reduce_vector(n, vec), self.den)
+        """Complex conjugation: sigma_-1, zeta^i -> zeta^(order - i)."""
+        return CycloNumber(self.order, map_exponents(self.order, self.num, -1), self.den)
 
     # ----- comparison / output -------------------------------------------
 
@@ -513,9 +530,7 @@ def root_of_unity(s: int, order: int) -> CycloNumber:
     """zeta_order^s with zeta_order = exp(2*pi*i/order)."""
     if order < 1:
         raise ValueError("order must be a positive integer")
-    vec = [0] * order
-    vec[s % order] = 1
-    return CycloNumber(order, _reduce_vector(order, vec))
+    return CycloNumber(order, map_exponents(order, [1], shifts=s))
 
 
 @lru_cache(maxsize=None)

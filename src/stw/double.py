@@ -254,7 +254,7 @@ class DoubleContext:
         """Write the columns of one run of objects, `first` the index of
         its first object, into `flux` and the crossing tables, then check
         that G acts transitively on the vectors of each object, which lets
-        `stw.braid.trace_counts` walk one tuple per G-orbit (and, on a
+        every trace of `stw.braid` walk one tuple per G-orbit (and, on a
         second strand, one vector per orbit of the pinned vector's
         stabiliser): the images of each object's first vector under all
         of G must stay in the object and reach every one of its vectors."""

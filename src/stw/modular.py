@@ -57,6 +57,9 @@ onto itself exactly when it maps V onto itself: `theory_data` keys V
 into the table of S, and no value of W is built for the search.  The
 search maps the second theory's table into the first's and then
 compares ids only.
+Every substitution zeta -> zeta^f together with a twist factor zeta^s,
+the Galois images of values and the theta factors of W, of the punctured
+traces and of the R-sums alike, is one call of `map_exponents`.
 `galois_classes` partitions all p theories of one group from theories 0
 and 1 alone, with a few searches against Galois conjugates of theory 1.
 `modular_data` and `w_matrix` keep no cache.
@@ -72,15 +75,15 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .braid import BraidWord, closure_structure, parse_braid, trace_counts, zero_framing_shifts
+from .braid import BraidWord, closure_structure, parse_braid, zero_framing_shifts
 from .braid import sparse_trace_counts
 from .cocycle import CocycleParams
 from .cyclotomic import (
     CycloNumber,
     _factorize,
     _is_prime,
-    _roll_rows,
     euler_phi,
+    map_exponents,
     reduce_counts,
     reduction_bound_factor,
     root_of_unity,
@@ -349,9 +352,9 @@ class ModularData:
         return self.dual[self.index_of(a)]
 
 
-# Histograms per `reduce_counts` call, colorings per `trace_counts` call,
-# frequencies in `_exact_sums`: a block saves the fixed cost of a call and
-# bounds its temporaries.
+# Histograms per `reduce_counts` or `map_exponents` call, frequencies per
+# `evaluations` call of `_exact_sums`: a block saves the fixed cost of a
+# call and bounds its temporaries.
 _REDUCE_BLOCK = 256
 
 # Colorings per `sparse_trace_counts` call in the S and V walks.  A sparse
@@ -364,18 +367,6 @@ _TRACE_BLOCK = 512
 def _blocks(rows: np.ndarray, size: int):
     """The consecutive slices of `size` rows of an array or list."""
     return (rows[lo : lo + size] for lo in range(0, len(rows), size))
-
-
-def _index_values(order: int, blocks, index: dict[bytes, int]) -> np.ndarray:
-    """Int32 ids of the exact values of the histogram blocks, each (m, L)
-    with m <= `_REDUCE_BLOCK`, reduced one block per call: each value
-    gets its id through `index`, a dict keyed by its canonical
-    numerators' bytes (extended in place, new values in order)."""
-    ids = [np.zeros(0, dtype=np.int32)]
-    for block in blocks:
-        reduced = np.ascontiguousarray(reduce_counts(order, block), dtype=np.int64)
-        ids.append(_key_into(index, reduced))
-    return np.concatenate(ids)
 
 
 def _key_into(index: dict[bytes, int], values: np.ndarray) -> np.ndarray:
@@ -398,7 +389,7 @@ def _value_ids(order: int, blocks):
     nonzero int64 counts, as `sparse_trace_counts` gives them),
     from any iterable (a generator is keyed as it goes).  Returns the ids
     of all the rows, in order, and the table `values`, row i for id i.
-    Ids number the values in order of first occurrence (`_index_values`).
+    Ids number the values in order of first occurrence (`_key_into`).
 
     Keying is exact; no fingerprint is used.  A row's key is the bytes
     of its (exponent, count) pairs, sliced from one buffer of the
@@ -414,8 +405,9 @@ def _value_ids(order: int, blocks):
         keys = [raw[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         # The block's unseen keys, in order of first occurrence.
         new = [key for key in dict.fromkeys(keys) if key not in seen]
-        dense = (_scatter(order, part) for part in _blocks(new, _REDUCE_BLOCK))
-        seen.update(zip(new, _index_values(order, dense, index).tolist()))
+        for part in _blocks(new, _REDUCE_BLOCK):
+            reduced = np.ascontiguousarray(reduce_counts(order, _scatter(order, part)), dtype=np.int64)
+            seen.update(zip(part, _key_into(index, reduced).tolist()))
         ids.append(np.array([seen[key] for key in keys], dtype=np.int32))
     return np.concatenate(ids), _table(index, order)
 
@@ -441,19 +433,15 @@ def _lift(values: np.ndarray, order: int) -> np.ndarray:
 def _galois_image_ids(order: int, values: np.ndarray, f: int, index: dict[bytes, int]):
     """The ids in `index` (extended in place) of sigma_f of each exact value
     in the table `values`, and the table, as `_value_ids` returns them.
-    Each image is built, reduced and keyed directly, in blocks of
-    `_REDUCE_BLOCK`: sigma_f is injective, so distinct values have
-    distinct images and there is nothing to group."""
-    # sigma_f(sum_j c_j zeta^j) is the histogram with c_j at f*j mod N.
-    targets = f * np.arange(values.shape[1]) % order
-
-    def images():
-        for block in _blocks(values, _REDUCE_BLOCK):
-            image = np.zeros((len(block), order), dtype=np.int64)
-            image[:, targets] = block
-            yield image
-
-    return _index_values(order, images(), index), _table(index, order)
+    Each image comes reduced from `map_exponents`, in blocks of
+    `_REDUCE_BLOCK`, and is keyed directly: sigma_f is injective, so
+    distinct values have distinct images and there is nothing to group.
+    ValueError unless f is a unit mod order."""
+    ids = [np.zeros(0, dtype=np.int32)]
+    for block in _blocks(values, _REDUCE_BLOCK):
+        image = map_exponents(order, block, f)
+        ids.append(_key_into(index, np.ascontiguousarray(image, dtype=np.int64)))
+    return np.concatenate(ids), _table(index, order)
 
 
 def t_matrix(params: CocycleParams) -> list[CycloNumber]:
@@ -877,26 +865,26 @@ class WMatrix:
             return self._label_index[obj]
         return _object_index(obj, len(self.labels))
 
-    def _counts(self, a, b, shift: int) -> CycloNumber:
-        value = self.v_values[self.v_ids[self.index_of(a), self.index_of(b)]]
-        rolled = np.roll(_lift(value, self.root_order), shift)
-        return CycloNumber.from_root_counts(self.root_order, rolled)
+    def _v_value(self, a, b) -> np.ndarray:
+        """The canonical numerators of V_ab."""
+        return self.v_values[self.v_ids[self.index_of(a), self.index_of(b)]]
 
     def v_entry(self, a, b) -> CycloNumber:
         """The raw zero-framed clasp invariant V_ab."""
-        return self._counts(a, b, 0)
+        return CycloNumber(self.root_order, self._v_value(a, b))
 
     def w_tilde_entry(self, a, b) -> CycloNumber:
         """W-tilde_ab = theta_a^-2 V_ab: V with the internal clasp framing
         of the doubled component removed."""
-        ta = int(self.twist_exps[self.index_of(a)])
-        return self._counts(a, b, -2 * ta)
+        shift = -2 * int(self.twist_exps[self.index_of(a)])
+        value = map_exponents(self.root_order, self._v_value(a, b), shifts=shift)
+        return CycloNumber(self.root_order, value)
 
     def w_entry(self, a, b) -> CycloNumber:
         """W_ab = (theta_a/theta_b) W-tilde_ab = V_ab/(theta_a theta_b)."""
-        ta = int(self.twist_exps[self.index_of(a)])
-        tb = int(self.twist_exps[self.index_of(b)])
-        return self._counts(a, b, -ta - tb)
+        shift = -int(self.twist_exps[self.index_of(a)] + self.twist_exps[self.index_of(b)])
+        value = map_exponents(self.root_order, self._v_value(a, b), shifts=shift)
+        return CycloNumber(self.root_order, value)
 
 
 def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
@@ -1040,21 +1028,13 @@ def ba_block_formula_report(wm: WMatrix) -> tuple[bool, list[str]]:
         c = ((-v if wm.mirror else v) - 1) % q
         # W = q*p * theta_A^c theta_B^-1 with theta_A = zeta_q^(l m) = zeta_N^(l m N/q),
         # so V = W theta_B theta_b = q*p * zeta_N^(c l m N/q + t_b), exactly.
-        expected = np.zeros((len(cols), ne), dtype=np.int64)
-        expected[np.arange(len(cols)), (c * lms * (ne // q) + t[cols]) % ne] = q * p
-        expected = reduce_counts(ne, expected)
+        expected = map_exponents(ne, [q * p], shifts=c * lms * (ne // q) + t[cols])
         wrong = np.any(expected != wm.v_values[wm.v_ids[a, cols]], axis=1)
         failures += [f"BA formula fails at ({la}, {wm.labels[b]})" for b in cols[wrong]]
     return (not failures, failures)
 
 
 # ----- punctured traces -----------------------------------------------------------
-
-
-def _shifted_value(md: ModularData, counts: np.ndarray, shift: int) -> CycloNumber:
-    """zeta_N^shift times the root sum of one histogram of length N."""
-    rolled = np.roll(counts, shift % md.root_order)
-    return CycloNumber.from_root_counts(md.root_order, rolled)
 
 
 def punctured_s_trace(md: ModularData, wm: WMatrix, z, a) -> CycloNumber:
@@ -1072,7 +1052,8 @@ def punctured_s_trace(md: ModularData, wm: WMatrix, z, a) -> CycloNumber:
     bound = int(_l1(md.s_values, md.s_ids[z]) @ _l1(wm.v_values, wm.v_ids[a]))
     f_za = _exact_sums(md.root_order, bound, evaluations)
     shift = -2 * int(md.twist_exps[a])
-    return _shifted_value(md, f_za, shift) * int(md.dims[a]) / md.total_dim**3
+    value = CycloNumber(md.root_order, map_exponents(md.root_order, f_za, shifts=shift))
+    return value * int(md.dims[a]) / md.total_dim**3
 
 
 def punctured_vanishing_report(md: ModularData, wm: WMatrix) -> tuple[bool, list[str]]:
@@ -1123,7 +1104,8 @@ def w_from_punctured(md: ModularData, wm: WMatrix, a, b) -> CycloNumber:
     bound = int(l1s[b] @ (l1s @ _l1(wm.v_values, wm.v_ids[a])))
     g_ab = _exact_sums(md.root_order, bound, evaluations)
     shift = -int(md.twist_exps[a]) - int(md.twist_exps[b])
-    return _shifted_value(md, g_ab, shift) / md.total_dim**2
+    value = CycloNumber(md.root_order, map_exponents(md.root_order, g_ab, shifts=shift))
+    return value / md.total_dim**2
 
 
 # ----- diagonal R-sums and two-strand closures ------------------------------------
@@ -1169,14 +1151,17 @@ def r_symbol_sum(md: ModularData, a, c) -> CycloNumber:
     """sum_mu [R^aa_c]_mu,mu: the braiding eigenvalue sum in channel c."""
     a, c = md.index_of(a), md.index_of(c)
     shift = -int(md.twist_exps[a])
-    return _shifted_value(md, _lift(_r_table(md)[a, c], md.root_order), shift) / md.total_dim**5
+    value = map_exponents(md.root_order, _r_table(md)[a, c], shifts=shift)
+    return CycloNumber(md.root_order, value) / md.total_dim**5
 
 
 @dataclass(frozen=True)
 class LambdaReport:
-    """The signed multiplicity Lambda_ac = r(a,c) theta_a / theta_c^(1/2)
-    under the odd-order square-root convention.  A nonzero value flips
-    sign under the other branch, so only its magnitude is branch-free."""
+    """The signed multiplicity Lambda_ac = r(a,c) theta_a / theta_c^(1/2),
+    with theta_c^(1/2) = zeta^k for the k with 2k = t_c (mod N) that is
+    t_c/2 when t_c is even (the only one when N is odd).  A nonzero value
+    flips sign under the other branch, so only its magnitude is
+    branch-free."""
 
     value: int | None
     integral: bool
@@ -1185,12 +1170,17 @@ class LambdaReport:
 
 def lambda_signature(md: ModularData, a, c) -> LambdaReport:
     """Divide the R-sum by its ribbon phase; the result must be a plain
-    integer (a signed count of eigenvalue multiplicities)."""
+    integer (a signed count of eigenvalue multiplicities).  ValueError
+    when N is even and t_c odd: then theta_c has no square root zeta^k
+    in Q(zeta_N)."""
     a, c = md.index_of(a), md.index_of(c)
-    half = (md.root_order + 1) // 2
-    # theta_a cancels against the theta_a^-1 of r(a, c).
-    shift = -half * int(md.twist_exps[c])
-    value = _shifted_value(md, _lift(_r_table(md)[a, c], md.root_order), shift) / md.total_dim**5
+    ne, t = md.root_order, int(md.twist_exps[c])
+    if t % 2 and ne % 2 == 0:
+        raise ValueError(f"theta of {md.labels[c]} = zeta_{ne}^{t} has no square root zeta_{ne}^k")
+    # theta_a cancels against the theta_a^-1 of r(a, c); theta_c^(1/2) = zeta^k
+    # with k = t_c/2, or (t_c + N)/2 for odd t_c at odd N.
+    shift = -((t + (t % 2) * ne) // 2)
+    value = CycloNumber(ne, map_exponents(ne, _r_table(md)[a, c], shifts=shift)) / md.total_dim**5
     if not value.is_integer():
         return LambdaReport(value=None, integral=False, branch_sensitive=True)
     n = int(value.as_fraction())
@@ -1215,10 +1205,10 @@ def two_strand_closure(md: ModularData, a, b, n: int, parity: str) -> CycloNumbe
     if parity == "odd":
         if a != b:
             raise ValueError("odd closures are knots: both strands carry one color")
-        # sum_c d_c theta_c^n R~(a, c) in Python ints, then theta_a^-(2n+1) / D^5
-        hist = md.dims.astype(object) @ _roll_rows(_lift(_r_table(md)[a], ne), n * md.twist_exps)
-        shift = -(2 * n + 1) * int(md.twist_exps[a])
-        return _shifted_value(md, hist, shift) / md.total_dim**5
+        # sum_c d_c theta_c^n theta_a^-(2n+1) R~(a, c) in Python ints, then / D^5
+        shifts = n * md.twist_exps - (2 * n + 1) * int(md.twist_exps[a])
+        terms = map_exponents(ne, _r_table(md)[a], shifts=shifts)
+        return CycloNumber(ne, md.dims.astype(object) @ terms) / md.total_dim**5
     raise ValueError("parity must be 'even' or 'odd'")
 
 
@@ -1323,8 +1313,10 @@ def lens_space_via_chain_braid(md: ModularData, p_surgery: int, q_surgery: int) 
     for first in range(n):
         colorings = np.concatenate([np.full((len(rest), 1), first), rest], axis=1)
         # Each component, colored y, carries the framing theta_y^digit.
-        counts = trace_counts(ctx, word, colorings, md.twist_exps[colorings] @ np.array(digits))
-        hist += np.prod(md.dims[colorings], axis=1) @ counts
+        shifts = md.twist_exps[colorings] @ np.array(digits)
+        indptr, exps, counts = sparse_trace_counts(ctx, word, colorings, shifts)
+        weights = np.prod(md.dims[colorings], axis=1).repeat(np.diff(indptr))
+        np.add.at(hist, exps, weights * counts)
     return CycloNumber.from_root_counts(ne, hist) / md.total_dim ** (n_comp + 1)
 
 
@@ -1538,8 +1530,8 @@ def _w_values(d: TheoryData, rows, cols) -> np.ndarray:
     """The exact W_ab = V_ab zeta^-(t_a + t_b) for a in rows and b in cols,
     as (len(rows), len(cols), phi(N)) canonical numerators."""
     a, b = np.asarray(rows)[:, None], np.asarray(cols)[None, :]
-    lifts = _lift(d.values[d.w_keys[a, b]], d.root_order)
-    return reduce_counts(d.root_order, _roll_rows(lifts, -(d.t_keys[a] + d.t_keys[b])))
+    shifts = -(d.t_keys[a] + d.t_keys[b])
+    return map_exponents(d.root_order, d.values[d.w_keys[a, b]], shifts=shifts)
 
 
 def obstruction_certificate(

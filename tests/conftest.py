@@ -1,11 +1,23 @@
 """Shared fixtures: the heavy per-theory objects (modular data, W-matrix,
-fingerprint data) are built once per session and reused everywhere."""
+fingerprint data) are built once per session and reused everywhere.
+`dense_traces` is the one place where the tests densify trace rows."""
 
+import numpy as np
 import pytest
 
 from stw import modular
+from stw.braid import sparse_trace_counts
 from stw.cocycle import CocycleParams
 from stw.group import GroupSpec
+
+
+def dense_traces(ctx, word, colorings, shifts=None) -> np.ndarray:
+    """The traces of `sparse_trace_counts` as (C, N) int64 histograms:
+    row c holds the count of each of its nonzero bins at its exponent."""
+    indptr, exps, counts = sparse_trace_counts(ctx, word, colorings, shifts)
+    out = np.zeros((len(indptr) - 1, ctx.root_order), dtype=np.int64)
+    out[np.arange(len(out)).repeat(np.diff(indptr)), exps] = counts
+    return out
 
 
 @pytest.fixture(scope="session")

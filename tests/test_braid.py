@@ -19,12 +19,11 @@ from stw.braid import (
     parse_braid,
     representation_operator,
     sparse_trace_counts,
-    trace_counts,
     zero_framed_invariant,
     zero_framing_shifts,
 )
 from stw.cocycle import CocycleParams
-from stw.cyclotomic import CycloNumber, _roll_rows, euler_phi, root_of_unity
+from stw.cyclotomic import CycloNumber, euler_phi, root_of_unity
 from stw.double import (
     DoubleContext,
     associator_scalar,
@@ -36,6 +35,8 @@ from stw.double import (
     twist,
 )
 from stw.group import GroupElement, GroupSpec
+
+from conftest import dense_traces
 
 SPEC = GroupSpec(11, 5, 4)
 
@@ -411,12 +412,13 @@ def test_batched_trace_matches_single_colorings_and_scalar_walk(strands, letters
     ctx = context_for(params)
     prefixes = [BraidWord(strands, letters[:t]) for t in range(len(letters))]
     assert any(braid._associator(ctx, w, row) % ctx.root_order for w in prefixes for row in idx)
-    batched = trace_counts(ctx, word, idx)
+    batched = dense_traces(ctx, word, idx)
     assert batched.shape == (len(colorings), ctx.root_order)
     assert np.array_equal(batched, _scalar_batch(strands, letters))
     # A shift per coloring multiplies its trace by zeta^shift.
     shifts = 7 * np.arange(len(idx)) - 3
-    assert np.array_equal(trace_counts(ctx, word, idx, shifts), _roll_rows(batched, shifts))
+    rolled = np.stack([np.roll(row, shift) for row, shift in zip(batched, shifts)])
+    assert np.array_equal(dense_traces(ctx, word, idx, shifts), rolled)
     for row, labels in zip(batched, colorings):
         assert np.array_equal(row, framed_trace_counts(params, word, labels)), labels
 
@@ -436,9 +438,9 @@ def test_batched_trace_over_runs_of_mixed_dimensions():
     for batch in (pairs, shuffled):
         idx = batch[:, [0, 1, 0]]
         assert len(set(map(tuple, ctx.dims[idx].tolist()))) > 2
-        for row, colors in zip(trace_counts(ctx, word, idx), idx.tolist()):
+        for row, colors in zip(dense_traces(ctx, word, idx), idx.tolist()):
             if tuple(colors) not in singles:
-                singles[tuple(colors)] = trace_counts(ctx, word, [colors])[0]
+                singles[tuple(colors)] = dense_traces(ctx, word, [colors])[0]
             assert np.array_equal(row, singles[tuple(colors)]), colors
 
 
@@ -447,11 +449,13 @@ def test_batched_trace_over_runs_of_mixed_dimensions():
 @pytest.mark.parametrize("zero_framed", [False, True])
 def test_sparse_traces_are_the_nonzero_bins(group, text, strands, zero_framed):
     """The CSR triples of `sparse_trace_counts` on every color pair of the
-    S word and the clasp word, bare and with `zero_framing_shifts`, are
-    the nonzero bins of `trace_counts` row by row, exponents increasing:
-    an empty row where no tuple is fixed, and every count the pinned
-    walk's count times the pin factor d."""
-    ctx = context_for(CocycleParams(GroupSpec(*group), 1))
+    S word and the clasp word, bare and with `zero_framing_shifts`, hold
+    nonzero counts at exponents below N, increasing within each row, every
+    count the pinned walk's count times the pin factor d; on every 7th
+    coloring the row's bins are the nonzero bins of the one-coloring
+    histogram `framed_trace_counts` with the same shift."""
+    params = CocycleParams(GroupSpec(*group), 1)
+    ctx = context_for(params)
     word = parse_braid(text, strands)
     info = closure_structure(word)
     n = len(ctx.simples)
@@ -459,13 +463,19 @@ def test_sparse_traces_are_the_nonzero_bins(group, text, strands, zero_framed):
     first = np.isin(np.arange(1, strands + 1), max(info.components, key=len))
     colorings = np.where(first, a[:, None], b[:, None])
     shifts = zero_framing_shifts(ctx, info, colorings) if zero_framed else None
-    dense = trace_counts(ctx, word, colorings, shifts)
     indptr, exps, counts = sparse_trace_counts(ctx, word, colorings, shifts)
-    rows, bins = dense.nonzero()
-    assert np.array_equal(np.diff(indptr), np.count_nonzero(dense, axis=1)) and indptr[0] == 0
-    assert np.array_equal(exps, bins) and np.array_equal(counts, dense[rows, bins])
+    assert indptr[0] == 0 and indptr[-1] == len(exps) == len(counts)
+    assert (np.diff(indptr) >= 0).all()
+    rows = np.arange(n * n).repeat(np.diff(indptr))
+    assert ((exps >= 0) & (exps < ctx.root_order)).all() and (counts != 0).all()
+    assert (np.diff(exps)[rows[1:] == rows[:-1]] > 0).all()
     pins = ctx.dims[colorings].max(axis=1)
     assert (pins > 1).any() and not (counts % pins[rows]).any()
+    for c in range(0, n * n, 7):
+        labels = [ctx.simples[k].label for k in colorings[c]]
+        single = framed_trace_counts(params, word, labels, 0 if shifts is None else shifts[c])
+        assert np.array_equal(exps[indptr[c] : indptr[c + 1]], single.nonzero()[0]), labels
+        assert np.array_equal(counts[indptr[c] : indptr[c + 1]], single[single != 0]), labels
 
 
 @pytest.mark.parametrize("strands, letters", ASSOCIATOR_WORDS)
@@ -494,7 +504,7 @@ def test_trace_does_not_depend_on_the_walk_block(monkeypatch, strands, letters, 
             size = int(dims.prod(axis=1).sum()) if block == "all" else block
             monkeypatch.setattr(braid, "_WALK_BLOCK", size)
             walks.clear()
-            assert np.array_equal(trace_counts(ctx, word, batch), expected)
+            assert np.array_equal(dense_traces(ctx, word, batch), expected)
             walked = sum(_walked_tuples(ctx, batch))
             assert len(walks) == -(-walked // size) and (block == "all" or len(walks) > 1)
         value = framed_invariant(params, word, colorings[0])
@@ -522,13 +532,13 @@ def test_wide_vector_dtype_gives_the_same_histograms(monkeypatch):
         batches.append((word, idx))
     for word, idx in batches:
         assert braid._start(wide, idx)[0].dtype == np.int32
-        assert np.array_equal(trace_counts(wide, word, idx), trace_counts(narrow, word, idx))
+        assert np.array_equal(dense_traces(wide, word, idx), dense_traces(narrow, word, idx))
 
 
 @pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4)])
 def test_operator_fixed_points_reproduce_the_trace(group):
-    """`representation_operator` walks with phases in one pass and
-    `trace_counts` in two.  On a closed coloring the associator cancels,
+    """`representation_operator` and the traces walk the same crossings;
+    on a closed coloring the associator cancels,
     so the operator's fixed points binned by exponent are the trace."""
     params = CocycleParams(GroupSpec(*group), 1)
     ctx = context_for(params)
@@ -548,7 +558,7 @@ def test_operator_fixed_points_reproduce_the_trace(group):
             assert op.source_dims == op.target_dims
             fixed = op.perm == np.arange(len(op.perm))
             expected = np.bincount(op.exponents[fixed], minlength=ctx.root_order)
-            counts = trace_counts(ctx, word, [colors])[0]
+            counts = dense_traces(ctx, word, [colors])[0]
             assert np.array_equal(counts, expected), labels
             traced += counts.sum()
     assert traced > 0
@@ -576,7 +586,7 @@ def test_batched_trace_rejects_inconsistent_coloring():
     good, bad = ["B_1_0", "A_1_2", "B_1_0"], ["B_1_0", "A_1_2", "B_2_0"]
     idx = [[ctx.index_of(lab) for lab in labels] for labels in (good, bad)]
     with pytest.raises(InconsistentColoringError, match=r"\(1, 3\).*B_1_0.*B_2_0"):
-        trace_counts(ctx, parse_braid(CLASP, 3), idx)
+        sparse_trace_counts(ctx, parse_braid(CLASP, 3), idx)
 
 
 @pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4)])
@@ -668,7 +678,7 @@ def test_fixed_tuples_and_phases_are_constant_on_g_orbits(group, u):
 
 @pytest.mark.parametrize("group", ORBIT_GROUPS)
 def test_pinned_trace_matches_operator_fixed_points(group):
-    """`trace_counts` walks one strand pinned to its object's first vector
+    """A trace walks one strand pinned to its object's first vector
     and multiplies by that object's dimension; on closed colorings of
     mixed dimensions on up to 5 strands, with shifts, it equals the
     fixed points of the full operator binned by exponent."""
@@ -683,7 +693,7 @@ def test_pinned_trace_matches_operator_fixed_points(group):
             word = _random_word(rng, strands, int(rng.integers(strands, 2 * strands + 3)))
             colorings = _closed_colorings(rng, word, len(ctx.simples), 3)
             shifts = rng.integers(-ne, ne, size=len(colorings))
-            counts = trace_counts(ctx, word, colorings, shifts)
+            counts = dense_traces(ctx, word, colorings, shifts)
             for row, colors, shift in zip(counts, colorings, shifts):
                 op = representation_operator(params, word, colors.tolist())
                 fixed = op.perm == np.arange(len(op.perm))
@@ -734,7 +744,7 @@ def test_a_split_object_is_rejected_before_any_trace(monkeypatch):
     fixed = (end[0] == start[0]) & (end[1] == start[1])
     full = np.bincount(expo[fixed] % ctx.root_order, minlength=ctx.root_order)
     assert full.sum() == 1
-    assert trace_counts(ctx, word, colors)[0].sum() == 7
+    assert sparse_trace_counts(ctx, word, colors)[2].sum() == 7
 
 
 # ----- the second pin: one tuple per orbit of the pinned vector's stabiliser -
@@ -801,7 +811,7 @@ SECOND_PIN_WORDS = [
 @pytest.mark.parametrize("group", SECOND_PIN_GROUPS)
 def test_second_pin_matches_operator_fixed_points(monkeypatch, group, u):
     """With the second pin taken wherever it gains (`_SECOND_PIN_MIN` and
-    `_SECOND_PIN_BATCH_MIN` set to 0), `trace_counts` with shifts, `sparse_trace_counts` and the
+    `_SECOND_PIN_BATCH_MIN` set to 0), `sparse_trace_counts` with shifts and the
     one-coloring `framed_invariant` and `framed_trace_counts` equal the
     fixed points of `representation_operator` over all tuples, with no
     pin.  The colorings put B objects on every component (strand j on
@@ -827,15 +837,13 @@ def test_second_pin_matches_operator_fixed_points(monkeypatch, group, u):
             colorings[:, [s - 1 for s in comp]] = [[rng.choice(pool)] for pool in pools]
         shifts = rng.integers(-ne, ne, size=len(colorings))
         walked.clear()
-        counts = trace_counts(ctx, word, colorings, shifts)
-        assert sum(walked) == sum(_walked_tuples(ctx, colorings))
         indptr, exps, sparse = sparse_trace_counts(ctx, word, colorings, shifts)
-        for c, (row, colors, shift) in enumerate(zip(counts, colorings.tolist(), shifts)):
+        assert sum(walked) == sum(_walked_tuples(ctx, colorings))
+        for c, (colors, shift) in enumerate(zip(colorings.tolist(), shifts)):
             op = representation_operator(params, word, colors)
             fixed = op.perm == np.arange(len(op.perm))
             expected = np.bincount((op.exponents[fixed] + shift) % ne, minlength=ne)
-            assert np.array_equal(row, expected), (group, u, text, colors)
-            assert np.array_equal(exps[indptr[c] : indptr[c + 1]], expected.nonzero()[0])
+            assert np.array_equal(exps[indptr[c] : indptr[c + 1]], expected.nonzero()[0]), (group, u, text, colors)
             assert np.array_equal(sparse[indptr[c] : indptr[c + 1]], expected[expected > 0])
             bare = np.roll(expected, -shift)
             assert np.array_equal(framed_trace_counts(params, word, colors), bare)
@@ -916,7 +924,7 @@ def test_pass_one_walks_the_tuples_of_the_unpinned_strands(monkeypatch):
     def trace(word, colorings):
         walks.clear()
         gathers.clear()
-        counts = trace_counts(ctx, word, colorings)
+        counts = dense_traces(ctx, word, colorings)
         walked = sum(size for _, _, size in walks)
         assert len(walks) == -(-walked // braid._WALK_BLOCK)  # one walk per block
         assert len(gathers) == len(walks)
@@ -1076,7 +1084,7 @@ def test_one_coloring_invariants_are_rows_of_a_batch(group):
     """`zero_framed_invariant` and `framed_invariant` take the one-coloring
     branch (closure check, pin and start on the Python row, no coloring
     index, the value from the exponent counts); on random words on 1 to 5
-    strands each equals its row of a batch `trace_counts` of several
+    strands each equals its row of a batch `sparse_trace_counts` of several
     colorings, with and without `zero_framing_shifts`."""
     params = CocycleParams(GroupSpec(*group), 1)
     ctx = context_for(params)
@@ -1091,8 +1099,8 @@ def test_one_coloring_invariants_are_rows_of_a_batch(group):
             colorings = _closed_colorings(rng, word, n, 3)
             if strands == 5:  # at most one strand of the largest dimension
                 colorings[1:] = rng.choice(small, size=(2, 1))
-            batch = trace_counts(ctx, word, colorings)
-            shifted = trace_counts(ctx, word, colorings, zero_framing_shifts(ctx, info, colorings))
+            batch = dense_traces(ctx, word, colorings)
+            shifted = dense_traces(ctx, word, colorings, zero_framing_shifts(ctx, info, colorings))
             for coloring, row, zero_row in zip(colorings.tolist(), batch, shifted):
                 labels = [ctx.simples[c].label for c in coloring]
                 framed = framed_invariant(params, word, labels)

@@ -3,16 +3,21 @@
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stw.cyclotomic import (
     CycloNumber,
     _division_terms,
+    _poly_divide_exact,
     cyclotomic_polynomial,
     euler_phi,
+    map_exponents,
     reduce_counts,
     reduction_bound_factor,
     root_of_unity,
@@ -33,6 +38,32 @@ def test_polynomial_and_totient_small_orders():
     assert cyclotomic_polynomial(25) == expected_25
     assert euler_phi(275) == 200
     assert euler_phi(55) == 40
+
+
+@lru_cache(maxsize=None)
+def _recursive_phi(n):
+    """Reference: Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_divide_exact(poly, _recursive_phi(d))
+    return tuple(poly)
+
+
+def test_polynomials_at_the_radical_match_the_recursive_definition():
+    """Phi_n from the radical of n equals the recursive definition for
+    every n <= 400, and the cofactor Psi_n of `_division_terms`
+    satisfies Phi_n Psi_n = x^n - 1."""
+    for n in range(1, 401):
+        modulus = cyclotomic_polynomial(n)
+        assert modulus == _recursive_phi(n), n
+        phi_terms, psi_terms, _ = _division_terms(n)
+        assert phi_terms == tuple((s, c) for s, c in enumerate(modulus[:-1]) if c)
+        cofactor = np.zeros(n - euler_phi(n) + 1, dtype=np.int64)
+        for t, c in psi_terms:
+            cofactor[len(cofactor) - 1 - t] = c
+        product = np.convolve(np.array(modulus), cofactor)
+        assert product[0] == -1 and product[-1] == 1 and not product[1:-1].any(), n
 
 
 def test_roots_of_unity_basic_identities():
@@ -355,3 +386,63 @@ def test_reduce_counts_early_exit_equals_the_full_division(n):
             picks = rng.integers(0, len(kinds), size=16 if big else 256)
             rows = np.concatenate([_rows_ending_at(rng, n, kinds[i], 1, big) for i in picks])
             assert reduce_counts(n, rows).tolist() == _full_sparse_division(n, rows), (big, kinds)
+
+
+# ----- map_exponents against CycloNumber arithmetic -------------------------
+
+MAP_ORDERS = (20, 28, 63, 275)
+
+
+def _conjugate_by_loop(x):
+    """Reference: complex conjugation entry by entry, zeta^i -> zeta^(n - i)."""
+    n = x.order
+    vec = [0] * n
+    for i, c in enumerate(x.num):
+        vec[(n - i) % n] += c
+    return CycloNumber.from_coeffs(n, [Fraction(c, x.den) for c in vec])
+
+
+@st.composite
+def _histograms(draw):
+    """An order from MAP_ORDERS, two sparse integer histograms of that
+    length, two units and a shift."""
+    n = draw(st.sampled_from(MAP_ORDERS))
+    units = [f for f in range(1, n) if gcd(f, n) == 1]
+    pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(-6, 6)), max_size=10)
+    hists = []
+    for _ in range(2):
+        hist = np.zeros(n, dtype=np.int64)
+        for j, c in draw(pairs):
+            hist[j] += c
+        hists.append(hist)
+    f, g = draw(st.sampled_from(units)), draw(st.sampled_from(units))
+    return n, hists[0], hists[1], f, g, draw(st.integers(-2 * n, 2 * n))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(_histograms())
+def test_map_exponents_agrees_with_cyclo_arithmetic(case):
+    """map_exponents(n, x, f, s) is zeta^s sigma_f(x): a shift alone is a
+    product with `root_of_unity(s)`, f = -1 is complex conjugation,
+    sigma_f is multiplicative, and sigma_f sigma_g = sigma_fg."""
+    n, hx, hy, f, g, s = case
+    x, y = (CycloNumber.from_root_counts(n, h) for h in (hx, hy))
+
+    def image(h, f=1, s=0):
+        return CycloNumber(n, map_exponents(n, h, f, s))
+
+    assert image(hx, 1, s) == x * root_of_unity(s, n)
+    assert image(hx, -1) == x.conjugate() == _conjugate_by_loop(x)
+    assert image(np.array((x * y).num), f) == image(hx, f) * image(hy, f)
+    assert image(map_exponents(n, hx, g), f) == image(hx, f * g)
+    # Rows with one shift each are the rows mapped one at a time.
+    shifts = np.array([s, -s, 0])
+    rows = map_exponents(n, np.stack([hx, hy, hx]), f, shifts)
+    for row, h, shift in zip(rows, (hx, hy, hx), shifts):
+        assert np.array_equal(row, map_exponents(n, h, f, shift))
+
+
+@pytest.mark.parametrize("n, f", [(275, 0), (275, 5), (275, 55), (20, 2), (63, -21)])
+def test_map_exponents_refuses_a_non_unit(n, f):
+    with pytest.raises(ValueError, match="not a unit"):
+        map_exponents(n, np.ones(n, dtype=np.int64), f)

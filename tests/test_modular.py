@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 from stw import cli, double, modular
-from stw.braid import BraidWord, closure_structure, parse_braid, trace_counts, zero_framing_shifts
+from stw.braid import BraidWord, closure_structure, parse_braid, zero_framing_shifts
 from stw.braid import framed_invariant
 from stw.cocycle import CocycleParams
-from stw.cyclotomic import CycloNumber, _roll_rows, euler_phi, reduce_counts, root_of_unity
+from stw.cyclotomic import CycloNumber, euler_phi, reduce_counts, root_of_unity
 from stw.double import context_for, sigma_inverse_action
 from stw.group import GroupData, GroupSpec, identity, inverse
+
+from conftest import dense_traces
 
 # Pinned twist tables: B_k_s has twist zeta_25^e with e read off row k,
 # column s; A_l_m has twist zeta_11^(l*m); I twists are 1.
@@ -353,6 +355,14 @@ def _galois_image(counts: np.ndarray, f: int) -> np.ndarray:
     image = np.zeros_like(counts)
     image[f * np.arange(len(counts)) % len(counts)] = counts
     return image
+
+
+@pytest.mark.parametrize("f", [0, 5, 11, 55])
+def test_galois_permutation_refuses_a_non_unit(md_u, f):
+    """sigma_f is an automorphism only for f a unit mod N = 275; a
+    non-unit would send distinct values of S to colliding images."""
+    with pytest.raises(ValueError, match="not a unit"):
+        md_u(1).galois_permutation(f)
 
 
 def test_galois_check_catches_a_wrong_conjugate_pair(small_md):
@@ -728,6 +738,24 @@ def test_lambda_signatures(md_u):
         assert modular.lambda_signature(md, "B_1_0", c).integral
 
 
+@pytest.mark.parametrize("group, integral", [((7, 2, 6), 728), ((5, 2, 4), 224)])
+def test_lambda_signatures_at_even_order(group, integral):
+    """At p = 2, N = 4q is even and 2 has no inverse mod N.  For an even
+    twist exponent t_c the square root of theta_c is zeta^(t_c/2), and
+    every Lambda_ac is an integer; an odd t_c has no square root zeta^k
+    in Q(zeta_N) and is refused."""
+    md = modular.modular_data(CocycleParams(GroupSpec(*group), 1))
+    even = np.flatnonzero(md.twist_exps % 2 == 0)
+    odd = np.flatnonzero(md.twist_exps % 2)
+    assert md.root_order % 2 == 0 and len(odd) and md.n_objects * len(even) == integral
+    for a in range(md.n_objects):
+        for c in even:
+            assert modular.lambda_signature(md, a, c).integral, (a, c)
+    for c in odd:
+        with pytest.raises(ValueError, match="no square root"):
+            modular.lambda_signature(md, 0, c)
+
+
 def test_fs_indicators(md_u):
     md = md_u(1)
     assert modular.fs_indicator(md, 0, 1) == 1
@@ -1101,14 +1129,14 @@ def _reference_ids(params):
     ctx = context_for(params)
     n = len(ctx.simples)
     s_rows = (
-        trace_counts(ctx, BraidWord(2, (-1, -1)), np.stack([np.full(n, a), np.arange(n)], 1))
+        dense_traces(ctx, BraidWord(2, (-1, -1)), np.stack([np.full(n, a), np.arange(n)], 1))
         for a in range(n)
     )
     word = parse_braid(modular.WHITEHEAD_WORD, 3)
     info = closure_structure(word)
     is_doubled = np.isin(np.arange(1, 4), max(info.components, key=len))
     colorings = (np.where(is_doubled, a, np.arange(n)[:, None]) for a in range(n))
-    v_rows = (trace_counts(ctx, word, c, zero_framing_shifts(ctx, info, c)) for c in colorings)
+    v_rows = (dense_traces(ctx, word, c, zero_framing_shifts(ctx, info, c)) for c in colorings)
     return _bytes_value_ids(ctx.root_order, s_rows), _bytes_value_ids(ctx.root_order, v_rows)
 
 
@@ -1116,7 +1144,10 @@ def _reference_w(md, wm):
     """W keyed the reference way: each row of V's lifts rolled by
     -(t_a + t_b), keyed into the table of S."""
     t, lifts = wm.twist_exps, modular._lift(wm.v_values, wm.root_order)
-    rows = (_roll_rows(lifts[wm.v_ids[a]], -(t[a] + t)) for a in range(len(t)))
+    rows = (
+        np.stack([np.roll(lift, -(t[a] + tb)) for lift, tb in zip(lifts[wm.v_ids[a]], t)])
+        for a in range(len(t))
+    )
     index = {v.tobytes(): i for i, v in enumerate(md.s_values)}
     return _bytes_value_ids(md.root_order, rows, index)
 
