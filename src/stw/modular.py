@@ -49,7 +49,14 @@ the Gauss check and uses no prime.  The charge conjugation
 `ModularData.dual` is read off S exactly, as the f = -1 case of the row
 match of the Galois check.  `modularity_report` runs the Galois check
 and, in one loop over the primes, certifies unitarity, S^2 = D^2 times
-the dual permutation and (ST)^3 = D * S^2.
+the dual permutation and (ST)^3 = D * S^2.  The fusion rules
+(`verlinde_table`) follow from the same action: D^3 N_ab^c is rational
+and sigma_f maps it to D^3 N_{pi_f(a) pi_f(b)}^{pi_f(c)}, so
+N_{pi_f(a) pi_f(b)}^{pi_f(c)} = N_ab^c.  The Verlinde product is formed
+for one representative per orbit of the certified generators pi_g only
+(7 orbits on 49 objects at the flagship: 343 rows, not the 1,225 pairs
+a <= b), and every other object's rows are that representative's,
+permuted exactly.
 
 The equivalence search reads S, T and W only, never a certificate.
 W_ab = V_ab / (theta_a theta_b), so a bijection that preserves T maps W
@@ -141,8 +148,9 @@ _BLOCK = 64
 _SUMS_PER_REDUCTION = 1024
 # Histograms transformed per product in _FreqPrime.evaluate.
 _EVAL_BLOCK = 256
-# Pairs (a, b) per product in verlinde_table.
-_VERLINDE_PAIRS = 2048
+# Rows (r, b) per product in verlinde_table: whole orbit representatives
+# r, at least one, so the product temporaries stay bounded.
+_VERLINDE_ROWS = 2048
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
@@ -286,6 +294,8 @@ class ModularData:
     _label_index: dict = field(repr=False, default_factory=dict)
     _verlinde: np.ndarray | None = field(init=False, repr=False, default=None)
     _conj: tuple[int, ...] | None = field(init=False, repr=False, default=None)  # certified
+    # pi_g for the generators g of `_unit_generators`, certified with `_conj`
+    _galois_gens: tuple[tuple[int, ...], ...] | None = field(init=False, repr=False, default=None)
     _r_table: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -551,8 +561,9 @@ def _galois_check(md: ModularData) -> tuple[int, ...]:
     d_{pi_f(a)} = d_a.  The rows of S~ are distinct, so G_f commutes with
     the conjugation G_{-1}.  Raises ArithmeticError naming the first
     failed condition: then S-tilde is not the S-matrix of any modular
-    category.  A passed check is kept on `md` (its `_conj`), so it runs
-    once per theory."""
+    category.  A passed check is kept on `md` (its `_conj`, and the
+    generator permutations pi_g in `_galois_gens`), so it runs once per
+    theory."""
     if md._conj is not None:
         return md._conj
     ids = md.s_ids
@@ -563,6 +574,7 @@ def _galois_check(md: ModularData) -> tuple[int, ...]:
         raise ArithmeticError(
             "Galois check fails: the unit row of S-tilde is not the dimension vector"
         )
+    gens = []
     for g, _ in _unit_generators(ne):
         perm = md.galois_permutation(g)
         if perm is None:
@@ -575,13 +587,39 @@ def _galois_check(md: ModularData) -> tuple[int, ...]:
                 f"Galois check fails: theta at pi_{g}(a) is not sigma_{g}^2(theta_a)"
                 f" for a = {md.labels[int(np.argmax(bad))]}"
             )
+        gens.append(perm)
     conj = md.galois_permutation(-1)
     if conj is None:
         raise ArithmeticError(
             "Galois check fails: complex conjugation does not permute the rows of S-tilde"
         )
+    md._galois_gens = tuple(gens)
     md._conj = conj
     return conj
+
+
+def _galois_orbits(gens, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits on range(n) of the group that the permutations gens
+    generate, by breadth-first search from the smallest object of each.
+    Returns rep, the smallest object of each object's orbit, and moves,
+    whose row a is a group element pi_a with pi_a(rep[a]) = a."""
+    gens = [np.asarray(g, dtype=np.int64) for g in gens]
+    rep = np.full(n, -1, dtype=np.int64)
+    moves = np.empty((n, n), dtype=np.int64)
+    for r in range(n):
+        if rep[r] >= 0:
+            continue
+        rep[r] = r
+        moves[r] = np.arange(n)
+        queue = [r]
+        for x in queue:
+            for g in gens:
+                y = int(g[x])
+                if rep[y] < 0:
+                    rep[y] = r
+                    moves[y] = g[moves[x]]  # pi_y = g pi_x
+                    queue.append(y)
+    return rep, moves
 
 
 def _unit_row_is_dims(md: ModularData) -> bool:
@@ -780,7 +818,7 @@ def verlinde(md: ModularData, a, b, c) -> int:
 
 def verlinde_table(md: ModularData) -> np.ndarray:
     """All fusion multiplicities N_ab^c as an (n, n, n) integer array,
-    certified exactly at one frequency.
+    certified exactly at one frequency, from one product per Galois orbit.
 
     D^3 N_ab^c = V_abc = sum_z S~_az S~_bz conj(S~_cz) w_z with
     w_z = D/d_z.  Once `_galois_check` passes (Coste and Gannon, Phys.
@@ -790,12 +828,26 @@ def verlinde_table(md: ModularData) -> np.ndarray:
     So V_abc is fixed by the whole Galois group: it is a rational integer,
     and its value at gamma mod P is V_abc mod P.  The CRT over the
     checker's primes, whose product exceeds twice the bound, gives V_abc
-    exactly; it must be a nonnegative multiple of D^3.  Raises
-    ArithmeticError if the Galois check or the last test fails."""
+    exactly; it must be a nonnegative multiple of D^3.
+
+    The rows transport along the same action: sigma_f permutes the rows
+    too, sigma_f(S~_az) = S~_{pi_f(a) z}, so sigma_f(V_abc) =
+    V_{pi_f(a) pi_f(b) pi_f(c)}, and rationality gives
+    N_{pi_f(a) pi_f(b)}^{pi_f(c)} = N_ab^c.  So the product is formed
+    for one representative r per orbit of the certified pi_g
+    (`_galois_orbits`) only: per prime, the (r, b, z) residues of
+    S~_rz S~_bz w_z times conj(S~)^T, the matrix S~ Lambda_r S~^dagger of
+    Lambda_r = diag(S~_rz w_z), in blocks of whole representatives.
+    Each object a = pi_a(r) takes N_r with rows and columns through
+    pi_a^-1, one object at a time.  Raises ArithmeticError if the Galois
+    check fails or a representative's row is not nonnegative-integral."""
     if md._verlinde is not None:
         return md._verlinde
     conj = list(_galois_check(md))
     n = md.n_objects
+    rep, moves = _galois_orbits(md._galois_gens, n)
+    objects = np.arange(n)
+    reps = np.flatnonzero(rep == objects)
     l1 = np.abs(md.s_values).sum(axis=1)[md.s_ids]
     weights = (md.total_dim // md.dims).astype(np.int64)
     colmax = np.max(l1, axis=0).astype(object)
@@ -807,21 +859,21 @@ def verlinde_table(md: ModularData) -> np.ndarray:
     for fp in checker.freq:
         s = _evaluations(fp, md.s_values, md.s_ids, [1])[0]
         evals.append((fp.prime, s, s * weights % fp.prime, s[conj].T))
-    # The rows S~_az S~_bz w_z times conj(S~)^T give V_abc at gamma.  They
-    # are symmetric in (a, b), so only a <= b is formed, in fixed blocks of
-    # pairs that bound the product temporaries.
-    upper_a, upper_b = np.triu_indices(n)
     scale = md.total_dim**3
     table = np.empty((n, n, n), dtype=np.int64)
-    for start in range(0, len(upper_a), _VERLINDE_PAIRS):
-        a = upper_a[start : start + _VERLINDE_PAIRS]
-        b = upper_b[start : start + _VERLINDE_PAIRS]
-        per_prime = [_mulmod(s[a] * sw[b] % prime, s_conj_t, prime)
+    step = max(1, _VERLINDE_ROWS // n)
+    for start in range(0, len(reps), step):
+        r = reps[start : start + step]
+        per_prime = [_mulmod(s[r][:, None, :] * sw % prime, s_conj_t, prime)
                      for prime, s, sw, s_conj_t in evals]
         exact = _crt_centered(per_prime, checker.primes)
         if np.any(exact % scale) or np.any(exact < 0):
             raise ArithmeticError("Verlinde table is not nonnegative-integral")
-        table[a, b] = table[b, a] = exact // scale
+        table[r] = exact // scale
+    inverse = np.empty(n, dtype=np.int64)
+    for a in np.flatnonzero(rep != objects):
+        inverse[moves[a]] = objects  # pi_a^-1
+        table[a] = table[rep[a]][inverse[:, None], inverse]
     md._verlinde = table
     return table
 
@@ -1010,27 +1062,36 @@ def ba_block_formula_report(wm: WMatrix) -> tuple[bool, list[str]]:
     -(1-x)(1-x^-1) - 1 = x + x^-1 - 3 and theta_B exponent -1."""
     spec = wm.params.spec
     q, p = spec.q, spec.p
-    failures = []
     ne = wm.root_order
-    t = wm.twist_exps
-    cols = np.array(
-        [b for b, lb in enumerate(wm.labels) if lb.startswith("A_")], dtype=np.int64
-    )
+    labels = wm.labels
+    rows = np.array([a for a, la in enumerate(labels) if la.startswith("B_")], dtype=np.int64)
+    cols = np.array([b for b, lb in enumerate(labels) if lb.startswith("A_")], dtype=np.int64)
     # l*m of each A_l_m column
-    lms = np.array(
-        [math.prod(map(int, wm.labels[b].split("_")[1:])) for b in cols], dtype=np.int64
-    )
-    for a, la in enumerate(wm.labels):
-        if not la.startswith("B_"):
-            continue
-        x = spec.n_pow(int(la.split("_")[1]))
+    lms = np.array([math.prod(map(int, labels[b].split("_")[1:])) for b in cols], dtype=np.int64)
+    # the theta_A exponent c of W on each B_k_s row, from x = n^k mod q
+    cs = []
+    for a in rows:
+        x = spec.n_pow(int(labels[a].split("_")[1]))
         v = (1 - x) * (1 - pow(x, -1, q))  # the theta_A exponent of V
-        c = ((-v if wm.mirror else v) - 1) % q
-        # W = q*p * theta_A^c theta_B^-1 with theta_A = zeta_q^(l m) = zeta_N^(l m N/q),
-        # so V = W theta_B theta_b = q*p * zeta_N^(c l m N/q + t_b), exactly.
-        expected = map_exponents(ne, [q * p], shifts=c * lms * (ne // q) + t[cols])
-        wrong = np.any(expected != wm.v_values[wm.v_ids[a, cols]], axis=1)
-        failures += [f"BA formula fails at ({la}, {wm.labels[b]})" for b in cols[wrong]]
+        cs.append(((-v if wm.mirror else v) - 1) % q)
+    # W = q*p * theta_A^c theta_B^-1 with theta_A = zeta_q^(l m) = zeta_N^(l m N/q),
+    # so V = W theta_B theta_b = q*p * zeta_N^(c l m N/q + t_b), exactly.
+    shifts = (np.outer(cs, lms) * (ne // q) + wm.twist_exps[cols]) % ne
+    ids = wm.v_ids[np.ix_(rows, cols)]
+    # A pair is decided by its (shift, V id): one exponent map over the
+    # distinct shifts, at most q as theta_A^c theta_b is a q-th root of unity,
+    # and one compare per distinct (shift, id), so the numerators of the
+    # (B, A) pairs, (pairs, phi(N)), are never gathered.
+    shift_set, shift_of = np.unique(shifts, return_inverse=True)
+    expected = map_exponents(ne, [q * p], shifts=shift_set)
+    keys = shift_of.reshape(ids.shape) * len(wm.v_values) + ids
+    pairs, pair_of = np.unique(keys, return_inverse=True)
+    shift_at, id_at = np.divmod(pairs, len(wm.v_values))
+    wrong = np.any(expected[shift_at] != wm.v_values[id_at], axis=1)[pair_of.reshape(ids.shape)]
+    failures = [
+        f"BA formula fails at ({labels[rows[i]]}, {labels[cols[j]]})"
+        for i, j in zip(*np.nonzero(wrong))
+    ]
     return (not failures, failures)
 
 

@@ -181,7 +181,8 @@ def test_modular_certifies_the_galois_action_once(capsys, monkeypatch):
     """`stw modular` at the flagship matches S against its images under
     the two generators of (Z/275)^x and under complex conjugation, once
     each: the Galois check runs once per theory, and `dual` and
-    `verlinde_table` read the conjugation it certified."""
+    `verlinde_table` read the conjugation and the generator permutations
+    it certified."""
     calls = []
     permutation = modular.ModularData.galois_permutation
 

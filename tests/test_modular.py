@@ -277,6 +277,88 @@ def test_verlinde_table_rejects_perturbed_s(small_md):
         modular.verlinde_table(broken)
 
 
+def _full_pairs_verlinde(md):
+    """Oracle: N_ab^c from the product of every pair a <= b, the rows
+    S~_az S~_bz w_z times conj(S~)^T at frequency 1 per prime, then CRT,
+    with no transport along the Galois orbits."""
+    conj = list(modular._galois_check(md))
+    n = md.n_objects
+    l1 = np.abs(md.s_values).sum(axis=1)[md.s_ids]
+    weights = (md.total_dim // md.dims).astype(np.int64)
+    colmax = np.max(l1, axis=0).astype(object)
+    checker = modular._checker(md.root_order, int(np.sum(weights.astype(object) * colmax**3)))
+    a, b = np.triu_indices(n)
+    per_prime = []
+    for fp in checker.freq:
+        s = modular._evaluations(fp, md.s_values, md.s_ids, [1])[0]
+        per_prime.append(modular._mulmod(s[a] * (s[b] * weights % fp.prime) % fp.prime,
+                                         s[conj].T, fp.prime))
+    exact = modular._crt_centered(per_prime, checker.primes)
+    assert not np.any(exact % md.total_dim**3) and not np.any(exact < 0)
+    table = np.empty((n, n, n), dtype=np.int64)
+    table[a, b] = table[b, a] = exact // md.total_dim**3
+    return table
+
+
+@pytest.mark.parametrize("group", [(7, 3, 2), (7, 3, 4), (7, 2, 6), (5, 2, 4), (13, 3, 3),
+                                   (11, 5, 4)])
+@pytest.mark.parametrize("u", [0, 1])
+def test_verlinde_table_transports_orbit_rows_exactly(group, u):
+    """The rows transported along the Galois orbits equal the product over
+    all pairs, entry for entry and in int64; the scalar cyclotomic route
+    agrees on objects that are not their orbit's representative."""
+    md = modular.modular_data(CocycleParams(GroupSpec(*group), u))
+    table = modular.verlinde_table(md)
+    oracle = _full_pairs_verlinde(dataclasses.replace(md))
+    assert table.dtype == np.int64 and np.array_equal(table, oracle)
+    rep, _ = modular._galois_orbits(md._galois_gens, md.n_objects)
+    moved = np.flatnonzero(rep != np.arange(md.n_objects))
+    assert len(moved)
+    rng = np.random.default_rng(sum(group) + u)
+    for a in rng.choice(moved, size=min(2, len(moved)), replace=False):
+        b = rng.integers(md.n_objects)
+        support = np.flatnonzero(table[a, b])
+        for c in (rng.integers(md.n_objects), support[-1]):  # one random c, one in the support
+            assert modular.verlinde(md, a, b, c) == int(table[a, b, c])
+
+
+def test_verlinde_table_multiplies_one_row_block_per_orbit(md_u, monkeypatch):
+    """At the flagship the certified Galois action has 7 orbits on the 49
+    objects, so each prime's products over z form 7 * 49 = 343 rows
+    (r, b), not the 1,225 pairs a <= b.  (The evaluation of S~ at gamma is
+    a product over the N = 275 bins, not over z.)"""
+    expected = modular.verlinde_table(md_u(1))
+    md = dataclasses.replace(md_u(1))  # nothing cached: check and table afresh
+    rows: dict[int, int] = {}
+    real = modular._mulmod
+
+    def spy(a, b, prime):
+        if np.shape(a)[-1] == md.n_objects:
+            rows[prime] = rows.get(prime, 0) + math.prod(np.shape(a)[:-1])
+        return real(a, b, prime)
+
+    monkeypatch.setattr(modular, "_mulmod", spy)
+    table = modular.verlinde_table(md)
+    rep, _ = modular._galois_orbits(md._galois_gens, md.n_objects)
+    assert len(set(rep.tolist())) == 7
+    assert rows and all(count == 7 * 49 for count in rows.values())
+    assert np.array_equal(table, expected)
+
+
+def test_galois_orbits_move_each_representative_onto_its_objects(md_u):
+    """Each pi_a of `_galois_orbits` is a permutation that sends a's
+    representative to a, and the orbits are closed under every certified
+    generator."""
+    md = md_u(1)
+    modular._galois_check(md)
+    gens = [np.array(g) for g in md._galois_gens]
+    rep, moves = modular._galois_orbits(gens, md.n_objects)
+    objects = np.arange(md.n_objects)
+    assert np.array_equal(moves[objects, rep], objects)
+    assert all(np.array_equal(rep[g], rep) for g in gens)
+    assert all(sorted(m) == objects.tolist() for m in moves)
+
+
 def test_modularity_report_names_broken_unit_row(small_md):
     counts = small_md.s_counts
     counts[0, 3] = np.roll(counts[0, 3], 1)
@@ -538,6 +620,22 @@ def test_ba_block_report_names_corrupted_pair(params_u):
         counts[a, b] = np.roll(counts[a, b], 1)
         corrupted = _with_v_counts(wm, counts)
         ok, failures = modular.ba_block_formula_report(corrupted)
+        assert not ok
+        assert failures == ["BA formula fails at (B_2_3, A_1_7)"], mirror
+
+
+def test_ba_block_report_names_a_pair_given_another_pairs_id(params_u):
+    """One (B, A) pair takes the V id of another (B, A) pair with a
+    different closed form: a value the formula does give, at the wrong
+    pair.  That pair alone is named; the pairs that keep the id are not."""
+    for mirror in MIRRORS:
+        wm = modular.w_matrix(params_u(1), mirror)
+        a, b = wm.index_of("B_2_3"), wm.index_of("A_1_7")
+        donor = wm.index_of("A_2_5")
+        assert wm.v_ids[a, b] != wm.v_ids[a, donor]
+        ids = wm.v_ids.copy()
+        ids[a, b] = wm.v_ids[a, donor]
+        ok, failures = modular.ba_block_formula_report(dataclasses.replace(wm, v_ids=ids))
         assert not ok
         assert failures == ["BA formula fails at (B_2_3, A_1_7)"], mirror
 
