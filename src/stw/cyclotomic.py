@@ -531,15 +531,3 @@ def root_of_unity(s: int, order: int) -> CycloNumber:
     if order < 1:
         raise ValueError("order must be a positive integer")
     return CycloNumber(order, map_exponents(order, [1], shifts=s))
-
-
-@lru_cache(maxsize=None)
-def reduction_bound_factor(order: int) -> int:
-    """Bound transfer constant for reducing cyclic lifts: if a vector in
-    Z[x]/(x^order - 1) has L1 norm at most B, every coefficient of its
-    reduction modulo the order-th cyclotomic polynomial has magnitude at
-    most B times this factor: max |coefficient of x^j mod Phi_order|, j < order."""
-    phi = euler_phi(order)
-    # x^j for phi <= j < order: the lower powers are reduced already.
-    powers = np.eye(order - phi, order, k=phi, dtype=np.int64)
-    return max(1, int(np.abs(reduce_counts(order, powers)).max(initial=0)))

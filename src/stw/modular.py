@@ -14,14 +14,20 @@ rows seen before, and only the new rows are scattered to N bins and
 reduced.  No (colorings, N) block of histograms and no (n, n, N) array
 is built.
 Bulk identities are certified by a rigorous modular-evaluation scheme:
-the distinct values, lifted to histograms by padding to N (`_lift`), are
-mapped into F_P (for several primes P = 1 mod N) by evaluating at
-gamma^f with gamma of multiplicative order N, and gathered by id.
-Because P = 1 (mod N) splits completely in Z[zeta_N], E in Z[zeta_N]
-lies in P Z[zeta_N] iff its evaluations vanish at every frequency f
-coprime to N; E = 0 then follows once the product of the primes
-exceeds twice a bound, from the L1 norms of the same lifts, on the
-coefficients of E modulo Phi_N.  No floating point enters any decision.
+the canonical numerators of the distinct values are mapped into F_P
+(for several primes P = 1 mod N) by evaluating at gamma^f with gamma of
+multiplicative order N, and gathered by id.  Every certificate rests on
+one lemma.  Because P = 1 (mod N) splits completely in Z[zeta_N], X in
+Z[zeta_N] lies in P Z[zeta_N] iff its evaluations vanish at every
+frequency f coprime to N.  If they vanish mod each of the primes, X lies
+in (prod P) Z[zeta_N], so a nonzero X has |Norm X| >= (prod P)^phi(N),
+a nonzero rational integer being at least 1 in absolute value.  Every
+embedding has |sigma_f(X)| <= L1 of any integer vector of root
+coefficients that represents X, so L1 < prod P forces X = 0.  A rational
+integer, and each coefficient of a cyclic histogram, is recovered by
+centred CRT once prod P exceeds twice a bound on it.  Each checker
+takes primes whose product exceeds twice its bound (`_checker`).  No
+floating point enters any decision.
 
 The S identities need far fewer frequencies than phi(N).  In a modular
 category each Galois automorphism sigma_f (zeta -> zeta^f) acts on S as
@@ -48,8 +54,11 @@ Where each S identity is certified: `modular_data` runs the S traces and
 the Gauss check and uses no prime.  The charge conjugation
 `ModularData.dual` is read off S exactly, as the f = -1 case of the row
 match of the Galois check.  `modularity_report` runs the Galois check
-and, in one loop over the primes, certifies unitarity, S^2 = D^2 times
-the dual permutation and (ST)^3 = D * S^2.  The fusion rules
+and, in one loop over the primes, certifies S^2 = D^2 times the
+conjugation permutation, which is unitarity as S-tilde is symmetric,
+and (ST)^3 = D * S^2; S^2 passes when `dual` is that conjugation too.
+The norm bound of the lemma above makes each of these zero tests exact.
+The fusion rules
 (`verlinde_table`) follow from the same action: D^3 N_ab^c is rational
 and sigma_f maps it to D^3 N_{pi_f(a) pi_f(b)}^{pi_f(c)}, so
 N_{pi_f(a) pi_f(b)}^{pi_f(c)} = N_ab^c.  The Verlinde product is formed
@@ -92,7 +101,6 @@ from .cyclotomic import (
     euler_phi,
     map_exponents,
     reduce_counts,
-    reduction_bound_factor,
     root_of_unity,
 )
 from .double import _object_index, context_for, galois_relabel
@@ -181,11 +189,16 @@ def _mulmod(a: np.ndarray, b: np.ndarray, prime: int) -> np.ndarray:
 
 
 class _FreqPrime:
-    """Evaluation of histogram vectors at powers of a fixed root of unity
+    """Evaluation of integer vectors at powers of a fixed root of unity
     gamma modulo one prime, and the exact inverse transform.  Evaluations
     are frequency first: index i holds the values at gamma^freqs[i].  The
     transform tables are built per call for the frequencies asked for, so
-    a checker kept for the process holds only the n powers of gamma."""
+    a checker kept for the process holds only the n powers of gamma.
+
+    Evaluation at gamma^f mod P is reduction modulo one prime of
+    Z[zeta_n] above P (P = 1 mod n splits completely), so the residues
+    at the primitive f vanish exactly when the value lies in
+    P Z[zeta_n]; the zero tests of this module rest on that."""
 
     def __init__(self, prime: int, n: int):
         self.prime = prime
@@ -198,13 +211,16 @@ class _FreqPrime:
         self.pows = pows
 
     def evaluate(self, counts: np.ndarray, freqs: np.ndarray | None = None) -> np.ndarray:
-        """(..., n) integer vectors -> (F, ...) residues of the values at
-        gamma^f for the F frequencies f in freqs (default: all n)."""
+        """(..., L) integer vectors, L <= n, the coefficients of
+        zeta^0..zeta^(L-1) (canonical numerators or whole histograms) ->
+        (F, ...) residues of the values at gamma^f for the F frequencies f
+        in freqs (default: all n)."""
         c = np.asarray(counts, dtype=np.int64)
-        flat = c.reshape(-1, self.n)
+        length = c.shape[-1]
+        flat = c.reshape(-1, length)
         freqs = np.arange(self.n) if freqs is None else np.asarray(freqs)
-        # Row i of table holds gamma^(f_i * j), j = 0..n-1.
-        table = self.pows[np.outer(freqs, np.arange(self.n)) % self.n]
+        # Row i of table holds gamma^(f_i * j), j = 0..L-1.
+        table = self.pows[np.outer(freqs, np.arange(length)) % self.n]
         out = np.empty((len(table), len(flat)), dtype=np.int64)
         # Fixed blocks of vectors bound the limb and product temporaries.
         for start in range(0, len(flat), _EVAL_BLOCK):
@@ -214,11 +230,11 @@ class _FreqPrime:
 
     def invert(self, evals: np.ndarray) -> np.ndarray:
         """Inverse transform: (n, ...) residues at all n frequencies back
-        to the (..., n) residues of the histogram coefficients."""
-        flat = evals.reshape(self.n, -1)
-        inv_table = self.pows[-np.outer(np.arange(self.n), np.arange(self.n)) % self.n]
-        out = _mulmod(inv_table, flat, self.prime) * pow(self.n, -1, self.prime) % self.prime
-        return out.T.reshape(evals.shape[1:] + (self.n,))
+        to the (..., n) residues of the histogram coefficients, the
+        forward transform at the frequencies -k times n^-1."""
+        flat = np.moveaxis(evals, 0, -1)
+        out = self.evaluate(flat, -np.arange(self.n) % self.n) * pow(self.n, -1, self.prime)
+        return np.moveaxis(out % self.prime, 0, -1)
 
 
 def _crt_centered(residues: list[np.ndarray], primes: tuple[int, ...]) -> np.ndarray:
@@ -240,11 +256,9 @@ def _crt_centered(residues: list[np.ndarray], primes: tuple[int, ...]) -> np.nda
 
 class _ExactChecker:
     """Shared rigor machinery for one root order and prime count: primes,
-    one evaluator per prime, the primitive frequencies and the reduction
-    bound factor."""
+    one evaluator per prime and the primitive frequencies."""
 
     def __init__(self, order: int, prime_count: int):
-        self.kappa = reduction_bound_factor(order)
         self.primes = _verification_primes(order, prime_count)
         self.freq = [_FreqPrime(p, order) for p in self.primes]
         self.product = math.prod(self.primes)
@@ -258,12 +272,17 @@ def _checker_with(order: int, prime_count: int) -> _ExactChecker:
 
 def _checker(order: int, l1_bound: int) -> _ExactChecker:
     """The cached checker with the fewest primes, at least two, whose
-    product exceeds 2 * kappa * l1_bound: enough to certify values whose
-    cyclic lifts have L1 norm at most l1_bound."""
+    product exceeds 2 * l1_bound.  That certifies both uses of the
+    module's one lemma: a value with an integer representation of L1
+    norm at most l1_bound that vanishes mod every prime at every
+    primitive frequency is 0 (its norm would be a nonzero multiple of
+    (prod P)^phi, at most l1_bound^phi), and a rational integer or a
+    histogram coefficient of magnitude at most l1_bound is recovered by
+    centred CRT."""
     count = 2
     while True:
         checker = _checker_with(order, count)
-        if 2 * checker.kappa * int(l1_bound) < checker.product:
+        if 2 * int(l1_bound) < checker.product:
             return checker
         count += 1
 
@@ -630,14 +649,16 @@ def _unit_row_is_dims(md: ModularData) -> bool:
 
 def _evaluations(fp: _FreqPrime, values: np.ndarray, ids: np.ndarray, freqs) -> np.ndarray:
     """Residues modulo one prime of the entries ids of a value table at the
-    frequencies freqs, frequency first: (F,) + ids.shape.  Only the lifts
-    of the distinct values are transformed."""
-    return fp.evaluate(_lift(values, fp.n), freqs)[:, ids]
+    frequencies freqs, frequency first: (F,) + ids.shape.  Only the
+    canonical numerators of the distinct values are transformed."""
+    return fp.evaluate(values, freqs)[:, ids]
 
 
 def _l1(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """L1 norms of the entries ids, as Python ints."""
-    return np.abs(values).sum(axis=1).astype(object)[ids]
+    """L1 norms of the canonical numerators of the entries ids, in int64:
+    each bounds |sigma_f| of its value at every embedding.  A product of
+    them that may outgrow int64 is formed in Python ints (astype(object))."""
+    return np.abs(values).sum(axis=1)[ids]
 
 
 def _exact_sums(order: int, bound: int, evaluations) -> np.ndarray:
@@ -683,34 +704,38 @@ def modularity_report(md: ModularData) -> ModularityReport:
     """Run the full exact modularity suite on one theory.
 
     The Galois check (`_galois_check`) runs first.  One checker, for the
-    largest bound, then certifies at every prime: S~ S~^dagger = D^2 I and
-    S~^2 = D^2 times the permutation matrix of `md.dual` at frequency 1,
-    and (S~T)^3 = D S~^2 ((ST)^3 = S^2 times the Gauss sum over D, which
-    is 1, checked in modular_data) at one frequency per coset of the
-    squares in (Z/N)^x.  The charge conjugation must be an involution
-    fixing the unit, and, when |G| is odd, fix no other object (Burnside:
-    no element or irreducible character of a group of odd order is real
-    besides the trivial ones); at p = 2 every object may be self-dual.
+    larger bound, then certifies at every prime: S~^2 = D^2 times the
+    permutation matrix of the certified conjugation G_{-1} at frequency
+    1, and (S~T)^3 = D S~^2 ((ST)^3 = S^2 times the Gauss sum over D,
+    which is 1, checked in modular_data) at one frequency per coset of
+    the squares in (Z/N)^x.  The first is unitarity: S~ is symmetric and
+    conj(S~)_cb = S~_{conj(c) b}, so the gram matrix S~ S~^dagger has
+    entry (a, c) equal to (S~^2)_{a conj(c)}, and S~ S~^dagger = D^2 I
+    exactly when S~^2 = D^2 G_{-1}.  S^2 = D^2 times the `md.dual`
+    permutation passes when, besides, `md.dual` is G_{-1}.  The charge
+    conjugation must be an involution fixing the unit, and, when |G| is
+    odd, fix no other object (Burnside: no element or irreducible
+    character of a group of odd order is real besides the trivial ones);
+    at p = 2 every object may be self-dual.
 
     Why these frequencies suffice (Coste and Gannon, Phys. Lett. B 323
     (1994); Dong, Lin and Ng, arXiv:1201.6644, for the action checked
-    here): evaluating a histogram at gamma^f is evaluating its image under
+    here): evaluating a value at gamma^f is evaluating its image under
     sigma_f at gamma.  With the check passed, sigma_f(S~) = G_f S~ =
-    S~ G_f^T, and conj(S~) = G_{-1} S~ is exact, so the gram matrix
-    X = S~ (G_{-1} S~)^T - D^2 I and X = S~^2 - D^2 G_{-1} satisfy
-    sigma_f(X) = G_f X G_f^T for every unit f.  For X = (S~T)^3 - D S~^2,
-    sigma_{h^2}(S~) = G_h S~ G_h^T and sigma_{h^2}(T) = G_h T G_h^T (the
-    twist condition), so sigma_{h^2}(X) = G_h X G_h^T, and the square
-    classes reach every unit.  So X = 0 at the evaluated frequencies mod
-    P implies X = 0 at every primitive frequency, that is,
-    X = 0 mod P Z[zeta_N], because P = 1 (mod N) splits completely; the
-    coefficient bound over all primes then gives X = 0.  `md.dual` must
-    equal G_{-1} for S^2 to pass.  If the Galois check fails, S-tilde is
-    not the S-matrix of any modular category: the report names the
-    failure, and unitarity, S^2, (ST)^3 and the fusion rules fail."""
+    S~ G_f^T, and G_f commutes with G_{-1}, so X = S~^2 - D^2 G_{-1}
+    satisfies sigma_f(X) = G_f X G_f^T for every unit f.  For
+    X = (S~T)^3 - D S~^2, sigma_{h^2}(S~) = G_h S~ G_h^T and
+    sigma_{h^2}(T) = G_h T G_h^T (the twist condition), so
+    sigma_{h^2}(X) = G_h X G_h^T, and the square classes reach every
+    unit.  So X = 0 at the evaluated frequencies mod P implies X = 0 at
+    every primitive frequency, that is, X = 0 mod P Z[zeta_N], because
+    P = 1 (mod N) splits completely; the norm bound of the module's
+    lemma, with the L1 bound of each entry below the product of the
+    primes, then gives X = 0.  If the Galois check fails, S-tilde is not
+    the S-matrix of any modular category: the report names the failure,
+    and unitarity, S^2, (ST)^3 and the fusion rules fail."""
     failures: list[str] = []
     n = md.n_objects
-    l1 = np.abs(md.s_values).sum(axis=1)[md.s_ids]
     d_sq = md.total_dim * md.total_dim
 
     unit_ok = _unit_row_is_dims(md)
@@ -725,32 +750,29 @@ def modularity_report(md: ModularData) -> ModularityReport:
     dual = md.dual
     galois_ok = conj is not None
     unitary = st_ok = galois_ok
-    s2_ok = galois_ok and dual == tuple(conj)
     if galois_ok:
+        l1 = _l1(md.s_values, md.s_ids)
         l1_sq = int(np.max(l1 @ l1))
-        bounds = (  # gram, S~^2 and (S~T)^3 minus their targets
-            int(np.max(l1 @ l1.T)) + d_sq,
+        bounds = (  # S~^2 and (S~T)^3 minus their targets
             l1_sq + d_sq,
             int(np.max(l1 @ l1 @ l1)) + md.total_dim * l1_sq,
         )
         checker = _checker(md.root_order, max(bounds))
         reps = _square_classes(md.root_order)  # reps[0] = 1
-        d2_identity = d_sq * np.eye(n, dtype=np.int64)
+        # row a of D^2 G_{-1} holds D^2 in column conj(a)
+        d2_conj = d_sq * np.eye(n, dtype=np.int64)[conj]
         # column b of S-tilde T at gamma^f is scaled by theta_b^f
         twist_exps = reps[:, None] * md.twist_exps[None, :] % md.root_order
         for fp in checker.freq:
             ev = _evaluations(fp, md.s_values, md.s_ids, reps)
-            # conj(S~)_ba = S~_{conj(b) a}: the gram matrix at frequency 1
-            gram = _mulmod(ev[0], ev[0][conj].T, fp.prime)
-            unitary = unitary and not np.any(gram != d2_identity % fp.prime)
             s2 = _mulmod(ev, ev, fp.prime)
-            # row a of D^2 P_dual holds D^2 in column dual(a)
-            s2_ok = s2_ok and not np.any(s2[0] != d2_identity[list(dual)] % fp.prime)
+            unitary = unitary and not np.any(s2[0] != d2_conj % fp.prime)
             st = ev * fp.pows[twist_exps][:, None, :] % fp.prime
             cubed = _mulmod(_mulmod(st, st, fp.prime), st, fp.prime)
             st_ok = st_ok and not np.any((cubed - md.total_dim % fp.prime * s2) % fp.prime)
     if not unitary:
         failures.append("S-tilde times its conjugate transpose is not D^2 times identity")
+    s2_ok = unitary and dual == tuple(conj)
 
     self_dual = 0
     charge_ok = s2_ok
@@ -848,9 +870,8 @@ def verlinde_table(md: ModularData) -> np.ndarray:
     rep, moves = _galois_orbits(md._galois_gens, n)
     objects = np.arange(n)
     reps = np.flatnonzero(rep == objects)
-    l1 = np.abs(md.s_values).sum(axis=1)[md.s_ids]
     weights = (md.total_dim // md.dims).astype(np.int64)
-    colmax = np.max(l1, axis=0).astype(object)
+    colmax = np.max(_l1(md.s_values, md.s_ids), axis=0).astype(object)
     checker = _checker(md.root_order, int(np.sum(weights.astype(object) * colmax**3)))
 
     # Per prime: S~, S~ w and conj(S~)^T = S~[conj]^T at gamma, since
@@ -1110,7 +1131,7 @@ def punctured_s_trace(md: ModularData, wm: WMatrix, z, a) -> CycloNumber:
         v = _evaluations(fp, wm.v_values, wm.v_ids[a], freqs)
         return _mulmod(s[:, None, :], v[:, :, None], fp.prime)[:, 0, 0]
 
-    bound = int(_l1(md.s_values, md.s_ids[z]) @ _l1(wm.v_values, wm.v_ids[a]))
+    bound = int(_l1(md.s_values, md.s_ids[z]).astype(object) @ _l1(wm.v_values, wm.v_ids[a]))
     f_za = _exact_sums(md.root_order, bound, evaluations)
     shift = -2 * int(md.twist_exps[a])
     value = CycloNumber(md.root_order, map_exponents(md.root_order, f_za, shifts=shift))
@@ -1123,8 +1144,7 @@ def punctured_vanishing_report(md: ModularData, wm: WMatrix) -> tuple[bool, list
     (The converse can fail: accidental zeros inside the support exist.)"""
     n = md.n_objects
     table = verlinde_table(md)
-    l1s = np.abs(md.s_values).sum(axis=1)[md.s_ids]
-    l1v = np.abs(wm.v_values).sum(axis=1)[wm.v_ids]
+    l1s, l1v = _l1(md.s_values, md.s_ids), _l1(wm.v_values, wm.v_ids)
     checker = _checker(md.root_order, int(np.max(l1s @ l1v.T)))
     # theta_x cancels between S_zx theta_x and W_ax = V_ax/(theta_a theta_x),
     # so the trace is proportional to F_za = sum_x S~_zx V_ax.
@@ -1161,7 +1181,7 @@ def w_from_punctured(md: ModularData, wm: WMatrix, a, b) -> CycloNumber:
         f_a = _mulmod(s, v[:, :, None], fp.prime)  # F_xa: (f, x, 1)
         return _mulmod(s_conj[:, None, :], f_a, fp.prime)[:, 0, 0]
 
-    l1s = _l1(md.s_values, md.s_ids)
+    l1s = _l1(md.s_values, md.s_ids).astype(object)
     bound = int(l1s[b] @ (l1s @ _l1(wm.v_values, wm.v_ids[a])))
     g_ab = _exact_sums(md.root_order, bound, evaluations)
     shift = -int(md.twist_exps[a]) - int(md.twist_exps[b])
@@ -1180,7 +1200,7 @@ def _r_table(md: ModularData) -> np.ndarray:
     if md._r_table is not None:
         return md._r_table
     ne = md.root_order
-    l1 = _l1(md.s_values, md.s_ids)
+    l1 = _l1(md.s_values, md.s_ids).astype(object)
     weights = (md.total_dim // md.dims).astype(np.int64)
     # Integer target: R~(a, c) = sum_z S~_az B~_cz A~_z (D/d_z), where
     # A~_z = sum_y d_y theta_y^2 S~*_yz and B~_cz = sum_x theta_x^-2 S~*_xz S~*_cx;
@@ -1340,7 +1360,7 @@ def lens_space_invariant(md: ModularData, p_surgery: int, q_surgery: int) -> Cyc
     ne, t = md.root_order, md.twist_exps
     # vec[x]: the chain so far summed over colorings ending in x;
     # L1(vec'_y) <= sum_x L1(S~_xy) L1(vec_x).
-    l1s, l1_vec = _l1(md.s_values, md.s_ids), md.dims.astype(object)
+    l1s, l1_vec = _l1(md.s_values, md.s_ids).astype(object), md.dims.astype(object)
     for _ in digits[1:]:
         l1_vec = l1_vec @ l1s
     bound = int(md.dims @ l1_vec)

@@ -19,7 +19,6 @@ from stw.cyclotomic import (
     euler_phi,
     map_exponents,
     reduce_counts,
-    reduction_bound_factor,
     root_of_unity,
 )
 
@@ -271,13 +270,6 @@ def test_reduce_counts_takes_exact_path_beyond_int64_guard():
         CycloNumber.from_root_counts(n, [0] * (n + 1))
     with pytest.raises(ValueError):
         reduce_counts(n, [0] * (n + euler_phi(n) + 1))
-
-
-def test_reduction_bound_factor_is_the_largest_reduced_power():
-    for n in (12, 63, 105, 171, 275):
-        powers = ([0] * j + [1] for j in range(n))
-        expected = max(abs(c) for x_j in powers for c in _reduce_by_division(n, x_j))
-        assert reduction_bound_factor(n) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 275, 2783])

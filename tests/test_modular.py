@@ -92,6 +92,25 @@ def test_modularity_report_all_green(md_u):
     assert report.dim_homomorphism
 
 
+@pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4)])
+def test_unitarity_is_read_off_the_s2_residues(group):
+    """S-tilde is symmetric, so the gram matrix S~ conj(S~)^T has entry
+    (a, c) equal to (S~^2)[a, conj(c)] at every prime: unitarity and S^2
+    are one residue test, and they agree whenever `md.dual` is the
+    certified conjugation."""
+    md = modular.modular_data(CocycleParams(GroupSpec(*group), 1))
+    conj = list(modular._galois_check(md))
+    assert md.dual == tuple(conj)
+    for fp in modular._checker(md.root_order, 0).freq:
+        ev = modular._evaluations(fp, md.s_values, md.s_ids, [1])[0]
+        gram = modular._mulmod(ev, ev[conj].T, fp.prime)
+        s2 = modular._mulmod(ev, ev, fp.prime)
+        assert np.array_equal(gram, s2[:, conj])
+    report = modular.modularity_report(md)
+    assert report.unitary == report.s2_permutation
+    assert report.unitary
+
+
 def test_verlinde_table_structure(md_u):
     md = md_u(1)
     table = modular.verlinde_table(md)
@@ -176,22 +195,45 @@ def test_frequency_transform_matches_direct_sums():
             )
             assert evals[f, i, j] == direct % fp.prime
     assert np.array_equal(fp.invert(evals), counts % fp.prime)
+    # Rows shorter than N, like the phi(N) canonical numerators of a value
+    # table, transform as their zero-padded lifts.
+    short = rng.integers(-60, 60, size=(5, 200))
+    short_evals = fp.evaluate(short)
+    assert np.array_equal(short_evals, fp.evaluate(modular._lift(short, 275)))
+    assert np.array_equal(fp.invert(short_evals), modular._lift(short, 275) % fp.prime)
+    freqs = np.array([1, 2, 274])
+    assert np.array_equal(fp.evaluate(short, freqs), short_evals[freqs])
 
 
 @pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4)])
 def test_checker_primes_for_the_report_bounds(group):
-    """The three bounds of `modularity_report` at u = 1, from the L1 norms
-    of the lifts of the values of S-tilde, each need two primes."""
+    """The two bounds of `modularity_report` at u = 1, S~^2 and (S~T)^3
+    minus their targets from the L1 norms of the values of S-tilde, each
+    need two primes."""
     md = modular.modular_data(CocycleParams(GroupSpec(*group), 1))
-    l1 = np.abs(md.s_values).sum(axis=1)[md.s_ids]
-    d_sq = md.total_dim**2
+    l1 = modular._l1(md.s_values, md.s_ids)
     l1_sq = int(np.max(l1 @ l1))
     bounds = (
-        int(np.max(l1 @ l1.T)) + d_sq,
-        l1_sq + d_sq,
+        l1_sq + md.total_dim**2,
         int(np.max(l1 @ l1 @ l1)) + md.total_dim * l1_sq,
     )
-    assert [len(modular._checker(md.root_order, b).primes) for b in bounds] == [2, 2, 2]
+    assert [len(modular._checker(md.root_order, b).primes) for b in bounds] == [2, 2]
+
+
+def test_checker_covers_a_rational_multiple_of_its_first_prime():
+    """The edge of the norm lemma: the rational value P_1, the first
+    verification prime, has L1 norm P_1 and vanishes mod P_1 at every
+    primitive frequency, yet is not 0.  A checker for bound P_1 must
+    take primes whose product exceeds 2 P_1, and then the value does not
+    vanish mod all of them."""
+    two = modular._checker(275, 0)
+    first = two.primes[0]
+    value = np.zeros(euler_phi(275), dtype=np.int64)
+    value[0] = first
+    assert not two.freq[0].evaluate(value, two.prim).any()
+    checker = modular._checker(275, first)
+    assert checker.product > 2 * first
+    assert any(fp.evaluate(value, checker.prim).any() for fp in checker.freq)
 
 
 def test_checker_takes_fewest_primes_for_bound():
@@ -201,7 +243,7 @@ def test_checker_takes_fewest_primes_for_bound():
     assert modular._checker(275, 1) is two
     more = modular._checker(275, two.product)
     assert more.primes[:2] == two.primes and len(more.primes) == 3
-    assert 2 * more.kappa * two.product < more.product
+    assert 2 * two.product < more.product
 
 
 def test_modular_data_rejects_gauss_sum_other_than_d(monkeypatch):
