@@ -59,6 +59,19 @@ exponent counts of the fixed tuples (`_closure_value`) with no (1, N)
 histogram.  A zero-framed closure reads where its strands end, its
 components' first strands and their self-writhes from one pass over the
 word (`_closure_pass`).
+
+Every trace walks the word reduced once where it starts (`_reduced`):
+one stack pass deletes each letter pair s_i^+-1 ... s_i^-+1 with only
+far letters (|i - j| >= 2) between them.  The monomial operators satisfy
+s_i s_i^-1 = 1 and far commutation, phases included, so this is exact,
+and the permutation, components and self-writhes are those of the word
+as given, which the closure check and `_closure_pass` read.  A
+one-coloring call pays per letter in numpy calls, and half the letters
+of random words cancel.  The value of one coloring divides by Phi_N only
+per nonzero bin at or above phi(N): `reduce_row` adds one row of a table
+of reduced powers at the radical of N per such bin (`stw.cyclotomic`).
+`representation_operator` walks the word as given and is the oracle of
+both.
 """
 
 from __future__ import annotations
@@ -69,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stw.cocycle import CocycleParams
-from stw.cyclotomic import CycloNumber, euler_phi, reduce_counts
+from stw.cyclotomic import CycloNumber, euler_phi, reduce_row
 from stw.double import DoubleContext, context_for
 
 
@@ -125,12 +138,11 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     for token in text.replace(",", " ").split():
         if not token.startswith("s"):
             raise ValueError(f"cannot parse braid token {token!r}")
-        body = token[1:]
-        power = 1
-        if "^" in body:
-            body, _, exp_text = body.partition("^")
-            power = int(exp_text)
-        index = int(body)
+        body, caret, exp_text = token[1:].partition("^")
+        try:
+            index, power = int(body), (int(exp_text) if caret else 1)
+        except ValueError:
+            raise ValueError(f"cannot parse braid token {token!r}") from None
         if not 1 <= index < strands:
             raise ValueError(f"generator s{index} out of range on {strands} strands")
         if power == 0:
@@ -214,6 +226,30 @@ def _strand_at(word: BraidWord) -> list[int]:
         i = abs(letter) - 1
         strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
     return strand_at
+
+
+def _reduced(word: BraidWord) -> BraidWord:
+    """The word with its cancelling letter pairs deleted, in one stack
+    pass: each new letter scans back over the kept letters that commute
+    with it (|i - j| >= 2); if the first one that does not is its
+    inverse, both go, otherwise the new letter is kept.  The monomial
+    operators satisfy s_i s_i^-1 = 1 and far commutation, phases
+    included, and so does the associator (`_associator`), so the walk of
+    the reduced word gives every tuple the end vectors and phase of the
+    walk of the word.  Returns the word itself when nothing cancels."""
+    kept: list[int] = []
+    for letter in word.letters:
+        lo, hi = abs(letter) - 1, abs(letter) + 1
+        k = len(kept) - 1
+        while k >= 0 and not lo <= abs(kept[k]) <= hi:
+            k -= 1
+        if k >= 0 and kept[k] == -letter:
+            del kept[k]
+        else:
+            kept.append(letter)
+    if len(kept) == len(word.letters):
+        return word
+    return BraidWord(word.strands, tuple(kept))
 
 
 def _resolve_colors(ctx: DoubleContext, word: BraidWord, colors) -> list[int]:
@@ -563,7 +599,7 @@ def _closure_phases(ctx: DoubleContext, word: BraidWord, coloring: list[int], sh
     else:
         grid, sizes = _orbit_grid(tuple(walked), dtype, *second)
     start = ctx.offsets[coloring].astype(dtype)[:, None] + grid
-    blocks = list(_walk_blocks(ctx, word, start))
+    blocks = list(_walk_blocks(ctx, _reduced(word), start))
     expo = blocks[0][2] if len(blocks) == 1 else np.concatenate([phases for _, _, phases in blocks])
     expo += shift
     expo %= ctx.root_order
@@ -625,7 +661,7 @@ def _fixed_phases(ctx: DoubleContext, word: BraidWord, colorings: np.ndarray, sh
         tuples = walked.prod(axis=1)
     start = _start(ctx, colorings, walked, second)
     found, phases = [], []
-    for lo, local, expo in _walk_blocks(ctx, word, start):
+    for lo, local, expo in _walk_blocks(ctx, _reduced(word), start):
         found.append(local + lo)
         phases.append(expo)
     sel, expo = np.concatenate(found), np.concatenate(phases)
@@ -654,12 +690,12 @@ def _counts(bins: np.ndarray, pin: int, sizes, length: int) -> np.ndarray:
 def _closure_value(order: int, expo: np.ndarray, pin: int, sizes) -> CycloNumber:
     """sum over the fixed tuples of pin * size * zeta^expo, from the
     exponent counts: when every exponent is below phi(N) the counts are
-    the canonical numerators already; otherwise they go through
-    `reduce_counts`."""
+    the canonical numerators already; otherwise `reduce_row` adds one row
+    of the radical table per nonzero bin at or above phi(N)."""
     phi = euler_phi(order)
     counts = _counts(expo, pin, sizes, phi)
     if len(counts) > phi:
-        counts = reduce_counts(order, counts)
+        counts = reduce_row(order, counts)
     return CycloNumber._from_numerators(order, counts.tolist())
 
 

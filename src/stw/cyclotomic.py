@@ -4,10 +4,19 @@ A value is stored canonically in the power basis of Q[x]/Phi_N(x): an
 integer coefficient vector of length phi(N) over a single positive
 denominator, with content reduced.  Two values are equal iff their
 canonical vectors agree after lifting to the lcm of their orders, so
-equality (and in particular "== 0") is exactly decidable.  Every
-reduction into the power basis, of one vector or of a batch of root
-histograms, is one integer division by the sparse Phi_N in
-``reduce_counts``; no table of reduced powers is kept.  Every
+equality (and in particular "== 0") is exactly decidable.  A batch of
+root histograms, or one vector, goes into the power basis by one integer
+division by the sparse Phi_N in ``reduce_counts``.  One row with few
+nonzero bins at or above phi(N), as a colored closure gives, goes
+through ``reduce_row`` and one table per order N = s r, r the radical
+of N: the reduced powers y^phi(r), ..., y^(r - 1) mod Phi_r(y),
+(r - phi(r)) x phi(r) integers (15 x 40 at N = 275, r = 55; 87 x 1624
+at r = 1711 = 29 * 59), built on first use.  It is exact because
+Phi_N(x) = Phi_r(x^s): a remainder mod Phi_r in y = x^s is a polynomial
+of degree below s phi(r) = phi(N) in x, so it is the remainder mod
+Phi_N, and x^(s a + b) = x^b y^a reduces to x^b times row a - phi(r) of
+the table.  A table of every power x^e, e < N, would hold
+(N - phi(N)) x phi(N) integers, s^2 times more.  Every
 substitution zeta -> zeta^f times a root of unity zeta^s, complex
 conjugation (f = -1) included, is ``map_exponents``.  Floating point
 appears only in ``to_complex``, which is for display and sanity checks,
@@ -29,6 +38,7 @@ __all__ = [
     "euler_phi",
     "cyclotomic_polynomial",
     "reduce_counts",
+    "reduce_row",
     "map_exponents",
 ]
 
@@ -144,6 +154,21 @@ def _division_terms(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[in
     return phi_terms, psi_terms, factor
 
 
+@lru_cache(maxsize=None)
+def _radical_table(n: int) -> tuple[int, np.ndarray]:
+    """For n = s r with r the radical of n: s, and the reduced powers
+    y^phi(r), ..., y^(r - 1) mod Phi_r(y) as the rows of a read-only
+    int64 (r - phi(r), phi(r)) array, from one `reduce_counts` of their
+    monomials at order r.  Built on first use."""
+    r = prod(_factorize(n))
+    phi = euler_phi(r)
+    monomials = np.zeros((r - phi, r), dtype=np.int64)
+    monomials[:, phi:] = np.eye(r - phi, dtype=np.int64)
+    table = reduce_counts(r, monomials).astype(np.int64)
+    table.flags.writeable = False
+    return n // r, table
+
+
 def _integer_array(values) -> np.ndarray:
     """Integer array of `values`: int64 where every entry fits, otherwise
     an object array of Python ints (never a lossy float or uint64 cast).
@@ -223,6 +248,33 @@ def reduce_counts(n: int, counts) -> np.ndarray:
             stop = min(phi, s + k)
             _add_multiple(out[:, s:stop], -c, quot[:, : stop - s])
     return out.reshape(arr.shape[:-1] + (phi,))
+
+
+def reduce_row(n: int, counts) -> np.ndarray:
+    """`reduce_counts` of one row of length L <= n, paid per nonzero bin
+    at or above phi(n).  With n = s r, r the radical of n, bin e = s a + b
+    (phi(r) <= a < r, b < s) adds its count times row a - phi(r) of
+    `_radical_table(n)` to the numerators b, b + s, b + 2s, ...: one
+    strided add.  A table row is the remainder of a monomial at order r,
+    whose division factor equals that of n (Phi_n and Psi_n are Phi_r
+    and Psi_r in x^s), so each numerator stays below the bound that
+    `reduce_counts` checks.  A row past that bound, or with no such bin,
+    goes through `reduce_counts`; values and dtypes are always those of
+    `reduce_counts`."""
+    arr = _integer_array(counts)
+    if arr.ndim != 1 or len(arr) > n:
+        raise ValueError(f"need one row no longer than the order {n}")
+    phi = euler_phi(n)
+    high = arr[phi:].nonzero()[0]
+    if not len(high) or arr.dtype == object or not _fits_int64(arr[None], _division_terms(n)[2]):
+        return reduce_counts(n, arr)
+    s, table = _radical_table(n)
+    floor = phi // s  # phi(r)
+    out = arr[:phi].copy()
+    for e, c in zip((high + phi).tolist(), arr[phi:][high].tolist()):
+        a, b = divmod(e, s)
+        _add_multiple(out[b::s], c, table[a - floor])
+    return out
 
 
 def map_exponents(n: int, counts, f: int = 1, shifts=0) -> np.ndarray:

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .braid import BraidWord, closure_structure, framed_invariant
+from .braid import BraidWord, _closure_value, framed_invariant
 from .cocycle import CocycleParams
 from .cyclotomic import CycloNumber
 from .double import context_for
@@ -187,17 +187,16 @@ def single_color_check(
     label = f"B_{k}_{s}"
     colors = [label] * word.strands
     invariant = framed_invariant(params, word, colors)
-    info = closure_structure(word)
     quandle = AlexanderQuandle.for_flux_class(params.spec, k)
     count = coloring_count(quandle, word)
-    # count * zeta^(twist * writhe): a one-bin histogram, reduced once.
-    hist = np.zeros(ctx.root_order, dtype=np.int64)
-    hist[ctx.twist_exps[ctx.index_of(label)] * info.writhe % ctx.root_order] = count
-    predicted = CycloNumber.from_root_counts(ctx.root_order, hist)
+    # count * zeta^(twist * writhe): one fixed phase with pin = count, on
+    # the closure-value path of the traces.
+    exponent = ctx.twist_exps[ctx.index_of(label)] * word.writhe % ctx.root_order
+    predicted = _closure_value(ctx.root_order, np.array([exponent]), count, None)
     return SingleColorReport(
         ok=invariant == predicted,
         label=label,
-        writhe=info.writhe,
+        writhe=word.writhe,
         count=count,
         invariant=invariant,
         predicted=predicted,

@@ -7,6 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stw import braid, double, modular
 from stw.braid import (
@@ -77,6 +79,25 @@ def test_parse_rejects_garbage():
         parse_braid("s0", 3)
     with pytest.raises(ValueError):
         parse_braid("s1^x", 3)
+
+
+@pytest.mark.parametrize(
+    "text, token",
+    [("s", "s"), ("s1^", "s1^"), ("s1^x", "s1^x"), ("sx", "sx"), ("s1^-", "s1^-"), ("s 1", "s"),
+     ("s1 s2^2^3", "s2^2^3"), ("s1,s^2", "s^2")],
+)
+def test_parse_names_the_malformed_token(text, token):
+    """Every token that is not s<int> or s<int>^<int> is refused by name,
+    not by the int() error of its empty or non-numeric part."""
+    with pytest.raises(ValueError) as err:
+        parse_braid(text, 4)
+    assert str(err.value) == f"cannot parse braid token {token!r}"
+
+
+def test_parse_accepts_what_int_accepts():
+    """Index and exponent are read by int(), signs and leading zeros
+    included, as before malformed tokens were named."""
+    assert parse_braid("s01^+2 s2^-01 s1^0", 3).letters == (1, 1, -2)
 
 
 def test_word_validation():
@@ -1141,3 +1162,97 @@ def test_invalid_object_indices_are_refused(bad):
     word = BraidWord(2, (1, 1))
     with pytest.raises(ValueError, match=repr(bad[0])):
         zero_framed_invariant(params(1), word, bad)
+
+
+# ----- the reduced word of a trace ----------------------------------------------
+
+
+REDUCTION_GROUPS = [(7, 3, 2), (11, 5, 4), (13, 3, 3), (7, 2, 6)]
+
+
+@st.composite
+def _cancelling_words(draw):
+    """A group, a theory u, a word on 2-5 strands with cancelling pairs
+    put in (x, then letters far from x, then x^-1), and a coloring: any
+    objects for the operator, one object per closure component for the
+    traces."""
+    group = draw(st.sampled_from(REDUCTION_GROUPS))
+    u = draw(st.sampled_from([0, 1]))
+    strands = draw(st.integers(2, 5))
+    letter = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    letters = draw(st.lists(letter, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        x = draw(letter)
+        far = [y for y in draw(st.lists(letter, max_size=2)) if abs(abs(y) - abs(x)) >= 2]
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = [x, *far, -x]
+    word = BraidWord(strands, tuple(letters))
+    n = len(context_for(CocycleParams(GroupSpec(*group), u)).simples)
+    colors = draw(st.lists(st.integers(0, n - 1), min_size=strands, max_size=strands))
+    closed = [0] * strands
+    for comp in closure_structure(word).components:
+        for j in comp:
+            closed[j - 1] = colors[comp[0] - 1]
+    return group, u, word, colors, closed
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(_cancelling_words())
+def test_reduced_word_acts_as_the_word(case):
+    """The reduced word that every trace walks (`_reduced`) has the
+    operator of the word as given, permutation and phases, associator
+    included; the word and its reduction have equal framed and
+    zero-framed invariants, both equal to the fixed points of the given
+    word's operator; and `_closure_pass` reads the same closure from
+    both."""
+    group, u, word, colors, closed = case
+    params = CocycleParams(GroupSpec(*group), u)
+    reduced = braid._reduced(word)
+    assert len(reduced.letters) <= len(word.letters) and reduced.strands == word.strands
+    assert representation_operator(params, reduced, colors) == representation_operator(params, word, colors)
+    assert braid._closure_pass(reduced) == braid._closure_pass(word)
+    op = representation_operator(params, word, closed)
+    fixed = op.perm == np.arange(len(op.perm))
+    oracle = CycloNumber.from_root_counts(op.root_order, np.bincount(op.exponents[fixed], minlength=op.root_order))
+    framed = framed_invariant(params, word, closed)
+    assert framed == framed_invariant(params, reduced, closed) == oracle
+    assert zero_framed_invariant(params, word, closed) == zero_framed_invariant(params, reduced, closed)
+
+
+def test_reduction_cancels_inverse_pairs_across_far_letters():
+    """The stack pass deletes s_i s_i^-1 and s_i^+-1 ... s_i^-+1 with only
+    far letters between, also once an inner pair is gone, and keeps a
+    pair with a near letter between."""
+    cases = {
+        (1, -1, 2): (2,),
+        (1, 3, -1): (3,),
+        (1, 2, -2, -1): (),
+        (-2, 4, 1, -1, 2, 3): (4, 3),
+        (1, 2, -1): (1, 2, -1),
+        (3, 1, -1, -3, 2): (2,),
+    }
+    for letters, expected in cases.items():
+        assert braid._reduced(BraidWord(5, letters)).letters == expected, letters
+    word = BraidWord(4, (1, 2, 3))
+    assert braid._reduced(word) is word
+
+
+@pytest.mark.parametrize("text, strands, walked", [("s1 s1^-1 s2", 3, (2,)), ("s1 s3 s1^-1", 4, (3,))])
+def test_traces_walk_the_reduced_word(monkeypatch, text, strands, walked):
+    """A `_walk` spy: each trace of these words, one coloring (framed and
+    zero-framed) or a batch, walks one letter."""
+    params = CocycleParams(SPEC, 1)
+    ctx = context_for(params)
+    word = parse_braid(text, strands)
+    seen, walk = [], braid._walk
+    monkeypatch.setattr(braid, "_walk", lambda c, w, s: seen.append(w.letters) or walk(c, w, s))
+    labels = ["B_1_0"] * strands
+    framed_invariant(params, word, labels)
+    zero_framed_invariant(params, word, labels)
+    b = ctx.index_of("B_1_0")
+    sparse_trace_counts(ctx, word, [[b] * strands, [ctx.index_of("A_1_2")] * strands])
+    assert seen == [walked] * 3
+    # The operator walks the word as given.
+    seen.clear()
+    representation_operator(params, word, labels)
+    assert seen == [word.letters]

@@ -15,10 +15,12 @@ from stw.cyclotomic import (
     CycloNumber,
     _division_terms,
     _poly_divide_exact,
+    _radical_table,
     cyclotomic_polynomial,
     euler_phi,
     map_exponents,
     reduce_counts,
+    reduce_row,
     root_of_unity,
 )
 
@@ -378,6 +380,51 @@ def test_reduce_counts_early_exit_equals_the_full_division(n):
             picks = rng.integers(0, len(kinds), size=16 if big else 256)
             rows = np.concatenate([_rows_ending_at(rng, n, kinds[i], 1, big) for i in picks])
             assert reduce_counts(n, rows).tolist() == _full_sparse_division(n, rows), (big, kinds)
+
+
+RADICAL_ORDERS = [12, 20, 28, 63, 275, 2107, 8957, 24863]
+
+
+@pytest.mark.parametrize("n", RADICAL_ORDERS)
+def test_radical_division_equals_reduce_counts(n):
+    """`reduce_row` (one strided add of a radical-table row per nonzero
+    bin at or above phi(n)) equals `reduce_counts` on random sparse rows
+    of every length up to n, with negative counts and with bins at phi(n)
+    and at n - 1, on int64 and on Python-int rows, on a dense row, and on
+    a row whose bound reaches 2^63 (which goes through `reduce_counts`),
+    each with the values and dtype of `reduce_counts`."""
+    rng = np.random.default_rng(n)
+    phi = euler_phi(n)
+    s, table = _radical_table(n)
+    r = n // s
+    assert table.shape == (r - euler_phi(r), euler_phi(r)) and not table.flags.writeable
+    # Every table entry is within the division factor that bounds it.
+    assert int(np.abs(table).max()) <= _division_terms(n)[2]
+    rows = []
+    for trial in range(40):
+        row = np.zeros(int(rng.integers(1, n + 1)) if trial % 4 else n, dtype=np.int64)
+        picks = rng.integers(0, len(row), size=int(rng.integers(0, 6)))
+        row[picks] = rng.integers(-40, 40, size=len(picks))
+        if len(row) > phi and trial % 3 == 0:
+            row[phi] = int(rng.integers(-9, 9)) or 1
+        if len(row) == n and trial % 2 == 0:
+            row[n - 1] = -int(rng.integers(1, 9))
+        rows.append(row)
+    dense = rng.integers(-5, 5, size=n)
+    edge = np.zeros(n, dtype=np.int64)
+    edge[[0, n - 1]] = 1 << 61  # one high bin past the int64 guard
+    rows += [dense, np.zeros(n, dtype=np.int64), edge, dense.astype(object) * 3**45]
+    assert (np.concatenate([row[phi:] for row in rows]) != 0).any()
+    for row in rows:
+        got, expected = reduce_row(n, row), reduce_counts(n, row)
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist(), row.nonzero()
+
+
+def test_reduce_row_takes_one_row_no_longer_than_the_order():
+    with pytest.raises(ValueError):
+        reduce_row(12, np.zeros(13, dtype=np.int64))
+    with pytest.raises(ValueError):
+        reduce_row(12, np.zeros((2, 12), dtype=np.int64))
 
 
 # ----- map_exponents against CycloNumber arithmetic -------------------------

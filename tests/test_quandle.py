@@ -136,9 +136,10 @@ def test_single_color_report_fields():
 
 @pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (7, 2, 6)])
 def test_predicted_value_is_built_without_a_product(group, monkeypatch):
-    """`predicted` is count * zeta^(twist * writhe), reduced from a
-    one-bin histogram: it equals the product ctx.root(e) * count of exact
-    values, and no `CycloNumber` product is formed to get it."""
+    """`predicted` is count * zeta^(twist * writhe), one fixed phase with
+    pin = count on the closure-value path of the traces: it equals the
+    product ctx.root(e) * count of exact values, and no `CycloNumber`
+    product is formed to get it."""
     spec = GroupSpec(*group)
     params = CocycleParams(spec, 1)
     ctx = context_for(params)
