@@ -52,13 +52,16 @@ One coloring, as in `framed_invariant`, `zero_framed_invariant` and
 `framed_trace_counts`, is the case where the fixed cost of a call
 outweighs its walk (a 2-strand closure walks d tuples).  It takes the
 one-coloring branch of the same walk (`_closure_phases`): one context
-lookup and one color resolution, the closure check and both pins on the
-Python row, the start vectors one broadcast add of the offsets to a
-cached read-only grid, no coloring index, and the value built from the
-exponent counts of the fixed tuples (`_closure_value`) with no (1, N)
-histogram.  A zero-framed closure reads where its strands end, its
-components' first strands and their self-writhes from one pass over the
-word (`_closure_pass`).
+lookup and one color resolution, the closure check and both pin
+choices on the Python row, no coloring index, and the value built from
+the exponent counts of the fixed tuples (`_closure_value`) with no (1, N)
+histogram.  Its start vectors and weights are those of a batch: the
+offsets plus the digit grid, the second-pinned strand read through the
+orbit representatives (`_rep_vectors`), and each fixed tuple weighted
+by the orbit size at that strand's start vector (`_orbit_weights`).
+Every trace reads where its strands end, and a zero-framed closure its
+components' first strands and their self-writhes too, from one pass
+over the word (`_closure_pass`).
 
 Every trace walks the word reduced once where it starts (`_reduced`):
 one stack pass deletes each letter pair s_i^+-1 ... s_i^-+1 with only
@@ -77,6 +80,7 @@ both.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,17 +136,15 @@ class BraidWord:
 def parse_braid(text: str, strands: int) -> BraidWord:
     """Parse words like "s2^-2 s1 s2^-1 s1" (whitespace- or
     comma-separated); "s3^4" repeats generator 3 four times and negative
-    exponents mean inverse crossings.  An empty string is the identity
-    braid."""
+    exponents mean inverse crossings.  A token is s, ASCII digits, and
+    optionally ^ with a signed exponent of ASCII digits; any other token
+    is refused by name.  An empty string is the identity braid."""
     letters: list[int] = []
     for token in text.replace(",", " ").split():
-        if not token.startswith("s"):
+        match = re.fullmatch(r"s([0-9]+)(?:\^([+-]?[0-9]+))?", token)
+        if match is None:
             raise ValueError(f"cannot parse braid token {token!r}")
-        body, caret, exp_text = token[1:].partition("^")
-        try:
-            index, power = int(body), (int(exp_text) if caret else 1)
-        except ValueError:
-            raise ValueError(f"cannot parse braid token {token!r}") from None
+        index, power = int(match[1]), int(match[2] or 1)
         if not 1 <= index < strands:
             raise ValueError(f"generator s{index} out of range on {strands} strands")
         if power == 0:
@@ -216,16 +218,6 @@ def closure_structure(word: BraidWord) -> ClosureInfo:
         self_writhes=tuple(self_writhes),
         writhe=word.writhe,
     )
-
-
-def _strand_at(word: BraidWord) -> list[int]:
-    """Which strand (by bottom position, 0-based) sits at each position
-    at the top of the braid."""
-    strand_at = list(range(word.strands))
-    for letter in word.letters:
-        i = abs(letter) - 1
-        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
-    return strand_at
 
 
 def _reduced(word: BraidWord) -> BraidWord:
@@ -312,16 +304,14 @@ class _OrbitTable:
     to offset + dim) starts with their representatives, the least vector
     of each orbit, increasing, so it is a CSR of the representatives with
     the object offsets as its row starts; size[s, w] is the size of the
-    orbit of vector w.  rows[s][y] holds (count, representatives less
-    the offset, their orbit sizes) as Python ints for the one-coloring
-    branch."""
+    orbit of vector w.  stab_list is stab as Python ints, for the
+    one-coloring branch."""
 
     stab: np.ndarray
     count: np.ndarray
     reps: np.ndarray
     size: np.ndarray
     stab_list: list[int]
-    rows: list[list[tuple]]
 
 
 # One orbit table per group: the action of G on the vectors, and so every
@@ -360,7 +350,6 @@ def _orbit_table(ctx: DoubleContext) -> _OrbitTable:
     count = np.zeros((len(keys), n), dtype=np.int64)
     reps = np.empty((len(keys), size), dtype=state.dtype)
     orbit_size = np.empty((len(keys), size), dtype=np.int64)
-    rows = []
     for s, group in enumerate(members):
         least = state[group].min(axis=0)  # the least vector of each vector's orbit
         is_rep = least == vectors
@@ -368,13 +357,7 @@ def _orbit_table(ctx: DoubleContext) -> _OrbitTable:
         count[s] = np.bincount(object_of[is_rep], minlength=n)
         # each object's representatives first in its segment, increasing
         reps[s] = np.argsort(2 * object_of + ~is_rep, kind="stable")
-        local = (reps[s] - first[object_of]).tolist()
-        sizes = orbit_size[s, reps[s]].tolist()
-        rows.append([
-            (c, tuple(local[o : o + c]), tuple(sizes[o : o + c]))
-            for c, o in zip(count[s].tolist(), first.tolist())
-        ])
-    return _OrbitTable(stab, count, reps, orbit_size, stab.tolist(), rows)
+    return _OrbitTable(stab, count, reps, orbit_size, stab.tolist())
 
 
 def _second_pins(ctx: DoubleContext, colorings: np.ndarray, dims, pin, walked):
@@ -402,8 +385,8 @@ def _second_pins(ctx: DoubleContext, colorings: np.ndarray, dims, pin, walked):
 
 
 def _second_pin(ctx: DoubleContext, coloring: list[int], dims: list[int], pin: int, walked: list[int]):
-    """`_second_pins` of one coloring on the Python row: (j, its orbit
-    row of the table) with walked[j] set to its orbit count, or None."""
+    """`_second_pins` of one coloring on the Python row: (j, the
+    stabiliser) with walked[j] set to its orbit count, or None."""
     total = math.prod(walked)
     if total <= _SECOND_PIN_MIN:
         return None
@@ -411,42 +394,32 @@ def _second_pin(ctx: DoubleContext, coloring: list[int], dims: list[int], pin: i
     s = table.stab_list[coloring[pin]]
     if s < 0:
         return None
-    rows = table.rows[s]
-    gains = [d / rows[c][0] for c, d in zip(coloring, dims)]
+    counts = table.count[s].tolist()
+    gains = [d / counts[c] for c, d in zip(coloring, dims)]
     gains[pin] = 0
     best = max(gains)
     if best <= 1:
         return None
     j = gains.index(best)
-    orbit = rows[coloring[j]]
-    if total - total // dims[j] * orbit[0] <= _SECOND_PIN_MIN:
+    orbits = counts[coloring[j]]
+    if total - total // dims[j] * orbits <= _SECOND_PIN_MIN:
         return None
-    walked[j] = orbit[0]
-    return j, orbit
+    walked[j] = orbits
+    return j, s
 
 
-# Grids of the one-coloring branch with a second pin, (grid, orbit sizes
-# along the tuples), keyed by (walked dims, dtype, j, orbit row).
-_ORBIT_GRIDS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+def _rep_vectors(ctx: DoubleContext, stab, vectors: np.ndarray) -> np.ndarray:
+    """The start vectors of a second-pinned strand: basis index k on an
+    object (its vector offset + k) reads the k-th representative of the
+    orbits of stabiliser `stab` on that object."""
+    return _orbits(ctx).reps[stab].take(vectors)
 
 
-def _orbit_grid(walked: tuple[int, ...], dtype: np.dtype, j: int, orbit: tuple):
-    """The digit grid of the walked dims with strand j's digit k read as
-    its k-th orbit representative (less its object's offset), and the
-    size of strand j's orbit along the tuples (int64); both read-only and
-    kept as `_digits` keeps its grids."""
-    key = (walked, dtype, j, orbit)
-    found = _ORBIT_GRIDS.get(key)
-    if found is None:
-        grid = np.indices(walked, dtype=dtype).reshape(len(walked), -1)
-        digit = grid[j].copy()
-        grid[j] = np.array(orbit[1], dtype=dtype)[digit]
-        sizes = np.array(orbit[2], dtype=np.int64)[digit]
-        grid.flags.writeable = sizes.flags.writeable = False
-        found = grid, sizes
-        if grid.shape[1] <= _WALK_BLOCK:
-            _ORBIT_GRIDS[key] = found
-    return found
+def _orbit_weights(ctx: DoubleContext, stab, vectors) -> np.ndarray:
+    """The int64 size of the orbit of each vector under stabiliser `stab`
+    (one, or one per vector): the weight of a fixed tuple whose
+    second-pinned strand starts on that vector."""
+    return _orbits(ctx).size[stab, vectors]
 
 
 def _start(ctx: DoubleContext, colorings: np.ndarray, dims=None, second=None) -> np.ndarray:
@@ -477,7 +450,7 @@ def _start(ctx: DoubleContext, colorings: np.ndarray, dims=None, second=None) ->
         part = (offsets[lo:hi].T[:, :, None] + grid[:, None]).reshape(len(grid), -1)
         if second is not None and second[0][lo] >= 0:
             j = second[0][lo]
-            part[j] = _orbits(ctx).reps[second[1][lo]].take(part[j])
+            part[j] = _rep_vectors(ctx, second[1][lo], part[j])
         parts.append(part)
     return np.concatenate(parts, axis=1)
 
@@ -572,19 +545,18 @@ def _closure_phases(ctx: DoubleContext, word: BraidWord, coloring: list[int], sh
     """`_fixed_phases` of one coloring (a list of object indices): the
     phase exponents mod N of its fixed walked tuples, shift added, its
     pin factor d, and under a second pin the orbit size of each fixed
-    tuple (int64; None without one).  The closure check, both
-    pins and the start run on the Python row, and the phases need no
-    coloring index.  `strand_at` (`_strand_at` of the word, computed if
-    not given) says where the strands end.
+    tuple (int64; None without one).  The closure check and both pin
+    choices run on the Python row, and the phases need no coloring
+    index.  `strand_at` (the first item of `_closure_pass` of the word,
+    computed if not given) says where the strands end.
 
-    The second pin (`_second_pin`) reads the orbit table on the Python
-    row: strand j walks its object's orbit representatives under the
-    stabiliser of the pinned vector, from a cached grid of local
-    representatives (`_orbit_grid`), and each fixed tuple is weighted by
-    d times the size of its strand-j orbit, exact by the same lemma as
-    the first pin (module docstring)."""
+    The second pin (`_second_pin`) is taken as in a batch: strand j
+    walks its object's orbit representatives under the stabiliser of the
+    pinned vector (`_rep_vectors`), and each fixed tuple is weighted by
+    d times the size of its strand-j orbit (`_orbit_weights`), exact by
+    the same lemma as the first pin (module docstring)."""
     if strand_at is None:
-        strand_at = _strand_at(word)
+        strand_at = _closure_pass(word)[0]
     if [coloring[j] for j in strand_at] != coloring:
         _refuse_open(ctx, word, np.array([coloring]))
     dims = ctx.dims[coloring].tolist()
@@ -594,17 +566,18 @@ def _closure_phases(ctx: DoubleContext, word: BraidWord, coloring: list[int], sh
     walked[pinned] = 1
     dtype = ctx.action_state.dtype
     second = _second_pin(ctx, coloring, dims, pinned, walked)
-    if second is None:
-        grid, sizes = _digits(tuple(walked), dtype), None
-    else:
-        grid, sizes = _orbit_grid(tuple(walked), dtype, *second)
-    start = ctx.offsets[coloring].astype(dtype)[:, None] + grid
+    start = ctx.offsets[coloring].astype(dtype)[:, None] + _digits(tuple(walked), dtype)
+    if second is not None:
+        j, s = second
+        start[j] = _rep_vectors(ctx, s, start[j])
     blocks = list(_walk_blocks(ctx, _reduced(word), start))
     expo = blocks[0][2] if len(blocks) == 1 else np.concatenate([phases for _, _, phases in blocks])
     expo += shift
     expo %= ctx.root_order
-    if sizes is not None:
-        sizes = sizes.take(np.concatenate([lo + local for lo, local, _ in blocks]))
+    sizes = None
+    if second is not None:
+        fixed = np.concatenate([lo + local for lo, local, _ in blocks])
+        sizes = _orbit_weights(ctx, s, start[j].take(fixed))
     return expo, pin, sizes
 
 
@@ -647,7 +620,7 @@ def _fixed_phases(ctx: DoubleContext, word: BraidWord, colorings: np.ndarray, sh
         return np.zeros(len(expo), dtype=np.intp), expo, np.array([pin], dtype=np.int64), sizes
     # A coloring closes up when every top position carries the colour of
     # the bottom position below it.
-    if (colorings[:, _strand_at(word)] != colorings).any():
+    if (colorings[:, _closure_pass(word)[0]] != colorings).any():
         _refuse_open(ctx, word, colorings)
     dims = ctx.dims[colorings]
     rows = np.arange(len(dims))
@@ -673,7 +646,7 @@ def _fixed_phases(ctx: DoubleContext, word: BraidWord, colorings: np.ndarray, sh
         j, stab = second[0][which], second[1][which]
         hit = j >= 0
         sizes = np.ones(len(sel), dtype=np.int64)
-        sizes[hit] = _orbits(ctx).size[stab[hit], start[j[hit], sel[hit]]]
+        sizes[hit] = _orbit_weights(ctx, stab[hit], start[j[hit], sel[hit]])
     return which, expo % ctx.root_order, dims[rows, pin], sizes
 
 
@@ -755,7 +728,7 @@ def representation_operator(params: CocycleParams, word: BraidWord, colors) -> M
     idx = np.array(_resolve_colors(ctx, word, colors))
     state, record = _walk(ctx, word, _start(ctx, idx[None]))
     expo = _phases(ctx, record)
-    final = idx[_strand_at(word)]
+    final = idx[_closure_pass(word)[0]]
     target = np.zeros(len(expo), dtype=np.int64)
     for j, color in enumerate(final):
         target = target * ctx.dims[color] + state[j] - ctx.offsets[color]

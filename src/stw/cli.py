@@ -113,14 +113,8 @@ def cmd_modular(args) -> int:
     # modular_data raises unless the Gauss sum is +D, so c = 0 (mod 8).
     print("chiral central charge c = 0 (mod 8)")
 
-    def csv_writer(path):
-        matrix = [
-            [md.s_entry(a, b) for b in range(md.n_objects)]
-            for a in range(md.n_objects)
-        ]
-        modular.write_matrix_csv(matrix, md.labels, path)
-
-    _write_output(args, lambda: modular.modular_data_to_json(md), csv_writer)
+    _write_output(args, lambda: modular.modular_data_to_json(md),
+                  lambda path: modular.write_matrix_csv(*md.s_table(), md.labels, path))
     if report.failures:
         raise VerificationFailure("; ".join(report.failures))
     return 0
@@ -141,14 +135,8 @@ def cmd_wmatrix(args) -> int:
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
 
-    def csv_writer(path):
-        matrix = [
-            [wm.w_entry(a, b) for b in range(md.n_objects)]
-            for a in range(md.n_objects)
-        ]
-        modular.write_matrix_csv(matrix, wm.labels, path)
-
-    _write_output(args, lambda: modular.w_matrix_to_json(wm), csv_writer)
+    _write_output(args, lambda: modular.w_matrix_to_json(wm),
+                  lambda path: modular.write_matrix_csv(*wm.w_table(), wm.labels, path))
     failures = list(id_report.failures) + ba_failures
     if failures:
         raise VerificationFailure("; ".join(failures[:5]))
@@ -177,7 +165,7 @@ def cmd_invariant(args) -> int:
         "zero_framed": zero_framed.to_json(),
     }
     _write_output(args, lambda: document, lambda path: modular.write_matrix_csv(
-        [[framed], [zero_framed]], ["framed", "zero_framed"], path, ["invariant"]))
+        [[0], [1]], [framed, zero_framed], ["framed", "zero_framed"], path, ["invariant"]))
     return 0
 
 

@@ -303,19 +303,14 @@ def _reduce_vector(n: int, vec) -> tuple[int, ...]:
 
 
 def _poly_multiply(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Exact product of integer coefficient vectors."""
+    """Exact product of integer coefficient vectors: one convolution, in
+    int64 when no sum of products can overflow it, else on object arrays
+    of Python ints."""
     amax = max((abs(c) for c in a), default=0)
     bmax = max((abs(c) for c in b), default=0)
-    if amax and bmax and amax * bmax * min(len(a), len(b)) < _INT64_SAFE:
-        conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return [int(c) for c in conv]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return out
+    dtype = np.int64 if amax * bmax * min(len(a), len(b)) < _INT64_SAFE else object
+    conv = np.convolve(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
+    return [int(c) for c in conv]
 
 
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:

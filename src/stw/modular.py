@@ -349,6 +349,13 @@ class ModularData:
         """Normalized S entry: the trace divided by D."""
         return self.s_tilde(a, b) / self.total_dim
 
+    def s_table(self) -> tuple[np.ndarray, list[CycloNumber]]:
+        """The normalized S as (ids, values): S_ab = values[ids[a, b]],
+        each distinct value divided by D once (`s_entry` is the entry by
+        entry reference)."""
+        values = [CycloNumber(self.root_order, v) / self.total_dim for v in self.s_values]
+        return self.s_ids, values
+
     def galois_permutation(self, f: int) -> tuple[int, ...] | None:
         """The permutation pi_f with sigma_f(S~_ab) = S~_{pi_f(a) b}, where
         sigma_f maps zeta_N to zeta_N^f (f a unit mod N), matched exactly
@@ -958,6 +965,19 @@ class WMatrix:
         shift = -int(self.twist_exps[self.index_of(a)] + self.twist_exps[self.index_of(b)])
         value = map_exponents(self.root_order, self._v_value(a, b), shifts=shift)
         return CycloNumber(self.root_order, value)
+
+    def w_table(self, tilde: bool = False) -> tuple[np.ndarray, list[CycloNumber]]:
+        """W (or W-tilde) as (ids, values): W_ab = values[ids[a, b]].  An
+        entry is V shifted by -(t_a + t_b) (W-tilde: -2 t_a), so each
+        distinct (V id, shift mod N) is shifted once (`w_entry` and
+        `w_tilde_entry` are the entry by entry references)."""
+        order, t = self.root_order, self.twist_exps
+        shifts = -2 * t[:, None] if tilde else -(t[:, None] + t[None, :])
+        keys = self.v_ids * np.int64(order) + shifts % order
+        distinct, ids = np.unique(keys, return_inverse=True)
+        v, shift = np.divmod(distinct, order)
+        rows = map_exponents(order, self.v_values[v], shifts=shift)
+        return ids.reshape(keys.shape), [CycloNumber(order, row) for row in rows]
 
 
 def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
@@ -1750,16 +1770,12 @@ def modular_data_to_json(md: ModularData) -> dict:
         "total_dim": md.total_dim,
         "c_mod_8": 0,  # the Gauss sum is +D (modular_data checks it), so c = 0
         "T": [md.twist(a).to_json() for a in range(md.n_objects)],
-        "S": [
-            [md.s_entry(a, b).to_json() for b in range(md.n_objects)]
-            for a in range(md.n_objects)
-        ],
+        "S": _json_matrix(*md.s_table()),
     }
 
 
 def w_matrix_to_json(wm: WMatrix) -> dict:
     """JSON document of the W-matrix (and the retained W-tilde)."""
-    n = len(wm.labels)
     return {
         "group": {
             "q": wm.params.spec.q,
@@ -1770,11 +1786,15 @@ def w_matrix_to_json(wm: WMatrix) -> dict:
         "word": wm.word_text,
         "mirror": wm.mirror,
         "labels": list(wm.labels),
-        "W": [[wm.w_entry(a, b).to_json() for b in range(n)] for a in range(n)],
-        "W_tilde": [
-            [wm.w_tilde_entry(a, b).to_json() for b in range(n)] for a in range(n)
-        ],
+        "W": _json_matrix(*wm.w_table()),
+        "W_tilde": _json_matrix(*wm.w_table(tilde=True)),
     }
+
+
+def _json_matrix(ids: np.ndarray, values: list[CycloNumber]) -> list[list[dict]]:
+    """The JSON rows of a matrix of value ids, each value formatted once."""
+    formatted = [value.to_json() for value in values]
+    return [[formatted[i] for i in row] for row in ids.tolist()]
 
 
 def write_json(document: dict, path: str) -> None:
@@ -1783,13 +1803,18 @@ def write_json(document: dict, path: str) -> None:
         handle.write("\n")
 
 
-def write_matrix_csv(matrix: list[list[CycloNumber]], labels, path: str, col_labels=None) -> None:
-    """Float-preview CSV (real and imaginary parts); display only.  The
-    columns are labelled by `labels` too unless `col_labels` is given."""
+def write_matrix_csv(ids, values: list[CycloNumber], labels, path: str, col_labels=None) -> None:
+    """Float-preview CSV (real and imaginary parts) of the matrix with
+    entry values[ids[a][b]], each value previewed once; display only.
+    The columns are labelled by `labels` too unless `col_labels` is
+    given."""
+    previews = []
+    for value in values:
+        z = value.to_complex()
+        previews.append((f"{z.real:.12f}", f"{z.imag:.12f}"))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["row", "col", "re", "im"])
-        for la, row in zip(labels, matrix):
-            for lb, value in zip(labels if col_labels is None else col_labels, row):
-                z = value.to_complex()
-                writer.writerow([la, lb, f"{z.real:.12f}", f"{z.imag:.12f}"])
+        for la, row in zip(labels, np.asarray(ids).tolist()):
+            for lb, i in zip(labels if col_labels is None else col_labels, row):
+                writer.writerow([la, lb, *previews[i]])

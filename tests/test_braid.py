@@ -84,19 +84,23 @@ def test_parse_rejects_garbage():
 @pytest.mark.parametrize(
     "text, token",
     [("s", "s"), ("s1^", "s1^"), ("s1^x", "s1^x"), ("sx", "sx"), ("s1^-", "s1^-"), ("s 1", "s"),
-     ("s1 s2^2^3", "s2^2^3"), ("s1,s^2", "s^2")],
+     ("s1 s2^2^3", "s2^2^3"), ("s1,s^2", "s^2"), ("s1_0", "s1_0"), ("s\u0661", "s\u0661"),
+     ("s+1", "s+1"), ("s1^2_0", "s1^2_0")],
 )
 def test_parse_names_the_malformed_token(text, token):
-    """Every token that is not s<int> or s<int>^<int> is refused by name,
-    not by the int() error of its empty or non-numeric part."""
+    """Every token that is not s<digits> or s<digits>^<signed digits>,
+    ASCII digits only, is refused by name, not by the int() error of its
+    empty or non-numeric part: int() would read "s1_0" as s10 and the
+    Arabic-Indic digit one of "s\u0661" as s1."""
     with pytest.raises(ValueError) as err:
         parse_braid(text, 4)
     assert str(err.value) == f"cannot parse braid token {token!r}"
 
 
 def test_parse_accepts_what_int_accepts():
-    """Index and exponent are read by int(), signs and leading zeros
-    included, as before malformed tokens were named."""
+    """Leading zeros in the index and exponent and a sign on the exponent
+    parse as they always did: these are the parts of int()'s grammar that
+    the token grammar keeps."""
     assert parse_braid("s01^+2 s2^-01 s1^0", 3).letters == (1, 1, -2)
 
 
@@ -881,6 +885,52 @@ def test_second_pin_matches_operator_fixed_points(monkeypatch, group, u):
     assert (b_row >= 0).all() and (mixed_row >= 0).any() and (a_row == -1).all()
 
 
+@pytest.mark.parametrize("u", [0, 1])
+@pytest.mark.parametrize("group", [(11, 5, 4), (19, 3, 7)])
+def test_one_coloring_walks_the_start_vectors_and_weights_of_its_batch_row(monkeypatch, group, u):
+    """With the second pin taken wherever it gains (both thresholds 0),
+    the one-coloring branch (`_closure_phases`) walks the start vectors of
+    the same coloring's row in a batch (`_fixed_phases`), its second
+    strand on the same orbit representatives, and gives its fixed tuples
+    the same phases and the same orbit-size weights (1 where neither
+    takes a second pin).  The colorings are those of
+    `test_second_pin_matches_operator_fixed_points`: B objects only, B
+    mixed with A and I objects, and A objects only."""
+    monkeypatch.setattr(braid, "_SECOND_PIN_MIN", 0)
+    monkeypatch.setattr(braid, "_SECOND_PIN_BATCH_MIN", 0)
+    ctx = context_for(CocycleParams(GroupSpec(*group), u))
+    kinds = {k: [i for i, s in enumerate(ctx.simples) if s.label[0] == k] for k in "ABI"}
+    pools = [kinds["B"], kinds["B"] + kinds["A"] + kinds["I"], kinds["A"]]
+    rng = np.random.default_rng(sum(group) + 10 * u)
+    starts, walk = [], braid._walk
+    monkeypatch.setattr(braid, "_walk", lambda c, w, s: starts.append(np.array(s)) or walk(c, w, s))
+    second_pinned = 0
+    for text, strands in SECOND_PIN_WORDS:
+        word = parse_braid(text, strands)
+        colorings = np.zeros((len(pools), strands), dtype=np.int64)
+        for comp in closure_structure(word).components:
+            colorings[:, [s - 1 for s in comp]] = [[rng.choice(pool)] for pool in pools]
+        starts.clear()
+        which, expo, pins, sizes = braid._fixed_phases(ctx, word, colorings, None)
+        batch = np.concatenate(starts, axis=1)
+        lo = 0
+        for r, coloring in enumerate(colorings.tolist()):
+            starts.clear()
+            one_expo, pin, one_sizes = braid._closure_phases(ctx, word, coloring)
+            one = np.concatenate(starts, axis=1)
+            assert np.array_equal(batch[:, lo : lo + one.shape[1]], one), (text, coloring)
+            lo += one.shape[1]
+            row = which == r
+            assert pin == pins[r] and np.array_equal(one_expo, expo[row])
+            ones = np.ones(len(one_expo), dtype=np.int64)
+            assert np.array_equal(
+                ones if one_sizes is None else one_sizes, ones if sizes is None else sizes[row]
+            ), (text, coloring)
+            second_pinned += one_sizes is not None
+        assert lo == batch.shape[1]
+    assert second_pinned > 0
+
+
 @pytest.mark.parametrize("group", SECOND_PIN_GROUPS)
 def test_orbit_table_partitions_every_object(group):
     """The orbit table of a group: for every stabiliser of a first vector
@@ -893,20 +943,27 @@ def test_orbit_table_partitions_every_object(group):
     table = braid._orbits(ctx)
     n = len(ctx.simples)
     assert (table.stab[ctx.dims == 1] == -1).all() and (table.stab[ctx.dims > 1] >= 0).all()
-    for s, rows in enumerate(table.rows):
+    assert table.stab_list == table.stab.tolist()
+    for s in range(len(table.count)):
         v = ctx.offsets[table.stab_list.index(s)]  # the first vector of one object with this stabiliser
-        for y, (count, reps, sizes) in enumerate(rows):
-            offset = ctx.offsets[y]
-            assert count == len(reps) == table.count[s, y] and sum(sizes) == ctx.dims[y]
-            assert reps[0] == 0 and list(reps) == sorted(reps)
-            assert table.reps[s, offset : offset + count].tolist() == [offset + r for r in reps]
-            assert table.size[s, offset + np.array(reps)].tolist() == list(sizes)
-            assert list(sizes) == _orbit_sizes(ctx, v, y)
+        stab = np.flatnonzero(ctx.action_state[:, v] == v)
+        for y in range(n):
+            offset, dim, count = ctx.offsets[y], ctx.dims[y], table.count[s, y]
+            segment = table.reps[s, offset : offset + dim].tolist()
+            assert sorted(segment) == list(range(offset, offset + dim))  # the object's vectors
+            reps = [w - offset for w in segment[:count]]
+            sizes = table.size[s, segment[:count]].tolist()
+            assert count == len(_orbit_sizes(ctx, v, y)) and sum(sizes) == dim
+            assert reps[0] == 0 and reps == sorted(reps)
+            least = ctx.action_state[np.ix_(stab, segment[:count])].min(axis=0)
+            assert least.tolist() == segment[:count]  # each the least vector of its orbit
+            assert [_orbit_size(ctx, v, w) for w in segment] == table.size[s, segment].tolist()
+            assert sizes == _orbit_sizes(ctx, v, y)
     for u in range(spec.p):
         other = braid._orbit_table(context_for(CocycleParams(spec, u)))
         for name in ("stab", "count", "reps", "size"):
             assert np.array_equal(getattr(other, name), getattr(table, name)), (u, name)
-        assert other.rows == table.rows and other.stab_list == table.stab_list
+        assert other.stab_list == table.stab_list
 
 
 def test_pass_one_walks_the_tuples_of_the_unpinned_strands(monkeypatch):
@@ -997,8 +1054,8 @@ def test_zero_framed_invariant_passes_over_the_word_once(monkeypatch):
     """A zero-framed invariant reads where the strands end, each
     component's first strand and the self-writhes from one pass over the
     word (`_closure_pass`), and builds no `closure_structure`; a framed
-    invariant reads only where the strands end (`_strand_at`)."""
-    calls = {"_closure_pass": 0, "closure_structure": 0, "_strand_at": 0}
+    invariant reads where the strands end from the same one pass."""
+    calls = {"_closure_pass": 0, "closure_structure": 0}
 
     def spy(name):
         real = getattr(braid, name)
@@ -1014,22 +1071,28 @@ def test_zero_framed_invariant_passes_over_the_word_once(monkeypatch):
     word = parse_braid(CLASP, 3)
     colors = ["B_1_0", "A_1_2", "B_1_0"]
     zero_framed_invariant(params(1), word, colors)
-    assert calls == {"_closure_pass": 1, "closure_structure": 0, "_strand_at": 0}
+    assert calls == {"_closure_pass": 1, "closure_structure": 0}
     framed_invariant(params(1), word, colors)
-    assert calls == {"_closure_pass": 1, "closure_structure": 0, "_strand_at": 1}
+    assert calls == {"_closure_pass": 2, "closure_structure": 0}
 
 
 def test_closure_pass_matches_the_closure_structure():
     """`_closure_pass` and `closure_structure` agree on random words on 1
     to 6 strands: the strand at each top position, the components in
-    order of least member and their self-writhes."""
+    order of least member and their self-writhes; the strand at each top
+    position is also the one that swapping positions letter by letter
+    leaves there."""
     rng = np.random.default_rng(23)
     for strands in range(1, 7):
         for _ in range(8):
             word = _random_word(rng, strands, int(rng.integers(0, 3 * strands)))
             strand_at, comp_of, firsts, writhes = braid._closure_pass(word)
             info = closure_structure(word)
-            assert strand_at == braid._strand_at(word)
+            swapped = list(range(strands))
+            for letter in word.letters:
+                i = abs(letter) - 1
+                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+            assert strand_at == swapped
             assert [info.permutation[s] - 1 for s in strand_at] == list(range(strands))
             assert tuple(comp_of) == info.component_of
             assert firsts == [comp[0] - 1 for comp in info.components]

@@ -157,6 +157,16 @@ def test_invariant_bad_braid_exits_2(capsys):
     assert "t3" in err
 
 
+def test_malformed_braid_token_exits_2(capsys):
+    """Tokens that int() would read (an underscore, a non-ASCII digit, a
+    sign on the index) exit 2 naming the token, and print nothing."""
+    for token in ["s1_0", "s١", "s+1", "s1^2_0"]:
+        code, out, err = run(capsys, ["invariant", "--braid", token, "--strands", "12",
+                                      "--colors", ",".join(["I_0"] * 12)])
+        assert code == 2 and out == "", token
+        assert f"cannot parse braid token {token!r}" in err
+
+
 def test_quandle_command(capsys):
     code, out, _ = run(capsys, [
         "quandle", "--braid", "s1^3", "--strands", "2", "--k", "2", "--s", "3",

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from stw.cyclotomic import (
     CycloNumber,
+    _INT64_SAFE,
     _division_terms,
     _poly_divide_exact,
+    _poly_multiply,
     _radical_table,
     cyclotomic_polynomial,
     euler_phi,
@@ -164,6 +166,34 @@ def test_ring_axioms_on_random_values():
                 assert a * (b + c) == a * b + a * c
                 assert a + b == b + a
                 assert a * b == b * a
+
+
+def test_poly_multiply_is_exact_on_both_sides_of_the_int64_bound():
+    """`_poly_multiply` convolves in int64 while the product bound holds
+    and on object arrays of Python ints once it fails: both give the
+    schoolbook product with Python-int coefficients, for small vectors
+    scaled by 3**50 and -2**70 and for vectors just below and at the
+    bound; and a product of values with such coefficients is exact."""
+
+    def schoolbook(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    rng = random.Random(29)
+    half = _INT64_SAFE // 2
+    cases = [([half - 1, -(half - 1)], [1, 1]), ([half, -half], [1, 1])]  # below, at the bound
+    for length in (1, 4, 20):
+        a = [rng.randint(-9, 9) for _ in range(length)]
+        b = [rng.randint(-9, 9) for _ in range(length + 3)]
+        cases += [(a, b), ([3**50 * c for c in a], b), (a, [-(2**70) * c for c in b])]
+    for a, b in cases:
+        product = _poly_multiply(tuple(a), tuple(b))
+        assert product == schoolbook(a, b) and all(type(c) is int for c in product)
+    x, y = 1 + 2 * z(3, 11), 3 - z(7, 11)
+    assert (3**50 * x) * (-(2**70) * y) == -(3**50) * 2**70 * (x * y)
 
 
 def test_power_matches_repeated_multiplication():

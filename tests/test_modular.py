@@ -1102,9 +1102,31 @@ def test_serialization(md_u, wm_u, tmp_path):
     modular.write_json(doc, str(out))
     assert out.exists() and out.read_text().endswith("\n")
     csv_path = tmp_path / "s.csv"
-    matrix = [[md.s_entry(a, b) for b in range(3)] for a in range(3)]
-    modular.write_matrix_csv(matrix, md.labels[:3], str(csv_path))
+    ids, values = md.s_table()
+    modular.write_matrix_csv(ids[:3, :3], values, md.labels[:3], str(csv_path))
     assert len(csv_path.read_text().splitlines()) == 10
+
+
+def test_documents_format_each_distinct_value_once(md_u, wm_u, monkeypatch):
+    """At (11,5,4) `modular_data_to_json` formats each of the 46 distinct
+    S values once (46 `to_json` calls for the 2,401 entries of S, plus
+    one per twist of T), and `w_matrix_to_json` each distinct (V id,
+    shift mod N) once: 158 for W and 165 for W-tilde.  Both documents
+    equal their entry-by-entry build from `s_entry`, `w_entry` and
+    `w_tilde_entry`."""
+    md, wm = md_u(1), wm_u(1)
+    n = md.n_objects
+    calls, to_json = [], CycloNumber.to_json
+    monkeypatch.setattr(CycloNumber, "to_json", lambda self: calls.append(1) or to_json(self))
+    doc = modular.modular_data_to_json(md)
+    assert len(calls) - n == len(md.s_values) == 46 and n * n == 2401
+    calls.clear()
+    wdoc = modular.w_matrix_to_json(wm)
+    assert len(calls) == 158 + 165
+    monkeypatch.undo()
+    assert doc["S"] == [[md.s_entry(a, b).to_json() for b in range(n)] for a in range(n)]
+    assert wdoc["W"] == [[wm.w_entry(a, b).to_json() for b in range(n)] for a in range(n)]
+    assert wdoc["W_tilde"] == [[wm.w_tilde_entry(a, b).to_json() for b in range(n)] for a in range(n)]
 
 
 def _built_theory(params):
