@@ -17,13 +17,13 @@ the diagonal action of G, and the associators met on the way are scalars
 on each coloring: omega is pulled back from Z_p, and the Z_p part of a
 flux is constant on its class.  So g carries a fixed tuple with phase
 zeta^a to a fixed tuple with phase zeta^a.  G also acts transitively on
-the vectors of each simple object (`DoubleContext` refuses to build
-otherwise), so some g moves any one strand's vector v to the first
-vector of its object, and that g maps the tuples with the strand on v
-one to one onto those with the strand on the first vector, fixed tuples
-to fixed tuples of equal phase.  A trace pins one strand per coloring,
-one of largest dimension d, to its first vector v, walks the other
-strands and multiplies the histogram by d.
+the vectors of each simple object (`GroupTables` of `stw.double`
+refuses to build otherwise), so some g moves any one strand's vector v
+to the first vector of its object, and that g maps the tuples with the
+strand on v one to one onto those with the strand on the first vector,
+fixed tuples to fixed tuples of equal phase.  A trace pins one strand
+per coloring, one of largest dimension d, to its first vector v, walks
+the other strands and multiplies the histogram by d.
 
 The same lemma gives a second pin.  The stabiliser H = Stab(v) fixes
 the pinned strand and commutes with the braiding, so h in H maps the
@@ -34,7 +34,8 @@ vector of the orbit), and each fixed tuple stands for d times the size
 of its orbit.  H is <b> (order p) for a B object and <a> (order q) for
 an A object or an induced I_j, so a B strand under <b> walks
 1 + (q - 1)/p orbits, not q.  The orbits come from one table per group
-(`_orbits`): the action of G on vectors does not depend on u.  Each
+(`GroupTables.orbits` of `stw.double`, shared by every theory u of the
+group, as the action of G on vectors does not depend on u).  Each
 coloring takes the strand j that divides its walk most, d_j / orbits_j
 largest (the first on ties), and a call takes the second pin only when
 it removes more tuples in all than its fixed cost is worth: more than
@@ -292,74 +293,6 @@ _SECOND_PIN_MIN = 256
 _SECOND_PIN_BATCH_MIN = 8192
 
 
-@dataclass(frozen=True)
-class _OrbitTable:
-    """The orbits of the stabiliser H = Stab(v) of each object's first
-    vector v on the vectors of every object, for the second pin.
-
-    stab[x] numbers the stabiliser of object x's first vector (-1 for an
-    object of dimension 1, which is pinned only when every strand has
-    dimension 1).  For stabiliser s, count[s, y] is its number of orbits
-    on object y; the segment of object y in reps[s] (its columns offset
-    to offset + dim) starts with their representatives, the least vector
-    of each orbit, increasing, so it is a CSR of the representatives with
-    the object offsets as its row starts; size[s, w] is the size of the
-    orbit of vector w.  stab_list is stab as Python ints, for the
-    one-coloring branch."""
-
-    stab: np.ndarray
-    count: np.ndarray
-    reps: np.ndarray
-    size: np.ndarray
-    stab_list: list[int]
-
-
-# One orbit table per group: the action of G on the vectors, and so every
-# stabiliser and orbit, is the same in every theory u of a group.
-_ORBITS: dict = {}
-
-
-def _orbits(ctx: DoubleContext) -> _OrbitTable:
-    """The orbit table of the context's group, built on first use."""
-    table = _ORBITS.get(ctx.spec)
-    if table is None:
-        table = _ORBITS[ctx.spec] = _orbit_table(ctx)
-    return table
-
-
-def _orbit_table(ctx: DoubleContext) -> _OrbitTable:
-    """Build the `_OrbitTable` of the context from `action_state`:
-    Stab(v) = {g : action_state[g, v] == v}.  The stabilisers of the
-    first vectors are few (<b> for the B objects, <a> for the A objects
-    and the induced I_j, G for the linear I_j), and each is kept only for
-    objects of dimension d >= 2, so it has order |G|/d <= |G|/2: the
-    least vector of every orbit is one min over its rows of the action
-    table, and the orbit sizes one bincount of those least vectors."""
-    state = ctx.action_state
-    first = ctx.offsets
-    n, size = len(first), ctx.size
-    wide = np.flatnonzero(ctx.dims > 1)
-    masks = state[:, first[wide]] == first[wide]  # (|G|, objects): g fixes the first vector
-    keys: dict[bytes, int] = {}  # a stabiliser's packed mask -> its number
-    ids = [keys.setdefault(row.tobytes(), len(keys)) for row in np.packbits(masks, axis=0).T]
-    stab = np.full(n, -1)
-    stab[wide] = ids
-    members = [masks[:, ids.index(s)].nonzero()[0] for s in range(len(keys))]
-    object_of = np.repeat(np.arange(n), ctx.dims)
-    vectors = np.arange(size)
-    count = np.zeros((len(keys), n), dtype=np.int64)
-    reps = np.empty((len(keys), size), dtype=state.dtype)
-    orbit_size = np.empty((len(keys), size), dtype=np.int64)
-    for s, group in enumerate(members):
-        least = state[group].min(axis=0)  # the least vector of each vector's orbit
-        is_rep = least == vectors
-        orbit_size[s] = np.bincount(least, minlength=size)[least]
-        count[s] = np.bincount(object_of[is_rep], minlength=n)
-        # each object's representatives first in its segment, increasing
-        reps[s] = np.argsort(2 * object_of + ~is_rep, kind="stable")
-    return _OrbitTable(stab, count, reps, orbit_size, stab.tolist())
-
-
 def _second_pins(ctx: DoubleContext, colorings: np.ndarray, dims, pin, walked):
     """The second pins of a batch: strand j of each coloring, other than
     the pinned one, with d_j / orbits_j largest (the first on ties) under
@@ -367,7 +300,7 @@ def _second_pins(ctx: DoubleContext, colorings: np.ndarray, dims, pin, walked):
     `_SECOND_PIN_BATCH_MIN` tuples in all, sets walked[c, j] = orbits_j
     where it gains and returns the j and the stabiliser of each coloring
     (both -1 where it does not gain); otherwise returns None."""
-    table = _orbits(ctx)
+    table = ctx.group.orbits
     rows = np.arange(len(dims))
     stab = table.stab[colorings[rows, pin]]
     counts = table.count[stab[:, None], colorings]
@@ -390,7 +323,7 @@ def _second_pin(ctx: DoubleContext, coloring: list[int], dims: list[int], pin: i
     total = math.prod(walked)
     if total <= _SECOND_PIN_MIN:
         return None
-    table = _orbits(ctx)
+    table = ctx.group.orbits
     s = table.stab_list[coloring[pin]]
     if s < 0:
         return None
@@ -412,14 +345,14 @@ def _rep_vectors(ctx: DoubleContext, stab, vectors: np.ndarray) -> np.ndarray:
     """The start vectors of a second-pinned strand: basis index k on an
     object (its vector offset + k) reads the k-th representative of the
     orbits of stabiliser `stab` on that object."""
-    return _orbits(ctx).reps[stab].take(vectors)
+    return ctx.group.orbits.reps[stab].take(vectors)
 
 
 def _orbit_weights(ctx: DoubleContext, stab, vectors) -> np.ndarray:
     """The int64 size of the orbit of each vector under stabiliser `stab`
     (one, or one per vector): the weight of a fixed tuple whose
     second-pinned strand starts on that vector."""
-    return _orbits(ctx).size[stab, vectors]
+    return ctx.group.orbits.size[stab, vectors]
 
 
 def _start(ctx: DoubleContext, colorings: np.ndarray, dims=None, second=None) -> np.ndarray:
@@ -597,7 +530,7 @@ def _fixed_phases(ctx: DoubleContext, word: BraidWord, colorings: np.ndarray, sh
     each coloring (omega comes from Z_p, and the Z_p part of a flux is
     constant on its class), so g maps a fixed tuple with phase zeta^a to
     a fixed tuple with phase zeta^a.  And G acts transitively on the
-    vectors of every simple object (`DoubleContext` checks this), so for
+    vectors of every simple object (`GroupTables` checks this), so for
     each vector of the pinned object some g maps the tuples with the
     pinned strand on it one to one onto the walked ones.
 

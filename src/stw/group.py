@@ -206,45 +206,40 @@ class MonomialRep:
         return int(self.perm[gi, i]), int(self.exponents[gi, i])
 
 
+def _parts(spec: GroupSpec):
+    """The a and b parts (l, m) of every group index l p + m, and n^m for
+    m = 0..p-1, as int64 arrays."""
+    a_part, b_part = np.divmod(np.arange(spec.order, dtype=np.int64), spec.p)
+    return a_part, b_part, np.array([spec.n_pow(m) for m in range(spec.p)], dtype=np.int64)
+
+
 def irreps_of_G(spec: GroupSpec) -> tuple[MonomialRep, ...]:
     """All irreducibles: p linear characters factoring through Z_p,
     then (q-1)/p monomial irreps of dimension p induced from Z_q,
     indexed by the canonical orbit representatives of n acting on
-    Z_q - {0}.  Listed in that order.
+    Z_q - {0}.  Listed in that order.  a^l b^m takes basis vector i of
+    the induced irrep j to zeta_q^(j l n^-t) e_t, t = i + m mod p.
     """
     q, p = spec.q, spec.p
-    order = q * p
+    a_part, b_part, npow = _parts(spec)
     reps: list[MonomialRep] = []
     for j in range(p):
-        perm = np.zeros((order, 1), dtype=np.int64)
-        expo = np.zeros((order, 1), dtype=np.int64)
-        for l in range(q):
-            for m in range(p):
-                expo[l * p + m, 0] = (j * m) % p
         reps.append(
             MonomialRep(
-                spec=spec, dim=1, root_order=p, perm=perm, exponents=expo,
-                kind="linear", index=j,
+                spec=spec, dim=1, root_order=p, perm=np.zeros((spec.order, 1), dtype=np.int64),
+                exponents=(j * b_part % p)[:, None], kind="linear", index=j,
             )
         )
+    perm = (np.arange(p) + b_part[:, None]) % p
     seen: set[int] = set()
     for j in range(1, q):
         if j in seen:
             continue
         seen.update((j * spec.n_pow(t)) % q for t in range(p))
-        perm = np.zeros((order, p), dtype=np.int64)
-        expo = np.zeros((order, p), dtype=np.int64)
-        for l in range(q):
-            for m in range(p):
-                gi = l * p + m
-                for i in range(p):
-                    target = (i + m) % p
-                    perm[gi, i] = target
-                    expo[gi, i] = (j * l * spec.n_pow(-target)) % q
         reps.append(
             MonomialRep(
-                spec=spec, dim=p, root_order=q, perm=perm, exponents=expo,
-                kind="induced", index=j,
+                spec=spec, dim=p, root_order=q, perm=perm.copy(),
+                exponents=j * a_part[:, None] * npow[-perm % p] % q, kind="induced", index=j,
             )
         )
     return tuple(reps)
@@ -263,21 +258,14 @@ class GroupData:
     def __post_init__(self):
         spec = self.spec
         q, p = spec.q, spec.p
-        order = q * p
-        npow = np.array([spec.n_pow(m) for m in range(p)], dtype=np.int64)
-        ls = np.arange(order, dtype=np.int64) // p
-        ms = np.arange(order, dtype=np.int64) % p
+        ls, ms, npow = _parts(spec)
         l1 = ls[:, None]
         m1 = ms[:, None]
         l2 = ls[None, :]
         m2 = ms[None, :]
         self.mult_table = ((l1 + npow[m1] * l2) % q) * p + (m1 + m2) % p
-        inv = np.empty(order, dtype=np.int64)
-        for idx in range(order):
-            g = GroupElement(int(ls[idx]), int(ms[idx]))
-            gi = inverse(spec, g)
-            inv[idx] = gi.l * p + gi.m
-        self.inv_table = inv
+        # (l, m)^-1 = (-n^-m l, -m)
+        self.inv_table = (-npow[-ms % p] * ls) % q * p + -ms % p
         self.b_part = ms
         self.a_part = ls
 

@@ -103,7 +103,7 @@ from .cyclotomic import (
     reduce_counts,
     root_of_unity,
 )
-from .double import _object_index, context_for, galois_relabel
+from .double import context_for, galois_relabel, group_for
 from .group import GroupSpec
 
 # Three-strand words whose closures are the two-component clasp pattern
@@ -310,24 +310,20 @@ class ModularData:
     s_ids: np.ndarray
     s_values: np.ndarray
     total_dim: int
-    _label_index: dict = field(repr=False, default_factory=dict)
     _verlinde: np.ndarray | None = field(init=False, repr=False, default=None)
     _conj: tuple[int, ...] | None = field(init=False, repr=False, default=None)  # certified
     # pi_g for the generators g of `_unit_generators`, certified with `_conj`
     _galois_gens: tuple[tuple[int, ...], ...] | None = field(init=False, repr=False, default=None)
     _r_table: np.ndarray | None = field(init=False, repr=False, default=None)
 
-    def __post_init__(self):
-        self._label_index = {lab: i for i, lab in enumerate(self.labels)}
-
     @property
     def n_objects(self) -> int:
         return len(self.labels)
 
     def index_of(self, obj) -> int:
-        if isinstance(obj, str):
-            return self._label_index[obj]
-        return _object_index(obj, len(self.labels))
+        """An object (label, index or SimpleObject) as its index, through
+        the index of the group's tables."""
+        return group_for(self.params.spec).index_of(obj)
 
     def twist(self, a) -> CycloNumber:
         return root_of_unity(int(self.twist_exps[self.index_of(a)]), self.root_order)
@@ -928,10 +924,6 @@ class WMatrix:
     twist_exps: np.ndarray
     v_ids: np.ndarray
     v_values: np.ndarray
-    _label_index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._label_index = {lab: i for i, lab in enumerate(self.labels)}
 
     @property
     def v_counts(self) -> np.ndarray:
@@ -941,9 +933,8 @@ class WMatrix:
         return _lift(self.v_values, self.root_order)[self.v_ids]
 
     def index_of(self, obj) -> int:
-        if isinstance(obj, str):
-            return self._label_index[obj]
-        return _object_index(obj, len(self.labels))
+        """As `ModularData.index_of`."""
+        return group_for(self.params.spec).index_of(obj)
 
     def _v_value(self, a, b) -> np.ndarray:
         """The canonical numerators of V_ab."""
@@ -1486,19 +1477,19 @@ def galois_conjugate(data: TheoryData, params: CocycleParams, u: int) -> TheoryD
     shared with `ModularData.galois_permutation`), and each twist
     exponent t goes to f t.  Rows and columns come in the label order
     that every theory of the group shares; the conjugate's dims and twist
-    exponents must equal theory u's, read from the context of `params`
-    (`DoubleContext.twist_exps_at`), or ArithmeticError is raised.  No
-    context of theory u is built."""
+    exponents must equal theory u's, read from the group's tables
+    (`GroupTables.twists`), or ArithmeticError is raised.  No context of
+    theory u is built."""
     spec = params.spec
     p2, ne = spec.p**2, data.root_order
     ratio = u * pow(params.u, -1, spec.p) % spec.p
     f = 1 + spec.q * ((ratio - 1) * pow(spec.q, -1, p2) % p2)
     target, images = galois_relabel(params, f)
     source = np.argsort(images)  # source[b]: the object that sigma_f sends to b
-    ctx = context_for(params)  # labels and dims are the same for every u
+    group = group_for(spec)  # labels and dims are the same for every u
     dims = data.dims[source]
     t_keys = f * data.t_keys[source] % ne
-    if not (np.array_equal(dims, ctx.dims) and np.array_equal(t_keys, ctx.twist_exps_at(target.u))):
+    if not (np.array_equal(dims, group.dims) and np.array_equal(t_keys, group.twists(target.u))):
         raise ArithmeticError(
             f"the conjugate of {data.name} by sigma_{f} does not match the dims"
             f" and twists of u={target.u}"
@@ -1510,7 +1501,7 @@ def galois_conjugate(data: TheoryData, params: CocycleParams, u: int) -> TheoryD
 
     return TheoryData(
         name=f"u={target.u}",
-        labels=tuple(s.label for s in ctx.simples),
+        labels=tuple(s.label for s in group.simples),
         dims=dims,
         root_order=ne,
         t_keys=t_keys,

@@ -1,6 +1,7 @@
 """Tests for the colored braid engine: word parsing, closure structure,
 operator relations, and framed/zero-framed traces."""
 
+import copy
 import itertools
 import math
 from functools import lru_cache
@@ -539,11 +540,14 @@ def test_trace_does_not_depend_on_the_walk_block(monkeypatch, strands, letters, 
 def test_wide_vector_dtype_gives_the_same_histograms(monkeypatch):
     """Past 2^15 global vectors the tables and the walk use int32; no such
     context is small enough for the tests (the flagship has 345 vectors),
-    so a fresh context is built with the int32 dtype forced."""
+    so a fresh context is built on an uncached group's tables with the
+    int32 dtype forced (the cached group must not change)."""
     params = CocycleParams(GroupSpec(7, 3, 2), 1)
     narrow = context_for(params)
     monkeypatch.setattr(double, "_narrow_dtype", lambda bound: np.int32)
+    monkeypatch.setattr(double, "group_for", double.GroupTables)
     wide = DoubleContext(params)
+    assert wide.group is not narrow.group
     assert narrow.action_state.dtype == narrow.inverse_state.dtype == np.int16
     assert wide.action_state.dtype == wide.inverse_state.dtype == np.int32
     n = len(narrow.simples)
@@ -732,12 +736,13 @@ def test_a_split_object_is_rejected_before_any_trace(monkeypatch):
     """The pinned walk needs G to act transitively on every object's
     vectors.  Let only the Z_p part of each group element act on the
     cosets of the flux b at (7,3,2), which splits the 7 vectors of each
-    B_1_s into orbits of sizes 1, 3 and 3: the context refuses to build,
-    naming B_1_0, the first object of the class.  Split the same way in
-    the tables of a built context, B_1_0 gives the S trace of (B_1_0,
-    B_2_0) as 7 instead of the full walk's 1."""
+    B_1_s into orbits of sizes 1, 3 and 3: the group's tables refuse to
+    build, naming B_1_0, the first object of the class.  Split the same
+    way in writable copies of the vector tables of a built context, B_1_0
+    gives the S trace of (B_1_0, B_2_0) as 7 instead of the full walk's
+    1."""
     params = CocycleParams(GroupSpec(7, 3, 2), 1)
-    coset_action = DoubleContext._coset_action
+    coset_action = double.GroupTables._coset_action
 
     def zp_part(ctx):
         """The group index of the Z_p part of every group element."""
@@ -745,17 +750,19 @@ def test_a_split_object_is_rejected_before_any_trace(monkeypatch):
         return np.array([gd.index(GroupElement(0, m)) for m in range(ctx.spec.p)])[gd.b_part]
 
     def split_coset_action(self, cls):
-        flux, cent, j, s, exp = coset_action(self, cls)
+        flux, reps, cent, j, s = coset_action(self, cls)
         if cls.representative.m == 1:
             zp = zp_part(self)
-            j, s, exp = j[zp], s[zp], exp[zp]
-        return flux, cent, j, s, exp
+            j, s = j[zp], s[zp]
+        return flux, reps, cent, j, s
 
-    monkeypatch.setattr(DoubleContext, "_coset_action", split_coset_action)
+    monkeypatch.setattr(double.GroupTables, "_coset_action", split_coset_action)
     with pytest.raises(AssertionError, match="not transitive on the vectors of B_1_0"):
-        DoubleContext(params)
+        double.GroupTables(params.spec)  # uncached: the cached group stays whole
     monkeypatch.undo()
-    ctx = DoubleContext(params)
+    ctx = copy.copy(context_for(params))
+    ctx.crossing_state = ctx.crossing_state.copy()
+    ctx.action_state, ctx.inverse_state = np.split(ctx.crossing_state, 2)
     table = ctx.tables[ctx.index_of("B_1_0")]
     cols = slice(table.offset, table.offset + table.dim)
     split = ctx.action_state[zp_part(ctx), cols]
@@ -937,10 +944,11 @@ def test_orbit_table_partitions_every_object(group):
     and every object, the orbit sizes sum to the object's dimension, the
     representatives are the least vectors of their orbits, increasing,
     and they agree with the orbits found from Python sets.  The table is
-    the same for every u."""
+    the group's own, shared by every u, and a table built afresh on an
+    uncached group's tables equals it."""
     spec = GroupSpec(*group)
     ctx = context_for(CocycleParams(spec, 1))
-    table = braid._orbits(ctx)
+    table = ctx.group.orbits
     n = len(ctx.simples)
     assert (table.stab[ctx.dims == 1] == -1).all() and (table.stab[ctx.dims > 1] >= 0).all()
     assert table.stab_list == table.stab.tolist()
@@ -959,11 +967,12 @@ def test_orbit_table_partitions_every_object(group):
             assert least.tolist() == segment[:count]  # each the least vector of its orbit
             assert [_orbit_size(ctx, v, w) for w in segment] == table.size[s, segment].tolist()
             assert sizes == _orbit_sizes(ctx, v, y)
+    other = double.GroupTables(spec).orbits
+    for name in ("stab", "count", "reps", "size"):
+        assert np.array_equal(getattr(other, name), getattr(table, name)), name
+    assert other.stab_list == table.stab_list
     for u in range(spec.p):
-        other = braid._orbit_table(context_for(CocycleParams(spec, u)))
-        for name in ("stab", "count", "reps", "size"):
-            assert np.array_equal(getattr(other, name), getattr(table, name)), (u, name)
-        assert other.stab_list == table.stab_list
+        assert context_for(CocycleParams(spec, u)).group.orbits is table, u
 
 
 def test_pass_one_walks_the_tuples_of_the_unpinned_strands(monkeypatch):

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stw.cocycle import CocycleParams, projective_character, theta_exponent
+from stw.cocycle import CocycleParams, projective_character, theta_exponent, theta_exponent_table
 from stw.cyclotomic import CycloNumber, root_of_unity
+from stw import double
 from stw.double import (
     DoubleContext,
     associator_scalar,
@@ -16,6 +17,7 @@ from stw.double import (
     context_for,
     dpr_action,
     enumerate_simples,
+    group_for,
     qdim,
     sigma_action,
     sigma_inverse_action,
@@ -231,10 +233,17 @@ def test_action_tables_match_the_element_formula(group, u, kinds):
     (projective) characters, and compare it with the engine's global
     tables for every group element y and basis vector: the action, and the
     inverse action lowered by theta_t(y, y^-1) that the negative crossing
-    uses."""
+    uses.  The contexts of u = 1 and then u = 0 (then u) are built afresh
+    on the one cached group and stay alive while theory u is checked, so
+    a theory whose build wrote into the shared tables would fail."""
     spec = GroupSpec(*group)
-    params = CocycleParams(spec, u)
-    ctx = context_for(params)
+    contexts = {v: DoubleContext(CocycleParams(spec, v)) for v in dict.fromkeys((1, 0, u))}
+    assert all(ctx.group is group_for(spec) for ctx in contexts.values())
+    _check_action_tables(contexts[u], kinds)
+
+
+def _check_action_tables(ctx, kinds):
+    params, spec = ctx.params, ctx.spec
     ne, p = ctx.root_order, spec.p
     elements = [GroupElement(l, m) for l in range(spec.q) for m in range(p)]  # index l p + m
     irreps = irreps_of_G(spec)
@@ -286,13 +295,16 @@ def test_action_tables_match_the_element_formula(group, u, kinds):
                 assert (inv_state[basis], inv_exp[basis]) == (target, (e - norm) % ne)
 
 
-def test_the_build_peaks_at_most_twice_the_tables_it_keeps():
+def test_the_build_peaks_at_most_twice_the_tables_it_keeps(monkeypatch):
     """The objects are listed first, so the crossing tables are allocated
     once in their final dtype and each run of objects writes its own
-    columns: the traced peak of building the context at (43,7,4) (3661
-    vectors, 8.4 MB of int16 tables) is at most twice the bytes of the
-    tables it keeps.  Full-width int64 intermediates took about 9x."""
+    columns: the traced peak of building the group's tables and the
+    context at (43,7,4) (3661 vectors, 8.4 MB of int16 tables) is at most
+    twice the bytes of the tables they keep.  The group is built uncached,
+    so its build is traced too.  Full-width int64 intermediates took
+    about 9x."""
     params = CocycleParams(GroupSpec(43, 7, 4), 1)
+    monkeypatch.setattr(double, "group_for", double.GroupTables)
     tracemalloc.start()
     try:
         ctx = DoubleContext(params)
@@ -314,3 +326,94 @@ def test_index_of_refuses_invalid_object_indices(bad):
     last = ctx.simples[-1]
     assert ctx.index_of(last) == ctx.index_of(last.label) == ctx.index_of(48) == 48
     assert ctx.index_of(np.int64(3)) == 3
+
+
+# ----- one group's tables for every theory u ---------------------------------
+
+SHARED_GROUPS = [(7, 3, 2), (11, 5, 4), (19, 3, 7)]
+SHARED_NAMES = (
+    "group", "simples", "dims", "offsets", "flux", "crossing_state",
+    "action_state", "inverse_state", "flux_row", "inverse_row",
+)
+
+
+@pytest.mark.parametrize("group", SHARED_GROUPS)
+def test_every_theory_shares_its_group_tables(group):
+    """The contexts of every u of a group bind the same objects of the
+    group's tables: the simple objects, the offsets, dims and fluxes of
+    the vectors, the vector action and the orbit table.  The phase
+    tables, which depend on u, differ between any two theories, and each
+    theory's theta table is u times the group's."""
+    spec = GroupSpec(*group)
+    contexts = [context_for(CocycleParams(spec, u)) for u in range(spec.p)]
+    first = contexts[0]
+    for ctx in contexts:
+        assert np.array_equal(ctx.theta_zp, theta_exponent_table(ctx.params))
+    for ctx in contexts[1:]:
+        for name in SHARED_NAMES:
+            assert getattr(ctx, name) is getattr(first, name), (ctx.params.u, name)
+        assert ctx.group.orbits is first.group.orbits
+    for a, b in itertools.combinations(contexts, 2):
+        assert not np.array_equal(a.crossing_exp, b.crossing_exp), (a.params.u, b.params.u)
+
+
+def test_the_theories_of_a_group_build_its_tables_once(monkeypatch):
+    """The contexts of u = 0..p-1 at (11,5,4) build the group's tables
+    once and fill `crossing_state` once (one write per run of objects),
+    while each theory writes its own phases for every run."""
+    built, fills, phases = [], [], []
+    init, add_states = double.GroupTables.__init__, double.GroupTables._add_states
+    add_phases = DoubleContext._add_phases
+
+    def spy(record, method):
+        def wrapper(self, arg):
+            record.append(arg)
+            return method(self, arg)
+
+        return wrapper
+
+    monkeypatch.setattr(double.GroupTables, "__init__", spy(built, init))
+    monkeypatch.setattr(double.GroupTables, "_add_states", spy(fills, add_states))
+    monkeypatch.setattr(DoubleContext, "_add_phases", spy(phases, add_phases))
+    group_for.cache_clear()
+    context_for.cache_clear()
+    contexts = [context_for(CocycleParams(SPEC, u)) for u in range(SPEC.p)]
+    runs = contexts[0].group.runs
+    assert built == [SPEC]
+    assert fills == runs
+    assert phases == runs * SPEC.p
+    assert all(ctx.group is contexts[0].group for ctx in contexts)
+
+
+def test_shared_arrays_are_read_only():
+    """A write into any array that the theories of a group share raises;
+    a context's own phase table stays writable."""
+    ctx = context_for(U1)
+    orbits = ctx.group.orbits
+    shared = [getattr(ctx, name) for name in SHARED_NAMES[2:]]
+    shared += [orbits.stab, orbits.count, orbits.reps, orbits.size]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
+    assert ctx.crossing_exp.flags.writeable
+
+
+@pytest.mark.parametrize("group", SHARED_GROUPS)
+def test_the_group_twist_formula_gives_every_theory_its_twists(group):
+    """The group's one twist formula gives, for every u, the context's
+    twist exponents, `double.twist`, and the formula zeta_q^(l s) for
+    A_l_s, zeta_(p^2)^(k (s p + u k)) for B_k_s and 1 for I_j."""
+    spec = GroupSpec(*group)
+    p, q = spec.p, spec.q
+    tables = group_for(spec)
+    for u in range(p):
+        params = CocycleParams(spec, u)
+        ctx = context_for(params)
+        exps = tables.twists(u)
+        assert exps.dtype == np.int64 and np.array_equal(exps, ctx.twist_exps)
+        for simple, t in zip(ctx.simples, exps.tolist()):
+            assert twist(params, simple) == ctx.root(t)
+            rep = ctx.classes[simple.class_index].representative
+            s = simple.char_index
+            expected = root_of_unity(rep.l * s, q) if rep.m == 0 else root_of_unity((s * p + u * rep.m) * rep.m, p * p)
+            assert ctx.root(t) == expected, (u, simple.label)

@@ -1,5 +1,7 @@
 """Group structure of Z_11 x| Z_5 (and friends): pinned facts and laws."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,22 @@ def test_character_row_orthogonality():
             for vi, vj in zip(row_i, row_j):
                 total = total + vi * vj.conjugate()
             assert total == (55 if i == j else 0)
+
+
+@pytest.mark.parametrize(
+    "group, digest",
+    [
+        ((11, 5, 4), "5e04938aa3680464b3b2bd3985c9a44b69261da05000a94b7d33453445dbdebb"),
+        ((19, 3, 7), "eb34316660fa0ec0f54a63d1de06553cdfec7ea1431f2b3f09a8d9df45d200c9"),
+    ],
+)
+def test_irrep_tables_are_pinned(group, digest):
+    """The sha256 of the dtype, shape and bytes of every irrep's `perm`
+    and `exponents`, in order, equals the digest of the element-by-element
+    build that the batched one replaced."""
+    h = hashlib.sha256()
+    for rep in irreps_of_G(GroupSpec(*group)):
+        for table in (rep.perm, rep.exponents):
+            h.update(f"{table.dtype.str}{table.shape}".encode())
+            h.update(table.tobytes())
+    assert h.hexdigest() == digest

@@ -1406,22 +1406,31 @@ def test_search_on_v_decides_w(group, md_u, wm_u):
 
 def test_conjugates_build_no_context(monkeypatch):
     """At (7, 3, 2), `galois_classes` and `distinguish --u 0 2` build the
-    contexts of u = 0 and u = 1 only: the conjugate u = 2 reads its
-    labels, dims and target twists from the context of u = 1."""
-    built = []
+    contexts of u = 0 and u = 1 only, on one build of the group's tables:
+    the conjugate u = 2 reads its labels, dims and target twists from
+    the group's tables."""
+    built, groups = [], []
 
     class Recorded(double.DoubleContext):
         def __init__(self, params):
             built.append(params.u)
             super().__init__(params)
 
+    class RecordedGroup(double.GroupTables):
+        def __init__(self, spec):
+            groups.append(spec)
+            super().__init__(spec)
+
     monkeypatch.setattr(double, "DoubleContext", Recorded)
+    monkeypatch.setattr(double, "GroupTables", RecordedGroup)
     spec = GroupSpec(7, 3, 2)
+    double.group_for.cache_clear()
     context_for.cache_clear()
     mds = [modular.modular_data(CocycleParams(spec, u)) for u in (0, 1)]
     modular.galois_classes(*mds, True)
     assert cli.main(["distinguish", "--u", "0", "2", "--q", "7", "--p", "3", "--n", "2"]) == 0
     assert built == [0, 1]
+    assert groups == [spec]
     assert context_for.cache_info().currsize == 2
 
 
