@@ -220,19 +220,24 @@ def cmd_distinguish(args) -> int:
     """Equivalence classes of the theories u = 0..p-1 under (S, T) and
     under (S, T, W), or the verdicts for one pair.
 
-    Only u = 0 and u = 1 are built from braid traces.  Every value of
-    omega_u is a p-th root of unity, so sigma_f (zeta_N -> zeta_N^f)
-    maps D^omega_1 to D^omega_f with S, T and W conjugated entrywise
-    (Dong, Lin and Ng, arXiv:1201.6644): the theories u != 0 form one
-    Galois orbit, and each u >= 2 is derived exactly from u = 1 by
-    `modular.galois_conjugate`.  Theory f is then equivalent to theory g
-    exactly when theory 1 is equivalent to its conjugate by sigma_(g/f),
-    so the classes of u != 0 are the cosets of a subgroup of the cyclic
-    group (Z/p)^x, found by a few searches down the divisor lattice of
-    p - 1 (`modular.galois_classes`).  Under (S, T) they are the square
+    For --all (and --st-only) only u = 1 is built from braid traces.
+    The twists place u = 0 in a class of its own: a B_k_s has twist
+    zeta_(p^2)^(k (s p + u k)), a p-th root of unity only at u = 0, and
+    no other object has its dimension q.  Every value of omega_u is a
+    p-th root of unity, so sigma_f (zeta_N -> zeta_N^f) maps D^omega_1 to
+    D^omega_f with S, T and W conjugated entrywise (Dong, Lin and Ng,
+    arXiv:1201.6644): the theories u != 0 form one Galois orbit, and each
+    u >= 2 is derived exactly from u = 1 by `modular.galois_conjugate`.
+    Theory f is then equivalent to theory g exactly when theory 1 is
+    equivalent to its conjugate by sigma_(g/f), so the classes of u != 0
+    are the cosets of a subgroup of the cyclic group (Z/p)^x, found by a
+    few searches down the divisor lattice of p - 1
+    (`modular.galois_classes`).  Under (S, T) they are the square
     classes of Mignard and Schauenburg (arXiv:1708.02796) at every group
-    checked so far.  W is walked only where (S, T) leaves a class with
-    more than one member."""
+    checked so far.  V is walked only where (S, T) leaves a class with
+    more than one member, and then only the rows that decide each step.
+    A pair (--u) walks S and all of V for each of u = 0 and u = 1 that
+    it needs."""
     if args.u is not None:
         u1, u2 = (_in_range("--u", u, 0, args.p) for u in args.u)
         d1, d2 = _theories(args, (u1, u2))
@@ -254,9 +259,8 @@ def cmd_distinguish(args) -> int:
             print("  W requires " + cert.label + " -> {" + ", ".join(cert.w_required) + "}")
             print("  intersection: {" + ", ".join(cert.compatible) + "}")
         return 0
-    spec = GroupSpec(args.q, args.p, args.n)
-    md0, md1 = (modular.modular_data(CocycleParams(spec, u)) for u in (0, 1))
-    partitions = modular.galois_classes(md0, md1, not args.st_only)
+    md1 = modular.modular_data(CocycleParams(GroupSpec(args.q, args.p, args.n), 1))
+    partitions = modular.galois_classes(md1, not args.st_only)
     tags = ["(S,T) classes"] if args.st_only else ["(S,T) classes  ", "(S,T,W) classes"]
     for tag, classes in zip(tags, partitions):
         _print_partition(tag, classes)

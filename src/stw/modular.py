@@ -76,17 +76,21 @@ compares ids only.
 Every substitution zeta -> zeta^f together with a twist factor zeta^s,
 the Galois images of values and the theta factors of W, of the punctured
 traces and of the R-sums alike, is one call of `map_exponents`.
-`galois_classes` partitions all p theories of one group from theories 0
-and 1 alone, with a few searches against Galois conjugates of theory 1.
-`modular_data` and `w_matrix` keep no cache.
+`galois_classes` partitions all p theories of one group from theory 1
+alone: the twists of the group's tables place u = 0, and a few searches
+against Galois conjugates of theory 1 the others.  Under (S, T, W) each
+search walks V a row at a time and stops at the first object whose row
+no candidate image matches (`_row_search`); `w_matrix` is the case that
+walks every row.  `modular_data` and `w_matrix` keep no cache.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -103,7 +107,7 @@ from .cyclotomic import (
     reduce_counts,
     root_of_unity,
 )
-from .double import context_for, galois_relabel, group_for
+from .double import GroupTables, SimpleObject, _object_index, context_for, galois_relabel, group_for
 from .group import GroupSpec
 
 # Three-strand words whose closures are the two-component clasp pattern
@@ -290,8 +294,26 @@ def _checker(order: int, l1_bound: int) -> _ExactChecker:
 # ----- modular data -----------------------------------------------------------
 
 
+class _Rows:
+    """Objects named by label, index or SimpleObject, resolved to their
+    rows through the `labels` of the table, so a copy whose labels are
+    permuted resolves each label to its own row."""
+
+    def index_of(self, obj) -> int:
+        label = obj.label if isinstance(obj, SimpleObject) else obj
+        if not isinstance(label, str):
+            return _object_index(obj, len(self.labels))
+        if label not in self._positions:
+            raise KeyError(f"{label!r} names no simple object among the labels of u={self.params.u}")
+        return self._positions[label]
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
+
 @dataclass
-class ModularData:
+class ModularData(_Rows):
     """Exact modular data of one twisted-double theory.
 
     The unnormalized S-matrix entry S-tilde_ab, the two-strand trace, is
@@ -319,11 +341,6 @@ class ModularData:
     @property
     def n_objects(self) -> int:
         return len(self.labels)
-
-    def index_of(self, obj) -> int:
-        """An object (label, index or SimpleObject) as its index, through
-        the index of the group's tables."""
-        return group_for(self.params.spec).index_of(obj)
 
     def twist(self, a) -> CycloNumber:
         return root_of_unity(int(self.twist_exps[self.index_of(a)]), self.root_order)
@@ -359,7 +376,7 @@ class ModularData:
         and each mapped row of ids is looked up among the rows of S-tilde.
         None unless the matches form a permutation."""
         index = {v.tobytes(): i for i, v in enumerate(self.s_values)}
-        image_ids, _ = _galois_image_ids(self.root_order, self.s_values, f, index)
+        image_ids = _image_ids(self.root_order, self.s_values, f, index)
         rows = {row.tobytes(): b for b, row in enumerate(self.s_ids)}
         perm = tuple(rows.get(image_ids[row].tobytes(), -1) for row in self.s_ids)
         if len(rows) != self.n_objects or sorted(perm) != list(range(self.n_objects)):
@@ -414,13 +431,13 @@ def _table(index: dict[bytes, int], order: int) -> np.ndarray:
     return np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), euler_phi(order))
 
 
-def _value_ids(order: int, blocks):
-    """Int32 ids of the exact values of sparse trace blocks, each the CSR
-    triples (indptr, exponents, counts) of its rows in canonical form
-    (int64 exponents below order, increasing within each row, and
-    nonzero int64 counts, as `sparse_trace_counts` gives them),
-    from any iterable (a generator is keyed as it goes).  Returns the ids
-    of all the rows, in order, and the table `values`, row i for id i.
+class _Keyer:
+    """Int32 ids of the exact values of sparse trace blocks, kept across
+    calls, so that blocks walked at different times share one table.
+    Each call takes the CSR triples (indptr, exponents, counts) of one
+    block of rows in canonical form (int64 exponents below order,
+    increasing within each row, and nonzero int64 counts, as
+    `sparse_trace_counts` gives them) and returns the ids of its rows.
     Ids number the values in order of first occurrence (`_key_into`).
 
     Keying is exact; no fingerprint is used.  A row's key is the bytes
@@ -428,20 +445,38 @@ def _value_ids(order: int, blocks):
     block's pairs.  One dict maps each key seen so far to its value id;
     only the keys it has not seen are scattered to dense rows of order
     bins, `_REDUCE_BLOCK` at a time, and reduced, once."""
-    index: dict[bytes, int] = {}
-    seen: dict[bytes, int] = {}  # a row's key -> its value id
-    ids = [np.zeros(0, dtype=np.int32)]
-    for indptr, exps, counts in blocks:
+
+    def __init__(self, order: int):
+        self.order = order
+        self.index: dict[bytes, int] = {}  # canonical numerators -> value id
+        self.seen: dict[bytes, int] = {}  # a row's key -> its value id
+
+    def __call__(self, indptr, exps, counts) -> np.ndarray:
         raw = np.stack((exps, counts), axis=1).tobytes()
         bounds = (16 * indptr).tolist()
         keys = [raw[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         # The block's unseen keys, in order of first occurrence.
-        new = [key for key in dict.fromkeys(keys) if key not in seen]
+        new = [key for key in dict.fromkeys(keys) if key not in self.seen]
         for part in _blocks(new, _REDUCE_BLOCK):
-            reduced = np.ascontiguousarray(reduce_counts(order, _scatter(order, part)), dtype=np.int64)
-            seen.update(zip(part, _key_into(index, reduced).tolist()))
-        ids.append(np.array([seen[key] for key in keys], dtype=np.int32))
-    return np.concatenate(ids), _table(index, order)
+            reduced = reduce_counts(self.order, _scatter(self.order, part))
+            ids = _key_into(self.index, np.ascontiguousarray(reduced, dtype=np.int64))
+            self.seen.update(zip(part, ids.tolist()))
+        return np.array([self.seen[key] for key in keys], dtype=np.int32)
+
+    def table(self, start: int = 0) -> np.ndarray:
+        """The rows of the values with ids start, start + 1, ...: row i
+        holds the phi(order) numerators of id start + i."""
+        values = b"".join(itertools.islice(self.index, start, None))
+        return np.frombuffer(values, dtype=np.int64).reshape(-1, euler_phi(self.order))
+
+
+def _value_ids(order: int, blocks):
+    """The ids of all the rows of sparse trace blocks, in order, from any
+    iterable (a generator is keyed as it goes), and the table `values`,
+    row i for id i, both from one `_Keyer`."""
+    keyer = _Keyer(order)
+    ids = [np.zeros(0, dtype=np.int32)] + [keyer(*block) for block in blocks]
+    return np.concatenate(ids), keyer.table()
 
 
 def _scatter(order: int, keys: list[bytes]) -> np.ndarray:
@@ -469,11 +504,16 @@ def _galois_image_ids(order: int, values: np.ndarray, f: int, index: dict[bytes,
     `_REDUCE_BLOCK`, and is keyed directly: sigma_f is injective, so
     distinct values have distinct images and there is nothing to group.
     ValueError unless f is a unit mod order."""
+    return _image_ids(order, values, f, index), _table(index, order)
+
+
+def _image_ids(order: int, values: np.ndarray, f: int, index: dict[bytes, int]) -> np.ndarray:
+    """The ids of `_galois_image_ids`, without the table."""
     ids = [np.zeros(0, dtype=np.int32)]
     for block in _blocks(values, _REDUCE_BLOCK):
         image = map_exponents(order, block, f)
         ids.append(_key_into(index, np.ascontiguousarray(image, dtype=np.int64)))
-    return np.concatenate(ids), _table(index, order)
+    return np.concatenate(ids)
 
 
 def t_matrix(params: CocycleParams) -> list[CycloNumber]:
@@ -906,7 +946,7 @@ def verlinde_table(md: ModularData) -> np.ndarray:
 
 
 @dataclass
-class WMatrix:
+class WMatrix(_Rows):
     """The clasp-pattern invariants on all color pairs.
 
     V_ab, the zero-framed invariant of the two-component clasp closure
@@ -931,10 +971,6 @@ class WMatrix:
         stays, unread in `stw`, for the same readers as
         `ModularData.s_counts`."""
         return _lift(self.v_values, self.root_order)[self.v_ids]
-
-    def index_of(self, obj) -> int:
-        """As `ModularData.index_of`."""
-        return group_for(self.params.spec).index_of(obj)
 
     def _v_value(self, a, b) -> np.ndarray:
         """The canonical numerators of V_ab."""
@@ -971,38 +1007,65 @@ class WMatrix:
         return ids.reshape(keys.shape), [CycloNumber(order, row) for row in rows]
 
 
+class _ClaspRows:
+    """V of one theory walked a row at a time, on demand.  Row a holds
+    the zero-framed clasp traces at the colorings (doubled component a,
+    bare b) for every b, keyed into one table as walked (`_Keyer`), so
+    the rows walked so far, in whatever order, share one exact table.
+    `matrix` walks the rows not walked yet and gives the `WMatrix`."""
+
+    def __init__(self, params: CocycleParams, mirror: bool = False):
+        self.params, self.mirror = params, bool(mirror)
+        self.ctx = ctx = context_for(params)
+        self.text = WHITEHEAD_MIRROR_WORD if mirror else WHITEHEAD_WORD
+        self.word = parse_braid(self.text, 3)
+        self.info = closure_structure(self.word)
+        if sorted(len(c) for c in self.info.components) != [1, 2]:
+            raise ValueError("clasp word must close to a doubled plus a bare component")
+        doubled = max(self.info.components, key=len)
+        self.on_doubled = np.isin(np.arange(1, 4), doubled)  # strands colored a
+        n = len(ctx.simples)
+        self.ids = np.zeros((n, n), dtype=np.int32)
+        self.walked = np.zeros(n, dtype=bool)
+        self.keyer = _Keyer(ctx.root_order)
+
+    def rows(self, objects) -> np.ndarray:
+        """The V ids of the rows `objects` (an int array), walking in one
+        pass, a block of colorings per trace call, those not walked yet."""
+        new = np.array(list(dict.fromkeys(objects[~self.walked[objects]].tolist())), dtype=np.int64)
+        if len(new):
+            ctx, n = self.ctx, len(self.walked)
+            a, b = np.repeat(new, n), np.tile(np.arange(n), len(new))
+            colorings = np.where(self.on_doubled, a[:, None], b[:, None])
+            ids = [
+                self.keyer(*sparse_trace_counts(ctx, self.word, c, zero_framing_shifts(ctx, self.info, c)))
+                for c in _blocks(colorings, _TRACE_BLOCK)
+            ]
+            self.ids[new] = np.concatenate(ids).reshape(len(new), n)
+            self.walked[new] = True
+        return self.ids[objects]
+
+    def matrix(self) -> WMatrix:
+        """The W-matrix, every row of V walked."""
+        ctx, n = self.ctx, len(self.walked)
+        return WMatrix(
+            params=self.params,
+            labels=tuple(s.label for s in ctx.simples),
+            word_text=self.text,
+            mirror=self.mirror,
+            root_order=ctx.root_order,
+            twist_exps=ctx.twist_exps.astype(np.int64),
+            v_ids=self.rows(np.arange(n)),
+            v_values=self.keyer.table(),
+        )
+
+
 def w_matrix(params: CocycleParams, mirror: bool = False) -> WMatrix:
     """Compute the W-matrix by running the clasp braid on every ordered
-    color pair (doubled-component color, bare-component color)."""
-    ctx = context_for(params)
-    n = len(ctx.simples)
-    labels = tuple(s.label for s in ctx.simples)
-    text = WHITEHEAD_MIRROR_WORD if mirror else WHITEHEAD_WORD
-    word = parse_braid(text, 3)
-    info = closure_structure(word)
-    if sorted(len(c) for c in info.components) != [1, 2]:
-        raise ValueError("clasp word must close to a doubled plus a bare component")
-    doubled = max(info.components, key=len)
-    twist_exps = ctx.twist_exps.astype(np.int64)
-    # The colorings (doubled component a, bare b) in row-major order, one
-    # zero-framed trace per block, keyed as walked.
-    a, b = np.divmod(np.arange(n * n), n)
-    colorings = np.where(np.isin(np.arange(1, 4), doubled), a[:, None], b[:, None])
-    blocks = (
-        sparse_trace_counts(ctx, word, c, zero_framing_shifts(ctx, info, c))
-        for c in _blocks(colorings, _TRACE_BLOCK)
-    )
-    v_ids, v_values = _value_ids(ctx.root_order, blocks)
-    return WMatrix(
-        params=params,
-        labels=labels,
-        word_text=text,
-        mirror=bool(mirror),
-        root_order=ctx.root_order,
-        twist_exps=twist_exps,
-        v_ids=v_ids.reshape(n, n),
-        v_values=v_values,
-    )
+    color pair (doubled-component color, bare-component color): the
+    rows of `_ClaspRows`, all walked in order, so the colorings go in
+    row-major order."""
+    return _ClaspRows(params, mirror).matrix()
 
 
 @dataclass(frozen=True)
@@ -1448,21 +1511,24 @@ def theory_data(md: ModularData, wm: WMatrix | None = None) -> TheoryData:
     when it maps V onto itself: every map the search tries matches T, and
     W is decided on the ids of V.  V's values are canonical already, so
     none is rolled or reduced here."""
-    w_keys, values = None, md.s_values
-    if wm is not None:
-        index = {v.tobytes(): i for i, v in enumerate(md.s_values)}
-        w_keys = _key_into(index, wm.v_values)[wm.v_ids]
-        values = _table(index, md.root_order)
-    return TheoryData(
+    data = TheoryData(
         name=f"u={md.params.u}",
         labels=md.labels,
         dims=md.dims,
         root_order=md.root_order,
         t_keys=md.twist_exps,
         s_keys=md.s_ids,
-        w_keys=w_keys,
-        values=values,
+        w_keys=None,
+        values=md.s_values,
     )
+    return data if wm is None else _with_v(data, wm)
+
+
+def _with_v(data: TheoryData, wm: WMatrix) -> TheoryData:
+    """`data` (S and T only) with the values of V keyed into its table."""
+    index = {v.tobytes(): i for i, v in enumerate(data.values)}
+    w_keys = _key_into(index, wm.v_values)[wm.v_ids]
+    return replace(data, w_keys=w_keys, values=_table(index, data.root_order))
 
 
 def galois_conjugate(data: TheoryData, params: CocycleParams, u: int) -> TheoryData:
@@ -1473,20 +1539,17 @@ def galois_conjugate(data: TheoryData, params: CocycleParams, u: int) -> TheoryD
     f is chosen by CRT with f = 1 (mod q), so that every zeta_q-valued
     character is fixed, and f = u / params.u (mod p^2).  The objects are
     relabelled by `double.galois_relabel`, each distinct exact value is
-    mapped by j -> f j (mod N) and reduced once (`_galois_image_ids`,
-    shared with `ModularData.galois_permutation`), and each twist
+    mapped by j -> f j (mod N) and reduced once (`_galois_image_ids`;
+    `ModularData.galois_permutation` and `_row_search` key the same
+    images through `_image_ids`), and each twist
     exponent t goes to f t.  Rows and columns come in the label order
     that every theory of the group shares; the conjugate's dims and twist
     exponents must equal theory u's, read from the group's tables
     (`GroupTables.twists`), or ArithmeticError is raised.  No context of
     theory u is built."""
-    spec = params.spec
-    p2, ne = spec.p**2, data.root_order
-    ratio = u * pow(params.u, -1, spec.p) % spec.p
-    f = 1 + spec.q * ((ratio - 1) * pow(spec.q, -1, p2) % p2)
-    target, images = galois_relabel(params, f)
-    source = np.argsort(images)  # source[b]: the object that sigma_f sends to b
-    group = group_for(spec)  # labels and dims are the same for every u
+    ne = data.root_order
+    f, target, source = _galois_map(params, u)
+    group = group_for(params.spec)  # labels and dims are the same for every u
     dims = data.dims[source]
     t_keys = f * data.t_keys[source] % ne
     if not (np.array_equal(dims, group.dims) and np.array_equal(t_keys, group.twists(target.u))):
@@ -1509,6 +1572,18 @@ def galois_conjugate(data: TheoryData, params: CocycleParams, u: int) -> TheoryD
         w_keys=conjugate(data.w_keys),
         values=values,
     )
+
+
+def _galois_map(params: CocycleParams, u: int) -> tuple[int, CocycleParams, np.ndarray]:
+    """The f of `galois_conjugate` that sends the theory `params` to
+    theory u, that theory, and source: source[b] is the object that
+    sigma_f sends to b."""
+    spec = params.spec
+    p2 = spec.p**2
+    ratio = u * pow(params.u, -1, spec.p) % spec.p
+    f = 1 + spec.q * ((ratio - 1) * pow(spec.q, -1, p2) % p2)
+    target, images = galois_relabel(params, f)
+    return f, target, np.argsort(images)
 
 
 @dataclass(frozen=True)
@@ -1553,20 +1628,10 @@ def equivalence_search(d1: TheoryData, d2: TheoryData) -> SearchResult:
     # in d1's id space.
     m1 = keys(d1, np.arange(len(d1.values), dtype=np.int32))
     m2 = keys(d2, _shared_ids(d1, d2))
-    # Each sorted row of either theory gets an id through one dict keyed
-    # by its bytes, so candidates are matched on (n,) ids.
-    row_index: dict[bytes, int] = {}
-    rows1, rows2 = (_key_into(row_index, np.sort(m, axis=1)) for m in (m1, m2))
-    match = (
-        (d1.dims[:, None] == d2.dims[None, :])
-        & (d1.t_keys[:, None] == d2.t_keys[None, :])
-        & (rows1[:, None] == rows2[None, :])
-    )
-    match[0, 1:] = False  # the unit goes to the unit
+    match = _candidates(d1, d2, m1, m2)
     has_image = match.any(axis=1)
     if not has_image.all():
-        label = d1.labels[int(np.argmin(has_image))]
-        return SearchResult(False, None, 0, f"no fingerprint-compatible image for {label}")
+        return _no_image(d1, int(np.argmin(has_image)))
     candidates = [np.flatnonzero(row).tolist() for row in match]
     order = sorted(range(n), key=lambda a: len(candidates[a]))
     src: list[int] = []
@@ -1597,6 +1662,70 @@ def equivalence_search(d1: TheoryData, d2: TheoryData) -> SearchResult:
         perm = tuple(b for _, b in sorted(zip(src, dst)))
         return SearchResult(True, perm, nodes, "witness permutation found")
     return SearchResult(False, None, nodes, "search space exhausted")
+
+
+def _candidates(d1: TheoryData, d2: TheoryData, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """match[a, b]: object b of d2 has the dim and twist of object a of
+    d1 and the same sorted rows of keys, m1[a] against m2[b] (each key
+    sorted along the row on its own), the unit going to the unit."""
+    # Each sorted row of either theory gets an id through one dict keyed
+    # by its bytes, so candidates are matched on (n,) ids.
+    row_index: dict[bytes, int] = {}
+    rows1, rows2 = (_key_into(row_index, np.sort(m, axis=1)) for m in (m1, m2))
+    match = (
+        (d1.dims[:, None] == d2.dims[None, :])
+        & (d1.t_keys[:, None] == d2.t_keys[None, :])
+        & (rows1[:, None] == rows2[None, :])
+    )
+    match[0, 1:] = False  # the unit goes to the unit
+    return match
+
+
+def _no_image(d1: TheoryData, a: int) -> SearchResult:
+    """The search's exit at 0 nodes: object a of d1 has no candidate."""
+    return SearchResult(False, None, 0, f"no fingerprint-compatible image for {d1.labels[a]}")
+
+
+def _row_search(one: TheoryData, rows: _ClaspRows, params: CocycleParams, h: int) -> SearchResult:
+    """`equivalence_search` of theory 1 (`one`, its S and T; the theory
+    `params`) against sigma_h(theory 1) under (S, T, W), V walked a row at
+    a time (`rows`, theory 1's clasp rows).
+
+    The conjugate's row b of V is theory 1's row source[b] with its
+    values mapped by sigma_f and its columns permuted by source, and its
+    twist at column b is f t_source[b], so the multiset of its codes
+    V id * N + t is that of theory 1's row source[b] under sigma_f, read
+    without the permutation.  Objects are taken in order of fewest
+    (S, T) candidates, as the search orders them; each object's row and
+    the rows source[b] of its candidates b are walked, each distinct V
+    value is mapped by sigma_f once, and both are keyed into one index
+    that holds theory 1's S values, so equal ids are equal values.  The first
+    object whose codes match no candidate's decides "not equivalent",
+    as the search's exit at 0 nodes does (`_no_image`).  Only if every
+    object has a candidate are the other rows walked and the search run
+    on the whole V."""
+    conj = galois_conjugate(one, params, h)
+    f, _, source = _galois_map(params, h)
+    index = {v.tobytes(): i for i, v in enumerate(one.values)}
+    m2 = _key_into(index, conj.values)[conj.s_keys]
+    match = _candidates(one, conj, one.s_keys[:, :, None], m2[:, :, None])
+    ne, t1 = one.root_order, one.t_keys
+    own = image = np.zeros(0, dtype=np.int64)  # index ids of theory 1's V values, of their images
+    counts = match.sum(axis=1).tolist()
+    for a in sorted(range(len(counts)), key=counts.__getitem__):
+        images = np.flatnonzero(match[a])
+        if not len(images):
+            return _no_image(one, a)
+        v = rows.rows(np.concatenate(([a], source[images])))
+        new = rows.keyer.table(len(own))
+        own = np.concatenate((own, _key_into(index, new)))
+        image = np.concatenate((image, _image_ids(ne, new, f, index)))
+        mine = np.sort(own[v[0]] * ne + t1)
+        theirs = np.sort(image[v[1:]] * ne + f * t1 % ne, axis=1)
+        if not (theirs == mine).all(axis=1).any():
+            return _no_image(one, a)
+    full = _with_v(one, rows.matrix())
+    return equivalence_search(full, galois_conjugate(full, params, h))
 
 
 @dataclass(frozen=True)
@@ -1658,42 +1787,68 @@ def obstruction_certificate(
     )
 
 
+def _u0_obstruction(group: GroupTables) -> int:
+    """An object of theory 0 whose (dim, twist) no object of any theory
+    u != 0 has, read from the group's dims and twists alone: so no
+    (S, T) map, let alone an (S, T, W) one, sends theory 0 to a theory
+    u != 0.
+
+    The B_k_s, the only objects of dimension q, have the twist
+    zeta_(p^2)^(k (s p + u k)): a p-th root of unity at u = 0 and never at
+    u != 0, as p divides neither u nor k.  Returns the first object
+    without a partner; ArithmeticError, naming the first object of
+    dimension q, if every object has one."""
+    dims = group.dims.tolist()
+    others = {pair for u in range(1, group.spec.p) for pair in zip(dims, group.twists(u).tolist())}
+    for a, pair in enumerate(zip(dims, group.twists(0).tolist())):
+        if pair not in others:
+            return a
+    label = group.simples[dims.index(max(dims))].label
+    raise ArithmeticError(
+        f"every object of u=0 has a (dim, twist) partner in some u != 0,"
+        f" {label} included: T does not place u=0"
+    )
+
+
 def _galois_partition(
-    one: TheoryData, params: CocycleParams, bounds: dict[int, int], zero: TheoryData | None
-) -> tuple[list[tuple[str, ...]], dict[int, int], bool]:
-    """The classes of u = 0..p-1 under the data of `one` (theory 1 of
-    `params`) and `zero`, through H = {h : theory 1 ~ sigma_h(theory 1)}.
+    one: TheoryData, params: CocycleParams, bounds: dict[int, int], rows: _ClaspRows | None = None
+) -> tuple[list[tuple[str, ...]], dict[int, int]]:
+    """The classes of u = 1..p-1 under the data of `one` (theory 1 of
+    `params`: S and T), with W too when `rows` (theory 1's clasp rows)
+    is given, through H = {h : theory 1 ~ sigma_h(theory 1)}, u = 0 first
+    in a class of its own (`_u0_obstruction`).
 
     With g generating (Z/p)^x, k_r is the largest k <= bounds[r] with
-    g^((p-1)/r^k) in H, testing k = 1, 2, ... up to the first failure.
-    Each coset fH of more than one member is certified by a search of
-    theory f against theory f h, h = g^((p-1)/|H|), unless that search
-    was made.  u = 0 joins theory 1 only if `zero` is given and found
-    equivalent to it.  Each conjugate lives for its search only.
-    Returns the classes, the k_r and whether u = 0 joined; raises
-    ArithmeticError where a search contradicts the Galois argument."""
+    g^((p-1)/r^k) in H, testing k = 1, 2, ... up to the first failure,
+    each by one search (with W, `_row_search`).  Each coset fH of more
+    than one member is certified by a search of theory f against theory
+    f h, h = g^((p-1)/|H|), unless that search was made; with W, H is
+    nontrivial only after a `_row_search` walked every row, and the
+    cosets are searched on the whole V.  Each conjugate lives for its
+    search only.  Returns the classes and the k_r; raises ArithmeticError
+    where a search contradicts the Galois argument."""
     p = params.spec.p
     g = next((root for root, _ in _unit_generators(p)), 1)
 
     def theory(f: int) -> TheoryData:
         return one if f == 1 else galois_conjugate(one, params, f)
 
-    joins = zero is not None and equivalence_search(zero, one).equivalent
     exps, found = {}, set()
     for r, bound in bounds.items():
         exps[r] = 0
         for k in range(1, bound + 1):
             h = pow(g, (p - 1) // r**k, p)
-            if not equivalence_search(one, theory(h)).equivalent:
+            if rows is None:
+                result = equivalence_search(one, theory(h))
+            else:
+                result = _row_search(one, rows, params, h)
+            if not result.equivalent:
                 break
             exps[r] = k
             found.add(h)
     order = math.prod(r**k for r, k in exps.items())
-    if joins and order != p - 1:
-        raise ArithmeticError(
-            f"u=0 is equivalent to u=1, but the subgroup of (Z/{p})^x that fixes"
-            f" the class of u=1 has order {order}, not {p - 1}"
-        )
+    if rows is not None and order > 1:
+        one = _with_v(one, rows.matrix())
     h = pow(g, (p - 1) // order, p)
     cosets = sorted({tuple(sorted(f * pow(h, i, p) % p for i in range(order))) for f in range(1, p)})
     for f, *rest in cosets:
@@ -1703,47 +1858,40 @@ def _galois_partition(
                     f"u={f} and u={f * h % p} are not equivalent, although theory 1"
                     f" is equivalent to its conjugate by sigma_{h}"
                 )
-    classes = [tuple(f"u={u}" for u in coset) for coset in cosets]
-    return ([("u=0",) + classes[0]] if joins else [("u=0",)] + classes), exps, joins
+    return [("u=0",)] + [tuple(f"u={u}" for u in coset) for coset in cosets], exps
 
 
-def galois_classes(
-    md0: ModularData, md1: ModularData, with_w: bool
-) -> list[list[tuple[str, ...]]]:
+def galois_classes(md1: ModularData, with_w: bool) -> list[list[tuple[str, ...]]]:
     """The classes of the theories u = 0..p-1 of one group under (S, T),
-    and, if with_w, under (S, T, W), from theories 0 and 1 alone.  Each
-    partition lists its classes by least member, each class ascending,
-    as a pairwise search over every theory would.
+    and, if with_w, under (S, T, W), from theory 1 alone.  Each partition
+    lists its classes by least member, each class ascending, as a
+    pairwise search over every theory would.
 
-    Every value of omega_u is a p-th root of unity, so sigma_f (zeta_N ->
-    zeta_N^f, f = 1 mod q) maps theory v to theory f v mod p, with S, T
-    and W conjugated entrywise (Galois conjugates of modular categories:
-    Dong, Lin and Ng, arXiv:1201.6644); `galois_conjugate` builds that
-    conjugate exactly.  Conjugation preserves equivalence, so theory f ~
-    theory g exactly when theory 1 ~ sigma_(g/f)(theory 1), and the
-    classes of u != 0 are the cosets of the subgroup H_X of the cyclic
-    group (Z/p)^x that fixes the class of theory 1 under the data X.
-    Under (S, T) they are the square classes of Mignard and Schauenburg
-    (arXiv:1708.02796) at the groups checked so far.  H_STW lies in
-    H_ST, so it is searched there only (`_galois_partition`).
-
-    The untwisted double (u = 0) is Galois-fixed, so if u = 0 is
-    equivalent to any theory u != 0 it is equivalent to all of them and
-    H_X is all of (Z/p)^x; one search against theory 1 places it.  W is
-    walked only where (S, T) leaves a class with more than one member:
-    for theory 1 when H_ST is nontrivial or u = 0 joins it, and for
-    theory 0 only when it joins."""
+    The twists alone put u = 0 in a class of its own: some object of
+    theory 0 has a (dim, twist) that no object of any other theory has
+    (`_u0_obstruction`, from the group's tables; no context of u = 0 is
+    built).  Every value of omega_u is a p-th root of unity, so sigma_f
+    (zeta_N -> zeta_N^f, f = 1 mod q) maps theory v to theory f v mod p,
+    with S, T and W conjugated entrywise (Galois conjugates of modular
+    categories: Dong, Lin and Ng, arXiv:1201.6644); `galois_conjugate`
+    builds that conjugate exactly.  Conjugation preserves equivalence,
+    so theory f ~ theory g exactly when theory 1 ~ sigma_(g/f)(theory 1),
+    and the classes of u != 0 are the cosets of the subgroup H_X of the
+    cyclic group (Z/p)^x that fixes the class of theory 1 under the data
+    X.  Under (S, T) they are the square classes of Mignard and
+    Schauenburg (arXiv:1708.02796) at the groups checked so far.  H_STW
+    lies in H_ST, so it is searched there only (`_galois_partition`),
+    and only when H_ST is nontrivial; each of its steps walks only the
+    rows of V that decide it (`_row_search`)."""
     params = md1.params
-    st, exps, joins = _galois_partition(
-        theory_data(md1), params, _factorize(params.spec.p - 1), theory_data(md0)
-    )
+    _u0_obstruction(group_for(params.spec))
+    one = theory_data(md1)
+    st, exps = _galois_partition(one, params, _factorize(params.spec.p - 1))
     if not with_w:
         return [st]
-    if not joins and not any(exps.values()):
+    if not any(exps.values()):
         return [st, st]  # (S, T) already separates every theory
-    one = theory_data(md1, w_matrix(params))
-    zero = theory_data(md0, w_matrix(md0.params)) if joins else None
-    stw, _, _ = _galois_partition(one, params, exps, zero)
+    stw, _ = _galois_partition(one, params, exps, _ClaspRows(params))
     return [st, stw]
 
 

@@ -139,7 +139,7 @@ def test_criterion_06_ba_block_formula(wm_u):
 
 def test_criterion_07_distinguishing(md_u, theory_u):
     started = time.monotonic()
-    st_classes, stw_classes = modular.galois_classes(md_u(0), md_u(1), True)
+    st_classes, stw_classes = modular.galois_classes(md_u(1), True)
     cert = modular.obstruction_certificate(theory_u(1, True), theory_u(4, True))
     ok = (
         st_classes == [("u=0",), ("u=1", "u=4"), ("u=2", "u=3")]

@@ -333,13 +333,14 @@ def test_modular_command_at_even_order(capsys, u):
     assert "PASS  charge conjugation is an involution fixing the unit" in out
 
 
-def test_distinguish_builds_two_theories(capsys, monkeypatch):
-    """Only u = 0 and u = 1 are walked; every u >= 2 is derived from
-    u = 1.  W is walked for u = 1 only where (S, T) leaves a class with
-    more than one member (the flagship's {1, 4} and {2, 3}; none at
-    (7, 3, 2)), and for u = 0 only when (S, T) puts it with u = 1."""
+def test_distinguish_builds_one_theory(capsys, monkeypatch):
+    """Only u = 1 is walked: u = 0 is placed by the twists, and every
+    u >= 2 is derived from u = 1.  V of u = 1 is walked, row by row, only
+    where (S, T) leaves a class with more than one member (the
+    flagship's {1, 4} and {2, 3}; none at (7, 3, 2)), and the whole
+    W-matrix never, as a row decides each (S, T, W) step."""
     built = {}
-    for name in ("modular_data", "w_matrix"):
+    for name in ("modular_data", "w_matrix", "_ClaspRows"):
         real = getattr(modular, name)
 
         def spy(params, *rest, real=real, name=name):
@@ -348,11 +349,11 @@ def test_distinguish_builds_two_theories(capsys, monkeypatch):
 
         monkeypatch.setattr(modular, name, spy)
     for group, walked_w in (("11", "5", "4"), [1]), (("7", "3", "2"), []):
-        built.update(modular_data=[], w_matrix=[])
+        built.update(modular_data=[], w_matrix=[], _ClaspRows=[])
         q, p, n = group
         code, out, _ = run(capsys, ["distinguish", "--all", "--q", q, "--p", p, "--n", n])
         assert code == 0
-        assert built == {"modular_data": [0, 1], "w_matrix": walked_w}
+        assert built == {"modular_data": [1], "w_matrix": [], "_ClaspRows": walked_w}
         assert "(S,T,W) classes: " + "  ".join(f"{{u={u}}}" for u in range(int(p))) in out
 
 
@@ -365,9 +366,10 @@ def _built_theory(spec, u, with_w):
 @pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (13, 3, 3)])
 def test_distinguish_searches_down_the_divisor_lattice(capsys, monkeypatch, group):
     """`distinguish --all` runs at most sum_r e_r searches for H_ST
-    (r^e_r || p - 1), sum_r k_r(ST) for H_STW (|H_ST| = prod r^k_r), one
-    per coset of more than one member, and one for u = 0: exactly 5 at
-    the flagship.  Every witness it finds maps dims, T and S (and W when
+    (r^e_r || p - 1), sum_r k_r(ST) for H_STW (|H_ST| = prod r^k_r) and
+    one per coset of more than one member, and none for u = 0, which the
+    twists place: exactly 3 at the flagship, where a row of V decides
+    the one (S, T, W) step before any search.  Every witness it finds maps dims, T and S (and W when
     searched) of the theories it names, each built from its own traces."""
     calls = []
     real = modular.equivalence_search
@@ -386,9 +388,9 @@ def test_distinguish_searches_down_the_divisor_lattice(capsys, monkeypatch, grou
     e = sum(_factorize(p - 1).values())
     k = sum(_factorize(h_st).values())
     cosets = sum("," in cls for classes in partitions for cls in classes)
-    assert len(calls) <= e + k + cosets + 1
+    assert len(calls) <= e + k + cosets
     if group == (11, 5, 4):
-        assert len(calls) == 5
+        assert len(calls) == 3
     spec = GroupSpec(q, p, n)
     for name1, name2, with_w, found in calls:
         if not found.equivalent:

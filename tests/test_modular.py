@@ -1194,11 +1194,11 @@ def _pairwise_classes(datas):
 @pytest.mark.parametrize("with_w", [False, True])
 @pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (13, 3, 3), (7, 2, 6)])
 def test_galois_classes_equal_the_pairwise_search(group, with_w, md_u, theory_u):
-    """The cosets of the subgroups of (Z/p)^x, with u = 0 placed by one
-    search, are the classes that a pairwise search over every theory,
+    """The cosets of the subgroups of (Z/p)^x, with u = 0 placed by the
+    twists, are the classes that a pairwise search over every theory,
     each built from its own traces, finds."""
     if group == (11, 5, 4):
-        md0, md1 = md_u(0), md_u(1)
+        md1 = md_u(1)
         datas = [theory_u(u, with_w) for u in range(5)]
     else:
         spec = GroupSpec(*group)
@@ -1207,30 +1207,154 @@ def test_galois_classes_equal_the_pairwise_search(group, with_w, md_u, theory_u)
             modular.theory_data(md, modular.w_matrix(md.params) if with_w else None)
             for md in mds
         ]
-        md0, md1 = mds[:2]
-    partitions = modular.galois_classes(md0, md1, with_w)
+        md1 = mds[1]
+    partitions = modular.galois_classes(md1, with_w)
     assert len(partitions) == 1 + with_w
     assert partitions[-1] == _pairwise_classes(datas)
 
 
-def test_galois_classes_let_u0_join_when_the_subgroup_is_everything(monkeypatch):
-    """At p = 2, (Z/2)^x is trivial, so a u = 0 given a copy of theory 1's
-    data (W too) must join the class of u = 1."""
-    one = CocycleParams(GroupSpec(7, 2, 6), 1)
-    md1 = modular.modular_data(one)
-    md0 = dataclasses.replace(md1, params=CocycleParams(one.spec, 0))
-    real = modular.w_matrix
-    monkeypatch.setattr(modular, "w_matrix", lambda params, mirror=False: real(one, mirror))
-    assert modular.galois_classes(md0, md1, True) == [[("u=0", "u=1")]] * 2
+README_GROUPS = [
+    (11, 5, 4), (31, 5, 2), (29, 7, 7), (23, 11, 2), (41, 5, 10), (43, 7, 4),
+    (53, 13, 10), (79, 13, 8), (103, 17, 8), (47, 23, 2), (59, 29, 3),
+]
 
 
-def test_galois_classes_refuse_u0_in_a_proper_subgroup(md_u, params_u):
-    """At the flagship H_ST is the squares {1, 4}: a u = 0 given a copy
-    of theory 1's data is equivalent to u = 1, which the Galois-fixed
-    u = 0 cannot be unless H_ST is all of (Z/5)^x."""
-    md0 = dataclasses.replace(md_u(1), params=params_u(0))
-    with pytest.raises(ArithmeticError, match="u=0 is equivalent to u=1"):
-        modular.galois_classes(md0, md_u(1), False)
+@pytest.mark.parametrize("group", README_GROUPS + [(7, 2, 6), (13, 3, 3), (19, 3, 7)])
+def test_twists_place_u0_in_a_class_of_its_own(group, monkeypatch):
+    """From the group's tables alone, no context built (an uncached
+    `GroupTables`, dropped after the test): the objects of u = 0 that
+    have no (dim, twist) partner in any theory u != 0 are exactly the
+    B_k_s, of dimension q, and `_u0_obstruction` gives the first."""
+    monkeypatch.setattr(double, "DoubleContext", None)  # any context build fails
+    spec = GroupSpec(*group)
+    tables = double.GroupTables(spec)
+    dims = tables.dims.tolist()
+    others = {pair for u in range(1, spec.p) for pair in zip(dims, tables.twists(u).tolist())}
+    alone = [a for a, pair in enumerate(zip(dims, tables.twists(0).tolist())) if pair not in others]
+    assert alone == [a for a, s in enumerate(tables.simples) if s.label.startswith("B_")]
+    assert all(dims[a] == spec.q for a in alone)
+    assert modular._u0_obstruction(tables) == alone[0]
+
+
+def test_galois_classes_refuse_u0_when_its_twists_have_partners(small_md, monkeypatch):
+    """With the twists of u = 1 given to u = 0, every object of u = 0 has
+    a (dim, twist) partner, so T cannot place u = 0: `galois_classes`
+    raises, naming the first object of dimension q."""
+    real = double.GroupTables.twists
+    monkeypatch.setattr(double.GroupTables, "twists", lambda self, u: real(self, u or 1))
+    with pytest.raises(ArithmeticError, match="B_1_0 included: T does not place u=0"):
+        modular.galois_classes(small_md, True)
+
+
+@pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (43, 7, 4)])
+def test_rows_walked_on_demand_equal_the_w_matrix(group, wm_u):
+    """V walked a few rows at a time, in a shuffled order with repeats,
+    gives the exact values of `w_matrix`, row by row: each id of the walk
+    names the value of `w_matrix`'s id at the same entry (the two tables
+    matched value by value, one to one)."""
+    params = CocycleParams(GroupSpec(*group), 1)
+    wm = wm_u(1) if group == (11, 5, 4) else modular.w_matrix(params)
+    index = {v.tobytes(): i for i, v in enumerate(wm.v_values)}
+    rows = modular._ClaspRows(params)
+    n = len(wm.labels)
+    order = np.random.default_rng(3).permutation(n)
+    for part in np.array_split(np.concatenate((order, order[:5])), 9):
+        ids = rows.rows(part)
+        to_wm = np.array([index[v.tobytes()] for v in rows.keyer.table()])
+        assert np.array_equal(to_wm[ids], wm.v_ids[part])
+    assert rows.walked.all() and sorted(to_wm) == list(range(len(wm.v_values)))
+    full = rows.matrix()
+    assert np.array_equal(full.v_ids, rows.ids) and np.array_equal(to_wm[full.v_ids], wm.v_ids)
+
+
+def test_row_search_without_an_obstruction_runs_the_full_search(small_md):
+    """Theory 1 against its identity conjugate has no obstruction: the
+    row walk walks every row and the full search returns a witness that
+    maps S, T and W."""
+    params = small_md.params
+    rows = modular._ClaspRows(params)
+    result = modular._row_search(modular.theory_data(small_md), rows, params, 1)
+    assert result.equivalent and result.nodes == small_md.n_objects
+    assert rows.walked.all()
+    full = modular.theory_data(small_md, modular.w_matrix(params))
+    n = small_md.n_objects
+    assert _witness_respects_data(full, full, result.permutation, True, list(range(n)))
+
+
+def _full_match(d1, d2):
+    """The candidate matrix of `equivalence_search` on S, T and all of V."""
+
+    def keys(d, ids):
+        codes = ids[d.w_keys].astype(np.int64) * d.root_order + d.t_keys
+        return np.stack([ids[d.s_keys], codes], axis=2)
+
+    m1, m2 = keys(d1, np.arange(len(d1.values))), keys(d2, modular._shared_ids(d1, d2))
+    return modular._candidates(d1, d2, m1, m2)
+
+
+@pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (13, 3, 3)])
+def test_row_search_agrees_with_the_full_search(group, md_u, wm_u):
+    """For every h, the row walk of theory 1 against sigma_h(theory 1)
+    gives the verdict of the search on the whole V, and an object it
+    names as having no image has no candidate under S, T and all of V."""
+    params = CocycleParams(GroupSpec(*group), 1)
+    flagship = group == (11, 5, 4)
+    md = md_u(1) if flagship else modular.modular_data(params)
+    full = modular.theory_data(md, wm_u(1) if flagship else modular.w_matrix(params))
+    for h in range(2, params.spec.p):
+        result = modular._row_search(modular.theory_data(md), modular._ClaspRows(params), params, h)
+        conj = modular.galois_conjugate(full, params, h)
+        assert result.equivalent == modular.equivalence_search(full, conj).equivalent
+        if not result.equivalent:
+            a = full.labels.index(result.reason.rsplit(" ", 1)[1])
+            assert not _full_match(full, conj)[a].any(), (h, result.reason)
+
+
+def test_distinguish_walks_one_theory_and_the_deciding_v_rows(monkeypatch, capsys):
+    """`distinguish --all` at the flagship builds the context of u = 1
+    only, walks S once (49^2 colorings of the two-strand word) and 3 of
+    the 49 rows of V (3 * 49 clasp colorings), and prints the paper's
+    partitions."""
+    built, walked = [], []
+
+    class Recorded(double.DoubleContext):
+        def __init__(self, params):
+            built.append(params.u)
+            super().__init__(params)
+
+    real = modular.sparse_trace_counts
+
+    def spy(ctx, word, colorings, shifts=None):
+        walked.append((word.strands, len(colorings)))
+        return real(ctx, word, colorings, shifts)
+
+    monkeypatch.setattr(double, "DoubleContext", Recorded)
+    monkeypatch.setattr(modular, "sparse_trace_counts", spy)
+    context_for.cache_clear()
+    assert cli.main(["distinguish", "--all"]) == 0
+    assert capsys.readouterr().out == (
+        "(S,T) classes  : {u=0}  {u=1, u=4}  {u=2, u=3}\n"
+        "(S,T,W) classes: {u=0}  {u=1}  {u=2}  {u=3}  {u=4}\n"
+    )
+    assert built == [1]
+    assert sum(c for strands, c in walked if strands == 2) == 49 * 49
+    assert sum(c for strands, c in walked if strands == 3) == 3 * 49
+
+
+def test_index_of_reads_the_labels_of_a_relabelled_copy(small_md):
+    """A copy of (7, 3, 2) u = 1 with its labels reversed resolves each
+    label to its own row, not to the label's index in the group."""
+    wm = modular.w_matrix(small_md.params)
+    n = small_md.n_objects
+    for table in (small_md, wm):
+        copy_ = dataclasses.replace(table, labels=table.labels[::-1])
+        assert [copy_.index_of(label) for label in copy_.labels] == list(range(n))
+        assert copy_.index_of(copy_.labels[0]) == 0 and table.index_of(copy_.labels[0]) == n - 1
+        assert copy_.index_of(5) == 5
+        simple = double.group_for(small_md.params.spec).simples[0]
+        assert copy_.index_of(simple) == n - 1
+        with pytest.raises(KeyError, match="names no simple object"):
+            copy_.index_of("B_9_9")
 
 
 def test_s_and_w_are_stored_as_ids_keyed_row_by_row():
@@ -1405,10 +1529,11 @@ def test_search_on_v_decides_w(group, md_u, wm_u):
 
 
 def test_conjugates_build_no_context(monkeypatch):
-    """At (7, 3, 2), `galois_classes` and `distinguish --u 0 2` build the
-    contexts of u = 0 and u = 1 only, on one build of the group's tables:
-    the conjugate u = 2 reads its labels, dims and target twists from
-    the group's tables."""
+    """At (7, 3, 2), `galois_classes` builds the context of u = 1 only
+    (u = 0 is placed by the group's twists), and `distinguish --u 0 2`
+    adds that of u = 0, on one build of the group's tables: the
+    conjugate u = 2 reads its labels, dims and target twists from the
+    group's tables."""
     built, groups = [], []
 
     class Recorded(double.DoubleContext):
@@ -1426,10 +1551,10 @@ def test_conjugates_build_no_context(monkeypatch):
     spec = GroupSpec(7, 3, 2)
     double.group_for.cache_clear()
     context_for.cache_clear()
-    mds = [modular.modular_data(CocycleParams(spec, u)) for u in (0, 1)]
-    modular.galois_classes(*mds, True)
+    modular.galois_classes(modular.modular_data(CocycleParams(spec, 1)), True)
+    assert built == [1]
     assert cli.main(["distinguish", "--u", "0", "2", "--q", "7", "--p", "3", "--n", "2"]) == 0
-    assert built == [0, 1]
+    assert built == [1, 0]
     assert groups == [spec]
     assert context_for.cache_info().currsize == 2
 
