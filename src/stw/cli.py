@@ -202,7 +202,9 @@ def _theory(params: CocycleParams) -> modular.TheoryData:
 
 def _theories(args, us) -> list[modular.TheoryData]:
     """The theories u in us: u = 0 and u = 1 from their traces, each built
-    once, every other u as the Galois conjugate of u = 1."""
+    once, every other u as the Galois conjugate of u = 1, whose S is u = 1's
+    S permuted by the certified pi_f (the Galois check of u = 1 runs first,
+    and its ArithmeticError exits 4)."""
     spec = GroupSpec(args.q, args.p, args.n)
     built = {u: _theory(CocycleParams(spec, u)) for u in sorted({min(u, 1) for u in us})}
     return [
@@ -227,7 +229,10 @@ def cmd_distinguish(args) -> int:
     p-th root of unity, so sigma_f (zeta_N -> zeta_N^f) maps D^omega_1 to
     D^omega_f with S, T and W conjugated entrywise (Dong, Lin and Ng,
     arXiv:1201.6644): the theories u != 0 form one Galois orbit, and each
-    u >= 2 is derived exactly from u = 1 by `modular.galois_conjugate`.
+    u >= 2 is derived exactly from u = 1 by `modular.galois_conjugate`:
+    its S is u = 1's S, rows permuted by the pi_f that the Galois check of
+    u = 1 certified, in u = 1's own value ids, so S's values are mapped
+    only in that check, and only V's q + 4 values per conjugate.
     Theory f is then equivalent to theory g exactly when theory 1 is
     equivalent to its conjugate by sigma_(g/f), so the classes of u != 0
     are the cosets of a subgroup of the cyclic group (Z/p)^x, found by a

@@ -32,12 +32,15 @@ u of a group has the same simple objects, the same global basis and the
 same action of G on it (Dijkgraaf, Pasquier, Roche 1990); only the
 phases and the twists depend on u, as omega_u is omega_1 to the u and a
 B character is s p + u k.  So `GroupTables`, built once per group
-(`group_for`), lists the objects, writes `flux` and `crossing_state`,
-checks transitivity and keeps the second pin's orbit table, all
-read-only, and a `DoubleContext`, built once per theory (`context_for`),
-binds those arrays as plain attributes and builds only `crossing_exp`,
-the twists and its `AnyonTables`.  The objects are listed first, which
-fixes the number of global vectors and so the dtypes of the tables; each
+(`group_for`), lists the objects and their twists; on the group's first
+context it writes `flux` and `crossing_state` and checks transitivity,
+and it keeps the second pin's orbit table, all read-only.  A
+`DoubleContext`, built once per theory (`context_for`), binds those
+arrays as plain attributes and builds only `crossing_exp`, the twists
+and its `AnyonTables`.  Reading labels, dims and twists
+(`galois_relabel`, the placement of u = 0 in `stw.modular`) builds no
+vector table.  The objects are listed first, which fixes the number of
+global vectors and so the dtypes of the tables; each
 table is then allocated once, in its final dtype, and each run of
 objects of one flux class and one internal dim writes its own columns:
 the action of g, and that of g^-1 through the inverse table, its phase
@@ -148,10 +151,12 @@ class OrbitTable:
 
 class GroupTables:
     """The engine data that every theory u of one group shares: the
-    simple objects, their global basis, the action of G on it and the
-    second pin's orbit table.  Built once per group by `group_for`; its
-    arrays are read-only, and every `DoubleContext` of the group binds
-    them."""
+    simple objects, their global basis and twists, the action of G on
+    that basis and the second pin's orbit table.  Built once per group by
+    `group_for`, which lists the objects only; the vector action is
+    written on the group's first `DoubleContext` (`write_vectors`) and
+    the orbit table on first use.  Its arrays are read-only, and every
+    `DoubleContext` of the group binds them."""
 
     def __init__(self, spec: GroupSpec):
         p, q = spec.p, spec.q
@@ -185,13 +190,30 @@ class GroupTables:
         chars = np.array([s.char_index for s in self.simples])
         zp2 = self.root_order // p**2
         self._twist = (l * chars * (self.root_order // q) + k * chars * p * zp2, k * k * zp2)
-        # Vectors (below size) are stored in the narrowest int that holds
-        # them, which halves or quarters the bytes a walk moves, the action
-        # of g and of g^-1 stacked in one (2|G|, size) table, so that a
-        # crossing of either sign is one gather from the raveled table at
-        # flux_row[v] + w (the action by the flux of v) or inverse_row[v] + w
-        # (by its inverse).  `crossing_exp` is stacked the same way.
-        order = spec.order
+        # The vector table, written by `write_vectors` on the first context.
+        self.flux = self.crossing_state = self.flux_row = self.inverse_row = None
+        self.action_state = self.inverse_state = None
+        for array in (self.dims, self.offsets):
+            array.flags.writeable = False
+
+    def write_vectors(self) -> None:
+        """Write the vector table on the first call, once per group: the
+        flux of every global vector and the action of every g and g^-1 on
+        it (`flux`, `crossing_state`, `flux_row`, `inverse_row`, and the
+        views `action_state` and `inverse_state`).  The first
+        `DoubleContext` of the group calls it; the labels, dims and twists
+        that `galois_relabel` and the twist placement of u = 0 read need
+        no vector table.
+
+        Vectors (below size) are stored in the narrowest int that holds
+        them, which halves or quarters the bytes a walk moves, the action
+        of g and of g^-1 stacked in one (2|G|, size) table, so that a
+        crossing of either sign is one gather from the raveled table at
+        flux_row[v] + w (the action by the flux of v) or inverse_row[v] + w
+        (by its inverse).  `crossing_exp` is stacked the same way."""
+        if self.action_state is not None:
+            return
+        order = self.spec.order
         self.flux = np.empty(self.size, dtype=np.int64)
         self.crossing_state = np.empty((2 * order, self.size), _narrow_dtype(self.size))
         for run in self.runs:
@@ -199,8 +221,7 @@ class GroupTables:
         row = np.int32 if 2 * order * self.size < 2**31 else np.int64
         self.flux_row = (self.flux * self.size).astype(row)
         self.inverse_row = self.flux_row + order * self.size
-        shared = (self.dims, self.offsets, self.flux, self.crossing_state, self.flux_row, self.inverse_row)
-        for array in shared:
+        for array in (self.flux, self.crossing_state, self.flux_row, self.inverse_row):
             array.flags.writeable = False
         self.action_state, self.inverse_state = np.split(self.crossing_state, 2)
 
@@ -310,6 +331,7 @@ class GroupTables:
         order |G|/d <= |G|/2: the least vector of every orbit is one min
         over its rows of the action table, and the orbit sizes one
         bincount of those least vectors."""
+        self.write_vectors()
         state, first = self.action_state, self.offsets
         n, size = len(first), self.size
         wide = np.flatnonzero(self.dims > 1)
@@ -363,6 +385,7 @@ class DoubleContext:
 
     def __init__(self, params: CocycleParams):
         group = group_for(params.spec)
+        group.write_vectors()
         self.params, self.group = params, group
         # The group's tables as plain attributes: the one-coloring branch
         # of `stw.braid` reads about ten of them per call.

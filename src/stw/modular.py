@@ -71,17 +71,23 @@ The equivalence search reads S, T and W only, never a certificate.
 W_ab = V_ab / (theta_a theta_b), so a bijection that preserves T maps W
 onto itself exactly when it maps V onto itself: `theory_data` keys V
 into the table of S, and no value of W is built for the search.  The
-search maps the second theory's table into the first's and then
-compares ids only.
+search compares ids only: a Galois conjugate of theory 1 keeps theory
+1's ids, and any other pair is compared after the second theory's table
+is mapped into the first's.
 Every substitution zeta -> zeta^f together with a twist factor zeta^s,
 the Galois images of values and the theta factors of W, of the punctured
 traces and of the R-sums alike, is one call of `map_exponents`.
 `galois_classes` partitions all p theories of one group from theory 1
 alone: the twists of the group's tables place u = 0, and a few searches
-against Galois conjugates of theory 1 the others.  Under (S, T, W) each
-search walks V a row at a time and stops at the first object whose row
-no candidate image matches (`_row_search`); `w_matrix` is the case that
-walks every row.  `modular_data` and `w_matrix` keep no cache.
+against Galois conjugates of theory 1 the others.  Each conjugate's S is
+theory 1's S with its rows permuted by the pi_f that `_galois_check`
+certified, in theory 1's own ids (`galois_conjugate`): S's values are
+mapped by sigma_f only inside that check, and only V's q + 4 values,
+whose Galois action is not certified, are mapped per conjugate.  Under
+(S, T, W) each search walks V a row at a time and stops at the first
+object whose row no candidate image matches (`_row_search`); `w_matrix`
+is the case that walks every row.  `modular_data` and `w_matrix` keep no
+cache.
 """
 
 from __future__ import annotations
@@ -425,10 +431,12 @@ def _key_into(index: dict[bytes, int], values: np.ndarray) -> np.ndarray:
     return np.array([index.setdefault(v.tobytes(), len(index)) for v in values], dtype=np.int32)
 
 
-def _table(index: dict[bytes, int], order: int) -> np.ndarray:
-    """The table of an index of values in Q(zeta_order): row i holds the
-    phi(order) numerators of id i (no rows for an empty index)."""
-    return np.frombuffer(b"".join(index), dtype=np.int64).reshape(len(index), euler_phi(order))
+def _table(index: dict[bytes, int], order: int, start: int = 0) -> np.ndarray:
+    """The rows of an index of values in Q(zeta_order) with ids start,
+    start + 1, ...: row i holds the phi(order) numerators of id start + i
+    (no rows for an empty index)."""
+    values = b"".join(itertools.islice(index, start, None))
+    return np.frombuffer(values, dtype=np.int64).reshape(-1, euler_phi(order))
 
 
 class _Keyer:
@@ -464,10 +472,8 @@ class _Keyer:
         return np.array([self.seen[key] for key in keys], dtype=np.int32)
 
     def table(self, start: int = 0) -> np.ndarray:
-        """The rows of the values with ids start, start + 1, ...: row i
-        holds the phi(order) numerators of id start + i."""
-        values = b"".join(itertools.islice(self.index, start, None))
-        return np.frombuffer(values, dtype=np.int64).reshape(-1, euler_phi(self.order))
+        """The rows of the values with ids start, start + 1, ... (`_table`)."""
+        return _table(self.index, self.order, start)
 
 
 def _value_ids(order: int, blocks):
@@ -497,18 +503,12 @@ def _lift(values: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _galois_image_ids(order: int, values: np.ndarray, f: int, index: dict[bytes, int]):
-    """The ids in `index` (extended in place) of sigma_f of each exact value
-    in the table `values`, and the table, as `_value_ids` returns them.
-    Each image comes reduced from `map_exponents`, in blocks of
-    `_REDUCE_BLOCK`, and is keyed directly: sigma_f is injective, so
-    distinct values have distinct images and there is nothing to group.
-    ValueError unless f is a unit mod order."""
-    return _image_ids(order, values, f, index), _table(index, order)
-
-
 def _image_ids(order: int, values: np.ndarray, f: int, index: dict[bytes, int]) -> np.ndarray:
-    """The ids of `_galois_image_ids`, without the table."""
+    """The ids in `index` (extended in place) of sigma_f of each exact value
+    in the table `values`.  Each image comes reduced from `map_exponents`,
+    in blocks of `_REDUCE_BLOCK`, and is keyed directly: sigma_f is
+    injective, so distinct values have distinct images and there is
+    nothing to group.  ValueError unless f is a unit mod order."""
     ids = [np.zeros(0, dtype=np.int32)]
     for block in _blocks(values, _REDUCE_BLOCK):
         image = map_exponents(order, block, f)
@@ -1485,11 +1485,15 @@ class TheoryData:
     t_keys holds the twist exponents mod N.  s_keys and w_keys are (n, n)
     int32 arrays of the value ids of S-tilde and of V into one table,
     `values`, shared by both: row i holds the canonical power-basis
-    numerators of id i, so equal ids mean equal exact values within one
-    theory.  W_ab = V_ab / (theta_a theta_b), so W is carried by V and
-    the twists (see `theory_data`).  Ids of two theories are compared
-    only after `_shared_ids` maps one table into the other.  The arrays
-    make it unhashable by value."""
+    numerators of id i, so equal ids mean equal exact values.  W_ab =
+    V_ab / (theta_a theta_b), so W is carried by V and the twists (see
+    `theory_data`).  A Galois conjugate (`galois_conjugate`) keeps the
+    ids of the theory it conjugates, so two theories whose `values` are
+    one array compare ids as they are; any other pair is compared after
+    `_shared_ids` maps one table into the other.  md is the modular data
+    a theory was frozen from, whose certified Galois action gives the S
+    of its conjugates (None for a conjugate).  The arrays make it
+    unhashable by value."""
 
     name: str
     labels: tuple[str, ...]
@@ -1499,11 +1503,20 @@ class TheoryData:
     s_keys: np.ndarray
     w_keys: np.ndarray | None
     values: np.ndarray
+    md: ModularData | None = None
+
+    @cached_property
+    def index(self) -> dict[bytes, int]:
+        """The id of each value of `values` by its bytes, built on first
+        use, once per table: `galois_conjugate` keys the images of V's
+        values into it, so ids past the table are images new to it, and
+        every conjugate of this theory shares its id space."""
+        return {v.tobytes(): i for i, v in enumerate(self.values)}
 
 
 def theory_data(md: ModularData, wm: WMatrix | None = None) -> TheoryData:
     """Freeze (S, T[, W]) into value ids: those of S, then the values of V
-    keyed into the same table (46 values in S, 61 in S and V at the
+    keyed into the same table (46 values in S, 57 in S and V at the
     flagship).
 
     W_ab = V_ab / (theta_a theta_b).  A bijection pi that preserves T
@@ -1512,14 +1525,8 @@ def theory_data(md: ModularData, wm: WMatrix | None = None) -> TheoryData:
     W is decided on the ids of V.  V's values are canonical already, so
     none is rolled or reduced here."""
     data = TheoryData(
-        name=f"u={md.params.u}",
-        labels=md.labels,
-        dims=md.dims,
-        root_order=md.root_order,
-        t_keys=md.twist_exps,
-        s_keys=md.s_ids,
-        w_keys=None,
-        values=md.s_values,
+        name=f"u={md.params.u}", labels=md.labels, dims=md.dims, root_order=md.root_order,
+        t_keys=md.twist_exps, s_keys=md.s_ids, w_keys=None, values=md.s_values, md=md,
     )
     return data if wm is None else _with_v(data, wm)
 
@@ -1533,57 +1540,66 @@ def _with_v(data: TheoryData, wm: WMatrix) -> TheoryData:
 
 def galois_conjugate(data: TheoryData, params: CocycleParams, u: int) -> TheoryData:
     """Theory u as the Galois conjugate of `data`, the theory `params`
-    (params.u != 0), with no trace walk: sigma_f (zeta_N -> zeta_N^f)
-    maps theory v to theory f v mod p (see `galois_classes`).
+    (params.u != 0) as frozen by `theory_data`, with no trace walk:
+    sigma_f (zeta_N -> zeta_N^f) maps theory v to theory f v mod p (see
+    `galois_classes`).
 
-    f is chosen by CRT with f = 1 (mod q), so that every zeta_q-valued
-    character is fixed, and f = u / params.u (mod p^2).  The objects are
-    relabelled by `double.galois_relabel`, each distinct exact value is
-    mapped by j -> f j (mod N) and reduced once (`_galois_image_ids`;
-    `ModularData.galois_permutation` and `_row_search` key the same
-    images through `_image_ids`), and each twist
-    exponent t goes to f t.  Rows and columns come in the label order
-    that every theory of the group shares; the conjugate's dims and twist
-    exponents must equal theory u's, read from the group's tables
-    (`GroupTables.twists`), or ArithmeticError is raised.  No context of
-    theory u is built."""
+    f is a power of the generator g of (Z/N)^x that fixes zeta_q, with
+    f = u / params.u (mod p), and pi_f the same power of the certified
+    pi_g (`_galois_map`).  The objects are relabelled by
+    `double.galois_relabel`: source[b] is the object that sigma_f sends
+    to b, so the conjugate's S~_bc is sigma_f(S~_{source b, source c}) =
+    S~_{pi_f(source b), source c} (`_galois_check`): its S ids are
+    data's own, rows and columns permuted, and no S value is mapped.
+    The Galois action on V is not certified, so each distinct value of V
+    (q + 4 of them) is mapped by j -> f j (mod N) and reduced, and keyed
+    into `data.index`; only images new to data's table extend the
+    conjugate's `values`.  Each twist exponent t goes to f t.  Rows and
+    columns come in the label order that every theory of the group
+    shares; the conjugate's dims and twist exponents must equal theory
+    u's, read from the group's tables (`GroupTables.twists`), or
+    ArithmeticError is raised, as it is when the Galois check of
+    data.md fails.  No context of theory u is built."""
     ne = data.root_order
-    f, target, source = _galois_map(params, u)
+    f, pi, target, source = _galois_map(data.md, u)
     group = group_for(params.spec)  # labels and dims are the same for every u
-    dims = data.dims[source]
     t_keys = f * data.t_keys[source] % ne
-    if not (np.array_equal(dims, group.dims) and np.array_equal(t_keys, group.twists(target.u))):
+    if not (np.array_equal(data.dims[source], group.dims) and np.array_equal(t_keys, group.twists(target.u))):
         raise ArithmeticError(
             f"the conjugate of {data.name} by sigma_{f} does not match the dims"
             f" and twists of u={target.u}"
         )
-    image_ids, values = _galois_image_ids(ne, data.values, f, {})
-
-    def conjugate(keys):
-        return None if keys is None else image_ids[keys[np.ix_(source, source)]]
-
+    values, w_keys = data.values, None
+    if data.w_keys is not None:
+        v, at = np.unique(data.w_keys[np.ix_(source, source)], return_inverse=True)
+        w_keys = _image_ids(ne, values[v], f, data.index)[at].reshape(len(source), -1)
+        if len(data.index) > len(values):
+            values = np.concatenate((values, _table(data.index, ne, len(values))))
     return TheoryData(
-        name=f"u={target.u}",
-        labels=tuple(s.label for s in group.simples),
-        dims=dims,
-        root_order=ne,
-        t_keys=t_keys,
-        s_keys=conjugate(data.s_keys),
-        w_keys=conjugate(data.w_keys),
+        name=f"u={target.u}", labels=tuple(s.label for s in group.simples), dims=group.dims,
+        root_order=ne, t_keys=t_keys, s_keys=data.s_keys[pi[source]][:, source], w_keys=w_keys,
         values=values,
     )
 
 
-def _galois_map(params: CocycleParams, u: int) -> tuple[int, CocycleParams, np.ndarray]:
-    """The f of `galois_conjugate` that sends the theory `params` to
-    theory u, that theory, and source: source[b] is the object that
-    sigma_f sends to b."""
-    spec = params.spec
-    p2 = spec.p**2
-    ratio = u * pow(params.u, -1, spec.p) % spec.p
-    f = 1 + spec.q * ((ratio - 1) * pow(spec.q, -1, p2) % p2)
-    target, images = galois_relabel(params, f)
-    return f, target, np.argsort(images)
+def _galois_map(md: ModularData, u: int) -> tuple[int, np.ndarray, CocycleParams, np.ndarray]:
+    """The f of `galois_conjugate` that sends the theory of `md` to theory
+    u, pi_f, that theory, and source: source[b] is the object that
+    sigma_f sends to b.  f is the least power g^k with g^k = u / md.params.u
+    (mod p) of the generator g of `_unit_generators` that is 1 mod q,
+    which generates the units mod p^2, and pi_f is pi_g^k, composed from
+    the permutations that `_galois_check` certified (raising its
+    ArithmeticError if the check fails)."""
+    _galois_check(md)
+    spec, ne = md.params.spec, md.root_order
+    ratio = u * pow(md.params.u, -1, spec.p) % spec.p
+    gens = zip(_unit_generators(ne), md._galois_gens)
+    g, pi_g = next((g, np.asarray(perm)) for (g, _), perm in gens if g % spec.q == 1)
+    f, pi = 1, np.arange(md.n_objects)
+    while f % spec.p != ratio:
+        f, pi = f * g % ne, pi_g[pi]
+    target, images = galois_relabel(md.params, f)
+    return f, pi, target, np.argsort(images)
 
 
 @dataclass(frozen=True)
@@ -1625,9 +1641,9 @@ def equivalence_search(d1: TheoryData, d2: TheoryData) -> SearchResult:
         return np.stack([ids[d.s_keys], codes], axis=2)
 
     # m[a, b] holds the id of S_ab (and the code of V_ab), both theories
-    # in d1's id space.
-    m1 = keys(d1, np.arange(len(d1.values), dtype=np.int32))
-    m2 = keys(d2, _shared_ids(d1, d2))
+    # in d1's id space: a conjugate's ids are in it already.
+    ids = np.arange(len(d1.values), dtype=np.int32)
+    m1, m2 = keys(d1, ids), keys(d2, ids if d2.values is d1.values else _shared_ids(d1, d2))
     match = _candidates(d1, d2, m1, m2)
     has_image = match.any(axis=1)
     if not has_image.all():
@@ -1691,25 +1707,26 @@ def _row_search(one: TheoryData, rows: _ClaspRows, params: CocycleParams, h: int
     `params`) against sigma_h(theory 1) under (S, T, W), V walked a row at
     a time (`rows`, theory 1's clasp rows).
 
-    The conjugate's row b of V is theory 1's row source[b] with its
-    values mapped by sigma_f and its columns permuted by source, and its
-    twist at column b is f t_source[b], so the multiset of its codes
-    V id * N + t is that of theory 1's row source[b] under sigma_f, read
-    without the permutation.  Objects are taken in order of fewest
-    (S, T) candidates, as the search orders them; each object's row and
-    the rows source[b] of its candidates b are walked, each distinct V
-    value is mapped by sigma_f once, and both are keyed into one index
-    that holds theory 1's S values, so equal ids are equal values.  The first
+    The (S, T) candidates come from the conjugate's S and T
+    (`galois_conjugate`), whose S ids are theory 1's own, permuted by
+    the certified pi_f: no S value is mapped or keyed.  The conjugate's
+    row b of V is theory 1's row source[b] with its values mapped by
+    sigma_f and its columns permuted by source, and its twist at column
+    b is f t_source[b], so the multiset of its codes V id * N + t is
+    that of theory 1's row source[b] under sigma_f, read without the
+    permutation.  Objects are taken in order of fewest (S, T)
+    candidates, as the search orders them; each object's row and the
+    rows source[b] of its candidates b are walked, each distinct V value
+    is mapped by sigma_f once, and both are keyed into one index of V's
+    values and their images, so equal ids are equal values.  The first
     object whose codes match no candidate's decides "not equivalent",
     as the search's exit at 0 nodes does (`_no_image`).  Only if every
     object has a candidate are the other rows walked and the search run
     on the whole V."""
     conj = galois_conjugate(one, params, h)
-    f, _, source = _galois_map(params, h)
-    index = {v.tobytes(): i for i, v in enumerate(one.values)}
-    m2 = _key_into(index, conj.values)[conj.s_keys]
-    match = _candidates(one, conj, one.s_keys[:, :, None], m2[:, :, None])
-    ne, t1 = one.root_order, one.t_keys
+    f, _, _, source = _galois_map(one.md, h)
+    match = _candidates(one, conj, one.s_keys[:, :, None], conj.s_keys[:, :, None])
+    ne, t1, index = one.root_order, one.t_keys, {}
     own = image = np.zeros(0, dtype=np.int64)  # index ids of theory 1's V values, of their images
     counts = match.sum(axis=1).tolist()
     for a in sorted(range(len(counts)), key=counts.__getitem__):
@@ -1874,7 +1891,11 @@ def galois_classes(md1: ModularData, with_w: bool) -> list[list[tuple[str, ...]]
     (zeta_N -> zeta_N^f, f = 1 mod q) maps theory v to theory f v mod p,
     with S, T and W conjugated entrywise (Galois conjugates of modular
     categories: Dong, Lin and Ng, arXiv:1201.6644); `galois_conjugate`
-    builds that conjugate exactly.  Conjugation preserves equivalence,
+    builds that conjugate exactly, its S from theory 1's S rows permuted
+    by the certified pi_f.  So the Galois check (`_galois_check`) runs on
+    theory 1 first, whether or not a conjugate is built, and its
+    ArithmeticError propagates: an S-tilde that fails it is not modular,
+    and no classes are returned.  Conjugation preserves equivalence,
     so theory f ~ theory g exactly when theory 1 ~ sigma_(g/f)(theory 1),
     and the classes of u != 0 are the cosets of the subgroup H_X of the
     cyclic group (Z/p)^x that fixes the class of theory 1 under the data
@@ -1885,6 +1906,7 @@ def galois_classes(md1: ModularData, with_w: bool) -> list[list[tuple[str, ...]]
     rows of V that decide it (`_row_search`)."""
     params = md1.params
     _u0_obstruction(group_for(params.spec))
+    _galois_check(md1)
     one = theory_data(md1)
     st, exps = _galois_partition(one, params, _factorize(params.spec.p - 1))
     if not with_w:

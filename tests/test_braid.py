@@ -736,8 +736,9 @@ def test_a_split_object_is_rejected_before_any_trace(monkeypatch):
     """The pinned walk needs G to act transitively on every object's
     vectors.  Let only the Z_p part of each group element act on the
     cosets of the flux b at (7,3,2), which splits the 7 vectors of each
-    B_1_s into orbits of sizes 1, 3 and 3: the group's tables refuse to
-    build, naming B_1_0, the first object of the class.  Split the same
+    B_1_s into orbits of sizes 1, 3 and 3: the group's vector table, which
+    its first context writes, refuses to build, naming B_1_0, the first
+    object of the class.  Split the same
     way in writable copies of the vector tables of a built context, B_1_0
     gives the S trace of (B_1_0, B_2_0) as 7 instead of the full walk's
     1."""
@@ -758,7 +759,7 @@ def test_a_split_object_is_rejected_before_any_trace(monkeypatch):
 
     monkeypatch.setattr(double.GroupTables, "_coset_action", split_coset_action)
     with pytest.raises(AssertionError, match="not transitive on the vectors of B_1_0"):
-        double.GroupTables(params.spec)  # uncached: the cached group stays whole
+        double.GroupTables(params.spec).write_vectors()  # uncached: the cached group stays whole
     monkeypatch.undo()
     ctx = copy.copy(context_for(params))
     ctx.crossing_state = ctx.crossing_state.copy()

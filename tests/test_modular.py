@@ -7,6 +7,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -1221,10 +1222,11 @@ README_GROUPS = [
 
 @pytest.mark.parametrize("group", README_GROUPS + [(7, 2, 6), (13, 3, 3), (19, 3, 7)])
 def test_twists_place_u0_in_a_class_of_its_own(group, monkeypatch):
-    """From the group's tables alone, no context built (an uncached
-    `GroupTables`, dropped after the test): the objects of u = 0 that
-    have no (dim, twist) partner in any theory u != 0 are exactly the
-    B_k_s, of dimension q, and `_u0_obstruction` gives the first."""
+    """From the group's tables alone, no context and no vector table
+    built (an uncached `GroupTables`, dropped after the test): the
+    objects of u = 0 that have no (dim, twist) partner in any theory
+    u != 0 are exactly the B_k_s, of dimension q, and `_u0_obstruction`
+    gives the first."""
     monkeypatch.setattr(double, "DoubleContext", None)  # any context build fails
     spec = GroupSpec(*group)
     tables = double.GroupTables(spec)
@@ -1234,6 +1236,7 @@ def test_twists_place_u0_in_a_class_of_its_own(group, monkeypatch):
     assert alone == [a for a, s in enumerate(tables.simples) if s.label.startswith("B_")]
     assert all(dims[a] == spec.q for a in alone)
     assert modular._u0_obstruction(tables) == alone[0]
+    assert tables.crossing_state is None and tables.action_state is None
 
 
 def test_galois_classes_refuse_u0_when_its_twists_have_partners(small_md, monkeypatch):
@@ -1559,19 +1562,124 @@ def test_conjugates_build_no_context(monkeypatch):
     assert context_for.cache_info().currsize == 2
 
 
-@pytest.mark.parametrize("group", [(11, 5, 4), (7, 3, 2), (13, 3, 3)])
-def test_galois_conjugate_matches_the_bytes_reference(group, theory_u, monkeypatch):
-    """Galois images keyed directly give the ids and table that the
-    bytes-dict keying of all images at once gives."""
+@pytest.mark.parametrize(
+    "group", [(11, 5, 4), (7, 3, 2), (13, 3, 3), (7, 3, 4), (7, 2, 6), (5, 2, 4)]
+)
+def test_galois_conjugate_s_ids_equal_the_mapped_reference(group, theory_u):
+    """The permutation route against the mapped one, for every u (at
+    p = 2, u = 1 and f = 1 only): each conjugate's S ids, theory 1's own
+    ids permuted by the certified pi_f, equal the ids of sigma_f of every
+    value of theory 1, mapped and keyed the bytes-dict way into theory
+    1's table, at the relabelled entries; its V values equal the mapped
+    values there too.  Every image is a value of theory 1 here, so each
+    conjugate shares theory 1's table."""
     spec = GroupSpec(*group)
     base = CocycleParams(spec, 1)
     d1 = theory_u(1, True) if group == (11, 5, 4) else _built_theory(base)
-    actual = [modular.galois_conjugate(d1, base, r) for r in range(1, spec.p)]
-    monkeypatch.setattr(modular, "_galois_image_ids", _reference_galois_image_ids)
-    for conj, r in zip(actual, range(1, spec.p)):
-        expected = modular.galois_conjugate(d1, base, r)
-        for name in ("s_keys", "w_keys", "values", "t_keys", "dims"):
-            _assert_same(getattr(conj, name), getattr(expected, name))
+    index = {v.tobytes(): i for i, v in enumerate(d1.values)}
+    for u in range(1, spec.p):
+        conj = modular.galois_conjugate(d1, base, u)
+        f, _, _, source = modular._galois_map(d1.md, u)
+        ids, table = _reference_galois_image_ids(d1.root_order, d1.values, f, dict(index))
+        grid = np.ix_(source, source)
+        assert conj.values is d1.values and len(table) == len(d1.values)
+        _assert_same(conj.s_keys, ids[d1.s_keys[grid]])
+        assert np.array_equal(conj.values[conj.w_keys], table[ids[d1.w_keys[grid]]])
+
+
+@pytest.mark.parametrize("group", [(7, 3, 2), (7, 2, 6)])
+def test_galois_classes_refuse_an_asymmetric_s(group):
+    """S-tilde made asymmetric, as in `test_galois_check_catches_an_asymmetric_s`:
+    `galois_classes` raises the Galois check's error and returns no
+    classes, with or without W, also at p = 2, where no conjugate is
+    built."""
+    md = modular.modular_data(CocycleParams(GroupSpec(*group), 1))
+    b, c = next(
+        (b, c)
+        for b, c in itertools.combinations(range(1, md.n_objects), 2)
+        if md.dims[b] == md.dims[c]
+    )
+    ids = md.s_ids.copy()
+    ids[:, [b, c]] = ids[:, [c, b]]
+    md = dataclasses.replace(md, s_ids=ids)
+    for with_w in (False, True):
+        with pytest.raises(ArithmeticError, match="S-tilde is not symmetric"):
+            modular.galois_classes(md, with_w)
+
+
+def test_distinguish_maps_s_values_only_in_the_galois_check(monkeypatch, capsys, md_u, wm_u):
+    """`distinguish --all` at the flagship calls `galois_permutation` 3
+    times, for the two generators of (Z/275)^x and for -1 (the Galois
+    check), and passes S's table to `map_exponents` nowhere else: every
+    value it maps outside the check is a value of V, and none of the 42
+    values of S that are not values of V (4 of V's 15 values are) is."""
+    s_values = {v.tobytes() for v in md_u(1).s_values}
+    v_values = {v.tobytes() for v in wm_u(1).v_values}
+    calls, inside, mapped = [], [], []
+    permutation, real_map = modular.ModularData.galois_permutation, modular.map_exponents
+
+    def counted(self, f):
+        calls.append(f)
+        inside.append(f)
+        try:
+            return permutation(self, f)
+        finally:
+            inside.pop()
+
+    def spy(order, values, *args, **kwargs):
+        if not inside:
+            mapped.extend(row.tobytes() for row in np.asarray(values, dtype=np.int64))
+        return real_map(order, values, *args, **kwargs)
+
+    monkeypatch.setattr(modular.ModularData, "galois_permutation", counted)
+    monkeypatch.setattr(modular, "map_exponents", spy)
+    assert cli.main(["distinguish", "--all"]) == 0
+    assert capsys.readouterr().out.endswith("{u=0}  {u=1}  {u=2}  {u=3}  {u=4}\n")
+    assert len(calls) == 3 and calls[-1] == -1
+    assert len(s_values - v_values) == 42
+    assert mapped and set(mapped) <= v_values and not set(mapped) & (s_values - v_values)
+
+
+class _SRows:
+    """Clasp rows whose V is S-tilde itself, walked on demand as
+    `modular._ClaspRows` walks V.  sigma_f permutes the rows of S~ (the
+    Galois check), so with this V theory 1 and its conjugate by sigma_h
+    are equivalent under (S, T, V) exactly when they are under (S, T)."""
+
+    def __init__(self, md):
+        self.md = md
+        self.keyer = self  # V's table: the values of S~
+        self.walked = np.zeros(md.n_objects, dtype=bool)
+
+    def table(self, start=0):
+        return self.md.s_values[start:]
+
+    def rows(self, objects):
+        self.walked[objects] = True
+        return self.md.s_ids[objects]
+
+    def matrix(self):
+        return types.SimpleNamespace(v_ids=self.md.s_ids, v_values=self.md.s_values)
+
+
+def test_row_search_maps_v_by_sigma_f(md_u):
+    """With V = S~ (`_SRows`), the row walk against sigma_h(theory 1)
+    gives the (S, T) verdict for every h, equivalent at h = 4: it finds
+    an image for every object only because it maps V's values by
+    sigma_f, as the conjugate's rows of V are theory 1's rows mapped.
+    A walk that compared theory 1's rows unmapped would find none."""
+    md = md_u(1)
+    one = modular.theory_data(md)
+    verdicts = []
+    for h in range(1, 5):
+        st = modular.equivalence_search(one, modular.galois_conjugate(one, md.params, h))
+        rows = _SRows(md)
+        result = modular._row_search(one, rows, md.params, h)
+        assert result.equivalent == st.equivalent, h
+        verdicts.append(result.equivalent)
+        if result.equivalent:
+            assert rows.walked.all()
+    assert verdicts == [True, False, False, True]
 
 
 def test_ids_are_unchanged_in_small_blocks(monkeypatch):
