@@ -11,6 +11,29 @@ A trace walks each tuple once and records every crossing's gather
 index; the phases of the tuples that the word fixes are then read from
 that record in one gather, and no tuple is walked again (`_fixed_phases`).
 
+Every theory u of a group walks the group's one phase table, that of
+theory 0, and adds one shift per coloring (`_theory_shift`):
+
+Fact 2.  The phase of a tuple in theory u is its phase in theory 0 plus
+u times the sum over the letters of sigma[0, k_left, k_right] for +i and
+sigma[1, k_right, k_left] for -i, where k_left and k_right are the Z_p
+parts of the classes of the colors at positions i and i + 1 before the
+letter, which swap after it, as the associator's are (`_associator`).
+
+Proof.  By fact 1 of `stw.double`, a crossing's phase in theory u is
+that of theory 0 plus u sigma[sign, m, k], with m the Z_p part of the
+element that acts and k that of the class of the vector it acts on.  A
+letter +i acts by the flux of the left vector on the right one, -i by
+the inverse of the flux of the right vector on the left one.  The Z_p
+part of a flux is that of its class (Z_q is normal and Z_p abelian), and
+every vector stays in its object as it moves with its strand, so before
+each letter the classes at positions i and i + 1 are those of the
+coloring, permuted by the letters before it, whatever the tuple.  So the
+shifts along the walk sum to one scalar per coloring.  s_i s_i^-1 is
+the identity in theory 0 and in theory u, so sigma[0, a, b] + sigma[1,
+a, b] = 0 mod N, and the sum over the reduced word (`_reduced`) is the
+sum over the word.
+
 A trace walks one tuple per G-orbit.  The braiding of D^omega(G) is a
 map of modules (Dijkgraaf, Pasquier, Roche 1990), so it commutes with
 the diagonal action of G, and the associators met on the way are scalars
@@ -419,10 +442,27 @@ def _walk(ctx: DoubleContext, word: BraidWord, state: np.ndarray):
 
 
 def _phases(ctx: DoubleContext, record: np.ndarray) -> np.ndarray:
-    """The phase exponent of each walked tuple, without the associator:
-    the sum of the phases at the tuple's recorded gathers (a column of
-    `_walk`'s record), in int64."""
+    """The phase exponent of each walked tuple in theory 0, without the
+    associator: the sum of the phases at the tuple's recorded gathers (a
+    column of `_walk`'s record), in int64."""
     return ctx.crossing_exp.ravel().take(record).sum(axis=0, dtype=np.int64)
+
+
+def _theory_shift(ctx: DoubleContext, word: BraidWord, bparts):
+    """The phase that theory u adds to a walk over the group's table of
+    theory 0 (fact 2 of the module docstring): u sigma[0, k_left,
+    k_right] for a letter +i and u sigma[1, k_right, k_left] for -i, the
+    Z_p parts of the classes at positions i and i + 1 swapped after each
+    letter.  `bparts` holds those of the strands' colors at the bottom:
+    a list of ints for one coloring (an int is returned), or a (strands,
+    C) array for C colorings (a (C,) array)."""
+    over, under = ctx.shift_rows if isinstance(bparts, list) else ctx.shift_exp
+    p, b, total = ctx.spec.p, list(bparts), 0
+    for letter in word.letters:
+        i = abs(letter) - 1
+        total += over[b[i] * p + b[i + 1]] if letter > 0 else under[b[i + 1] * p + b[i]]
+        b[i], b[i + 1] = b[i + 1], b[i]
+    return total
 
 
 def _associator(ctx: DoubleContext, word: BraidWord, colors) -> int:
@@ -476,7 +516,8 @@ def _walk_blocks(ctx: DoubleContext, word: BraidWord, start: np.ndarray):
 
 def _closure_phases(ctx: DoubleContext, word: BraidWord, coloring: list[int], shift: int = 0, strand_at=None):
     """`_fixed_phases` of one coloring (a list of object indices): the
-    phase exponents mod N of its fixed walked tuples, shift added, its
+    phase exponents mod N of its fixed walked tuples, shift and the
+    theory's shift (`_theory_shift`) added, its
     pin factor d, and under a second pin the orbit size of each fixed
     tuple (int64; None without one).  The closure check and both pin
     choices run on the Python row, and the phases need no coloring
@@ -503,9 +544,10 @@ def _closure_phases(ctx: DoubleContext, word: BraidWord, coloring: list[int], sh
     if second is not None:
         j, s = second
         start[j] = _rep_vectors(ctx, s, start[j])
-    blocks = list(_walk_blocks(ctx, _reduced(word), start))
+    reduced = _reduced(word)
+    blocks = list(_walk_blocks(ctx, reduced, start))
     expo = blocks[0][2] if len(blocks) == 1 else np.concatenate([phases for _, _, phases in blocks])
-    expo += shift
+    expo += shift + _theory_shift(ctx, reduced, [ctx.tables[c].class_bpart for c in coloring])
     expo %= ctx.root_order
     sizes = None
     if second is not None:
@@ -517,7 +559,8 @@ def _closure_phases(ctx: DoubleContext, word: BraidWord, coloring: list[int], sh
 def _fixed_phases(ctx: DoubleContext, word: BraidWord, colorings: np.ndarray, shifts):
     """The fixed tuples of the word under C colorings (an int64 array of
     rows of object indices, one per strand): the coloring index of each
-    and its phase exponent mod N (shifts[c] added, if given), each
+    and its phase exponent mod N (the theory's shift of `_theory_shift`
+    and shifts[c], if given, added), each
     coloring's pin factor d, and the orbit size of each fixed tuple under
     the second pin (None if no coloring takes one), all int64.  A fixed
     tuple stands for d times its orbit size basis tuples.
@@ -545,8 +588,10 @@ def _fixed_phases(ctx: DoubleContext, word: BraidWord, colorings: np.ndarray, sh
     time, in the narrow vector dtype of the tables, and records each
     crossing's gather index (letters x block, int32 below 2^31 table
     entries).  The phases of the block's fixed tuples are one gather of
-    the phase table at their columns of the record, summed over the
-    letters (`_phases`).  One coloring goes through `_closure_phases`."""
+    the group's phase table of theory 0 at their columns of the record,
+    summed over the letters (`_phases`), and theory u adds one shift per
+    coloring (fact 2 of the module docstring).  One coloring goes
+    through `_closure_phases`."""
     if len(colorings) == 1:
         shift = 0 if shifts is None else int(np.asarray(shifts).reshape(-1)[0])
         expo, pin, sizes = _closure_phases(ctx, word, colorings[0].tolist(), shift)
@@ -572,8 +617,8 @@ def _fixed_phases(ctx: DoubleContext, word: BraidWord, colorings: np.ndarray, sh
         phases.append(expo)
     sel, expo = np.concatenate(found), np.concatenate(phases)
     which = tuples.cumsum().searchsorted(sel, side="right")
-    if shifts is not None:
-        expo = expo + np.asarray(shifts, dtype=np.int64)[which]
+    shift = _theory_shift(ctx, word, ctx.bparts[colorings].T) + (0 if shifts is None else np.asarray(shifts))
+    expo = expo + np.broadcast_to(shift, len(colorings))[which]
     sizes = None
     if second is not None:
         j, stab = second[0][which], second[1][which]
@@ -660,7 +705,7 @@ def representation_operator(params: CocycleParams, word: BraidWord, colors) -> M
     ctx = context_for(params)
     idx = np.array(_resolve_colors(ctx, word, colors))
     state, record = _walk(ctx, word, _start(ctx, idx[None]))
-    expo = _phases(ctx, record)
+    expo = _phases(ctx, record) + _theory_shift(ctx, word, [ctx.tables[c].class_bpart for c in idx])
     final = idx[_closure_pass(word)[0]]
     target = np.zeros(len(expo), dtype=np.int64)
     for j, color in enumerate(final):

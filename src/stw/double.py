@@ -21,34 +21,59 @@ vector b of the object with that offset), and the action of every group
 element on every global vector is stored as integer arrays of the new
 vector and the phase exponent, the action of every g stacked over that
 of every g^-1 in one (2|G|, sum of dims) table each (`crossing_state`,
-`crossing_exp`).  A vector's color is the object it belongs to, so
-colors move with the vectors.  The braiding of X over Y is the action of
-the flux of the X vector on the Y vector, so every crossing of the braid
-engine, and `dpr_action`, `sigma_action` and `sigma_inverse_action`,
-read these tables.
+and `crossing_exp` of theory 0, which theory u shifts by fact 1 below).
+A vector's color is the object it belongs to, so colors move with the
+vectors.  The braiding of X over Y is the action of the flux of the X
+vector on the Y vector, so every crossing of the braid engine, and
+`dpr_action`, `sigma_action` and `sigma_inverse_action`, read these
+tables.
 
 The engine data come in a group part and a theory part.  Every theory
 u of a group has the same simple objects, the same global basis and the
 same action of G on it (Dijkgraaf, Pasquier, Roche 1990); only the
 phases and the twists depend on u, as omega_u is omega_1 to the u and a
-B character is s p + u k.  So `GroupTables`, built once per group
-(`group_for`), lists the objects and their twists; on the group's first
-context it writes `flux` and `crossing_state` and checks transitivity,
-and it keeps the second pin's orbit table, all read-only.  A
-`DoubleContext`, built once per theory (`context_for`), binds those
-arrays as plain attributes and builds only `crossing_exp`, the twists
-and its `AnyonTables`.  Reading labels, dims and twists
-(`galois_relabel`, the placement of u = 0 in `stw.modular`) builds no
-vector table.  The objects are listed first, which fixes the number of
-global vectors and so the dtypes of the tables; each
-table is then allocated once, in its final dtype, and each run of
-objects of one flux class and one internal dim writes its own columns:
-the action of g, and that of g^-1 through the inverse table, its phase
-lowered by theta_h(g, g^-1), which is one column per run since it
-depends on the flux h only through its Z_p part.  The group checks on
-each run that G acts transitively on the vectors of each of its objects.
-No (|G|, sum of dims) intermediate is built, so each part peaks at well
-under twice the bytes of the tables it keeps.
+B character is s p + u k.  The phases depend on u only through one
+shift per (sign, m, k):
+
+Fact 1.  The phase of g (or g^-1) on a vector of theory u is that of
+theory 0 plus u sigma[sign, m, k] mod N, with m the Z_p part of g and k
+that of the class of the vector's object, where, with theta1 the theta
+table of theory 1 in zeta_p units,
+
+    sigma[0, m, k] = (theta1[k, m, 0] - theta1[k, 0, m]) N/p + k m N/p^2,
+    sigma[1, m, k] = sigma[0, -m, k] - theta1[k, m, -m] N/p.
+
+Proof.  y acts on (coset i, internal v) of an object of flux class t
+with the phase theta_t'(y, r_i) / theta_t'(r_j, s) pi(s), y r_i = r_j s.
+omega is pulled back from Z_p, so theta_t'(x, z) reads only the Z_p
+parts of t', x and z, and theta_u = u theta1; t' = r_j t r_j^-1 has the
+Z_p part k of t.  An A or I object has k = 0, where theta1 vanishes,
+and its pi does not depend on u: no shift, and sigma[., ., 0] = 0.  A
+B_k_s object has centralizer <b> and coset representatives a^i, so
+r_i and r_j have Z_p part 0 and s has that of y, m; its theta part is
+u (theta1[k, m, 0] - theta1[k, 0, m]) and its character
+zeta_(p^2)^((s p + u k) m) adds u k m: u sigma[0, m, k].  The row of
+g^-1 is that of the inverse element, Z_p part -m, lowered by
+theta_t(g, g^-1), whose u part is u theta1[k, m, -m]: u sigma[1, m, k].
+
+So `GroupTables`, built once per group (`group_for`), lists the objects
+and their twists and keeps sigma, a (2, p, p) table; on the group's
+first context it writes `flux`, `crossing_state` and the phase table of
+theory 0, `crossing_exp`, and checks transitivity, and it keeps the
+second pin's orbit table, all read-only.  A `DoubleContext`, built once
+per theory (`context_for`), binds those arrays as plain attributes and
+builds only u sigma, the twists and its `AnyonTables`.  Reading labels,
+dims and twists (`galois_relabel`, the placement of u = 0 in
+`stw.modular`) builds no vector table.  The objects are listed first,
+which fixes the number of global vectors and so the dtypes of the
+tables; each table is then allocated once, in its final dtype, and each
+run of objects of one flux class and one internal dim writes its own
+columns: the action of g, and that of g^-1 through the inverse table
+(in theory 0, theta is 1, so the phase of g^-1 is that of the inverse
+element).  The group checks on each run that G acts transitively on
+the vectors of each of its objects.  No (|G|, sum of dims) intermediate
+is built, so the build peaks at well under twice the bytes of the
+tables it keeps.
 
 Transitivity is what lets `stw.braid` walk one tuple per G-orbit: the
 braiding commutes with the diagonal G-action, so one strand of each
@@ -152,11 +177,12 @@ class OrbitTable:
 class GroupTables:
     """The engine data that every theory u of one group shares: the
     simple objects, their global basis and twists, the action of G on
-    that basis and the second pin's orbit table.  Built once per group by
-    `group_for`, which lists the objects only; the vector action is
-    written on the group's first `DoubleContext` (`write_vectors`) and
-    the orbit table on first use.  Its arrays are read-only, and every
-    `DoubleContext` of the group binds them."""
+    that basis with its phases in theory 0, the shifts sigma of fact 1
+    (module docstring) and the second pin's orbit table.  Built once per
+    group by `group_for`, which lists the objects only; the vector action
+    is written on the group's first `DoubleContext` (`write_vectors`)
+    and the orbit table on first use.  Its arrays are read-only, and
+    every `DoubleContext` of the group binds them."""
 
     def __init__(self, spec: GroupSpec):
         p, q = spec.p, spec.q
@@ -188,19 +214,29 @@ class GroupTables:
         # zeta_(p^2)^(k (s p + u k)) and that of I_j 1: base + u slope.
         l, k = np.array([self.classes[s.class_index].representative for s in self.simples]).T
         chars = np.array([s.char_index for s in self.simples])
-        zp2 = self.root_order // p**2
+        zp, zp2 = self.root_order // p, self.root_order // p**2
         self._twist = (l * chars * (self.root_order // q) + k * chars * p * zp2, k * k * zp2)
+        self.bparts = k.copy()  # the Z_p part of each object's class
+        # sigma[sign, m, k]: what theory u adds, times u, to the phase of
+        # an element of Z_p part m (sign 0) or of its inverse (sign 1) on a
+        # vector of a class of Z_p part k (fact 1 of the module docstring).
+        theta, (m, k) = self.theta1_zp.astype(np.int64), np.indices((p, p))
+        over = (theta[k, m, 0] - theta[k, 0, m]) * zp + k * m * zp2
+        under = over[-m % p, k] - theta[k, m, -m % p] * zp
+        self.sigma = np.stack((over, under)) % self.root_order
         # The vector table, written by `write_vectors` on the first context.
-        self.flux = self.crossing_state = self.flux_row = self.inverse_row = None
+        self.flux = self.crossing_state = self.crossing_exp = self.flux_row = self.inverse_row = None
         self.action_state = self.inverse_state = None
-        for array in (self.dims, self.offsets):
+        for array in (self.dims, self.offsets, self.bparts, self.sigma):
             array.flags.writeable = False
 
     def write_vectors(self) -> None:
         """Write the vector table on the first call, once per group: the
         flux of every global vector and the action of every g and g^-1 on
         it (`flux`, `crossing_state`, `flux_row`, `inverse_row`, and the
-        views `action_state` and `inverse_state`).  The first
+        views `action_state` and `inverse_state`), with its phases in
+        theory 0 (`crossing_exp`, below N in the narrowest int that holds
+        them, stacked as `crossing_state`).  The first
         `DoubleContext` of the group calls it; the labels, dims and twists
         that `galois_relabel` and the twist placement of u = 0 read need
         no vector table.
@@ -210,18 +246,19 @@ class GroupTables:
         of g and of g^-1 stacked in one (2|G|, size) table, so that a
         crossing of either sign is one gather from the raveled table at
         flux_row[v] + w (the action by the flux of v) or inverse_row[v] + w
-        (by its inverse).  `crossing_exp` is stacked the same way."""
+        (by its inverse)."""
         if self.action_state is not None:
             return
         order = self.spec.order
         self.flux = np.empty(self.size, dtype=np.int64)
         self.crossing_state = np.empty((2 * order, self.size), _narrow_dtype(self.size))
+        self.crossing_exp = np.empty(self.crossing_state.shape, _narrow_dtype(self.root_order))
         for run in self.runs:
             self._add_states(run)
         row = np.int32 if 2 * order * self.size < 2**31 else np.int64
         self.flux_row = (self.flux * self.size).astype(row)
         self.inverse_row = self.flux_row + order * self.size
-        for array in (self.flux, self.crossing_state, self.flux_row, self.inverse_row):
+        for array in (self.flux, self.crossing_state, self.crossing_exp, self.flux_row, self.inverse_row):
             array.flags.writeable = False
         self.action_state, self.inverse_state = np.split(self.crossing_state, 2)
 
@@ -255,26 +292,24 @@ class GroupTables:
         w = gd.mult_table[:, reps]
         return flux, reps, cent, coset_of[w], srep[w]
 
-    def _pi(self, ci: int, chars, cent, u: int):
+    def _pi(self, ci: int, chars, cent):
         """The monomial action pi(s) of the centralizer elements `cent`
         (group indices) on the internal space of each character in
-        `chars` of class ci in theory u: (perm, exp) of shape (characters
-        or one for all, len(cent), internal dim), exp in zeta_N units."""
+        `chars` of class ci in theory 0: (perm, exp) of shape (characters
+        or one for all, len(cent), internal dim), exp in zeta_N units.
+        Theory u adds u k l to the exponent of b^l in units of
+        zeta_(p^2) on b^k (`sigma`)."""
         gd, ne = self.gdata, self.root_order
         rep = self.classes[ci].representative
         if rep == GroupElement(0, 0):
             irreps = [self.irreps[s] for s in chars]
             perm = np.stack([r.perm[cent] for r in irreps])
             return perm, np.stack([r.exponents[cent] * (ne // r.root_order) for r in irreps])
-        if rep.m == 0:
-            # a-type flux: centralizer Z_q, characters zeta_q^(s l) on a^l
-            char_exp, part = np.array(chars) * (ne // self.spec.q), gd.a_part
-        else:
-            # b-type flux b^k: centralizer Z_p, characters
-            # zeta_(p^2)^((s p + u k) l) on b^l
-            char_exp = (np.array(chars) * self.spec.p + u * rep.m) * (ne // self.spec.p**2)
-            part = gd.b_part
-        pi_exp = np.outer(char_exp, part[cent])[:, :, None]
+        # An a-type flux has centralizer Z_q and characters zeta_q^(s l)
+        # on a^l; b^k has Z_p and zeta_(p^2)^((s p + u k) l) on b^l, here
+        # at u = 0: zeta_p^(s l).
+        order, part = (self.spec.q, gd.a_part) if rep.m == 0 else (self.spec.p, gd.b_part)
+        pi_exp = np.outer(np.array(chars) * (ne // order), part[cent])[:, :, None]
         return np.zeros((1, len(cent), 1), dtype=np.int64), pi_exp
 
     def _columns(self, table: np.ndarray, run) -> np.ndarray:
@@ -287,10 +322,11 @@ class GroupTables:
         return cols.reshape(2, self.spec.order, len(chars), -1, simple.internal_dim)
 
     def _add_states(self, run):
-        """Write the columns of one run of objects into `flux` and
-        `crossing_state`: y takes the vector (coset i, internal v) of an
-        object to (j, pi(s) v), with y r_i = r_j s, and y^-1 as the row of
-        the inverse of y.  Then check that G acts transitively on
+        """Write the columns of one run of objects into `flux`,
+        `crossing_state` and `crossing_exp`: y takes the vector (coset i,
+        internal v) of an object to (j, pi(s) v), with y r_i = r_j s, with
+        the phase of pi(s) in theory 0 (whose theta is 1), and y^-1 as the
+        row of the inverse of y.  Then check that G acts transitively on
         the vectors of each object, which lets every trace of `stw.braid`
         walk one tuple per G-orbit (and, on a second strand, one vector per
         orbit of the pinned vector's stabiliser): the images of each
@@ -303,9 +339,12 @@ class GroupTables:
         starts = self.offsets[first] + dim * np.arange(len(chars))
         cols = self.flux[starts[0] : starts[0] + len(chars) * dim]
         cols.reshape(len(chars), -1, internal_dim)[...] = flux[:, None]
-        pi_perm = self._pi(ci, chars, cent, 0)[0][:, cent_s].transpose(1, 0, 2, 3)
+        pi_perm, pi_exp = (part[:, cent_s].transpose(1, 0, 2, 3) for part in self._pi(ci, chars, cent))
         state[0] = starts[:, None, None] + j[:, None, :, None] * internal_dim + pi_perm
         state[1] = state[0][self.gdata.inv_table]
+        exp = self._columns(self.crossing_exp, run)
+        exp[0] = pi_exp % self.root_order
+        exp[1] = exp[0][self.gdata.inv_table]
         local = state[0, :, :, 0, 0] - starts  # (|G|, chars): images of each first vector
         reached = np.zeros((len(chars), dim), dtype=bool)
         reached[np.arange(len(chars)), local.clip(0, dim - 1)] = True
@@ -373,15 +412,19 @@ class GroupTables:
 
 class DoubleContext:
     """All engine data for one (group, twisting) pair: the tables of its
-    group (`GroupTables`), bound as plain attributes, and the phases of
-    the action and the twists, which depend on u.  flux[v] is the group
-    index of the flux of global vector v, and g acts on v as
+    group (`GroupTables`), bound as plain attributes, and the twists and
+    the phase shifts of theory u.  flux[v] is the group index of the flux
+    of global vector v, and g acts on v as
 
-        g . |v>  =  zeta^action_exp[g, v] |action_state[g, v]>,
+        g . |v>  =  zeta^(crossing_exp[g, v] + shift_exp[0, m k]) |action_state[g, v]>,
 
-    g^-1 as zeta^inverse_exp[g, v] |inverse_state[g, v]>, its phase
-    lowered by theta_h(g, g^-1) (h the flux of v): the action by which an
-    inverse crossing undoes a crossing."""
+    g^-1 as zeta^(crossing_exp[|G| + g, v] + shift_exp[1, m k])
+    |inverse_state[g, v]>, its phase lowered by theta_h(g, g^-1) (h the
+    flux of v): the action by which an inverse crossing undoes a
+    crossing.  crossing_exp is the group's phase table, that of theory 0;
+    shift_exp[sign, m k], flat over (m, k) = (the Z_p part of g, that of
+    the class of v) as m p + k, is u sigma mod N (fact 1 of the module
+    docstring), and shift_rows is it as Python lists."""
 
     def __init__(self, params: CocycleParams):
         group = group_for(params.spec)
@@ -392,43 +435,30 @@ class DoubleContext:
         self.spec, self.root_order, self.gdata = group.spec, group.root_order, group.gdata
         self.classes, self.simples, self.label_index = group.classes, group.simples, group.label_index
         self.index_of, self.size = group.index_of, group.size
-        self.dims, self.offsets, self.flux = group.dims, group.offsets, group.flux
-        self.crossing_state, self.flux_row, self.inverse_row = (
-            group.crossing_state, group.flux_row, group.inverse_row
-        )
+        self.dims, self.offsets, self.flux, self.bparts = group.dims, group.offsets, group.flux, group.bparts
+        self.crossing_state, self.crossing_exp = group.crossing_state, group.crossing_exp
+        self.flux_row, self.inverse_row = group.flux_row, group.inverse_row
         self.action_state, self.inverse_state = group.action_state, group.inverse_state
         self.theta_zp = group.theta1_zp * params.u % self.spec.p  # (p,p,p), zeta_p units
         self._zp_unit = self.root_order // self.spec.p
+        self.shift_exp = (params.u * group.sigma % self.root_order).reshape(2, -1)
+        self.shift_rows = self.shift_exp.tolist()
         # The one array of twists that every reader in `stw` uses.
         self.twist_exps = group.twists(params.u)
         self.tables = [
-            AnyonTables(s, s.dim, int(offset), self.classes[s.class_index].representative.m, int(t))
-            for s, offset, t in zip(self.simples, self.offsets, self.twist_exps)
+            AnyonTables(s, s.dim, int(offset), int(k), int(t))
+            for s, offset, k, t in zip(self.simples, self.offsets, self.bparts, self.twist_exps)
         ]
-        # Phases (below N) in the narrowest int that holds them, stacked
-        # as `crossing_state`.
-        self.crossing_exp = np.empty(self.crossing_state.shape, _narrow_dtype(self.root_order))
-        for run in group.runs:
-            self._add_phases(run)
-        self.action_exp, self.inverse_exp = np.split(self.crossing_exp, 2)
 
-    def _add_phases(self, run):
-        """Write the columns of one run of objects into `crossing_exp`: y
-        takes the vector (coset i, internal v) with the phase of
-        theta_t'(y, r_i) / theta_t'(r_j, s) pi(s), with y r_i = r_j s, and
-        y^-1 with that of its inverse lowered by theta_h(y, y^-1), which
-        depends on the flux h only through its Z_p part, that of the class
-        representative."""
-        first, chars, ci = run
-        group, b, ne = self.group, self.gdata.b_part, self.root_order
-        _, reps, cent, j, cent_s = group._coset_action(self.classes[ci])
-        theta = self.theta_zp[self.classes[ci].representative.m] * self._zp_unit
-        coset_exp = theta[b[:, None], b[reps][None, :]] - theta[b[reps[j]], b[cent[cent_s]]]
-        pi_exp = group._pi(ci, chars, cent, self.params.u)[1][:, cent_s].transpose(1, 0, 2, 3)
-        exp = group._columns(self.crossing_exp, run)
-        exp[0] = (coset_exp[:, None, :, None] + pi_exp) % ne
-        g_inv = self.gdata.inv_table
-        exp[1] = (exp[0][g_inv] - theta[b, b[g_inv]][:, None, None, None]) % ne
+    def act(self, sign: int, g: int, obj, basis: int) -> tuple[int, CycloNumber]:
+        """g (sign 0) or g^-1 (sign 1) on basis vector `basis` of the
+        object obj: (the new basis index, the phase), the phase read from
+        the group's table plus the theory's shift."""
+        obj = self.index_of(obj)
+        row, off = sign * self.spec.order + g, int(self.offsets[obj])
+        shift = self.shift_rows[sign][self.gdata.b_part[g] * self.spec.p + self.bparts[obj]]
+        phase = self.root(int(self.crossing_exp[row, off + basis]) + shift)
+        return int(self.crossing_state[row, off + basis]) - off, phase
 
     # ----- scalar helpers -------------------------------------------------
 
@@ -530,17 +560,18 @@ def dpr_action(
     The coefficient is always a single root of unity (monomial action).
     """
     ctx = context_for(params)
-    off = ctx.tables[ctx.index_of(simple)].offset
-    g = ctx.gdata.index(y)
-    v = off + basis
-    return int(ctx.action_state[g, v]) - off, ctx.root(int(ctx.action_exp[g, v]))
+    return ctx.act(0, ctx.gdata.index(y), simple, basis)
 
 
 def basis_flux(params: CocycleParams, simple, basis: int) -> GroupElement:
     """Flux (group grading) of one basis vector."""
     ctx = context_for(params)
-    off = ctx.tables[ctx.index_of(simple)].offset
-    return ctx.gdata.element(int(ctx.flux[off + basis]))
+    return ctx.gdata.element(_flux_index(ctx, simple, basis))
+
+
+def _flux_index(ctx: DoubleContext, simple, basis: int) -> int:
+    """The group index of the flux of one basis vector."""
+    return int(ctx.flux[ctx.offsets[ctx.index_of(simple)] + basis])
 
 
 def sigma_action(
@@ -553,11 +584,9 @@ def sigma_action(
     over, acting on the Y vector by its flux.
     """
     ctx = context_for(params)
-    x, y = (ctx.tables[ctx.index_of(c)].offset for c in pair)
     bx, by = bases
-    g = ctx.flux[x + bx]
-    new = int(ctx.action_state[g, y + by]) - y
-    return ctx.root(int(ctx.action_exp[g, y + by])), (new, bx)
+    new, phase = ctx.act(0, _flux_index(ctx, pair[0], bx), pair[1], by)
+    return phase, (new, bx)
 
 
 def sigma_inverse_action(
@@ -569,11 +598,9 @@ def sigma_inverse_action(
     strands.  Satisfies sigma_action . sigma_inverse_action = id.
     """
     ctx = context_for(params)
-    x, y = (ctx.tables[ctx.index_of(c)].offset for c in pair)
     by, bx = bases
-    g = ctx.flux[x + bx]
-    new = int(ctx.inverse_state[g, y + by]) - y
-    return ctx.root(int(ctx.inverse_exp[g, y + by])), (bx, new)
+    new, phase = ctx.act(1, _flux_index(ctx, pair[0], bx), pair[1], by)
+    return phase, (bx, new)
 
 
 def associator_scalar(params: CocycleParams, fluxes) -> CycloNumber:

@@ -621,9 +621,10 @@ def _galois_check(md: ModularData) -> tuple[int, ...]:
     sigma_f(S~) = G_f S~ for every unit f with G_f a permutation matrix
     (pi_fg = pi_f pi_g); symmetry gives sigma_f(S~) = S~ G_f^T, and
     d_{pi_f(a)} = d_a.  The rows of S~ are distinct, so G_f commutes with
-    the conjugation G_{-1}.  Raises ArithmeticError naming the first
-    failed condition: then S-tilde is not the S-matrix of any modular
-    category.  A passed check is kept on `md` (its `_conj`, and the
+    the conjugation G_{-1}.  pi_{-1} is composed from the pi_g
+    (`_galois_pi`), so S is mapped once per generator and never for -1.
+    Raises ArithmeticError naming the first failed condition: then
+    S-tilde is not the S-matrix of any modular category.  A passed check is kept on `md` (its `_conj`, and the
     generator permutations pi_g in `_galois_gens`), so it runs once per
     theory."""
     if md._conj is not None:
@@ -650,14 +651,23 @@ def _galois_check(md: ModularData) -> tuple[int, ...]:
                 f" for a = {md.labels[int(np.argmax(bad))]}"
             )
         gens.append(perm)
-    conj = md.galois_permutation(-1)
-    if conj is None:
-        raise ArithmeticError(
-            "Galois check fails: complex conjugation does not permute the rows of S-tilde"
-        )
     md._galois_gens = tuple(gens)
-    md._conj = conj
-    return conj
+    md._conj = tuple(_galois_pi(md, -1).tolist())
+    return md._conj
+
+
+def _galois_pi(md: ModularData, f: int) -> np.ndarray:
+    """pi_f for a unit f mod N, composed from the permutations pi_g that
+    `_galois_check` certified: pi_fg = pi_f pi_g.  N = p^2 q is odd or
+    4 q, so each generator g of `_unit_generators` generates the units
+    modulo one prime power m of N (p^2 or 4, and q) and is 1 modulo the
+    other: f is the product of the g^k with g^k = f (mod m)."""
+    ne, pi = md.root_order, np.arange(md.n_objects)
+    for (g, _), perm in zip(_unit_generators(ne), md._galois_gens):
+        m, h = next(r**e for r, e in _factorize(ne).items() if (g - 1) % r**e), 1
+        while h != f % m:
+            h, pi = h * g % m, np.asarray(perm)[pi]
+    return pi
 
 
 def _galois_orbits(gens, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1587,19 +1597,15 @@ def _galois_map(md: ModularData, u: int) -> tuple[int, np.ndarray, CocycleParams
     u, pi_f, that theory, and source: source[b] is the object that
     sigma_f sends to b.  f is the least power g^k with g^k = u / md.params.u
     (mod p) of the generator g of `_unit_generators` that is 1 mod q,
-    which generates the units mod p^2, and pi_f is pi_g^k, composed from
-    the permutations that `_galois_check` certified (raising its
-    ArithmeticError if the check fails)."""
+    which generates the units mod p^2, and pi_f is pi_g^k (`_galois_pi`,
+    raising the ArithmeticError of `_galois_check` if the check fails)."""
     _galois_check(md)
     spec, ne = md.params.spec, md.root_order
     ratio = u * pow(md.params.u, -1, spec.p) % spec.p
-    gens = zip(_unit_generators(ne), md._galois_gens)
-    g, pi_g = next((g, np.asarray(perm)) for (g, _), perm in gens if g % spec.q == 1)
-    f, pi = 1, np.arange(md.n_objects)
-    while f % spec.p != ratio:
-        f, pi = f * g % ne, pi_g[pi]
+    g = next(g for g, _ in _unit_generators(ne) if g % spec.q == 1)
+    f = next(f for f in (pow(g, k, ne) for k in range(spec.p)) if f % spec.p == ratio)
     target, images = galois_relabel(md.params, f)
-    return f, pi, target, np.argsort(images)
+    return f, _galois_pi(md, f), target, np.argsort(images)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from stw.double import (
 )
 from stw.group import GroupElement, GroupSpec
 
-from conftest import dense_traces
+from conftest import dense_traces, reference_context
 
 SPEC = GroupSpec(11, 5, 4)
 
@@ -1329,3 +1329,49 @@ def test_traces_walk_the_reduced_word(monkeypatch, text, strands, walked):
     seen.clear()
     representation_operator(params, word, labels)
     assert seen == [word.letters]
+
+
+# ----- every theory on the group's one phase table ---------------------------
+
+
+@pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4), (7, 2, 6), (13, 3, 3), (19, 3, 7), (43, 7, 4)])
+def test_every_theory_walks_the_one_phase_table_with_its_shifts(monkeypatch, group):
+    """Fact 2 of `stw.braid`: for every u, the S traces, both clasp words'
+    zero-framed traces (over every pair of objects, a seeded sample of
+    them at (43,7,4)) and seeded closures (in a batch and as one
+    coloring), walked on the group's table of theory 0 with the
+    per-coloring shift u sigma, equal the same walks over theory u's own
+    table (`reference_context`); so do seeded operators of open
+    colorings, whose shift the associator does not cancel."""
+    spec = GroupSpec(*group)
+    rng = np.random.default_rng(sum(group))
+    for u in range(spec.p):
+        params = CocycleParams(spec, u)
+        ctx = context_for(params)
+        ref = reference_context(ctx)
+        n = len(ctx.simples)
+        pairs = np.stack(np.divmod(np.arange(n * n), n), 1)
+        if len(pairs) > 4096:  # (43,7,4): a seeded sample of its 313^2 pairs
+            pairs = pairs[np.sort(rng.choice(len(pairs), 4096, replace=False))]
+        cases = [(BraidWord(2, (-1, -1)), pairs, None)]
+        for text in (modular.WHITEHEAD_WORD, modular.WHITEHEAD_MIRROR_WORD):
+            word = parse_braid(text, 3)
+            info = closure_structure(word)
+            doubled = np.isin(np.arange(1, 4), max(info.components, key=len))
+            colorings = np.where(doubled, pairs[:, :1], pairs[:, 1:])
+            cases.append((word, colorings, zero_framing_shifts(ctx, info, colorings)))
+        for _ in range(8):
+            word = _random_word(rng, int(rng.integers(2, 6)), int(rng.integers(1, 10)))
+            cases.append((word, _closed_colorings(rng, word, n, 16), None))
+        for word, colorings, shifts in cases:
+            for rows in (colorings, colorings[-1:]):
+                part = None if shifts is None else shifts[-len(rows):]
+                got = sparse_trace_counts(ctx, word, rows, part)
+                want = sparse_trace_counts(ref, word, rows, part)
+                assert all(map(np.array_equal, got, want)), (group, u, word.letters)
+        words = [_random_word(rng, int(rng.integers(2, 5)), int(rng.integers(1, 8))) for _ in range(8)]
+        colors = [rng.integers(n, size=word.strands).tolist() for word in words]
+        ops = [representation_operator(params, word, c) for word, c in zip(words, colors)]
+        with monkeypatch.context() as patch:
+            patch.setattr(braid, "context_for", lambda _: ref)
+            assert ops == [representation_operator(params, word, c) for word, c in zip(words, colors)]

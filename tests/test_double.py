@@ -25,6 +25,8 @@ from stw.double import (
 )
 from stw.group import GroupElement, GroupSpec, inverse, irreps_of_G, multiply
 
+from conftest import reference_phases
+
 SPEC = GroupSpec(11, 5, 4)
 U0 = CocycleParams(SPEC, 0)
 U1 = CocycleParams(SPEC, 1)
@@ -283,10 +285,12 @@ def _check_action_tables(ctx, kinds):
 
         vectors = slice(table.offset, table.offset + table.dim)
         for g, y in enumerate(elements):
+            # theory u's phases: the group's table of theory 0 plus u sigma
+            over, under = ctx.shift_exp[:, y.m * p + table.class_bpart]
             state = ctx.action_state[g, vectors] - table.offset
-            exp = ctx.action_exp[g, vectors]
+            exp = (ctx.crossing_exp[g, vectors] + over) % ne
             inv_state = ctx.inverse_state[g, vectors] - table.offset
-            inv_exp = ctx.inverse_exp[g, vectors]
+            inv_exp = (ctx.crossing_exp[spec.order + g, vectors] + under) % ne
             y_inv = inverse(spec, y)
             norm = theta_exponent(params, cls.representative.m, y.m, y_inv.m) * (ne // p)
             for basis in range(table.dim):
@@ -332,8 +336,8 @@ def test_index_of_refuses_invalid_object_indices(bad):
 
 SHARED_GROUPS = [(7, 3, 2), (11, 5, 4), (19, 3, 7)]
 SHARED_NAMES = (
-    "group", "simples", "dims", "offsets", "flux", "crossing_state",
-    "action_state", "inverse_state", "flux_row", "inverse_row",
+    "group", "simples", "dims", "offsets", "flux", "crossing_state", "crossing_exp",
+    "action_state", "inverse_state", "flux_row", "inverse_row", "bparts",
 )
 
 
@@ -341,9 +345,10 @@ SHARED_NAMES = (
 def test_every_theory_shares_its_group_tables(group):
     """The contexts of every u of a group bind the same objects of the
     group's tables: the simple objects, the offsets, dims and fluxes of
-    the vectors, the vector action and the orbit table.  The phase
-    tables, which depend on u, differ between any two theories, and each
-    theory's theta table is u times the group's."""
+    the vectors, the vector action, the phase table of theory 0 and the
+    orbit table.  The phase shifts u sigma, which depend on u, differ
+    between any two theories, and each theory's theta table is u times
+    the group's."""
     spec = GroupSpec(*group)
     contexts = [context_for(CocycleParams(spec, u)) for u in range(spec.p)]
     first = contexts[0]
@@ -354,48 +359,73 @@ def test_every_theory_shares_its_group_tables(group):
             assert getattr(ctx, name) is getattr(first, name), (ctx.params.u, name)
         assert ctx.group.orbits is first.group.orbits
     for a, b in itertools.combinations(contexts, 2):
-        assert not np.array_equal(a.crossing_exp, b.crossing_exp), (a.params.u, b.params.u)
+        assert not np.array_equal(a.shift_exp, b.shift_exp), (a.params.u, b.params.u)
 
 
 def test_the_theories_of_a_group_build_its_tables_once(monkeypatch):
     """The contexts of u = 0..p-1 at (11,5,4) build the group's tables
-    once and fill `crossing_state` once (one write per run of objects),
-    while each theory writes its own phases for every run."""
+    once and fill `crossing_state` and `crossing_exp` once (one write per
+    run of objects, each reading `_pi` once), not once per theory."""
     built, fills, phases = [], [], []
-    init, add_states = double.GroupTables.__init__, double.GroupTables._add_states
-    add_phases = DoubleContext._add_phases
+    init, add_states, pi = double.GroupTables.__init__, double.GroupTables._add_states, double.GroupTables._pi
 
     def spy(record, method):
-        def wrapper(self, arg):
+        def wrapper(self, arg, *rest):
             record.append(arg)
-            return method(self, arg)
+            return method(self, arg, *rest)
 
         return wrapper
 
     monkeypatch.setattr(double.GroupTables, "__init__", spy(built, init))
     monkeypatch.setattr(double.GroupTables, "_add_states", spy(fills, add_states))
-    monkeypatch.setattr(DoubleContext, "_add_phases", spy(phases, add_phases))
+    monkeypatch.setattr(double.GroupTables, "_pi", spy(phases, pi))
     group_for.cache_clear()
     context_for.cache_clear()
     contexts = [context_for(CocycleParams(SPEC, u)) for u in range(SPEC.p)]
     runs = contexts[0].group.runs
     assert built == [SPEC]
     assert fills == runs
-    assert phases == runs * SPEC.p
+    assert phases == [ci for _, _, ci in runs]
     assert all(ctx.group is contexts[0].group for ctx in contexts)
 
 
 def test_shared_arrays_are_read_only():
-    """A write into any array that the theories of a group share raises;
-    a context's own phase table stays writable."""
+    """A write into any array that the theories of a group share raises,
+    the phase table of theory 0 and sigma included; a context's own
+    phase shifts stay writable."""
     ctx = context_for(U1)
     orbits = ctx.group.orbits
     shared = [getattr(ctx, name) for name in SHARED_NAMES[2:]]
-    shared += [orbits.stab, orbits.count, orbits.reps, orbits.size]
+    shared += [orbits.stab, orbits.count, orbits.reps, orbits.size, ctx.group.sigma]
+    assert any(array is ctx.crossing_exp for array in shared)
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = array.flat[0]
-    assert ctx.crossing_exp.flags.writeable
+    assert ctx.shift_exp.flags.writeable
+
+
+PHASE_GROUPS = [(7, 3, 2), (11, 5, 4), (7, 2, 6), (13, 3, 3), (19, 3, 7), (43, 7, 4)]
+
+
+@pytest.mark.parametrize("group", PHASE_GROUPS)
+def test_the_group_phase_table_plus_u_sigma_is_every_theorys_table(group):
+    """Fact 1 of `stw.double`: for every u, theory u's own phase table,
+    built from theta and pi at u (`reference_phases`), is the group's one
+    table of theory 0 plus u sigma[sign, m, k], with m the Z_p part of
+    the acting element and k that of the class of the vector, mod N."""
+    spec = GroupSpec(*group)
+    tables = group_for(spec)
+    tables.write_vectors()
+    m = np.tile(tables.gdata.b_part, 2)[:, None]
+    sign = np.repeat([0, 1], spec.order)[:, None]
+    k = np.repeat(tables.bparts, tables.dims)[None, :]
+    sigma = tables.sigma[sign, m, k]
+    assert not tables.sigma[:, :, 0].any()  # A and I objects take no shift
+    # s_i s_i^-1 = 1 in every theory: the two signs' shifts cancel
+    assert not ((tables.sigma[0] + tables.sigma[1]) % tables.root_order).any()
+    for u in range(spec.p):
+        phases = (tables.crossing_exp + u * sigma) % tables.root_order
+        assert np.array_equal(phases, reference_phases(tables, u)), (group, u)
 
 
 @pytest.mark.parametrize("group", SHARED_GROUPS)

@@ -455,6 +455,21 @@ def test_dual_is_none_when_a_conjugate_row_matches_nothing(small_md):
     assert "S^2 is not D^2 times a permutation matrix" in report.failures
 
 
+@pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4), (7, 2, 6), (13, 3, 3), (19, 3, 7), (5, 2, 4)])
+def test_composed_conjugation_is_the_mapped_one(group):
+    """The charge conjugation that the Galois check composes from the
+    certified generator permutations (`_galois_pi` at -1), p = 2
+    included, is the row permutation that mapping every value of S by
+    complex conjugation finds, and so is `dual`; the same composition
+    gives pi_f for the first few units f."""
+    md = modular.modular_data(CocycleParams(GroupSpec(*group), 1))
+    conj = modular._galois_check(md)
+    assert conj == md.galois_permutation(-1) == md.dual
+    units = [f for f in range(1, md.root_order) if math.gcd(f, md.root_order) == 1][:6]
+    for f in units:
+        assert tuple(modular._galois_pi(md, f).tolist()) == md.galois_permutation(f), f
+
+
 @pytest.mark.parametrize("order", [275, 63, 171, 775, 1421, 28, 8, 40])
 def test_unit_generators_and_square_classes(order):
     """The generators have the stated orders and generate (Z/N)^x, and the
@@ -1608,9 +1623,10 @@ def test_galois_classes_refuse_an_asymmetric_s(group):
 
 
 def test_distinguish_maps_s_values_only_in_the_galois_check(monkeypatch, capsys, md_u, wm_u):
-    """`distinguish --all` at the flagship calls `galois_permutation` 3
-    times, for the two generators of (Z/275)^x and for -1 (the Galois
-    check), and passes S's table to `map_exponents` nowhere else: every
+    """`distinguish --all` at the flagship calls `galois_permutation` 2
+    times, for the two generators of (Z/275)^x (the Galois check, which
+    composes pi_-1 from theirs), and passes S's table to `map_exponents`
+    nowhere else: every
     value it maps outside the check is a value of V, and none of the 42
     values of S that are not values of V (4 of V's 15 values are) is."""
     s_values = {v.tobytes() for v in md_u(1).s_values}
@@ -1635,7 +1651,7 @@ def test_distinguish_maps_s_values_only_in_the_galois_check(monkeypatch, capsys,
     monkeypatch.setattr(modular, "map_exponents", spy)
     assert cli.main(["distinguish", "--all"]) == 0
     assert capsys.readouterr().out.endswith("{u=0}  {u=1}  {u=2}  {u=3}  {u=4}\n")
-    assert len(calls) == 3 and calls[-1] == -1
+    assert calls == [g for g, _ in modular._unit_generators(275)] and len(calls) == 2
     assert len(s_values - v_values) == 42
     assert mapped and set(mapped) <= v_values and not set(mapped) & (s_values - v_values)
 
