@@ -10,7 +10,6 @@ serialized canonically and float previews use fixed precision.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -193,24 +192,14 @@ def cmd_quandle(args) -> int:
     return 0
 
 
-def _theory(params: CocycleParams) -> modular.TheoryData:
-    """One theory from its traces: S and V (which decides W) as (n, n) ids
-    into one table of exact values, keyed block by block as walked, with
-    no (n, n, N) array."""
-    return modular.theory_data(modular.modular_data(params), modular.w_matrix(params))
-
-
-def _theories(args, us) -> list[modular.TheoryData]:
-    """The theories u in us: u = 0 and u = 1 from their traces, each built
-    once, every other u as the Galois conjugate of u = 1, whose S is u = 1's
-    S permuted by the certified pi_f (the Galois check of u = 1 runs first,
-    and its ArithmeticError exits 4)."""
-    spec = GroupSpec(args.q, args.p, args.n)
-    built = {u: _theory(CocycleParams(spec, u)) for u in sorted({min(u, 1) for u in us})}
-    return [
-        built[u] if u < 2 else modular.galois_conjugate(built[1], CocycleParams(spec, 1), u)
-        for u in us
-    ]
+def _theories(built: dict[int, modular.TheoryData], us) -> list[modular.TheoryData]:
+    """The theories u in us from `built`, theories 0 and 1 as frozen from
+    their traces (S as (n, n) ids into one table of exact values, and V
+    too once keyed in): every u >= 2 is the Galois conjugate of u = 1,
+    whose S is u = 1's S permuted by the certified pi_f (the Galois check
+    of u = 1 runs first, and its ArithmeticError exits 4)."""
+    one = built.get(1)
+    return [built[u] if u < 2 else modular.galois_conjugate(one, one.md.params, u) for u in us]
 
 
 def _print_partition(tag: str, classes) -> None:
@@ -241,15 +230,26 @@ def cmd_distinguish(args) -> int:
     classes of Mignard and Schauenburg (arXiv:1708.02796) at every group
     checked so far.  V is walked only where (S, T) leaves a class with
     more than one member, and then only the rows that decide each step.
-    A pair (--u) walks S and all of V for each of u = 0 and u = 1 that
-    it needs."""
+    A pair (--u) walks S for each of u = 0 and u = 1 that it needs, and
+    all of V for them only when (S, T) finds the pair equivalent: W only
+    refines (S, T), so a pair that (S, T) separates is separated by
+    (S, T, W) too."""
     if args.u is not None:
         u1, u2 = (_in_range("--u", u, 0, args.p) for u in args.u)
-        d1, d2 = _theories(args, (u1, u2))
-        st = modular.equivalence_search(*(dataclasses.replace(d, w_keys=None) for d in (d1, d2)))
+        spec = GroupSpec(args.q, args.p, args.n)
+        built = {
+            u: modular.theory_data(modular.modular_data(CocycleParams(spec, u)))
+            for u in sorted({min(u, 1) for u in (u1, u2)})
+        }
+        st = modular.equivalence_search(*_theories(built, (u1, u2)))
         print(f"(S,T)   u={u1} vs u={u2}: "
               + ("EQUIVALENT" if st.equivalent else "NOT-EQUIVALENT"))
-        stw = modular.equivalence_search(d1, d2)
+        stw = st
+        if st.equivalent:
+            built = {u: modular.theory_data(d.md, modular.w_matrix(d.md.params))
+                     for u, d in built.items()}
+            d1, d2 = _theories(built, (u1, u2))
+            stw = modular.equivalence_search(d1, d2)
         print(f"(S,T,W) u={u1} vs u={u2}: "
               + ("EQUIVALENT" if stw.equivalent else "NOT-EQUIVALENT"))
         if st.equivalent and not stw.equivalent:

@@ -59,13 +59,13 @@ conjugation permutation, which is unitarity as S-tilde is symmetric,
 and (ST)^3 = D * S^2; S^2 passes when `dual` is that conjugation too.
 The norm bound of the lemma above makes each of these zero tests exact.
 The fusion rules
-(`verlinde_table`) follow from the same action: D^3 N_ab^c is rational
+(`fusion_rules`) follow from the same action: D^3 N_ab^c is rational
 and sigma_f maps it to D^3 N_{pi_f(a) pi_f(b)}^{pi_f(c)}, so
 N_{pi_f(a) pi_f(b)}^{pi_f(c)} = N_ab^c.  The Verlinde product is formed
 for one representative per orbit of the certified generators pi_g only
 (7 orbits on 49 objects at the flagship: 343 rows, not the 1,225 pairs
-a <= b), and every other object's rows are that representative's,
-permuted exactly.
+a <= b), and only those rows are kept: every other object's rows are
+that representative's, permuted exactly when read.
 
 The equivalence search reads S, T and W only, never a certificate.
 W_ab = V_ab / (theta_a theta_b), so a bijection that preserves T maps W
@@ -166,7 +166,7 @@ _BLOCK = 64
 _SUMS_PER_REDUCTION = 1024
 # Histograms transformed per product in _FreqPrime.evaluate.
 _EVAL_BLOCK = 256
-# Rows (r, b) per product in verlinde_table: whole orbit representatives
+# Rows (r, b) per product in fusion_rules: whole orbit representatives
 # r, at least one, so the product temporaries stay bounded.
 _VERLINDE_ROWS = 2048
 
@@ -338,7 +338,7 @@ class ModularData(_Rows):
     s_ids: np.ndarray
     s_values: np.ndarray
     total_dim: int
-    _verlinde: np.ndarray | None = field(init=False, repr=False, default=None)
+    _fusion: FusionRules | None = field(init=False, repr=False, default=None)
     _conj: tuple[int, ...] | None = field(init=False, repr=False, default=None)  # certified
     # pi_g for the generators g of `_unit_generators`, certified with `_conj`
     _galois_gens: tuple[tuple[int, ...], ...] | None = field(init=False, repr=False, default=None)
@@ -848,9 +848,11 @@ def modularity_report(md: ModularData) -> ModularityReport:
     dim_hom = True
     if galois_ok:
         try:
-            table = verlinde_table(md)
-            sums = np.einsum("abc,c->ab", table, md.dims)
-            dim_hom = bool(np.array_equal(sums, np.outer(md.dims, md.dims)))
+            fusion = fusion_rules(md)
+            # On the representatives' rows only: transport gives the rest (`fusion_rules`).
+            reps = np.flatnonzero(fusion.rep == np.arange(n))
+            dim_hom = all(np.array_equal(rows @ md.dims, md.dims[r] * md.dims)
+                          for r, rows in zip(reps, fusion.rows))
         except ArithmeticError as err:
             verlinde_ok = False
             failures.append(str(err))
@@ -891,9 +893,46 @@ def verlinde(md: ModularData, a, b, c) -> int:
     return result
 
 
+@dataclass(frozen=True, eq=False)
+class FusionRules:
+    """The fusion rules N_ab^c in orbit form (`fusion_rules`): rows[i] is
+    N_r as an (n, n) matrix [b, c] for the i-th orbit representative r,
+    in the narrowest unsigned dtype that holds the largest multiplicity;
+    rep[a] is the representative of a's orbit and moves[a] a permutation
+    pi_a with pi_a(rep[a]) = a.  N_ab^c = N_{r pi_a^-1(b)}^{pi_a^-1(c)}:
+    `self[a]` is N_a, `self[a, b]` the row N_ab^., `self[a, b, c]` one
+    multiplicity."""
+
+    rows: np.ndarray
+    rep: np.ndarray
+    moves: np.ndarray
+
+    @cached_property
+    def _slot(self) -> np.ndarray:
+        """The index into rows of each object's representative."""
+        return np.cumsum(self.rep == np.arange(len(self.rep)))[self.rep] - 1
+
+    def __getitem__(self, key):
+        a, *rest = key if isinstance(key, tuple) else (key,)
+        inverse = np.empty(len(self.rep), dtype=np.int64)
+        inverse[self.moves[a]] = np.arange(len(self.rep))  # pi_a^-1
+        matrix = self.rows[self._slot[a]]
+        if not rest:
+            return matrix[np.ix_(inverse, inverse)]
+        row = matrix[inverse[rest[0]]]
+        return row[inverse] if len(rest) == 1 else int(row[inverse[rest[1]]])
+
+
 def verlinde_table(md: ModularData) -> np.ndarray:
-    """All fusion multiplicities N_ab^c as an (n, n, n) integer array,
-    certified exactly at one frequency, from one product per Galois orbit.
+    """All fusion multiplicities N_ab^c as a dense (n, n, n) int64 array,
+    expanded from `fusion_rules`, which nothing in `stw` expands."""
+    fusion = fusion_rules(md)
+    return np.stack([fusion[a] for a in range(md.n_objects)]).astype(np.int64)
+
+
+def fusion_rules(md: ModularData) -> FusionRules:
+    """The fusion rules N_ab^c in orbit form, certified exactly at one
+    frequency, from one product per Galois orbit.
 
     D^3 N_ab^c = V_abc = sum_z S~_az S~_bz conj(S~_cz) w_z with
     w_z = D/d_z.  Once `_galois_check` passes (Coste and Gannon, Phys.
@@ -910,19 +949,22 @@ def verlinde_table(md: ModularData) -> np.ndarray:
     V_{pi_f(a) pi_f(b) pi_f(c)}, and rationality gives
     N_{pi_f(a) pi_f(b)}^{pi_f(c)} = N_ab^c.  So the product is formed
     for one representative r per orbit of the certified pi_g
-    (`_galois_orbits`) only: per prime, the (r, b, z) residues of
-    S~_rz S~_bz w_z times conj(S~)^T, the matrix S~ Lambda_r S~^dagger of
+    (`_galois_orbits`) only, and only the representatives' rows are
+    kept: per prime, the (r, b, z) residues of S~_rz S~_bz w_z times
+    conj(S~)^T, the matrix S~ Lambda_r S~^dagger of
     Lambda_r = diag(S~_rz w_z), in blocks of whole representatives.
-    Each object a = pi_a(r) takes N_r with rows and columns through
-    pi_a^-1, one object at a time.  Raises ArithmeticError if the Galois
-    check fails or a representative's row is not nonnegative-integral."""
-    if md._verlinde is not None:
-        return md._verlinde
+    Every other row is a representative's, permuted (`FusionRules`), and
+    so is nonnegative-integral with it; since d_{pi_f(z)} = d_z, the
+    dimension homomorphism sum_c N_ab^c d_c = d_a d_b holds for a =
+    pi_a(r) once it holds for r, which `modularity_report` checks.
+    Raises ArithmeticError if the Galois check fails or a
+    representative's row is not nonnegative-integral."""
+    if md._fusion is not None:
+        return md._fusion
     conj = list(_galois_check(md))
     n = md.n_objects
     rep, moves = _galois_orbits(md._galois_gens, n)
-    objects = np.arange(n)
-    reps = np.flatnonzero(rep == objects)
+    reps = np.flatnonzero(rep == np.arange(n))
     weights = (md.total_dim // md.dims).astype(np.int64)
     colmax = np.max(_l1(md.s_values, md.s_ids), axis=0).astype(object)
     checker = _checker(md.root_order, int(np.sum(weights.astype(object) * colmax**3)))
@@ -934,7 +976,7 @@ def verlinde_table(md: ModularData) -> np.ndarray:
         s = _evaluations(fp, md.s_values, md.s_ids, [1])[0]
         evals.append((fp.prime, s, s * weights % fp.prime, s[conj].T))
     scale = md.total_dim**3
-    table = np.empty((n, n, n), dtype=np.int64)
+    blocks = []
     step = max(1, _VERLINDE_ROWS // n)
     for start in range(0, len(reps), step):
         r = reps[start : start + step]
@@ -943,13 +985,10 @@ def verlinde_table(md: ModularData) -> np.ndarray:
         exact = _crt_centered(per_prime, checker.primes)
         if np.any(exact % scale) or np.any(exact < 0):
             raise ArithmeticError("Verlinde table is not nonnegative-integral")
-        table[r] = exact // scale
-    inverse = np.empty(n, dtype=np.int64)
-    for a in np.flatnonzero(rep != objects):
-        inverse[moves[a]] = objects  # pi_a^-1
-        table[a] = table[rep[a]][inverse[:, None], inverse]
-    md._verlinde = table
-    return table
+        exact //= scale
+        blocks.append(exact.astype(np.min_scalar_type(int(exact.max()))))
+    md._fusion = FusionRules(np.concatenate(blocks), rep, moves)
+    return md._fusion
 
 
 # ----- W-matrix -----------------------------------------------------------------
@@ -1227,7 +1266,7 @@ def punctured_vanishing_report(md: ModularData, wm: WMatrix) -> tuple[bool, list
     channel is absent: N_{a, dual(a)}^z = 0 implies the trace is zero.
     (The converse can fail: accidental zeros inside the support exist.)"""
     n = md.n_objects
-    table = verlinde_table(md)
+    fusion = fusion_rules(md)
     l1s, l1v = _l1(md.s_values, md.s_ids), _l1(wm.v_values, wm.v_ids)
     checker = _checker(md.root_order, int(np.max(l1s @ l1v.T)))
     # theta_x cancels between S_zx theta_x and W_ax = V_ax/(theta_a theta_x),
@@ -1241,7 +1280,7 @@ def punctured_vanishing_report(md: ModularData, wm: WMatrix) -> tuple[bool, list
         zero_mask = mask if zero_mask is None else (zero_mask & mask)
     failures = []
     for a in range(n):
-        channel = table[a, md.dual_of(a)]
+        channel = fusion[a, md.dual_of(a)]
         for z in range(n):
             if channel[z] == 0 and not zero_mask[z, a]:
                 failures.append(
@@ -1276,14 +1315,22 @@ def w_from_punctured(md: ModularData, wm: WMatrix, a, b) -> CycloNumber:
 # ----- diagonal R-sums and two-strand closures ------------------------------------
 
 
+# Residues over all primes per `_exact_sums` call in `_r_table`, at least
+# one column of channels c: it bounds the inverse transforms and the CRT
+# held at once.
+_R_RESIDUES = 2**24
+
+
 def _r_table(md: ModularData) -> np.ndarray:
     """Canonical numerators (n, n, phi(N)) of the integer targets R~(a, c),
     with r(a, c) = sum_mu [R^aa_c]_mu,mu = theta_a^-1 R~(a, c) / D^5: all
     diagonal R-sums from modular data only, reconstructed exactly through
-    `_exact_sums`."""
+    `_exact_sums`, a block of channels c at a time (`_R_RESIDUES`): a
+    block forms only its own rows B~_cz, |block| n^2 products per
+    frequency, and repeats only the n^2 of A~ and the gathers of S."""
     if md._r_table is not None:
         return md._r_table
-    ne = md.root_order
+    n, ne = md.n_objects, md.root_order
     l1 = _l1(md.s_values, md.s_ids).astype(object)
     weights = (md.total_dim // md.dims).astype(np.int64)
     # Integer target: R~(a, c) = sum_z S~_az B~_cz A~_z (D/d_z), where
@@ -1294,21 +1341,27 @@ def _r_table(md: ModularData) -> np.ndarray:
     b_l1 = l1_sym.T @ l1_sym
     bound = int(np.max((l1_sym * (a_l1 * weights.astype(object))[None, :]) @ b_l1))
 
-    def evaluations(fp, freqs):
+    def evaluations(fp, freqs, cols):
+        # Each product takes the (f, n, n) factor on its left, so only the
+        # narrow right factor, (f, n, 1) or (f, n, |cols|), is split in limbs.
         ev = _evaluations(fp, md.s_values, md.s_ids, freqs)
-        conj = _evaluations(fp, md.s_values, md.s_ids, -freqs % ne)
+        conj_t = _evaluations(fp, md.s_values, md.s_ids, -freqs % ne).transpose(0, 2, 1)
         exps = freqs[:, None] * (2 * md.twist_exps)[None, :] % ne  # (f, x)
         twist_pos = fp.pows[exps]
         twist_neg = fp.pows[(-exps) % ne]
-        # A~_z evaluations: (f, 1, z)
-        a_ev = _mulmod((md.dims * twist_pos % fp.prime)[:, None, :], conj, fp.prime)
-        # B~_cz evaluations: sum_x S~*_cx (theta_x^-2 S~*_xz), (f, c, z)
-        b_ev = _mulmod(conj, twist_neg[:, :, None] * conj % fp.prime, fp.prime)
-        k_ev = b_ev * (a_ev * weights % fp.prime) % fp.prime
+        # A~_z evaluations: (f, z, 1)
+        a_ev = _mulmod(conj_t, (md.dims * twist_pos % fp.prime)[:, :, None], fp.prime)
+        # B~_cz evaluations: sum_x S~*_xz (theta_x^-2 S~*_cx), (f, z, c), c in cols
+        b_ev = _mulmod(conj_t, twist_neg[:, :, None] * conj_t[:, :, cols] % fp.prime, fp.prime)
+        k_ev = b_ev * (a_ev * weights[:, None] % fp.prime) % fp.prime
         # R~(a, c) evaluations: sum_z S~_az K_cz, (f, a, c)
-        return _mulmod(ev, k_ev.transpose(0, 2, 1), fp.prime)
+        return _mulmod(ev, k_ev, fp.prime)
 
-    md._r_table = reduce_counts(ne, _exact_sums(ne, bound, evaluations))
+    width = max(1, _R_RESIDUES // (n * ne * len(_checker(ne, bound).primes)))
+    md._r_table = np.concatenate([
+        reduce_counts(ne, _exact_sums(ne, bound, lambda fp, freqs: evaluations(fp, freqs, cols)))
+        for cols in _blocks(np.arange(n), width)
+    ], axis=1)
     return md._r_table
 
 
@@ -1362,10 +1415,9 @@ def two_strand_closure(md: ModularData, a, b, n: int, parity: str) -> CycloNumbe
     a, b = md.index_of(a), md.index_of(b)
     ne = md.root_order
     if parity == "even":
-        table = verlinde_table(md)
         hist = np.zeros(ne, dtype=np.int64)
         exps = (n * (md.twist_exps - md.twist_exps[a] - md.twist_exps[b])) % ne
-        np.add.at(hist, exps, md.dims * table[a, b])
+        np.add.at(hist, exps, md.dims * fusion_rules(md)[a, b])
         return CycloNumber.from_root_counts(ne, hist)
     if parity == "odd":
         if a != b:
@@ -1384,10 +1436,9 @@ def fs_indicator(md: ModularData, a, n: int) -> CycloNumber:
     """The n-th Frobenius-Schur indicator
     nu_n(a) = (1/D^2) sum_{x,y} N_ax^y d_x d_y (theta_y/theta_x)^n."""
     a = md.index_of(a)
-    table = verlinde_table(md)
     ne = md.root_order
     exps = (n * (md.twist_exps[None, :] - md.twist_exps[:, None])) % ne
-    weights = table[a] * np.outer(md.dims, md.dims)
+    weights = fusion_rules(md)[a] * np.outer(md.dims, md.dims)
     hist = np.zeros(ne, dtype=np.int64)
     np.add.at(hist, exps, weights)
     return CycloNumber.from_root_counts(ne, hist) / md.total_dim**2

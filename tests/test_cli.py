@@ -191,7 +191,7 @@ def test_modular_certifies_the_galois_action_once(capsys, monkeypatch):
     """`stw modular` at the flagship matches S against its images under
     the two generators of (Z/275)^x, once each, and never under complex
     conjugation, which it composes from them: the Galois check runs once
-    per theory, and `dual` and `verlinde_table` read the conjugation and
+    per theory, and `dual` and `fusion_rules` read the conjugation and
     the generator permutations it certified."""
     calls = []
     permutation = modular.ModularData.galois_permutation
@@ -252,6 +252,26 @@ def test_distinguish_pair(capsys):
     assert "T allows   A_1_4 -> {A_1_4, A_2_2}" in out
     assert "W requires A_1_4 -> {A_1_1, A_2_6}" in out
     assert "intersection: {}" in out
+
+
+def test_distinguish_pair_walks_v_only_for_an_st_equivalent_pair(capsys, monkeypatch):
+    """W only refines (S, T): `--u 0 1`, which (S, T) separates, builds no
+    W-matrix and prints both verdicts, while `--u 1 4`, equivalent under
+    (S, T), builds V of u = 1 once, as its conjugate u = 4 needs it."""
+    built = []
+    real = modular.w_matrix
+
+    def spy(params, *rest):
+        built.append(params.u)
+        return real(params, *rest)
+
+    monkeypatch.setattr(modular, "w_matrix", spy)
+    code, out, _ = run(capsys, ["distinguish", "--u", "0", "1"])
+    assert code == 0 and built == []
+    assert out == "(S,T)   u=0 vs u=1: NOT-EQUIVALENT\n(S,T,W) u=0 vs u=1: NOT-EQUIVALENT\n"
+    code, out, _ = run(capsys, ["distinguish", "--u", "1", "4"])
+    assert code == 0 and built == [1]
+    assert "(S,T,W) u=1 vs u=4: NOT-EQUIVALENT" in out and "intersection: {}" in out
 
 
 def test_distinguish_pair_prints_no_obstruction_with_a_nonempty_intersection(

@@ -354,7 +354,13 @@ def test_verlinde_table_transports_orbit_rows_exactly(group, u):
     table = modular.verlinde_table(md)
     oracle = _full_pairs_verlinde(dataclasses.replace(md))
     assert table.dtype == np.int64 and np.array_equal(table, oracle)
+    fusion = modular.fusion_rules(md)
     rep, _ = modular._galois_orbits(md._galois_gens, md.n_objects)
+    assert fusion.rows.dtype == np.uint8 and len(fusion.rows) == len(set(rep.tolist()))
+    for a in range(md.n_objects):
+        assert np.array_equal(fusion[a], oracle[a])
+        assert np.array_equal(fusion[a, md.dual_of(a)], oracle[a, md.dual_of(a)])
+        assert fusion[a, a, 0] == oracle[a, a, 0]
     moved = np.flatnonzero(rep != np.arange(md.n_objects))
     assert len(moved)
     rng = np.random.default_rng(sum(group) + u)
@@ -381,11 +387,73 @@ def test_verlinde_table_multiplies_one_row_block_per_orbit(md_u, monkeypatch):
         return real(a, b, prime)
 
     monkeypatch.setattr(modular, "_mulmod", spy)
-    table = modular.verlinde_table(md)
+    fusion = modular.fusion_rules(md)
     rep, _ = modular._galois_orbits(md._galois_gens, md.n_objects)
-    assert len(set(rep.tolist())) == 7
+    assert len(set(rep.tolist())) == 7 and fusion.rows.shape == (7, 49, 49)
     assert rows and all(count == 7 * 49 for count in rows.values())
-    assert np.array_equal(table, expected)
+    assert np.array_equal(modular.verlinde_table(md), expected)
+
+
+def test_perturbed_representative_row_fails_the_dimension_check(small_md):
+    """The dimension homomorphism is checked on the representatives' rows
+    only: one multiplicity raised by 1 in a representative's row breaks
+    it, and the transported rows of its orbit carry the change."""
+    fusion = modular.fusion_rules(small_md)
+    assert modular.modularity_report(small_md).dim_homomorphism
+    rows = fusion.rows.copy()
+    reps = np.flatnonzero(fusion.rep == np.arange(small_md.n_objects))
+    i = next(i for i, r in enumerate(reps) if np.sum(fusion.rep == r) > 1)
+    rows[i, 1, 2] += 1
+    md = dataclasses.replace(small_md)
+    md._fusion = modular.FusionRules(rows, fusion.rep, fusion.moves)
+    report = modular.modularity_report(md)
+    assert report.verlinde_integral_nonnegative and not report.dim_homomorphism
+    assert "fusion multiplicities break the dimension homomorphism" in report.failures
+    moved = next(a for a in range(md.n_objects) if fusion.rep[a] == reps[i] != a)
+    assert np.sum(md._fusion[moved]) == np.sum(fusion[moved]) + 1
+
+
+def test_fusion_rows_take_the_narrowest_unsigned_dtype(small_md, monkeypatch):
+    """The representatives' rows are uint8 while every multiplicity is at
+    most 255, and uint16 once the exact values after the CRT hold one
+    above 255 (here one multiplicity raised by 300, which the dimension
+    check then rejects)."""
+    assert modular.fusion_rules(dataclasses.replace(small_md)).rows.dtype == np.uint8
+    real = modular._crt_centered
+
+    def raised(residues, primes):
+        exact = real(residues, primes)
+        exact[0, 1, 2] += 300 * small_md.total_dim**3
+        return exact
+
+    monkeypatch.setattr(modular, "_crt_centered", raised)
+    md = dataclasses.replace(small_md)
+    fusion = modular.fusion_rules(md)
+    monkeypatch.undo()
+    expected = modular.fusion_rules(small_md).rows
+    assert fusion.rows.dtype == np.uint16 and int(fusion.rows[0, 1, 2]) == int(expected[0, 1, 2]) + 300
+    assert not modular.modularity_report(md).dim_homomorphism
+
+
+def test_fusion_readers_never_expand_the_dense_table(params_u, md_u, wm_u, monkeypatch):
+    """`modularity_report`, `punctured_vanishing_report`, the even
+    two-strand closure and the Frobenius-Schur indicators read the orbit
+    form only: all stay green with `verlinde_table` raising."""
+    md = dataclasses.replace(md_u(1))  # nothing cached
+    expected = modular.verlinde_table(md_u(1))
+
+    def refuse(md):
+        raise AssertionError("dense fusion table built")
+
+    monkeypatch.setattr(modular, "verlinde_table", refuse)
+    assert modular.modularity_report(md).all_passed
+    assert modular.punctured_vanishing_report(md, wm_u(1))[0]
+    for a, b in [("B_1_0", "A_1_4"), ("I_5", "B_2_1")]:
+        closed = modular.two_strand_closure(md, a, b, 1, "even")
+        assert closed == framed_invariant(params_u(1), BraidWord(2, (1, 1)), [a, b])
+    for a in range(0, md.n_objects, 6):  # |G| = 55 is odd: only the unit is self-dual
+        assert modular.fs_indicator(md, a, 2) == (1 if md.dual[a] == a else 0)
+        assert modular.fusion_rules(md)[a, md.dual[a], 0] == expected[a, md.dual[a], 0] == 1
 
 
 def test_galois_orbits_move_each_representative_onto_its_objects(md_u):
@@ -873,6 +941,42 @@ def test_two_strand_odd_matches_engine(params_u, md_u, wm_u):
                 closed = modular.two_strand_closure(md, a, a, n, "odd")
                 engine = framed_invariant(params, BraidWord(2, (1,) * (2 * n + 1)), [a, a])
                 assert closed == engine
+
+
+@pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4)])
+def test_r_table_in_channel_blocks_equals_one_block(group, monkeypatch):
+    """The R-table formed a few channels c per `_exact_sums` call (a short
+    last block included) equals the one-call table entry for entry, and
+    so do the R-sums and the odd two-strand closures read from it."""
+    md = modular.modular_data(CocycleParams(GroupSpec(*group), 1))
+    n, ne = md.n_objects, md.root_order
+    monkeypatch.setattr(modular, "_R_RESIDUES", 2**62)
+    whole = dataclasses.replace(md)
+    calls = []
+    real = modular._exact_sums
+
+    def spy(order, bound, evaluations):
+        sums = real(order, bound, evaluations)
+        calls.append(sums.shape)
+        return sums
+
+    monkeypatch.setattr(modular, "_exact_sums", spy)
+    one_block = modular._r_table(whole)
+    assert calls == [(n, n, ne)]
+    monkeypatch.setattr(modular, "_R_RESIDUES", 30 * n * ne)  # 30 // (primes) columns
+    calls.clear()
+    blocked = dataclasses.replace(md)
+    table = modular._r_table(blocked)
+    widths = [shape[1] for shape in calls]
+    assert len(widths) > 1 and sum(widths) == n and 0 < widths[-1] < widths[0] <= 15
+    assert set(widths[:-1]) == {widths[0]} and {shape[0] for shape in calls} == {n}
+    assert table.dtype == one_block.dtype and np.array_equal(table, one_block)
+    for a in range(n):
+        for c in range(0, n, 1 if n < 30 else 8):
+            assert modular.r_symbol_sum(blocked, a, c) == modular.r_symbol_sum(whole, a, c)
+        for k in range(2):
+            closed = modular.two_strand_closure(blocked, a, a, k, "odd")
+            assert closed == modular.two_strand_closure(whole, a, a, k, "odd")
 
 
 def test_two_strand_argument_validation(md_u):
