@@ -121,9 +121,8 @@ def cmd_modular(args) -> int:
 
 def cmd_wmatrix(args) -> int:
     params = _params(args)
-    md = modular.modular_data(params)
     wm = modular.w_matrix(params, mirror=args.mirror)
-    id_report = modular.w_identities(md, wm)
+    id_report = modular.w_identities(wm)
     ba_ok, ba_failures = modular.ba_block_formula_report(wm)
     checks = [
         ("W symmetric", id_report.symmetric),

@@ -63,8 +63,9 @@ theory 0, `crossing_exp`, and checks transitivity, and it keeps the
 second pin's orbit table, all read-only.  A `DoubleContext`, built once
 per theory (`context_for`), binds those arrays as plain attributes and
 builds only u sigma, the twists and its `AnyonTables`.  Reading labels,
-dims and twists (`galois_relabel`, the placement of u = 0 in
-`stw.modular`) builds no vector table.  The objects are listed first,
+dims and twists (`galois_relabel`, the charge conjugation
+`GroupTables.conjugation`, the placement of u = 0 in `stw.modular`)
+builds no vector table.  The objects are listed first,
 which fixes the number of global vectors and so the dtypes of the
 tables; each table is then allocated once, in its final dtype, and each
 run of objects of one flux class and one internal dim writes its own
@@ -100,6 +101,7 @@ from stw.group import (
     GroupElement,
     GroupSpec,
     conjugacy_data,
+    inverse,
     irreps_of_G,
 )
 
@@ -359,6 +361,60 @@ class GroupTables:
         B_k_s and 1 for every I_j."""
         base, slope = self._twist
         return (base + u * slope) % self.root_order
+
+    def conjugation(self, u: int) -> np.ndarray:
+        """The charge conjugation a -> a* of theory u, as the index of each
+        object's dual, read from the group's classes, irreps and twists
+        (no context is built), as `galois_relabel` is:
+
+        - over the identity class, the conjugate irrep of G: a linear I_j
+          goes to I_(-j mod p), the induced irrep of orbit x to that of
+          orbit -x;
+        - over any other class C, a* is the one object over C^-1 with
+          the twist of a.
+
+        Proof.  The objects over the identity class are the irreps of G
+        (their twisted character is 1), and there duality is the
+        contragredient representation, whose character is the conjugate.
+        A linear I_j has character zeta_p^(j m) on a^l b^m, conjugate to
+        I_(-j); the induced irrep of orbit x is induced from the character
+        zeta_q^(x l) of Z_q, and the conjugate of an induced character is
+        induced from the conjugate character, zeta_q^(-x l), of orbit -x.
+        An object of flux class C has its dual over C^-1, as a (x) a*
+        contains the unit, whose flux is the identity (Coste, Gannon and
+        Ruelle, hep-th/0001158: the dual of (C, chi) is (C^-1, conj(chi))),
+        and theta_(a*) = theta_a in every ribbon category.  On a class
+        other than the identity's the twist is injective in the
+        character: zeta_q^(l m) on the class of a^l is injective in m, as
+        l != 0 mod q, and zeta_(p^2)^(k (s p + u k)) on that of b^k is
+        injective in s, as k != 0 mod p.  So the object over C^-1 with the
+        twist of a is unique, and it is a*.  Raises ArithmeticError if an
+        object has no unique partner."""
+        spec, p, q = self.spec, self.spec.p, self.spec.q
+        class_of = {g: ci for ci, cls in enumerate(self.classes) for g in cls.members}
+        twists = self.twists(u).tolist()
+        over: dict[tuple[int, int], list[int]] = {}  # (class, twist) -> its objects
+        for i, simple in enumerate(self.simples):
+            over.setdefault((simple.class_index, twists[i]), []).append(i)
+        # each unit x mod q -> the character index of the induced irrep of its orbit
+        orbit_of = {
+            irrep.index * spec.n_pow(t) % q: s for s, irrep in enumerate(self.irreps[p:], p) for t in range(p)
+        }
+        images = []
+        for i, simple in enumerate(self.simples):
+            rep, s = self.classes[simple.class_index].representative, simple.char_index
+            if rep == GroupElement(0, 0):
+                j = -s % p if s < p else orbit_of[-self.irreps[s].index % q]
+                images.append(self.label_index[f"I_{j}"])
+                continue
+            partners = over.get((class_of[inverse(spec, rep)], twists[i]), [])
+            if len(partners) != 1:
+                raise ArithmeticError(
+                    f"charge conjugation undefined: {simple.label} has {len(partners)} objects"
+                    " over the inverse class with its twist"
+                )
+            images.append(partners[0])
+        return np.array(images)
 
     @cached_property
     def orbits(self) -> OrbitTable:

@@ -39,9 +39,10 @@ Phys. Lett. B 323 (1994); Dong, Lin and Ng, arXiv:1201.6644).
 holds for every unit f with G_f a permutation matrix, and
 G_h T G_h^T = sigma_{h^2}(T).  An identity X in S~ alone then satisfies
 sigma_f(X) = G_f X G_f^T, and X(gamma^f) is X(gamma) permuted: one
-frequency certifies it.  (S~T)^3 - D S~^2 satisfies only
-sigma_{h^2}(X) = G_h X G_h^T, so it is evaluated at one frequency per
-coset of the squares in (Z/N)^x (4 at N = 275).  The Galois action on V
+frequency certifies it.  S~ T S~ - D T^-1 S~ T^-1, which stands for
+(ST)^3 = S^2 once S is unitary, satisfies only sigma_{h^2}(X) =
+G_h X G_h^T, so it is evaluated at one frequency per coset of the
+squares in (Z/N)^x (4 at N = 275).  The Galois action on V
 is not checked, so `punctured_vanishing_report` keeps every primitive
 frequency, and `_exact_sums`, the one route for the R-table, punctured
 traces, W from them and lens chains, every frequency for its inverse.
@@ -52,11 +53,15 @@ lies in Q(zeta_N), with no eighth root of unity.
 
 Where each S identity is certified: `modular_data` runs the S traces and
 the Gauss check and uses no prime.  The charge conjugation
-`ModularData.dual` is read off S exactly, as the f = -1 case of the row
-match of the Galois check.  `modularity_report` runs the Galois check
+`ModularData.dual` reads no S: in D^omega(G) the dual of (class C,
+character chi) is (C^-1, conj(chi)), and the group's tables give it
+(`GroupTables.conjugation`).  `modularity_report` runs the Galois check
 and, in one loop over the primes, certifies S^2 = D^2 times the
-conjugation permutation, which is unitarity as S-tilde is symmetric,
-and (ST)^3 = D * S^2; S^2 passes when `dual` is that conjugation too.
+permutation of the certified pi_{-1}, which is unitarity as S-tilde is
+symmetric, and S~ T S~ = D T^-1 S~ T^-1, which is (ST)^3 = S^2 as S is
+unitary; S^2 passes when `dual`, the group's conjugation, is pi_{-1}
+too, an independent check of one against the other.  The W identities
+(`w_identities`) read V and `dual` only, so `stw wmatrix` builds no S.
 The norm bound of the lemma above makes each of these zero tests exact.
 The fusion rules
 (`fusion_rules`) follow from the same action: D^3 N_ab^c is rational
@@ -317,6 +322,21 @@ class _Rows:
     def _positions(self) -> dict[str, int]:
         return {label: i for i, label in enumerate(self.labels)}
 
+    @cached_property
+    def dual(self) -> tuple[int, ...]:
+        """The charge conjugation a -> a* of the theory, the row of each
+        object's dual, from the group's classes and twists
+        (`GroupTables.conjugation`), matched by label.  No S is read:
+        `modularity_report` certifies that it is the pi_{-1} of S."""
+        group = group_for(self.params.spec)
+        image = group.conjugation(self.params.u)
+        return tuple(
+            self._positions[group.simples[image[group.label_index[label]]].label] for label in self.labels
+        )
+
+    def dual_of(self, a) -> int:
+        return self.dual[self.index_of(a)]
+
 
 @dataclass
 class ModularData(_Rows):
@@ -325,9 +345,11 @@ class ModularData(_Rows):
     The unnormalized S-matrix entry S-tilde_ab, the two-strand trace, is
     the value with id s_ids[a, b] in s_values, whose row i holds the
     canonical numerators of id i (`_value_ids`); the normalized S divides
-    by the total dimension D.  The twist exponents give T = diag(zeta^t).
-    Only the Gauss sum is checked on construction; `modularity_report`
-    certifies the S identities, S^2 = D^2 times the `dual` permutation too.
+    by the total dimension D.  The twist exponents give T = diag(zeta^t),
+    and `dual`, the charge conjugation, comes from the group's classes
+    and twists, not from S.  Only the Gauss sum is checked on
+    construction; `modularity_report` certifies the S identities, and
+    that S^2 is D^2 times the permutation matrix of `dual`.
     """
 
     params: CocycleParams
@@ -388,23 +410,6 @@ class ModularData(_Rows):
         if len(rows) != self.n_objects or sorted(perm) != list(range(self.n_objects)):
             return None
         return perm
-
-    @cached_property
-    def dual(self) -> tuple[int, ...] | None:
-        """The charge conjugation a -> a*: the unique b whose S-tilde row
-        is the complex conjugate of row a (S_a*b = conj(S_ab) in any
-        modular category), i.e. `galois_permutation(-1)`, the one that
-        `_galois_check` certified when it has run.  None unless the
-        matches form a permutation."""
-        return self._conj if self._conj is not None else self.galois_permutation(-1)
-
-    def dual_of(self, a) -> int:
-        if self.dual is None:
-            raise ArithmeticError(
-                "charge conjugation undefined: no permutation matches each S row"
-                " with the conjugate of another"
-            )
-        return self.dual[self.index_of(a)]
 
 
 # Histograms per `reduce_counts` or `map_exponents` call, frequencies per
@@ -759,17 +764,24 @@ def modularity_report(md: ModularData) -> ModularityReport:
     The Galois check (`_galois_check`) runs first.  One checker, for the
     larger bound, then certifies at every prime: S~^2 = D^2 times the
     permutation matrix of the certified conjugation G_{-1} at frequency
-    1, and (S~T)^3 = D S~^2 ((ST)^3 = S^2 times the Gauss sum over D,
-    which is 1, checked in modular_data) at one frequency per coset of
-    the squares in (Z/N)^x.  The first is unitarity: S~ is symmetric and
-    conj(S~)_cb = S~_{conj(c) b}, so the gram matrix S~ S~^dagger has
-    entry (a, c) equal to (S~^2)_{a conj(c)}, and S~ S~^dagger = D^2 I
-    exactly when S~^2 = D^2 G_{-1}.  S^2 = D^2 times the `md.dual`
-    permutation passes when, besides, `md.dual` is G_{-1}.  The charge
-    conjugation must be an involution fixing the unit, and, when |G| is
-    odd, fix no other object (Burnside: no element or irreducible
-    character of a group of odd order is real besides the trivial ones);
-    at p = 2 every object may be self-dual.
+    1, and S~ T S~ = D T^-1 S~ T^-1 at one frequency per coset of the
+    squares in (Z/N)^x, one product per frequency.  The first is
+    unitarity: S~ is symmetric and conj(S~)_cb = S~_{conj(c) b}, so the
+    gram matrix S~ S~^dagger has entry (a, c) equal to (S~^2)_{a conj(c)},
+    and S~ S~^dagger = D^2 I exactly when S~^2 = D^2 G_{-1}.  The second
+    is (ST)^3 = S^2 ((ST)^3 = S^2 times the Gauss sum over D, which is 1,
+    checked in modular_data) once S is unitary.  Write C = S^2 = G_{-1}:
+    an involution, and it commutes with T, as t_{pi_{-1}(a)} = t_a (the
+    twist condition at f = -1).  If STS = T^-1 S T^-1, then
+    (ST)^3 = (STS) T S T = T^-1 S^2 T = C.  If (ST)^3 = C, then
+    STS = C T^-1 S^-1 T^-1 = T^-1 S T^-1, as S^-1 = C S.  So the (ST)^3
+    line also requires unitarity.  S^2 = D^2 times the `md.dual`
+    permutation passes when, besides, `md.dual`, the charge conjugation
+    read from the group's classes and twists (`GroupTables.conjugation`),
+    is G_{-1}.  The charge conjugation must be an involution fixing the
+    unit, and, when |G| is odd, fix no other object (Burnside: no element
+    or irreducible character of a group of odd order is real besides the
+    trivial ones); at p = 2 every object may be self-dual.
 
     Why these frequencies suffice (Coste and Gannon, Phys. Lett. B 323
     (1994); Dong, Lin and Ng, arXiv:1201.6644, for the action checked
@@ -777,16 +789,18 @@ def modularity_report(md: ModularData) -> ModularityReport:
     sigma_f at gamma.  With the check passed, sigma_f(S~) = G_f S~ =
     S~ G_f^T, and G_f commutes with G_{-1}, so X = S~^2 - D^2 G_{-1}
     satisfies sigma_f(X) = G_f X G_f^T for every unit f.  For
-    X = (S~T)^3 - D S~^2, sigma_{h^2}(S~) = G_h S~ G_h^T and
-    sigma_{h^2}(T) = G_h T G_h^T (the twist condition), so
-    sigma_{h^2}(X) = G_h X G_h^T, and the square classes reach every
-    unit.  So X = 0 at the evaluated frequencies mod P implies X = 0 at
-    every primitive frequency, that is, X = 0 mod P Z[zeta_N], because
-    P = 1 (mod N) splits completely; the norm bound of the module's
-    lemma, with the L1 bound of each entry below the product of the
-    primes, then gives X = 0.  If the Galois check fails, S-tilde is not
-    the S-matrix of any modular category: the report names the failure,
-    and unitarity, S^2, (ST)^3 and the fusion rules fail."""
+    X = S~ T S~ - D T^-1 S~ T^-1, sigma_{h^2}(S~) = G_h S~ G_h^T and
+    sigma_{h^2}(T) = G_h T G_h^T (the twist condition), and T^-1
+    transforms as T, so sigma_{h^2}(X) = G_h X G_h^T, and the square
+    classes reach every unit.  So X = 0 at the evaluated frequencies mod
+    P implies X = 0 at every primitive frequency, that is, X = 0 mod
+    P Z[zeta_N], because P = 1 (mod N) splits completely; the norm bound
+    of the module's lemma, with the L1 bound of each entry below the
+    product of the primes, then gives X = 0.  An entry of S~ T S~ has L1
+    at most max(l1 @ l1) and one of D T^-1 S~ T^-1 at most D max(l1).
+    If the Galois check fails, S-tilde is not the S-matrix of any modular
+    category: the report names the failure, and unitarity, S^2, (ST)^3
+    and the fusion rules fail."""
     failures: list[str] = []
     n = md.n_objects
     d_sq = md.total_dim * md.total_dim
@@ -806,25 +820,27 @@ def modularity_report(md: ModularData) -> ModularityReport:
     if galois_ok:
         l1 = _l1(md.s_values, md.s_ids)
         l1_sq = int(np.max(l1 @ l1))
-        bounds = (  # S~^2 and (S~T)^3 minus their targets
+        bounds = (  # S~^2 and S~ T S~ minus their targets
             l1_sq + d_sq,
-            int(np.max(l1 @ l1 @ l1)) + md.total_dim * l1_sq,
+            l1_sq + md.total_dim * int(np.max(l1)),
         )
         checker = _checker(md.root_order, max(bounds))
         reps = _square_classes(md.root_order)  # reps[0] = 1
         # row a of D^2 G_{-1} holds D^2 in column conj(a)
         d2_conj = d_sq * np.eye(n, dtype=np.int64)[conj]
-        # column b of S-tilde T at gamma^f is scaled by theta_b^f
+        # theta_b^f, the entry b of T at gamma^f, and T^-1's
         twist_exps = reps[:, None] * md.twist_exps[None, :] % md.root_order
         for fp in checker.freq:
+            prime = fp.prime
             ev = _evaluations(fp, md.s_values, md.s_ids, reps)
-            s2 = _mulmod(ev, ev, fp.prime)
-            unitary = unitary and not np.any(s2[0] != d2_conj % fp.prime)
-            st = ev * fp.pows[twist_exps][:, None, :] % fp.prime
-            cubed = _mulmod(_mulmod(st, st, fp.prime), st, fp.prime)
-            st_ok = st_ok and not np.any((cubed - md.total_dim % fp.prime * s2) % fp.prime)
+            unitary = unitary and not np.any(_mulmod(ev[0], ev[0], prime) != d2_conj % prime)
+            theta, theta_inv = fp.pows[twist_exps], fp.pows[-twist_exps % md.root_order]
+            sts = _mulmod(ev * theta[:, None, :] % prime, ev, prime)
+            target = ev * theta_inv[:, :, None] % prime * theta_inv[:, None, :] % prime
+            st_ok = st_ok and not np.any((sts - md.total_dim % prime * target) % prime)
     if not unitary:
         failures.append("S-tilde times its conjugate transpose is not D^2 times identity")
+    st_ok = st_ok and unitary  # S~ T S~ = D T^-1 S~ T^-1 is (ST)^3 = S^2 only for S invertible
     s2_ok = unitary and dual == tuple(conj)
 
     self_dual = 0
@@ -1131,13 +1147,14 @@ class WIdentityReport:
         return not self.failures
 
 
-def w_identities(md: ModularData, wm: WMatrix) -> WIdentityReport:
+def w_identities(wm: WMatrix) -> WIdentityReport:
     """Check, for all pairs: W symmetric; theta_a^2 W-tilde_ax equals
     theta_x^2 W-tilde_{x, dual(a)}; and W-tilde_ax = W-tilde_{a, dual(x)}.
     In terms of the raw clasp values these are V_ax = V_xa,
-    V_ax = V_{x, dual(a)}, and V_ax = V_{a, dual(x)}."""
-    n = md.n_objects
-    dual = np.array([md.dual_of(a) for a in range(n)], dtype=np.int64)
+    V_ax = V_{x, dual(a)}, and V_ax = V_{a, dual(x)}.  Only V and the
+    charge conjugation are read, the latter from the group's classes and
+    twists (`wm.dual`), so no S is built."""
+    dual = np.array(wm.dual, dtype=np.int64)
     # Equal exact values have equal ids, so (n, n) ids stand in for V.
     v, v_t = wm.v_ids, wm.v_ids.T  # v_t[a, x] is V_xa
     asymmetric = v != v_t
@@ -1145,7 +1162,7 @@ def w_identities(md: ModularData, wm: WMatrix) -> WIdentityReport:
     dual_bad = v != v[:, dual]  # against V_{a, dual(x)}
     failures = []
     for a, x in zip(*np.nonzero(asymmetric | twist_bad | dual_bad)):
-        pair = f"({md.labels[a]}, {md.labels[x]})"
+        pair = f"({wm.labels[a]}, {wm.labels[x]})"
         if asymmetric[a, x]:
             failures.append(f"W asymmetry at {pair}")
         if twist_bad[a, x]:

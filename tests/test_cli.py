@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stw import cli, modular
+from stw.braid import parse_braid
 from stw.cocycle import CocycleParams
 from stw.cyclotomic import _factorize
 from stw.group import GroupSpec
@@ -191,8 +192,8 @@ def test_modular_certifies_the_galois_action_once(capsys, monkeypatch):
     """`stw modular` at the flagship matches S against its images under
     the two generators of (Z/275)^x, once each, and never under complex
     conjugation, which it composes from them: the Galois check runs once
-    per theory, and `dual` and `fusion_rules` read the conjugation and
-    the generator permutations it certified."""
+    per theory, and `fusion_rules` reads the generator permutations it
+    certified; `dual` comes from the group's classes and reads no S."""
     calls = []
     permutation = modular.ModularData.galois_permutation
 
@@ -232,6 +233,36 @@ def test_wmatrix_command(capsys):
     code, out, _ = run(capsys, ["wmatrix", "--u", "1"])
     assert code == 0
     assert out.count("PASS") == 4
+
+
+def test_wmatrix_walks_no_s(capsys, monkeypatch):
+    """`stw wmatrix --u 1` at the flagship reads the charge conjugation
+    from the group's classes and twists: it builds no modular data, maps
+    no S row under a Galois automorphism, and traces the clasp word only."""
+    calls = {"modular_data": 0, "galois_permutation": 0}
+    words = []
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(modular, "modular_data", counted("modular_data", modular.modular_data))
+    monkeypatch.setattr(modular.ModularData, "galois_permutation",
+                        counted("galois_permutation", modular.ModularData.galois_permutation))
+    real_trace = modular.sparse_trace_counts
+
+    def trace(ctx, word, *rest):
+        words.append(word)
+        return real_trace(ctx, word, *rest)
+
+    monkeypatch.setattr(modular, "sparse_trace_counts", trace)
+    code, out, _ = run(capsys, ["wmatrix", "--u", "1"])
+    assert code == 0 and out.count("PASS") == 4
+    assert calls == {"modular_data": 0, "galois_permutation": 0}
+    clasp = parse_braid(modular.WHITEHEAD_WORD, 3)
+    assert words and all(word == clasp for word in words)
 
 
 def test_reports_are_built_only_for_out(capsys, monkeypatch):

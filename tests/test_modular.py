@@ -208,7 +208,7 @@ def test_frequency_transform_matches_direct_sums():
 
 @pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4)])
 def test_checker_primes_for_the_report_bounds(group):
-    """The two bounds of `modularity_report` at u = 1, S~^2 and (S~T)^3
+    """The two bounds of `modularity_report` at u = 1, S~^2 and S~ T S~
     minus their targets from the L1 norms of the values of S-tilde, each
     need two primes."""
     md = modular.modular_data(CocycleParams(GroupSpec(*group), 1))
@@ -216,7 +216,7 @@ def test_checker_primes_for_the_report_bounds(group):
     l1_sq = int(np.max(l1 @ l1))
     bounds = (
         l1_sq + md.total_dim**2,
-        int(np.max(l1 @ l1 @ l1)) + md.total_dim * l1_sq,
+        l1_sq + md.total_dim * int(np.max(l1)),
     )
     assert [len(modular._checker(md.root_order, b).primes) for b in bounds] == [2, 2]
 
@@ -511,16 +511,33 @@ def test_modularity_report_rejects_wrong_dual(small_md):
     assert "S^2 is not D^2 times a permutation matrix" in report.failures
 
 
-def test_dual_is_none_when_a_conjugate_row_matches_nothing(small_md):
+def test_group_dual_stays_when_a_conjugate_row_matches_nothing(small_md):
+    """One count of S~_35 moved: no row of S-tilde is the conjugate of
+    row 3 any more, but `dual`, read from the group's classes and twists,
+    reads no S and stays as it was; the S^2 line fails."""
     counts = small_md.s_counts
     counts[3, 5, 1] += 1
     md = _with_s_counts(small_md, counts)
-    assert md.dual is None
-    with pytest.raises(ArithmeticError, match="conjugate"):
-        md.dual_of(3)
+    assert md.galois_permutation(-1) is None
+    assert md.dual == small_md.dual and md.dual_of(3) == small_md.dual_of(3)
     report = modular.modularity_report(md)
     assert not report.s2_permutation
     assert "S^2 is not D^2 times a permutation matrix" in report.failures
+
+
+def test_st_identity_catches_a_changed_twist_on_its_own(small_md):
+    """One twist exponent moved by 1, with the Galois certificate of the
+    true T kept, so the twist condition is not checked again: the
+    identity S~ T S~ = D T^-1 S~ T^-1 rejects the moved T by itself."""
+    modular._galois_check(small_md)
+    twist_exps = small_md.twist_exps.copy()
+    twist_exps[5] = (twist_exps[5] + 1) % small_md.root_order
+    md = dataclasses.replace(small_md, twist_exps=twist_exps)
+    md._conj, md._galois_gens = small_md._conj, small_md._galois_gens
+    report = modular.modularity_report(md)
+    assert report.unitary and report.s2_permutation
+    assert not report.st_cubed_matches_s2
+    assert "(ST)^3 does not equal the Gauss phase times S^2" in report.failures
 
 
 @pytest.mark.parametrize("group", [(7, 3, 2), (11, 5, 4), (7, 2, 6), (13, 3, 3), (19, 3, 7), (5, 2, 4)])
@@ -672,18 +689,27 @@ def test_certification_evaluates_one_frequency_per_square_class(md_u, monkeypatc
     assert seen and all(len(freqs) <= classes for freqs in seen.values())
 
 
+_DUAL_CASES = [((7, 3, 2), 0), ((7, 3, 2), 1), ((7, 3, 2), 2), ((7, 3, 4), 1), ((13, 3, 3), 1),
+               ((11, 5, 4), 1)]
+_CONJUGATION_GROUPS = [(7, 3, 2), (7, 3, 4), (11, 5, 4), (7, 2, 6), (5, 2, 4), (13, 3, 3),
+                       (13, 3, 9), (19, 3, 7), (43, 7, 4), (11, 5, 3)]
+
+
 @pytest.mark.parametrize(
     "group, u",
-    [((7, 3, 2), 0), ((7, 3, 2), 1), ((7, 3, 2), 2), ((7, 3, 4), 1), ((13, 3, 3), 1),
-     ((11, 5, 4), 1)],
+    _DUAL_CASES
+    + [(g, u) for g in _CONJUGATION_GROUPS for u in range(g[1]) if (g, u) not in _DUAL_CASES],
 )
 def test_dual_matches_group_data(group, u):
     """The dual of (class of t, character) lies over the class of t^-1 and
-    has the same dimension and twist."""
+    has the same dimension and twist, and the group's conjugation is the
+    pi_{-1} that the Galois check certifies on S, for every theory of
+    each group, p = 2 included."""
     params = CocycleParams(GroupSpec(*group), u)
     ctx = context_for(params)
     md = modular.modular_data(params)
     assert sorted(md.dual) == list(range(md.n_objects))
+    assert md.dual == modular._galois_check(md)
     for a, b in enumerate(md.dual):
         flux = ctx.classes[ctx.simples[a].class_index].representative
         assert inverse(params.spec, flux) in ctx.classes[ctx.simples[b].class_index].members
@@ -709,8 +735,8 @@ def test_w_symmetry_and_identities_on_sample(md_u, wm_u):
             assert v == wm.v_entry(a, md.dual_of(x))
 
 
-def test_w_identities_report(md_u, wm_u):
-    report = modular.w_identities(md_u(1), wm_u(1))
+def test_w_identities_report(wm_u):
+    report = modular.w_identities(wm_u(1))
     assert report.all_passed
     assert report.symmetric
     assert report.twist_duality
@@ -771,7 +797,7 @@ def test_w_identities_report_names_corrupted_pair(md_u, wm_u):
     a, x = md.index_of("B_2_3"), md.index_of("A_1_7")
     counts = wm.v_counts
     counts[a, x] = np.roll(counts[a, x], 1)
-    report = modular.w_identities(md, _with_v_counts(wm, counts))
+    report = modular.w_identities(_with_v_counts(wm, counts))
     assert not report.symmetric
     assert not report.twist_duality
     assert not report.second_dual_invariance
@@ -795,6 +821,31 @@ def test_w_identities_report_names_corrupted_pair(md_u, wm_u):
         for what in broken[i, j]
     ]
     assert list(report.failures) == expected
+
+
+def test_swapped_group_conjugation_fails_w_identities_and_s2(md_u, wm_u, monkeypatch):
+    """Swap the images of B_1_0 and B_2_0 in the group's conjugation: a
+    permutation still, but not the charge conjugation.  The two W
+    identities that read it fail with their usual messages, W symmetry
+    does not, and the S^2 line fails against the certified pi_{-1}."""
+    real = double.GroupTables.conjugation
+    a, b = wm_u(1).index_of("B_1_0"), wm_u(1).index_of("B_2_0")
+
+    def swapped(self, u):
+        images = real(self, u)
+        images[[a, b]] = images[[b, a]]
+        return images
+
+    monkeypatch.setattr(double.GroupTables, "conjugation", swapped)
+    wm, md = dataclasses.replace(wm_u(1)), dataclasses.replace(md_u(1))  # no dual cached
+    assert wm.dual != wm_u(1).dual
+    report = modular.w_identities(wm)
+    assert report.symmetric and not (report.twist_duality or report.second_dual_invariance)
+    named = {line.rsplit(" at ", 1)[0] for line in report.failures}
+    assert named == {"twist-duality identity fails", "dual-argument identity fails"}
+    s2 = modular.modularity_report(md)
+    assert s2.unitary and s2.st_cubed_matches_s2 and not s2.s2_permutation
+    assert "S^2 is not D^2 times a permutation matrix" in s2.failures
 
 
 def test_theory_data_keys_match_scalar_keys(small_md):
